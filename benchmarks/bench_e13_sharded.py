@@ -1,37 +1,14 @@
-"""E13 — sharded single-run exploration: speedup series and spill run.
+"""E13 — the spill-identity run (DESIGN.md §15).
 
-DESIGN.md §15's two claims made continuous:
+The 4-thread token ring at bound 14 estimates ~700 MB of in-memory
+visited-set footprint, over the default 512 MB budget; run under
+``--spill`` it must overflow to disk exactly once and still report
+byte-identical results (configs, transitions, violations) to the
+unbudgeted in-memory run.  The gate in ``benchmarks/check_regression.py``
+fails outright when the run stops spilling or stops agreeing.
 
-**Shard speedup** — Peterson (``once``) at bound 14 explored at 1/2/4
-shards in process mode, under a per-configuration check hook that
-sleeps a *spin-calibrated* stall (``STALL_MSPIN`` million iterations of
-the :func:`~repro.engine.calibrate.spin_score` loop, converted to wall
-time on this machine).  The stall models a realistically expensive
-per-state check (an SMT query, a disk lookup): it is wall time the
-worker *processes* overlap, so the wall-clock speedup measures the
-sharding protocol's scaling — routing, batching, round barriers — and
-not the host's core count; calibrating the stall by ``spin_score``
-keeps the ratio comparable across machines, because the protocol's CPU
-overhead and the stall shrink together on a faster host.  Every run of
-the series must report byte-identical outcome sets and identical
-config/transition counts — sharding partitions the search, never
-changes it — and the gate in ``benchmarks/check_regression.py`` holds
-the 4-shard speedup above the committed floor.
-
-**Spill identity** — the 4-thread token ring at bound 14 estimates
-~700 MB of in-memory visited-set footprint, over the default 512 MB
-budget; run under ``--spill`` it must overflow to disk exactly once
-and still report byte-identical results (configs, transitions,
-violations) to the unbudgeted in-memory run.
-
-**Checkpoint overhead** — the same stalled Peterson workload explored
-with and without periodic checkpointing (DESIGN.md §16).  Snapshot
-cost is paid per cadence interval, so it amortises exactly when
-per-state work dominates — the long-run regime checkpointing exists
-for, and the same regime the stall models.  The checkpointed run must
-stay within 5% of the plain one (gated hard in
-``benchmarks/check_regression.py``) while actually writing snapshots,
-and must report byte-identical results.
+What sharding and checkpointing cost is measured, with no stall, by the
+repository benchmark's ``ring4-durable`` workload (``perfbench/``).
 
 Records land in ``--bench-json`` as ``BENCH_e13_sharded.json``.
 """
@@ -39,27 +16,14 @@ Records land in ``--bench-json`` as ``BENCH_e13_sharded.json``.
 import time
 
 from conftest import once, table
-from repro.casestudies.peterson import PETERSON_INIT, peterson_program
 from repro.casestudies.token_ring import (
     TOKEN_INIT,
     token_ring_program,
     token_ring_violations,
 )
-from repro.engine.calibrate import spin_score
 from repro.interp.explore import explore
 from repro.interp.ra_model import RAMemoryModel
 from repro.litmus.registry import final_values
-
-#: Peterson exploration bound for the speedup series (≥14 per the E13
-#: acceptance row; 934 configs under RA).
-BOUND = 14
-
-SHARD_SERIES = (1, 2, 4)
-
-#: Per-configuration check cost, in millions of spin-loop iterations'
-#: worth of wall time (~16 ms on the machine the baseline was recorded
-#: on).
-STALL_MSPIN = 0.3
 
 #: The default in-memory visited budget the spill run must exceed.
 SPILL_BUDGET = 512 * 1024 * 1024
@@ -70,76 +34,12 @@ SPILL_BUDGET = 512 * 1024 * 1024
 RING_THREADS = 4
 RING_BOUND = 14
 
-#: Set per session from ``spin_score`` before the series runs; module
-#: level so the hook stays picklable for the worker processes.
-_STALL = 0.0
-
-
-def _stalling_check(config):
-    time.sleep(_STALL)
-    return []
-
 
 def _outcome_set(result):
     """The byte-comparable terminal outcome set of an exploration."""
     return sorted(
         {tuple(sorted(final_values(c).items())) for c in result.terminal}
     )
-
-
-def test_shard_speedup_series(benchmark, bench_json):
-    global _STALL
-    score = spin_score()
-    _STALL = STALL_MSPIN * 1e6 / score
-    program = peterson_program(once=True)
-
-    def run_series():
-        rows = []
-        reference = None
-        for shards in SHARD_SERIES:
-            t0 = time.perf_counter()
-            result = explore(
-                program, PETERSON_INIT, RAMemoryModel(),
-                max_events=BOUND, shards=shards,
-                shard_processes=shards > 1,
-                check_config=_stalling_check,
-            )
-            wall = time.perf_counter() - t0
-            observed = (
-                result.configs, result.transitions, _outcome_set(result),
-            )
-            if reference is None:
-                reference = observed
-            # the parity contract: byte-identical outcome sets and
-            # identical counts at every shard width
-            assert observed == reference, f"shards={shards} diverged"
-            rows.append({
-                "shards": shards,
-                "wall_s": wall,
-                "configs": result.configs,
-                "transitions": result.transitions,
-                "speedup": rows[0]["wall_s"] / wall if rows else 1.0,
-            })
-        return rows
-
-    rows = once(benchmark, run_series)
-    table(
-        f"E13: Peterson bound {BOUND}, stalled check, process-mode shards",
-        [
-            f"shards={r['shards']}: {r['wall_s']:6.2f}s "
-            f"speedup={r['speedup']:.2f}x configs={r['configs']}"
-            for r in rows
-        ],
-    )
-    benchmark.extra_info["speedup_4"] = rows[-1]["speedup"]
-    bench_json.record("e13_sharded", {
-        "bound": BOUND,
-        "stall_mspin": STALL_MSPIN,
-        "spin_score": score,
-        "stall_s": _STALL,
-        "outcomes_identical": True,
-        "series": rows,
-    })
 
 
 def test_spill_identity_under_budget(benchmark, bench_json, tmp_path):
@@ -193,78 +93,5 @@ def test_spill_identity_under_budget(benchmark, bench_json, tmp_path):
         "wall_s_inmem": wall_plain,
         "wall_s_spill": wall_spill,
         "violations": len(spilled.violations),
-        "identical": True,
-    })
-
-
-#: Per-configuration stall for the checkpoint pair, in millions of
-#: spin-loop iterations (~2.5 ms) — small enough that the pair stays
-#: under ~10 s, large enough that per-state work dominates, which is
-#: the regime checkpointing is built for.
-CKPT_STALL_MSPIN = 0.05
-
-#: Snapshot cadence: two checkpoints over Peterson's 934 configs at
-#: ``BOUND``.
-CKPT_EVERY = 400
-
-#: Best-of-N for each side of the pair (walls, not configs, vary).
-CKPT_REPS = 2
-
-
-def test_checkpoint_overhead(benchmark, bench_json, tmp_path):
-    global _STALL
-    score = spin_score()
-    _STALL = CKPT_STALL_MSPIN * 1e6 / score
-    program = peterson_program(once=True)
-    ckpt = str(tmp_path / "e13.ckpt")
-
-    def run_pair():
-        def one(**kw):
-            t0 = time.perf_counter()
-            result = explore(
-                program, PETERSON_INIT, RAMemoryModel(),
-                max_events=BOUND, check_config=_stalling_check, **kw,
-            )
-            return time.perf_counter() - t0, result
-
-        wall_off, plain = one()
-        wall_on, checked = one(checkpoint=ckpt, checkpoint_every=CKPT_EVERY)
-        for _ in range(CKPT_REPS - 1):
-            wall_off = min(wall_off, one()[0])
-            wall_on = min(
-                wall_on,
-                one(checkpoint=ckpt, checkpoint_every=CKPT_EVERY)[0],
-            )
-        return plain, wall_off, checked, wall_on
-
-    plain, wall_off, checked, wall_on = once(benchmark, run_pair)
-    # snapshots must actually land, and must not change a single
-    # observable
-    assert checked.stats.checkpoints >= 1
-    assert checked.configs == plain.configs
-    assert checked.transitions == plain.transitions
-    assert _outcome_set(checked) == _outcome_set(plain)
-    ratio = wall_on / wall_off
-    table(
-        f"E13: Peterson bound {BOUND}, stalled check, "
-        f"checkpoint every {CKPT_EVERY} configs",
-        [
-            f"checkpoint off: {wall_off:6.2f}s",
-            f"checkpoint on:  {wall_on:6.2f}s  "
-            f"overhead={100.0 * (ratio - 1.0):+.1f}% "
-            f"({checked.stats.checkpoints} snapshot(s))",
-        ],
-    )
-    benchmark.extra_info["overhead_ratio"] = ratio
-    bench_json.record("e13_checkpoint", {
-        "bound": BOUND,
-        "stall_mspin": CKPT_STALL_MSPIN,
-        "spin_score": score,
-        "checkpoint_every": CKPT_EVERY,
-        "checkpoints": checked.stats.checkpoints,
-        "configs": checked.configs,
-        "wall_s_off": wall_off,
-        "wall_s_on": wall_on,
-        "overhead_ratio": ratio,
         "identical": True,
     })

@@ -7,7 +7,7 @@ Usage::
 
 Compares the records two ``repro-bench/1`` documents share (the
 committed ``BENCH_*.json`` baseline vs a fresh CI run) and exits 1 on a
-regression beyond ``--tolerance`` (default 25%).  Two record families
+regression beyond ``--tolerance`` (default 25%).  Three record families
 are gated:
 
 **``e12_hotpath``** — calibrated throughput.  Raw states/sec would
@@ -36,29 +36,14 @@ tier must not fall below the committed baseline beyond tolerance.  A
 change that quietly weakens the parsimonious explorer (DESIGN.md §13)
 or DPOR therefore fails CI even while outcome parity still holds.
 
-**``e13_sharded``** — sharded-exploration scaling.  The stall-injected
-shard series (see ``bench_e13_sharded.py``) records per-shard-count
-wall-clock ``speedup`` columns that are already machine-comparable (the
-per-state stall is spin-calibrated, so protocol overhead and stall
-scale together across hosts).  The 4-shard speedup is gated two ways:
-it must stay at or above the hard ``SPEEDUP_FLOOR`` (the E13
-acceptance bar, no tolerance), and it must not fall below the
-committed baseline's beyond tolerance.  The accompanying ``e13_spill``
-record must continue to report ``identical: true`` with at least one
-spill — a spill run that stopped overflowing (or stopped agreeing with
-the in-memory run) fails the gate outright.
+**``e13_spill``** — spill identity.  The token-ring run under the
+512 MB visited budget (see ``bench_e13_sharded.py``) must continue to
+report ``identical: true`` with at least one spill and the committed
+configuration count — a spill run that stopped overflowing (or stopped
+agreeing with the in-memory run) fails the gate outright.
 
 A record family present in only one of the two documents is skipped;
-**``e13_checkpoint``** — checkpoint overhead.  The stalled Peterson
-workload explored with snapshots on and off in the same session
-records ``overhead_ratio`` (on/off wall clock, machine-independent by
-construction); the gate holds it at or under the hard
-``CHECKPOINT_OVERHEAD_CEILING`` of 1.05 — checkpointing may never cost
-more than 5% in the per-state-work-dominated regime it exists for —
-and requires that at least one snapshot actually landed and that the
-run asserted byte-identical results.
-
-The gate fails if the documents share no gated record at all.
+the gate fails if the documents share no gated record at all.
 """
 
 from __future__ import annotations
@@ -174,49 +159,6 @@ def check_reduction_series(base_record, cur_record, tolerance, failures) -> None
             )
 
 
-#: The E13 acceptance bar: wall-clock speedup at 4 shards on the
-#: stalled Peterson series.  A hard floor, not tolerance-scaled.
-SPEEDUP_FLOOR = 1.8
-
-
-def check_sharded(base_record, cur_record, tolerance, failures) -> None:
-    """Gate the E13 shard-speedup series and the spill-identity flags."""
-    base_by_shards = {s["shards"]: s for s in base_record.get("series", [])}
-    cur_by_shards = {s["shards"]: s for s in cur_record.get("series", [])}
-    print(f"{'shards':<8} {'baseline':>9} {'current':>9}  (wall-clock speedup)")
-    for shards, base in sorted(base_by_shards.items()):
-        cur = cur_by_shards.get(shards)
-        if cur is None:
-            failures.append(
-                f"shard series: {shards} shards missing from current run"
-            )
-            continue
-        flag = ""
-        if cur["speedup"] < base["speedup"] * (1.0 - tolerance):
-            failures.append(
-                f"shard series: {shards}-shard speedup fell to "
-                f"{cur['speedup']:.2f}x (baseline {base['speedup']:.2f}x, "
-                f"tolerance {tolerance:.0%})"
-            )
-            flag = "  ** REGRESSION **"
-        print(
-            f"{shards:<8} {base['speedup']:>8.2f}x {cur['speedup']:>8.2f}x"
-            f"{flag}"
-        )
-    top = max(cur_by_shards) if cur_by_shards else None
-    if top is None or cur_by_shards[top]["speedup"] < SPEEDUP_FLOOR:
-        got = cur_by_shards[top]["speedup"] if top is not None else 0.0
-        failures.append(
-            f"shard series: {top}-shard speedup {got:.2f}x is below the "
-            f"hard E13 floor of {SPEEDUP_FLOOR:.1f}x"
-        )
-    if not cur_record.get("outcomes_identical"):
-        failures.append(
-            "shard series: the current run did not assert identical "
-            "outcome sets"
-        )
-
-
 def check_spill(base_record, cur_record, tolerance, failures) -> None:
     """Gate the E13 spill run: still overflows, still byte-identical."""
     if not cur_record.get("identical"):
@@ -235,39 +177,6 @@ def check_spill(base_record, cur_record, tolerance, failures) -> None:
     print(
         f"spill run: {cur_record.get('configs')} configs, "
         f"{cur_record.get('spills')} spill(s), "
-        f"identical={bool(cur_record.get('identical'))}"
-    )
-
-
-#: Hard ceiling on the checkpointed/plain wall-clock ratio of the E13
-#: overhead pair.  Not tolerance-scaled: <5% is the acceptance bar.
-CHECKPOINT_OVERHEAD_CEILING = 1.05
-
-
-def check_checkpoint(base_record, cur_record, tolerance, failures) -> None:
-    """Gate the E13 checkpoint-overhead pair (hard 5% ceiling)."""
-    ratio = cur_record.get("overhead_ratio")
-    snapshots = cur_record.get("checkpoints", 0)
-    if not cur_record.get("identical"):
-        failures.append(
-            "checkpoint pair: results no longer identical with snapshots on"
-        )
-    if snapshots < 1:
-        failures.append(
-            "checkpoint pair: no snapshot was written — the workload no "
-            "longer exercises the checkpoint path"
-        )
-    if ratio is None:
-        failures.append("checkpoint pair: overhead_ratio missing")
-    elif ratio > CHECKPOINT_OVERHEAD_CEILING:
-        failures.append(
-            f"checkpoint pair: overhead {100.0 * (ratio - 1.0):+.1f}% "
-            f"exceeds the hard {CHECKPOINT_OVERHEAD_CEILING:.2f}x ceiling"
-        )
-    print(
-        f"checkpoint pair: overhead "
-        f"{'n/a' if ratio is None else f'{100.0 * (ratio - 1.0):+.1f}%'}, "
-        f"{snapshots} snapshot(s), "
         f"identical={bool(cur_record.get('identical'))}"
     )
 
@@ -303,27 +212,15 @@ def main(argv=None) -> int:
             args.tolerance,
             failures,
         )
-    if "e13_sharded" in base and "e13_sharded" in cur:
-        gated += 1
-        check_sharded(
-            base["e13_sharded"], cur["e13_sharded"], args.tolerance, failures
-        )
     if "e13_spill" in base and "e13_spill" in cur:
         gated += 1
         check_spill(
             base["e13_spill"], cur["e13_spill"], args.tolerance, failures
         )
-    if "e13_checkpoint" in base and "e13_checkpoint" in cur:
-        gated += 1
-        check_checkpoint(
-            base["e13_checkpoint"], cur["e13_checkpoint"], args.tolerance,
-            failures,
-        )
     if not gated:
         print(
             f"{args.baseline} and {args.current} share no gated record "
-            "(e12_hotpath, e8_peterson_reduction_series, e13_sharded, "
-            "e13_spill or e13_checkpoint)",
+            "(e12_hotpath, e8_peterson_reduction_series or e13_spill)",
             file=sys.stderr,
         )
         return 1

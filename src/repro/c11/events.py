@@ -49,12 +49,11 @@ class Event:
             object.__setattr__(self, "_hash", h)
             return h
 
-    def __getstate__(self):
-        # str hashing is salted per process (PYTHONHASHSEED), so a
-        # cached hash must never cross a pickle boundary.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def __reduce__(self):
+        # Pickle by constructor arguments: cheaper than copying the
+        # instance dict, and the cached hash (str hashing is salted per
+        # process, PYTHONHASHSEED) never crosses a pickle boundary.
+        return (Event, (self.tag, self.action, self.tid))
 
     def described(self, identity) -> tuple:
         """The canonical-key description of this event under a canonical

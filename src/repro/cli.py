@@ -999,7 +999,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="periodically snapshot the search's complete loop state to "
-        "an atomic repro-ckpt/1 file; a resumed run finishes "
+        "an atomic repro-ckpt/2 file; a resumed run finishes "
         "byte-identically (DESIGN.md §16)",
     )
     run.add_argument(

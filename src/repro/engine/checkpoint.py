@@ -9,9 +9,9 @@ search exactly: configs, transitions, terminal outcome sets and
 counterexamples are byte-identical to the uninterrupted run (pinned by
 the kill-and-resume parity tests in ``tests/test_checkpoint.py``).
 
-File format (``repro-ckpt/1``)::
+File format (``repro-ckpt/2``)::
 
-    b"repro-ckpt/1\\n"  +  pickle({"fingerprint": ..., "payload": ...})
+    b"repro-ckpt/2\\n"  +  pickle({"fingerprint": ..., "payload": ...})
 
 * The **fingerprint** identifies the run the state belongs to: a digest
   of the program source, the model name, the bounds, strategy,
@@ -26,7 +26,11 @@ File format (``repro-ckpt/1``)::
   rebuilds on unpickle rather than shipping its process-salted value.
   A spilled visited set snapshots as its raw bucket-file bytes: the
   same length-prefixed ``stable_encode`` records it keeps on disk
-  (:mod:`repro.engine.visited`), so restore is byte-exact.
+  (:mod:`repro.engine.visited`), so restore is byte-exact.  No payload
+  holds a transition: parents are ``(parent key, tid)`` pairs and
+  traces are replayed (DESIGN.md §5).  Version 2 replaced version 1
+  when parents stopped carrying steps; a file of another version is
+  refused by name.
 
 Writes go to a temporary file in the target directory followed by
 ``os.replace`` — a crash mid-checkpoint leaves the previous checkpoint
@@ -40,8 +44,8 @@ import os
 import pickle
 from typing import Optional, Tuple
 
-MAGIC = b"repro-ckpt/1\n"
-SCHEMA_NAME = "repro-ckpt/1"
+MAGIC = b"repro-ckpt/2\n"
+SCHEMA_NAME = "repro-ckpt/2"
 
 
 class CheckpointError(RuntimeError):
@@ -137,6 +141,13 @@ def read_checkpoint(
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     if not blob.startswith(MAGIC):
+        header = blob.split(b"\n", 1)[0].decode("ascii", "replace")
+        if header.startswith("repro-ckpt/") and header != SCHEMA_NAME:
+            raise CheckpointError(
+                f"{path!r} is a {header} checkpoint; this version reads "
+                f"{SCHEMA_NAME} only (its loop state has a different "
+                "shape) — take a fresh snapshot"
+            )
         raise CheckpointError(
             f"{path!r} is not a {SCHEMA_NAME} checkpoint "
             "(bad magic; wrong file or torn write)"

@@ -24,8 +24,16 @@ Hooks:
   verification-calculus soundness experiments, which are per-transition
   statements).
 
-Counterexample traces are reconstructed from the parent map; a
+The parent map records ``child key → (parent key, tid)`` only — never
+the transition, whose source and target configurations would keep
+every visited state alive and travel across every process and snapshot
+boundary.  Counterexample traces are rebuilt by replaying those hops
+from the initial configuration (:meth:`ExplorationResult.trace_to`); a
 step-level violation's trace ends with the violating step itself.
+
+A search creates no cyclic garbage, so CPython's cyclic collector would
+only re-scan the search's own growing heap: :func:`explore` runs with
+automatic collection paused (:func:`gc_paused`, DESIGN.md §5).
 
 The public entry points :func:`explore` and :func:`reachable_states`
 are re-exported by :mod:`repro.interp.explore`, the historical home of
@@ -34,7 +42,9 @@ this code — import from there unless you need engine internals.
 
 from __future__ import annotations
 
+import gc
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -42,6 +52,7 @@ from typing import (
     Dict,
     Generic,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -53,7 +64,7 @@ from repro.engine.frontier import frontier_class
 from repro.engine.keys import KEY_CACHE
 from repro.engine.stats import EngineStats
 from repro.lang.actions import Value, Var
-from repro.lang.program import Program
+from repro.lang.program import Program, Tid
 
 if TYPE_CHECKING:  # runtime imports are deferred to break the
     # repro.interp -> memory models -> repro.engine import cycle
@@ -93,8 +104,9 @@ class ExplorationResult(Generic[S]):
     capped: bool = False
     #: canonical key -> representative configuration
     representatives: Dict[ConfigKey, Configuration[S]] = field(default_factory=dict)
-    #: child key -> (parent key, step) for trace reconstruction
-    parents: Dict[ConfigKey, Tuple[Optional[ConfigKey], Optional[InterpretedStep[S]]]] = field(
+    #: child key -> (parent key, tid of the thread that reached it); the
+    #: initial key maps to (None, None).  Steps are replayed on demand.
+    parents: Dict[ConfigKey, Tuple[Optional[ConfigKey], Optional[Tid]]] = field(
         default_factory=dict
     )
     #: what the run cost (strategy, frontier, key cache, phase timings)
@@ -106,15 +118,43 @@ class ExplorationResult(Generic[S]):
         return not self.violations
 
     def trace_to(self, key: ConfigKey) -> List[InterpretedStep[S]]:
-        """The step sequence from the initial configuration to ``key``."""
-        steps: List[InterpretedStep[S]] = []
-        cursor: Optional[ConfigKey] = key
-        while cursor is not None:
-            parent, step = self.parents[cursor]
-            if step is not None:
-                steps.append(step)
+        """The step sequence from the initial configuration to ``key``.
+
+        The parent map holds one ``(parent key, tid)`` hop per key, so
+        the steps are replayed: from ``initial``, each hop takes the
+        first successor of the recorded thread whose key — under this
+        run's canonicalisation and equivalence — is the recorded child
+        key.  The search recorded the hop from a configuration with the
+        parent key, and configurations with equal keys have successors
+        with equal keys, so every hop replays.
+        """
+        from repro.engine.por.deps import pending_steps
+        from repro.interp.interpreter import thread_successor_list
+
+        hops: List[Tuple[Tid, ConfigKey]] = []
+        cursor = key
+        parent, tid = self.parents[cursor]
+        while parent is not None:
+            hops.append((tid, cursor))
             cursor = parent
-        steps.reverse()
+            parent, tid = self.parents[cursor]
+        model = self._model
+        steps: List[InterpretedStep[S]] = []
+        config = self.initial
+        for tid, child_key in reversed(hops):
+            pending = pending_steps(config.program)[tid]
+            for step in thread_successor_list(config, model, tid, pending):
+                if _key_of(
+                    step.target, model, self._canonicalize, self._equivalence
+                ) == child_key:
+                    break
+            else:
+                raise RuntimeError(
+                    f"trace replay lost the path: no step of thread {tid} "
+                    "reaches the configuration the search recorded"
+                )
+            steps.append(step)
+            config = step.target
         return steps
 
     def counterexample(self) -> Optional[List[InterpretedStep[S]]]:
@@ -170,6 +210,27 @@ def _key_of(
     return (config.program, model.canonical_state_key(config.state))
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause CPython's automatic cyclic garbage collection (DESIGN.md §5).
+
+    A search allocates millions of long-lived objects, and every
+    allocation burst would trigger a collection that re-scans them and
+    frees nothing: reference counting already frees whatever a search
+    discards.  The caller's setting is restored on every exit path; a
+    nested pause finds the collector off and leaves it off.  Also usable
+    as a decorator (``@gc_paused()``).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@gc_paused()
 def explore(
     program: Program,
     init_values: Mapping[Var, Value],
@@ -256,7 +317,7 @@ def explore(
     removed when the run finishes.  Spilling requires canonical keys
     and is supported by the unreduced, sleep and sharded searches.
 
-    ``checkpoint`` names a ``repro-ckpt/1`` file
+    ``checkpoint`` names a ``repro-ckpt/2`` file
     (:mod:`repro.engine.checkpoint`, DESIGN.md §16) rewritten
     atomically every ``checkpoint_every`` configurations (default
     1000); ``resume`` loads such a file — after verifying it belongs
@@ -712,7 +773,7 @@ def _explore_once(
                     capped = True
                     continue
                 seen.add(child_key)
-                result.parents[child_key] = (key, step)
+                result.parents[child_key] = (key, step.tid)
                 frontier.push((step.target, child_key))
                 if len(frontier) > stats.peak_frontier:
                     stats.peak_frontier = len(frontier)

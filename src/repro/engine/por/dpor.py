@@ -438,7 +438,7 @@ def explore_dpor(
             t0 = clock()
             child_key = _key_of(step.target, model, canonicalize, equivalence)
             stats.time_keys += clock() - t0
-            result.parents.setdefault(child_key, (node.key, step))
+            result.parents.setdefault(child_key, (node.key, tid))
             child_sleep = {
                 q: fq for q, fq in node.sleep.items()
                 if q != tid and not conflicts(fq, fp)

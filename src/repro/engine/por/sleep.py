@@ -302,7 +302,7 @@ def explore_sleep(
                             capped = True
                             continue
                         known.add(child_key)
-                    result.parents.setdefault(child_key, (key, child))
+                    result.parents.setdefault(child_key, (key, tid))
                     recs = expanded.get(child_key)
                     if recs is not None and any(
                         rec <= frozenset(child_sleep) for rec in recs

@@ -40,10 +40,12 @@ Two execution modes share the same :class:`_ShardCore` superstep code:
 
 * **process mode** — one worker process per shard (fork start method:
   programs, models and check hooks reach workers through fork'd memory;
-  only queue messages are pickled).  Messages and final results pack
-  configurations as ``(pcs, state)`` against the run's one lowered
-  table, sidestepping ``LoweredProgram.__reduce__``'s re-lowering on
-  every unpickle.
+  only queue messages are pickled).  A message names the discovering
+  thread and carries the child configuration, never the transition:
+  parents are ``(parent key, tid)`` and traces are replayed (DESIGN.md
+  §5).  Messages and final results pack configurations as ``(pcs,
+  state)`` against the run's one lowered table, sidestepping
+  ``LoweredProgram.__reduce__``'s re-lowering on every unpickle.
 * **in-process mode** — the same supersteps run sequentially over all
   shards in one process.  This is the reference the parity matrix
   compares process mode against, and the only mode available inside
@@ -65,7 +67,13 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.engine.core import ExplorationResult, Violation, _key_of, _state_size
+from repro.engine.core import (
+    ExplorationResult,
+    Violation,
+    _key_of,
+    _state_size,
+    gc_paused,
+)
 from repro.engine.frontier import LevelFrontier
 from repro.engine.keys import KEY_CACHE, key_digest, shard_of, stable_encode
 from repro.engine.stats import EngineStats
@@ -160,12 +168,13 @@ class _ShardCore:
     """One shard's state plus the phase A / phase B superstep logic.
 
     Frontier items and routed messages are
-    ``(sig, step, config, key, parent_key, sleep, digest)`` — the path
-    signature, the discovering transition (``None`` only for the seeded
-    initial configuration), the configuration and its canonical key, the
-    *sender's* key for the parent (receivers never re-canonicalize), the
-    child sleep-set dict (``None`` under ``reduction="none"``) and the
-    key digest the sender routed by.
+    ``(sig, tid, config, key, parent_key, sleep, digest)`` — the path
+    signature, the thread whose step discovered the configuration
+    (``None`` only for the seeded initial configuration), the
+    configuration and its canonical key, the *sender's* key for the
+    parent (receivers never re-canonicalize), the child sleep-set dict
+    (``None`` under ``reduction="none"``) and the key digest the sender
+    routed by.
     """
 
     def __init__(self, spec: _ShardSpec, index: int) -> None:
@@ -239,7 +248,7 @@ class _ShardCore:
         outgoing: List[List[tuple]] = [[] for _ in range(spec.shards)]
         level_items = sorted(self.frontier.take_level(), key=lambda it: it[0])
         for item in level_items:
-            sig, _step, config, key, _parent, sleep, _digest = item
+            sig, _tid, config, key, _parent, sleep, _digest = item
             stamp = (self.level, sig)
             if spec.reduction == "sleep":
                 self._expand_sleep(stamp, config, key, sleep, outgoing)
@@ -276,7 +285,7 @@ class _ShardCore:
         digest = key_digest_for(child_key)
         dest = _dest_for(digest, self.spec.shards)
         outgoing[dest].append(
-            (sig, step, step.target, child_key, key, child_sleep, digest)
+            (sig, step.tid, step.target, child_key, key, child_sleep, digest)
         )
 
     def _expand_plain(self, stamp, config, key, outgoing) -> None:
@@ -397,7 +406,7 @@ class _ShardCore:
         signature order — the barrier half of the superstep."""
         spec = self.spec
         arrivals.sort(key=lambda message: message[0])
-        for sig, step, child_config, child_key, parent_key, child_sleep, digest in arrivals:
+        for sig, tid, child_config, child_key, parent_key, child_sleep, digest in arrivals:
             if shard_of(digest, spec.shards) != self.index:
                 raise RuntimeError(
                     f"mis-routed configuration: digest owner is shard "
@@ -406,12 +415,12 @@ class _ShardCore:
                 )
             if spec.reduction == "sleep":
                 self._integrate_sleep(
-                    sig, step, child_config, child_key, parent_key,
+                    sig, tid, child_config, child_key, parent_key,
                     child_sleep, digest,
                 )
             else:
                 self._integrate_plain(
-                    sig, step, child_config, child_key, parent_key, digest
+                    sig, tid, child_config, child_key, parent_key, digest
                 )
         self.level += 1
         self.frontier.advance()
@@ -427,26 +436,26 @@ class _ShardCore:
         return False
 
     def _integrate_plain(
-        self, sig, step, child_config, child_key, parent_key, digest
+        self, sig, tid, child_config, child_key, parent_key, digest
     ) -> None:
         if self._visited_has(child_key):
             return
         if self.capped or self._cap_hit():
             return
         self._visited_add(child_key)
-        self.parents[child_key] = (parent_key, step)
+        self.parents[child_key] = (parent_key, tid)
         self.frontier.push(
-            (sig, step, child_config, child_key, parent_key, None, digest)
+            (sig, tid, child_config, child_key, parent_key, None, digest)
         )
 
     def _integrate_sleep(
-        self, sig, step, child_config, child_key, parent_key, child_sleep, digest
+        self, sig, tid, child_config, child_key, parent_key, child_sleep, digest
     ) -> None:
         if not self._visited_has(child_key):
             if self.capped or self._cap_hit():
                 return
             self._visited_add(child_key)
-        self.parents.setdefault(child_key, (parent_key, step))
+        self.parents.setdefault(child_key, (parent_key, tid))
         recs = self.antichain.get(child_key)
         if recs is not None:
             frozen = frozenset(child_sleep)
@@ -461,7 +470,7 @@ class _ShardCore:
             ):
                 return  # already expanded at least this awake
         self.frontier.push(
-            (sig, step, child_config, child_key, parent_key, child_sleep, digest)
+            (sig, tid, child_config, child_key, parent_key, child_sleep, digest)
         )
 
     # -- results --------------------------------------------------------
@@ -751,15 +760,19 @@ def _unpack_step(packed, table):
 
 
 def _pack_message(message, table):
-    sig, step, _child_config, child_key, parent_key, child_sleep, digest = message
-    # the child configuration is step.target — rebuilt on the far side
-    return (sig, _pack_step(step, table), child_key, parent_key, child_sleep, digest)
+    sig, tid, child_config, child_key, parent_key, child_sleep, digest = message
+    return (
+        sig, tid, _pack_config(child_config, table), child_key, parent_key,
+        child_sleep, digest,
+    )
 
 
 def _unpack_message(packed, table):
-    sig, step_packed, child_key, parent_key, child_sleep, digest = packed
-    step = _unpack_step(step_packed, table)
-    return (sig, step, step.target, child_key, parent_key, child_sleep, digest)
+    sig, tid, child_packed, child_key, parent_key, child_sleep, digest = packed
+    return (
+        sig, tid, _unpack_config(child_packed, table), child_key, parent_key,
+        child_sleep, digest,
+    )
 
 
 def _pack_payload(payload: dict, table) -> dict:
@@ -774,10 +787,6 @@ def _pack_payload(payload: dict, table) -> dict:
         )
         for stamp, v in payload["violations"]
     ]
-    payload["parents"] = {
-        key: (parent, _pack_step(step, table))
-        for key, (parent, step) in payload["parents"].items()
-    }
     payload["representatives"] = {
         key: _pack_config(config, table)
         for key, config in payload["representatives"].items()
@@ -800,10 +809,6 @@ def _unpack_payload(payload: dict, table) -> dict:
         )
         for stamp, (message, config, step) in payload["violations"]
     ]
-    payload["parents"] = {
-        key: (parent, _unpack_step(step, table))
-        for key, (parent, step) in payload["parents"].items()
-    }
     payload["representatives"] = {
         key: _unpack_config(config, table)
         for key, config in payload["representatives"].items()
@@ -811,6 +816,7 @@ def _unpack_payload(payload: dict, table) -> dict:
     return payload
 
 
+@gc_paused()
 def _shard_worker(
     spec, index, inboxes, coord_queue, ctrl_queue, resume_blob=None
 ) -> None:
@@ -819,7 +825,9 @@ def _shard_worker(
     Fault injection is driven *only* by ``spec.fault_spec`` — never the
     environment — so the supervisor controls exactly which attempt is
     faulty; ``resume_blob`` is this shard's pickled core snapshot from a
-    checkpoint (None = fresh start).
+    checkpoint (None = fresh start).  The worker pauses the cyclic
+    collector itself (DESIGN.md §5) rather than relying on a fork from
+    a paused coordinator.
     """
     import signal
 
@@ -1227,7 +1235,7 @@ def explore_sharded(
     ``checkpoint``/``checkpoint_every``/``resume`` give the sharded
     search the single-process checkpoint surface (DESIGN.md §16):
     snapshots are taken at superstep barriers — per-shard core images
-    assembled by the coordinator into ONE atomic ``repro-ckpt/1`` file
+    assembled by the coordinator into ONE atomic ``repro-ckpt/2`` file
     with algorithm tag ``"shard"`` — and resume requires the identical
     shard count (it is part of the fingerprint).  Process mode runs
     under attempt-level supervision: silently dying workers are

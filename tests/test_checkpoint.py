@@ -1,4 +1,4 @@
-"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/1 format.
+"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/2 format.
 
 The fault-tolerance contract (DESIGN.md §16), half one: a run
 interrupted at an arbitrary point and resumed from its last snapshot
@@ -19,12 +19,14 @@ CI runs this file in the chaos job.
 """
 
 import os
+import pickle
 
 import pytest
 
 from repro.casestudies.peterson import PETERSON_INIT, peterson_program
 from repro.engine.checkpoint import (
     MAGIC,
+    SCHEMA_NAME,
     CheckpointError,
     read_checkpoint,
     run_fingerprint,
@@ -70,9 +72,7 @@ def assert_identical(resumed, full, label):
     assert len(resumed.terminal) == len(full.terminal), (
         f"{label}: terminal count diverged"
     )
-    assert set(resumed.parents) == set(full.parents), (
-        f"{label}: parent-map key set diverged"
-    )
+    assert resumed.parents == full.parents, f"{label}: parent map diverged"
     assert [str(v) for v in resumed.violations] == [
         str(v) for v in full.violations
     ], f"{label}: violations diverged"
@@ -148,20 +148,52 @@ def test_resume_before_first_checkpoint_reports_none(tmp_path):
     assert not os.path.exists(ckpt)
 
 
+def flag_terminal(config):
+    """A check hook with one violation per terminal configuration."""
+    if not any(True for _ in configuration_successors(config, MODEL)):
+        return ["terminal reached"]
+    return []
+
+
 def test_resume_preserves_violations(tmp_path):
     """check_config verdicts survive the snapshot boundary."""
-
-    def flag_terminal(config):
-        if not any(True for _ in configuration_successors(config, MODEL)):
-            return ["terminal reached"]
-        return []
-
     full = run_explore(check_config=flag_terminal)
     assert full.violations
     resumed = interrupt_and_resume(
         tmp_path, 200, 40, check_config=flag_terminal,
     )
     assert_identical(resumed, full, "violations across resume")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"reduction": "sleep"},
+        {"shards": 4, "shard_processes": False},
+        {"shards": 4, "shard_processes": True},
+    ],
+    ids=["plain", "sleep", "shards=4-inprocess", "shards=4-processes"],
+)
+def test_resumed_counterexample_replays(tmp_path, kwargs):
+    """A counterexample taken from a resumed run is rebuilt from the
+    restored ``(parent key, tid)`` hops: it chains from the initial
+    configuration to a violating one, step for step the same as the
+    uninterrupted run's."""
+    full = run_explore(check_config=flag_terminal, **kwargs)
+    resumed = interrupt_and_resume(
+        tmp_path, 150, 50, check_config=flag_terminal, **kwargs,
+    )
+    trace = resumed.counterexample()
+    assert trace
+    assert [(s.tid, s.event, s.read_value) for s in trace] == [
+        (s.tid, s.event, s.read_value) for s in full.counterexample()
+    ]
+    cursor = resumed.initial
+    for step in trace:
+        assert step.source is cursor
+        cursor = step.target
+    assert flag_terminal(cursor)
 
 
 def test_checkpointing_is_observation_free(tmp_path):
@@ -176,7 +208,7 @@ def test_checkpointing_is_observation_free(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The repro-ckpt/1 format: atomicity, magic, fingerprints
+# The repro-ckpt/2 format: atomicity, magic, fingerprints
 # ----------------------------------------------------------------------
 
 
@@ -202,7 +234,19 @@ def test_write_leaves_no_temp_files(tmp_path):
 def test_bad_magic_is_refused(tmp_path):
     path = tmp_path / "not-a-ckpt"
     path.write_bytes(b"definitely not a checkpoint\n" + b"\0" * 64)
-    with pytest.raises(CheckpointError, match="not a repro-ckpt/1"):
+    with pytest.raises(CheckpointError, match=f"not a {SCHEMA_NAME}"):
+        read_checkpoint(str(path))
+
+
+def test_previous_schema_is_refused_by_name(tmp_path):
+    """A repro-ckpt/1 file — whose parent map carried whole steps — is
+    refused with an error naming its schema, never unpickled into the
+    current loop."""
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(
+        b"repro-ckpt/1\n" + pickle.dumps({"fingerprint": {}, "payload": {}})
+    )
+    with pytest.raises(CheckpointError, match="repro-ckpt/1"):
         read_checkpoint(str(path))
 
 

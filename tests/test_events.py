@@ -1,5 +1,7 @@
 """Tests for events and the tag supply."""
 
+import pickle
+
 from repro.c11.events import Event, fresh_tag, init_events, init_write
 from repro.lang.actions import rd, rda, upd, wr, wrr
 
@@ -48,6 +50,14 @@ def test_events_are_value_objects():
     b = Event(1, wr("x", 1), 2)
     assert a == b and hash(a) == hash(b)
     assert a != Event(2, wr("x", 1), 2)
+
+
+def test_event_pickles_by_value_without_its_cached_hash():
+    e = Event(3, wr("x", 1), 2)
+    hash(e)  # fill the cached hash
+    clone = pickle.loads(pickle.dumps(e))
+    assert "_hash" not in vars(clone)  # a salted hash never crosses
+    assert clone == e and hash(clone) == hash(e)
 
 
 def test_event_str_mentions_thread_and_tag():

@@ -150,6 +150,44 @@ def test_config_violation_counterexample_unchanged():
     assert [s.event.wrval for s in trace if s.event] == [1, 2]
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {},
+        {"strategy": "dfs"},
+        {"reduction": "sleep"},
+        {"reduction": "dpor"},
+        {"reduction": "optimal"},
+        {"reduction": "optimal", "equivalence": "reads-from"},
+        {"shards": 2, "shard_processes": False},
+    ],
+    ids=["bfs", "dfs", "sleep", "dpor", "optimal", "optimal-rf", "shards=2"],
+)
+def test_parent_map_holds_threads_and_traces_replay(kwargs):
+    """Every explorer records (parent key, tid) — never a step — and the
+    counterexample replayed from those hops chains from the initial
+    configuration to a violating one."""
+    from repro.casestudies.peterson import (
+        PETERSON_INIT,
+        mutual_exclusion_violations,
+        peterson_relaxed_turn,
+    )
+
+    result = explore(
+        peterson_relaxed_turn(once=True), PETERSON_INIT, RAMemoryModel(),
+        max_events=10, check_config=mutual_exclusion_violations, **kwargs,
+    )
+    assert not result.ok
+    for parent, tid in result.parents.values():
+        assert (parent is None) == (tid is None)
+        assert tid is None or type(tid) is int
+    cursor = result.initial
+    for step in result.counterexample():
+        assert step.source is cursor
+        cursor = step.target
+    assert mutual_exclusion_violations(cursor)
+
+
 def test_max_configs_short_circuits_dead_work(monkeypatch):
     """Regression: after the max_configs cap was hit, the explorer kept
     draining the queue and canonicalising successors it could never

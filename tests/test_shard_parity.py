@@ -73,8 +73,8 @@ def assert_identical(sharded, full, label):
     assert set(sharded.parents) == set(full.parents), (
         f"{label}: parent-map key set diverged"
     )
-    for key, (parent, _step) in full.parents.items():
-        assert sharded.parents[key][0] == parent, (
+    for key, hop in full.parents.items():
+        assert sharded.parents[key] == hop, (
             f"{label}: parent choice diverged at {key!r}"
         )
     assert [str(v) for v in sharded.violations] == [
