@@ -43,12 +43,9 @@ Commands
     one); ``--check-orders`` adds the derived-order oracle, replaying
     the compact bitset representation against the definitional
     closures on every reachable state (DESIGN.md §11), and
-    ``--check-lowering`` the lowering oracle, replaying every program
-    with the compiled step tables on and off and diffing the full
-    transition streams (DESIGN.md §12), and ``--check-shards`` the
-    shard-parity oracle, re-exploring each program hash-partitioned
-    across three shards and requiring exact parity with the
-    single-process search (DESIGN.md §15).  Divergences
+    ``--check-shards`` the shard-parity oracle, re-exploring each
+    program hash-partitioned across three shards and requiring exact
+    parity with the single-process search (DESIGN.md §15).  Divergences
     are delta-debugged to minimal reproducers and persisted under
     ``--corpus-dir`` for pytest replay.  Exit code 1 iff any diverged.
 
@@ -186,8 +183,8 @@ def _heartbeat(args: argparse.Namespace, total: int, label: str):
 def _profile_lines(configs: int, stats) -> List[str]:
     """The ``--profile`` / suite footer: phase split + calibrated rate.
 
-    ``expand`` is the phase the lowered-program IR (DESIGN.md §12)
-    targets and ``orders`` the phase the compact representation
+    ``expand`` is the phase the lowered step tables (DESIGN.md §12)
+    target and ``orders`` the phase the compact representation
     (DESIGN.md §11) targets, so the split shows which layer a
     performance change actually moved.  The states/sec figure is also
     reported per million spin iterations (``repro.engine.calibrate``),
@@ -501,7 +498,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             reduction=args.reduction,
             equivalence=args.equivalence,
             check_orders=args.check_orders,
-            check_lowering=args.check_lowering,
             check_shards=args.check_shards,
             check_faults=args.check_faults,
             progress=heartbeat,
@@ -1083,13 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-check the compact (interned/bitset) derived orders "
         "against the definitional closures on every RA-reachable state "
         "(DESIGN.md §11); slower, catches representation bugs",
-    )
-    fuzz.add_argument(
-        "--check-lowering", action="store_true",
-        help="replay each program with the lowered-program IR on and "
-        "off and require identical transition streams at every "
-        "reachable configuration (DESIGN.md §12); slower, catches "
-        "compiler bugs",
     )
     fuzz.add_argument(
         "--check-shards", action="store_true",

@@ -53,10 +53,11 @@ class CheckpointError(RuntimeError):
 
 
 def _program_text(program) -> str:
-    """The structural identity of a program, lowered or not."""
-    table = getattr(program, "table", None)
-    source = table.source if table is not None else program
-    return repr(source.threads)
+    """The structural identity of a program: its source, whatever
+    machine state the lowered form is in."""
+    from repro.interp.compiled import maybe_lower
+
+    return repr(maybe_lower(program).table.source.threads)
 
 
 def run_fingerprint(
@@ -89,7 +90,6 @@ def run_fingerprint(
     return {
         "schema": SCHEMA_NAME,
         "program": program_digest,
-        "lowered": getattr(program, "pcs", None) is not None,
         "init_values": init_digest,
         "model": getattr(model, "name", type(model).__name__),
         "max_events": max_events,

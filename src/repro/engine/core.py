@@ -128,7 +128,6 @@ class ExplorationResult(Generic[S]):
         parent key, and configurations with equal keys have successors
         with equal keys, so every hop replays.
         """
-        from repro.engine.por.deps import pending_steps
         from repro.interp.interpreter import thread_successor_list
 
         hops: List[Tuple[Tid, ConfigKey]] = []
@@ -142,7 +141,7 @@ class ExplorationResult(Generic[S]):
         steps: List[InterpretedStep[S]] = []
         config = self.initial
         for tid, child_key in reversed(hops):
-            pending = pending_steps(config.program)[tid]
+            pending = config.program.pending_steps()[tid]
             for step in thread_successor_list(config, model, tid, pending):
                 if _key_of(
                     step.target, model, self._canonicalize, self._equivalence
@@ -203,9 +202,7 @@ def _key_of(
     if not canonicalize:
         return (config.program, config.state)
     if equivalence == "reads-from":
-        from repro.engine.por.deps import pending_steps
-
-        live = pending_steps(config.program).keys()
+        live = config.program.pending_steps().keys()
         return (config.program, model.reads_from_state_key(config.state, live))
     return (config.program, model.canonical_state_key(config.state))
 
@@ -392,11 +389,9 @@ def explore(
             resume=resume,
         )
 
-    # Compile once per run: every representation decision happens here,
-    # so the deepening loop, the reduced traversals and the plain search
-    # all see the same (possibly lowered) program.  A pass-through when
-    # the gate is off, the program is already lowered, or the compiler
-    # refuses (DESIGN.md §12).
+    # Compile once per run, so the deepening loop, the reduced traversals
+    # and the plain search all step the same lowered program
+    # (DESIGN.md §12).
     program = maybe_lower(program)
 
     if reduction not in REDUCTIONS:

@@ -132,8 +132,8 @@ class SuiteJobResult:
     #: successor-expansion wall time — the engine phase the lowered IR
     #: (DESIGN.md §12) targets; footers print it against ``time_orders``
     time_expand: float = 0.0
-    #: memory-model share of ``time_expand`` (lowered path only) —
-    #: ``expand - model`` is the program-stepping cost lowering removes
+    #: memory-model share of ``time_expand`` — ``expand - model`` is
+    #: the program-stepping cost of the lowered step tables
     time_model: float = 0.0
     #: the worker raised instead of reporting: ``detail`` carries the
     #: traceback and the job counts as a mismatch, never as a pass
@@ -296,10 +296,8 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
     )
 
 
-def _case_study_exploration(name: str, strategy: str, max_configs,
-                            reduction: str = "none",
-                            equivalence: str = "shasha-snir",
-                            shards: int = 1):
+def _case_study_setup(name: str):
+    """``(program, init, violations hook, max_events)`` of a case study."""
     from repro.casestudies.dekker import (
         DEKKER_INIT,
         dekker_entry_program,
@@ -338,8 +336,6 @@ def _case_study_exploration(name: str, strategy: str, max_configs,
         ticket_lock_program,
         ticket_lock_violations,
     )
-    from repro.interp.explore import explore
-    from repro.interp.ra_model import RAMemoryModel
 
     table = {
         "peterson": (peterson_program(once=True), PETERSON_INIT,
@@ -367,9 +363,19 @@ def _case_study_exploration(name: str, strategy: str, max_configs,
                     barrier_violations, 8),
     }
     try:
-        program, init, check, bound = table[name]
+        return table[name]
     except KeyError:
         raise ValueError(f"unknown case study {name!r}; choose from {sorted(table)}")
+
+
+def _case_study_exploration(name: str, strategy: str, max_configs,
+                            reduction: str = "none",
+                            equivalence: str = "shasha-snir",
+                            shards: int = 1):
+    from repro.interp.explore import explore
+    from repro.interp.ra_model import RAMemoryModel
+
+    program, init, check, bound = _case_study_setup(name)
     return explore(
         program,
         init,

@@ -41,8 +41,6 @@ from repro.engine.por.deps import (
     RaceWitness,
     StepFootprint,
     conflicts,
-    control_signature,
-    step_changes_control,
     step_footprint,
 )
 from repro.engine.por.dpor import explore_dpor
@@ -70,11 +68,9 @@ __all__ = [
     "RaceWitness",
     "StepFootprint",
     "conflicts",
-    "control_signature",
     "explore_dpor",
     "explore_optimal",
     "explore_reduced",
     "explore_sleep",
-    "step_changes_control",
     "step_footprint",
 ]

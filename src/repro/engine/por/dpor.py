@@ -63,7 +63,7 @@ from typing import (
 
 from repro.engine.core import ExplorationResult, Violation, _key_of, _state_size
 from repro.engine.keys import KEY_CACHE
-from repro.engine.por.deps import StepFootprint, conflicts, pending_steps, step_footprint
+from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 
 Clock = Dict[int, int]  # tid -> highest path index happens-before
 
@@ -160,11 +160,10 @@ def explore_dpor(
     """
     from repro.c11.compact import ORDER_TIMER
     from repro.interp.memory_model import MODEL_TIMER
-    from repro.interp.config import Configuration
-    from repro.interp.interpreter import thread_successor_list
+    from repro.interp.interpreter import initial_configuration, thread_successor_list
     from repro.obs.trace import tracer
 
-    initial = Configuration(program, model.initial(init_values))
+    initial = initial_configuration(program, init_values, model)
     result: ExplorationResult = ExplorationResult(initial)
     result._model = model
     result._canonicalize = canonicalize
@@ -280,7 +279,7 @@ def explore_dpor(
         expanded.setdefault(key, []).append(frozenset(sleep))
         if config.is_terminated():
             return None
-        steps = pending_steps(config.program)
+        steps = config.program.pending_steps()
         at_bound = (
             max_events is not None and _state_size(config.state) >= max_events
         )
@@ -290,8 +289,7 @@ def explore_dpor(
         for tid in sorted(steps):
             step = steps[tid]
             fps[tid] = step_footprint(
-                model, config.state, config.program, tid, step,
-                track_control,
+                model, config.state, tid, step, track_control,
             )
             if step.is_silent or not at_bound:
                 enabled.append(tid)

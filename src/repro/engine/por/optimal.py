@@ -63,7 +63,7 @@ from typing import (
 
 from repro.engine.core import ExplorationResult, Violation, _key_of, _state_size
 from repro.engine.keys import KEY_CACHE
-from repro.engine.por.deps import StepFootprint, conflicts, pending_steps, step_footprint
+from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 from repro.engine.por.dpor import _candidates
 
 Clock = Dict[int, int]  # tid -> highest path index happens-before
@@ -158,11 +158,10 @@ def explore_optimal(
     """
     from repro.c11.compact import ORDER_TIMER
     from repro.interp.memory_model import MODEL_TIMER
-    from repro.interp.config import Configuration
-    from repro.interp.interpreter import thread_successor_list
+    from repro.interp.interpreter import initial_configuration, thread_successor_list
     from repro.obs.trace import tracer
 
-    initial = Configuration(program, model.initial(init_values))
+    initial = initial_configuration(program, init_values, model)
     result: ExplorationResult = ExplorationResult(initial)
     result._model = model
     result._canonicalize = canonicalize
@@ -289,7 +288,7 @@ def explore_optimal(
         expanded.setdefault(key, []).append(frozenset(sleep))
         if config.is_terminated():
             return None
-        steps = pending_steps(config.program)
+        steps = config.program.pending_steps()
         at_bound = (
             max_events is not None and _state_size(config.state) >= max_events
         )
@@ -299,8 +298,7 @@ def explore_optimal(
         for tid in sorted(steps):
             step = steps[tid]
             fps[tid] = step_footprint(
-                model, config.state, config.program, tid, step,
-                track_control,
+                model, config.state, tid, step, track_control,
             )
             if step.is_silent or not at_bound:
                 enabled.append(tid)
@@ -525,7 +523,7 @@ def explore_optimal(
                         # race with it — its node needs no compensation.
                         clocks = [
                             c_tclock.get(t, {})
-                            for t in pending_steps(step.target.program)
+                            for t in step.target.program.pending_steps()
                         ]
                         for idx, atid in pairs:
                             if any(c.get(atid, -1) < idx for c in clocks):

@@ -32,7 +32,7 @@ from typing import Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional
 from repro.engine.core import ExplorationResult, Violation, _key_of, _state_size
 from repro.engine.frontier import frontier_class
 from repro.engine.keys import KEY_CACHE
-from repro.engine.por.deps import StepFootprint, conflicts, pending_steps, step_footprint
+from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 
 
 def explore_sleep(
@@ -80,11 +80,10 @@ def explore_sleep(
     """
     from repro.c11.compact import ORDER_TIMER
     from repro.interp.memory_model import MODEL_TIMER
-    from repro.interp.config import Configuration
-    from repro.interp.interpreter import thread_successor_list
+    from repro.interp.interpreter import initial_configuration, thread_successor_list
     from repro.obs.trace import tracer
 
-    initial = Configuration(program, model.initial(init_values))
+    initial = initial_configuration(program, init_values, model)
     result: ExplorationResult = ExplorationResult(initial)
     result._model = model
     result._canonicalize = canonicalize
@@ -244,7 +243,7 @@ def explore_sleep(
             if config.is_terminated():
                 continue
 
-            steps = pending_steps(config.program)
+            steps = config.program.pending_steps()
             at_bound = (
                 max_events is not None and _state_size(config.state) >= max_events
             )
@@ -267,8 +266,7 @@ def explore_sleep(
                     result.truncated = True
                     continue
                 fp = step_footprint(
-                    model, config.state, config.program, tid, step,
-                    track_control,
+                    model, config.state, tid, step, track_control,
                 )
                 stats.expanded += 1
                 t0 = clock()

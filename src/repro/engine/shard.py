@@ -43,9 +43,11 @@ Two execution modes share the same :class:`_ShardCore` superstep code:
   only queue messages are pickled).  A message names the discovering
   thread and carries the child configuration, never the transition:
   parents are ``(parent key, tid)`` and traces are replayed (DESIGN.md
-  §5).  Messages and final results pack configurations as ``(pcs,
-  state)`` against the run's one lowered table, sidestepping
-  ``LoweredProgram.__reduce__``'s re-lowering on every unpickle.
+  §5).  Messages and final results pack every configuration as
+  ``(pcs, state)`` and every ``ConfigKey`` as ``(pcs, state key)``
+  against the run's one lowered table: descriptors, not products, so
+  no unpickle re-lowers the program (``LoweredProgram.__reduce__``
+  ships the source and compiles a fresh table on load).
 * **in-process mode** — the same supersteps run sequentially over all
   shards in one process.  This is the reference the parity matrix
   compares process mode against, and the only mode available inside
@@ -326,7 +328,7 @@ class _ShardCore:
             seq += 1
 
     def _expand_sleep(self, stamp, config, key, sleep, outgoing) -> None:
-        from repro.engine.por.deps import conflicts, pending_steps, step_footprint
+        from repro.engine.por.deps import conflicts, step_footprint
         from repro.interp.interpreter import thread_successor_list
 
         spec = self.spec
@@ -353,7 +355,7 @@ class _ShardCore:
         if config.is_terminated():
             return
 
-        steps = pending_steps(config.program)
+        steps = config.program.pending_steps()
         at_bound = (
             spec.max_events is not None
             and _state_size(config.state) >= spec.max_events
@@ -373,8 +375,7 @@ class _ShardCore:
                 self.truncated = True
                 continue
             fp = step_footprint(
-                spec.model, config.state, config.program, tid, step,
-                track_control,
+                spec.model, config.state, tid, step, track_control,
             )
             self.stats.expanded += 1
             t0 = clock()
@@ -717,30 +718,44 @@ def _explore_sharded_inprocess(
 # ======================================================================
 
 
-def _pack_config(config, table):
-    """Configuration → wire form (pcs against the run's one table)."""
-    program = config.program
-    if table is not None and getattr(program, "table", None) is table:
-        return ("pcs", program.pcs, config.state)
-    return ("cfg", config)
+def _pack_config(config):
+    """Configuration → wire form: its pcs against the run's one table."""
+    return (config.program.pcs, config.state)
 
 
 def _unpack_config(packed, table):
     from repro.interp.compiled import LoweredProgram
     from repro.interp.config import Configuration
 
-    if packed[0] == "pcs":
-        return Configuration(LoweredProgram(table, packed[1]), packed[2])
-    return packed[1]
+    pcs, state = packed
+    return Configuration(LoweredProgram(table, pcs), state)
 
 
-def _pack_step(step, table):
+def _pack_key(key):
+    """``ConfigKey`` → wire form, like :func:`_pack_config` (``None``
+    stays ``None``: the initial configuration has no parent)."""
+    if key is None:
+        return None
+    program, state_key = key
+    return (program.pcs, state_key)
+
+
+def _unpack_key(packed, table):
+    from repro.interp.compiled import LoweredProgram
+
+    if packed is None:
+        return None
+    pcs, state_key = packed
+    return (LoweredProgram(table, pcs), state_key)
+
+
+def _pack_step(step):
     if step is None:
         return None
     return (
-        _pack_config(step.source, table),
+        _pack_config(step.source),
         step.tid,
-        _pack_config(step.target, table),
+        _pack_config(step.target),
         step.event,
         step.observed,
         step.read_value,
@@ -759,38 +774,44 @@ def _unpack_step(packed, table):
     )
 
 
-def _pack_message(message, table):
+def _pack_message(message):
+    # the child key's program is the child configuration's, so one pcs
+    # tuple carries both
     sig, tid, child_config, child_key, parent_key, child_sleep, digest = message
     return (
-        sig, tid, _pack_config(child_config, table), child_key, parent_key,
-        child_sleep, digest,
+        sig, tid, child_config.program.pcs, child_config.state, child_key[1],
+        _pack_key(parent_key), child_sleep, digest,
     )
 
 
 def _unpack_message(packed, table):
-    sig, tid, child_packed, child_key, parent_key, child_sleep, digest = packed
+    from repro.interp.compiled import LoweredProgram
+    from repro.interp.config import Configuration
+
+    sig, tid, pcs, state, state_key, parent, child_sleep, digest = packed
+    program = LoweredProgram(table, pcs)
     return (
-        sig, tid, _unpack_config(child_packed, table), child_key, parent_key,
-        child_sleep, digest,
+        sig, tid, Configuration(program, state), (program, state_key),
+        _unpack_key(parent, table), child_sleep, digest,
     )
 
 
-def _pack_payload(payload: dict, table) -> dict:
+def _pack_payload(payload: dict) -> dict:
     payload["terminal"] = [
-        (stamp, _pack_config(config, table))
-        for stamp, config in payload["terminal"]
+        (stamp, _pack_config(config)) for stamp, config in payload["terminal"]
     ]
     payload["violations"] = [
-        (
-            stamp,
-            (v.message, _pack_config(v.config, table), _pack_step(v.step, table)),
-        )
+        (stamp, (v.message, _pack_config(v.config), _pack_step(v.step)))
         for stamp, v in payload["violations"]
     ]
-    payload["representatives"] = {
-        key: _pack_config(config, table)
+    payload["parents"] = [
+        (_pack_key(key), _pack_key(parent), tid)
+        for key, (parent, tid) in payload["parents"].items()
+    ]
+    payload["representatives"] = [
+        (_pack_key(key), _pack_config(config))
         for key, config in payload["representatives"].items()
-    }
+    ]
     return payload
 
 
@@ -809,9 +830,13 @@ def _unpack_payload(payload: dict, table) -> dict:
         )
         for stamp, (message, config, step) in payload["violations"]
     ]
+    payload["parents"] = {
+        _unpack_key(key, table): (_unpack_key(parent, table), tid)
+        for key, parent, tid in payload["parents"]
+    }
     payload["representatives"] = {
-        key: _unpack_config(config, table)
-        for key, config in payload["representatives"].items()
+        _unpack_key(key, table): _unpack_config(config, table)
+        for key, config in payload["representatives"]
     }
     return payload
 
@@ -842,7 +867,7 @@ def _shard_worker(
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     plan = FaultPlan(spec.fault_spec) if spec.fault_spec else None
     core = _ShardCore(spec, index)
-    table = getattr(spec.program, "table", None)
+    table = spec.program.table
     tr = tracer()
     hits0, misses0, _ = KEY_CACHE.snapshot()
     orders0 = ORDER_TIMER.snapshot()
@@ -864,16 +889,15 @@ def _shard_worker(
             for dest in range(spec.shards):
                 if dest == index:
                     continue
-                batch = [_pack_message(m, table) for m in outgoing[dest]]
+                batch = [_pack_message(m) for m in outgoing[dest]]
                 sent += len(batch)
                 if plan is not None:
                     plan.delay_send(index)
                 # Pickle here, in the worker's main thread: Queue.put
                 # defers pickling to a feeder thread, where an
-                # unpicklable payload (a program that lowered to
-                # closures and missed the (pcs, state) fast path) would
-                # kill the feeder silently and deadlock the round.
-                # Raising here lands in the crash report instead.
+                # unpicklable payload would kill the feeder silently and
+                # deadlock the round.  Raising here lands in the crash
+                # report instead.
                 inboxes[dest].put(("batch", rounds, index, pickle.dumps(batch)))
             inbox = list(outgoing[index])
             recv = 0
@@ -911,7 +935,7 @@ def _shard_worker(
         core.stats.time_model = MODEL_TIMER.snapshot() - model0
         # pickled in the main thread for the same reason as batches
         coord_queue.put(
-            ("result", index, pickle.dumps(_pack_payload(core.finish(), table)))
+            ("result", index, pickle.dumps(_pack_payload(core.finish())))
         )
     except BaseException:  # noqa: BLE001 — report, then let it propagate
         import traceback
@@ -1050,7 +1074,7 @@ def _explore_sharded_processes(
                         configs=total_configs, action="write",
                     )
         results = collect("result", spec.shards)
-        table = getattr(spec.program, "table", None)
+        table = spec.program.table
         payloads = [
             _unpack_payload(pickle.loads(blob), table)
             for _, _, blob in sorted(results, key=lambda r: r[1])

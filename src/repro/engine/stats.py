@@ -48,11 +48,10 @@ class EngineStats:
     #: footers can attribute time to closure work (DESIGN.md §11).
     time_orders: float = 0.0
     #: Wall time spent inside memory-model ``transitions_list`` calls —
-    #: the delta of :data:`repro.interp.memory_model.MODEL_TIMER`.  On
-    #: the lowered dispatch path ``time_orders ⊆ time_model ⊆
-    #: time_expand``; ``time_expand - time_model`` is the program-side
-    #: stepping cost the lowering IR (DESIGN.md §12) targets.  The
-    #: legacy walker answers through generators and leaves this zero.
+    #: the delta of :data:`repro.interp.memory_model.MODEL_TIMER`, so
+    #: ``time_orders ⊆ time_model ⊆ time_expand``;
+    #: ``time_expand - time_model`` is the program-side stepping cost of
+    #: the lowered step tables (DESIGN.md §12).
     time_model: float = 0.0
     #: Number of deepening rounds (1 unless the strategy is ``iddfs``).
     iterations: int = 1

@@ -76,14 +76,9 @@ def program_token(program):
 
     Lowered programs are dense integer pc tuples over a table that is
     constant across one exploration, so ``pcs`` alone distinguishes
-    them.  Legacy AST programs are frozen dataclass trees whose ``repr``
-    is the full constructor form — deterministic (no hashing) and
-    injective over structural equality.
+    them.
     """
-    pcs = getattr(program, "pcs", None)
-    if pcs is not None:
-        return ("L", pcs)
-    return ("P", repr(program.threads))
+    return ("L", program.pcs)
 
 
 def encode_config_key(key) -> bytes:

@@ -1,7 +1,7 @@
 """Differential oracles: what makes a generated program *pass*.
 
-Eight independent checks, cheapest first (the fifth through eighth are
-opt-in):
+Seven independent checks, cheapest first (the fifth through seventh
+are opt-in):
 
 1. **Refinement chain** — the outcome sets (final values of every
    variable over terminal configurations) must nest along the model
@@ -44,18 +44,7 @@ opt-in):
    §11).  The continuous soundness check of the compact order engine,
    run over whole campaigns.
 
-6. **Lowering parity** (``check_lowering=True`` / ``repro fuzz
-   --check-lowering``, off by default) — replay the program under each
-   model with the lowered-program IR on and off (DESIGN.md §12) in a
-   lock-step paired search and require the *full*
-   :class:`~repro.interp.interpreter.InterpretedStep` streams to agree
-   transition-for-transition at every reachable configuration — tids,
-   events (tags included), observed writes, read values, silent steps
-   and terminal outcomes.  Strictly stronger than outcome equality:
-   the continuous soundness check of the compiler in
-   :mod:`repro.lang.lower`.
-
-7. **Shard parity** (``check_shards=True`` / ``repro fuzz
+6. **Shard parity** (``check_shards=True`` / ``repro fuzz
    --check-shards``, off by default) — re-explore the program under RA
    with the search hash-partitioned across three shards (DESIGN.md
    §15) and require the sharded run to be *exactly* identical to the
@@ -67,7 +56,7 @@ opt-in):
    in-process superstep schedule, which is the same code path the
    worker processes run.
 
-8. **Fault parity** (``check_faults=True`` / ``repro fuzz
+7. **Fault parity** (``check_faults=True`` / ``repro fuzz
    --check-faults``, off by default) — inject deterministic faults
    (:mod:`repro.faults`, DESIGN.md §16) into a re-exploration of the
    program and require recovery to be *exactly* outcome- and
@@ -137,7 +126,7 @@ class OracleReport:
 
     case: GeneratedCase
     #: divergence kind ("refinement" / "soundness" / "axiomatic" /
-    #: "por-parity" / "orders" / "lowering" / "shard-parity" /
+    #: "por-parity" / "orders" / "shard-parity" /
     #: "fault-parity" / "crash"), or ``None`` when every oracle passed
     divergence: Optional[str] = None
     detail: str = ""
@@ -159,7 +148,7 @@ class OracleReport:
     time_orders: float = 0.0
     #: successor-expansion wall time summed over this case's explorations
     time_expand: float = 0.0
-    #: memory-model share of ``time_expand`` (lowered path only)
+    #: memory-model share of ``time_expand``
     time_model: float = 0.0
     #: largest frontier/spine across this case's explorations — a
     #: high-water mark, folded by max (never summed) up the stack
@@ -206,99 +195,6 @@ def _footprint_equivalence(n_events: int, n_variables: int) -> str:
     )
 
 
-def lowering_step_parity(
-    program,
-    init,
-    model_factory: Callable[[], MemoryModel],
-    max_events: Optional[int] = None,
-    max_configs: Optional[int] = None,
-) -> Tuple[Optional[str], bool]:
-    """Oracle 6's worker: lock-step replay, lowered IR vs AST walker.
-
-    Explores the lowered and the legacy interpretation of ``program``
-    *in pairs*: the two initial configurations are matched, and each
-    matched pair must produce :class:`InterpretedStep` batches that
-    agree signature-for-signature — ``(tid, event, observed,
-    read_value)``, with tags, so silent steps and every memory-model
-    choice are compared, not just outcomes.  Matching successors extend
-    the pairing; terminal pairs must agree on their final values.
-
-    Returns ``(detail, inconclusive)``: ``detail`` describes the first
-    divergence (``None`` = parity holds on every reachable pair);
-    ``inconclusive`` is set when the program was not lowered (aliasing
-    fallback, ``REPRO_NO_LOWER``) or a bound was hit, in which case the
-    oracle verified nothing and must not read as green.
-    """
-    from repro.engine.core import _state_size
-    from repro.interp.compiled import LoweredProgram, lowering_disabled
-    from repro.interp.interpreter import initial_configuration, successor_list
-
-    model = model_factory()
-    low0 = initial_configuration(program, init, model)
-    if type(low0.program) is not LoweredProgram:
-        return None, True
-    with lowering_disabled():
-        leg0 = initial_configuration(program, init, model)
-
-    def sig(s):
-        return (s.tid, s.event, s.observed, s.read_value)
-
-    seen = {(low0, leg0)}
-    frontier = [(low0, leg0)]
-    while frontier:
-        low, leg = frontier.pop()
-        if low.is_terminated() != leg.is_terminated():
-            return (
-                f"termination disagrees at a paired configuration "
-                f"(lowered={low.is_terminated()}, legacy={leg.is_terminated()})",
-                False,
-            )
-        if low.is_terminated():
-            if final_values(low) != final_values(leg):
-                return (
-                    f"terminal values disagree: lowered "
-                    f"{final_values(low)} vs legacy {final_values(leg)}",
-                    False,
-                )
-            continue
-        at_bound = (
-            max_events is not None and _state_size(low.state) >= max_events
-        )
-        steps_low = successor_list(low, model)
-        with lowering_disabled():
-            steps_leg = successor_list(leg, model)
-        by_low: Dict[tuple, list] = {}
-        for s in steps_low:
-            by_low.setdefault(sig(s), []).append(s)
-        by_leg: Dict[tuple, list] = {}
-        for s in steps_leg:
-            by_leg.setdefault(sig(s), []).append(s)
-        if by_low.keys() != by_leg.keys() or any(
-            len(by_low[k]) != len(by_leg[k]) for k in by_low
-        ):
-            only_low = sorted(set(by_low) - set(by_leg))
-            only_leg = sorted(set(by_leg) - set(by_low))
-            return (
-                f"step streams diverge: {len(steps_low)} lowered vs "
-                f"{len(steps_leg)} legacy transitions "
-                f"(lowered-only signatures: {only_low[:2]}; "
-                f"legacy-only: {only_leg[:2]})",
-                False,
-            )
-        for key, group in by_low.items():
-            if at_bound and key[1] is not None:
-                continue  # both sides truncate this event identically
-            for s_low, s_leg in zip(group, by_leg[key]):
-                pair = (s_low.target, s_leg.target)
-                if pair in seen:
-                    continue
-                if max_configs is not None and len(seen) >= max_configs:
-                    return None, True
-                seen.add(pair)
-                frontier.append(pair)
-    return None, False
-
-
 def check_program(
     case: GeneratedCase,
     axiomatic: bool = True,
@@ -307,7 +203,6 @@ def check_program(
     reduction: str = "dpor",
     equivalence: str = "shasha-snir",
     check_orders: bool = False,
-    check_lowering: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
 ) -> OracleReport:
@@ -321,9 +216,7 @@ def check_program(
     ``equivalence`` keys the reduced runs' visited stores (consulted by
     ``"dpor"``/``"optimal"`` only).  ``check_orders`` additionally
     replays the compact derived-order self-check over every distinct
-    RA-reachable state (DESIGN.md §11).  ``check_lowering`` replays the
-    program under each model with the lowered IR on and off and diffs
-    the full step streams (DESIGN.md §12).  ``check_shards`` re-runs
+    RA-reachable state (DESIGN.md §11).  ``check_shards`` re-runs
     the RA exploration hash-partitioned across three shards and
     requires exact parity with the single-process search (DESIGN.md
     §15).  ``check_faults`` injects a deterministic mid-run interrupt
@@ -430,27 +323,6 @@ def check_program(
                 "compact representation (is REPRO_NO_COMPACT set?)"
             )
             return report
-
-    # 2c. lowering parity: the compiled step tables must replay the AST
-    # walker's full InterpretedStep stream exactly (DESIGN.md §12)
-    if check_lowering:
-        for name in REFINEMENT_CHAIN:
-            detail, vacuous = lowering_step_parity(
-                case.program, case.init, models[name],
-                max_events=max_events, max_configs=max_configs,
-            )
-            if detail is not None:
-                report.divergence = "lowering"
-                report.detail = f"{name}: {detail}"
-                return report
-            if vacuous:
-                report.inconclusive = True
-                report.detail = (
-                    f"lowering oracle vacuous under {name}: program was "
-                    "not lowered (aliasing fallback or REPRO_NO_LOWER "
-                    "set?) or the pair cap was hit"
-                )
-                return report
 
     # 3. axiomatic equivalence on tiny footprints
     if axiomatic:
@@ -757,5 +629,4 @@ __all__ = [
     "OracleReport",
     "REFINEMENT_CHAIN",
     "check_program",
-    "lowering_step_parity",
 ]

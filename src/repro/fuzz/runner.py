@@ -44,9 +44,6 @@ class FuzzJob:
     #: cross-check compact vs definitional derived orders per state
     #: (the "orders" oracle, DESIGN.md §11)
     check_orders: bool = False
-    #: replay lowered vs legacy interpretation step-for-step
-    #: (the "lowering" oracle, DESIGN.md §12)
-    check_lowering: bool = False
     #: re-explore under shards=3 and require exact parity with the
     #: single-process search (the "shard-parity" oracle, DESIGN.md §15)
     check_shards: bool = False
@@ -89,8 +86,8 @@ def _check(job: FuzzJob, case: GeneratedCase) -> OracleReport:
     return check_program(
         case, axiomatic=job.axiomatic, max_configs=job.max_configs,
         reduction=job.reduction, equivalence=job.equivalence,
-        check_orders=job.check_orders, check_lowering=job.check_lowering,
-        check_shards=job.check_shards, check_faults=job.check_faults,
+        check_orders=job.check_orders, check_shards=job.check_shards,
+        check_faults=job.check_faults,
     )
 
 
@@ -267,7 +264,6 @@ def fuzz_jobs(
     reduction: str = "dpor",
     equivalence: str = "shasha-snir",
     check_orders: bool = False,
-    check_lowering: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
 ) -> List[FuzzJob]:
@@ -296,7 +292,6 @@ def fuzz_jobs(
             reduction=reduction,
             equivalence=equivalence,
             check_orders=check_orders,
-            check_lowering=check_lowering,
             check_shards=check_shards,
             check_faults=check_faults,
         )
@@ -315,7 +310,6 @@ def run_campaign(
     reduction: str = "dpor",
     equivalence: str = "shasha-snir",
     check_orders: bool = False,
-    check_lowering: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
     progress: Optional[Callable] = None,
@@ -332,8 +326,7 @@ def run_campaign(
         seed, iters, profile=profile, jobs=jobs, axiomatic=axiomatic,
         shrink=shrink, max_configs=max_configs, reduction=reduction,
         equivalence=equivalence, check_orders=check_orders,
-        check_lowering=check_lowering, check_shards=check_shards,
-        check_faults=check_faults,
+        check_shards=check_shards, check_faults=check_faults,
     )
     results = ParallelRunner(jobs=jobs).run(work, progress=progress)
     report = CampaignReport(seed=seed, iters=iters, profile=profile)

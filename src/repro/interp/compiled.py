@@ -7,32 +7,27 @@ object, like its hash) and shared by every configuration of a run; a
 :class:`LoweredProgram` is then just the table plus one ``(pc, vals)``
 pair per thread — hashing and equality are over small integer tuples
 instead of command ASTs, which is where the engine's seen-set and
-parent-map operations spend their time on the legacy representation.
+parent-map operations spend their time.
 
 :class:`LoweredStep` is protocol-compatible with
 :class:`~repro.lang.semantics.PendingStep` (``kind``/``var``/``wrval``/
-``wrfun``/``write_value``/``action``/``is_read_hole``/``is_silent``, and
-a slow-path ``resume`` for debugging), so the four memory models consume
-it unchanged — with two hot-path upgrades: steps are interned per
-``(instruction, vals)`` so identical thread states across
-configurations share one object, and ``action()`` memoizes per read
-value through the global action interner.
+``wrfun``/``write_value``/``action``/``is_read_hole``/``is_silent``), so
+the four memory models consume either — with two hot-path upgrades:
+steps are interned per ``(instruction, vals)`` so identical thread
+states across configurations share one object, and ``action()``
+memoizes per read value through the global action interner.
 
-Lowering is **gated**: ``REPRO_NO_LOWER=1`` (mirroring
-``REPRO_NO_COMPACT``) keeps the legacy AST walker for A/B measurement,
-:func:`lowering_disabled` forces it per call site (the fuzz oracle), and
-a program whose threads the compiler refuses (alias risk — see
-:mod:`repro.lang.lower`) silently stays legacy.  Either way the
-exploration results are byte-identical; only the representation of
-``config.program`` differs (enforced by the lowering parity tests and
-the ``--check-lowering`` fuzz oracle).
+Every program is lowered: :func:`maybe_lower` is the one entry point
+(the explorers and :func:`~repro.interp.interpreter.initial_configuration`
+call it), and the interpreter, the memory models and the engine step
+:class:`LoweredProgram` only.  The AST semantics of
+:mod:`repro.lang.semantics` stays the reference the tables are tested
+against (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lang.actions import ActionKind, TAU, Value, Var, intern_action
 from repro.lang.lower import (
@@ -100,9 +95,8 @@ class LoweredStep:
     def control_visible(self) -> bool:
         """Whether this step changes ``(pc, terminated)`` of its thread.
 
-        Read straight off the table entry — the lowered replacement for
-        ``step_changes_control``'s per-node ``resume`` probing; a branch
-        picks the precomputed bit of its resolved arm.
+        Read straight off the table entry; a branch picks the
+        precomputed bit of its resolved arm.
         """
         i = self.instr
         if i.is_branch:
@@ -134,19 +128,6 @@ class LoweredStep:
                 a = intern_action(kind, self.var, rdval=read_value)
             self._actions[read_value] = a
         return a
-
-    def resume(self, value: Optional[Value] = None) -> Com:
-        """Slow-path compatibility: the concrete successor command.
-
-        Reconstructs the concrete state and steps it with the legacy
-        walker — exact by construction, off the hot path (the engine
-        applies steps through the table instead).
-        """
-        from repro.lang.semantics import command_steps
-
-        com = concretize(self.instr.com, self.vals)
-        step = next(command_steps(com))
-        return step.resume(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LoweredStep(pc={self.instr.pc}, {self.kind.value}, vals={self.vals})"
@@ -255,7 +236,7 @@ class LoweredProgram:
         )
 
     def source_program(self) -> Program:
-        """The equivalent legacy :class:`Program` (concretized)."""
+        """The equivalent AST :class:`Program` (concretized)."""
         return Program(self.threads)
 
     def __str__(self) -> str:
@@ -273,7 +254,14 @@ class LoweredProgram:
         )
 
     def pending_steps(self) -> Dict[Tid, LoweredStep]:
-        """The one pending step per live thread (computed once per node)."""
+        """The one pending step per live thread (computed once per node).
+
+        The uninterpreted semantics is deterministic up to the read hole
+        (``repro.lang.semantics``): each command yields at most one
+        step, so thread-granular reduction is well-defined — choosing a
+        thread chooses its step, and only the memory model branches
+        below it.
+        """
         steps = self._steps
         if steps is None:
             steps = {}
@@ -286,77 +274,31 @@ class LoweredProgram:
 
 
 def _restore_lowered(source: Program, pcs: Tuple[ThreadState, ...]) -> LoweredProgram:
-    table = lowered_table(source)
-    assert table is not None, "a lowered program must re-lower deterministically"
-    return LoweredProgram(table, pcs)
+    return LoweredProgram(lowered_table(source), pcs)
 
 
-# ======================================================================
-# The gate
-# ======================================================================
+def lowered_table(program: Program) -> LoweredTable:
+    """The step table of ``program``, compiled once and cached on it."""
+    table = program.__dict__.get("_lowered")
+    if table is None:
+        table = LoweredTable(
+            program, [lower_thread(com) for _tid, com in program.threads]
+        )
+        object.__setattr__(program, "_lowered", table)
+    return table
 
-_UNSET = object()
-_FORCE_DISABLED = 0
 
+def maybe_lower(program) -> LoweredProgram:
+    """``program`` compiled to its lowered entry state, unless it is
+    already lowered.
 
-def lowering_enabled() -> bool:
-    """Whether new explorations compile programs to step tables.
-
-    ``REPRO_NO_LOWER=1`` (environment, mirroring ``REPRO_NO_COMPACT``)
-    or an enclosing :func:`lowering_disabled` keeps the legacy walker.
+    The one entry point the engine calls (at ``explore`` /
+    ``initial_configuration`` time); everything downstream steps
+    lowered programs only.
     """
-    return not _FORCE_DISABLED and not os.environ.get("REPRO_NO_LOWER")
-
-
-@contextmanager
-def lowering_disabled():
-    """Force the legacy AST representation inside the ``with`` block.
-
-    Used by the ``--check-lowering`` fuzz oracle and the benchmark A/B
-    harness to replay the same exploration on both representations.
-    """
-    global _FORCE_DISABLED
-    _FORCE_DISABLED += 1
-    try:
-        yield
-    finally:
-        _FORCE_DISABLED -= 1
-
-
-def lowered_table(program: Program) -> Optional[LoweredTable]:
-    """The step table of ``program``, compiled once and cached on it.
-
-    ``None`` when some thread is not exactly lowerable (alias risk);
-    the negative result is cached too.  Independent of the gate — the
-    cache must survive ``lowering_disabled`` blocks unchanged.
-    """
-    cached = program.__dict__.get("_lowered", _UNSET)
-    if cached is _UNSET:
-        tables: List[ThreadTable] = []
-        lowerable = True
-        for _tid, com in program.threads:
-            t = lower_thread(com)
-            if t is None:
-                lowerable = False
-                break
-            tables.append(t)
-        cached = LoweredTable(program, tables) if lowerable else None
-        object.__setattr__(program, "_lowered", cached)
-    return cached
-
-
-def maybe_lower(program):
-    """``program`` compiled to its lowered entry state, when possible.
-
-    Legacy programs pass through when the gate is off or the compiler
-    refuses; lowered programs pass through unchanged.  This is the one
-    entry point the engine calls (at ``explore``/``initial_configuration``
-    time) — everything downstream dispatches on the program's type.
-    """
-    if type(program) is not Program or not lowering_enabled():
+    if isinstance(program, LoweredProgram):
         return program
-    table = lowered_table(program)
-    return program if table is None else table.entry
+    return lowered_table(program).entry
 
 
 __all__ = [
@@ -364,8 +306,6 @@ __all__ = [
     "LoweredStep",
     "LoweredTable",
     "lowered_table",
-    "lowering_disabled",
-    "lowering_enabled",
     "maybe_lower",
     "step_of",
 ]

@@ -14,8 +14,8 @@ class Configuration(Generic[S]):
 
     Slotted plain class: the interpreter builds one per transition on
     the exploration hot path (see ``InterpretedStep``).  Equality and
-    hashing stay structural over ``(program, state)`` — the lowering
-    parity oracle deduplicates visited configuration pairs by value.
+    hashing stay structural over ``(program, state)``, so configurations
+    compare by value (the shard wire-format tests rely on it).
     """
 
     __slots__ = ("program", "state")

@@ -9,15 +9,12 @@ Given a configuration ``(P, σ)`` and a memory model ``M``,
   model allows for it (second rule) — in particular a read hole is
   resolved once per admissible value.
 
-Two program representations dispatch here (DESIGN.md §12).  A legacy
-:class:`~repro.lang.program.Program` is stepped by walking command ASTs
-through ``resume``; a :class:`~repro.interp.compiled.LoweredProgram` is
-stepped by indexing its compiled table with integer pcs — the successor
-program is a tuple update ``pcs[slot] ← (next_pc, keep(vals, read))``,
-no AST is touched, and the engine consumes the whole successor batch as
-a list (:func:`successor_list`) instead of hopping through generator
-frames.  Both paths produce byte-identical :class:`InterpretedStep`
-streams; only the type of ``config.program`` differs.
+Programs are stepped in their lowered form (DESIGN.md §12): a
+:class:`~repro.interp.compiled.LoweredProgram` indexes its compiled
+table with integer pcs, so the successor program is a tuple update
+``pcs[slot] ← (next_pc, keep(vals, read))`` and no AST is touched.  The
+engine consumes the whole successor batch as a list
+(:func:`successor_list`) instead of hopping through generator frames.
 """
 
 from __future__ import annotations
@@ -26,11 +23,11 @@ import time
 from typing import Generic, Iterator, List, Optional, TypeVar
 
 from repro.c11.events import Event
-from repro.interp.compiled import LoweredProgram, maybe_lower
+from repro.interp.compiled import maybe_lower
 from repro.interp.config import Configuration
 from repro.interp.memory_model import MODEL_TIMER, MemoryModel
 from repro.lang.actions import Value
-from repro.lang.program import Tid, program_steps
+from repro.lang.program import Tid
 
 S = TypeVar("S")
 
@@ -79,11 +76,11 @@ class InterpretedStep(Generic[S]):
         )
 
 
-def _lowered_thread_successors(
+def _thread_successors(
     config: Configuration[S], model: MemoryModel[S], tid: Tid, step,
     out: List[InterpretedStep[S]],
 ) -> None:
-    """Append all transitions realising one lowered thread state's step."""
+    """Append all transitions realising one thread's pending step."""
     program, state = config.program, config.state
     instr = step.instr
     slot = instr.slot
@@ -131,43 +128,9 @@ def thread_successor_list(
     single selected thread without generating the memory transitions of
     threads it prunes.  Batched: the caller gets the whole list at once.
     """
-    if type(config.program) is LoweredProgram:
-        out: List[InterpretedStep[S]] = []
-        _lowered_thread_successors(config, model, tid, step, out)
-        return out
-    return list(_legacy_thread_successors(config, model, tid, step))
-
-
-def thread_successors(
-    config: Configuration[S], model: MemoryModel[S], tid: Tid, step
-) -> Iterator[InterpretedStep[S]]:
-    """Iterator form of :func:`thread_successor_list` (compatibility)."""
-    if type(config.program) is LoweredProgram:
-        return iter(thread_successor_list(config, model, tid, step))
-    return _legacy_thread_successors(config, model, tid, step)
-
-
-def _legacy_thread_successors(
-    config: Configuration[S], model: MemoryModel[S], tid: Tid, step
-) -> Iterator[InterpretedStep[S]]:
-    program, state = config.program, config.state
-    if step.is_silent:
-        yield InterpretedStep(
-            source=config,
-            tid=tid,
-            target=Configuration(program.update(tid, step.resume(None)), state),
-        )
-        return
-    for mt in model.transitions(state, tid, step):
-        next_program = program.update(tid, step.resume(mt.read_value))
-        yield InterpretedStep(
-            source=config,
-            tid=tid,
-            target=Configuration(next_program, mt.target),
-            event=mt.event,
-            observed=mt.observed,
-            read_value=mt.read_value,
-        )
+    out: List[InterpretedStep[S]] = []
+    _thread_successors(config, model, tid, step, out)
+    return out
 
 
 def successor_list(
@@ -175,20 +138,13 @@ def successor_list(
 ) -> List[InterpretedStep[S]]:
     """All interpreted transitions from ``config``, as one batch.
 
-    The engine's expansion loop consumes this list directly; the lowered
-    path builds it without a single generator frame or AST node.
+    The engine's expansion loop consumes this list directly; it is
+    built without a single generator frame or AST node.
     """
-    program = config.program
-    if type(program) is LoweredProgram:
-        out: List[InterpretedStep[S]] = []
-        for tid, step in program.pending_steps().items():
-            _lowered_thread_successors(config, model, tid, step, out)
-        return out
-    return [
-        s
-        for tid, step in program_steps(program)
-        for s in _legacy_thread_successors(config, model, tid, step)
-    ]
+    out: List[InterpretedStep[S]] = []
+    for tid, step in config.program.pending_steps().items():
+        _thread_successors(config, model, tid, step, out)
+    return out
 
 
 def configuration_successors(
@@ -201,5 +157,5 @@ def configuration_successors(
 def initial_configuration(
     program, init_values, model: MemoryModel[S]
 ) -> Configuration[S]:
-    """``(P, σ_0)`` for the given model (lowered when the gate allows)."""
+    """``(P, σ_0)`` for the given model, with ``P`` lowered."""
     return Configuration(maybe_lower(program), model.initial(init_values))

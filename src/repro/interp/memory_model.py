@@ -17,7 +17,7 @@ implement this interface:
 from __future__ import annotations
 
 import abc
-from typing import FrozenSet, Generic, Hashable, Iterator, Mapping, Optional, Tuple, TypeVar
+from typing import FrozenSet, Generic, Hashable, Mapping, Optional, Tuple, TypeVar
 
 from repro.c11.events import Event
 from repro.lang.actions import Value, Var
@@ -30,14 +30,12 @@ class ModelTimerStats:
     """Process-wide accumulator of time spent inside memory models.
 
     The same discipline as :data:`repro.c11.compact.ORDER_TIMER`: the
-    lowered dispatch path (DESIGN.md §12) charges every
-    ``transitions_list`` call here, the engine snapshots the delta
-    around a run as ``EngineStats.time_model``, and footers subtract it
-    from ``time_expand`` to expose what lowering actually removed — the
-    *program-stepping* share of expansion.  Order derivations happen
-    inside model calls, so ``time_orders ⊆ time_model ⊆ time_expand``
-    on the lowered path; the legacy walker answers through generators
-    and leaves this timer untouched.
+    interpreter (DESIGN.md §12) charges every ``transitions_list`` call
+    here, the engine snapshots the delta around a run as
+    ``EngineStats.time_model``, and footers subtract it from
+    ``time_expand`` to expose the *program-stepping* share of
+    expansion.  Order derivations happen inside model calls, so
+    ``time_orders ⊆ time_model ⊆ time_expand``.
     """
 
     __slots__ = ("seconds",)
@@ -111,27 +109,17 @@ class MemoryModel(abc.ABC, Generic[S]):
         """The initial memory state for the given initialisation."""
 
     @abc.abstractmethod
-    def transitions(
+    def transitions_list(
         self, state: S, tid: Tid, step: PendingStep
-    ) -> Iterator[MemoryTransition[S]]:
+    ) -> "list[MemoryTransition[S]]":
         """All memory transitions realising ``step`` of thread ``tid``.
 
         For a silent step the model must allow exactly one transition
         that leaves the state unchanged (the first rule of Section 3.3);
-        the default implementation of that case lives in the interpreter,
-        so implementations only see non-silent steps.
+        the interpreter handles that case itself, so implementations
+        only see non-silent steps.  The interpreter expands successors
+        in batches, so the answer is a materialised list.
         """
-
-    def transitions_list(
-        self, state: S, tid: Tid, step: PendingStep
-    ) -> "list[MemoryTransition[S]]":
-        """:meth:`transitions` as a materialised list.
-
-        The lowered dispatch path (DESIGN.md §12) expands successors in
-        batches; models override this to build the list directly and
-        skip the generator frame per expansion.
-        """
-        return list(self.transitions(state, tid, step))
 
     def canonical_state_key(self, state: S) -> Hashable:
         """A key identifying ``state`` up to irrelevant naming.

@@ -16,7 +16,7 @@ until the justification search materialises one.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Hashable, Iterator, Mapping, Optional
+from typing import FrozenSet, Hashable, Mapping, Optional
 
 from repro.c11.events import Event
 from repro.c11.prestate import PreExecutionState, initial_prestate
@@ -50,33 +50,7 @@ class PEMemoryModel(MemoryModel[PreExecutionState]):
     def initial(self, init_values: Mapping[Var, Value]) -> PreExecutionState:
         return initial_prestate(init_values)
 
-    def transitions(
-        self, state: PreExecutionState, tid: Tid, step: PendingStep
-    ) -> Iterator[MemoryTransition[PreExecutionState]]:
-        assert not step.is_silent
-        tag = state.next_tag()
-        if step.is_read_hole:
-            for value in sorted(self.read_values):
-                event = Event(tag, step.action(value), tid)
-                yield MemoryTransition(
-                    target=state.add_event(event),
-                    read_value=value,
-                    event=event,
-                    observed=None,
-                )
-        else:
-            event = Event(tag, step.action(), tid)
-            yield MemoryTransition(
-                target=state.add_event(event),
-                read_value=None,
-                event=event,
-                observed=None,
-            )
-
     def transitions_list(self, state: PreExecutionState, tid: Tid, step: PendingStep):
-        # Route subclasses that override `transitions` through it.
-        if type(self) is not PEMemoryModel:
-            return super().transitions_list(state, tid, step)
         tag = state.next_tag()
         if step.is_read_hole:
             return [

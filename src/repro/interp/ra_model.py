@@ -14,7 +14,7 @@ materialises a derived-order relation.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Mapping
 
 from repro.c11.event_semantics import ra_successors
 from repro.c11.state import C11State, initial_state
@@ -34,34 +34,15 @@ class RAMemoryModel(MemoryModel[C11State]):
     def initial(self, init_values: Mapping[Var, Value]) -> C11State:
         return initial_state(init_values)
 
-    def transitions(
-        self, state: C11State, tid: Tid, step: PendingStep
-    ) -> Iterator[MemoryTransition[C11State]]:
-        assert not step.is_silent, "silent steps are handled by the interpreter"
-        assert step.var is not None
-        # Computed updates (fetch-and-add) ship their write value as a
-        # function of the value read; constants pass through unchanged.
-        wrval = step.wrval if step.wrfun is None else step.wrfun
-        for tr in ra_successors(state, tid, step.kind, step.var, wrval):
-            read_value = tr.event.rdval if step.is_read_hole else None
-            yield MemoryTransition(
-                target=tr.target,
-                read_value=read_value,
-                event=tr.event,
-                observed=tr.observed,
-            )
-
     def transitions_list(self, state: C11State, tid: Tid, step: PendingStep):
-        # Route subclasses that override `transitions` through it.
-        if type(self) is not RAMemoryModel:
-            return super().transitions_list(state, tid, step)
         # Memoize per state *object* and interned step: a silent program
         # step leaves the memory state untouched, so exploration asks
         # the same (state, tid, step) question from several program
         # points — the answer is a pure function of the three, and
         # lowered steps are interned so the key is two pointers.  (Keyed
         # by object identity, not state equality: structural hashing
-        # would force the materialised pair-set relations.)
+        # would force the materialised pair-set relations.)  A reference
+        # ``PendingStep`` is unhashable and answered unmemoized.
         memo = None
         if type(step) is LoweredStep:
             memo = state._ra_trans
@@ -71,6 +52,8 @@ class RAMemoryModel(MemoryModel[C11State]):
             cached = memo.get((tid, step))
             if cached is not None:
                 return cached
+        # Computed updates (fetch-and-add) ship their write value as a
+        # function of the value read; constants pass through unchanged.
         wrval = step.wrval if step.wrfun is None else step.wrfun
         if step.is_read_hole:
             out = [

@@ -14,7 +14,7 @@ hash and compare structurally.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Mapping, Optional, Tuple
+from typing import Hashable, Mapping, Optional, Tuple
 
 from repro.interp.memory_model import MemoryModel, MemoryTransition
 from repro.lang.actions import ActionKind, Value, Var
@@ -50,36 +50,8 @@ class SCMemoryModel(MemoryModel[SCState]):
     def initial(self, init_values: Mapping[Var, Value]) -> SCState:
         return sc_store(init_values)
 
-    def transitions(
-        self, state: SCState, tid: Tid, step: PendingStep
-    ) -> Iterator[MemoryTransition[SCState]]:
-        assert not step.is_silent
-        assert step.var is not None
-        kind = step.kind
-        if kind in (ActionKind.RD, ActionKind.RDA):
-            yield MemoryTransition(
-                target=state, read_value=sc_lookup(state, step.var)
-            )
-        elif kind in (ActionKind.WR, ActionKind.WRR):
-            assert step.wrval is not None
-            yield MemoryTransition(
-                target=sc_update(state, step.var, step.wrval)
-            )
-        elif kind is ActionKind.UPD:
-            read = sc_lookup(state, step.var)
-            yield MemoryTransition(
-                target=sc_update(state, step.var, step.write_value(read)),
-                read_value=read,
-            )
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unexpected step kind {kind}")
-
     def transitions_list(self, state: SCState, tid: Tid, step: PendingStep):
         # Every SC step is deterministic: build the singleton directly.
-        # Subclasses that override `transitions` (test doubles) must keep
-        # being routed through it.
-        if type(self) is not SCMemoryModel:
-            return super().transitions_list(state, tid, step)
         kind = step.kind
         if kind in (ActionKind.RD, ActionKind.RDA):
             return [MemoryTransition(

@@ -17,7 +17,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Generic, List, Mapping, Optional, Tuple, TypeVar
 
 from repro.interp.config import Configuration
-from repro.interp.interpreter import InterpretedStep, configuration_successors
+from repro.interp.interpreter import (
+    InterpretedStep,
+    configuration_successors,
+    initial_configuration,
+)
 from repro.interp.memory_model import MemoryModel
 from repro.lang.actions import Value, Var
 from repro.lang.program import Program
@@ -70,7 +74,7 @@ def sample_run(
     check_config: Optional[Callable[[Configuration[S]], List[str]]] = None,
 ) -> RunResult[S]:
     """One random maximal run (uniform over enabled transitions)."""
-    config = Configuration(program, model.initial(init_values))
+    config = initial_configuration(program, init_values, model)
     steps: List[InterpretedStep[S]] = []
     for _ in range(max_steps):
         if check_config is not None:

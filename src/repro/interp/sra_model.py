@@ -19,11 +19,11 @@ complete execution is reachable through SRA-consistent prefixes
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Mapping
 
 from repro.c11.state import C11State, initial_state
 from repro.engine.keys import cached_canonical_key
-from repro.interp.memory_model import MemoryModel, MemoryTransition
+from repro.interp.memory_model import MemoryModel
 from repro.interp.ra_model import RAMemoryModel
 from repro.lang.actions import Value, Var
 from repro.lang.program import Tid
@@ -55,17 +55,7 @@ class SRAMemoryModel(MemoryModel[C11State]):
     def initial(self, init_values: Mapping[Var, Value]) -> C11State:
         return initial_state(init_values)
 
-    def transitions(
-        self, state: C11State, tid: Tid, step: PendingStep
-    ) -> Iterator[MemoryTransition[C11State]]:
-        for mt in self._ra.transitions(state, tid, step):
-            if sra_consistent(mt.target):
-                yield mt
-
     def transitions_list(self, state: C11State, tid: Tid, step: PendingStep):
-        # Route subclasses that override `transitions` through it.
-        if type(self) is not SRAMemoryModel:
-            return super().transitions_list(state, tid, step)
         return [
             mt
             for mt in self._ra.transitions_list(state, tid, step)

@@ -13,35 +13,34 @@ counters.  The machine state of a thread collapses to ``(pc, vals)`` —
 a table index plus the concrete values instantiating the placeholders —
 and a step becomes a table lookup instead of an AST walk.
 
-Each table entry (:class:`Instr`) precomputes everything the hot path
-used to re-derive per node:
+Each table entry (:class:`Instr`) precomputes everything stepping the
+AST would re-derive per node:
 
 * the step's action shape (``kind``/``var``), with constant write
   values folded and computed ones compiled to closure-free postfix
   programs over ``vals`` (:func:`eval_ops`);
-* resolved successor pcs — including loop back-edges, which the AST
-  walker re-built structurally on every iteration — and *keep maps*
+* resolved successor pcs — including loop back-edges, which ``resume``
+  re-builds structurally on every iteration — and *keep maps*
   describing how the successor's ``vals`` derive from the current ones
   and the value read;
 * the paper's program counter (``label``) of the state and the
   control-visibility bit(s) the reduction layer needs (whether the step
-  changes ``(pc, terminated)``), so ``por/deps`` never probes
-  ``resume`` on the lowered path.
+  changes ``(pc, terminated)``), so ``por/deps`` reads it off the
+  table instead of probing ``resume``.
 
-**Exactness, not approximation.**  The engine deduplicates
-configurations by *structural command equality*, so the lowered pc
-encoding is only admissible if machine states and concrete commands are
-in bijection.  Placeholders make hash-consing merge exactly the states
-the legacy walker merges — except when two *distinct* symbolic states
-could instantiate to the *same* concrete command (a partially evaluated
-expression colliding with a source literal, e.g. ``y := x`` after
-reading ``0`` aliasing a literal ``y := 0`` elsewhere in the thread).
-:func:`lower_thread` detects that possibility conservatively (pairwise
-unifiability of states with the same literal-erased shape) and refuses
-to lower the thread; the caller then keeps the legacy representation
-for the whole program.  Real case studies and litmus programs have no
-collisions, and the fuzz oracle ``--check-lowering`` plus the parity
-tests enforce byte-identical exploration results either way.
+**Identity is the machine state.**  The compiler is total: every
+command lowers, and the engine deduplicates configurations by their
+``(pc, vals)`` machine states.  Hash-consing merges exactly the
+symbolic states that are structurally equal, and a placeholder is never
+equal to a literal, so a value a thread has read stays distinct from a
+source literal that happens to be equal to it (``y := ⟨v0⟩`` after
+reading ``0`` is not merged with a literal ``y := 0`` elsewhere in the
+thread).  Outcomes are unaffected — both states have the same
+continuations — but such a program may count a few more configurations
+than deduplication by concrete command would.  ``repro.lang.semantics``
+stays the reference semantics: ``tests/test_lower_parity.py`` checks
+every table step against ``program_steps``/``resume`` at every
+configuration the search reaches.
 """
 
 from __future__ import annotations
@@ -219,7 +218,7 @@ def concretize(
 
     This is the inverse of the abstraction: substituting slot values
     (and ``read`` for :data:`FRESH`) for the placeholders reconstructs
-    exactly the command the legacy AST walker would hold.
+    exactly the command the reference semantics would hold.
     """
     if isinstance(com, Assign):
         new = _subst_exp(com.exp, vals, read)
@@ -359,7 +358,7 @@ def sym_step(com: Com) -> Optional[_SymStep]:
     whenever a placeholder reaches a closed guard.
 
     Returns ``None`` for the terminated command.  Every successor is
-    built with the *same* smart constructors the legacy walker uses
+    built with the *same* smart constructors the reference semantics uses
     (``_sequence``, ``_relabel``, ``substitute_leftmost``), so a
     concretized successor is byte-identical to what ``resume`` yields.
     """
@@ -505,99 +504,9 @@ def _sig(com: Com) -> Tuple[int, bool]:
     return (program_counter(com), isinstance(com, Skip))
 
 
-def _lit_leaves(com: Com) -> List[object]:
-    """The ``Lit`` payloads of ``com`` in deterministic traversal order."""
-    out: List[object] = []
-
-    def walk_exp(e: Exp) -> None:
-        if isinstance(e, Lit):
-            out.append(e.value)
-        elif isinstance(e, Not):
-            walk_exp(e.operand)
-        elif isinstance(e, BinOp):
-            walk_exp(e.left)
-            walk_exp(e.right)
-
-    def walk(c: Com) -> None:
-        if isinstance(c, Assign):
-            walk_exp(c.exp)
-        elif isinstance(c, Swap):
-            out.append(c.value)
-        elif isinstance(c, Faa):
-            out.append(c.add)
-        elif isinstance(c, Seq):
-            walk(c.first)
-            walk(c.second)
-        elif isinstance(c, If):
-            walk_exp(c.guard)
-            walk(c.then_branch)
-            walk(c.else_branch)
-        elif isinstance(c, While):
-            walk_exp(c.guard)
-            walk(c.body)
-            if c.current is not None:
-                walk_exp(c.current)
-        elif isinstance(c, Labeled):
-            walk(c.body)
-
-    walk(com)
-    return out
-
-
-_WILD = SymVal(-2)
-
-
-def _erase(com: Com) -> Com:
-    """``com`` with every ``Lit`` payload replaced by a wildcard.
-
-    Two symbolic states can instantiate to the same concrete command
-    only if their erasures coincide (everything but ``Lit`` payloads is
-    compile-time fixed); ``Swap``/``Faa`` constants are compile-time
-    too, but :func:`_lit_leaves` includes them so positions stay aligned
-    and their inequality separates states just as well.
-    """
-    if isinstance(com, Assign):
-        return Assign(com.var, _erase_exp(com.exp), com.release)
-    if isinstance(com, Seq):
-        return Seq(_erase(com.first), _erase(com.second))
-    if isinstance(com, If):
-        return If(_erase_exp(com.guard), _erase(com.then_branch), _erase(com.else_branch))
-    if isinstance(com, While):
-        current = None if com.current is None else _erase_exp(com.current)
-        return While(_erase_exp(com.guard), _erase(com.body), current)
-    if isinstance(com, Labeled):
-        return Labeled(com.pc, _erase(com.body))
-    if isinstance(com, Swap):
-        return Swap(com.var, 0, com.reg)
-    if isinstance(com, Faa):
-        return Faa(com.var, 0, com.reg)
-    return com  # Skip
-
-
-def _erase_exp(exp: Exp) -> Exp:
-    if isinstance(exp, Lit):
-        return Lit(_WILD)
-    if isinstance(exp, Not):
-        return Not(_erase_exp(exp.operand))
-    if isinstance(exp, BinOp):
-        return BinOp(exp.op, _erase_exp(exp.left), _erase_exp(exp.right))
-    return exp  # Load
-
-
-def _may_alias(a: Com, b: Com) -> bool:
-    """Whether two distinct symbolic states (of equal erasure) could
-    instantiate to the same concrete command: at every ``Lit`` position
-    the payloads must be unifiable — equal constants, or at least one
-    placeholder (a run-time value can coincide with anything)."""
-    for x, y in zip(_lit_leaves(a), _lit_leaves(b)):
-        if type(x) is not SymVal and type(y) is not SymVal and x != y:
-            return False
-    return True
-
-
-def lower_thread(com: Com) -> Optional[ThreadTable]:
-    """Compile one thread, or ``None`` when pc-dedup could diverge from
-    structural command equality (see the module docstring)."""
+def lower_thread(com: Com) -> ThreadTable:
+    """Compile one thread: every command is lowerable (see the module
+    docstring for what a table state's identity is)."""
     index: Dict[Com, int] = {}
     coms: List[Com] = []
     instrs: List[Instr] = []
@@ -670,16 +579,6 @@ def lower_thread(com: Com) -> Optional[ThreadTable]:
                 ins.wrval = step.wrval
             else:
                 ins.wrfun = lambda m, _k=step.addk: m + _k
-
-    # -- exactness check: no two states may alias under instantiation --
-    groups: Dict[Com, List[int]] = {}
-    for pc, c in enumerate(coms):
-        groups.setdefault(_erase(c), []).append(pc)
-    for members in groups.values():
-        for i, pc_a in enumerate(members):
-            for pc_b in members[i + 1:]:
-                if _may_alias(coms[pc_a], coms[pc_b]):
-                    return None
 
     return ThreadTable(instrs, entry_pc)
 

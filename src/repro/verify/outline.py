@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.engine.stats import EngineStats
 from repro.interp.config import Configuration
 from repro.interp.explore import explore
-from repro.interp.interpreter import InterpretedStep
+from repro.interp.interpreter import InterpretedStep, initial_configuration
 from repro.interp.memory_model import MemoryModel
 from repro.interp.ra_model import RAMemoryModel
 from repro.lang.actions import Value, Var
@@ -179,7 +179,7 @@ class ProofOutline:
         model = model if model is not None else RAMemoryModel()
         report = OutlineReport(strategy=strategy, reduction=reduction)
 
-        initial = Configuration(program, model.initial(init_values))
+        initial = initial_configuration(program, init_values, model)
         for inv in self._invariants:
             failed = not inv.holds(initial)
             report._count(inv.name, failed)

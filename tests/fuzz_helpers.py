@@ -20,8 +20,8 @@ class BrokenSRA(SRAMemoryModel):
     (keep campaigns at ``jobs=1`` so the in-process patch applies).
     """
 
-    def transitions(self, state, tid, step):
-        for mt in super().transitions(state, tid, step):
-            if mt.event is not None and mt.event.action.kind is ActionKind.WR:
-                continue
-            yield mt
+    def transitions_list(self, state, tid, step):
+        return [
+            mt for mt in super().transitions_list(state, tid, step)
+            if mt.event is None or mt.event.action.kind is not ActionKind.WR
+        ]

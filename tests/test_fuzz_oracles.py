@@ -13,7 +13,7 @@ from repro.lang.program import Program
 
 
 class _CrashingRA(RAMemoryModel):
-    def transitions(self, state, tid, step):
+    def transitions_list(self, state, tid, step):
         raise RuntimeError("deliberately broken")
 
 
@@ -96,72 +96,16 @@ def test_footprint_equivalence_is_memoized():
     assert _footprint_equivalence.cache_info().hits == before + 1
 
 
-# ----------------------------------------------------------------------
-# The lowering-parity oracle (DESIGN.md §12)
-# ----------------------------------------------------------------------
-# Each oracle test pins the gate open (delenv): under CI's ``no-lower``
-# job the oracle would rightly report every case inconclusive, and
-# these tests are about the oracle's teeth, not the environment.
+def test_lowering_parity_holds_on_generated_programs():
+    """The step tables agree with the reference semantics on generated
+    programs too (the local check of tests/test_lower_parity.py)."""
+    from test_lower_parity import reference_mismatches
 
-
-def test_lowering_parity_holds_on_generated_programs(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_LOWER", raising=False)
     for index in range(5):
         case = generate_case(2, index, PROFILES["small"])
-        report = check_program(case, axiomatic=False, check_lowering=True)
-        assert report.ok, f"#{index}: {report.divergence}: {report.detail}"
-        assert not report.inconclusive
-
-
-def test_lowering_oracle_catches_a_planted_divergence(monkeypatch):
-    """Duplicating a memory-model choice in the lowered dispatch only
-    (the legacy walker goes through ``transitions``) is invisible to
-    every outcome-set oracle — the duplicate's target dedups to the
-    same canonical key — but the stream diff counts multiplicities."""
-    from repro.fuzz.oracles import lowering_step_parity
-
-    monkeypatch.delenv("REPRO_NO_LOWER", raising=False)
-    real = RAMemoryModel.transitions_list
-
-    def duplicating(self, state, tid, step):
-        out = real(self, state, tid, step)
-        return out + out[-1:]
-
-    monkeypatch.setattr(RAMemoryModel, "transitions_list", duplicating)
-    case = _sb_case()
-    detail, vacuous = lowering_step_parity(
-        case.program, case.init, RAMemoryModel, max_events=case.events_hint + 1
-    )
-    assert detail is not None and not vacuous
-    assert "diverge" in detail
-
-
-def test_lowering_divergence_surfaces_through_check_program(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_LOWER", raising=False)
-    real = RAMemoryModel.transitions_list
-
-    def duplicating(self, state, tid, step):
-        out = real(self, state, tid, step)
-        return out + out[-1:]
-
-    monkeypatch.setattr(RAMemoryModel, "transitions_list", duplicating)
-    report = check_program(
-        _sb_case(), axiomatic=False, reduction="none", check_lowering=True
-    )
-    assert report.divergence == "lowering"
-    # SRA delegates to the RA transition builder, so the chain's first
-    # affected model reports it; either attribution is a catch.
-    assert report.detail.startswith(("ra:", "sra:"))
-    assert "step streams diverge" in report.detail
-
-
-def test_lowering_oracle_vacuous_under_no_lower(monkeypatch):
-    """With the gate closed nothing is lowered, so the oracle verified
-    nothing — that must read as inconclusive, never as green."""
-    from repro.interp.compiled import lowering_disabled
-
-    case = _sb_case()
-    with lowering_disabled():
-        report = check_program(case, axiomatic=False, check_lowering=True)
-    assert report.inconclusive
-    assert "vacuous" in report.detail
+        for name in REFINEMENT_CHAIN:
+            problems = reference_mismatches(
+                case.program, case.init, oracles.ORACLE_MODELS[name](),
+                case.events_hint + 1,
+            )
+            assert not problems, f"#{index} [{name}]: {problems[:3]}"

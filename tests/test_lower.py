@@ -1,25 +1,14 @@
 """Unit tests for the lowering compiler (DESIGN.md §12).
 
-The exploration-level guarantees live in tests/test_lower_parity.py;
-this file checks the compiler's pieces in isolation: symbolic stepping
-against the legacy walker, postfix expression programs, keep maps,
-jump/back-edge resolution, the aliasing refusal, and the gate.
+The exploration-level check against the reference semantics lives in
+tests/test_lower_parity.py; this file checks the compiler's pieces in
+isolation: symbolic stepping against the reference ``command_steps``,
+postfix expression programs, keep maps and jump/back-edge resolution.
 """
-
-import os
-import subprocess
-import sys
 
 import pytest
 
-from repro.interp.compiled import (
-    LoweredProgram,
-    lowered_table,
-    lowering_disabled,
-    lowering_enabled,
-    maybe_lower,
-    step_of,
-)
+from repro.interp.compiled import LoweredProgram, maybe_lower, step_of
 from repro.interp.interpreter import initial_configuration, successor_list
 from repro.interp.ra_model import RAMemoryModel
 from repro.lang.builder import (
@@ -50,16 +39,8 @@ from repro.lang.semantics import command_steps
 from repro.lang.syntax import Lit
 
 
-@pytest.fixture(autouse=True)
-def _gate_open(monkeypatch):
-    """These tests exercise the compiler itself — pin the gate open so
-    they stay meaningful under CI's ``no-lower`` job (REPRO_NO_LOWER=1
-    in the process environment)."""
-    monkeypatch.delenv("REPRO_NO_LOWER", raising=False)
-
-
 # ----------------------------------------------------------------------
-# sym_step against the legacy walker
+# sym_step against the reference semantics
 # ----------------------------------------------------------------------
 
 SAMPLE_COMMANDS = [
@@ -81,18 +62,18 @@ def test_sym_step_concretizes_to_the_legacy_successor(com):
     """Concretizing the symbolic successor reproduces ``resume`` exactly
     (same smart constructors, so structural equality must hold)."""
     sym = sym_step(com)
-    legacy = next(command_steps(com))
-    if legacy.is_silent:
+    reference = next(command_steps(com))
+    if reference.is_silent:
         assert sym.op in ("tau", "branch")
         if sym.op == "tau":
-            assert concretize(sym.succ, ()) == legacy.resume(None)
+            assert concretize(sym.succ, ()) == reference.resume(None)
         return
     # a read hole: feed a couple of values through both sides
     for value in (0, 1, 7):
         if sym.op == "write":
-            assert concretize(sym.succ, ()) == legacy.resume(None)
+            assert concretize(sym.succ, ()) == reference.resume(None)
             break
-        assert concretize(sym.succ, (), read=value) == legacy.resume(value)
+        assert concretize(sym.succ, (), read=value) == reference.resume(value)
 
 
 def test_sym_step_terminated_is_none():
@@ -172,14 +153,19 @@ def test_lower_thread_branch_guard_ops():
 
 def test_lower_thread_refuses_literal_aliasing():
     """A branch arm holding ``y := ⟨v0⟩`` (from reading ``x``) can
-    instantiate to the other arm's literal ``y := 0`` — structural
-    dedup and pc dedup would then disagree, so the compiler must
-    refuse, keeping the legacy representation (exactness over speed)."""
+    instantiate to the other arm's literal ``y := 0``.  The compiler
+    once refused such a thread; lowering is now total, so it lowers,
+    and the two arms stay distinct pcs."""
     com = if_(eq(var("c"), 0), assign("y", 0), assign("y", var("x")))
-    assert lower_thread(com) is None
+    table = lower_thread(com)
+    assert table is not None
+    writes_of_y = [
+        pc for pc, ins in enumerate(table.instrs)
+        if ins.kind.value == "wr" and ins.var == "y"
+    ]
+    assert len(writes_of_y) == 2
     program = Program.parallel(com)
-    assert lowered_table(program) is None
-    assert maybe_lower(program) is program  # falls back, same object
+    assert type(maybe_lower(program)) is LoweredProgram
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +193,7 @@ def test_lowered_step_action_matches_write_folding():
 
 
 # ----------------------------------------------------------------------
-# The gate
+# The entry point
 # ----------------------------------------------------------------------
 
 def test_maybe_lower_compiles_when_enabled():
@@ -215,42 +201,6 @@ def test_maybe_lower_compiles_when_enabled():
     low = maybe_lower(program)
     assert type(low) is LoweredProgram
     assert maybe_lower(low) is low  # idempotent
-
-
-def test_lowering_disabled_context_keeps_the_walker():
-    program = Program.parallel(assign("x", 1))
-    with lowering_disabled():
-        assert not lowering_enabled()
-        assert maybe_lower(program) is program
-    assert maybe_lower(program) is not program
-
-
-def test_lowered_table_cache_survives_the_gate():
-    program = Program.parallel(assign("x", 1))
-    with lowering_disabled():
-        table = lowered_table(program)  # cache fills even while gated
-    assert table is not None
-    assert lowered_table(program) is table
-
-
-def test_no_lower_env_gates_exploration():
-    """REPRO_NO_LOWER=1 must keep the whole exploration on legacy
-    Program objects (checked in a subprocess: the gate is read per
-    call, but the env var is the documented CI switch)."""
-    code = (
-        "from repro.interp.compiled import maybe_lower, lowering_enabled\n"
-        "from repro.lang.builder import assign\n"
-        "from repro.lang.program import Program\n"
-        "p = Program.parallel(assign('x', 1))\n"
-        "assert not lowering_enabled()\n"
-        "assert maybe_lower(p) is p\n"
-    )
-    env = dict(os.environ, REPRO_NO_LOWER="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(os.path.dirname(__file__), "..", "src")]
-        + env.get("PYTHONPATH", "").split(os.pathsep)
-    )
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_lowered_dispatch_produces_batched_successors():

@@ -20,8 +20,8 @@ def test_default_canonical_key_is_identity():
         def initial(self, init_values):
             return tuple(sorted(init_values.items()))
 
-        def transitions(self, state, tid, step):
-            return iter(())
+        def transitions_list(self, state, tid, step):
+            return []
 
     model = Dummy()
     state = model.initial({"x": 0})
@@ -45,7 +45,7 @@ def test_ra_transition_carries_observed_write():
     model = RAMemoryModel()
     state = model.initial({"x": 0})
     step = PendingStep(ActionKind.RD, var="x", resume=lambda v: None)
-    (mt,) = list(model.transitions(state, 1, step))
+    (mt,) = model.transitions_list(state, 1, step)
     assert isinstance(mt, MemoryTransition)
     assert mt.observed is not None and mt.observed.is_init
     assert mt.read_value == 0
@@ -56,7 +56,7 @@ def test_ra_write_transition_has_no_read_value():
     model = RAMemoryModel()
     state = model.initial({"x": 0})
     step = PendingStep(ActionKind.WRR, var="x", wrval=3, resume=lambda v: None)
-    (mt,) = list(model.transitions(state, 1, step))
+    (mt,) = model.transitions_list(state, 1, step)
     assert mt.read_value is None
     assert mt.event.wrval == 3 and mt.event.is_release
 
@@ -65,7 +65,7 @@ def test_update_transition_reports_value_read():
     model = RAMemoryModel()
     state = model.initial({"x": 7})
     step = PendingStep(ActionKind.UPD, var="x", wrval=9, resume=lambda v: None)
-    (mt,) = list(model.transitions(state, 1, step))
+    (mt,) = model.transitions_list(state, 1, step)
     assert mt.read_value == 7
     assert mt.event.rdval == 7 and mt.event.wrval == 9
 

@@ -9,19 +9,14 @@ from repro.casestudies.peterson import (
     peterson_relaxed_turn,
 )
 from repro.engine.por import REDUCTIONS, StepFootprint, conflicts
-from repro.engine.por.deps import (
-    control_signature,
-    pending_steps,
-    step_changes_control,
-    step_footprint,
-)
+from repro.engine.por.deps import step_footprint
+from repro.interp.compiled import maybe_lower
 from repro.interp.explore import explore
 from repro.interp.interpreter import (
     configuration_successors,
     initial_configuration,
-    thread_successors,
+    thread_successor_list,
 )
-from repro.interp.config import Configuration
 from repro.interp.pe_model import PEMemoryModel
 from repro.interp.ra_model import RAMemoryModel
 from repro.interp.sc import SCMemoryModel
@@ -79,8 +74,10 @@ def test_visible_steps_are_pairwise_dependent():
 
 
 def test_model_step_footprints():
-    program = Program.parallel(seq(assign("x", 1), assign("r", var("y"))))
-    steps = pending_steps(program)
+    program = maybe_lower(
+        Program.parallel(seq(assign("x", 1), assign("r", var("y"))))
+    )
+    steps = program.pending_steps()
     (tid, step), = steps.items()
     for model in (RAMemoryModel(), SRAMemoryModel(), SCMemoryModel()):
         reads, writes = model.step_footprint(None, tid, step)
@@ -91,8 +88,8 @@ def test_model_step_footprints():
 
 
 def test_swap_footprint_is_read_and_write():
-    program = Program.parallel(swap("turn", 2))
-    (tid, step), = pending_steps(program).items()
+    program = maybe_lower(Program.parallel(swap("turn", 2)))
+    (tid, step), = program.pending_steps().items()
     reads, writes = RAMemoryModel().step_footprint(None, tid, step)
     assert reads == writes == frozenset({"turn"})
 
@@ -100,23 +97,22 @@ def test_swap_footprint_is_read_and_write():
 def test_control_visibility_is_exact_per_step():
     # Retiring a label changes the pc: visible.
     com = seq(label(2, assign("x", 1)), label(3, skip()))
-    (step,) = pending_steps(Program.parallel(com)).values()
-    assert step_changes_control(com, step)
+    (step,) = maybe_lower(Program.parallel(com)).pending_steps().values()
+    assert step.control_visible
     # A guard read inside a label leaves the pc alone: invisible.
-    com = label(4, while_(eq(acq("f"), 1), skip()))
-    (step,) = pending_steps(Program.parallel(com)).values()
+    program = maybe_lower(Program.parallel(label(4, while_(eq(acq("f"), 1), skip()))))
+    (step,) = program.pending_steps().values()
     assert step.is_read_hole
-    assert not step_changes_control(com, step)
-    assert control_signature(com) == (4, False)
+    assert not step.control_visible
+    assert program.pc(1) == 4 and not program.is_terminated()
 
 
 def test_footprint_tracks_control_only_when_asked():
-    com = label(2, assign("x", 1))
-    program = Program.parallel(com)
-    (tid, step), = pending_steps(program).items()
+    program = maybe_lower(Program.parallel(label(2, assign("x", 1))))
+    (tid, step), = program.pending_steps().items()
     model = RAMemoryModel()
-    assert not step_footprint(model, None, program, tid, step, False).visible
-    assert step_footprint(model, None, program, tid, step, True).visible
+    assert not step_footprint(model, None, tid, step, False).visible
+    assert step_footprint(model, None, tid, step, True).visible
 
 
 # ----------------------------------------------------------------------
@@ -160,11 +156,11 @@ def test_reduction_none_is_the_default_loop():
 
 def test_thread_successors_slices_configuration_successors():
     model = RAMemoryModel()
-    config = Configuration(sb_program(), model.initial(SB_INIT))
+    config = initial_configuration(sb_program(), SB_INIT, model)
     by_thread = [
         (tid, step.target)
-        for tid, pending in sorted(pending_steps(config.program).items())
-        for step in thread_successors(config, model, tid, pending)
+        for tid, pending in sorted(config.program.pending_steps().items())
+        for step in thread_successor_list(config, model, tid, pending)
     ]
     full = [(s.tid, s.target) for s in configuration_successors(config, model)]
     assert by_thread == full

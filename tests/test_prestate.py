@@ -52,7 +52,7 @@ def test_pe_model_reads_enumerate_domain():
     model = PEMemoryModel(frozenset({0, 1, 5}))
     pi = initial_prestate({"x": 0})
     step = PendingStep(ActionKind.RD, var="x", resume=lambda v: None)
-    transitions = list(model.transitions(pi, 1, step))
+    transitions = model.transitions_list(pi, 1, step)
     assert sorted(t.read_value for t in transitions) == [0, 1, 5]
     assert all(t.observed is None for t in transitions)  # PE observes ⊥
 
@@ -61,7 +61,7 @@ def test_pe_model_write_is_deterministic():
     model = PEMemoryModel(frozenset({0}))
     pi = initial_prestate({"x": 0})
     step = PendingStep(ActionKind.WR, var="x", wrval=3, resume=lambda v: None)
-    transitions = list(model.transitions(pi, 1, step))
+    transitions = model.transitions_list(pi, 1, step)
     assert len(transitions) == 1
     assert transitions[0].event.wrval == 3
 

@@ -273,3 +273,51 @@ def test_invalid_configurations_raise(kwargs, match):
             test.program, test.init, RAMemoryModel(),
             max_events=test.max_events, **kwargs,
         )
+
+
+def test_packed_batches_and_payloads_never_relower(monkeypatch):
+    """Route batches and final payloads ship configurations and keys as
+    pcs against the run's one table: unpickling them must not compile
+    the program again (``_restore_lowered`` is the re-lowering hook of
+    ``LoweredProgram.__reduce__``)."""
+    import pickle
+
+    from repro.engine import shard
+    from repro.interp import compiled
+    from repro.interp.interpreter import initial_configuration
+
+    test = next(t for t in REGISTRY if t.name == "SB")
+    model = RAMemoryModel()
+    initial = initial_configuration(test.program, test.init, model)
+    core = shard._ShardCore(
+        shard._ShardSpec(
+            program=initial.program, init_values=test.init, model=model,
+            shards=1, keep_representatives=True,
+        ),
+        0,
+    )
+    core.seed(initial, _key_of(initial, model))
+    batches = []
+    while len(core.frontier):
+        (outgoing,) = core.expand_level()
+        batches.append(outgoing)
+        core.integrate(list(outgoing))
+    payload = core.finish()
+    parents = dict(payload["parents"])
+    representatives = dict(payload["representatives"])
+    terminal = list(payload["terminal"])
+    batch = max(batches, key=len)
+    blob_batch = pickle.dumps([shard._pack_message(m) for m in batch])
+    blob_payload = pickle.dumps(shard._pack_payload(payload))
+
+    def relower(*args):
+        raise AssertionError("an unpickled batch or payload re-lowered")
+
+    monkeypatch.setattr(compiled, "_restore_lowered", relower)
+    table = initial.program.table
+    unpacked = [shard._unpack_message(m, table) for m in pickle.loads(blob_batch)]
+    assert unpacked == batch
+    restored = shard._unpack_payload(pickle.loads(blob_payload), table)
+    assert restored["parents"] == parents
+    assert restored["representatives"] == representatives
+    assert terminal and restored["terminal"] == terminal

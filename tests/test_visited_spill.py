@@ -25,6 +25,7 @@ from repro.engine.visited import (
     key_digest_of,
     program_token,
 )
+from repro.interp.compiled import maybe_lower
 from repro.interp.explore import explore
 from repro.interp.ra_model import RAMemoryModel
 from repro.litmus.suite import ALL_TESTS
@@ -147,7 +148,7 @@ def test_encode_config_key_rejects_raw_states():
     class Opaque:
         pass
 
-    program = ALL_TESTS[0].program
+    program = maybe_lower(ALL_TESTS[0].program)
     with pytest.raises(TypeError):
         encode_config_key((program, Opaque()))
     # while canonical-grammar keys encode injectively enough to digest
