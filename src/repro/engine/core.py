@@ -193,6 +193,32 @@ def _state_size(state) -> int:
     return sum(1 for e in events if not e.is_init)
 
 
+def bound_cut(
+    config: Configuration[S], model: MemoryModel[S], max_events: Optional[int]
+) -> Tuple[Tid, ...]:
+    """The one bound rule (DESIGN.md §5): the threads whose pending step
+    the event bound cuts at ``config`` (empty when it is not at the bound).
+
+    A configuration is at the bound when its state holds ``max_events``
+    program events.  There every non-silent pending step is cut — each
+    would add an event — and only τ steps are expanded; a search that
+    cuts a step records ``truncated``.  The rule is decided before the
+    model runs, so a cut step costs no memory transitions.  A model that
+    records no events (``records_events`` false: SC) is never at the
+    bound.  Every explorer asks this one function.
+    """
+    if (
+        max_events is None
+        or not model.records_events
+        or _state_size(config.state) < max_events
+    ):
+        return ()
+    return tuple(
+        tid for tid, step in config.program.pending_steps().items()
+        if not step.is_silent
+    )
+
+
 def _key_of(
     config: Configuration[S],
     model: MemoryModel[S],
@@ -732,18 +758,15 @@ def _explore_once(
                 result.truncated = True
                 continue
 
-            at_bound = (
-                max_events is not None and _state_size(config.state) >= max_events
-            )
+            cut = bound_cut(config, model, max_events)
+            if cut:
+                result.truncated = True
 
             t0 = clock()
-            steps = successor_list(config, model)
+            steps = successor_list(config, model, silent_only=bool(cut))
             stats.time_expand += clock() - t0
 
             for step in steps:
-                if at_bound and step.event is not None:
-                    result.truncated = True
-                    continue
                 result.transitions += 1
 
                 if check_step is not None:

@@ -61,7 +61,7 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.core import ExplorationResult, Violation, _key_of, _state_size
+from repro.engine.core import ExplorationResult, Violation, _key_of, bound_cut
 from repro.engine.keys import KEY_CACHE
 from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 
@@ -280,9 +280,7 @@ def explore_dpor(
         if config.is_terminated():
             return None
         steps = config.program.pending_steps()
-        at_bound = (
-            max_events is not None and _state_size(config.state) >= max_events
-        )
+        cut = bound_cut(config, model, max_events)
         fps: Dict[int, StepFootprint] = {}
         enabled: List[int] = []
         cands: Dict[int, Set[Tuple[int, int]]] = {}
@@ -291,10 +289,10 @@ def explore_dpor(
             fps[tid] = step_footprint(
                 model, config.state, tid, step, track_control,
             )
-            if step.is_silent or not at_bound:
-                enabled.append(tid)
-            else:
+            if tid in cut:
                 result.truncated = True
+            else:
+                enabled.append(tid)
         # Race analysis at node entry, for *every* pending step — picked
         # or not: a thread this branch never runs must still get its
         # reversals scheduled at the ancestors.  Bound-blocked steps are

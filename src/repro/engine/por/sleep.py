@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional
 
-from repro.engine.core import ExplorationResult, Violation, _key_of, _state_size
+from repro.engine.core import ExplorationResult, Violation, _key_of, bound_cut
 from repro.engine.frontier import frontier_class
 from repro.engine.keys import KEY_CACHE
 from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
@@ -244,9 +244,7 @@ def explore_sleep(
                 continue
 
             steps = config.program.pending_steps()
-            at_bound = (
-                max_events is not None and _state_size(config.state) >= max_events
-            )
+            cut = bound_cut(config, model, max_events)
             awake_sleep = dict(sleep)
             for tid in sorted(steps):
                 step = steps[tid]
@@ -255,10 +253,10 @@ def explore_sleep(
                     stats.pruned += 1
                     if tr is not None and tr.tick():
                         tr.prune(run, "sleep", config.program)
-                    if at_bound and not step.is_silent:
+                    if tid in cut:
                         result.truncated = True
                     continue
-                if at_bound and not step.is_silent:
+                if tid in cut:
                     # Bound-blocked, exactly as the unreduced loop: the
                     # eventful step is skipped and recorded, and the
                     # thread does not join the sleep set (it was never

@@ -46,8 +46,8 @@ Two execution modes share the same :class:`_ShardCore` superstep code:
   §5).  Messages and final results pack every configuration as
   ``(pcs, state)`` and every ``ConfigKey`` as ``(pcs, state key)``
   against the run's one lowered table: descriptors, not products, so
-  no unpickle re-lowers the program (``LoweredProgram.__reduce__``
-  ships the source and compiles a fresh table on load).
+  no message ships the source program, and every unpacked program is
+  the table's interned machine state (``LoweredTable.program``).
 * **in-process mode** — the same supersteps run sequentially over all
   shards in one process.  This is the reference the parity matrix
   compares process mode against, and the only mode available inside
@@ -73,7 +73,7 @@ from repro.engine.core import (
     ExplorationResult,
     Violation,
     _key_of,
-    _state_size,
+    bound_cut,
     gc_paused,
 )
 from repro.engine.frontier import LevelFrontier
@@ -305,18 +305,14 @@ class _ShardCore:
         if self.capped and spec.check_step is None:
             self.truncated = True
             return
-        at_bound = (
-            spec.max_events is not None
-            and _state_size(config.state) >= spec.max_events
-        )
+        cut = bound_cut(config, spec.model, spec.max_events)
+        if cut:
+            self.truncated = True
         t0 = clock()
-        steps = successor_list(config, spec.model)
+        steps = successor_list(config, spec.model, silent_only=bool(cut))
         self.stats.time_expand += clock() - t0
         seq = 0
         for step in steps:
-            if at_bound and step.event is not None:
-                self.truncated = True
-                continue
             self.transitions += 1
             self._check_step(stamp, config, step)
             if self.capped:
@@ -356,10 +352,7 @@ class _ShardCore:
             return
 
         steps = config.program.pending_steps()
-        at_bound = (
-            spec.max_events is not None
-            and _state_size(config.state) >= spec.max_events
-        )
+        cut = bound_cut(config, spec.model, spec.max_events)
         track_control = spec.check_config is not None
         awake_sleep = dict(sleep)
         seq = 0
@@ -368,10 +361,10 @@ class _ShardCore:
             if tid in sleep:
                 self.stats.sleep_hits += 1
                 self.stats.pruned += 1
-                if at_bound and not step.is_silent:
+                if tid in cut:
                     self.truncated = True
                 continue
-            if at_bound and not step.is_silent:
+            if tid in cut:
                 self.truncated = True
                 continue
             fp = step_footprint(
@@ -724,11 +717,10 @@ def _pack_config(config):
 
 
 def _unpack_config(packed, table):
-    from repro.interp.compiled import LoweredProgram
     from repro.interp.config import Configuration
 
     pcs, state = packed
-    return Configuration(LoweredProgram(table, pcs), state)
+    return Configuration(table.program(pcs), state)
 
 
 def _pack_key(key):
@@ -741,12 +733,10 @@ def _pack_key(key):
 
 
 def _unpack_key(packed, table):
-    from repro.interp.compiled import LoweredProgram
-
     if packed is None:
         return None
     pcs, state_key = packed
-    return (LoweredProgram(table, pcs), state_key)
+    return (table.program(pcs), state_key)
 
 
 def _pack_step(step):
@@ -785,11 +775,10 @@ def _pack_message(message):
 
 
 def _unpack_message(packed, table):
-    from repro.interp.compiled import LoweredProgram
     from repro.interp.config import Configuration
 
     sig, tid, pcs, state, state_key, parent, child_sleep, digest = packed
-    program = LoweredProgram(table, pcs)
+    program = table.program(pcs)
     return (
         sig, tid, Configuration(program, state), (program, state_key),
         _unpack_key(parent, table), child_sleep, digest,

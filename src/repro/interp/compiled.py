@@ -7,7 +7,11 @@ object, like its hash) and shared by every configuration of a run; a
 :class:`LoweredProgram` is then just the table plus one ``(pc, vals)``
 pair per thread — hashing and equality are over small integer tuples
 instead of command ASTs, which is where the engine's seen-set and
-parent-map operations spend their time.
+parent-map operations spend their time.  The table interns its
+programs, one object per distinct machine state, and each caches its
+pending steps and its successor per ``(thread, read value)``: a search
+steps each machine state's program side once, however many
+configurations hold it.
 
 :class:`LoweredStep` is protocol-compatible with
 :class:`~repro.lang.semantics.PendingStep` (``kind``/``var``/``wrval``/
@@ -27,6 +31,8 @@ against (DESIGN.md §12).
 
 from __future__ import annotations
 
+import os
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.lang.actions import ActionKind, TAU, Value, Var, intern_action
@@ -59,13 +65,17 @@ class LoweredStep:
     """
 
     __slots__ = ("instr", "vals", "kind", "var", "wrval", "wrfun",
-                 "_actions", "_taken")
+                 "is_silent", "is_read_hole", "_actions", "_taken")
 
     def __init__(self, instr: Instr, vals: Tuple[Value, ...]) -> None:
         self.instr = instr
         self.vals = vals
-        self.kind = instr.kind
+        kind = self.kind = instr.kind
         self.var = instr.var
+        # plain slots, not properties: read once per pending step on the
+        # hot path, and constant per instruction
+        self.is_silent: bool = kind.is_silent
+        self.is_read_hole: bool = kind.is_read
         if instr.wrops is not None:
             self.wrval: Optional[Value] = eval_ops(instr.wrops, vals)
         else:
@@ -73,14 +83,6 @@ class LoweredStep:
         self.wrfun = instr.wrfun
         self._actions: dict = {}
         self._taken: Optional[bool] = None
-
-    @property
-    def is_read_hole(self) -> bool:
-        return self.kind.is_read
-
-    @property
-    def is_silent(self) -> bool:
-        return self.kind.is_silent
 
     @property
     def taken(self) -> bool:
@@ -143,9 +145,16 @@ def step_of(instr: Instr, vals: Tuple[Value, ...]) -> LoweredStep:
 
 
 class LoweredTable:
-    """The compiled step tables of a whole program, slot-indexed."""
+    """The compiled step tables of a whole program, slot-indexed.
 
-    __slots__ = ("source", "tids", "threads", "slot_of", "entry", "base_hash")
+    Also the intern table of the program's machine states: every
+    :class:`LoweredProgram` is built by :meth:`program`, so equal
+    machine states are one object for as long as the table lives
+    (DESIGN.md §12).
+    """
+
+    __slots__ = ("source", "tids", "threads", "slot_of", "entry", "base_hash",
+                 "programs", "token", "__weakref__")
 
     def __init__(self, source: Program, tables: List[ThreadTable]) -> None:
         self.source = source
@@ -156,9 +165,25 @@ class LoweredTable:
         for slot, instrs in enumerate(self.threads):
             for ins in instrs:
                 ins.slot = slot
-        self.entry = LoweredProgram(
-            self, tuple((t.entry_pc, ()) for t in tables)
-        )
+        self.programs: Dict[Tuple[ThreadState, ...], LoweredProgram] = {}
+        #: names this table across a pickle boundary (globally unique,
+        #: so a forked process's tables never alias another's)
+        self.token = os.urandom(16)
+        _LIVE_TABLES[self.token] = self
+        self.entry = self.program(tuple((t.entry_pc, ()) for t in tables))
+
+    def program(self, pcs: Tuple[ThreadState, ...]) -> "LoweredProgram":
+        """The one :class:`LoweredProgram` of machine state ``pcs``.
+
+        The only constructor the rest of the code calls: the pending
+        steps, termination flag, hash and successor cache of a machine
+        state are then computed once per distinct state, not once per
+        configuration that holds it.
+        """
+        program = self.programs.get(pcs)
+        if program is None:
+            program = self.programs[pcs] = LoweredProgram(self, pcs)
+        return program
 
 
 class LoweredProgram:
@@ -171,7 +196,7 @@ class LoweredProgram:
     key therefore encodes table-index pcs, not ASTs.
     """
 
-    __slots__ = ("table", "pcs", "_hash", "_steps", "_done")
+    __slots__ = ("table", "pcs", "_hash", "_steps", "_done", "succ")
 
     def __init__(self, table: LoweredTable, pcs: Tuple[ThreadState, ...]) -> None:
         self.table = table
@@ -179,6 +204,13 @@ class LoweredProgram:
         self._hash = table.base_hash ^ hash(pcs)
         self._steps: Optional[Dict[Tid, LoweredStep]] = None
         self._done: Optional[bool] = None
+        #: per thread slot, read value -> the program after that slot's
+        #: pending step (key ``None`` for τ steps and writes).  A slot
+        #: has one pending step, so the key is unambiguous; filled by
+        #: the interpreter (:func:`~repro.interp.interpreter._thread_successors`).
+        self.succ: Tuple[Dict[Optional[Value], LoweredProgram], ...] = tuple(
+            {} for _ in pcs
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -193,9 +225,12 @@ class LoweredProgram:
         )
 
     def __reduce__(self):
-        # The table is a deterministic function of the source program;
-        # ship (source, pcs) and re-lower on the other side.
-        return (_restore_lowered, (self.table.source, self.pcs))
+        # Ship the table's token with the source: where the table is
+        # alive (this process, or one forked after it was built) the
+        # load is this very object; elsewhere the table is a
+        # deterministic function of the source program, re-lowered.
+        table = self.table
+        return (_restore_lowered, (table.source, self.pcs, table.token))
 
     # -- Program protocol ----------------------------------------------
 
@@ -247,11 +282,10 @@ class LoweredProgram:
     def update_slot(
         self, slot: int, pc: int, vals: Tuple[Value, ...]
     ) -> "LoweredProgram":
-        """The program after thread slot ``slot`` steps to ``(pc, vals)``."""
+        """The (interned) program after thread slot ``slot`` steps to
+        ``(pc, vals)``."""
         pcs = self.pcs
-        return LoweredProgram(
-            self.table, pcs[:slot] + ((pc, vals),) + pcs[slot + 1:]
-        )
+        return self.table.program(pcs[:slot] + ((pc, vals),) + pcs[slot + 1:])
 
     def pending_steps(self) -> Dict[Tid, LoweredStep]:
         """The one pending step per live thread (computed once per node).
@@ -273,8 +307,23 @@ class LoweredProgram:
         return steps
 
 
-def _restore_lowered(source: Program, pcs: Tuple[ThreadState, ...]) -> LoweredProgram:
-    return LoweredProgram(lowered_table(source), pcs)
+def _restore_lowered(
+    source: Program, pcs: Tuple[ThreadState, ...],
+    token: Optional[bytes] = None,
+) -> LoweredProgram:
+    table = _LIVE_TABLES.get(token)
+    if table is None:  # another process's table: compile the source
+        table = lowered_table(source)
+    return table.program(pcs)
+
+
+#: Every live table of this process by its token, so that an unpickled
+#: :class:`LoweredProgram` whose table is alive here is that table's
+#: interned object.  Weak values: an entry lives exactly as long as its
+#: table, which its source program and its machine states keep alive.
+_LIVE_TABLES: "weakref.WeakValueDictionary[bytes, LoweredTable]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def lowered_table(program: Program) -> LoweredTable:

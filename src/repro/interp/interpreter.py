@@ -12,8 +12,10 @@ Given a configuration ``(P, σ)`` and a memory model ``M``,
 Programs are stepped in their lowered form (DESIGN.md §12): a
 :class:`~repro.interp.compiled.LoweredProgram` indexes its compiled
 table with integer pcs, so the successor program is a tuple update
-``pcs[slot] ← (next_pc, keep(vals, read))`` and no AST is touched.  The
-engine consumes the whole successor batch as a list
+``pcs[slot] ← (next_pc, keep(vals, read))`` and no AST is touched —
+and since programs are interned per machine state, each such update is
+computed once per ``(program, thread, read value)`` and then looked up.
+The engine consumes the whole successor batch as a list
 (:func:`successor_list`) instead of hopping through generator frames.
 """
 
@@ -80,41 +82,44 @@ def _thread_successors(
     config: Configuration[S], model: MemoryModel[S], tid: Tid, step,
     out: List[InterpretedStep[S]],
 ) -> None:
-    """Append all transitions realising one thread's pending step."""
+    """Append all transitions realising one thread's pending step.
+
+    The program side of a successor depends only on ``(program, slot,
+    read value)``, so it is looked up in the program's successor cache
+    and built — and interned (DESIGN.md §12) — on the first miss only.
+    """
     program, state = config.program, config.state
     instr = step.instr
     slot = instr.slot
-    vals = step.vals
+    cache = program.succ[slot]
     if step.is_silent:
-        if instr.is_branch:
-            if step.taken:
-                pc2, keep = instr.then_pc, instr.then_keep
+        target = cache.get(None)
+        if target is None:
+            if instr.is_branch:
+                if step.taken:
+                    pc2, keep = instr.then_pc, instr.then_keep
+                else:
+                    pc2, keep = instr.else_pc, instr.else_keep
             else:
-                pc2, keep = instr.else_pc, instr.else_keep
-        else:
-            pc2, keep = instr.next_pc, instr.keep
-        nvals = tuple(vals[j] for j in keep) if keep else ()
-        out.append(InterpretedStep(
-            source=config,
-            tid=tid,
-            target=Configuration(program.update_slot(slot, pc2, nvals), state),
-        ))
+                pc2, keep = instr.next_pc, instr.keep
+            vals = step.vals
+            nvals = tuple(vals[j] for j in keep) if keep else ()
+            target = cache[None] = program.update_slot(slot, pc2, nvals)
+        out.append(InterpretedStep(config, tid, Configuration(target, state)))
         return
-    pc2 = instr.next_pc
-    keep = instr.keep
     t0 = _clock()
     mts = model.transitions_list(state, tid, step)
     MODEL_TIMER.seconds += _clock() - t0
     for mt in mts:
         rv = mt.read_value
-        nvals = tuple(rv if j < 0 else vals[j] for j in keep) if keep else ()
+        target = cache.get(rv)
+        if target is None:
+            keep, vals = instr.keep, step.vals
+            nvals = tuple(rv if j < 0 else vals[j] for j in keep) if keep else ()
+            target = cache[rv] = program.update_slot(slot, instr.next_pc, nvals)
         out.append(InterpretedStep(
-            source=config,
-            tid=tid,
-            target=Configuration(program.update_slot(slot, pc2, nvals), mt.target),
-            event=mt.event,
-            observed=mt.observed,
-            read_value=rv,
+            config, tid, Configuration(target, mt.target),
+            mt.event, mt.observed, rv,
         ))
 
 
@@ -134,15 +139,20 @@ def thread_successor_list(
 
 
 def successor_list(
-    config: Configuration[S], model: MemoryModel[S]
+    config: Configuration[S], model: MemoryModel[S], silent_only: bool = False
 ) -> List[InterpretedStep[S]]:
     """All interpreted transitions from ``config``, as one batch.
 
     The engine's expansion loop consumes this list directly; it is
     built without a single generator frame or AST node.
+    ``silent_only`` expands only the τ steps — what a configuration at
+    the event bound keeps (:func:`~repro.engine.core.bound_cut`);
+    the memory model is then never asked.
     """
     out: List[InterpretedStep[S]] = []
     for tid, step in config.program.pending_steps().items():
+        if silent_only and not step.is_silent:
+            continue
         _thread_successors(config, model, tid, step, out)
     return out
 

@@ -104,6 +104,10 @@ class MemoryModel(abc.ABC, Generic[S]):
     #: Human-readable name used in benchmark tables.
     name: str = "abstract"
 
+    #: Whether non-silent steps append events to the state, so that the
+    #: event bound applies (``repro.engine.core.bound_cut``).
+    records_events: bool = True
+
     @abc.abstractmethod
     def initial(self, init_values: Mapping[Var, Value]) -> S:
         """The initial memory state for the given initialisation."""

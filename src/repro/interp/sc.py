@@ -46,6 +46,7 @@ class SCMemoryModel(MemoryModel[SCState]):
     """Sequential consistency: one global store, atomic accesses."""
 
     name = "SC"
+    records_events = False  # a store, not an event graph: never bounded
 
     def initial(self, init_values: Mapping[Var, Value]) -> SCState:
         return sc_store(init_values)

@@ -19,8 +19,8 @@ from typing import Callable, Dict, Generic, List, Mapping, Optional, Tuple, Type
 from repro.interp.config import Configuration
 from repro.interp.interpreter import (
     InterpretedStep,
-    configuration_successors,
     initial_configuration,
+    successor_list,
 )
 from repro.interp.memory_model import MemoryModel
 from repro.lang.actions import Value, Var
@@ -57,13 +57,6 @@ class SimulationReport(Generic[S]):
         return self.outcomes.get(key, 0) / self.runs if self.runs else 0.0
 
 
-def _state_size(state) -> int:
-    events = getattr(state, "events", None)
-    if events is None:
-        return 0
-    return sum(1 for e in events if not e.is_init)
-
-
 def sample_run(
     program: Program,
     init_values: Mapping[Var, Value],
@@ -74,6 +67,8 @@ def sample_run(
     check_config: Optional[Callable[[Configuration[S]], List[str]]] = None,
 ) -> RunResult[S]:
     """One random maximal run (uniform over enabled transitions)."""
+    from repro.engine.core import bound_cut
+
     config = initial_configuration(program, init_values, model)
     steps: List[InterpretedStep[S]] = []
     for _ in range(max_steps):
@@ -83,14 +78,10 @@ def sample_run(
                 return RunResult(config, steps, False, violation=messages[0])
         if config.is_terminated():
             return RunResult(config, steps, True)
-        at_bound = (
-            max_events is not None and _state_size(config.state) >= max_events
+        enabled = successor_list(
+            config, model,
+            silent_only=bool(bound_cut(config, model, max_events)),
         )
-        enabled = [
-            s
-            for s in configuration_successors(config, model)
-            if not (at_bound and s.event is not None)
-        ]
         if not enabled:
             return RunResult(config, steps, False)
         step = rng.choice(enabled)

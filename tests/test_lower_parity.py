@@ -261,8 +261,10 @@ def test_a_corrupted_keep_map_fails_the_reference_check():
 
 
 def test_lowered_program_pickle_round_trip():
-    """``LoweredProgram.__reduce__`` ships the source and re-lowers on
-    load — the suite runner sends programs to worker processes."""
+    """``LoweredProgram.__reduce__`` ships the source, re-lowered on
+    load where its table is not alive — the suite runner sends programs
+    to worker processes (in process, the load is the interned object:
+    ``tests/test_interning.py``)."""
     program = Program.parallel(
         seq(assign("x", 1), assign("a", var("y"))),
         seq(assign("y", 1), assign("b", var("x"))),
