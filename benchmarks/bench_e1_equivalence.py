@@ -33,7 +33,7 @@ def test_equivalence_single_variable(benchmark, n):
     assert result.equivalent
 
 
-@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_equivalence_two_variables(benchmark, n):
     result = once(
         benchmark,
@@ -42,20 +42,73 @@ def test_equivalence_two_variables(benchmark, n):
     table(f"E1: two variables, n={n}", [result.row()])
     benchmark.extra_info["candidates"] = result.candidates
     assert result.equivalent
+    if n == 3:
+        assert result.candidates == 31552
 
 
 def test_equivalence_size_four(benchmark):
     """The big one: 887 488 candidates at n=4 (single variable).
 
-    Memalloy reached size 7 with SAT; this is how far exhaustive Python
-    enumeration comfortably goes in ~2 minutes — and the answer is the
-    same: zero mismatches.
+    Memalloy reached size 7 with SAT; exhaustive Python enumeration on
+    bitmask rows covers this in 3–5 s on a 2-core x86 host (the
+    pair-set evaluation took 72 s) — and the answer is the same: zero
+    mismatches.
     """
     result = once(benchmark, lambda: compare_axiomatisations(_space(4)))
     table("E1: single variable, n=4", [result.row()])
     benchmark.extra_info["candidates"] = result.candidates
     assert result.equivalent
     assert result.candidates == 887488
+
+
+def test_equivalence_size_four_two_variables(benchmark):
+    """3 050 048 candidates at n=4 over two variables, 19–24 s on the
+    same host (the pair-set evaluation took 317 s).  The 150
+    thin-air-only candidates are the load-buffering shapes: consistent
+    under both axiomatisations, yet sb ∪ rf-cyclic."""
+    result = once(
+        benchmark,
+        lambda: compare_axiomatisations(_space(4, variables=("x", "y"))),
+    )
+    table("E1: two variables, n=4", [result.row()])
+    benchmark.extra_info["candidates"] = result.candidates
+    benchmark.extra_info["thin_air_only"] = result.thin_air_only
+    assert result.equivalent
+    assert result.candidates == 3050048
+    assert result.valid_paper == 187826
+    assert result.thin_air_only == 150
+
+
+def test_row_verdicts_parity_two_variables(benchmark):
+    """Per-candidate parity at n=3 over two variables: the row verdicts
+    equal the pair-set predicates on every one of the 31 552 candidates
+    (tier-1 runs the same check on smaller spaces)."""
+    from repro.axiomatic.candidates import enumerate_candidates
+    from repro.axiomatic.canonical import is_weakly_canonical_consistent
+    from repro.axiomatic.equivalence import row_verdicts
+    from repro.axiomatic.validity import axiom_coherence, axiom_no_thin_air
+
+    space = _space(3, variables=("x", "y"))
+
+    def run():
+        checked = differing = 0
+        for state, rows in zip(enumerate_candidates(space), row_verdicts(space)):
+            checked += 1
+            expected = (
+                axiom_coherence(state),
+                is_weakly_canonical_consistent(state),
+                axiom_no_thin_air(state),
+            )
+            differing += rows != expected
+        return checked, differing
+
+    checked, differing = once(benchmark, run)
+    table(
+        "E1: row verdicts vs pair-set predicates, 2 vars, n=3",
+        [f"candidates={checked}  differing={differing} (expected 0)"],
+    )
+    assert checked == 31552
+    assert differing == 0
 
 
 def test_equivalence_two_values(benchmark):
