@@ -10,11 +10,16 @@ regression of *calibrated* states/sec against the committed baseline,
 and on the expand/orders phase costs separately
 (``benchmarks/check_regression.py`` — raw wall-clock would measure the
 runner, so both sides are normalised by :func:`spin_score`, a fixed
-pure-Python loop whose speed cancels machine differences).
+pure-Python loop whose speed cancels machine differences).  Each case
+also records ``peak_kib``, the search's ``tracemalloc`` peak in a
+separate untimed pass, gated lower-is-better at the same tolerance: a
+memory figure that no runner's timer can blur (DESIGN.md §12).
 """
 
+import gc
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -86,6 +91,24 @@ class _force_representation:
             os.environ[self._VAR] = self.prior
 
 
+def _peak_kib(fn) -> float:
+    """The Python-heap peak of one call of ``fn``, in KiB.
+
+    Traced in its own pass — tracing slows allocation severalfold, so it
+    must never overlap a timed run.  The timed runs before it have
+    warmed the program-side caches, so the peak is the search's own
+    footprint: states, keys, parents and memos.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 1024
+
+
 def _run_case(name, case_factory, bound, model_factory, reduction):
     program, init = case_factory()
     run = lambda: explore(  # noqa: E731 - benchmark closure
@@ -98,6 +121,8 @@ def _run_case(name, case_factory, bound, model_factory, reduction):
     assert (fast.configs, fast.transitions) == (slow.configs, slow.transitions), (
         "compact on/off must explore identically"
     )
+    with _force_representation():
+        peak_kib = _peak_kib(run)
     stats = fast.stats
     return {
         "configs": fast.configs,
@@ -111,6 +136,7 @@ def _run_case(name, case_factory, bound, model_factory, reduction):
         "time_keys_s": stats.time_keys,
         "time_orders_s": stats.time_orders,
         "time_checks_s": stats.time_checks,
+        "peak_kib": peak_kib,
     }
 
 
@@ -135,7 +161,7 @@ def test_hotpath_states_per_sec(benchmark, bench_json):
             f"{name:<18} configs={c['configs']:>6} "
             f"{c['time_s'] * 1e3:7.1f}ms ({c['states_per_sec']:>9.0f} st/s)  "
             f"pair-set: {c['time_s_no_compact'] * 1e3:7.1f}ms  "
-            f"speedup={c['speedup']:4.2f}x"
+            f"speedup={c['speedup']:4.2f}x  peak={c['peak_kib']:7.0f} KiB"
         )
         rows.append(
             f"{'':<18} split: expand={c['time_expand_s'] * 1e3:6.1f} "

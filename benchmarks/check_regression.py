@@ -26,7 +26,11 @@ configuration (``time * spin_score / configs``, i.e. spin-equivalent
 iterations per explored state) must not grow past tolerance, so a
 regression in one layer cannot hide behind an improvement in the other.
 Phases under 5 ms in the baseline are skipped — at that scale the ratio
-is timer noise.
+is timer noise.  Each case's ``peak_kib`` (the search's ``tracemalloc``
+peak, recorded in an untimed pass) is gated lower-is-better: it must not
+grow past tolerance.  It needs no calibration — it counts bytes, not
+seconds — so it holds even on a runner whose timer is too noisy to
+gate.
 
 **``e8_peterson_reduction_series``** — reduction quality.  Config
 counts are deterministic (machine-independent), so the per-bound
@@ -96,6 +100,17 @@ def check_hotpath(base_record, cur_record, tolerance, failures) -> None:
                 f"{name}: compact-vs-pair-set speedup fell to {speedup:.2f}x "
                 f"(baseline {base['speedup']:.2f}x, tolerance {tolerance:.0%})"
             )
+        base_peak = base.get("peak_kib")
+        if base_peak is not None:
+            cur_peak = cur.get("peak_kib")
+            if cur_peak is None:
+                failures.append(f"{name}: peak_kib missing from current run")
+            elif cur_peak > base_peak * (1.0 + tolerance):
+                failures.append(
+                    f"{name}: tracemalloc peak grew to {cur_peak:.0f} KiB "
+                    f"({cur_peak / base_peak:.2f}x of the baseline "
+                    f"{base_peak:.0f} KiB, tolerance {1.0 + tolerance:.2f}x)"
+                )
         for phase in ("expand", "orders"):
             base_t = base.get(f"time_{phase}_s")
             cur_t = cur.get(f"time_{phase}_s")

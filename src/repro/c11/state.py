@@ -116,7 +116,9 @@ class C11State:
         #: canonical key it depends on which threads may still step.
         self._rf_key: Optional[tuple] = None
         #: Per-object memo of the RA model's transition lists, keyed by
-        #: ``(tid, interned step)`` (see RAMemoryModel.transitions_list).
+        #: ``(tid, interned step)`` (see RAMemoryModel.transitions_list);
+        #: the explorers drop it once the search no longer queues this
+        #: state (repro.engine.core.MemoLifetime).
         self._ra_trans: Optional[dict] = None
 
     @classmethod

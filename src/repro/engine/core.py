@@ -219,6 +219,70 @@ def bound_cut(
     )
 
 
+class MemoLifetime:
+    """Scopes a memory model's per-state memo to the search (DESIGN.md §12).
+
+    The RA model memoizes each state's transition lists on the state
+    object, and those lists hold the successor states with their own
+    memos, so an unscoped memo keeps every state the search ever built
+    alive.  Every explorer reports here when a configuration joins its
+    frontier or stack (:meth:`enter`, naming the state whose memo
+    produced it) and when it has been expanded or dropped
+    (:meth:`leave`); per state *object* the queued configurations are
+    counted.
+
+    *Frontier rule:* when a state's count reaches zero its memo is
+    dropped (``model.drop_memo``).  Breadth-first order queues a state's
+    τ siblings (which share its state object) beside it, so this rule
+    alone keeps every memo hit there.  *Stack rule* (``depth_first``):
+    a depth-first search may finish a state's whole subtree before its
+    producer's τ sibling asks the producer's memo for that same state
+    object again.  So while the producer is still queued, the state's
+    memo is kept on the producer's list of deferred states, and dropped
+    when the producer leaves.  A memo then lives while its state, or
+    the state that produced it, is queued.
+    """
+
+    __slots__ = ("_drop", "_live", "_depth_first")
+
+    def __init__(self, model: MemoryModel, depth_first: bool) -> None:
+        self._drop = model.drop_memo
+        self._depth_first = depth_first
+        #: id(state) -> [queued count, producing state, deferred states]
+        self._live: Dict[int, list] = {}
+
+    def enter(self, state, producer=None) -> None:
+        entry = self._live.get(id(state))
+        if entry is None:
+            self._live[id(state)] = [
+                1, producer if self._depth_first else None, None,
+            ]
+        else:
+            entry[0] += 1
+
+    def leave(self, state) -> None:
+        live = self._live
+        entry = live[id(state)]
+        entry[0] -= 1
+        if entry[0]:
+            return
+        del live[id(state)]
+        _count, producer, deferred = entry
+        if deferred is not None:
+            for kid in deferred:
+                if id(kid) not in live:
+                    self._drop(kid)
+        if producer is not None:
+            held = live.get(id(producer))
+            if held is not None:
+                if held[2] is None:
+                    held[2] = [state]
+                else:
+                    held[2].append(state)
+                return
+        self._drop(state)
+
+
 def _key_of(
     config: Configuration[S],
     model: MemoryModel[S],
@@ -647,13 +711,18 @@ def _explore_once(
         # (which only makes `transitions` a count over *expanded*
         # configurations on such capped runs).
         capped = False
+        lifetime = MemoLifetime(model, depth_first=strategy != "bfs")
         if resume_payload is not None:
             from repro.engine.checkpoint import restore_seen
 
             loop = resume_payload
             seen = restore_seen(loop["seen"], spill_store)
             frontier.restore(loop["frontier"])
+            for queued, _key in frontier.snapshot():
+                lifetime.enter(queued.state)
             result.parents = loop["parents"]
+            if spill_store is None:
+                seen = result.parents
             result.terminal = loop["terminal"]
             result.violations = loop["violations"]
             result.representatives = loop["representatives"]
@@ -664,13 +733,15 @@ def _explore_once(
             result.stats = stats = loop["stats"]
             stats.resumed = 1
         else:
+            # Without a spill budget the parent map is the visited set:
+            # it holds exactly the keys a separate set would.
+            seen = result.parents
             if spill_store is not None:
                 seen = spill_store
                 seen.add(init_key)
-            else:
-                seen = {init_key}
             result.parents[init_key] = (None, None)
             frontier.push((initial, init_key))
+            lifetime.enter(initial.state)
             stats.peak_frontier = 1
 
         def write_ckpt() -> None:
@@ -752,10 +823,12 @@ def _explore_once(
 
             if config.is_terminated():
                 result.terminal.append(config)
+                lifetime.leave(config.state)
                 continue
 
             if capped and check_step is None:
                 result.truncated = True
+                lifetime.leave(config.state)
                 continue
 
             cut = bound_cut(config, model, max_events)
@@ -790,11 +863,14 @@ def _explore_once(
                     result.capped = True
                     capped = True
                     continue
-                seen.add(child_key)
+                if spill_store is not None:
+                    seen.add(child_key)
                 result.parents[child_key] = (key, step.tid)
                 frontier.push((step.target, child_key))
+                lifetime.enter(step.target.state, config.state)
                 if len(frontier) > stats.peak_frontier:
                     stats.peak_frontier = len(frontier)
+            lifetime.leave(config.state)
     finally:
         if spill_store is not None:
             stats.spills += spill_store.spills

@@ -61,7 +61,13 @@ from typing import (
     Tuple,
 )
 
-from repro.engine.core import ExplorationResult, Violation, _key_of, bound_cut
+from repro.engine.core import (
+    ExplorationResult,
+    MemoLifetime,
+    Violation,
+    _key_of,
+    bound_cut,
+)
 from repro.engine.keys import KEY_CACHE
 from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 
@@ -201,6 +207,7 @@ def explore_dpor(
     summaries: Dict[Hashable, list] = {}
     #: key -> number of expansions of it currently on the spine
     on_stack: Dict[Hashable, int] = {}
+    lifetime = MemoLifetime(model, depth_first=True)
 
     def visit(config, key) -> None:
         """First-visit bookkeeping (hooks, terminal set, config cap)."""
@@ -329,6 +336,7 @@ def explore_dpor(
         root = make_node(initial, init_key, {}, {}, {}, {}, None)
         if root is not None:
             stack.append(root)
+            lifetime.enter(initial.state)
             on_stack[init_key] = 1
             stats.peak_frontier = 1
 
@@ -353,6 +361,7 @@ def explore_dpor(
                         1 for t in node.enabled if t not in node.done
                     )
                     stack.pop()
+                    lifetime.leave(node.config.state)
                     on_stack[node.key] -= 1
                     entry = summaries.setdefault(
                         node.key, [set(), set(), False, False]
@@ -508,6 +517,7 @@ def explore_dpor(
                 node.sub_visible = node.sub_visible or fp.visible
             else:
                 stack.append(child)
+                lifetime.enter(step.target.state, node.config.state)
                 on_stack[child_key] = on_stack.get(child_key, 0) + 1
                 if len(stack) > stats.peak_frontier:
                     stats.peak_frontier = len(stack)

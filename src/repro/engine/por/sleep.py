@@ -29,7 +29,13 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional
 
-from repro.engine.core import ExplorationResult, Violation, _key_of, bound_cut
+from repro.engine.core import (
+    ExplorationResult,
+    MemoLifetime,
+    Violation,
+    _key_of,
+    bound_cut,
+)
 from repro.engine.frontier import frontier_class
 from repro.engine.keys import KEY_CACHE
 from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
@@ -134,12 +140,15 @@ def explore_sleep(
 
         frontier = frontier_class(strategy)()
         capped = False
+        lifetime = MemoLifetime(model, depth_first=strategy != "bfs")
         if resume_payload is not None:
             from repro.engine.checkpoint import restore_seen
 
             loop = resume_payload
             known = restore_seen(loop["seen"], spill_store)
             frontier.restore(loop["frontier"])
+            for queued, _key, _sleep in frontier.snapshot():
+                lifetime.enter(queued.state)
             expanded = loop["expanded"]
             result.parents = loop["parents"]
             result.terminal = loop["terminal"]
@@ -154,6 +163,7 @@ def explore_sleep(
         else:
             result.parents[init_key] = (None, None)
             frontier.push((initial, init_key, {}))
+            lifetime.enter(initial.state)
             stats.peak_frontier = 1
             if spill_store is not None:
                 known = spill_store
@@ -221,6 +231,7 @@ def explore_sleep(
             records = expanded.get(key)
             if records is not None:
                 if any(rec <= sleeping for rec in records):
+                    lifetime.leave(config.state)
                     continue  # covered arrival: strictly less awake
                 stats.revisits += 1
             expanded.setdefault(key, []).append(sleeping)
@@ -241,6 +252,7 @@ def explore_sleep(
                     result.terminal.append(config)
 
             if config.is_terminated():
+                lifetime.leave(config.state)
                 continue
 
             steps = config.program.pending_steps()
@@ -305,9 +317,11 @@ def explore_sleep(
                     ):
                         continue  # already expanded at least this awake
                     frontier.push((child.target, child_key, child_sleep))
+                    lifetime.enter(child.target.state, config.state)
                     if len(frontier) > stats.peak_frontier:
                         stats.peak_frontier = len(frontier)
                 awake_sleep[tid] = fp  # sleeps for the remaining siblings
+            lifetime.leave(config.state)
     finally:
         if spill_store is not None:
             stats.spills += spill_store.spills

@@ -125,6 +125,17 @@ class MemoryModel(abc.ABC, Generic[S]):
         in batches, so the answer is a materialised list.
         """
 
+    def drop_memo(self, state: S) -> None:
+        """Forget whatever this model memoized on ``state``.
+
+        The explorers call this once no queued configuration can ask
+        ``transitions_list`` about ``state`` any more
+        (:class:`~repro.engine.core.MemoLifetime`, DESIGN.md §12), so a
+        per-state memo lives as long as the search frontier needs it
+        rather than as long as the state.  Models without a memo keep
+        this no-op.
+        """
+
     def canonical_state_key(self, state: S) -> Hashable:
         """A key identifying ``state`` up to irrelevant naming.
 

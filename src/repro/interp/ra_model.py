@@ -76,6 +76,9 @@ class RAMemoryModel(MemoryModel[C11State]):
             memo[(tid, step)] = out
         return out
 
+    def drop_memo(self, state: C11State) -> None:
+        state._ra_trans = None
+
     def canonical_state_key(self, state: C11State) -> Hashable:
         return cached_canonical_key(state)
 

@@ -62,6 +62,11 @@ class SRAMemoryModel(MemoryModel[C11State]):
             if sra_consistent(mt.target)
         ]
 
+    def drop_memo(self, state: C11State) -> None:
+        # the transition lists this model filters are the RA model's
+        # memo, kept on the same state
+        self._ra.drop_memo(state)
+
     def canonical_state_key(self, state: C11State) -> Hashable:
         return cached_canonical_key(state)
 
