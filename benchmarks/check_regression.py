@@ -7,7 +7,7 @@ Usage::
 
 Compares the records two ``repro-bench/1`` documents share (the
 committed ``BENCH_*.json`` baseline vs a fresh CI run) and exits 1 on a
-regression beyond ``--tolerance`` (default 25%).  Three record families
+regression beyond ``--tolerance`` (default 25%).  Two record families
 are gated:
 
 **``e12_hotpath``** — calibrated throughput.  Raw states/sec would
@@ -39,12 +39,6 @@ directly: the how-much-smaller-than-unreduced ratio of each reduction
 tier must not fall below the committed baseline beyond tolerance.  A
 change that quietly weakens the parsimonious explorer (DESIGN.md §13)
 or DPOR therefore fails CI even while outcome parity still holds.
-
-**``e13_spill``** — spill identity.  The token-ring run under the
-512 MB visited budget (see ``bench_e13_sharded.py``) must continue to
-report ``identical: true`` with at least one spill and the committed
-configuration count — a spill run that stopped overflowing (or stopped
-agreeing with the in-memory run) fails the gate outright.
 
 A record family present in only one of the two documents is skipped;
 the gate fails if the documents share no gated record at all.
@@ -166,28 +160,6 @@ def check_reduction_series(base_record, cur_record, tolerance, failures) -> None
             )
 
 
-def check_spill(base_record, cur_record, tolerance, failures) -> None:
-    """Gate the E13 spill run: still overflows, still byte-identical."""
-    if not cur_record.get("identical"):
-        failures.append("spill run: verdicts no longer identical")
-    if cur_record.get("spills", 0) < 1:
-        failures.append(
-            "spill run: the 512MB budget was never exceeded — the "
-            "workload no longer exercises the spill path"
-        )
-    base_configs = base_record.get("configs")
-    if base_configs is not None and cur_record.get("configs") != base_configs:
-        failures.append(
-            f"spill run: configs changed from {base_configs} to "
-            f"{cur_record.get('configs')} (deterministic workload)"
-        )
-    print(
-        f"spill run: {cur_record.get('configs')} configs, "
-        f"{cur_record.get('spills')} spill(s), "
-        f"identical={bool(cur_record.get('identical'))}"
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline")
@@ -219,15 +191,10 @@ def main(argv=None) -> int:
             args.tolerance,
             failures,
         )
-    if "e13_spill" in base and "e13_spill" in cur:
-        gated += 1
-        check_spill(
-            base["e13_spill"], cur["e13_spill"], args.tolerance, failures
-        )
     if not gated:
         print(
             f"{args.baseline} and {args.current} share no gated record "
-            "(e12_hotpath, e8_peterson_reduction_series or e13_spill)",
+            "(e12_hotpath or e8_peterson_reduction_series)",
             file=sys.stderr,
         )
         return 1

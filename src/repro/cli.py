@@ -8,9 +8,8 @@ Commands
     exhaustively under a memory model and decide its ``exists`` /
     ``forbidden`` clause.  Exit code 0 when the verdict matches the
     clause's intent, 1 otherwise.  ``--shards N`` partitions the single
-    exploration across N worker shards and ``--spill`` bounds the
-    in-memory visited set with an on-disk bucket store — both
-    outcome-identical by construction (DESIGN.md §15).
+    exploration across N worker shards — outcome-identical by
+    construction (DESIGN.md §15).
 
 ``table``
     Print the built-in litmus suite's verdict table under RA and SC
@@ -247,10 +246,6 @@ def _check_shards(args: argparse.Namespace) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    import os
-    import shutil
-    import tempfile
-
     from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
     from repro.lang.parser import run_parsed_litmus
 
@@ -258,20 +253,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _check_shards(args)
     parsed = _load(args.file)
     model = _model(args.model)
-    spill_dir, spill_max_bytes, tmp, claimed = None, None, None, None
-    if args.spill or args.spill_dir:
-        spill_max_bytes = args.spill_bytes
-        if args.spill_dir:
-            # a shared --spill-dir must not collide between concurrent
-            # runs: claim a per-run subdirectory (and reap stale ones
-            # left by dead runs — DESIGN.md §16)
-            from repro.engine.visited import claim_run_dir
-
-            os.makedirs(args.spill_dir, exist_ok=True)
-            spill_dir = claimed = claim_run_dir(args.spill_dir)
-        else:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-spill-")
-            spill_dir = tmp.name
     if args.inject_faults:
         try:
             set_plan(FaultPlan(args.inject_faults))
@@ -282,7 +263,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             parsed, model=model, max_events=args.max_events,
             strategy=args.strategy, reduction=args.reduction,
             equivalence=args.equivalence, shards=args.shards,
-            spill_dir=spill_dir, spill_max_bytes=spill_max_bytes,
             checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
             resume=args.resume,
         )
@@ -295,10 +275,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     finally:
         if args.inject_faults:
             clear_plan()
-        if tmp is not None:
-            tmp.cleanup()
-        if claimed is not None:
-            shutil.rmtree(claimed, ignore_errors=True)
     bound = " (bounded)" if result.truncated else ""
     outcome = (
         f"outcome {'reachable' if reachable else 'unreachable'}"
@@ -313,12 +289,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.stats:
         print("engine:", result.stats.summary())
         print(_rate_line(result.configs, result.stats.time_total))
-    if result.stats.spills:
-        print(
-            f"spill: {result.stats.spills} flush(es), "
-            f"{result.stats.spilled_keys} keys moved to disk "
-            f"(budget {spill_max_bytes // (1024 * 1024)}MB)"
-        )
     if args.profile:
         for line in _profile_lines(result.configs, result.stats):
             print(line)
@@ -345,8 +315,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         peak_frontier=stats.peak_frontier,
         races=stats.races,
         shards=stats.shards if stats.shards else None,
-        spills=stats.spills if stats.spills else None,
-        spill_failures=stats.spill_failures if stats.spill_failures else None,
         faults=stats.faults if stats.faults else None,
         retries=stats.retries if stats.retries else None,
         respawns=stats.respawns if stats.respawns else None,
@@ -977,25 +945,9 @@ def build_parser() -> argparse.ArgumentParser:
         "DESIGN.md §15)",
     )
     run.add_argument(
-        "--spill", action="store_true",
-        help="bound the in-memory visited set: once it exceeds the "
-        "--spill-bytes budget, keys move to an on-disk bucket store "
-        "under a temporary directory (DESIGN.md §15)",
-    )
-    run.add_argument(
-        "--spill-dir", default=None, metavar="DIR",
-        help="directory for the spilled visited-set buckets (implies "
-        "--spill; default: a fresh temporary directory)",
-    )
-    run.add_argument(
-        "--spill-bytes", type=int, default=512 * 1024 * 1024, metavar="B",
-        help="estimated in-memory visited-set budget before spilling "
-        "(default 512MB; split across shards under --shards)",
-    )
-    run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="periodically snapshot the search's complete loop state to "
-        "an atomic repro-ckpt/2 file; a resumed run finishes "
+        "an atomic repro-ckpt/3 file; a resumed run finishes "
         "byte-identically (DESIGN.md §16)",
     )
     run.add_argument(
@@ -1091,10 +1043,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--check-faults", action="store_true",
         help="re-explore each generated program with an injected "
-        "mid-search interrupt plus checkpoint/resume, and with forced "
-        "spill-write failures, requiring byte-identical results to the "
-        "clean run (DESIGN.md §16); the continuous soundness check of "
-        "the fault-tolerance layer",
+        "mid-search interrupt plus checkpoint/resume, requiring "
+        "byte-identical results to the clean run (DESIGN.md §16); the "
+        "continuous soundness check of checkpoint/resume",
     )
     fuzz.add_argument(
         "--no-axiomatic", action="store_true",

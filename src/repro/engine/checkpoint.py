@@ -1,17 +1,17 @@
 """Checkpoint/resume for the exploration engine (DESIGN.md §16).
 
 A checkpoint is the *complete* loop state of a paused search — frontier
-(in exact pop order), visited set, parent map, accumulated counters and
-:class:`~repro.engine.stats.EngineStats` — written as one atomic,
-versioned file.  Because the engine's searches are deterministic
+(in exact pop order), parent map (which is the visited set), accumulated
+counters and :class:`~repro.engine.stats.EngineStats` — written as one
+atomic, versioned file.  Because the engine's searches are deterministic
 functions of that loop state, a resumed run replays the remaining
 search exactly: configs, transitions, terminal outcome sets and
 counterexamples are byte-identical to the uninterrupted run (pinned by
 the kill-and-resume parity tests in ``tests/test_checkpoint.py``).
 
-File format (``repro-ckpt/2``)::
+File format (``repro-ckpt/3``)::
 
-    b"repro-ckpt/2\\n"  +  pickle({"fingerprint": ..., "payload": ...})
+    b"repro-ckpt/3\\n"  +  pickle({"fingerprint": ..., "payload": ...})
 
 * The **fingerprint** identifies the run the state belongs to: a digest
   of the program source, the model name, the bounds, strategy,
@@ -24,13 +24,14 @@ File format (``repro-ckpt/2``)::
   and configurations travel by pickle — safe because every cached hash
   in the object graph (``CachedKey``, ``Program``, lowered programs)
   rebuilds on unpickle rather than shipping its process-salted value.
-  A spilled visited set snapshots as its raw bucket-file bytes: the
-  same length-prefixed ``stable_encode`` records it keeps on disk
-  (:mod:`repro.engine.visited`), so restore is byte-exact.  No payload
-  holds a transition: parents are ``(parent key, tid)`` pairs and
-  traces are replayed (DESIGN.md §5).  Version 2 replaced version 1
-  when parents stopped carrying steps; a file of another version is
-  refused by name.
+  No payload holds a transition: parents are ``(parent key, tid)``
+  pairs and traces are replayed (DESIGN.md §5).  No payload holds a
+  separate visited set either: every loop's visited set is its parent
+  map, so the parent map's keys are the visited image.  Version 2
+  replaced version 1 when parents stopped carrying steps; version 3
+  replaced version 2 when payloads stopped carrying a ``"seen"`` image
+  beside the parent map.  A file of another version is refused by
+  name.
 
 Writes go to a temporary file in the target directory followed by
 ``os.replace`` — a crash mid-checkpoint leaves the previous checkpoint
@@ -44,8 +45,8 @@ import os
 import pickle
 from typing import Optional, Tuple
 
-MAGIC = b"repro-ckpt/2\n"
-SCHEMA_NAME = "repro-ckpt/2"
+MAGIC = b"repro-ckpt/3\n"
+SCHEMA_NAME = "repro-ckpt/3"
 
 
 class CheckpointError(RuntimeError):
@@ -76,9 +77,9 @@ def run_fingerprint(
     """The identity a checkpoint must match to be resumable.
 
     Everything that shapes the visited *set* or the visit *order* is
-    included; resource configuration (spill budgets, process mode,
-    checkpoint cadence) is deliberately not — a run may legitimately
-    resume on a machine with different budgets.
+    included; resource configuration (process mode, checkpoint cadence)
+    is deliberately not — a run may legitimately resume with different
+    resources.
     """
     program_digest = hashlib.blake2b(
         _program_text(program).encode("utf-8"), digest_size=16
@@ -175,45 +176,6 @@ def read_checkpoint(
     return fingerprint, payload
 
 
-# ----------------------------------------------------------------------
-# Visited-set snapshots (shared by the plain, sleep and sharded loops)
-# ----------------------------------------------------------------------
-
-
-def snapshot_seen(seen) -> Tuple[str, object]:
-    """A checkpointable image of a visited set (plain or spillable)."""
-    snapshot = getattr(seen, "snapshot", None)
-    if snapshot is not None:
-        return ("spill", snapshot())
-    return ("set", set(seen))
-
-
-def restore_seen(image: Tuple[str, object], spill_store):
-    """Rebuild a visited set from a :func:`snapshot_seen` image.
-
-    With a ``spill_store`` (the resuming run configured a budget) both
-    image kinds restore into it; a plain-set image simply re-adds its
-    keys, which may re-spill under the new budget.  Without one, a
-    spilled image cannot be decoded back into keys — the on-disk
-    records are one-way encodings — so resuming requires the spill
-    budget the original run had.
-    """
-    kind, snap = image
-    if spill_store is not None:
-        if kind == "spill":
-            spill_store.restore(snap)
-        else:
-            for key in snap:
-                spill_store.add(key)
-        return spill_store
-    if kind == "spill":
-        raise CheckpointError(
-            "checkpoint holds a spilled visited set; resume with the "
-            "same --spill/--spill-dir budget to reopen it"
-        )
-    return set(snap)
-
-
 __all__ = [
     "MAGIC",
     "SCHEMA_NAME",
@@ -221,6 +183,4 @@ __all__ = [
     "run_fingerprint",
     "write_checkpoint",
     "read_checkpoint",
-    "snapshot_seen",
-    "restore_seen",
 ]

@@ -334,9 +334,6 @@ def explore(
     equivalence: str = "shasha-snir",
     shards: int = 1,
     shard_processes: Optional[bool] = None,
-    spill_dir: Optional[str] = None,
-    spill_max_entries: Optional[int] = None,
-    spill_max_bytes: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     resume: Optional[str] = None,
@@ -397,14 +394,7 @@ def explore(
     ``shard_processes`` forces (True) or forbids (False) real worker
     processes; the default auto-selects.
 
-    ``spill_dir`` plus ``spill_max_entries``/``spill_max_bytes`` bound
-    the in-memory visited set: past the budget, keys overflow to an
-    on-disk store under ``spill_dir``
-    (:class:`~repro.engine.visited.SpillableVisitedSet`) that is
-    removed when the run finishes.  Spilling requires canonical keys
-    and is supported by the unreduced, sleep and sharded searches.
-
-    ``checkpoint`` names a ``repro-ckpt/2`` file
+    ``checkpoint`` names a ``repro-ckpt/3`` file
     (:mod:`repro.engine.checkpoint`, DESIGN.md §16) rewritten
     atomically every ``checkpoint_every`` configurations (default
     1000); ``resume`` loads such a file — after verifying it belongs
@@ -417,20 +407,6 @@ def explore(
     from repro.engine.por import EQUIVALENCES, REDUCTIONS, explore_reduced
     from repro.interp.compiled import maybe_lower
 
-    spilling = spill_max_entries is not None or spill_max_bytes is not None
-    if spilling and spill_dir is None:
-        raise ValueError("a visited-set spill budget needs spill_dir")
-    if spill_dir is not None and not canonicalize:
-        raise ValueError(
-            "visited-set spilling encodes canonical keys; "
-            "canonicalize=False has no encodable key"
-        )
-    if spill_dir is not None and reduction not in ("none", "sleep"):
-        raise ValueError(
-            f"visited-set spilling supports the 'none' and 'sleep' "
-            f"searches; reduction={reduction!r} keeps per-key backtrack "
-            "state that cannot overflow"
-        )
     if checkpoint is not None or resume is not None:
         if not canonicalize:
             raise ValueError(
@@ -471,9 +447,6 @@ def explore(
             reduction=reduction,
             equivalence=equivalence,
             processes=shard_processes,
-            spill_dir=spill_dir,
-            spill_max_entries=spill_max_entries,
-            spill_max_bytes=spill_max_bytes,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             resume=resume,
@@ -524,10 +497,6 @@ def explore(
             kwargs_step["check_step"] = check_step
         if reduction in ("dpor", "optimal"):
             kwargs_step["equivalence"] = equivalence
-        if spill_dir is not None and reduction == "sleep":
-            kwargs_step["spill_dir"] = spill_dir
-            kwargs_step["spill_max_entries"] = spill_max_entries
-            kwargs_step["spill_max_bytes"] = spill_max_bytes
         if reduction == "sleep" and (
             checkpoint is not None or resume_payload is not None
         ):
@@ -561,9 +530,6 @@ def explore(
             stop_on_violation=stop_on_violation,
             keep_representatives=keep_representatives,
             canonicalize=canonicalize,
-            spill_dir=spill_dir,
-            spill_max_entries=spill_max_entries,
-            spill_max_bytes=spill_max_bytes,
         )
     return _explore_once(
         program,
@@ -577,9 +543,6 @@ def explore(
         keep_representatives=keep_representatives,
         canonicalize=canonicalize,
         strategy=strategy,
-        spill_dir=spill_dir,
-        spill_max_entries=spill_max_entries,
-        spill_max_bytes=spill_max_bytes,
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,
         resume_payload=resume_payload,
@@ -642,9 +605,6 @@ def _explore_once(
     keep_representatives: bool = False,
     canonicalize: bool = True,
     strategy: str = "bfs",
-    spill_dir: Optional[str] = None,
-    spill_max_entries: Optional[int] = None,
-    spill_max_bytes: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     resume_payload: Optional[dict] = None,
@@ -680,17 +640,6 @@ def _explore_once(
     orders0 = ORDER_TIMER.snapshot()
     model0 = MODEL_TIMER.snapshot()
 
-    spill_store = None
-    if spill_max_entries is not None or spill_max_bytes is not None:
-        from repro.engine.visited import SpillableVisitedSet, encode_config_key
-
-        spill_store = SpillableVisitedSet(
-            spill_dir=spill_dir,
-            max_entries=spill_max_entries,
-            max_bytes=spill_max_bytes,
-            encode=encode_config_key,
-        )
-
     from repro.faults import FaultInterrupt, active_plan
 
     plan = active_plan()
@@ -713,16 +662,11 @@ def _explore_once(
         capped = False
         lifetime = MemoLifetime(model, depth_first=strategy != "bfs")
         if resume_payload is not None:
-            from repro.engine.checkpoint import restore_seen
-
             loop = resume_payload
-            seen = restore_seen(loop["seen"], spill_store)
             frontier.restore(loop["frontier"])
             for queued, _key in frontier.snapshot():
                 lifetime.enter(queued.state)
             result.parents = loop["parents"]
-            if spill_store is None:
-                seen = result.parents
             result.terminal = loop["terminal"]
             result.violations = loop["violations"]
             result.representatives = loop["representatives"]
@@ -733,21 +677,17 @@ def _explore_once(
             result.stats = stats = loop["stats"]
             stats.resumed = 1
         else:
-            # Without a spill budget the parent map is the visited set:
-            # it holds exactly the keys a separate set would.
-            seen = result.parents
-            if spill_store is not None:
-                seen = spill_store
-                seen.add(init_key)
             result.parents[init_key] = (None, None)
             frontier.push((initial, init_key))
             lifetime.enter(initial.state)
             stats.peak_frontier = 1
+        # The parent map is the visited set: it holds every key reached.
+        parents = result.parents
 
         def write_ckpt() -> None:
             import dataclasses
 
-            from repro.engine.checkpoint import snapshot_seen, write_checkpoint
+            from repro.engine.checkpoint import write_checkpoint
 
             # the snapshot's stats must look like the run ended here:
             # fold in this segment's process-wide counter deltas
@@ -762,7 +702,6 @@ def _explore_once(
             write_checkpoint(checkpoint, fingerprint, {
                 "algo": "plain",
                 "frontier": frontier.snapshot(),
-                "seen": snapshot_seen(seen),
                 "parents": result.parents,
                 "terminal": result.terminal,
                 "violations": result.violations,
@@ -856,27 +795,20 @@ def _explore_once(
                 t0 = clock()
                 child_key = _key_of(step.target, model, canonicalize)
                 stats.time_keys += clock() - t0
-                if child_key in seen:
+                if child_key in parents:
                     continue
-                if max_configs is not None and len(seen) >= max_configs:
+                if max_configs is not None and len(parents) >= max_configs:
                     result.truncated = True
                     result.capped = True
                     capped = True
                     continue
-                if spill_store is not None:
-                    seen.add(child_key)
-                result.parents[child_key] = (key, step.tid)
+                parents[child_key] = (key, step.tid)
                 frontier.push((step.target, child_key))
                 lifetime.enter(step.target.state, config.state)
                 if len(frontier) > stats.peak_frontier:
                     stats.peak_frontier = len(frontier)
             lifetime.leave(config.state)
     finally:
-        if spill_store is not None:
-            stats.spills += spill_store.spills
-            stats.spilled_keys += spill_store.spilled_keys
-            stats.spill_failures += spill_store.spill_failures
-            spill_store.close()
         stats.time_total += clock() - t_run
         hits1, misses1, _ = KEY_CACHE.snapshot()
         stats.key_hits += hits1 - hits0

@@ -114,9 +114,7 @@ def cached_canonical_key(state) -> Hashable:
 # and bytes for robustness — to a canonical byte string that is
 # *injective with respect to equality* (equal keys encode equally,
 # distinct keys distinctly), and ``key_digest`` hashes that encoding
-# with blake2b.  The same encoding doubles as the dense on-disk record
-# format of :class:`~repro.engine.visited.SpillableVisitedSet`, where
-# injectivity is what makes byte comparison an exact membership test.
+# with blake2b.
 
 #: bool must encode as int: ``True == 1`` in Python, and the in-memory
 #: visited set merges them — the byte encoding has to agree.

@@ -53,9 +53,6 @@ def explore_sleep(
     keep_representatives: bool = False,
     canonicalize: bool = True,
     strategy: str = "bfs",
-    spill_dir: Optional[str] = None,
-    spill_max_entries: Optional[int] = None,
-    spill_max_bytes: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     resume_payload: Optional[dict] = None,
@@ -77,12 +74,8 @@ def explore_sleep(
     verdict as the unreduced search; only the obligation *counts* and
     the particular failing transitions reported may differ.
 
-    ``spill_dir`` + ``spill_max_entries``/``spill_max_bytes`` route the
-    ``known`` visited set through
-    :class:`~repro.engine.visited.SpillableVisitedSet` (DESIGN.md §15).
-    The sleep-record antichain stays in memory — it is consulted on
-    every pop and push — so spilling bounds the key *store*, which is
-    the dominant term, not the whole resident footprint.
+    As in the unreduced loop, the parent map is the visited set: a key
+    is reached once it has a parent entry (DESIGN.md §5).
     """
     from repro.c11.compact import ORDER_TIMER
     from repro.interp.memory_model import MODEL_TIMER
@@ -114,17 +107,6 @@ def explore_sleep(
     orders0 = ORDER_TIMER.snapshot()
     model0 = MODEL_TIMER.snapshot()
 
-    spill_store = None
-    if spill_max_entries is not None or spill_max_bytes is not None:
-        from repro.engine.visited import SpillableVisitedSet, encode_config_key
-
-        spill_store = SpillableVisitedSet(
-            spill_dir=spill_dir,
-            max_entries=spill_max_entries,
-            max_bytes=spill_max_bytes,
-            encode=encode_config_key,
-        )
-
     #: key -> antichain of sleep-tid sets this key was expanded with
     expanded: Dict[Hashable, List[FrozenSet[int]]] = {}
 
@@ -142,10 +124,7 @@ def explore_sleep(
         capped = False
         lifetime = MemoLifetime(model, depth_first=strategy != "bfs")
         if resume_payload is not None:
-            from repro.engine.checkpoint import restore_seen
-
             loop = resume_payload
-            known = restore_seen(loop["seen"], spill_store)
             frontier.restore(loop["frontier"])
             for queued, _key, _sleep in frontier.snapshot():
                 lifetime.enter(queued.state)
@@ -165,16 +144,12 @@ def explore_sleep(
             frontier.push((initial, init_key, {}))
             lifetime.enter(initial.state)
             stats.peak_frontier = 1
-            if spill_store is not None:
-                known = spill_store
-                known.add(init_key)
-            else:
-                known = {init_key}
+        parents = result.parents
 
         def write_ckpt() -> None:
             import dataclasses
 
-            from repro.engine.checkpoint import snapshot_seen, write_checkpoint
+            from repro.engine.checkpoint import write_checkpoint
 
             snap_stats = dataclasses.replace(stats)
             snap_stats.checkpoints += 1
@@ -187,7 +162,6 @@ def explore_sleep(
             write_checkpoint(checkpoint, fingerprint, {
                 "algo": "sleep",
                 "frontier": frontier.snapshot(),
-                "seen": snapshot_seen(known),
                 "expanded": expanded,
                 "parents": result.parents,
                 "terminal": result.terminal,
@@ -303,14 +277,13 @@ def explore_sleep(
                     t0 = clock()
                     child_key = _key_of(child.target, model, canonicalize)
                     stats.time_keys += clock() - t0
-                    if child_key not in known:
-                        if max_configs is not None and len(known) >= max_configs:
+                    if child_key not in parents:
+                        if max_configs is not None and len(parents) >= max_configs:
                             result.truncated = True
                             result.capped = True
                             capped = True
                             continue
-                        known.add(child_key)
-                    result.parents.setdefault(child_key, (key, tid))
+                        parents[child_key] = (key, tid)
                     recs = expanded.get(child_key)
                     if recs is not None and any(
                         rec <= frozenset(child_sleep) for rec in recs
@@ -323,11 +296,6 @@ def explore_sleep(
                 awake_sleep[tid] = fp  # sleeps for the remaining siblings
             lifetime.leave(config.state)
     finally:
-        if spill_store is not None:
-            stats.spills += spill_store.spills
-            stats.spilled_keys += spill_store.spilled_keys
-            stats.spill_failures += spill_store.spill_failures
-            spill_store.close()
         stats.time_total += clock() - t_run
         hits1, misses1, _ = KEY_CACHE.snapshot()
         stats.key_hits += hits1 - hits0

@@ -4,9 +4,10 @@ One exploration, hash-partitioned across ``N`` shards: shard ``i`` owns
 exactly the configurations whose canonical-key digest satisfies
 ``shard_of(digest, N) == i`` (:func:`~repro.engine.keys.shard_of` over
 the stable blake2b digest — never ``hash()``, which is salted per
-process).  Each shard keeps the visited-set slice, parent-map slice and
-frontier slice for its own keys; successors discovered by one shard but
-owned by another are routed to the owner in batches.
+process).  Each shard keeps the parent-map slice (which is its
+visited-set slice, DESIGN.md §5) and frontier slice for its own keys;
+successors discovered by one shard but owned by another are routed to
+the owner in batches.
 
 The search is bulk-synchronous breadth-first: one *superstep* per BFS
 level.  In phase A every shard expands its level-``r`` frontier in
@@ -79,7 +80,6 @@ from repro.engine.core import (
 from repro.engine.frontier import LevelFrontier
 from repro.engine.keys import KEY_CACHE, key_digest, shard_of, stable_encode
 from repro.engine.stats import EngineStats
-from repro.engine.visited import SpillableVisitedSet, encode_config_key, program_token
 
 #: Reductions the sharded search supports: the two whose traversals the
 #: superstep replay reproduces exactly.  The DPOR tiers are inherently
@@ -92,6 +92,16 @@ SHARDABLE_REDUCTIONS = ("none", "sleep")
 MAX_ATTEMPTS = 3
 _BACKOFF_BASE = 0.25  # seconds; doubled per retry, capped below
 _BACKOFF_CAP = 2.0
+
+
+def program_token(program):
+    """A process-stable, equality-faithful token for a program.
+
+    Lowered programs are dense integer pc tuples over a table that is
+    constant across one exploration, so ``pcs`` alone distinguishes
+    them.
+    """
+    return ("L", program.pcs)
 
 
 class WorkerDied(RuntimeError):
@@ -150,9 +160,6 @@ class _ShardSpec:
     check_step: Optional[Callable] = None
     stop_on_violation: bool = False
     keep_representatives: bool = False
-    spill_dir: Optional[str] = None
-    spill_max_entries: Optional[int] = None
-    spill_max_bytes: Optional[int] = None
     #: trace run id of the enclosing run (None = tracing off)
     run_id: Optional[str] = None
     #: checkpoint file + cadence (configs between snapshots) and the
@@ -195,43 +202,12 @@ class _ShardCore:
         self.truncated = False
         self.capped = False
         self.level = 0
-        if spec.spill_max_entries is not None or spec.spill_max_bytes is not None:
-            shard_dir = os.path.join(spec.spill_dir, f"shard-{index}")
-            self.visited = SpillableVisitedSet(
-                spill_dir=shard_dir,
-                max_entries=spec.spill_max_entries,
-                max_bytes=spec.spill_max_bytes,
-                encode=encode_config_key,
-            )
-        else:
-            self.visited = None
-            self._seen = set()
         #: sleep reduction: key -> list of (pop stamp, frozen sleep set),
         #: stamped so phase B can reconstruct the sender's push-time view
         self.antichain: Dict[Any, List[Tuple[tuple, frozenset]]] = {}
 
-    # -- visited-set facade --------------------------------------------
-
-    def _visited_add(self, key) -> bool:
-        if self.visited is not None:
-            return self.visited.add(key)
-        before = len(self._seen)
-        self._seen.add(key)
-        return len(self._seen) != before
-
-    def _visited_has(self, key) -> bool:
-        if self.visited is not None:
-            return key in self.visited
-        return key in self._seen
-
-    def _visited_len(self) -> int:
-        if self.visited is not None:
-            return len(self.visited)
-        return len(self._seen)
-
     def seed(self, initial, init_key) -> None:
         """Install the initial configuration (owner shard only)."""
-        self._visited_add(init_key)
         self.parents[init_key] = (None, None)
         self.frontier.push(((), None, initial, init_key, None, {}, None))
         self.stats.peak_frontier = 1
@@ -423,7 +399,7 @@ class _ShardCore:
 
     def _cap_hit(self) -> bool:
         spec = self.spec
-        if spec.max_configs is not None and self._visited_len() >= spec.max_configs:
+        if spec.max_configs is not None and len(self.parents) >= spec.max_configs:
             self.truncated = True
             self.capped = True
             return True
@@ -432,11 +408,10 @@ class _ShardCore:
     def _integrate_plain(
         self, sig, tid, child_config, child_key, parent_key, digest
     ) -> None:
-        if self._visited_has(child_key):
+        if child_key in self.parents:
             return
         if self.capped or self._cap_hit():
             return
-        self._visited_add(child_key)
         self.parents[child_key] = (parent_key, tid)
         self.frontier.push(
             (sig, tid, child_config, child_key, parent_key, None, digest)
@@ -445,11 +420,10 @@ class _ShardCore:
     def _integrate_sleep(
         self, sig, tid, child_config, child_key, parent_key, child_sleep, digest
     ) -> None:
-        if not self._visited_has(child_key):
+        if child_key not in self.parents:
             if self.capped or self._cap_hit():
                 return
-            self._visited_add(child_key)
-        self.parents.setdefault(child_key, (parent_key, tid))
+            self.parents[child_key] = (parent_key, tid)
         recs = self.antichain.get(child_key)
         if recs is not None:
             frozen = frozenset(child_sleep)
@@ -478,13 +452,9 @@ class _ShardCore:
         """
         import dataclasses
 
-        from repro.engine.checkpoint import snapshot_seen
-
-        seen = self.visited if self.visited is not None else self._seen
         return {
             "level": self.level,
             "frontier": self.frontier.snapshot(),
-            "seen": snapshot_seen(seen),
             "antichain": {key: list(recs) for key, recs in self.antichain.items()},
             "parents": dict(self.parents),
             "representatives": dict(self.representatives),
@@ -499,11 +469,6 @@ class _ShardCore:
 
     def restore(self, snap: dict) -> None:
         """Rebuild this (freshly constructed) core from a snapshot."""
-        from repro.engine.checkpoint import restore_seen
-
-        store = restore_seen(snap["seen"], self.visited)
-        if self.visited is None:
-            self._seen = store
         self.level = snap["level"]
         self.frontier.restore(snap["frontier"])
         self.antichain = snap["antichain"]
@@ -519,12 +484,7 @@ class _ShardCore:
         self.stats.resumed = 1
 
     def finish(self) -> dict:
-        """Close the spill store and package this shard's outcome."""
-        if self.visited is not None:
-            self.stats.spills = self.visited.spills
-            self.stats.spilled_keys = self.visited.spilled_keys
-            self.stats.spill_failures = self.visited.spill_failures
-            self.visited.close()
+        """Package this shard's outcome."""
         return {
             "configs": self.configs,
             "transitions": self.transitions,
@@ -630,70 +590,64 @@ def _explore_sharded_inprocess(
         if spec.checkpoint is not None
         else None
     )
-    payloads: Optional[List[dict]] = None
-    try:
-        while True:
-            outgoing_all = [core.expand_level() for core in cores]
-            stop = False
-            for i, core in enumerate(cores):
-                inbox = [
-                    message
-                    for j in range(spec.shards)
-                    for message in outgoing_all[j][i]
-                ]
-                sent = sum(
-                    len(batch)
-                    for k, batch in enumerate(outgoing_all[i]) if k != i
+    while True:
+        outgoing_all = [core.expand_level() for core in cores]
+        stop = False
+        for i, core in enumerate(cores):
+            inbox = [
+                message
+                for j in range(spec.shards)
+                for message in outgoing_all[j][i]
+            ]
+            sent = sum(
+                len(batch)
+                for k, batch in enumerate(outgoing_all[i]) if k != i
+            )
+            recv = sum(
+                len(outgoing_all[j][i])
+                for j in range(spec.shards) if j != i
+            )
+            core.stats.shard_sent += sent
+            core.stats.shard_recv += recv
+            core.integrate(inbox)
+            if tr is not None and spec.run_id is not None:
+                tr.emit(
+                    "shard", run=spec.run_id, shard=i, round=rounds,
+                    sent=sent, recv=recv, frontier=len(core.frontier),
                 )
-                recv = sum(
-                    len(outgoing_all[j][i])
-                    for j in range(spec.shards) if j != i
-                )
-                core.stats.shard_sent += sent
-                core.stats.shard_recv += recv
-                core.integrate(inbox)
-                if tr is not None and spec.run_id is not None:
-                    tr.emit(
-                        "shard", run=spec.run_id, shard=i, round=rounds,
-                        sent=sent, recv=recv, frontier=len(core.frontier),
-                    )
-                if spec.stop_on_violation and core.violations:
-                    stop = True
-            rounds += 1
-            for core in cores:
-                core.stats.shard_rounds = rounds
-            if stop or all(len(core.frontier) == 0 for core in cores):
-                break
-            total = sum(core.configs for core in cores)
-            if next_ckpt is not None and total >= next_ckpt:
-                ckpt_count += 1
-                write_checkpoint(spec.checkpoint, spec.fingerprint, {
-                    "algo": "shard",
-                    "cores": [pickle.dumps(core.snapshot()) for core in cores],
-                    "checkpoints": ckpt_count,
-                })
-                last_ckpt = spec.checkpoint
-                next_ckpt = total + every
-                if tr is not None and spec.run_id is not None:
-                    tr.emit(
-                        "ckpt", run=spec.run_id, path=spec.checkpoint,
-                        configs=total, action="write",
-                    )
-            if plan is not None and plan.interrupt_due(total):
-                if tr is not None and spec.run_id is not None:
-                    tr.emit(
-                        "fault", run=spec.run_id, kind="interrupt",
-                        detail=f"configs={total}",
-                    )
-                raise FaultInterrupt(
-                    f"injected interrupt at {total} configurations",
-                    checkpoint=last_ckpt,
-                )
-        payloads = [core.finish() for core in cores]
-    finally:
+            if spec.stop_on_violation and core.violations:
+                stop = True
+        rounds += 1
         for core in cores:
-            if core.visited is not None:
-                core.visited.close()
+            core.stats.shard_rounds = rounds
+        if stop or all(len(core.frontier) == 0 for core in cores):
+            break
+        total = sum(core.configs for core in cores)
+        if next_ckpt is not None and total >= next_ckpt:
+            ckpt_count += 1
+            write_checkpoint(spec.checkpoint, spec.fingerprint, {
+                "algo": "shard",
+                "cores": [pickle.dumps(core.snapshot()) for core in cores],
+                "checkpoints": ckpt_count,
+            })
+            last_ckpt = spec.checkpoint
+            next_ckpt = total + every
+            if tr is not None and spec.run_id is not None:
+                tr.emit(
+                    "ckpt", run=spec.run_id, path=spec.checkpoint,
+                    configs=total, action="write",
+                )
+        if plan is not None and plan.interrupt_due(total):
+            if tr is not None and spec.run_id is not None:
+                tr.emit(
+                    "fault", run=spec.run_id, kind="interrupt",
+                    detail=f"configs={total}",
+                )
+            raise FaultInterrupt(
+                f"injected interrupt at {total} configurations",
+                checkpoint=last_ckpt,
+            )
+    payloads = [core.finish() for core in cores]
     wall = clock() - t_run
     result = _merge_results(spec, initial, payloads, wall)
     result.stats.checkpoints += ckpt_count
@@ -931,9 +885,6 @@ def _shard_worker(
 
         coord_queue.put(("crash", index, traceback.format_exc()))
         raise
-    finally:
-        if core.visited is not None:
-            core.visited.close()
 
 
 def _explore_sharded_processes(
@@ -1080,14 +1031,6 @@ def _explore_sharded_processes(
         for q in [coord_queue, *inboxes, *ctrls]:
             q.close()
             q.cancel_join_thread()
-        if spec.spill_dir is not None:
-            # a worker crash may have left per-shard stores behind
-            import shutil
-
-            for i in range(spec.shards):
-                shard_dir = os.path.join(spec.spill_dir, f"shard-{i}")
-                if os.path.isdir(shard_dir):
-                    shutil.rmtree(shard_dir, ignore_errors=True)
     wall = clock() - t_run
     result = _merge_results(spec, initial, payloads, wall)
     result.stats.checkpoints += ckpt_count
@@ -1178,24 +1121,16 @@ class ShardedExplorer:
         self,
         shards: int,
         processes: Optional[bool] = None,
-        spill_dir: Optional[str] = None,
-        spill_max_entries: Optional[int] = None,
-        spill_max_bytes: Optional[int] = None,
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         self.shards = shards
         self.processes = processes
-        self.spill_dir = spill_dir
-        self.spill_max_entries = spill_max_entries
-        self.spill_max_bytes = spill_max_bytes
 
     def explore(self, program, init_values, model, **kwargs) -> ExplorationResult:
         return explore_sharded(
             program, init_values, model, self.shards,
-            processes=self.processes, spill_dir=self.spill_dir,
-            spill_max_entries=self.spill_max_entries,
-            spill_max_bytes=self.spill_max_bytes, **kwargs,
+            processes=self.processes, **kwargs,
         )
 
 
@@ -1215,9 +1150,6 @@ def explore_sharded(
     reduction: str = "none",
     equivalence: str = "shasha-snir",
     processes: Optional[bool] = None,
-    spill_dir: Optional[str] = None,
-    spill_max_entries: Optional[int] = None,
-    spill_max_bytes: Optional[int] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
     resume: Optional[str] = None,
@@ -1248,7 +1180,7 @@ def explore_sharded(
     ``checkpoint``/``checkpoint_every``/``resume`` give the sharded
     search the single-process checkpoint surface (DESIGN.md §16):
     snapshots are taken at superstep barriers — per-shard core images
-    assembled by the coordinator into ONE atomic ``repro-ckpt/2`` file
+    assembled by the coordinator into ONE atomic ``repro-ckpt/3`` file
     with algorithm tag ``"shard"`` — and resume requires the identical
     shard count (it is part of the fingerprint).  Process mode runs
     under attempt-level supervision: silently dying workers are
@@ -1283,10 +1215,6 @@ def explore_sharded(
             "sharded exploration partitions by canonical-key digest; "
             "canonicalize=False has no digestable key"
         )
-    if (spill_max_entries is not None or spill_max_bytes is not None) and (
-        spill_dir is None
-    ):
-        raise ValueError("a visited-set spill budget needs spill_dir")
     if processes is None:
         import multiprocessing
 
@@ -1332,12 +1260,6 @@ def explore_sharded(
         check_step=check_step,
         stop_on_violation=stop_on_violation,
         keep_representatives=keep_representatives,
-        spill_dir=spill_dir,
-        spill_max_entries=spill_max_entries,
-        spill_max_bytes=(
-            None if spill_max_bytes is None
-            else max(1, spill_max_bytes // shards)
-        ),
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,
         fingerprint=fingerprint,

@@ -79,9 +79,6 @@ class EngineStats:
     #: Superstep rounds the sharded search synchronised on (max-merged:
     #: every shard participates in every round).
     shard_rounds: int = 0
-    #: Visited-set spill events and keys moved to the on-disk store.
-    spills: int = 0
-    spilled_keys: int = 0
     #: Fault-tolerance block (DESIGN.md §16).  ``faults`` counts worker
     #: deaths (and injected faults) the run survived, ``retries`` the
     #: sharded attempts restarted after one, ``respawns`` the worker
@@ -89,9 +86,6 @@ class EngineStats:
     faults: int = 0
     retries: int = 0
     respawns: int = 0
-    #: Spill writes that failed (e.g. ENOSPC) and were absorbed by
-    #: falling back to the in-memory set.
-    spill_failures: int = 0
     #: Checkpoint snapshots written during the run, and whether the run
     #: itself started from one (0 | 1).
     checkpoints: int = 0
@@ -129,12 +123,9 @@ class EngineStats:
         self.shard_sent += other.shard_sent
         self.shard_recv += other.shard_recv
         self.shard_rounds = max(self.shard_rounds, other.shard_rounds)
-        self.spills += other.spills
-        self.spilled_keys += other.spilled_keys
         self.faults += other.faults
         self.retries += other.retries
         self.respawns += other.respawns
-        self.spill_failures += other.spill_failures
         self.checkpoints += other.checkpoints
         self.resumed = max(self.resumed, other.resumed)
 
@@ -168,12 +159,10 @@ class EngineStats:
                 f" shards={self.shards} rounds={self.shard_rounds} "
                 f"routed={self.shard_sent}/{self.shard_recv}"
             )
-        if self.spills:
-            line += f" spills={self.spills} spilled-keys={self.spilled_keys}"
-        if self.faults or self.retries or self.respawns or self.spill_failures:
+        if self.faults or self.retries or self.respawns:
             line += (
                 f" faults={self.faults} retries={self.retries} "
-                f"respawns={self.respawns} spill-failures={self.spill_failures}"
+                f"respawns={self.respawns}"
             )
         if self.checkpoints or self.resumed:
             line += f" checkpoints={self.checkpoints}"

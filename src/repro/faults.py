@@ -4,9 +4,8 @@ Fault tolerance that is only exercised by real crashes is fault
 tolerance that is never exercised.  This module turns every recovery
 path in the engine into something a test (or the chaos CI job, or the
 ``--check-faults`` fuzz oracle) can trigger *on purpose*, at an exact,
-replayable point: worker ``k`` dies at round ``r``, the third spill
-write hits ``ENOSPC``, the run is interrupted after exactly ``N``
-configurations.  A fault plan is pure data parsed from a spec string,
+replayable point: worker ``k`` dies at round ``r``, the run is
+interrupted after exactly ``N`` configurations.  A fault plan is pure data parsed from a spec string,
 so the same spec injected twice produces the same fault sequence —
 recovery bugs reproduce from the command line.
 
@@ -27,9 +26,6 @@ Actions:
 ``delay-queue:ms=M`` / ``delay-queue:ms=M,shard=K``
     Sleep ``M`` milliseconds before every cross-shard batch send (of
     worker ``K`` only, when given) — widens round-barrier race windows.
-``enospc:spill=N``
-    The ``N``-th visited-set spill write fails with ``OSError(ENOSPC)``;
-    the store must absorb the failure and fall back to memory.
 ``interrupt:configs=N``
     Raise :class:`FaultInterrupt` once the explorer has integrated
     ``N`` configurations — a deterministic stand-in for SIGKILL, used
@@ -45,7 +41,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 __all__ = [
     "FaultInterrupt",
@@ -69,7 +65,7 @@ class FaultInterrupt(RuntimeError):
         self.checkpoint = checkpoint
 
 
-_ACTIONS = ("kill-worker", "delay-queue", "enospc", "interrupt")
+_ACTIONS = ("kill-worker", "delay-queue", "interrupt")
 
 
 def _parse_action(text: str) -> Tuple[str, Dict[str, int]]:
@@ -122,11 +118,8 @@ class FaultPlan:
         self.kills: Set[Tuple[int, int]] = set()
         #: shard (or None = every shard) → delay in seconds per send.
         self.delays: Dict[Optional[int], float] = {}
-        #: 1-based index of the spill write that must fail, if any.
-        self.enospc_spill: Optional[int] = None
         #: config count at which to interrupt the run, if any.
         self.interrupt_configs: Optional[int] = None
-        self._spill_writes = 0
         self._interrupted = False
         for action in spec.split(";"):
             if not action.strip():
@@ -138,11 +131,6 @@ class FaultPlan:
             elif name == "delay-queue":
                 _require(name, params, "ms")
                 self.delays[params.get("shard")] = params["ms"] / 1000.0
-            elif name == "enospc":
-                _require(name, params, "spill")
-                if params["spill"] < 1:
-                    raise ValueError("enospc: spill index is 1-based")
-                self.enospc_spill = params["spill"]
             elif name == "interrupt":
                 _require(name, params, "configs")
                 if params["configs"] < 1:
@@ -173,13 +161,6 @@ class FaultPlan:
             delay = self.delays.get(None)
         if delay:
             time.sleep(delay)
-
-    def spill_write_fails(self) -> bool:
-        """True for the one spill write the plan dooms to ENOSPC."""
-        if self.enospc_spill is None:
-            return False
-        self._spill_writes += 1
-        return self._spill_writes == self.enospc_spill
 
     def interrupt_due(self, configs: int) -> bool:
         """True exactly once, when ``configs`` reaches the armed count."""

@@ -60,14 +60,11 @@ are opt-in):
    --check-faults``, off by default) — inject deterministic faults
    (:mod:`repro.faults`, DESIGN.md §16) into a re-exploration of the
    program and require recovery to be *exactly* outcome- and
-   count-identical to the clean search.  Two legs: (a) interrupt the
-   run mid-search with checkpoints enabled, then resume from the
-   checkpoint it left behind; (b) fail the first visited-set spill
-   write with a synthetic ENOSPC and require the store to roll back
-   and continue in memory.  The continuous soundness check of the
-   checkpoint/resume and fault-recovery machinery over whole
-   campaigns.  Both legs run in-process (fork-free), so the oracle is
-   safe inside daemonic pool workers.
+   count-identical to the clean search: interrupt the run mid-search
+   with checkpoints enabled, then resume from the checkpoint it left
+   behind.  The continuous soundness check of the checkpoint/resume
+   machinery over whole campaigns.  It runs in-process (fork-free), so
+   the oracle is safe inside daemonic pool workers.
 
 A run that hits an exploration bound (``max_events`` slack exceeded or
 the ``max_configs`` safety cap) is reported *inconclusive*, never
@@ -220,9 +217,8 @@ def check_program(
     the RA exploration hash-partitioned across three shards and
     requires exact parity with the single-process search (DESIGN.md
     §15).  ``check_faults`` injects a deterministic mid-run interrupt
-    (resumed from its checkpoint) and a synthetic spill-write ENOSPC
-    into re-explorations and requires exact parity with the clean
-    search (DESIGN.md §16).
+    into a re-exploration, resumes it from its checkpoint and requires
+    exact parity with the clean search (DESIGN.md §16).
     """
     models = models if models is not None else ORACLE_MODELS
     report = OracleReport(case)
@@ -483,13 +479,11 @@ def check_program(
             return report
 
     # 6. fault parity: injected faults must not change what the search
-    # computes (DESIGN.md §16).  Leg (a) interrupts the RA exploration
-    # after half its configurations and resumes from the checkpoint the
+    # computes (DESIGN.md §16).  The RA exploration is interrupted
+    # after half its configurations and resumed from the checkpoint the
     # interrupt left behind; the stitched run must be exactly outcome-
-    # and count-identical to the clean one.  Leg (b) dooms the first
-    # visited-set spill write to a synthetic ENOSPC; the store must
-    # roll back to memory without losing a key.  Both legs run
-    # in-process and fork-free, so the oracle is daemonic-pool safe.
+    # and count-identical to the clean one.  It runs in-process and
+    # fork-free, so the oracle is daemonic-pool safe.
     if check_faults:
         import os
         import shutil
@@ -528,7 +522,7 @@ def check_program(
 
         workdir = tempfile.mkdtemp(prefix="repro-fault-oracle-")
         try:
-            # (a) interrupt mid-run, resume from the checkpoint
+            # interrupt mid-run, resume from the checkpoint
             label = "fault-parity(interrupt+resume)"
             half = max(1, ra_full.configs // 2)
             ckpt = os.path.join(workdir, "case.ckpt")
@@ -571,46 +565,6 @@ def check_program(
                 )
                 return report
             detail = _fault_diff(label, resumed)
-            if detail is not None:
-                report.divergence = "fault-parity"
-                report.detail = detail
-                return report
-
-            # (b) ENOSPC on the first visited-set spill write
-            label = "fault-parity(enospc)"
-            spill_dir = os.path.join(workdir, "spill")
-            os.makedirs(spill_dir, exist_ok=True)
-            try:
-                set_plan(FaultPlan("enospc:spill=1"))
-                spilled = explore(
-                    case.program, case.init, models["ra"](),
-                    max_events=max_events, max_configs=max_configs,
-                    spill_dir=spill_dir, spill_max_entries=1,
-                )
-            except Exception as exc:  # noqa: BLE001 — a crash IS a finding
-                report.divergence = "crash"
-                report.detail = f"{label} raised {type(exc).__name__}: {exc}"
-                return report
-            finally:
-                clear_plan()
-            report.configs += spilled.configs
-            report.transitions += spilled.transitions
-            if spilled.capped:
-                report.inconclusive = True
-                report.detail = (
-                    f"{label}: exploration hit the config cap; no verdict"
-                )
-                return report
-            detail = _fault_diff(label, spilled)
-            if (
-                detail is None
-                and ra_full.configs > 1
-                and spilled.stats.spill_failures < 1
-            ):
-                detail = (
-                    f"{label}: the doomed spill write never failed "
-                    "(spill_failures=0) — the fault was not exercised"
-                )
             if detail is not None:
                 report.divergence = "fault-parity"
                 report.detail = detail

@@ -48,8 +48,8 @@ class FuzzJob:
     #: single-process search (the "shard-parity" oracle, DESIGN.md §15)
     check_shards: bool = False
     #: interrupt the search mid-run, resume from the checkpoint, and
-    #: require byte-identical results; also fail one spill write and
-    #: require recovery (the "fault-parity" oracle, DESIGN.md §16)
+    #: require byte-identical results (the "fault-parity" oracle,
+    #: DESIGN.md §16)
     check_faults: bool = False
 
     @property

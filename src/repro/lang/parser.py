@@ -477,13 +477,12 @@ def parse_litmus(text: str) -> ParsedLitmus:
 
 def run_parsed_litmus(parsed: ParsedLitmus, model=None, max_events=None, strategy="bfs",
                       reduction="none", equivalence="shasha-snir", shards=1,
-                      spill_dir=None, spill_max_entries=None, spill_max_bytes=None,
                       checkpoint=None, checkpoint_every=None, resume=None):
     """Convenience: decide the parsed test's outcome reachability.
 
-    ``shards``/``spill_*`` select the sharded search and the spillable
-    visited set (DESIGN.md §15) — the ``repro run --shards/--spill``
-    path lands here — and ``checkpoint``/``checkpoint_every``/``resume``
+    ``shards`` selects the sharded search (DESIGN.md §15) — the
+    ``repro run --shards`` path lands here — and
+    ``checkpoint``/``checkpoint_every``/``resume``
     thread the checkpoint surface (DESIGN.md §16) through to the engine
     for ``repro run --checkpoint/--resume``.
     """
@@ -495,8 +494,7 @@ def run_parsed_litmus(parsed: ParsedLitmus, model=None, max_events=None, strateg
     result = explore(
         parsed.program, parsed.init, model, max_events=max_events,
         strategy=strategy, reduction=reduction, equivalence=equivalence,
-        shards=shards, spill_dir=spill_dir, spill_max_entries=spill_max_entries,
-        spill_max_bytes=spill_max_bytes, checkpoint=checkpoint,
+        shards=shards, checkpoint=checkpoint,
         checkpoint_every=checkpoint_every, resume=resume,
     )
     # Files without an exists/forbidden clause (e.g. fuzz-corpus

@@ -1,4 +1,4 @@
-"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/2 format.
+"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/3 format.
 
 The fault-tolerance contract (DESIGN.md §16), half one: a run
 interrupted at an arbitrary point and resumed from its last snapshot
@@ -208,7 +208,7 @@ def test_checkpointing_is_observation_free(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The repro-ckpt/2 format: atomicity, magic, fingerprints
+# The repro-ckpt/3 format: atomicity, magic, fingerprints
 # ----------------------------------------------------------------------
 
 
@@ -238,15 +238,18 @@ def test_bad_magic_is_refused(tmp_path):
         read_checkpoint(str(path))
 
 
-def test_previous_schema_is_refused_by_name(tmp_path):
-    """A repro-ckpt/1 file — whose parent map carried whole steps — is
-    refused with an error naming its schema, never unpickled into the
-    current loop."""
+@pytest.mark.parametrize("schema", ["repro-ckpt/1", "repro-ckpt/2"])
+def test_previous_schema_is_refused_by_name(tmp_path, schema):
+    """A repro-ckpt/1 file (whose parent map carried whole steps) or a
+    repro-ckpt/2 file (which carried a visited-set image beside the
+    parent map) is refused with an error naming its schema, never
+    unpickled into the current loop."""
     path = tmp_path / "old.ckpt"
     path.write_bytes(
-        b"repro-ckpt/1\n" + pickle.dumps({"fingerprint": {}, "payload": {}})
+        schema.encode("ascii") + b"\n"
+        + pickle.dumps({"fingerprint": {}, "payload": {}})
     )
-    with pytest.raises(CheckpointError, match="repro-ckpt/1"):
+    with pytest.raises(CheckpointError, match=schema):
         read_checkpoint(str(path))
 
 

@@ -3,30 +3,18 @@
 Pins the :mod:`repro.faults` contract the chaos CI job and the
 ``--check-faults`` fuzz oracle lean on: the spec grammar (and its
 loud rejection of malformed specs), the one-shot firing semantics
-that keep injected faults from looping recovery forever, the
-precedence of :func:`set_plan` over ``REPRO_FAULTS``, the ENOSPC
-recovery path of the spillable visited set, and the per-run spill
-directory claiming that keeps concurrent ``--spill-dir`` runs out of
-each other's buckets.
+that keep injected faults from looping recovery forever, and the
+precedence of :func:`set_plan` over ``REPRO_FAULTS``.
 
 CI runs this file in the chaos job.
 """
 
-import multiprocessing
-import os
 import time
 
 import pytest
 
 from repro import faults
-from repro.casestudies.peterson import PETERSON_INIT, peterson_program
-from repro.engine.visited import SpillableVisitedSet, claim_run_dir
 from repro.faults import FaultPlan, active_plan, clear_plan, set_plan
-from repro.interp.explore import explore
-from repro.interp.ra_model import RAMemoryModel
-from repro.litmus.registry import final_values
-
-BOUND = 10
 
 
 @pytest.fixture(autouse=True)
@@ -44,11 +32,10 @@ def _no_leaked_plan():
 def test_spec_parses_every_action():
     plan = FaultPlan(
         "kill-worker:shard=1,round=2;delay-queue:ms=5,shard=0;"
-        "enospc:spill=3;interrupt:configs=100"
+        "interrupt:configs=100"
     )
     assert plan.kills == {(1, 2)}
     assert plan.delays == {0: 0.005}
-    assert plan.enospc_spill == 3
     assert plan.interrupt_configs == 100
     # the spec survives on the plan, so a fresh plan replays it
     replay = FaultPlan(plan.spec)
@@ -70,7 +57,7 @@ def test_spec_accepts_repeats_and_blanks():
         ("kill-worker:shard=1", "requires round"),
         ("kill-worker:shard", "expected key=value"),
         ("delay-queue:shard=1", "requires ms"),
-        ("enospc:spill=0", "1-based"),
+        ("enospc:spill=1", "unknown fault action"),
         ("interrupt:configs=0", "configs must be >= 1"),
         ("interrupt:configs=5,extra=1", "unknown parameter"),
     ],
@@ -98,13 +85,6 @@ def test_interrupt_fires_once_at_the_threshold():
     assert not plan.interrupt_due(9)
     assert plan.interrupt_due(10)
     assert not plan.interrupt_due(11)  # one-shot: never again
-
-
-def test_enospc_dooms_exactly_the_nth_write():
-    plan = FaultPlan("enospc:spill=2")
-    assert not plan.spill_write_fails()
-    assert plan.spill_write_fails()
-    assert not plan.spill_write_fails()
 
 
 def test_delay_send_is_shard_selective():
@@ -141,7 +121,7 @@ def test_env_plan_is_parsed_once_and_stateful(monkeypatch):
 
 def test_set_plan_overrides_and_disarms_env(monkeypatch):
     monkeypatch.setenv("REPRO_FAULTS", "interrupt:configs=1")
-    override = FaultPlan("enospc:spill=1")
+    override = FaultPlan("kill-worker:shard=0,round=1")
     set_plan(override)
     assert active_plan() is override
     # explicit None beats the environment: the supervisor's disarm
@@ -151,103 +131,6 @@ def test_set_plan_overrides_and_disarms_env(monkeypatch):
     clear_plan()
     env_plan = active_plan()
     assert env_plan is not None and env_plan.interrupt_configs == 1
-
-
-# ----------------------------------------------------------------------
-# ENOSPC recovery in the spillable visited set
-# ----------------------------------------------------------------------
-
-
-def test_spill_failure_is_absorbed(tmp_path):
-    set_plan(FaultPlan("enospc:spill=1"))
-    store = SpillableVisitedSet(
-        spill_dir=str(tmp_path / "spill"), max_entries=2,
-    )
-    with store:
-        for key in ((1,), (2,), (3,), (4,)):
-            assert store.add(key)
-        # the doomed spill was absorbed: membership intact, in memory
-        assert store.spill_failures == 1
-        assert store._spill_disabled
-        assert not store.spilled
-        for key in ((1,), (2,), (3,), (4,)):
-            assert key in store
-            assert not store.add(key)
-        assert len(store) == 4
-
-
-def test_spill_failure_keeps_exploration_identical(tmp_path):
-    program = peterson_program(once=True)
-
-    def outcomes(result):
-        return frozenset(
-            tuple(sorted(final_values(c).items())) for c in result.terminal
-        )
-
-    plain = explore(
-        program, PETERSON_INIT, RAMemoryModel(), max_events=BOUND,
-    )
-    set_plan(FaultPlan("enospc:spill=1"))
-    try:
-        degraded = explore(
-            program, PETERSON_INIT, RAMemoryModel(), max_events=BOUND,
-            spill_dir=str(tmp_path / "spill"), spill_max_entries=1,
-        )
-    finally:
-        clear_plan()
-    assert degraded.stats.spill_failures >= 1
-    assert degraded.configs == plain.configs
-    assert degraded.transitions == plain.transitions
-    assert outcomes(degraded) == outcomes(plain)
-
-
-# ----------------------------------------------------------------------
-# Per-run spill directory claiming
-# ----------------------------------------------------------------------
-
-
-def test_claims_are_unique_and_marked(tmp_path):
-    base = str(tmp_path / "shared")
-    first = claim_run_dir(base)
-    second = claim_run_dir(base)
-    assert first != second
-    for path in (first, second):
-        assert os.path.isdir(path)
-        assert os.path.basename(path).startswith(f"run-{os.getpid()}-")
-        with open(os.path.join(path, "pid"), encoding="ascii") as handle:
-            assert int(handle.read()) == os.getpid()
-
-
-def test_dead_run_leftovers_are_reaped(tmp_path):
-    base = str(tmp_path / "shared")
-    # a genuinely dead pid: fork a child and wait for it
-    child = multiprocessing.Process(target=lambda: None)
-    child.start()
-    dead_pid = child.pid
-    child.join()
-    stale = os.path.join(base, f"run-{dead_pid}-deadbeef")
-    os.makedirs(stale)
-    with open(os.path.join(stale, "pid"), "w", encoding="ascii") as handle:
-        handle.write(str(dead_pid))
-    claim_run_dir(base)
-    assert not os.path.exists(stale)
-
-
-def test_live_and_unreadable_claims_survive(tmp_path):
-    base = str(tmp_path / "shared")
-    mine = claim_run_dir(base)  # own pid: never reaped
-    # pid 1 is alive but unsignalable (EPERM) — must be left alone
-    privileged = os.path.join(base, "run-1-cafe0000")
-    os.makedirs(privileged)
-    with open(os.path.join(privileged, "pid"), "w", encoding="ascii") as h:
-        h.write("1")
-    # a sibling mid-creation: no pid marker yet
-    partial = os.path.join(base, "run-777-00000000")
-    os.makedirs(partial)
-    claim_run_dir(base)
-    assert os.path.isdir(mine)
-    assert os.path.isdir(privileged)
-    assert os.path.isdir(partial)
 
 
 def test_fault_interrupt_carries_its_checkpoint():

@@ -263,7 +263,6 @@ def test_canary_seam_agrees_with_ownership():
         ({"shards": 2, "reduction": "optimal"}, "reduction"),
         ({"shards": 2, "equivalence": "reads-from"}, "equivalence"),
         ({"shards": 2, "canonicalize": False}, "canonical"),
-        ({"spill_max_bytes": 1024}, "spill_dir"),
     ],
 )
 def test_invalid_configurations_raise(kwargs, match):
