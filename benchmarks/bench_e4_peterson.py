@@ -132,7 +132,7 @@ def test_por_reduction_bound12(benchmark, bench_json):
     """DPOR vs full exploration at bound 12: identical outcome set and
     truncation, ≥2× fewer visited configurations (the E4 headline of
     the reduction subsystem) — and the parsimonious ``optimal`` tier
-    (DESIGN.md §13) strictly below DPOR, under both state equivalences."""
+    (DESIGN.md §13) strictly below DPOR."""
     from repro.litmus.registry import final_values
 
     model = RAMemoryModel()
@@ -140,15 +140,10 @@ def test_por_reduction_bound12(benchmark, bench_json):
 
     def runs():
         per_reduction = {}
-        for label, reduction, equivalence in (
-            ("none", "none", "shasha-snir"),
-            ("dpor", "dpor", "shasha-snir"),
-            ("optimal", "optimal", "shasha-snir"),
-            ("optimal+rf", "optimal", "reads-from"),
-        ):
-            per_reduction[label] = explore(
+        for reduction in ("none", "dpor", "optimal"):
+            per_reduction[reduction] = explore(
                 program, PETERSON_INIT, model, max_events=12,
-                reduction=reduction, equivalence=equivalence,
+                reduction=reduction,
             )
         return per_reduction
 
@@ -178,7 +173,6 @@ def test_por_reduction_bound12(benchmark, bench_json):
     )
     # The parsimonious explorer's acceptance bar: strictly below DPOR.
     assert results["optimal"].configs < reduced.configs
-    assert results["optimal+rf"].configs <= results["optimal"].configs
     bench_json.record(
         "e4_peterson_por_bound12",
         {
@@ -193,7 +187,7 @@ def test_por_reduction_bound12(benchmark, bench_json):
                 for label, r in results.items()
             },
             "config_ratio": ratio,
-            "optimal_config_ratio": full.configs / results["optimal+rf"].configs,
+            "optimal_config_ratio": full.configs / results["optimal"].configs,
             "outcome_parity": True,
         },
     )

@@ -82,26 +82,19 @@ def test_reduction_series(benchmark, bench_json):
         for bound in (6, 8, 10, 12):
             per_bound = {"bound": bound}
             outcome_sets = {}
-            for label, reduction, equivalence in (
-                ("none", "none", "shasha-snir"),
-                ("sleep", "sleep", "shasha-snir"),
-                ("dpor", "dpor", "shasha-snir"),
-                ("optimal", "optimal", "shasha-snir"),
-                ("optimal+rf", "optimal", "reads-from"),
-            ):
+            for reduction in ("none", "sleep", "dpor", "optimal"):
                 result = explore(
                     peterson_program(once=True),
                     PETERSON_INIT,
                     RAMemoryModel(),
                     max_events=bound,
                     reduction=reduction,
-                    equivalence=equivalence,
                 )
-                outcome_sets[label] = frozenset(
+                outcome_sets[reduction] = frozenset(
                     tuple(sorted(final_values(c).items()))
                     for c in result.terminal
                 )
-                per_bound[label] = {
+                per_bound[reduction] = {
                     "configs": result.configs,
                     "transitions": result.transitions,
                     "truncated": result.truncated,
@@ -118,7 +111,7 @@ def test_reduction_series(benchmark, bench_json):
             )
             per_bound["optimal_config_ratio"] = (
                 per_bound["none"]["configs"]
-                / per_bound["optimal+rf"]["configs"]
+                / per_bound["optimal"]["configs"]
             )
             series.append(per_bound)
         return series
@@ -130,7 +123,7 @@ def test_reduction_series(benchmark, bench_json):
         f"sleep: transitions={s['sleep']['transitions']:>6}   "
         f"dpor: configs={s['dpor']['configs']:>6} "
         f"{s['dpor']['time_s'] * 1e3:7.1f}ms  ({s['dpor_config_ratio']:4.2f}x)   "
-        f"optimal+rf: configs={s['optimal+rf']['configs']:>6} "
+        f"optimal: configs={s['optimal']['configs']:>6} "
         f"({s['optimal_config_ratio']:4.2f}x)"
         for s in series
     ]
@@ -139,8 +132,8 @@ def test_reduction_series(benchmark, bench_json):
     # The parsimonious tier never falls behind DPOR, and strictly beats
     # it at the deepest bound (DESIGN.md §13).
     for s in series:
-        assert s["optimal+rf"]["configs"] <= s["dpor"]["configs"]
-    assert series[-1]["optimal+rf"]["configs"] < series[-1]["dpor"]["configs"]
+        assert s["optimal"]["configs"] <= s["dpor"]["configs"]
+    assert series[-1]["optimal"]["configs"] < series[-1]["dpor"]["configs"]
     bench_json.record(
         "e8_peterson_reduction_series",
         {"program": "peterson(once)", "series": series},

@@ -58,7 +58,6 @@ def engine_stats_payload(stats) -> dict:
     return {
         "strategy": stats.strategy,
         "reduction": stats.reduction,
-        "equivalence": stats.equivalence,
         "peak_frontier": stats.peak_frontier,
         "key_hits": stats.key_hits,
         "key_misses": stats.key_misses,

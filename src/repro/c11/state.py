@@ -68,7 +68,6 @@ class C11State:
         "_hash",
         "_canon_key",
         "_canon_ids",
-        "_rf_key",
         "_ra_trans",
     )
 
@@ -111,10 +110,6 @@ class C11State:
         #: from parent to child by the successor constructors below.
         self._canon_key: Optional[object] = None
         self._canon_ids: Optional[Dict[Event, tuple]] = None
-        #: Reads-from-equivalence key memo: ``(live signature, key)``
-        #: (see repro.engine.keys.cached_reads_from_key) — unlike the
-        #: canonical key it depends on which threads may still step.
-        self._rf_key: Optional[tuple] = None
         #: Per-object memo of the RA model's transition lists, keyed by
         #: ``(tid, interned step)`` (see RAMemoryModel.transitions_list);
         #: the explorers drop it once the search no longer queues this

@@ -30,9 +30,8 @@ Commands
     (test, model) pair, fanned out over ``--jobs`` worker processes.
     ``--strategy`` selects the search order (bfs / dfs / iddfs),
     ``--reduction`` a partial-order reduction (DESIGN.md §9; the
-    parsimonious ``optimal`` tier is §13) and ``--equivalence`` the
-    abstraction dpor/optimal key configurations by; the verdicts are
-    strategy-, reduction- and parallelism-independent.
+    parsimonious ``optimal`` tier is §13); the verdicts are strategy-,
+    reduction- and parallelism-independent.
 
 ``fuzz``
     Differential fuzzing (DESIGN.md §6): generate ``--iters`` random
@@ -212,19 +211,6 @@ def _profile_lines(configs: int, stats) -> List[str]:
     ]
 
 
-def _check_equivalence(args: argparse.Namespace) -> None:
-    """A non-default equivalence only means something to the keyed
-    reductions — fail up front instead of tracebacking in explore()."""
-    if args.equivalence != "shasha-snir" and args.reduction not in (
-        "dpor", "optimal",
-    ):
-        raise SystemExit(
-            f"--equivalence {args.equivalence} requires --reduction "
-            "dpor or optimal (the tiers that key visited configurations "
-            "— DESIGN.md §13)"
-        )
-
-
 def _check_shards(args: argparse.Namespace) -> None:
     """Fail sharding misconfigurations up front with CLI-shaped errors
     (explore() raises the same constraints as ValueErrors)."""
@@ -249,7 +235,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
     from repro.lang.parser import run_parsed_litmus
 
-    _check_equivalence(args)
     _check_shards(args)
     parsed = _load(args.file)
     model = _model(args.model)
@@ -262,9 +247,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         reachable, result = run_parsed_litmus(
             parsed, model=model, max_events=args.max_events,
             strategy=args.strategy, reduction=args.reduction,
-            equivalence=args.equivalence, shards=args.shards,
-            checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
+            shards=args.shards, checkpoint=args.checkpoint,
+            checkpoint_every=args.checkpoint_every, resume=args.resume,
         )
     except FaultInterrupt as exc:
         where = exc.checkpoint or "none written"
@@ -336,7 +320,6 @@ def cmd_suite(args: argparse.Namespace) -> int:
         litmus_jobs,
     )
 
-    _check_equivalence(args)
     _check_shards(args)
     models = [m.strip().lower() for m in args.models.split(",")]
     for name in models:
@@ -346,13 +329,12 @@ def cmd_suite(args: argparse.Namespace) -> int:
             )
     work = litmus_jobs(
         models=models, extra=args.extra, strategy=args.strategy,
-        reduction=args.reduction, equivalence=args.equivalence,
-        shards=args.shards,
+        reduction=args.reduction, shards=args.shards,
     )
     if args.case_studies:
         work += case_study_jobs(
             strategy=args.strategy, reduction=args.reduction,
-            equivalence=args.equivalence, shards=args.shards,
+            shards=args.shards,
         )
 
     runner = ParallelRunner(jobs=args.jobs)
@@ -401,11 +383,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     )
     candidates = totals["expanded"] + totals["pruned"]
     if args.reduction != "none" and candidates:
-        tier = args.reduction
-        if args.equivalence != "shasha-snir":
-            tier += f" equivalence={args.equivalence}"
         print(
-            f"reduction={tier}: pruned {totals['pruned']}/{candidates} "
+            f"reduction={args.reduction}: "
+            f"pruned {totals['pruned']}/{candidates} "
             f"thread-expansions ({100.0 * totals['pruned'] / candidates:.0f}%), "
             f"sleep-hits={totals['sleep_hits']} races={totals['races']} "
             f"revisits={totals['revisits']}"
@@ -444,7 +424,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz.generator import PROFILES
     from repro.fuzz.runner import run_campaign
 
-    _check_equivalence(args)
     if args.profile not in PROFILES:
         raise SystemExit(
             f"unknown profile {args.profile!r}; choose from {sorted(PROFILES)}"
@@ -464,7 +443,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             axiomatic=not args.no_axiomatic,
             shrink=not args.no_shrink,
             reduction=args.reduction,
-            equivalence=args.equivalence,
             check_orders=args.check_orders,
             check_shards=args.check_shards,
             check_faults=args.check_faults,
@@ -896,17 +874,6 @@ def _add_obs_flags(sub: argparse.ArgumentParser, progress: bool = False) -> None
         )
 
 
-def _add_equivalence_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--equivalence", default="shasha-snir",
-        choices=["shasha-snir", "reads-from"],
-        help="abstraction dpor/optimal key visited configurations by: "
-        "'shasha-snir' is the canonical per-location order key, "
-        "'reads-from' additionally quotients dead modification-order "
-        "runs (RA only — SRA keeps the canonical key; DESIGN.md §13)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -966,7 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
         "'kill-worker:shard=1,round=2;interrupt:configs=500' — same "
         "grammar as REPRO_FAULTS (DESIGN.md §16)",
     )
-    _add_equivalence_flag(run)
     _add_obs_flags(run)
     run.set_defaults(func=cmd_run)
 
@@ -999,7 +965,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its job (in-process superstep schedule inside pool workers; "
         "verdict-identical — DESIGN.md §15)",
     )
-    _add_equivalence_flag(suite)
     _add_obs_flags(suite, progress=True)
     suite.set_defaults(func=cmd_suite)
 
@@ -1025,7 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the full search ('none' disables the oracle; 'optimal' also "
         "replays the dpor baseline tier)",
     )
-    _add_equivalence_flag(fuzz)
     fuzz.add_argument(
         "--check-orders", action="store_true",
         help="cross-check the compact (interned/bitset) derived orders "

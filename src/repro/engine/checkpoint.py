@@ -15,9 +15,10 @@ File format (``repro-ckpt/3``)::
 
 * The **fingerprint** identifies the run the state belongs to: a digest
   of the program source, the model name, the bounds, strategy,
-  reduction, equivalence and shard count.  Resuming checks every field
-  and refuses a mismatch — resuming Peterson's frontier into a litmus
-  test would otherwise fail in silently wrong ways.
+  reduction, state equivalence (always ``"shasha-snir"``) and shard
+  count.  Resuming checks every field and refuses a mismatch —
+  resuming Peterson's frontier into a litmus test would otherwise fail
+  in silently wrong ways.
 * The **payload** is algorithm-tagged loop state (``"plain"`` for the
   unreduced loop, ``"sleep"`` for sleep sets, ``"shard"`` for the
   bulk-synchronous sharded search, one entry per shard core).  Keys
@@ -70,9 +71,9 @@ def run_fingerprint(
     max_configs,
     strategy: str,
     reduction: str,
-    equivalence: str,
     canonicalize: bool,
     shards: int,
+    equivalence: str = "shasha-snir",
 ) -> dict:
     """The identity a checkpoint must match to be resumable.
 
@@ -80,7 +81,17 @@ def run_fingerprint(
     included; resource configuration (process mode, checkpoint cadence)
     is deliberately not — a run may legitimately resume with different
     resources.
+
+    Every search keys its visited store by the canonical Shasha–Snir
+    key, so ``equivalence`` accepts only ``"shasha-snir"``; the
+    fingerprint still records it, which keeps snapshots written when
+    the key was selectable resumable.
     """
+    if equivalence != "shasha-snir":
+        raise ValueError(
+            f"unknown equivalence {equivalence!r}; every search keys "
+            "configurations by the canonical 'shasha-snir' key"
+        )
     program_digest = hashlib.blake2b(
         _program_text(program).encode("utf-8"), digest_size=16
     ).hexdigest()

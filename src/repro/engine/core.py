@@ -123,10 +123,10 @@ class ExplorationResult(Generic[S]):
         The parent map holds one ``(parent key, tid)`` hop per key, so
         the steps are replayed: from ``initial``, each hop takes the
         first successor of the recorded thread whose key — under this
-        run's canonicalisation and equivalence — is the recorded child
-        key.  The search recorded the hop from a configuration with the
-        parent key, and configurations with equal keys have successors
-        with equal keys, so every hop replays.
+        run's canonicalisation — is the recorded child key.  The search
+        recorded the hop from a configuration with the parent key, and
+        configurations with equal keys have successors with equal keys,
+        so every hop replays.
         """
         from repro.interp.interpreter import thread_successor_list
 
@@ -143,9 +143,7 @@ class ExplorationResult(Generic[S]):
         for tid, child_key in reversed(hops):
             pending = config.program.pending_steps()[tid]
             for step in thread_successor_list(config, model, tid, pending):
-                if _key_of(
-                    step.target, model, self._canonicalize, self._equivalence
-                ) == child_key:
+                if _key_of(step.target, model, self._canonicalize) == child_key:
                     break
             else:
                 raise RuntimeError(
@@ -168,7 +166,7 @@ class ExplorationResult(Generic[S]):
         if not self.violations:
             return None
         v = self.violations[0]
-        key = _key_of(v.config, self._model, self._canonicalize, self._equivalence)
+        key = _key_of(v.config, self._model, self._canonicalize)
         steps = self.trace_to(key)
         if v.step is not None:
             steps.append(v.step)
@@ -177,9 +175,6 @@ class ExplorationResult(Generic[S]):
     # Attached by `explore` so traces can be rebuilt.
     _model: Optional[MemoryModel[S]] = None
     _canonicalize: bool = True
-    #: the state equivalence the parent map was keyed under — trace
-    #: reconstruction must rekey violations with the same function
-    _equivalence: str = "shasha-snir"
 
 
 def _state_size(state) -> int:
@@ -287,13 +282,9 @@ def _key_of(
     config: Configuration[S],
     model: MemoryModel[S],
     canonicalize: bool = True,
-    equivalence: str = "shasha-snir",
 ) -> ConfigKey:
     if not canonicalize:
         return (config.program, config.state)
-    if equivalence == "reads-from":
-        live = config.program.pending_steps().keys()
-        return (config.program, model.reads_from_state_key(config.state, live))
     return (config.program, model.canonical_state_key(config.state))
 
 
@@ -331,7 +322,6 @@ def explore(
     canonicalize: bool = True,
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     shards: int = 1,
     shard_processes: Optional[bool] = None,
     checkpoint: Optional[str] = None,
@@ -377,15 +367,6 @@ def explore(
     themselves, so combining them with ``check_step`` raises
     ``ValueError``.
 
-    ``equivalence`` selects the state abstraction the reducing
-    explorers key their prune store by (DESIGN.md §13):
-    ``"shasha-snir"`` (default, the canonical key) or ``"reads-from"``
-    (the observation quotient — states differing only in the ``mo`` of
-    dead writes merge).  Only ``"dpor"`` and ``"optimal"`` consult it;
-    the unreduced and sleep searches enumerate configurations
-    themselves, so a coarser key would change *what* they visit, and a
-    non-default equivalence raises ``ValueError`` there.
-
     ``shards > 1`` runs the hash-partitioned sharded search
     (:mod:`repro.engine.shard`, DESIGN.md §15): breadth-first only,
     reductions ``"none"``/``"sleep"``, canonical keys.  The parity
@@ -404,7 +385,7 @@ def explore(
     (``iddfs`` restarts its frontier per round; the backtracking
     reductions keep per-key state the snapshot format does not cover).
     """
-    from repro.engine.por import EQUIVALENCES, REDUCTIONS, explore_reduced
+    from repro.engine.por import REDUCTIONS, explore_reduced
     from repro.interp.compiled import maybe_lower
 
     if checkpoint is not None or resume is not None:
@@ -445,7 +426,6 @@ def explore(
             canonicalize=canonicalize,
             strategy=strategy,
             reduction=reduction,
-            equivalence=equivalence,
             processes=shard_processes,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
@@ -461,16 +441,6 @@ def explore(
         raise ValueError(
             f"unknown reduction {reduction!r}; choose from {REDUCTIONS}"
         )
-    if equivalence not in EQUIVALENCES:
-        raise ValueError(
-            f"unknown equivalence {equivalence!r}; choose from {EQUIVALENCES}"
-        )
-    if equivalence != "shasha-snir" and reduction not in ("dpor", "optimal"):
-        raise ValueError(
-            f"equivalence {equivalence!r} only applies to the 'dpor' and "
-            f"'optimal' reductions; reduction={reduction!r} enumerates "
-            "configurations itself and must key them exactly"
-        )
     fingerprint = None
     resume_payload = None
     if checkpoint is not None or resume is not None:
@@ -480,7 +450,7 @@ def explore(
             program, init_values, model,
             max_events=max_events, max_configs=max_configs,
             strategy=strategy, reduction=reduction,
-            equivalence=equivalence, canonicalize=canonicalize, shards=1,
+            canonicalize=canonicalize, shards=1,
         )
         if resume is not None:
             _, resume_payload = read_checkpoint(resume, expect=fingerprint)
@@ -495,8 +465,6 @@ def explore(
         kwargs_step = {}
         if check_step is not None:
             kwargs_step["check_step"] = check_step
-        if reduction in ("dpor", "optimal"):
-            kwargs_step["equivalence"] = equivalence
         if reduction == "sleep" and (
             checkpoint is not None or resume_payload is not None
         ):

@@ -240,37 +240,3 @@ def key_digest(key) -> bytes:
 def shard_of(digest: bytes, shards: int) -> int:
     """The shard owning a key with ``digest`` (mod-N over the prefix)."""
     return int.from_bytes(digest[:8], "big") % shards
-
-
-def cached_reads_from_key(state, live_tids) -> Hashable:
-    """``reads_from_key(state, live_tids)``, memoized per state object.
-
-    The reads-from key (DESIGN.md §13) additionally depends on which
-    threads may still step — dead-write detection consults the
-    observable sets of the *live* threads only — so the memo slot
-    (``_rf_key``) stores the live-set signature alongside the key and
-    recomputes on mismatch.  In practice the explorer keys each state
-    object once, so the signature guard is belt and braces.
-    """
-    global _compact_mod, _canon_mod
-    if _canon_mod is None:
-        from repro.c11 import compact as _compact_mod
-        from repro.interp import canon as _canon_mod
-    CachedKey = _compact_mod.CachedKey
-    reads_from_key = _canon_mod.reads_from_key
-
-    sig = frozenset(live_tids)
-    try:
-        cached = state._rf_key
-    except AttributeError:
-        KEY_CACHE.uncached += 1
-        return reads_from_key(state, sig)
-    if cached is not None and cached[0] == sig:
-        KEY_CACHE.hits += 1
-        return cached[1]
-    KEY_CACHE.misses += 1
-    key = reads_from_key(state, sig)
-    if type(key) is tuple:
-        key = CachedKey(key)
-    state._rf_key = (sig, key)
-    return key

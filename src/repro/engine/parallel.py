@@ -73,10 +73,6 @@ class SuiteJob:
     #: Verify jobs admit only the configuration-identical "sleep" tier
     #: and fall back to "none" under "dpor"/"optimal" (DESIGN.md §10).
     reduction: str = "none"
-    #: state equivalence keying the reduction's visited store
-    #: (DESIGN.md §13); consulted only by "dpor"/"optimal" and reset to
-    #: the default whenever a job falls back to another tier.
-    equivalence: str = "shasha-snir"
     #: intra-run shards for this job's exploration (DESIGN.md §15).
     #: Suite workers are daemonic pool processes, so a shards > 1 job
     #: runs the sharded search in its in-process mode — same parity
@@ -182,7 +178,6 @@ def litmus_jobs(
     extra: bool = False,
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     shards: int = 1,
 ) -> List[SuiteJob]:
     """One job per (litmus test, model) over the built-in suite."""
@@ -193,7 +188,7 @@ def litmus_jobs(
     return [
         SuiteJob(
             kind="litmus", name=test.name, model=model, strategy=strategy,
-            reduction=reduction, equivalence=equivalence, shards=shards,
+            reduction=reduction, shards=shards,
         )
         for test in tests
         for model in models
@@ -203,13 +198,12 @@ def litmus_jobs(
 def case_study_jobs(
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     shards: int = 1,
 ) -> List[SuiteJob]:
     """The case-study checks as suite jobs (RA model, modest bounds)."""
     return [
         SuiteJob(kind="case-study", name=name, strategy=strategy,
-                 reduction=reduction, equivalence=equivalence, shards=shards)
+                 reduction=reduction, shards=shards)
         for name in CASE_STUDIES
     ]
 
@@ -268,8 +262,7 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
     test = _litmus_by_name(job.name)
     outcome = run_litmus(
         test, model, max_configs=job.max_configs, strategy=job.strategy,
-        reduction=job.reduction, equivalence=job.equivalence,
-        shards=job.shards,
+        reduction=job.reduction, shards=job.shards,
     )
     stats = outcome.result.stats
     return SuiteJobResult(
@@ -369,9 +362,7 @@ def _case_study_setup(name: str):
 
 
 def _case_study_exploration(name: str, strategy: str, max_configs,
-                            reduction: str = "none",
-                            equivalence: str = "shasha-snir",
-                            shards: int = 1):
+                            reduction: str = "none", shards: int = 1):
     from repro.interp.explore import explore
     from repro.interp.ra_model import RAMemoryModel
 
@@ -385,7 +376,6 @@ def _case_study_exploration(name: str, strategy: str, max_configs,
         check_config=check,
         strategy=strategy,
         reduction=reduction,
-        equivalence=equivalence,
         shards=shards,
     )
 
@@ -393,7 +383,7 @@ def _case_study_exploration(name: str, strategy: str, max_configs,
 def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
     result = _case_study_exploration(
         job.name, job.strategy, job.max_configs, reduction=job.reduction,
-        equivalence=job.equivalence, shards=job.shards,
+        shards=job.shards,
     )
     return SuiteJobResult(
         job=job,

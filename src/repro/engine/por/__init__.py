@@ -21,9 +21,7 @@ Four reduction tiers, selected by ``explore(..., reduction=...)`` and
     Parsimonious race-reversal DPOR (:mod:`.optimal`, DESIGN.md §13):
     races are scheduled as minimal reversing *views* and replayed by
     guided descent instead of single-initial backtracking — no wakeup
-    trees.  Accepts ``equivalence="reads-from"`` (as does ``"dpor"``)
-    to key the visited store by the observation quotient instead of the
-    full Shasha–Snir key.
+    trees.
 
 The dependency relation the reductions share lives in :mod:`.deps`;
 the per-model location footprints come from
@@ -36,7 +34,6 @@ litmus/case-study parity suite (``tests/test_por_parity.py``).
 from __future__ import annotations
 
 from repro.engine.por.deps import (
-    EQUIVALENCES,
     REDUCTIONS,
     RaceWitness,
     StepFootprint,
@@ -63,7 +60,6 @@ def explore_reduced(program, init_values, model, reduction, **kwargs):
 
 
 __all__ = [
-    "EQUIVALENCES",
     "REDUCTIONS",
     "RaceWitness",
     "StepFootprint",

@@ -39,16 +39,6 @@ from repro.lang.actions import Var
 #: Reduction modes accepted by ``explore(reduction=...)`` and the CLI.
 REDUCTIONS = ("none", "sleep", "dpor", "optimal")
 
-#: State equivalences the reducing explorers can key their prune store
-#: by.  ``shasha-snir`` is the classical equivalence the canonical key
-#: realises (events + rf + full per-variable mo); ``reads-from`` keys by
-#: the observation abstraction instead — the rf map and covered-write
-#: masks of ``c11/compact.py``, with the modification order quotiented
-#: over *dead* writes (never read, not covered, observable to no live
-#: thread, and not mo-final) whose relative order no continuation can
-#: distinguish (DESIGN.md §13).
-EQUIVALENCES = ("shasha-snir", "reads-from")
-
 
 class RaceWitness(NamedTuple):
     """One detected race, with the sequence that reverses it.
@@ -125,7 +115,6 @@ def step_footprint(
 
 __all__ = [
     "EMPTY_FOOTPRINT",
-    "EQUIVALENCES",
     "REDUCTIONS",
     "RaceWitness",
     "StepFootprint",

@@ -148,7 +148,6 @@ def explore_dpor(
     keep_representatives: bool = False,
     canonicalize: bool = True,
     strategy: str = "bfs",
-    equivalence: str = "shasha-snir",
 ) -> ExplorationResult:
     """Stateful source-set DPOR from ``(P, σ_0)``.
 
@@ -157,12 +156,6 @@ def explore_dpor(
     choose a frontier.  ``configs`` counts *distinct* configurations
     visited, so it is directly comparable with — and never exceeds —
     the unreduced count.
-
-    ``equivalence`` selects the key the visited store deduplicates by:
-    ``"shasha-snir"`` (canonical, exact) or ``"reads-from"`` (the
-    observation quotient of DESIGN.md §13 — configurations differing
-    only in the ``mo`` of dead writes merge, so ``configs`` may shrink
-    further; the per-model key hooks keep it verdict-preserving).
     """
     from repro.c11.compact import ORDER_TIMER
     from repro.interp.memory_model import MODEL_TIMER
@@ -173,11 +166,9 @@ def explore_dpor(
     result: ExplorationResult = ExplorationResult(initial)
     result._model = model
     result._canonicalize = canonicalize
-    result._equivalence = equivalence
     stats = result.stats
     stats.strategy = strategy
     stats.reduction = "dpor"
-    stats.equivalence = equivalence
     track_control = check_config is not None
 
     tr = tracer()
@@ -329,7 +320,7 @@ def explore_dpor(
 
     try:
         t0 = clock()
-        init_key = _key_of(initial, model, canonicalize, equivalence)
+        init_key = _key_of(initial, model, canonicalize)
         stats.time_keys += clock() - t0
         result.parents[init_key] = (None, None)
 
@@ -441,7 +432,7 @@ def explore_dpor(
             )
             result.transitions += 1
             t0 = clock()
-            child_key = _key_of(step.target, model, canonicalize, equivalence)
+            child_key = _key_of(step.target, model, canonicalize)
             stats.time_keys += clock() - t0
             result.parents.setdefault(child_key, (node.key, tid))
             child_sleep = {

@@ -28,13 +28,6 @@ classical optimal DPOR, without maintaining trees:
   active or scheduled heads (the same source-set skip rule as
   ``"dpor"``), so ``pending`` holds at most one view per thread and
   cannot grow beyond the thread count.
-* **Equivalence-parameterised keying** — the visited store can key by
-  the canonical (Shasha–Snir) key or by the *reads-from* quotient
-  (``equivalence="reads-from"``): configurations that agree on events,
-  ``rf`` and covered writes but order dead writes differently in ``mo``
-  merge, shrinking ``configs`` further (DESIGN.md §13; the per-model
-  key hooks keep the knob verdict-preserving — SRA falls back to the
-  exact key).
 
 Race detection (vector clocks at node entry), sleep-set inheritance
 with conflict wake, the visited-prune access-summary compensation and
@@ -153,14 +146,12 @@ def explore_optimal(
     keep_representatives: bool = False,
     canonicalize: bool = True,
     strategy: str = "bfs",
-    equivalence: str = "shasha-snir",
 ) -> ExplorationResult:
     """Parsimonious view-guided DPOR from ``(P, σ_0)``.
 
     The traversal is inherently depth-first; ``strategy`` is recorded
     in the stats but does not choose a frontier.  ``configs`` counts
-    distinct configuration keys, so under ``equivalence="reads-from"``
-    it additionally shrinks by the dead-write quotient.
+    distinct configuration keys.
     """
     from repro.c11.compact import ORDER_TIMER
     from repro.interp.memory_model import MODEL_TIMER
@@ -171,11 +162,9 @@ def explore_optimal(
     result: ExplorationResult = ExplorationResult(initial)
     result._model = model
     result._canonicalize = canonicalize
-    result._equivalence = equivalence
     stats = result.stats
     stats.strategy = strategy
     stats.reduction = "optimal"
-    stats.equivalence = equivalence
     track_control = check_config is not None
 
     tr = tracer()
@@ -350,7 +339,7 @@ def explore_optimal(
 
     try:
         t0 = clock()
-        init_key = _key_of(initial, model, canonicalize, equivalence)
+        init_key = _key_of(initial, model, canonicalize)
         stats.time_keys += clock() - t0
         result.parents[init_key] = (None, None)
 
@@ -468,7 +457,7 @@ def explore_optimal(
             )
             result.transitions += 1
             t0 = clock()
-            child_key = _key_of(step.target, model, canonicalize, equivalence)
+            child_key = _key_of(step.target, model, canonicalize)
             stats.time_keys += clock() - t0
             result.parents.setdefault(child_key, (node.key, tid))
             child_sleep = {

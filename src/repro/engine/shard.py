@@ -1148,7 +1148,6 @@ def explore_sharded(
     canonicalize: bool = True,
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     processes: Optional[bool] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
@@ -1159,9 +1158,8 @@ def explore_sharded(
     Accepts the single-process ``explore`` surface where the sharded
     search can honour its parity contract, and rejects the rest up
     front: breadth-first only (the superstep structure *is* BFS),
-    reductions ``"none"``/``"sleep"``, the exact Shasha–Snir
-    equivalence, and canonical keys (the digest partition function is
-    defined on them).
+    reductions ``"none"``/``"sleep"``, and canonical keys (the digest
+    partition function is defined on them).
 
     ``processes=None`` auto-selects: real worker processes when the
     current process may fork children, the in-process supersteps
@@ -1205,11 +1203,6 @@ def explore_sharded(
             f"{SHARDABLE_REDUCTIONS} (the DPOR tiers are depth-first with "
             "global backtrack state)"
         )
-    if equivalence != "shasha-snir":
-        raise ValueError(
-            "sharded exploration keys configurations exactly; "
-            f"equivalence={equivalence!r} is not shardable"
-        )
     if not canonicalize:
         raise ValueError(
             "sharded exploration partitions by canonical-key digest; "
@@ -1235,7 +1228,7 @@ def explore_sharded(
         fingerprint = run_fingerprint(
             program, init_values, model,
             max_events=max_events, max_configs=max_configs,
-            strategy="bfs", reduction=reduction, equivalence=equivalence,
+            strategy="bfs", reduction=reduction,
             canonicalize=True, shards=shards,
         )
         if resume is not None:

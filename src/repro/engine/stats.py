@@ -23,9 +23,6 @@ class EngineStats:
     #: Which partial-order reduction ran
     #: ("none" | "sleep" | "dpor" | "optimal").
     reduction: str = "none"
-    #: Which state equivalence keyed the visited store
-    #: ("shasha-snir" | "reads-from"); only "dpor"/"optimal" consult it.
-    equivalence: str = "shasha-snir"
     #: Largest number of configurations ever waiting in the frontier
     #: (for the DPOR depth-first traversal: the peak spine depth).
     peak_frontier: int = 0
@@ -152,8 +149,6 @@ class EngineStats:
                 f"sleep-hits={self.sleep_hits} races={self.races} "
                 f"revisits={self.revisits}"
             )
-            if self.equivalence != "shasha-snir":
-                line += f" equivalence={self.equivalence}"
         if self.shards > 1:
             line += (
                 f" shards={self.shards} rounds={self.shard_rounds} "

@@ -198,7 +198,6 @@ def check_program(
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
     models: Optional[Dict[str, Callable[[], MemoryModel]]] = None,
     reduction: str = "dpor",
-    equivalence: str = "shasha-snir",
     check_orders: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
@@ -210,15 +209,14 @@ def check_program(
     the oracle); ``"optimal"`` additionally replays ``"dpor"``, so the
     parsimonious explorer (DESIGN.md §13) is diffed against both the
     unreduced search *and* the source-set baseline in one run.
-    ``equivalence`` keys the reduced runs' visited stores (consulted by
-    ``"dpor"``/``"optimal"`` only).  ``check_orders`` additionally
-    replays the compact derived-order self-check over every distinct
-    RA-reachable state (DESIGN.md §11).  ``check_shards`` re-runs
-    the RA exploration hash-partitioned across three shards and
-    requires exact parity with the single-process search (DESIGN.md
-    §15).  ``check_faults`` injects a deterministic mid-run interrupt
-    into a re-exploration, resumes it from its checkpoint and requires
-    exact parity with the clean search (DESIGN.md §16).
+    ``check_orders`` additionally replays the compact derived-order
+    self-check over every distinct RA-reachable state (DESIGN.md §11).
+    ``check_shards`` re-runs the RA exploration hash-partitioned across
+    three shards and requires exact parity with the single-process
+    search (DESIGN.md §15).  ``check_faults`` injects a deterministic
+    mid-run interrupt into a re-exploration, resumes it from its
+    checkpoint and requires exact parity with the clean search
+    (DESIGN.md §16).
     """
     models = models if models is not None else ORACLE_MODELS
     report = OracleReport(case)
@@ -333,22 +331,18 @@ def check_program(
 
     # 4. POR parity: the reduced search must be outcome-identical.
     # "optimal" replays "dpor" too — both tiers are diffed against the
-    # full search (and hence transitively against each other); the
-    # baseline runs under the default equivalence so a broken quotient
-    # key cannot mask itself.
+    # full search (and hence transitively against each other).
     if reduction != "none":
-        tiers = [(reduction, equivalence)]
+        tiers = [reduction]
         if reduction == "optimal":
-            tiers.insert(0, ("dpor", "shasha-snir"))
-        for tier, tier_equivalence in tiers:
+            tiers.insert(0, "dpor")
+        for tier in tiers:
             label = f"reduction={tier}"
-            if tier_equivalence != "shasha-snir":
-                label += f" equivalence={tier_equivalence}"
             try:
                 reduced = explore(
                     case.program, case.init, models["ra"](),
                     max_events=max_events, max_configs=max_configs,
-                    reduction=tier, equivalence=tier_equivalence,
+                    reduction=tier,
                 )
             except Exception as exc:  # noqa: BLE001 — a crash IS a finding
                 report.divergence = "crash"

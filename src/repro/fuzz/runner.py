@@ -34,13 +34,10 @@ class FuzzJob:
     profile: str = "default"
     axiomatic: bool = True
     shrink: bool = True
-    strategy: str = "bfs"  # unused; parity with SuiteJob's interface
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS
     #: reduction the POR-parity oracle checks ("none" disables it;
     #: "optimal" also replays "dpor" — DESIGN.md §13)
     reduction: str = "dpor"
-    #: state equivalence keying the reduced runs' visited stores
-    equivalence: str = "shasha-snir"
     #: cross-check compact vs definitional derived orders per state
     #: (the "orders" oracle, DESIGN.md §11)
     check_orders: bool = False
@@ -85,9 +82,8 @@ class DivergenceRecord:
 def _check(job: FuzzJob, case: GeneratedCase) -> OracleReport:
     return check_program(
         case, axiomatic=job.axiomatic, max_configs=job.max_configs,
-        reduction=job.reduction, equivalence=job.equivalence,
-        check_orders=job.check_orders, check_shards=job.check_shards,
-        check_faults=job.check_faults,
+        reduction=job.reduction, check_orders=job.check_orders,
+        check_shards=job.check_shards, check_faults=job.check_faults,
     )
 
 
@@ -262,7 +258,6 @@ def fuzz_jobs(
     shrink: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
     reduction: str = "dpor",
-    equivalence: str = "shasha-snir",
     check_orders: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
@@ -290,7 +285,6 @@ def fuzz_jobs(
             shrink=shrink,
             max_configs=max_configs,
             reduction=reduction,
-            equivalence=equivalence,
             check_orders=check_orders,
             check_shards=check_shards,
             check_faults=check_faults,
@@ -308,7 +302,6 @@ def run_campaign(
     shrink: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
     reduction: str = "dpor",
-    equivalence: str = "shasha-snir",
     check_orders: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
@@ -325,8 +318,8 @@ def run_campaign(
     work = fuzz_jobs(
         seed, iters, profile=profile, jobs=jobs, axiomatic=axiomatic,
         shrink=shrink, max_configs=max_configs, reduction=reduction,
-        equivalence=equivalence, check_orders=check_orders,
-        check_shards=check_shards, check_faults=check_faults,
+        check_orders=check_orders, check_shards=check_shards,
+        check_faults=check_faults,
     )
     results = ParallelRunner(jobs=jobs).run(work, progress=progress)
     report = CampaignReport(seed=seed, iters=iters, profile=profile)

@@ -114,75 +114,3 @@ def canonical_key(state) -> Hashable:
         )
     return (events_part, rf_part, mo_part)
 
-
-def reads_from_key(state, live_tids) -> Hashable:
-    """A key identifying the state up to *reads-from equivalence*.
-
-    The observation abstraction of DESIGN.md §13: events, the ``rf``
-    map and the covered-write mask are kept exactly, while the
-    per-variable modification order is quotiented over its *dead*
-    writes — writes that were never read, are not covered, are
-    observable to no thread in ``live_tids``, and are not mo-maximal.
-    Within each maximal contiguous run of dead writes the identities
-    are sorted, so two states differing only in the relative ``mo`` of
-    such writes collapse to one key.
-
-    Soundness (for RA reachability with outcomes read off the mo-final
-    write per variable, :func:`repro.litmus.registry.final_values`):
-    observability only ever shrinks along a run, so a dead write stays
-    dead; a dead write can never be read from nor serve as a write/RMW
-    placement target (it is unobservable to every thread that still
-    has steps); and permuting dead writes *within a run* changes no
-    ``hb`` edge (``hb`` is a function of events, ``sb`` and ``rf``
-    alone) and no observable set of any live thread — an encountered
-    mo-successor supersedes the same writes either way.  The quotient
-    is **not** sound under SRA, whose consistency check reads the full
-    ``mo`` into an acyclicity test; SRA therefore keeps the canonical
-    key (see :class:`repro.interp.sra_model.SRAMemoryModel`).
-
-    ``live_tids`` are the threads that may still take a step — the
-    explorer passes the domain of its pending-step map.  States without
-    a compact form fall back to the canonical key (exact, merely finer).
-    """
-    if not isinstance(state, C11State):
-        return canonical_key(state)
-    compact = state.compact
-    if compact is None:
-        return canonical_key(state)
-    ids = _event_ids(state)
-    events_part = tuple(sorted(e.described(ids[e]) for e in state.events))
-    seq = compact.events_seq
-    rf_part = tuple(
-        sorted((ids[seq[w]], ids[seq[r]]) for r, w in compact.rf.items())
-    )
-    covered_part = tuple(
-        sorted(ids[e] for e in compact.events_from_mask(compact.covered))
-    )
-    read_mask = 0
-    for w_i in compact.rf.values():
-        read_mask |= 1 << w_i
-    pinned = read_mask | compact.covered
-    mo_part = []
-    for var, var_seq in compact.mo.items():
-        pseq = compact.mo_pos[var]
-        obs = 0
-        for tid in live_tids:
-            if not compact.encountered_mask(tid):
-                obs = -1  # thread saw nothing: everything observable
-                break
-            for _, w_i in compact._observable(tid, var):
-                obs |= 1 << w_i
-        alive = pinned | obs
-        encoded = []
-        run = []
-        last = len(var_seq) - 1
-        for k, w in enumerate(var_seq):
-            if k != last and not (alive >> pseq[k]) & 1:
-                run.append(ids[w])
-                continue
-            if run:
-                encoded.append(("dead", tuple(sorted(run))))
-                run = []
-            encoded.append(ids[w])
-        mo_part.append(tuple(encoded))
-    return (events_part, rf_part, covered_part, tuple(sorted(mo_part)))

@@ -145,24 +145,6 @@ class MemoryModel(abc.ABC, Generic[S]):
         """
         return state
 
-    def reads_from_state_key(self, state: S, live_tids) -> Hashable:
-        """A key identifying ``state`` up to *reads-from equivalence*.
-
-        The coarser keying behind ``--equivalence reads-from``
-        (DESIGN.md §13): states that agree on events, ``rf`` and the
-        covered-write mask — but order unobservable dead writes
-        differently in ``mo`` — may share a key.  ``live_tids`` are the
-        threads that can still take a step.
-
-        The default answers with the canonical key, which is exact for
-        models without a modification order (SC, PE) and the documented
-        sound fallback for models whose *consistency check* reads the
-        full ``mo`` (SRA: ``sb ∪ rf ∪ mo`` acyclicity distinguishes
-        dead-write orders, so the quotient would be unsound there).
-        RA overrides this with the genuine quotient.
-        """
-        return self.canonical_state_key(state)
-
     def step_footprint(
         self, state: S, tid: Tid, step: PendingStep
     ) -> Tuple[FrozenSet[Var], FrozenSet[Var]]:

@@ -18,7 +18,7 @@ from typing import Hashable, Mapping
 
 from repro.c11.event_semantics import ra_successors
 from repro.c11.state import C11State, initial_state
-from repro.engine.keys import cached_canonical_key, cached_reads_from_key
+from repro.engine.keys import cached_canonical_key
 from repro.interp.compiled import LoweredStep
 from repro.interp.memory_model import MemoryModel, MemoryTransition
 from repro.lang.actions import Value, Var
@@ -81,19 +81,6 @@ class RAMemoryModel(MemoryModel[C11State]):
 
     def canonical_state_key(self, state: C11State) -> Hashable:
         return cached_canonical_key(state)
-
-    def reads_from_state_key(self, state: C11State, live_tids) -> Hashable:
-        """The genuine reads-from quotient (DESIGN.md §13).
-
-        Sound for RA: dead writes (never read, uncovered, observable to
-        no live thread, not mo-final) can never be read from or serve
-        as write-placement targets again, and permuting them within a
-        contiguous ``mo`` run changes no ``hb`` edge and no live
-        thread's observable set — so the continuations coincide
-        transition-for-transition, and terminal outcomes (read off the
-        pinned mo-final write per variable) coincide too.
-        """
-        return cached_reads_from_key(state, live_tids)
 
     def step_footprint(self, state: C11State, tid: Tid, step: PendingStep):
         """Per-location footprints are exact for the RA event semantics.

@@ -70,19 +70,6 @@ class SRAMemoryModel(MemoryModel[C11State]):
     def canonical_state_key(self, state: C11State) -> Hashable:
         return cached_canonical_key(state)
 
-    def reads_from_state_key(self, state: C11State, live_tids) -> Hashable:
-        """SRA keeps the canonical key under ``--equivalence reads-from``.
-
-        The dead-write quotient is *unsound* here: ``sra_consistent``
-        reads the full ``mo`` into the ``sb ∪ rf ∪ mo`` acyclicity
-        check, and a later write placed mo-between two dead writes can
-        close a cycle through one dead-dead order but not the other —
-        the two states the quotient would merge admit different
-        continuations.  Falling back to the exact key keeps the
-        equivalence knob verdict-preserving for every model
-        (DESIGN.md §13)."""
-        return cached_canonical_key(state)
-
     def step_footprint(self, state: C11State, tid: Tid, step: PendingStep):
         """RA footprints remain exact under the SRA filter.
 

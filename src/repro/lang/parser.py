@@ -476,7 +476,7 @@ def parse_litmus(text: str) -> ParsedLitmus:
 
 
 def run_parsed_litmus(parsed: ParsedLitmus, model=None, max_events=None, strategy="bfs",
-                      reduction="none", equivalence="shasha-snir", shards=1,
+                      reduction="none", shards=1,
                       checkpoint=None, checkpoint_every=None, resume=None):
     """Convenience: decide the parsed test's outcome reachability.
 
@@ -493,9 +493,9 @@ def run_parsed_litmus(parsed: ParsedLitmus, model=None, max_events=None, strateg
     model = model if model is not None else RAMemoryModel()
     result = explore(
         parsed.program, parsed.init, model, max_events=max_events,
-        strategy=strategy, reduction=reduction, equivalence=equivalence,
-        shards=shards, checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every, resume=resume,
+        strategy=strategy, reduction=reduction, shards=shards,
+        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
+        resume=resume,
     )
     # Files without an exists/forbidden clause (e.g. fuzz-corpus
     # reproducers) are pure explorations: nothing to be reachable.

@@ -93,16 +93,14 @@ def run_litmus(
     max_configs: Optional[int] = None,
     strategy: str = "bfs",
     reduction: str = "none",
-    equivalence: str = "shasha-snir",
     shards: int = 1,
 ) -> LitmusOutcome:
     """Decide reachability of the test's outcome under ``model``.
 
-    ``reduction`` selects a partial-order reduction (DESIGN.md §9) and
-    ``equivalence`` the state abstraction keying its visited store
-    (DESIGN.md §13); litmus verdicts are outcome-set properties of the
-    terminal states, which every reduction preserves — the POR parity
-    suite and CI job assert exactly this, verdict for verdict.
+    ``reduction`` selects a partial-order reduction (DESIGN.md §9, §13);
+    litmus verdicts are outcome-set properties of the terminal states,
+    which every reduction preserves — the POR parity suite and CI job
+    assert exactly this, verdict for verdict.
     ``shards > 1`` partitions the single exploration across worker
     shards (DESIGN.md §15) — outcome-identical by the sharding parity
     contract, checked test by test in ``tests/test_shard_parity.py``.
@@ -116,7 +114,6 @@ def run_litmus(
         max_configs=max_configs,
         strategy=strategy,
         reduction=reduction,
-        equivalence=equivalence,
         shards=shards,
     )
     reachable = any(

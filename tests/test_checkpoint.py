@@ -333,3 +333,10 @@ def test_checkpoint_validates_its_surface():
         run_explore(checkpoint="x.ckpt", strategy="iddfs")
     with pytest.raises(ValueError, match="checkpoint/resume"):
         run_explore(checkpoint="x.ckpt", canonicalize=False)
+    with pytest.raises(ValueError, match="unknown equivalence"):
+        run_fingerprint(
+            peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
+            max_events=BOUND, max_configs=None, strategy="bfs",
+            reduction="none", equivalence="sc-traces",
+            canonicalize=True, shards=1,
+        )

@@ -223,32 +223,29 @@ def test_suite_reduction_matches_unreduced_verdicts(capsys):
 
 
 def test_run_with_optimal_reduction(sb_file, capsys):
-    assert main([
-        "run", sb_file, "--reduction", "optimal",
-        "--equivalence", "reads-from", "--stats",
-    ]) == 0
+    assert main(["run", sb_file, "--reduction", "optimal", "--stats"]) == 0
     out = capsys.readouterr().out
     assert "reduction=optimal" in out
-    assert "equivalence=reads-from" in out
     assert "verdict: OK" in out
 
 
 def test_equivalence_without_keyed_reduction_is_rejected(sb_file):
-    with pytest.raises(SystemExit, match="requires --reduction"):
+    """There is no equivalence flag: a stale invocation is a usage error."""
+    with pytest.raises(SystemExit) as run_exit:
         main(["run", sb_file, "--equivalence", "reads-from"])
-    with pytest.raises(SystemExit, match="requires --reduction"):
-        main(["suite", "--equivalence", "reads-from"])
-    with pytest.raises(SystemExit, match="requires --reduction"):
-        main(["fuzz", "--reduction", "sleep", "--equivalence", "reads-from"])
+    assert run_exit.value.code == 2
+    with pytest.raises(SystemExit) as suite_exit:
+        main(["suite", "--reduction", "optimal", "--equivalence", "reads-from"])
+    assert suite_exit.value.code == 2
+    with pytest.raises(SystemExit) as fuzz_exit:
+        main(["fuzz", "--reduction", "optimal", "--equivalence", "reads-from"])
+    assert fuzz_exit.value.code == 2
 
 
 def test_suite_with_optimal_reduction_footer(capsys):
-    assert main([
-        "suite", "--reduction", "optimal", "--equivalence", "reads-from",
-        "--case-studies",
-    ]) == 0
+    assert main(["suite", "--reduction", "optimal", "--case-studies"]) == 0
     out = capsys.readouterr().out
-    assert "reduction=optimal equivalence=reads-from: pruned" in out
+    assert "reduction=optimal: pruned" in out
     assert "diverged" not in out
 
 

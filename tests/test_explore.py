@@ -158,10 +158,9 @@ def test_config_violation_counterexample_unchanged():
         {"reduction": "sleep"},
         {"reduction": "dpor"},
         {"reduction": "optimal"},
-        {"reduction": "optimal", "equivalence": "reads-from"},
         {"shards": 2, "shard_processes": False},
     ],
-    ids=["bfs", "dfs", "sleep", "dpor", "optimal", "optimal-rf", "shards=2"],
+    ids=["bfs", "dfs", "sleep", "dpor", "optimal", "shards=2"],
 )
 def test_parent_map_holds_threads_and_traces_replay(kwargs):
     """Every explorer records (parent key, tid) — never a step — and the

@@ -121,22 +121,9 @@ def test_footprint_tracks_control_only_when_asked():
 
 
 def test_reductions_tuple_and_validation():
-    from repro.engine.por import EQUIVALENCES
-
     assert REDUCTIONS == ("none", "sleep", "dpor", "optimal")
-    assert EQUIVALENCES == ("shasha-snir", "reads-from")
     with pytest.raises(ValueError, match="unknown reduction"):
         explore(sb_program(), SB_INIT, SCMemoryModel(), reduction="ample")
-    with pytest.raises(ValueError, match="unknown equivalence"):
-        explore(
-            sb_program(), SB_INIT, SCMemoryModel(), reduction="dpor",
-            equivalence="sc-traces",
-        )
-    with pytest.raises(ValueError, match="equivalence"):
-        explore(
-            sb_program(), SB_INIT, SCMemoryModel(), reduction="sleep",
-            equivalence="reads-from",
-        )
 
 
 def test_check_step_hooks_reject_reduction():

@@ -3,11 +3,9 @@
 The subsystem's contract (DESIGN.md §9, §13), checked wholesale: the
 entire litmus registry under every model, every case study, and a slice
 of generated fuzz programs, each explored with every reduction tier —
-``"sleep"``, ``"dpor"`` and the parsimonious ``"optimal"``, the keyed
-tiers under both the canonical Shasha–Snir abstraction and the
-``"reads-from"`` quotient — verdict for verdict, outcome set for
-outcome set, truncation flag for truncation flag.  CI runs this file as
-the POR parity smoke job.
+``"sleep"``, ``"dpor"`` and the parsimonious ``"optimal"`` — verdict
+for verdict, outcome set for outcome set, truncation flag for
+truncation flag.  CI runs this file as the POR parity smoke job.
 """
 
 import pytest
@@ -26,15 +24,8 @@ from repro.litmus.suite import ALL_TESTS
 MODELS = {"ra": RAMemoryModel, "sra": SRAMemoryModel, "sc": SCMemoryModel}
 REGISTRY = list(ALL_TESTS) + list(EXTRA_TESTS)
 
-#: Every reduction tier the engine ships, with the equivalence knob
-#: exercised on the tiers that key a visited store (DESIGN.md §13).
-TIERS = [
-    pytest.param("sleep", "shasha-snir", id="sleep"),
-    pytest.param("dpor", "shasha-snir", id="dpor"),
-    pytest.param("dpor", "reads-from", id="dpor-rf"),
-    pytest.param("optimal", "shasha-snir", id="optimal"),
-    pytest.param("optimal", "reads-from", id="optimal-rf"),
-]
+#: Every reduction tier the engine ships.
+TIERS = ["sleep", "dpor", "optimal"]
 
 
 def outcome_set(result):
@@ -44,15 +35,12 @@ def outcome_set(result):
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
-@pytest.mark.parametrize("reduction,equivalence", TIERS)
-def test_litmus_registry_verdict_parity(model_name, reduction, equivalence):
+@pytest.mark.parametrize("reduction", TIERS)
+def test_litmus_registry_verdict_parity(model_name, reduction):
     """Every registry test, verdict for verdict, under one model."""
     for test in REGISTRY:
         full = run_litmus(test, MODELS[model_name]())
-        reduced = run_litmus(
-            test, MODELS[model_name](), reduction=reduction,
-            equivalence=equivalence,
-        )
+        reduced = run_litmus(test, MODELS[model_name](), reduction=reduction)
         assert reduced.reachable == full.reachable, (
             f"{test.name} [{model_name}] verdict diverged under {reduction}"
         )
@@ -68,12 +56,10 @@ def test_litmus_registry_verdict_parity(model_name, reduction, equivalence):
 
 
 @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
-@pytest.mark.parametrize("reduction,equivalence", TIERS)
-def test_case_study_verdict_parity(name, reduction, equivalence):
+@pytest.mark.parametrize("reduction", TIERS)
+def test_case_study_verdict_parity(name, reduction):
     full = _case_study_exploration(name, "bfs", None)
-    reduced = _case_study_exploration(
-        name, "bfs", None, reduction=reduction, equivalence=equivalence,
-    )
+    reduced = _case_study_exploration(name, "bfs", None, reduction=reduction)
     assert full.ok == reduced.ok
     assert full.truncated == reduced.truncated
     assert reduced.configs <= full.configs
@@ -96,21 +82,14 @@ def test_fuzz_sample_outcome_parity(profile):
             )
             if full.truncated:
                 continue
-            for reduction, equivalence in (
-                ("sleep", "shasha-snir"),
-                ("dpor", "shasha-snir"),
-                ("dpor", "reads-from"),
-                ("optimal", "shasha-snir"),
-                ("optimal", "reads-from"),
-            ):
+            for reduction in TIERS:
                 reduced = explore(
                     case.program, case.init, factory(),
                     max_events=bound, max_configs=50_000, reduction=reduction,
-                    equivalence=equivalence,
                 )
                 assert outcome_set(reduced) == outcome_set(full), (
                     f"case {profile}#{index} [{model_name}] diverged "
-                    f"under {reduction}/{equivalence}"
+                    f"under {reduction}"
                 )
                 assert reduced.configs <= full.configs
                 if reduction == "sleep":
@@ -162,22 +141,21 @@ def test_optimal_strictly_beats_dpor_on_peterson():
     assert results["optimal"].configs < results["dpor"].configs
 
 
-def test_fuzz_oracle_catches_a_broken_equivalence(monkeypatch):
-    """Plant a reads-from key that collapses distinct states; the
+def test_fuzz_oracle_catches_a_broken_visited_key(monkeypatch):
+    """Plant a visited-store key that collapses distinct states; the
     reduced search then prunes live configurations and loses outcomes,
-    which the parity oracle must flag — the canary that a quotient
-    abstraction cannot silently become unsound."""
-    from repro.interp.ra_model import RAMemoryModel as RA
+    which the parity oracle must flag — the canary that a coarser key
+    cannot silently make a reduction unsound."""
+    from repro.engine.por import optimal
 
     monkeypatch.setattr(
-        RA, "reads_from_state_key", lambda self, state, live_tids: ("rf", 0)
+        optimal, "_key_of",
+        lambda config, model, canonicalize=True: (config.program, 0),
     )
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(
-        case, axiomatic=False, reduction="optimal", equivalence="reads-from",
-    )
+    report = check_program(case, axiomatic=False, reduction="optimal")
     assert report.divergence == "por-parity", report.detail
-    assert "equivalence=reads-from" in report.detail
+    assert "reduction=optimal" in report.detail
 
 
 def test_fuzz_oracle_reports_capped_reduced_run_inconclusive(monkeypatch):

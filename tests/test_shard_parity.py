@@ -261,7 +261,6 @@ def test_canary_seam_agrees_with_ownership():
         ({"shards": 2, "strategy": "dfs"}, "breadth-first"),
         ({"shards": 2, "reduction": "dpor"}, "reduction"),
         ({"shards": 2, "reduction": "optimal"}, "reduction"),
-        ({"shards": 2, "equivalence": "reads-from"}, "equivalence"),
         ({"shards": 2, "canonicalize": False}, "canonical"),
     ],
 )
