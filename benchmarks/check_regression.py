@@ -15,9 +15,8 @@ measure the runner, not the engine: CI machines differ from the machine
 the baseline was committed on.  Both documents therefore carry a
 ``spin_score`` — iterations/sec of a fixed pure-Python loop recorded in
 the same session — and the gate compares ``states_per_sec /
-spin_score``, in which machine speed cancels.  The in-session
-compact-vs-pair-set ``speedup`` column is machine-independent already
-and is gated directly.  The engine's two optimised phases are
+spin_score``, in which machine speed cancels.  The engine's two
+optimised phases are
 additionally gated *separately*: ``expand`` (successor expansion — the
 lowered step tables' target, DESIGN.md §12) and ``orders``
 (derived-order maintenance — the compact representation's target,
@@ -34,11 +33,11 @@ gate.
 
 **``e8_peterson_reduction_series``** — reduction quality.  Config
 counts are deterministic (machine-independent), so the per-bound
-``dpor_config_ratio`` / ``optimal_config_ratio`` columns are gated
-directly: the how-much-smaller-than-unreduced ratio of each reduction
-tier must not fall below the committed baseline beyond tolerance.  A
-change that quietly weakens the parsimonious explorer (DESIGN.md §13)
-or DPOR therefore fails CI even while outcome parity still holds.
+``optimal_config_ratio`` column is gated directly: the
+how-much-smaller-than-unreduced ratio of the pruning tier must not fall
+below the committed baseline beyond tolerance.  A change that quietly
+weakens the parsimonious explorer (DESIGN.md §13) therefore fails CI
+even while outcome parity still holds.
 
 A record family present in only one of the two documents is skipped;
 the gate fails if the documents share no gated record at all.
@@ -88,12 +87,6 @@ def check_hotpath(base_record, cur_record, tolerance, failures) -> None:
             )
             flag = "  ** REGRESSION **"
         print(f"{name:<20} {base_norm:>12.4f} {cur_norm:>12.4f} {ratio:>6.2f}x{flag}")
-        speedup = cur.get("speedup", 0.0)
-        if speedup < base["speedup"] * (1.0 - tolerance):
-            failures.append(
-                f"{name}: compact-vs-pair-set speedup fell to {speedup:.2f}x "
-                f"(baseline {base['speedup']:.2f}x, tolerance {tolerance:.0%})"
-            )
         base_peak = base.get("peak_kib")
         if base_peak is not None:
             cur_peak = cur.get("peak_kib")
@@ -135,29 +128,29 @@ def check_reduction_series(base_record, cur_record, tolerance, failures) -> None
         if cur is None:
             failures.append(f"reduction series: bound {bound} missing from current run")
             continue
-        for column in ("dpor_config_ratio", "optimal_config_ratio"):
-            base_ratio = base.get(column)
-            cur_ratio = cur.get(column)
-            if base_ratio is None:
-                continue  # older baseline without this tier
-            if cur_ratio is None:
-                failures.append(
-                    f"reduction series bound {bound}: {column} missing "
-                    "from current run"
-                )
-                continue
-            flag = ""
-            if cur_ratio < base_ratio * (1.0 - tolerance):
-                failures.append(
-                    f"reduction series bound {bound}: {column} fell to "
-                    f"{cur_ratio:.2f}x (baseline {base_ratio:.2f}x, "
-                    f"tolerance {tolerance:.0%})"
-                )
-                flag = "  ** REGRESSION **"
-            print(
-                f"bound {bound:>2} {column:<19} {base_ratio:>8.2f}x "
-                f"{cur_ratio:>8.2f}x{flag}"
+        column = "optimal_config_ratio"
+        base_ratio = base.get(column)
+        cur_ratio = cur.get(column)
+        if base_ratio is None:
+            continue  # older baseline without this tier
+        if cur_ratio is None:
+            failures.append(
+                f"reduction series bound {bound}: {column} missing "
+                "from current run"
             )
+            continue
+        flag = ""
+        if cur_ratio < base_ratio * (1.0 - tolerance):
+            failures.append(
+                f"reduction series bound {bound}: {column} fell to "
+                f"{cur_ratio:.2f}x (baseline {base_ratio:.2f}x, "
+                f"tolerance {tolerance:.0%})"
+            )
+            flag = "  ** REGRESSION **"
+        print(
+            f"bound {bound:>2} {column:<19} {base_ratio:>8.2f}x "
+            f"{cur_ratio:>8.2f}x{flag}"
+        )
 
 
 def main(argv=None) -> int:

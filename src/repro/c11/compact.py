@@ -57,7 +57,6 @@ the original pair-set algebra unchanged.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -97,17 +96,6 @@ class OrderTimerStats:
 ORDER_TIMER = OrderTimerStats()
 
 _clock = time.perf_counter
-
-
-def compact_enabled() -> bool:
-    """Whether new explorations carry the compact representation.
-
-    ``REPRO_NO_COMPACT=1`` disables it (states fall back to the
-    definitional pair-set algebra everywhere) — the A/B switch the E12
-    benchmark and the ablation tests use.  Checked once per initial
-    state, so flipping it mid-exploration has no effect on that run.
-    """
-    return os.environ.get("REPRO_NO_COMPACT", "") not in ("1", "true", "yes")
 
 
 class CompactOrders:
@@ -870,6 +858,5 @@ __all__ = [
     "CompactOrders",
     "ORDER_TIMER",
     "OrderTimerStats",
-    "compact_enabled",
     "derived_order_divergences",
 ]

@@ -214,17 +214,13 @@ class PreExecutionState:
 
 def initial_prestate(init_values: Mapping[Var, Value]) -> PreExecutionState:
     """The initial pre-execution: the initialising writes, no ``sb``."""
-    from repro.c11.compact import compact_enabled
-
     inits = tuple(
         sorted(init_events(dict(init_values)), key=lambda e: e.tag)
     )
-    if compact_enabled():
-        return PreExecutionState._from_sequences(
-            frozenset(inits),
-            {},
-            inits,
-            {e.tag: e for e in inits},
-            1,
-        )
-    return PreExecutionState(inits)
+    return PreExecutionState._from_sequences(
+        frozenset(inits),
+        {},
+        inits,
+        {e.tag: e for e in inits},
+        1,
+    )

@@ -35,12 +35,7 @@ from bisect import insort
 from time import perf_counter as _clock
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from repro.c11.compact import (
-    ORDER_TIMER,
-    CachedKey,
-    CompactOrders,
-    compact_enabled,
-)
+from repro.c11.compact import ORDER_TIMER, CachedKey, CompactOrders
 from repro.c11.events import Event, Tag, init_events
 from repro.lang.actions import Value, Var
 from repro.lang.program import INIT_TID, Tid
@@ -680,12 +675,9 @@ def initial_state(init_values: Mapping[Var, Value]) -> C11State:
     ordered by ``sb``, ``rf`` or ``mo`` (Section 3.1).  States grown from
     here by the RA event semantics keep update atomicity by construction,
     so the fast ``eco`` closed form is enabled — and they carry the
-    incremental :class:`~repro.c11.compact.CompactOrders` representation
-    (unless ``REPRO_NO_COMPACT`` disables it for A/B measurement).
+    incremental :class:`~repro.c11.compact.CompactOrders` representation.
     """
     inits = tuple(init_events(dict(init_values)))
-    if compact_enabled():
-        return C11State._from_compact(
-            frozenset(inits), CompactOrders.from_inits(inits), True
-        )
-    return C11State(inits, fast_eco=True)
+    return C11State._from_compact(
+        frozenset(inits), CompactOrders.from_inits(inits), True
+    )

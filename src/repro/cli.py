@@ -57,7 +57,7 @@ Commands
     ``verify --file F.litmus --outline SPEC.py`` checks an ad-hoc
     program against an outline built in a Python spec file.
     ``--reduction sleep`` is verdict-preserving (sleep sets visit every
-    configuration); ``dpor`` and ``optimal`` prune configurations — the
+    configuration); ``optimal`` prunes configurations — the
     very domain the obligations quantify over — so the workbench falls
     back to the unreduced search and says so.  Exit code 1 iff any
     obligation failed.
@@ -226,7 +226,7 @@ def _check_shards(args: argparse.Namespace) -> None:
         if args.reduction not in ("none", "sleep"):
             raise SystemExit(
                 f"--shards supports --reduction none or sleep, not "
-                f"{args.reduction!r} (dpor/optimal carry cross-state "
+                f"{args.reduction!r} (optimal carries cross-state "
                 "scheduling state that does not partition — DESIGN.md §15)"
             )
 
@@ -500,12 +500,12 @@ def _verify_reduction(args: argparse.Namespace) -> str:
     """Resolve ``--reduction`` for obligation discharge.
 
     Sleep sets visit every configuration the full search visits, so the
-    proof verdict is reduction-independent under ``sleep``.  DPOR and
-    the parsimonious tier prune configurations — the domain the
-    obligations quantify over — so they cannot discharge them; fall
-    back loudly (DESIGN.md §10).
+    proof verdict is reduction-independent under ``sleep``.  The
+    parsimonious DPOR tier prunes configurations — the domain the
+    obligations quantify over — so it cannot discharge them; fall back
+    loudly (DESIGN.md §10).
     """
-    if args.reduction in ("dpor", "optimal"):
+    if args.reduction == "optimal":
         print(
             f"note: {args.reduction} prunes configurations, which proof "
             "obligations quantify over; falling back to --reduction none "
@@ -900,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "dpor", "optimal"],
+        choices=["none", "sleep", "optimal"],
         help="partial-order reduction (outcome-identical, fewer configs; "
         "'optimal' is the parsimonious tier, DESIGN.md §13)",
     )
@@ -955,7 +955,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "dpor", "optimal"],
+        choices=["none", "sleep", "optimal"],
         help="partial-order reduction applied in every job "
         "(verdict-identical by design; see DESIGN.md §9 and §13)",
     )
@@ -984,11 +984,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="generator size/shape preset (default | small | wide)",
     )
     fuzz.add_argument(
-        "--reduction", default="dpor",
-        choices=["none", "sleep", "dpor", "optimal"],
+        "--reduction", default="optimal",
+        choices=["none", "sleep", "optimal"],
         help="reduction the POR-parity oracle cross-validates against "
-        "the full search ('none' disables the oracle; 'optimal' also "
-        "replays the dpor baseline tier)",
+        "the full search ('none' disables the oracle)",
     )
     fuzz.add_argument(
         "--check-orders", action="store_true",
@@ -1068,9 +1067,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "dpor", "optimal"],
+        choices=["none", "sleep", "optimal"],
         help="partial-order reduction; sleep is verdict-preserving for "
-        "obligations, dpor/optimal fall back to none (DESIGN.md §10)",
+        "obligations, optimal falls back to none (DESIGN.md §10)",
     )
     verify.add_argument(
         "--max-events", type=int, default=None,

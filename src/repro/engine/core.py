@@ -60,7 +60,7 @@ from typing import (
     TypeVar,
 )
 
-from repro.engine.frontier import frontier_class
+from repro.engine.frontier import STRATEGIES, frontier_class
 from repro.engine.keys import KEY_CACHE
 from repro.engine.stats import EngineStats
 from repro.lang.actions import Value, Var
@@ -352,20 +352,20 @@ def explore(
     ``reduction`` selects a partial-order reduction (DESIGN.md §9):
     ``"none"`` (this loop), ``"sleep"`` (sleep-set transition pruning —
     visits the same configurations, hook-safe for any ``check_config``
-    property) or ``"dpor"`` (source-set DPOR — prunes configurations
-    while preserving terminal outcome sets, control-observable
-    violation verdicts and truncation flags; only ``configs`` may
-    shrink).  Reduced runs perform their own traversal: ``"dpor"`` is
-    inherently depth-first and ``"sleep"`` skips the deepening loop.
+    property) or ``"optimal"`` (parsimonious DPOR — prunes
+    configurations while preserving terminal outcome sets,
+    control-observable violation verdicts and truncation flags; only
+    ``configs`` may shrink).  Reduced runs perform their own traversal:
+    ``"optimal"`` is inherently depth-first and ``"sleep"`` skips the
+    deepening loop.
     ``check_step`` hooks quantify over transitions.  Under ``"sleep"``
     they fire only on the transitions the reduction keeps, but because
     sleep sets visit every configuration the full search visits, an
     *inductive* step property (one whose per-transition failures imply a
     failure on some kept transition along an explored path — proof
     outlines, DESIGN.md §10) reaches the same verdict; the hook is
-    therefore allowed.  ``"dpor"``/``"optimal"`` prune configurations
-    themselves, so combining them with ``check_step`` raises
-    ``ValueError``.
+    therefore allowed.  ``"optimal"`` prunes configurations itself, so
+    combining it with ``check_step`` raises ``ValueError``.
 
     ``shards > 1`` runs the hash-partitioned sharded search
     (:mod:`repro.engine.shard`, DESIGN.md §15): breadth-first only,
@@ -382,12 +382,23 @@ def explore(
     to this exact run — and continues the search to a byte-identical
     final result.  Both require canonical keys, the ``"none"``/
     ``"sleep"`` reductions, and a ``"bfs"``/``"dfs"`` strategy
-    (``iddfs`` restarts its frontier per round; the backtracking
-    reductions keep per-key state the snapshot format does not cover).
+    (``iddfs`` restarts its frontier per round; ``"optimal"`` keeps
+    per-key state the snapshot format does not cover).
+
+    An unknown ``reduction`` or ``strategy`` raises ``ValueError``
+    before any search path is chosen.
     """
     from repro.engine.por import REDUCTIONS, explore_reduced
     from repro.interp.compiled import maybe_lower
 
+    if reduction not in REDUCTIONS:
+        raise ValueError(
+            f"unknown reduction {reduction!r}; choose from {REDUCTIONS}"
+        )
+    if strategy not in STRATEGIES:
+        raise ValueError(
+            f"unknown search strategy {strategy!r}; choose from {STRATEGIES}"
+        )
     if checkpoint is not None or resume is not None:
         if not canonicalize:
             raise ValueError(
@@ -437,10 +448,6 @@ def explore(
     # (DESIGN.md §12).
     program = maybe_lower(program)
 
-    if reduction not in REDUCTIONS:
-        raise ValueError(
-            f"unknown reduction {reduction!r}; choose from {REDUCTIONS}"
-        )
     fingerprint = None
     resume_payload = None
     if checkpoint is not None or resume is not None:
@@ -809,7 +816,7 @@ def reachable_states(
     the ``O(n log n)`` canonicalisation (DESIGN.md §4).
 
     ``reduction="sleep"`` still enumerates every reachable state (sleep
-    sets prune transitions, not configurations); ``"dpor"`` prunes
+    sets prune transitions, not configurations); ``"optimal"`` prunes
     configurations and thus returns a *subset* of the reachable states —
     fine for reaching terminal states fast, wrong for per-state
     universal checks, which is why the soundness/completeness checkers

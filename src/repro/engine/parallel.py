@@ -71,7 +71,7 @@ class SuiteJob:
     #: partial-order reduction applied by the worker's exploration
     #: (DESIGN.md §9); verdicts are reduction-independent by design.
     #: Verify jobs admit only the configuration-identical "sleep" tier
-    #: and fall back to "none" under "dpor"/"optimal" (DESIGN.md §10).
+    #: and fall back to "none" under "optimal" (DESIGN.md §10).
     reduction: str = "none"
     #: intra-run shards for this job's exploration (DESIGN.md §15).
     #: Suite workers are daemonic pool processes, so a shards > 1 job
@@ -414,16 +414,14 @@ def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
 
     The obligations quantify over every reachable transition, so only
     the configuration-identical ``"sleep"`` reduction is admissible;
-    ``"dpor"`` and ``"optimal"`` fall back to the unreduced search
+    ``"optimal"`` falls back to the unreduced search
     (DESIGN.md §10 — the CLI prints the fallback note once, this keeps
     workers consistent with it).
     """
     from repro.verify.registry import PROOFS
 
     entry = PROOFS.get(job.name)
-    reduction = (
-        "none" if job.reduction in ("dpor", "optimal") else job.reduction
-    )
+    reduction = "none" if job.reduction == "optimal" else job.reduction
     report = entry.check(
         job.model, strategy=job.strategy, reduction=reduction,
         max_configs=job.max_configs,

@@ -1,7 +1,7 @@
 """Partial-order reduction for the exploration engine (DESIGN.md §9, §13).
 
 The engine consults this package before expanding a configuration.
-Four reduction tiers, selected by ``explore(..., reduction=...)`` and
+Three reduction tiers, selected by ``explore(..., reduction=...)`` and
 ``--reduction`` on the ``run`` / ``suite`` / ``fuzz`` / ``verify`` CLI:
 
 ``"none"``
@@ -11,17 +11,13 @@ Four reduction tiers, selected by ``explore(..., reduction=...)`` and
     Sleep-set pruning (:mod:`.sleep`): visits every configuration the
     full search visits (hook-safe for *any* ``check_config`` property)
     but skips commutation-redundant transitions.
-``"dpor"``
-    Stateful source-set DPOR (:mod:`.dpor`): race detection with vector
-    clocks, backtrack-point insertion, sleep sets, and sound state
-    pruning — visits a subset of the configurations while preserving
-    terminal outcome sets, control-observable violation verdicts and
-    truncation flags.
 ``"optimal"``
     Parsimonious race-reversal DPOR (:mod:`.optimal`, DESIGN.md §13):
-    races are scheduled as minimal reversing *views* and replayed by
-    guided descent instead of single-initial backtracking — no wakeup
-    trees.
+    race detection with vector clocks, races scheduled as minimal
+    reversing *views* and replayed by guided descent, sleep sets, and
+    sound state pruning — visits a subset of the configurations while
+    preserving terminal outcome sets, control-observable violation
+    verdicts and truncation flags.
 
 The dependency relation the reductions share lives in :mod:`.deps`;
 the per-model location footprints come from
@@ -40,18 +36,15 @@ from repro.engine.por.deps import (
     conflicts,
     step_footprint,
 )
-from repro.engine.por.dpor import explore_dpor
 from repro.engine.por.optimal import explore_optimal
 from repro.engine.por.sleep import explore_sleep
 
 
 def explore_reduced(program, init_values, model, reduction, **kwargs):
     """Dispatch a reduced exploration (``reduction`` in
-    ``"sleep"``/``"dpor"``/``"optimal"``)."""
+    ``"sleep"``/``"optimal"``)."""
     if reduction == "sleep":
         return explore_sleep(program, init_values, model, **kwargs)
-    if reduction == "dpor":
-        return explore_dpor(program, init_values, model, **kwargs)
     if reduction == "optimal":
         return explore_optimal(program, init_values, model, **kwargs)
     raise ValueError(
@@ -64,7 +57,6 @@ __all__ = [
     "RaceWitness",
     "StepFootprint",
     "conflicts",
-    "explore_dpor",
     "explore_optimal",
     "explore_reduced",
     "explore_sleep",

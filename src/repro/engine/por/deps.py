@@ -37,7 +37,7 @@ from typing import FrozenSet, NamedTuple, Tuple
 from repro.lang.actions import Var
 
 #: Reduction modes accepted by ``explore(reduction=...)`` and the CLI.
-REDUCTIONS = ("none", "sleep", "dpor", "optimal")
+REDUCTIONS = ("none", "sleep", "optimal")
 
 
 class RaceWitness(NamedTuple):

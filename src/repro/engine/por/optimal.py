@@ -1,41 +1,60 @@
 """Parsimonious race-reversal DPOR (``"optimal"``, DESIGN.md §13).
 
-The ``"dpor"`` tier (:mod:`.dpor`) schedules each detected race by
-inserting a *single initial* of the reversing witness into an
-ancestor's backtrack set; from there the reversal is re-discovered step
-by step, with every fresh node seeding an arbitrary awake thread and
-relying on sleep sets and the visited store to cut the wandering short.
-This tier follows "Parsimonious Optimal Dynamic Partial Order
-Reduction" (Jonsson et al., arXiv 2405.11128) instead: a race is
-scheduled as its full minimal reversing sequence — a *view* — and the
-re-exploration *descends the view*, executing exactly the witness steps
-in order until the reversal is realised.  Intermediate nodes explore
-only the guided direction (plus whatever later races insert at them),
-so the detour between reversal and rejoining the visited state space is
-as short as the witness itself — the effect wakeup trees buy in
-classical optimal DPOR, without maintaining trees:
+A depth-first, thread-granular dynamic partial-order reduction: each
+thread has exactly one pending step, so choosing a thread chooses its
+step and only the memory model branches below it.  It follows
+"Parsimonious Optimal Dynamic Partial Order Reduction" (Jonsson et al.,
+arXiv 2405.11128): a race is scheduled as its full minimal reversing
+sequence — a *view* — and the re-exploration *descends the view*,
+executing exactly the witness steps in order until the reversal is
+realised.  Intermediate nodes explore only the guided direction (plus
+whatever later races insert at them), so the detour between reversal
+and rejoining the visited state space is as short as the witness
+itself — the effect wakeup trees buy in classical optimal DPOR, without
+maintaining trees.
 
+* **Race detection** — every executed step carries a vector clock (the
+  join of its thread's history with the clocks of the conflicting
+  accesses it extends).  On *entering* a configuration, the pending
+  step of **every** thread — picked for exploration or not — is
+  compared against the *last* conflicting accesses on the current path
+  (last write per location read, last write plus per-thread last reads
+  per location written, last visible step when control visibility is
+  on); any such access not already happens-before the thread is a race.
 * **Views, not wakeup trees** — a view is an ordinary tuple of thread
   ids (:class:`~repro.engine.por.deps.RaceWitness`), dead after one
   descent.  Wakeup trees exist to *persist* minimal sequences across
   sleep-set blocking inside a stateless search; here the stateful
-  visited store (canonical keys × sleep-set antichains, inherited from
-  :mod:`.dpor`) already remembers every explored subtree, so a blocked
-  view can simply be dropped — its trace is covered — and nothing needs
-  grafting (DESIGN.md §13).
+  visited store (canonical keys × sleep-set antichains) already
+  remembers every explored subtree, so a blocked view can simply be
+  dropped — its trace is covered — and nothing needs grafting
+  (DESIGN.md §13).
 * **At most one scheduled view per head** — a view is only inserted
   when no initial of its witness is already among the node's done,
-  active or scheduled heads (the same source-set skip rule as
-  ``"dpor"``), so ``pending`` holds at most one view per thread and
-  cannot grow beyond the thread count.
+  active or scheduled heads (the source-set skip rule of Abdulla et
+  al.), so ``pending`` holds at most one view per thread and cannot
+  grow beyond the thread count.
+* **Sleep sets** — a fully explored thread sleeps for its later
+  siblings and wakes on the first conflicting step, so no Mazurkiewicz
+  trace is explored twice.
 
-Race detection (vector clocks at node entry), sleep-set inheritance
-with conflict wake, the visited-prune access-summary compensation and
-the cycle fallback are shared with :mod:`.dpor` — see its module
-docstring for those invariants.  What the reduction preserves is the
-same contract, enforced by the same parity tests and fuzz oracle:
-terminal outcome sets, control-observable violation verdicts,
-truncation flags; only ``configs`` may shrink.
+Unlike classical stateless DPOR this search is *stateful*: a
+configuration re-reached with a sleep set that includes a recorded one
+is pruned (the same inclusion discipline as :mod:`.sleep`).  Pruning
+against a previously explored subtree can hide races between that
+subtree's steps and the *current* path, so every such hit is
+compensated with the subtree's recorded access summary: each spine node
+whose step may race with the subtree is fully expanded (every enabled
+thread scheduled, sleep set cleared).  When the pruned subtree is still
+on the spine (a cycle) its summary is incomplete, and the whole spine
+is expanded instead.
+
+What the reduction preserves (and tests/fuzzing enforce): terminal
+configurations and their outcome sets, violation verdicts of
+``check_config`` hooks over control observables (visibility makes
+pc-changing steps pairwise dependent), the truncation flags; only
+``configs`` may shrink.  Memory-reading per-state hooks need the
+``"sleep"`` tier or no reduction (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -63,7 +82,6 @@ from repro.engine.core import (
 )
 from repro.engine.keys import KEY_CACHE
 from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
-from repro.engine.por.dpor import _candidates
 
 Clock = Dict[int, int]  # tid -> highest path index happens-before
 
@@ -126,13 +144,34 @@ class _Node:
 
     def expand_fully(self) -> None:
         """Conservative fallback: schedule every enabled thread and wake
-        the sleepers (the whole-node analogue of ``backtrack :=
-        enabled; sleep := ∅`` in :mod:`.dpor`)."""
+        the sleepers (``backtrack := enabled; sleep := ∅``)."""
         self.sleep.clear()
         heads = self.scheduled_heads()
         for t in self.enabled:
             if t not in heads:
                 self.pending.append((t,))
+
+
+def _candidates(
+    last_write: Dict[str, Tuple[int, int]],
+    last_reads: Dict[str, Dict[int, int]],
+    last_visible: Optional[Tuple[int, int]],
+    tid: int,
+    fp: StepFootprint,
+) -> Set[Tuple[int, int]]:
+    """Last conflicting accesses on the path, as ``(index, tid)`` pairs."""
+    out: Set[Tuple[int, int]] = set()
+    for var in fp.reads | fp.writes:
+        last = last_write.get(var)
+        if last is not None and last[1] != tid:
+            out.add(last)
+    for var in fp.writes:
+        for reader, idx in last_reads.get(var, {}).items():
+            if reader != tid:
+                out.add((idx, reader))
+    if fp.visible and last_visible is not None and last_visible[1] != tid:
+        out.add(last_visible)
+    return out
 
 
 def explore_optimal(
@@ -238,7 +277,7 @@ def explore_optimal(
         re-detects the residual race deeper) and nothing is inserted —
         this is what bounds ``pending`` to one view per head.  When the
         view's head is asleep, guidance is abandoned for a plain awake
-        initial exactly as ``"dpor"`` would insert one.
+        initial of the witness.
         """
         target = stack[idx]
         raced_tid = edges[idx][0]
@@ -300,7 +339,9 @@ def explore_optimal(
                 enabled.append(tid)
         # Race analysis at node entry, for *every* pending step — picked
         # or not: a thread this branch never runs must still get its
-        # reversals scheduled at the ancestors (see .dpor).
+        # reversals scheduled at the ancestors.  Bound-blocked steps are
+        # analysed too; they are enabled at every ancestor (event counts
+        # only grow along a path).
         for tid in sorted(steps):
             fp = fps[tid]
             cand = _candidates(last_write, last_reads, last_visible, tid, fp)
@@ -318,7 +359,7 @@ def explore_optimal(
         # reversing view; a guide blocked by the bound falls back to
         # full expansion (every enabled thread), a guide blocked by
         # sleep is covered and degrades to the plain one-awake-thread
-        # seed of .dpor.  Fresh unguided nodes seed one awake thread.
+        # seed.  Fresh unguided nodes seed one awake thread.
         pending: List[View] = []
         if guide:
             head = guide[0]
@@ -473,14 +514,18 @@ def explore_optimal(
                     tr.prune(run, "visited", step.target.program)
                 # Pruning against an explored subtree can hide races
                 # between *its* steps and the current path.  Compensate
-                # with the subtree's recorded access summary, exactly
-                # as in .dpor (see there for the cycle fallback).
+                # with the subtree's recorded access summary.  A
+                # terminal child has no subtree, hence no hidden races.
                 node.sub_reads |= fp.reads
                 node.sub_writes |= fp.writes
                 node.sub_visible = node.sub_visible or fp.visible
                 summary = summaries.get(child_key)
                 if not step.target.is_terminated():
                     if on_stack.get(child_key) or summary is None or summary[3]:
+                        # A cycle (or a summary poisoned by one): the
+                        # pruned subtree is still being explored and its
+                        # summary is incomplete — expand the whole spine
+                        # and poison everything inside the cycle.
                         cut = max(
                             i for i, m in enumerate(stack) if m.key == child_key
                         ) if on_stack.get(child_key) else -1

@@ -82,8 +82,9 @@ from repro.engine.keys import KEY_CACHE, key_digest, shard_of, stable_encode
 from repro.engine.stats import EngineStats
 
 #: Reductions the sharded search supports: the two whose traversals the
-#: superstep replay reproduces exactly.  The DPOR tiers are inherently
-#: depth-first with global backtrack state — out of scope by design.
+#: superstep replay reproduces exactly.  The ``"optimal"`` DPOR tier is
+#: inherently depth-first with global backtrack state — out of scope by
+#: design.
 SHARDABLE_REDUCTIONS = ("none", "sleep")
 
 #: supervision policy: how many times a round of worker deaths is
@@ -1200,7 +1201,7 @@ def explore_sharded(
     if reduction not in SHARDABLE_REDUCTIONS:
         raise ValueError(
             f"reduction {reduction!r} is not shardable; choose from "
-            f"{SHARDABLE_REDUCTIONS} (the DPOR tiers are depth-first with "
+            f"{SHARDABLE_REDUCTIONS} (the DPOR tier is depth-first with "
             "global backtrack state)"
         )
     if not canonicalize:

@@ -21,7 +21,7 @@ class EngineStats:
 
     strategy: str = "bfs"
     #: Which partial-order reduction ran
-    #: ("none" | "sleep" | "dpor" | "optimal").
+    #: ("none" | "sleep" | "optimal").
     reduction: str = "none"
     #: Largest number of configurations ever waiting in the frontier
     #: (for the DPOR depth-first traversal: the peak spine depth).

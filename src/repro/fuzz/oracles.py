@@ -26,7 +26,7 @@ are opt-in):
    worker (once per campaign when ``jobs=1``).
 
 4. **POR parity** — re-explore the program under RA with the selected
-   partial-order reduction (``"dpor"`` by default, DESIGN.md §9) and
+   partial-order reduction (``"optimal"`` by default, DESIGN.md §9) and
    require the reduced search to be outcome-identical to the full one:
    same terminal outcome set, same truncation flag, and a visited-
    configuration count that can only shrink.  This is the continuous
@@ -197,7 +197,7 @@ def check_program(
     axiomatic: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
     models: Optional[Dict[str, Callable[[], MemoryModel]]] = None,
-    reduction: str = "dpor",
+    reduction: str = "optimal",
     check_orders: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
@@ -206,9 +206,7 @@ def check_program(
 
     ``reduction`` selects which partial-order reduction the POR-parity
     oracle cross-validates against the full search (``"none"`` disables
-    the oracle); ``"optimal"`` additionally replays ``"dpor"``, so the
-    parsimonious explorer (DESIGN.md §13) is diffed against both the
-    unreduced search *and* the source-set baseline in one run.
+    the oracle).
     ``check_orders`` additionally replays the compact derived-order
     self-check over every distinct RA-reachable state (DESIGN.md §11).
     ``check_shards`` re-runs the RA exploration hash-partitioned across
@@ -294,11 +292,7 @@ def check_program(
     if check_orders:
         from repro.c11.compact import derived_order_divergences
 
-        checked = 0
         for state in ra_states:
-            if getattr(state, "compact", None) is None:
-                continue  # no compact form: nothing to cross-check
-            checked += 1
             problems = derived_order_divergences(state)
             if problems:
                 report.divergence = "orders"
@@ -307,16 +301,6 @@ def check_program(
                     "closures: " + "; ".join(problems[:3])
                 )
                 return report
-        if checked == 0 and ra_states:
-            # No state carried the compact representation (REPRO_NO_COMPACT
-            # set?): the oracle verified nothing, which must not read as a
-            # green run — same vacuity discipline as the CLI campaign guard.
-            report.inconclusive = True
-            report.detail = (
-                "orders oracle vacuous: no explored state carries the "
-                "compact representation (is REPRO_NO_COMPACT set?)"
-            )
-            return report
 
     # 3. axiomatic equivalence on tiny footprints
     if axiomatic:
@@ -330,77 +314,71 @@ def check_program(
                 return report
 
     # 4. POR parity: the reduced search must be outcome-identical.
-    # "optimal" replays "dpor" too — both tiers are diffed against the
-    # full search (and hence transitively against each other).
     if reduction != "none":
-        tiers = [reduction]
-        if reduction == "optimal":
-            tiers.insert(0, "dpor")
-        for tier in tiers:
-            label = f"reduction={tier}"
-            try:
-                reduced = explore(
-                    case.program, case.init, models["ra"](),
-                    max_events=max_events, max_configs=max_configs,
-                    reduction=tier,
-                )
-            except Exception as exc:  # noqa: BLE001 — a crash IS a finding
-                report.divergence = "crash"
-                report.detail = (
-                    f"ra exploration under {label} raised "
-                    f"{type(exc).__name__}: {exc}"
-                )
-                return report
-            report.configs += reduced.configs
-            report.transitions += reduced.transitions
-            report.key_hits += reduced.stats.key_hits
-            report.key_misses += reduced.stats.key_misses
-            report.time_orders += reduced.stats.time_orders
-            report.time_expand += reduced.stats.time_expand
-            report.time_model += reduced.stats.time_model
-            report.expanded += reduced.stats.expanded
-            report.pruned += reduced.stats.pruned
-            report.sleep_hits += reduced.stats.sleep_hits
-            report.races += reduced.stats.races
-            report.revisits += reduced.stats.revisits
-            if reduced.stats.peak_frontier > report.peak_frontier:
-                report.peak_frontier = reduced.stats.peak_frontier
-            if reduced.capped:
-                # The reduced search hit the safety cap: its outcome set
-                # is incomplete, so neither green nor a divergence
-                # verdict would be honest.
-                report.inconclusive = True
-                report.detail = (
-                    f"{label}: exploration hit the config cap; no verdict"
-                )
-                return report
-            reduced_outcomes = _outcome_set(reduced.terminal)
-            if reduced_outcomes != report.outcomes["ra"]:
-                missing = report.outcomes["ra"] - reduced_outcomes
-                extra = reduced_outcomes - report.outcomes["ra"]
-                witness = _format_outcome(sorted(missing or extra)[0])
-                report.divergence = "por-parity"
-                report.detail = (
-                    f"{label}: outcome {witness} "
-                    f"{'lost' if missing else 'invented'} by the reduced "
-                    f"search ({len(missing)} missing, {len(extra)} extra)"
-                )
-                return report
-            if reduced.truncated != ra_full.truncated:
-                report.divergence = "por-parity"
-                report.detail = (
-                    f"{label}: truncation flag diverged "
-                    f"({reduced.truncated} vs {ra_full.truncated})"
-                )
-                return report
-            if reduced.configs > ra_full.configs:
-                report.divergence = "por-parity"
-                report.detail = (
-                    f"{label}: visited {reduced.configs} distinct "
-                    f"configurations, more than the full search's "
-                    f"{ra_full.configs}"
-                )
-                return report
+        label = f"reduction={reduction}"
+        try:
+            reduced = explore(
+                case.program, case.init, models["ra"](),
+                max_events=max_events, max_configs=max_configs,
+                reduction=reduction,
+            )
+        except Exception as exc:  # noqa: BLE001 — a crash IS a finding
+            report.divergence = "crash"
+            report.detail = (
+                f"ra exploration under {label} raised "
+                f"{type(exc).__name__}: {exc}"
+            )
+            return report
+        report.configs += reduced.configs
+        report.transitions += reduced.transitions
+        report.key_hits += reduced.stats.key_hits
+        report.key_misses += reduced.stats.key_misses
+        report.time_orders += reduced.stats.time_orders
+        report.time_expand += reduced.stats.time_expand
+        report.time_model += reduced.stats.time_model
+        report.expanded += reduced.stats.expanded
+        report.pruned += reduced.stats.pruned
+        report.sleep_hits += reduced.stats.sleep_hits
+        report.races += reduced.stats.races
+        report.revisits += reduced.stats.revisits
+        if reduced.stats.peak_frontier > report.peak_frontier:
+            report.peak_frontier = reduced.stats.peak_frontier
+        if reduced.capped:
+            # The reduced search hit the safety cap: its outcome set
+            # is incomplete, so neither green nor a divergence
+            # verdict would be honest.
+            report.inconclusive = True
+            report.detail = (
+                f"{label}: exploration hit the config cap; no verdict"
+            )
+            return report
+        reduced_outcomes = _outcome_set(reduced.terminal)
+        if reduced_outcomes != report.outcomes["ra"]:
+            missing = report.outcomes["ra"] - reduced_outcomes
+            extra = reduced_outcomes - report.outcomes["ra"]
+            witness = _format_outcome(sorted(missing or extra)[0])
+            report.divergence = "por-parity"
+            report.detail = (
+                f"{label}: outcome {witness} "
+                f"{'lost' if missing else 'invented'} by the reduced "
+                f"search ({len(missing)} missing, {len(extra)} extra)"
+            )
+            return report
+        if reduced.truncated != ra_full.truncated:
+            report.divergence = "por-parity"
+            report.detail = (
+                f"{label}: truncation flag diverged "
+                f"({reduced.truncated} vs {ra_full.truncated})"
+            )
+            return report
+        if reduced.configs > ra_full.configs:
+            report.divergence = "por-parity"
+            report.detail = (
+                f"{label}: visited {reduced.configs} distinct "
+                f"configurations, more than the full search's "
+                f"{ra_full.configs}"
+            )
+            return report
 
     # 5. shard parity: the hash-partitioned search must be *exactly*
     # identical to the single-process one — same outcome set, same

@@ -35,9 +35,8 @@ class FuzzJob:
     axiomatic: bool = True
     shrink: bool = True
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS
-    #: reduction the POR-parity oracle checks ("none" disables it;
-    #: "optimal" also replays "dpor" — DESIGN.md §13)
-    reduction: str = "dpor"
+    #: reduction the POR-parity oracle checks ("none" disables it)
+    reduction: str = "optimal"
     #: cross-check compact vs definitional derived orders per state
     #: (the "orders" oracle, DESIGN.md §11)
     check_orders: bool = False
@@ -257,7 +256,7 @@ def fuzz_jobs(
     axiomatic: bool = True,
     shrink: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
-    reduction: str = "dpor",
+    reduction: str = "optimal",
     check_orders: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
@@ -301,7 +300,7 @@ def run_campaign(
     axiomatic: bool = True,
     shrink: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
-    reduction: str = "dpor",
+    reduction: str = "optimal",
     check_orders: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,

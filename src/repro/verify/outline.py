@@ -26,7 +26,7 @@ Outline checking is the core of the verification workbench
 :mod:`repro.verify.registry` each pair a program with an outline built
 here, and :meth:`ProofOutline.check` accepts the engine's ``strategy``
 and ``reduction`` knobs — ``"sleep"`` is configuration-identical and
-therefore verdict-preserving for the obligations; ``"dpor"`` prunes
+therefore verdict-preserving for the obligations; ``"optimal"`` prunes
 configurations outright and is rejected (the CLI falls back to
 ``"none"`` and says so).
 """
@@ -164,7 +164,7 @@ class ProofOutline:
         configurations the full search visits, so the proved/failed
         verdict is reduction-independent (obligation counts are not —
         pruned commutation-redundant transitions are simply not
-        re-checked).  ``"dpor"`` prunes configurations, i.e. the very
+        re-checked).  ``"optimal"`` prunes configurations, i.e. the very
         domain the obligations quantify over, and raises ``ValueError``
         here; callers wanting DPOR speed must fall back to ``"none"``
         (see ``python -m repro verify`` and DESIGN.md §10).

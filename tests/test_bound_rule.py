@@ -32,7 +32,7 @@ from repro.litmus.registry import final_values
 from repro.litmus.suite import ALL_TESTS
 
 MODELS = {"sc": SCMemoryModel, "ra": RAMemoryModel, "sra": SRAMemoryModel}
-TIERS = ("sleep", "dpor", "optimal")
+TIERS = ("sleep", "optimal")
 
 
 def _subjects():

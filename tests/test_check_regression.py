@@ -19,7 +19,7 @@ _SPEC.loader.exec_module(check_regression)
 
 
 def _document(tmp_path, name, peak_kib):
-    case = {"configs": 100, "states_per_sec": 1000.0, "speedup": 3.0}
+    case = {"configs": 100, "states_per_sec": 1000.0}
     if peak_kib is not None:
         case["peak_kib"] = peak_kib
     path = tmp_path / name

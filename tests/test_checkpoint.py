@@ -328,7 +328,7 @@ def test_checkpoint_validates_its_surface():
     with pytest.raises(ValueError, match="checkpoint_every"):
         run_explore(checkpoint="x.ckpt", checkpoint_every=0)
     with pytest.raises(ValueError, match="checkpoint/resume"):
-        run_explore(checkpoint="x.ckpt", reduction="dpor")
+        run_explore(checkpoint="x.ckpt", reduction="optimal")
     with pytest.raises(ValueError, match="checkpoint/resume"):
         run_explore(checkpoint="x.ckpt", strategy="iddfs")
     with pytest.raises(ValueError, match="checkpoint/resume"):

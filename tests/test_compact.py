@@ -8,9 +8,8 @@ definitional relation algebra recomputed from scratch.  The comparison
 itself lives in :func:`repro.c11.compact.derived_order_divergences`
 (shared with the ``repro fuzz --check-orders`` oracle); these tests
 drive it over fuzz-generated programs under every event-based model,
-and pin the engine-level guarantees (exploration parity with the
-compact representation disabled, propagated canonical keys, O(1) tag
-lookups) separately.
+and pin the engine-level guarantees (propagated canonical keys, O(1)
+tag lookups) separately.
 """
 
 import pytest
@@ -29,7 +28,6 @@ from repro.interp.sra_model import SRAMemoryModel, sra_consistent
 from repro.lang.actions import rd, rda, upd, wr, wrr
 from repro.lang.builder import assign, seq, var
 from repro.lang.program import Program
-from repro.litmus.registry import final_values
 
 
 # ----------------------------------------------------------------------
@@ -85,41 +83,6 @@ def test_pe_prestate_sequences_match_relations(index):
         assert state.next_tag() == clone.next_tag()
         for e in state.events:
             assert state.event_by_tag(e.tag) is e
-
-
-# ----------------------------------------------------------------------
-# Exploration parity: compact on vs off must be byte-identical
-# ----------------------------------------------------------------------
-
-
-def _outcomes(result):
-    return frozenset(
-        tuple(sorted(final_values(c).items())) for c in result.terminal
-    )
-
-
-@pytest.mark.parametrize("reduction", ["none", "sleep", "dpor"])
-@pytest.mark.parametrize("model_factory", [RAMemoryModel, SRAMemoryModel],
-                         ids=["ra", "sra"])
-def test_exploration_parity_with_compact_disabled(
-    monkeypatch, model_factory, reduction
-):
-    """REPRO_NO_COMPACT explorations agree configuration-for-
-    configuration with the compact representation — the A/B behind the
-    E12 speedup claim is a pure representation change."""
-    from repro.litmus.suite import ALL_TESTS
-
-    test = next(t for t in ALL_TESTS if t.name == "SB")
-    program, init = test.program, test.init
-
-    fast = explore(program, init, model_factory(), reduction=reduction)
-    monkeypatch.setenv("REPRO_NO_COMPACT", "1")
-    slow = explore(program, init, model_factory(), reduction=reduction)
-
-    assert fast.configs == slow.configs
-    assert fast.transitions == slow.transitions
-    assert _outcomes(fast) == _outcomes(slow)
-    assert fast.truncated == slow.truncated
 
 
 def test_compact_and_relational_states_share_canonical_keys():

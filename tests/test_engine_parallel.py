@@ -225,7 +225,7 @@ def test_reduction_jobs_verdict_parity():
         [
             run_suite_job(
                 SuiteJob(kind="litmus", name=j.name, model=j.model,
-                         strategy=j.strategy, reduction="dpor")
+                         strategy=j.strategy, reduction="optimal")
             )
             for j in _small_jobs()
         ],
@@ -237,7 +237,7 @@ def test_reduction_jobs_verdict_parity():
 
 
 def test_job_factories_carry_reduction():
-    assert all(j.reduction == "dpor" for j in litmus_jobs(reduction="dpor"))
+    assert all(j.reduction == "optimal" for j in litmus_jobs(reduction="optimal"))
     assert all(
         j.reduction == "sleep" for j in case_study_jobs(reduction="sleep")
     )
@@ -248,7 +248,7 @@ def test_case_study_jobs_verdict_parity_under_reduction():
     for name in CASE_STUDIES:
         plain = run_suite_job(SuiteJob(kind="case-study", name=name))
         reduced = run_suite_job(
-            SuiteJob(kind="case-study", name=name, reduction="dpor")
+            SuiteJob(kind="case-study", name=name, reduction="optimal")
         )
         assert reduced.observed == plain.observed
         assert reduced.verdict_matches and plain.verdict_matches
@@ -305,8 +305,8 @@ def test_aggregate_surfaces_reduction_counters():
     runner = ParallelRunner(jobs=1)
     results = runner.run(
         [
-            SuiteJob(kind="case-study", name="peterson", reduction="dpor"),
-            SuiteJob(kind="case-study", name="token-ring", reduction="dpor"),
+            SuiteJob(kind="case-study", name="peterson", reduction="optimal"),
+            SuiteJob(kind="case-study", name="token-ring", reduction="optimal"),
         ]
     )
     totals = runner.aggregate(results)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.por import REDUCTIONS
 from repro.interp.explore import explore, reachable_states
 from repro.interp.ra_model import RAMemoryModel
 from repro.interp.sc import SCMemoryModel
@@ -156,11 +157,10 @@ def test_config_violation_counterexample_unchanged():
         {},
         {"strategy": "dfs"},
         {"reduction": "sleep"},
-        {"reduction": "dpor"},
         {"reduction": "optimal"},
         {"shards": 2, "shard_processes": False},
     ],
-    ids=["bfs", "dfs", "sleep", "dpor", "optimal", "shards=2"],
+    ids=["bfs", "dfs", "sleep", "optimal", "shards=2"],
 )
 def test_parent_map_holds_threads_and_traces_replay(kwargs):
     """Every explorer records (parent key, tid) — never a step — and the
@@ -266,3 +266,28 @@ def test_representatives_collection():
         program, {"x": 0}, RAMemoryModel(), keep_representatives=True
     )
     assert len(result.representatives) == result.configs
+
+
+@pytest.mark.parametrize("path", ["plain", "checkpoint", "shards=2"])
+@pytest.mark.parametrize(
+    "reduction,strategy,match",
+    [("dpro", "bfs", "unknown reduction")]
+    + [(r, "bsf", "unknown search strategy") for r in REDUCTIONS],
+)
+def test_unknown_reduction_or_strategy_is_rejected_on_every_path(
+    tmp_path, path, reduction, strategy, match
+):
+    """``explore`` validates both knobs before it picks a search path,
+    so the checkpoint and sharded paths give the same error as the plain
+    one (rather than a path-specific one, or a run that records the
+    bogus strategy)."""
+    kwargs = {
+        "plain": {},
+        "checkpoint": {"checkpoint": str(tmp_path / "run.ckpt")},
+        "shards=2": {"shards": 2, "shard_processes": False},
+    }[path]
+    with pytest.raises(ValueError, match=match):
+        explore(
+            Program.parallel(assign("x", 1)), {"x": 0}, RAMemoryModel(),
+            reduction=reduction, strategy=strategy, **kwargs,
+        )

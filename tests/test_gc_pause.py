@@ -5,7 +5,7 @@ paused: a search allocates millions of long-lived objects, and every
 collection would re-scan them and free nothing.  The pause is safe only
 because a search creates no cyclic garbage — reference counting frees
 everything it discards.  This file pins that premise for every explorer
-(the unreduced loop, ``sleep``, ``dpor``, ``optimal``, the in-process
+(the unreduced loop, ``sleep``, ``optimal``, the in-process
 sharded search and a checkpointed run): the objects ``gc.collect()``
 frees after a search must not grow with the bound.  It also pins that
 the caller's collector setting survives every exit path — normal
@@ -35,7 +35,6 @@ SMALL, LARGE = 8, 12
 SEARCHES = {
     "none": {},
     "sleep": {"reduction": "sleep"},
-    "dpor": {"reduction": "dpor"},
     "optimal": {"reduction": "optimal"},
     "shards=2": {"shards": 2, "shard_processes": False},
     "checkpointed": {"checkpoint_every": 25},

@@ -102,7 +102,7 @@ def reference_mismatches(program, init, model, max_events=None, **explore_kwargs
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
-@pytest.mark.parametrize("reduction", ["none", "sleep", "dpor"])
+@pytest.mark.parametrize("reduction", ["none", "sleep", "optimal"])
 def test_litmus_registry_lowering_parity(model_name, reduction):
     """Every registry test, at every configuration the search under
     ``reduction`` reaches (the reduced searches step single threads
@@ -116,7 +116,7 @@ def test_litmus_registry_lowering_parity(model_name, reduction):
 
 
 @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
-@pytest.mark.parametrize("reduction", ["none", "dpor"])
+@pytest.mark.parametrize("reduction", ["none", "optimal"])
 def test_case_study_lowering_parity(name, reduction):
     program, init, check, bound = _case_study_setup(name)
     problems = reference_mismatches(

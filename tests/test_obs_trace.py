@@ -19,7 +19,7 @@ from repro.obs import trace
 from repro.obs.trace import PHASES, SCHEMA, SCHEMA_NAME, parse_trace, tracer
 
 
-def _explore_peterson(bound=8, reduction="dpor"):
+def _explore_peterson(bound=8, reduction="optimal"):
     return explore(
         peterson_program(once=True),
         PETERSON_INIT,
@@ -70,11 +70,11 @@ def test_disabled_tracing_emits_no_records(tmp_path):
 
 @pytest.fixture
 def traced_peterson(tmp_path):
-    """A traced Peterson bound-8 dpor exploration, mirror attached."""
+    """A traced Peterson bound-8 optimal exploration, mirror attached."""
     path = tmp_path / "trace.jsonl"
     tr = trace.enable(str(path), sample=1)  # keep every node/prune record
     tr.mirror = []
-    result = _explore_peterson(bound=8, reduction="dpor")
+    result = _explore_peterson(bound=8, reduction="optimal")
     trace.disable()
     return path, tr, result
 
@@ -111,13 +111,13 @@ def test_trace_structure_matches_exploration(traced_peterson):
     assert len(by_ev["run_end"]) == 1
     start, end = by_ev["run_start"][0], by_ev["run_end"][0]
     assert start["run"] == end["run"]
-    assert start["reduction"] == "dpor"
+    assert start["reduction"] == "optimal"
     assert start["bound"] == 8
     assert end["configs"] == result.configs
     assert end["transitions"] == result.transitions
     assert end["truncated"] == result.truncated
-    # dpor on Peterson detects races; each race record names the run
-    assert by_ev["race"], "expected race records under dpor"
+    # optimal on Peterson detects races; each race record names the run
+    assert by_ev["race"], "expected race records under optimal"
     assert all(r["run"] == start["run"] for r in by_ev["race"])
     # with sample=1 revisit-pruned candidates emit prune records
     prunes = by_ev.get("prune", [])
@@ -127,10 +127,10 @@ def test_trace_structure_matches_exploration(traced_peterson):
 
 def test_span_totals_agree_with_engine_stats_within_5pct(tmp_path):
     """The ISSUE acceptance check, as a unit test: traced Peterson
-    bound-12 dpor spans vs the EngineStats phase timers."""
+    bound-12 optimal spans vs the EngineStats phase timers."""
     path = tmp_path / "t12.jsonl"
     trace.enable(str(path))
-    result = _explore_peterson(bound=12, reduction="dpor")
+    result = _explore_peterson(bound=12, reduction="optimal")
     trace.disable()
     spans = {}
     for record in parse_trace(str(path)):

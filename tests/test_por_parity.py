@@ -3,8 +3,7 @@
 The subsystem's contract (DESIGN.md §9, §13), checked wholesale: the
 entire litmus registry under every model, every case study, and a slice
 of generated fuzz programs, each explored with every reduction tier —
-``"sleep"``, ``"dpor"`` and the parsimonious ``"optimal"`` — verdict
-for verdict, outcome set for outcome set, truncation flag for
+``"sleep"`` and the parsimonious ``"optimal"`` — verdict for verdict, outcome set for outcome set, truncation flag for
 truncation flag.  CI runs this file as the POR parity smoke job.
 """
 
@@ -25,7 +24,7 @@ MODELS = {"ra": RAMemoryModel, "sra": SRAMemoryModel, "sc": SCMemoryModel}
 REGISTRY = list(ALL_TESTS) + list(EXTRA_TESTS)
 
 #: Every reduction tier the engine ships.
-TIERS = ["sleep", "dpor", "optimal"]
+TIERS = ["sleep", "optimal"]
 
 
 def outcome_set(result):
@@ -100,7 +99,7 @@ def test_fuzz_oracle_reports_por_parity():
     """The campaign oracle itself runs the parity check and passes on a
     healthy engine."""
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(case, axiomatic=False, reduction="dpor")
+    report = check_program(case, axiomatic=False, reduction="optimal")
     assert report.ok, report.detail
     assert report.expanded > 0  # the parity run actually happened
 
@@ -120,25 +119,24 @@ def test_fuzz_oracle_catches_a_broken_reduction(monkeypatch):
 
     monkeypatch.setattr(por, "explore_reduced", broken)
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(case, axiomatic=False, reduction="dpor")
+    report = check_program(case, axiomatic=False, reduction="optimal")
     assert report.divergence == "por-parity"
     assert "lost" in report.detail
 
 
-def test_optimal_strictly_beats_dpor_on_peterson():
-    """The acceptance bar of DESIGN.md §13: the parsimonious explorer
-    visits strictly fewer configurations than source-set DPOR on
-    Peterson at bound 12 with identical outcomes."""
+def test_optimal_pins_peterson_at_bound_12():
+    """The parsimonious explorer's Peterson figure (DESIGN.md §13): 245
+    configurations at bound 12, with the unreduced search's outcomes."""
     from repro.casestudies.peterson import PETERSON_INIT, peterson_program
 
     results = {}
-    for reduction in ("none", "dpor", "optimal"):
+    for reduction in ("none", "optimal"):
         results[reduction] = explore(
             peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
             max_events=12, reduction=reduction,
         )
     assert outcome_set(results["optimal"]) == outcome_set(results["none"])
-    assert results["optimal"].configs < results["dpor"].configs
+    assert results["optimal"].configs == 245
 
 
 def test_fuzz_oracle_catches_a_broken_visited_key(monkeypatch):
@@ -173,13 +171,13 @@ def test_fuzz_oracle_reports_capped_reduced_run_inconclusive(monkeypatch):
 
     monkeypatch.setattr(por, "explore_reduced", capped)
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(case, axiomatic=False, reduction="dpor")
+    report = check_program(case, axiomatic=False, reduction="optimal")
     assert report.inconclusive
     assert report.divergence is None
     assert "config cap" in report.detail
 
 
-@pytest.mark.parametrize("reduction", ["none", "sleep", "dpor", "optimal"])
+@pytest.mark.parametrize("reduction", ["none", "sleep", "optimal"])
 def test_capped_run_sets_both_flags_on_every_explorer(reduction):
     """Satellite contract: every explorer sets ``truncated`` *and*
     ``capped`` on the max-configs exit path, so downstream consumers
@@ -197,7 +195,9 @@ def test_capped_run_sets_both_flags_on_every_explorer(reduction):
 
 def test_optimal_counterexample_replays_unreduced():
     """A violation found by the parsimonious explorer must replay as a
-    valid unreduced trace (same contract DPOR honours)."""
+    valid unreduced trace: every step of the counterexample is among
+    the successors the *unreduced* interpreter generates from its
+    source."""
     from repro.casestudies.peterson import (
         PETERSON_INIT,
         mutual_exclusion_violations,

@@ -48,10 +48,10 @@ def test_sleep_reduction_preserves_verdict_and_configs(name):
     assert reduced.transitions <= full.transitions
 
 
-def test_dpor_rejected_for_outline_checks():
+def test_optimal_rejected_for_outline_checks():
     entry = PROOFS.get("message-passing")
     with pytest.raises(ValueError, match="sleep"):
-        entry.check("ra", reduction="dpor")
+        entry.check("ra", reduction="optimal")
 
 
 # ----------------------------------------------------------------------

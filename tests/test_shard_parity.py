@@ -259,7 +259,7 @@ def test_canary_seam_agrees_with_ownership():
     [
         ({"shards": 0}, "shards"),
         ({"shards": 2, "strategy": "dfs"}, "breadth-first"),
-        ({"shards": 2, "reduction": "dpor"}, "reduction"),
+        ({"shards": 2, "reduction": "dpro"}, "reduction"),
         ({"shards": 2, "reduction": "optimal"}, "reduction"),
         ({"shards": 2, "canonicalize": False}, "canonical"),
     ],
