@@ -1,9 +1,8 @@
 """E11 — the verification workbench: registry sweep throughput.
 
 Discharges every registered (proof outline × model) pair (DESIGN.md
-§10) and reports obligations per second — the workbench's unit of work
-— plus the sleep-reduction effect on the discharge: identical
-configurations and verdicts, fewer transitions checked.  Recorded via
+§10) and reports obligations per second — the workbench's unit of
+work.  Recorded via
 ``--bench-json`` so the proof-sweep cost rides the same perf trajectory
 as E4/E8.
 """
@@ -17,18 +16,16 @@ from emit_json import engine_stats_payload
 from repro.verify.registry import PROOFS
 
 
-def _sweep(reduction: str):
+def _sweep():
     reports = []
     t0 = time.perf_counter()
     for entry, model in PROOFS.pairs():
-        reports.append(
-            (entry.name, model, entry.check(model, reduction=reduction))
-        )
+        reports.append((entry.name, model, entry.check(model)))
     return reports, time.perf_counter() - t0
 
 
 def test_registry_sweep_throughput(benchmark, bench_json):
-    reports, wall = once(benchmark, lambda: _sweep("none"))
+    reports, wall = once(benchmark, _sweep)
     obligations = sum(r.obligations_discharged for _, _, r in reports)
     rows = [
         f"{name:<22} [{model}] {report.row()}"
@@ -60,30 +57,3 @@ def test_registry_sweep_throughput(benchmark, bench_json):
         },
     )
 
-
-def test_sleep_reduction_discharge_parity(benchmark, bench_json):
-    """Sleep sets must keep every verdict and every configuration while
-    checking strictly fewer (or equal) transitions."""
-    full, _ = _sweep("none")
-    reduced, wall = once(benchmark, lambda: _sweep("sleep"))
-    rows = []
-    saved = 0
-    for (name, model, f), (_, _, r) in zip(full, reduced):
-        assert (f.proved, f.configs) == (r.proved, r.configs), (name, model)
-        assert r.transitions <= f.transitions
-        saved += f.transitions - r.transitions
-        rows.append(
-            f"{name:<22} [{model}] transitions {f.transitions} -> "
-            f"{r.transitions}"
-        )
-    rows.append(f"total transitions avoided: {saved}")
-    table("E11: discharge under sleep sets (config-identical)", rows)
-    bench_json.record(
-        "e11_sleep_parity",
-        {
-            "pairs": len(full),
-            "transitions_full": sum(f.transitions for _, _, f in full),
-            "transitions_sleep": sum(r.transitions for _, _, r in reduced),
-            "wall_s": wall,
-        },
-    )

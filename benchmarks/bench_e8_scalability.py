@@ -82,7 +82,7 @@ def test_reduction_series(benchmark, bench_json):
         for bound in (6, 8, 10, 12):
             per_bound = {"bound": bound}
             outcome_sets = {}
-            for reduction in ("none", "sleep", "optimal"):
+            for reduction in ("none", "optimal"):
                 result = explore(
                     peterson_program(once=True),
                     PETERSON_INIT,
@@ -117,7 +117,6 @@ def test_reduction_series(benchmark, bench_json):
     rows = [
         f"bound={s['bound']:>2}  none: configs={s['none']['configs']:>6} "
         f"{s['none']['time_s'] * 1e3:7.1f}ms   "
-        f"sleep: transitions={s['sleep']['transitions']:>6}   "
         f"optimal: configs={s['optimal']['configs']:>6} "
         f"{s['optimal']['time_s'] * 1e3:7.1f}ms  "
         f"({s['optimal_config_ratio']:4.2f}x)"

@@ -9,12 +9,10 @@ Walks the full `repro verify` flow in library form (DESIGN.md §10):
    (``r_t =_t 0``), the lock word held at 1 — and discharge every
    initialisation + preservation obligation over the bounded state
    space;
-3. re-discharge under the sleep-set reduction: identical
-   configurations, fewer transitions checked, same verdict;
-4. refute the non-atomic mutant (read-then-write instead of an
+3. refute the non-atomic mutant (read-then-write instead of an
    exchange): the workbench localises the failure to the offending
    transition, pc vectors included;
-5. check the same scenario through the registry, exactly as
+4. check the same scenario through the registry, exactly as
    ``python -m repro verify spinlock-tas`` does.
 
 Run:  python examples/spinlock_proof.py
@@ -49,17 +47,6 @@ def main() -> None:
     print(f"proof outline over bound {BOUND}:")
     show(report)
     assert report.proved
-
-    # -- under the sleep reduction: same verdict, less work -----------
-    reduced = outline.check(
-        program, SPINLOCK_INIT, max_events=BOUND, reduction="sleep"
-    )
-    assert (reduced.proved, reduced.configs) == (report.proved, report.configs)
-    print(
-        f"\nsleep reduction: configs {report.configs} = {reduced.configs}, "
-        f"transitions {report.transitions} -> {reduced.transitions} "
-        "(same verdict, fewer obligations re-checked)"
-    )
 
     # -- the refutation canary ----------------------------------------
     print("\nmutant: exchange replaced by read-then-write (not atomic):")

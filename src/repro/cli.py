@@ -55,12 +55,10 @@ Commands
     named case study per-obligation; ``verify --all`` sweeps every
     registered (outline × model) pair through the parallel runner;
     ``verify --file F.litmus --outline SPEC.py`` checks an ad-hoc
-    program against an outline built in a Python spec file.
-    ``--reduction sleep`` is verdict-preserving (sleep sets visit every
-    configuration); ``optimal`` prunes configurations — the
-    very domain the obligations quantify over — so the workbench falls
-    back to the unreduced search and says so.  Exit code 1 iff any
-    obligation failed.
+    program against an outline built in a Python spec file.  There is
+    no ``--reduction``: a reduction prunes the very transitions the
+    obligations quantify over, so discharge always runs the unreduced
+    search.  Exit code 1 iff any obligation failed.
 """
 
 from __future__ import annotations
@@ -212,31 +210,29 @@ def _profile_lines(configs: int, stats) -> List[str]:
 
 
 def _check_shards(args: argparse.Namespace) -> None:
-    """Fail sharding misconfigurations up front with CLI-shaped errors
+    """Fail suite sharding misconfigurations before any job is queued
     (explore() raises the same constraints as ValueErrors)."""
-    shards = getattr(args, "shards", 1)
-    if shards < 1:
+    if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
-    if shards > 1:
-        if getattr(args, "strategy", "bfs") != "bfs":
+    if args.shards > 1:
+        if args.strategy != "bfs":
             raise SystemExit(
                 "--shards requires --strategy bfs (the superstep "
                 "schedule is level-synchronous — DESIGN.md §15)"
             )
-        if args.reduction not in ("none", "sleep"):
+        if args.reduction != "none":
             raise SystemExit(
-                f"--shards supports --reduction none or sleep, not "
+                f"--shards supports --reduction none only, not "
                 f"{args.reduction!r} (optimal carries cross-state "
                 "scheduling state that does not partition — DESIGN.md §15)"
             )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.engine.checkpoint import CheckpointError
     from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
     from repro.lang.parser import run_parsed_litmus
 
-    _check_shards(args)
-    parsed = _load(args.file)
     model = _model(args.model)
     if args.inject_faults:
         try:
@@ -244,12 +240,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise SystemExit(f"--inject-faults: {exc}")
     try:
+        parsed = _load(args.file)
         reachable, result = run_parsed_litmus(
             parsed, model=model, max_events=args.max_events,
             strategy=args.strategy, reduction=args.reduction,
             shards=args.shards, checkpoint=args.checkpoint,
             checkpoint_every=args.checkpoint_every, resume=args.resume,
         )
+    except (ValueError, CheckpointError, FileNotFoundError) as exc:
+        # a bad flag combination, bound, snapshot or path: one line,
+        # argparse's usage-error status
+        print(f"repro run: error: {exc}", file=sys.stderr)
+        return 2
     except FaultInterrupt as exc:
         where = exc.checkpoint or "none written"
         print(f"fault injection stopped the run: {exc}")
@@ -496,25 +498,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _verify_reduction(args: argparse.Namespace) -> str:
-    """Resolve ``--reduction`` for obligation discharge.
-
-    Sleep sets visit every configuration the full search visits, so the
-    proof verdict is reduction-independent under ``sleep``.  The
-    parsimonious DPOR tier prunes configurations — the domain the
-    obligations quantify over — so it cannot discharge them; fall back
-    loudly (DESIGN.md §10).
-    """
-    if args.reduction == "optimal":
-        print(
-            f"note: {args.reduction} prunes configurations, which proof "
-            "obligations quantify over; falling back to --reduction none "
-            "(sleep is the verdict-preserving tier — DESIGN.md §10)"
-        )
-        return "none"
-    return args.reduction
-
-
 def _print_outline_report(label: str, outline, report) -> None:
     """The per-obligation report: one line per named assertion."""
     print(label)
@@ -540,11 +523,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         return 0
 
-    reduction = _verify_reduction(args)
     if args.file:
-        return _verify_file(args, reduction)
+        return _verify_file(args)
     if args.all:
-        return _verify_all(args, reduction)
+        return _verify_all(args)
     if not args.names:
         raise SystemExit(
             "verify needs case-study names, --all, --list, or --file; "
@@ -572,7 +554,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             outline = entry.outline()
             try:
                 report = entry.check(
-                    model_name, strategy=args.strategy, reduction=reduction,
+                    model_name, strategy=args.strategy,
                     max_configs=args.max_configs,
                 )
             except (AttributeError, TypeError) as exc:
@@ -598,7 +580,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _verify_all(args: argparse.Namespace, reduction: str) -> int:
+def _verify_all(args: argparse.Namespace) -> int:
     import time
 
     from repro.engine.parallel import (
@@ -611,9 +593,7 @@ def _verify_all(args: argparse.Namespace, reduction: str) -> int:
         [m.strip().lower() for m in args.model.split(",")]
         if args.model else None
     )
-    work = verify_jobs(
-        models=models, strategy=args.strategy, reduction=reduction,
-    )
+    work = verify_jobs(models=models, strategy=args.strategy)
     if not work:
         raise SystemExit("no registered outline matches the requested models")
     runner = ParallelRunner(jobs=args.jobs)
@@ -647,7 +627,7 @@ def _verify_all(args: argparse.Namespace, reduction: str) -> int:
         f"order derivation {totals['time_orders']:.2f}s"
     )
     print(
-        f"strategy={args.strategy} reduction={reduction} workers={args.jobs} "
+        f"strategy={args.strategy} workers={args.jobs} "
         f"wall={wall:.2f}s (worker time {totals['worker_time']:.2f}s)"
     )
     _note_stats(
@@ -666,7 +646,7 @@ def _verify_all(args: argparse.Namespace, reduction: str) -> int:
     return 0
 
 
-def _verify_file(args: argparse.Namespace, reduction: str) -> int:
+def _verify_file(args: argparse.Namespace) -> int:
     if not args.outline:
         raise SystemExit("--file needs --outline SPEC.py (see DESIGN.md §10)")
     parsed = _load(args.file)
@@ -679,7 +659,6 @@ def _verify_file(args: argparse.Namespace, reduction: str) -> int:
         max_events=args.max_events,
         max_configs=args.max_configs,
         strategy=args.strategy,
-        reduction=reduction,
     )
     _print_outline_report(
         f"{parsed.name} [{model_name}] — outline from {args.outline}",
@@ -900,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "optimal"],
+        choices=["none", "optimal"],
         help="partial-order reduction (outcome-identical, fewer configs; "
         "'optimal' is the parsimonious tier, DESIGN.md §13)",
     )
@@ -908,7 +887,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1, metavar="N",
         help="partition the single exploration across N worker shards "
         "by canonical-key hash (outcome-identical by the parity "
-        "contract; requires bfs and reduction none/sleep — "
+        "contract; requires bfs and reduction none — "
         "DESIGN.md §15)",
     )
     run.add_argument(
@@ -955,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite.add_argument(
         "--reduction", default="none",
-        choices=["none", "sleep", "optimal"],
+        choices=["none", "optimal"],
         help="partial-order reduction applied in every job "
         "(verdict-identical by design; see DESIGN.md §9 and §13)",
     )
@@ -985,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--reduction", default="optimal",
-        choices=["none", "sleep", "optimal"],
+        choices=["none", "optimal"],
         help="reduction the POR-parity oracle cross-validates against "
         "the full search ('none' disables the oracle)",
     )
@@ -1064,12 +1043,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--strategy", default="bfs", choices=["bfs", "dfs", "iddfs"],
         help="search order (verdict-neutral on uncapped runs)",
-    )
-    verify.add_argument(
-        "--reduction", default="none",
-        choices=["none", "sleep", "optimal"],
-        help="partial-order reduction; sleep is verdict-preserving for "
-        "obligations, optimal falls back to none (DESIGN.md §10)",
     )
     verify.add_argument(
         "--max-events", type=int, default=None,

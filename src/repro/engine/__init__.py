@@ -11,8 +11,8 @@ and "here is what is reachable":
   process;
 * :mod:`repro.engine.core` — the bounded exhaustive search itself,
   instrumented with :class:`~repro.engine.stats.EngineStats`;
-* :mod:`repro.engine.por` — partial-order reduction (sleep sets and
-  parsimonious DPOR) consulted by ``explore(..., reduction=...)``
+* :mod:`repro.engine.por` — partial-order reduction (parsimonious
+  DPOR) consulted by ``explore(..., reduction=...)``
   (DESIGN.md §9);
 * :mod:`repro.engine.parallel` — a multiprocessing runner fanning the
   litmus suite, case studies and fuzz campaigns across workers.

@@ -20,8 +20,8 @@ File format (``repro-ckpt/3``)::
   resuming Peterson's frontier into a litmus test would otherwise fail
   in silently wrong ways.
 * The **payload** is algorithm-tagged loop state (``"plain"`` for the
-  unreduced loop, ``"sleep"`` for sleep sets, ``"shard"`` for the
-  bulk-synchronous sharded search, one entry per shard core).  Keys
+  unreduced loop, ``"shard"`` for the bulk-synchronous sharded search,
+  one entry per shard core).  Keys
   and configurations travel by pickle — safe because every cached hash
   in the object graph (``CachedKey``, ``Program``, lowered programs)
   rebuilds on unpickle rather than shipping its process-salted value.

@@ -350,43 +350,35 @@ def explore(
     ``truncated`` in the capped case).
 
     ``reduction`` selects a partial-order reduction (DESIGN.md §9):
-    ``"none"`` (this loop), ``"sleep"`` (sleep-set transition pruning —
-    visits the same configurations, hook-safe for any ``check_config``
-    property) or ``"optimal"`` (parsimonious DPOR — prunes
+    ``"none"`` (this loop) or ``"optimal"`` (parsimonious DPOR — prunes
     configurations while preserving terminal outcome sets,
     control-observable violation verdicts and truncation flags; only
-    ``configs`` may shrink).  Reduced runs perform their own traversal:
-    ``"optimal"`` is inherently depth-first and ``"sleep"`` skips the
-    deepening loop.
-    ``check_step`` hooks quantify over transitions.  Under ``"sleep"``
-    they fire only on the transitions the reduction keeps, but because
-    sleep sets visit every configuration the full search visits, an
-    *inductive* step property (one whose per-transition failures imply a
-    failure on some kept transition along an explored path — proof
-    outlines, DESIGN.md §10) reaches the same verdict; the hook is
-    therefore allowed.  ``"optimal"`` prunes configurations itself, so
-    combining it with ``check_step`` raises ``ValueError``.
+    ``configs`` may shrink).  The reduced run performs its own
+    depth-first traversal.  ``check_step`` hooks quantify over
+    transitions, which ``"optimal"`` prunes along with configurations,
+    so combining the two raises ``ValueError``.
 
     ``shards > 1`` runs the hash-partitioned sharded search
     (:mod:`repro.engine.shard`, DESIGN.md §15): breadth-first only,
-    reductions ``"none"``/``"sleep"``, canonical keys.  The parity
-    contract guarantees identical configuration/transition counts and
-    outcome sets for every shard count on exhaustive runs.
-    ``shard_processes`` forces (True) or forbids (False) real worker
-    processes; the default auto-selects.
+    unreduced only, canonical keys.  The parity contract guarantees
+    identical configuration/transition counts and outcome sets for
+    every shard count on exhaustive runs.  ``shard_processes`` forces
+    (True) or forbids (False) real worker processes; the default
+    auto-selects.
 
     ``checkpoint`` names a ``repro-ckpt/3`` file
     (:mod:`repro.engine.checkpoint`, DESIGN.md §16) rewritten
     atomically every ``checkpoint_every`` configurations (default
     1000); ``resume`` loads such a file — after verifying it belongs
     to this exact run — and continues the search to a byte-identical
-    final result.  Both require canonical keys, the ``"none"``/
-    ``"sleep"`` reductions, and a ``"bfs"``/``"dfs"`` strategy
-    (``iddfs`` restarts its frontier per round; ``"optimal"`` keeps
-    per-key state the snapshot format does not cover).
+    final result.  Both require canonical keys, the unreduced search,
+    and a ``"bfs"``/``"dfs"`` strategy (``iddfs`` restarts its frontier
+    per round; ``"optimal"`` keeps per-key state the snapshot format
+    does not cover).
 
-    An unknown ``reduction`` or ``strategy`` raises ``ValueError``
-    before any search path is chosen.
+    An unknown ``reduction`` or ``strategy``, ``max_events < 0`` and
+    ``max_configs < 1`` raise ``ValueError`` before any search path is
+    chosen.
     """
     from repro.engine.por import REDUCTIONS, explore_reduced
     from repro.interp.compiled import maybe_lower
@@ -399,17 +391,21 @@ def explore(
         raise ValueError(
             f"unknown search strategy {strategy!r}; choose from {STRATEGIES}"
         )
+    if max_events is not None and max_events < 0:
+        raise ValueError(f"max_events must be >= 0, not {max_events}")
+    if max_configs is not None and max_configs < 1:
+        raise ValueError(f"max_configs must be >= 1, not {max_configs}")
     if checkpoint is not None or resume is not None:
         if not canonicalize:
             raise ValueError(
                 "checkpoint/resume snapshots canonical keys; "
                 "canonicalize=False has no snapshottable key"
             )
-        if reduction not in ("none", "sleep"):
+        if reduction != "none":
             raise ValueError(
-                f"checkpoint/resume supports the 'none' and 'sleep' "
-                f"searches; reduction={reduction!r} keeps per-key "
-                "backtrack state the snapshot format does not cover"
+                f"checkpoint/resume supports only the unreduced search; "
+                f"reduction={reduction!r} keeps per-key backtrack state "
+                "the snapshot format does not cover"
             )
         if strategy not in ("bfs", "dfs"):
             raise ValueError(
@@ -421,6 +417,12 @@ def explore(
     if shards < 1:
         raise ValueError("shards must be >= 1")
     if shards > 1:
+        if reduction != "none":
+            raise ValueError(
+                f"sharded exploration supports only the unreduced search, "
+                f"not reduction={reduction!r} (the DPOR tier is "
+                "depth-first with global backtrack state)"
+            )
         from repro.engine.shard import explore_sharded
 
         return explore_sharded(
@@ -436,7 +438,6 @@ def explore(
             keep_representatives=keep_representatives,
             canonicalize=canonicalize,
             strategy=strategy,
-            reduction=reduction,
             processes=shard_processes,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
@@ -447,6 +448,27 @@ def explore(
     # and the plain search all step the same lowered program
     # (DESIGN.md §12).
     program = maybe_lower(program)
+
+    if reduction != "none":
+        if check_step is not None:
+            raise ValueError(
+                "check_step hooks quantify over transitions, and the "
+                f"{reduction!r} reduction prunes configurations outright; "
+                "use reduction='none'"
+            )
+        return explore_reduced(
+            program,
+            init_values,
+            model,
+            reduction,
+            max_events=max_events,
+            max_configs=max_configs,
+            check_config=check_config,
+            stop_on_violation=stop_on_violation,
+            keep_representatives=keep_representatives,
+            canonicalize=canonicalize,
+            strategy=strategy,
+        )
 
     fingerprint = None
     resume_payload = None
@@ -462,37 +484,6 @@ def explore(
         if resume is not None:
             _, resume_payload = read_checkpoint(resume, expect=fingerprint)
 
-    if reduction != "none":
-        if check_step is not None and reduction != "sleep":
-            raise ValueError(
-                "check_step hooks quantify over transitions, and the "
-                f"{reduction!r} reduction prunes configurations outright; "
-                "use reduction='sleep' (configuration-identical) or 'none'"
-            )
-        kwargs_step = {}
-        if check_step is not None:
-            kwargs_step["check_step"] = check_step
-        if reduction == "sleep" and (
-            checkpoint is not None or resume_payload is not None
-        ):
-            kwargs_step["checkpoint"] = checkpoint
-            kwargs_step["checkpoint_every"] = checkpoint_every
-            kwargs_step["resume_payload"] = resume_payload
-            kwargs_step["fingerprint"] = fingerprint
-        return explore_reduced(
-            program,
-            init_values,
-            model,
-            reduction,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_config=check_config,
-            stop_on_violation=stop_on_violation,
-            keep_representatives=keep_representatives,
-            canonicalize=canonicalize,
-            strategy=strategy,
-            **kwargs_step,
-        )
     if strategy == "iddfs" and max_events is not None and max_events >= 1:
         return _explore_deepening(
             program,
@@ -815,12 +806,10 @@ def reachable_states(
     memoization layer that second keying is a cache hit, not a repeat of
     the ``O(n log n)`` canonicalisation (DESIGN.md §4).
 
-    ``reduction="sleep"`` still enumerates every reachable state (sleep
-    sets prune transitions, not configurations); ``"optimal"`` prunes
-    configurations and thus returns a *subset* of the reachable states —
-    fine for reaching terminal states fast, wrong for per-state
-    universal checks, which is why the soundness/completeness checkers
-    keep the default.
+    ``reduction="optimal"`` prunes configurations and thus returns a
+    *subset* of the reachable states — fine for reaching terminal states
+    fast, wrong for per-state universal checks, which is why the
+    soundness/completeness checkers keep the default.
     """
     states: Dict[Hashable, S] = {}
 

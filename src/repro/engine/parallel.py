@@ -70,8 +70,8 @@ class SuiteJob:
     max_configs: Optional[int] = None
     #: partial-order reduction applied by the worker's exploration
     #: (DESIGN.md §9); verdicts are reduction-independent by design.
-    #: Verify jobs admit only the configuration-identical "sleep" tier
-    #: and fall back to "none" under "optimal" (DESIGN.md §10).
+    #: Verify jobs ignore it: obligation discharge is always unreduced
+    #: (DESIGN.md §10).
     reduction: str = "none"
     #: intra-run shards for this job's exploration (DESIGN.md §15).
     #: Suite workers are daemonic pool processes, so a shards > 1 job
@@ -212,7 +212,6 @@ def verify_jobs(
     names: Optional[Sequence[str]] = None,
     models: Optional[Sequence[str]] = None,
     strategy: str = "bfs",
-    reduction: str = "none",
 ) -> List[SuiteJob]:
     """One job per (proof case study, model) pair over the registry.
 
@@ -227,8 +226,7 @@ def verify_jobs(
     )
     return [
         SuiteJob(
-            kind="verify", name=entry.name, model=model, strategy=strategy,
-            reduction=reduction,
+            kind="verify", name=entry.name, model=model, strategy=strategy
         )
         for entry in entries
         for model in entry.models
@@ -412,19 +410,15 @@ def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
 def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
     """Discharge one proof case study's obligations under one model.
 
-    The obligations quantify over every reachable transition, so only
-    the configuration-identical ``"sleep"`` reduction is admissible;
-    ``"optimal"`` falls back to the unreduced search
-    (DESIGN.md §10 — the CLI prints the fallback note once, this keeps
-    workers consistent with it).
+    The obligations quantify over every reachable transition, so the
+    discharge is always unreduced and ``job.reduction`` is ignored, like
+    ``job.shards`` (DESIGN.md §10).
     """
     from repro.verify.registry import PROOFS
 
     entry = PROOFS.get(job.name)
-    reduction = "none" if job.reduction == "optimal" else job.reduction
     report = entry.check(
-        job.model, strategy=job.strategy, reduction=reduction,
-        max_configs=job.max_configs,
+        job.model, strategy=job.strategy, max_configs=job.max_configs,
     )
     stats = report.stats
     return SuiteJobResult(

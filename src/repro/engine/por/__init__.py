@@ -1,16 +1,12 @@
 """Partial-order reduction for the exploration engine (DESIGN.md §9, §13).
 
 The engine consults this package before expanding a configuration.
-Three reduction tiers, selected by ``explore(..., reduction=...)`` and
-``--reduction`` on the ``run`` / ``suite`` / ``fuzz`` / ``verify`` CLI:
+Two reduction tiers, selected by ``explore(..., reduction=...)`` and
+``--reduction`` on the ``run`` / ``suite`` / ``fuzz`` CLI:
 
 ``"none"``
     The unreduced graph search (:mod:`repro.engine.core`) — every
     transition of every configuration.
-``"sleep"``
-    Sleep-set pruning (:mod:`.sleep`): visits every configuration the
-    full search visits (hook-safe for *any* ``check_config`` property)
-    but skips commutation-redundant transitions.
 ``"optimal"``
     Parsimonious race-reversal DPOR (:mod:`.optimal`, DESIGN.md §13):
     race detection with vector clocks, races scheduled as minimal
@@ -19,7 +15,7 @@ Three reduction tiers, selected by ``explore(..., reduction=...)`` and
     preserving terminal outcome sets, control-observable violation
     verdicts and truncation flags.
 
-The dependency relation the reductions share lives in :mod:`.deps`;
+The dependency relation the reduction uses lives in :mod:`.deps`;
 the per-model location footprints come from
 :meth:`repro.interp.memory_model.MemoryModel.step_footprint`.
 Soundness is continuously cross-checked against the unreduced search by
@@ -37,14 +33,10 @@ from repro.engine.por.deps import (
     step_footprint,
 )
 from repro.engine.por.optimal import explore_optimal
-from repro.engine.por.sleep import explore_sleep
 
 
 def explore_reduced(program, init_values, model, reduction, **kwargs):
-    """Dispatch a reduced exploration (``reduction`` in
-    ``"sleep"``/``"optimal"``)."""
-    if reduction == "sleep":
-        return explore_sleep(program, init_values, model, **kwargs)
+    """Dispatch a reduced exploration (``reduction == "optimal"``)."""
     if reduction == "optimal":
         return explore_optimal(program, init_values, model, **kwargs)
     raise ValueError(
@@ -59,6 +51,5 @@ __all__ = [
     "conflicts",
     "explore_optimal",
     "explore_reduced",
-    "explore_sleep",
     "step_footprint",
 ]

@@ -37,7 +37,7 @@ from typing import FrozenSet, NamedTuple, Tuple
 from repro.lang.actions import Var
 
 #: Reduction modes accepted by ``explore(reduction=...)`` and the CLI.
-REDUCTIONS = ("none", "sleep", "optimal")
+REDUCTIONS = ("none", "optimal")
 
 
 class RaceWitness(NamedTuple):

@@ -40,7 +40,8 @@ maintaining trees.
 
 Unlike classical stateless DPOR this search is *stateful*: a
 configuration re-reached with a sleep set that includes a recorded one
-is pruned (the same inclusion discipline as :mod:`.sleep`).  Pruning
+is pruned: that arrival has no more threads awake than the recorded
+expansion had, so it can reach nothing that expansion did not.  Pruning
 against a previously explored subtree can hide races between that
 subtree's steps and the *current* path, so every such hit is
 compensated with the subtree's recorded access summary: each spine node
@@ -54,7 +55,7 @@ configurations and their outcome sets, violation verdicts of
 ``check_config`` hooks over control observables (visibility makes
 pc-changing steps pairwise dependent), the truncation flags; only
 ``configs`` may shrink.  Memory-reading per-state hooks need the
-``"sleep"`` tier or no reduction (DESIGN.md §9).
+unreduced search (DESIGN.md §9).
 """
 
 from __future__ import annotations

@@ -17,14 +17,9 @@ is exactly the single-process FIFO order — and emits one message per
 surviving transition.  At the level barrier, phase B has every shard
 sort its inbox by signature and replay the single-process push sequence
 for its own keys: dedup (first arrival in signature order wins the
-parent slot), config cap, and — under the sleep-set reduction — the
-push-time covered check against the sleep-record antichain *as of the
-sender's pop stamp* (records are stamped ``(level, signature)``; a push
-by the parent popped at stamp ``t`` consults only records ``<= t``,
-which is precisely the set of records the single-process loop had
-appended when it performed that push).  Phase A never reads another
-shard's state and phase B replays a per-key operation sequence
-identical to the single-process interleaving, which is the induction
+parent slot) and the config cap.  Phase A never reads another shard's
+state and phase B replays a per-key operation sequence identical to
+the single-process interleaving, which is the induction
 behind the parity contract: exhaustive sharded runs report the same
 configuration and transition counts, byte-identical terminal/outcome
 sets, the same per-key parent choices and the same violation verdicts
@@ -80,12 +75,6 @@ from repro.engine.core import (
 from repro.engine.frontier import LevelFrontier
 from repro.engine.keys import KEY_CACHE, key_digest, shard_of, stable_encode
 from repro.engine.stats import EngineStats
-
-#: Reductions the sharded search supports: the two whose traversals the
-#: superstep replay reproduces exactly.  The ``"optimal"`` DPOR tier is
-#: inherently depth-first with global backtrack state — out of scope by
-#: design.
-SHARDABLE_REDUCTIONS = ("none", "sleep")
 
 #: supervision policy: how many times a round of worker deaths is
 #: retried (respawning the fleet, resuming from the last checkpoint)
@@ -153,7 +142,6 @@ class _ShardSpec:
     init_values: Mapping
     model: Any
     shards: int
-    reduction: str = "none"
     max_events: Optional[int] = None
     #: per-shard slice of the global config cap (None = uncapped)
     max_configs: Optional[int] = None
@@ -178,19 +166,18 @@ class _ShardCore:
     """One shard's state plus the phase A / phase B superstep logic.
 
     Frontier items and routed messages are
-    ``(sig, tid, config, key, parent_key, sleep, digest)`` — the path
+    ``(sig, tid, config, key, parent_key, digest)`` — the path
     signature, the thread whose step discovered the configuration
     (``None`` only for the seeded initial configuration), the
     configuration and its canonical key, the *sender's* key for the
-    parent (receivers never re-canonicalize), the child sleep-set dict
-    (``None`` under ``reduction="none"``) and the key digest the sender
-    routed by.
+    parent (receivers never re-canonicalize) and the key digest the
+    sender routed by.
     """
 
     def __init__(self, spec: _ShardSpec, index: int) -> None:
         self.spec = spec
         self.index = index
-        self.stats = EngineStats(strategy="bfs", reduction=spec.reduction)
+        self.stats = EngineStats(strategy="bfs")
         self.frontier: LevelFrontier = LevelFrontier()
         self.parents: Dict[Any, Tuple[Any, Any]] = {}
         self.representatives: Dict[Any, Any] = {}
@@ -203,14 +190,11 @@ class _ShardCore:
         self.truncated = False
         self.capped = False
         self.level = 0
-        #: sleep reduction: key -> list of (pop stamp, frozen sleep set),
-        #: stamped so phase B can reconstruct the sender's push-time view
-        self.antichain: Dict[Any, List[Tuple[tuple, frozenset]]] = {}
 
     def seed(self, initial, init_key) -> None:
         """Install the initial configuration (owner shard only)."""
         self.parents[init_key] = (None, None)
-        self.frontier.push(((), None, initial, init_key, None, {}, None))
+        self.frontier.push(((), None, initial, init_key, None, None))
         self.stats.peak_frontier = 1
 
     # -- phase A: expand the current level -----------------------------
@@ -226,13 +210,8 @@ class _ShardCore:
         t_phase = clock()
         outgoing: List[List[tuple]] = [[] for _ in range(spec.shards)]
         level_items = sorted(self.frontier.take_level(), key=lambda it: it[0])
-        for item in level_items:
-            sig, _tid, config, key, _parent, sleep, _digest = item
-            stamp = (self.level, sig)
-            if spec.reduction == "sleep":
-                self._expand_sleep(stamp, config, key, sleep, outgoing)
-            else:
-                self._expand_plain(stamp, config, key, outgoing)
+        for sig, _tid, config, key, _parent, _digest in level_items:
+            self._expand((self.level, sig), config, key, outgoing)
             if spec.stop_on_violation and self.violations:
                 break
         self.stats.time_total += clock() - t_phase
@@ -260,14 +239,14 @@ class _ShardCore:
         for message in messages:
             self.violations.append((stamp, Violation(message, config, step)))
 
-    def _emit(self, outgoing, sig, step, key, child_key, child_sleep) -> None:
+    def _emit(self, outgoing, sig, step, key, child_key) -> None:
         digest = key_digest_for(child_key)
         dest = _dest_for(digest, self.spec.shards)
         outgoing[dest].append(
-            (sig, step.tid, step.target, child_key, key, child_sleep, digest)
+            (sig, step.tid, step.target, child_key, key, digest)
         )
 
-    def _expand_plain(self, stamp, config, key, outgoing) -> None:
+    def _expand(self, stamp, config, key, outgoing) -> None:
         from repro.interp.interpreter import successor_list
 
         spec = self.spec
@@ -297,78 +276,8 @@ class _ShardCore:
             t0 = clock()
             child_key = _key_of(step.target, spec.model)
             self.stats.time_keys += clock() - t0
-            self._emit(outgoing, stamp[1] + (seq,), step, key, child_key, None)
+            self._emit(outgoing, stamp[1] + (seq,), step, key, child_key)
             seq += 1
-
-    def _expand_sleep(self, stamp, config, key, sleep, outgoing) -> None:
-        from repro.engine.por.deps import conflicts, step_footprint
-        from repro.interp.interpreter import thread_successor_list
-
-        spec = self.spec
-        clock = time.perf_counter
-        sleeping = frozenset(sleep)
-        records = self.antichain.get(key)
-        if records is not None:
-            # Pop-time covered check: pops of this key all happen on
-            # this shard, in stamp order, so every record present is
-            # causally earlier — the single-process view exactly.
-            if any(rec <= sleeping for _, rec in records):
-                return  # covered arrival: strictly less awake
-            self.stats.revisits += 1
-        self.antichain.setdefault(key, []).append((stamp, sleeping))
-
-        if records is None:  # first visit: hooks fire exactly once per key
-            self.configs += 1
-            if spec.keep_representatives:
-                self.representatives[key] = config
-            self._check_config(stamp, config)
-            if config.is_terminated():
-                self.terminal.append((stamp, config))
-
-        if config.is_terminated():
-            return
-
-        steps = config.program.pending_steps()
-        cut = bound_cut(config, spec.model, spec.max_events)
-        track_control = spec.check_config is not None
-        awake_sleep = dict(sleep)
-        seq = 0
-        for tid in sorted(steps):
-            step = steps[tid]
-            if tid in sleep:
-                self.stats.sleep_hits += 1
-                self.stats.pruned += 1
-                if tid in cut:
-                    self.truncated = True
-                continue
-            if tid in cut:
-                self.truncated = True
-                continue
-            fp = step_footprint(
-                spec.model, config.state, tid, step, track_control,
-            )
-            self.stats.expanded += 1
-            t0 = clock()
-            successors = thread_successor_list(config, spec.model, tid, step)
-            self.stats.time_expand += clock() - t0
-            child_sleep = {
-                q: fq for q, fq in awake_sleep.items()
-                if q != tid and not conflicts(fq, fp)
-            }
-            for child in successors:
-                self.transitions += 1
-                self._check_step(stamp, config, child)
-                if self.capped:
-                    continue
-                t0 = clock()
-                child_key = _key_of(child.target, spec.model)
-                self.stats.time_keys += clock() - t0
-                self._emit(
-                    outgoing, stamp[1] + (seq,), child, key, child_key,
-                    child_sleep,
-                )
-                seq += 1
-            awake_sleep[tid] = fp  # sleeps for the remaining siblings
 
     # -- phase B: integrate routed arrivals ----------------------------
 
@@ -377,70 +286,25 @@ class _ShardCore:
         signature order — the barrier half of the superstep."""
         spec = self.spec
         arrivals.sort(key=lambda message: message[0])
-        for sig, tid, child_config, child_key, parent_key, child_sleep, digest in arrivals:
+        for message in arrivals:
+            _sig, tid, _config, child_key, parent_key, digest = message
             if shard_of(digest, spec.shards) != self.index:
                 raise RuntimeError(
                     f"mis-routed configuration: digest owner is shard "
                     f"{shard_of(digest, spec.shards)}, delivered to shard "
                     f"{self.index} — partition function broken"
                 )
-            if spec.reduction == "sleep":
-                self._integrate_sleep(
-                    sig, tid, child_config, child_key, parent_key,
-                    child_sleep, digest,
-                )
-            else:
-                self._integrate_plain(
-                    sig, tid, child_config, child_key, parent_key, digest
-                )
+            if child_key in self.parents or self.capped:
+                continue
+            if spec.max_configs is not None and len(self.parents) >= spec.max_configs:
+                self.truncated = self.capped = True
+                continue
+            self.parents[child_key] = (parent_key, tid)
+            self.frontier.push(message)
         self.level += 1
         self.frontier.advance()
         if len(self.frontier) > self.stats.peak_frontier:
             self.stats.peak_frontier = len(self.frontier)
-
-    def _cap_hit(self) -> bool:
-        spec = self.spec
-        if spec.max_configs is not None and len(self.parents) >= spec.max_configs:
-            self.truncated = True
-            self.capped = True
-            return True
-        return False
-
-    def _integrate_plain(
-        self, sig, tid, child_config, child_key, parent_key, digest
-    ) -> None:
-        if child_key in self.parents:
-            return
-        if self.capped or self._cap_hit():
-            return
-        self.parents[child_key] = (parent_key, tid)
-        self.frontier.push(
-            (sig, tid, child_config, child_key, parent_key, None, digest)
-        )
-
-    def _integrate_sleep(
-        self, sig, tid, child_config, child_key, parent_key, child_sleep, digest
-    ) -> None:
-        if child_key not in self.parents:
-            if self.capped or self._cap_hit():
-                return
-            self.parents[child_key] = (parent_key, tid)
-        recs = self.antichain.get(child_key)
-        if recs is not None:
-            frozen = frozenset(child_sleep)
-            # The sender pushed this child while popping the parent at
-            # stamp (level, sig[:-1]); the single-process loop's
-            # push-time check saw exactly the records appended by pops
-            # up to and including that one (module docstring).
-            parent_stamp = (self.level, sig[:-1])
-            if any(
-                rec <= frozen
-                for rec_stamp, rec in recs if rec_stamp <= parent_stamp
-            ):
-                return  # already expanded at least this awake
-        self.frontier.push(
-            (sig, tid, child_config, child_key, parent_key, child_sleep, digest)
-        )
 
     # -- results --------------------------------------------------------
 
@@ -456,7 +320,6 @@ class _ShardCore:
         return {
             "level": self.level,
             "frontier": self.frontier.snapshot(),
-            "antichain": {key: list(recs) for key, recs in self.antichain.items()},
             "parents": dict(self.parents),
             "representatives": dict(self.representatives),
             "terminal": list(self.terminal),
@@ -472,7 +335,6 @@ class _ShardCore:
         """Rebuild this (freshly constructed) core from a snapshot."""
         self.level = snap["level"]
         self.frontier.restore(snap["frontier"])
-        self.antichain = snap["antichain"]
         self.parents = snap["parents"]
         self.representatives = snap["representatives"]
         self.terminal = snap["terminal"]
@@ -508,7 +370,6 @@ def _merge_results(
     result._canonicalize = True
     merged = result.stats
     merged.strategy = "bfs"
-    merged.reduction = spec.reduction
     rounds = 0
     terminal: List[Tuple[tuple, Any]] = []
     violations: List[Tuple[tuple, Violation]] = []
@@ -722,21 +583,21 @@ def _unpack_step(packed, table):
 def _pack_message(message):
     # the child key's program is the child configuration's, so one pcs
     # tuple carries both
-    sig, tid, child_config, child_key, parent_key, child_sleep, digest = message
+    sig, tid, child_config, child_key, parent_key, digest = message
     return (
         sig, tid, child_config.program.pcs, child_config.state, child_key[1],
-        _pack_key(parent_key), child_sleep, digest,
+        _pack_key(parent_key), digest,
     )
 
 
 def _unpack_message(packed, table):
     from repro.interp.config import Configuration
 
-    sig, tid, pcs, state, state_key, parent, child_sleep, digest = packed
+    sig, tid, pcs, state, state_key, parent, digest = packed
     program = table.program(pcs)
     return (
         sig, tid, Configuration(program, state), (program, state_key),
-        _unpack_key(parent, table), child_sleep, digest,
+        _unpack_key(parent, table), digest,
     )
 
 
@@ -1148,7 +1009,6 @@ def explore_sharded(
     keep_representatives: bool = False,
     canonicalize: bool = True,
     strategy: str = "bfs",
-    reduction: str = "none",
     processes: Optional[bool] = None,
     checkpoint: Optional[str] = None,
     checkpoint_every: Optional[int] = None,
@@ -1159,8 +1019,8 @@ def explore_sharded(
     Accepts the single-process ``explore`` surface where the sharded
     search can honour its parity contract, and rejects the rest up
     front: breadth-first only (the superstep structure *is* BFS),
-    reductions ``"none"``/``"sleep"``, and canonical keys (the digest
-    partition function is defined on them).
+    unreduced (``explore`` rejects ``shards > 1`` with a reduction), and
+    canonical keys (the digest partition function is defined on them).
 
     ``processes=None`` auto-selects: real worker processes when the
     current process may fork children, the in-process supersteps
@@ -1198,12 +1058,6 @@ def explore_sharded(
             "sharded exploration is breadth-first by construction; "
             f"strategy={strategy!r} is not shardable"
         )
-    if reduction not in SHARDABLE_REDUCTIONS:
-        raise ValueError(
-            f"reduction {reduction!r} is not shardable; choose from "
-            f"{SHARDABLE_REDUCTIONS} (the DPOR tier is depth-first with "
-            "global backtrack state)"
-        )
     if not canonicalize:
         raise ValueError(
             "sharded exploration partitions by canonical-key digest; "
@@ -1229,7 +1083,7 @@ def explore_sharded(
         fingerprint = run_fingerprint(
             program, init_values, model,
             max_events=max_events, max_configs=max_configs,
-            strategy="bfs", reduction=reduction,
+            strategy="bfs", reduction="none",
             canonicalize=True, shards=shards,
         )
         if resume is not None:
@@ -1245,7 +1099,6 @@ def explore_sharded(
         init_values=init_values,
         model=model,
         shards=shards,
-        reduction=reduction,
         max_events=max_events,
         max_configs=(
             None if max_configs is None else max(1, -(-max_configs // shards))
@@ -1263,7 +1116,7 @@ def explore_sharded(
     run = (
         tr.run_start(
             program, getattr(model, "name", type(model).__name__),
-            "bfs", reduction, max_events,
+            "bfs", "none", max_events,
         )
         if tr is not None
         else None
@@ -1310,7 +1163,6 @@ def explore_sharded(
 
 __all__ = [
     "MAX_ATTEMPTS",
-    "SHARDABLE_REDUCTIONS",
     "ShardedExplorer",
     "WorkerDied",
     "explore_sharded",

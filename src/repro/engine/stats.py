@@ -20,8 +20,7 @@ class EngineStats:
     """Counters and phase timings of one exploration run."""
 
     strategy: str = "bfs"
-    #: Which partial-order reduction ran
-    #: ("none" | "sleep" | "optimal").
+    #: Which partial-order reduction ran ("none" | "optimal").
     reduction: str = "none"
     #: Largest number of configurations ever waiting in the frontier
     #: (for the DPOR depth-first traversal: the peak spine depth).

@@ -49,7 +49,7 @@ files against:
 ``race``       ``run``, ``tid``, conflicting ``vars``, ``pcs``
 ``view``       ``run``, scheduled reversing ``view`` (tid sequence),
                ``pcs``
-``prune``      ``run``, ``kind`` (``sleep``/``visited``), ``pcs`` —
+``prune``      ``run``, ``kind`` (``visited``), ``pcs`` —
                sampled
 ``job_start``  ``job`` label, ``kind``
 ``job_end``    ``job``, ``kind``, ``dur``, ``configs``, ``verdict``

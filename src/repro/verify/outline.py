@@ -25,10 +25,8 @@ Outline checking is the core of the verification workbench
 (``python -m repro verify``, DESIGN.md §10): the named case studies of
 :mod:`repro.verify.registry` each pair a program with an outline built
 here, and :meth:`ProofOutline.check` accepts the engine's ``strategy``
-and ``reduction`` knobs — ``"sleep"`` is configuration-identical and
-therefore verdict-preserving for the obligations; ``"optimal"`` prunes
-configurations outright and is rejected (the CLI falls back to
-``"none"`` and says so).
+knob.  Discharge always runs the unreduced search: the obligations
+quantify over every reachable transition, which a reduction prunes.
 """
 
 from __future__ import annotations
@@ -87,7 +85,6 @@ class OutlineReport:
     per_invariant: Dict[str, Tuple[int, int]] = field(default_factory=dict)
     #: how the discharging exploration ran
     strategy: str = "bfs"
-    reduction: str = "none"
     #: the discharging exploration's engine statistics (key cache,
     #: phase timings, reduction counters) — what the parallel runner's
     #: verify jobs aggregate into the suite footer
@@ -155,29 +152,16 @@ class ProofOutline:
         max_configs: Optional[int] = None,
         keep_failures: int = 10,
         strategy: str = "bfs",
-        reduction: str = "none",
     ) -> OutlineReport:
         """Discharge initialisation + per-transition preservation.
 
-        ``strategy`` and ``reduction`` are the engine's knobs.  Only the
-        ``"sleep"`` reduction is admissible: it visits exactly the
-        configurations the full search visits, so the proved/failed
-        verdict is reduction-independent (obligation counts are not —
-        pruned commutation-redundant transitions are simply not
-        re-checked).  ``"optimal"`` prunes configurations, i.e. the very
-        domain the obligations quantify over, and raises ``ValueError``
-        here; callers wanting DPOR speed must fall back to ``"none"``
-        (see ``python -m repro verify`` and DESIGN.md §10).
+        ``strategy`` is the engine's search-order knob.  There is no
+        reduction knob: the obligations quantify over every reachable
+        transition, so discharge always runs the unreduced search
+        (DESIGN.md §10).
         """
-        if reduction not in ("none", "sleep"):
-            raise ValueError(
-                f"reduction {reduction!r} prunes configurations; proof "
-                "obligations quantify over every reachable transition, so "
-                "only the configuration-identical 'sleep' tier (or 'none') "
-                "is sound here — see DESIGN.md §10"
-            )
         model = model if model is not None else RAMemoryModel()
-        report = OutlineReport(strategy=strategy, reduction=reduction)
+        report = OutlineReport(strategy=strategy)
 
         initial = initial_configuration(program, init_values, model)
         for inv in self._invariants:
@@ -208,7 +192,6 @@ class ProofOutline:
             max_configs=max_configs,
             check_step=on_step,
             strategy=strategy,
-            reduction=reduction,
         )
         report.configs = result.configs
         report.transitions = result.transitions

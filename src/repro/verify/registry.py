@@ -51,7 +51,7 @@ class ProofCaseStudy:
     max_events: Optional[int] = None
 
     def check(self, model_name: str, model=None, strategy: str = "bfs",
-              reduction: str = "none", max_configs: Optional[int] = None):
+              max_configs: Optional[int] = None):
         """Discharge this entry's obligations under one model."""
         if model is None:
             model = model_by_name(model_name)
@@ -62,7 +62,6 @@ class ProofCaseStudy:
             max_events=self.max_events,
             max_configs=max_configs,
             strategy=strategy,
-            reduction=reduction,
         )
 
 

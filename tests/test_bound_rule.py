@@ -32,7 +32,7 @@ from repro.litmus.registry import final_values
 from repro.litmus.suite import ALL_TESTS
 
 MODELS = {"sc": SCMemoryModel, "ra": RAMemoryModel, "sra": SRAMemoryModel}
-TIERS = ("sleep", "optimal")
+TIERS = ("optimal",)
 
 
 def _subjects():
@@ -123,27 +123,24 @@ def test_every_tier_matches_the_unreduced_search(reduction):
             or outcome_set(reduced) != outcome_set(full)
         ):
             drift.append(key)
-        if reduction == "sleep" and reduced.configs != full.configs:
-            drift.append(f"{key}: sleep visited {reduced.configs} configs, "
-                         f"not {full.configs}")
     assert not drift, drift
 
 
 @pytest.mark.parametrize(
     "reduction,shards",
-    [(r, 1) for r in ("none",) + TIERS] + [("none", 2), ("sleep", 2)],
+    [(r, 1) for r in ("none",) + TIERS] + [("none", 2)],
 )
 def test_sc_is_never_cut_at_bound_zero(reduction, shards):
     """SC records no events, so ``max_events=0`` cuts nothing under any
     explorer: Peterson runs to completion everywhere.  (The POR tiers and
-    the sharded sleep search used to cut every non-silent step there —
+    the sharded search used to cut every non-silent step there —
     1 config, no outcome, ``truncated`` — while the full search did not.)
-    The sharded search runs the none and sleep tiers only."""
+    The sharded search runs unreduced only."""
     result = explore(
         peterson_program(once=True), PETERSON_INIT, SCMemoryModel(),
         max_events=0, reduction=reduction, shards=shards,
     )
     assert result.truncated is False
     assert len(outcome_set(result)) == 2
-    if reduction in ("none", "sleep"):
+    if reduction == "none":
         assert result.configs == 102

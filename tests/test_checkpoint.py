@@ -6,9 +6,8 @@ must finish **byte-identically** to the run that was never interrupted
 — same configuration and transition counts, same truncation flags,
 same terminal outcome sets, same parent choices, same violations.  The
 matrix covers the single-process search and the sharded search
-(in-process supersteps and real worker processes), unreduced and under
-sleep sets, interrupted early and late via the deterministic
-``interrupt:configs=N`` fault.
+(in-process supersteps and real worker processes), interrupted early
+and late via the deterministic ``interrupt:configs=N`` fault.
 
 Half two pins the file format itself: snapshots are atomic,
 magic-tagged and fingerprinted, so a resume against the wrong file,
@@ -102,7 +101,7 @@ def interrupt_and_resume(tmp_path, interrupt_at, checkpoint_every, **kwargs):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("reduction", ("none", "sleep"))
+@pytest.mark.parametrize("reduction", ("none",))
 @pytest.mark.parametrize("interrupt_at", (60, 250))
 def test_single_process_kill_and_resume(tmp_path, reduction, interrupt_at):
     full = run_explore(reduction=reduction)
@@ -114,7 +113,7 @@ def test_single_process_kill_and_resume(tmp_path, reduction, interrupt_at):
     )
 
 
-@pytest.mark.parametrize("reduction", ("none", "sleep"))
+@pytest.mark.parametrize("reduction", ("none",))
 def test_sharded_inprocess_kill_and_resume(tmp_path, reduction):
     full = run_explore(reduction=reduction)
     resumed = interrupt_and_resume(
@@ -169,11 +168,10 @@ def test_resume_preserves_violations(tmp_path):
     "kwargs",
     [
         {},
-        {"reduction": "sleep"},
         {"shards": 4, "shard_processes": False},
         {"shards": 4, "shard_processes": True},
     ],
-    ids=["plain", "sleep", "shards=4-inprocess", "shards=4-processes"],
+    ids=["plain", "shards=4-inprocess", "shards=4-processes"],
 )
 def test_resumed_counterexample_replays(tmp_path, kwargs):
     """A counterexample taken from a resumed run is rebuilt from the

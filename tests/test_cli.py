@@ -203,23 +203,62 @@ def test_fuzz_all_inconclusive_campaign_is_vacuous(capsys, tmp_path, monkeypatch
 
 
 def test_run_with_reduction(sb_file, capsys):
-    assert main(["run", sb_file, "--reduction", "sleep", "--stats"]) == 0
+    """``--reduction none`` is the unreduced search: its stats line
+    carries no reduction counters."""
+    assert main(["run", sb_file, "--reduction", "none", "--stats"]) == 0
     out = capsys.readouterr().out
-    assert "reduction=sleep" in out
+    assert "engine: strategy=bfs" in out
+    assert "reduction=" not in out
     assert "verdict: OK" in out
 
 
 def test_suite_with_reduction_footer(capsys):
-    assert main(["suite", "--reduction", "sleep", "--case-studies"]) == 0
+    assert main(["suite", "--models", "ra", "--reduction", "optimal"]) == 0
     out = capsys.readouterr().out
-    assert "reduction=sleep: pruned" in out
-    assert "races=" in out
+    assert "reduction=optimal: pruned" in out
+    assert "sleep-hits=" in out and "races=" in out
 
 
 def test_suite_reduction_matches_unreduced_verdicts(capsys):
-    assert main(["suite", "--reduction", "sleep"]) == 0
+    assert main(["suite", "--reduction", "optimal"]) == 0
     reduced_out = capsys.readouterr().out
     assert "diverged" not in reduced_out
+
+
+def test_run_reduction_sleep_is_a_usage_error(sb_file):
+    with pytest.raises(SystemExit) as run_exit:
+        main(["run", sb_file, "--reduction", "sleep"])
+    assert run_exit.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["{sb}", "--checkpoint", "{ckpt}", "--reduction", "optimal"],
+        ["{sb}", "--checkpoint-every", "0"],
+        ["{sb}", "--checkpoint", "{ckpt}", "--strategy", "iddfs"],
+        ["{sb}", "--max-events", "-1"],
+        ["{sb}", "--resume", "{missing}.ckpt"],
+        ["{missing}.litmus"],
+    ],
+    ids=[
+        "checkpoint-optimal", "checkpoint-every-0", "checkpoint-iddfs",
+        "max-events-negative", "resume-missing", "litmus-missing",
+    ],
+)
+def test_run_rejects_bad_input_with_one_line(sb_file, tmp_path, capsys, args):
+    """A bad flag combination, bound or path is one error line on stderr
+    and exit status 2 — never a traceback."""
+    paths = {
+        "sb": sb_file,
+        "ckpt": str(tmp_path / "run.ckpt"),
+        "missing": str(tmp_path / "missing"),
+    }
+    assert main(["run", *(arg.format(**paths) for arg in args)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro run: error: ")
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_run_with_optimal_reduction(sb_file, capsys):
@@ -272,11 +311,12 @@ def test_suite_crashed_job_renders_error_footer(capsys, monkeypatch):
     assert "phase split: expand=" in out  # footer still rendered
 
 
-def test_verify_optimal_falls_back(capsys):
-    assert main(["verify", "spinlock-tas", "--reduction", "optimal"]) == 0
-    out = capsys.readouterr().out
-    assert "falling back to --reduction none" in out
-    assert "OK" in out
+def test_verify_has_no_reduction_flag():
+    """Discharge is always unreduced, so ``--reduction`` is a usage
+    error rather than a knob that falls back."""
+    with pytest.raises(SystemExit) as verify_exit:
+        main(["verify", "spinlock-tas", "--reduction", "optimal"])
+    assert verify_exit.value.code == 2
 
 
 def test_run_with_profile_footer(sb_file, capsys):

@@ -151,31 +151,6 @@ def test_verify_all_unmatched_model_filter():
 
 
 # ----------------------------------------------------------------------
-# Reductions
-# ----------------------------------------------------------------------
-
-
-def test_verify_sleep_reduction_same_verdict(capsys):
-    assert main(["verify", "spinlock-tas"]) == 0
-    full = capsys.readouterr().out
-    assert main(["verify", "spinlock-tas", "--reduction", "sleep"]) == 0
-    reduced = capsys.readouterr().out
-    # same configuration count, same verdict — fewer transitions
-    config_count = lambda out: out.split("configs=")[1].split()[0]
-    assert config_count(full) == config_count(reduced)
-    assert "FAILED" not in reduced
-
-
-def test_verify_dpor_falls_back_with_note(capsys):
-    """The DPOR tier prunes configurations, so verify falls back to the
-    unreduced search and says so."""
-    assert main(["verify", "message-passing", "--reduction", "optimal"]) == 0
-    out = capsys.readouterr().out
-    assert "falling back" in out
-    assert "OK" in out
-
-
-# ----------------------------------------------------------------------
 # --file / --outline: ad-hoc programs against spec outlines
 # ----------------------------------------------------------------------
 

@@ -239,7 +239,7 @@ def test_reduction_jobs_verdict_parity():
 def test_job_factories_carry_reduction():
     assert all(j.reduction == "optimal" for j in litmus_jobs(reduction="optimal"))
     assert all(
-        j.reduction == "sleep" for j in case_study_jobs(reduction="sleep")
+        j.reduction == "optimal" for j in case_study_jobs(reduction="optimal")
     )
     assert all(j.reduction == "none" for j in litmus_jobs())
 

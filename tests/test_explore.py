@@ -156,11 +156,10 @@ def test_config_violation_counterexample_unchanged():
     [
         {},
         {"strategy": "dfs"},
-        {"reduction": "sleep"},
         {"reduction": "optimal"},
         {"shards": 2, "shard_processes": False},
     ],
-    ids=["bfs", "dfs", "sleep", "optimal", "shards=2"],
+    ids=["bfs", "dfs", "optimal", "shards=2"],
 )
 def test_parent_map_holds_threads_and_traces_replay(kwargs):
     """Every explorer records (parent key, tid) — never a step — and the
@@ -268,19 +267,36 @@ def test_representatives_collection():
     assert len(result.representatives) == result.configs
 
 
+def _rejected(reduction, strategy, match, **bounds):
+    label = "-".join(
+        [reduction, strategy, match] + [f"{k}={v}" for k, v in bounds.items()]
+    )
+    return pytest.param(reduction, strategy, bounds, match, id=label)
+
+
 @pytest.mark.parametrize("path", ["plain", "checkpoint", "shards=2"])
 @pytest.mark.parametrize(
-    "reduction,strategy,match",
-    [("dpro", "bfs", "unknown reduction")]
-    + [(r, "bsf", "unknown search strategy") for r in REDUCTIONS],
+    "reduction,strategy,bounds,match",
+    [_rejected(r, "bfs", "unknown reduction") for r in ("dpro", "sleep")]
+    + [_rejected(r, "bsf", "unknown search strategy") for r in REDUCTIONS]
+    + [
+        _rejected(r, "bfs", "max_events", max_events=-1)
+        for r in REDUCTIONS
+    ]
+    + [
+        _rejected(r, "bfs", "max_configs", max_configs=cap)
+        for r in REDUCTIONS
+        for cap in (0, -5)
+    ],
 )
 def test_unknown_reduction_or_strategy_is_rejected_on_every_path(
-    tmp_path, path, reduction, strategy, match
+    tmp_path, path, reduction, strategy, bounds, match
 ):
-    """``explore`` validates both knobs before it picks a search path,
-    so the checkpoint and sharded paths give the same error as the plain
-    one (rather than a path-specific one, or a run that records the
-    bogus strategy)."""
+    """``explore`` validates its knobs and bounds before it picks a
+    search path, so the checkpoint and sharded paths give the same error
+    as the plain one (rather than a path-specific one, a run that
+    records the bogus strategy, or a one-config ``truncated`` result
+    for a nonsense bound)."""
     kwargs = {
         "plain": {},
         "checkpoint": {"checkpoint": str(tmp_path / "run.ckpt")},
@@ -289,5 +305,5 @@ def test_unknown_reduction_or_strategy_is_rejected_on_every_path(
     with pytest.raises(ValueError, match=match):
         explore(
             Program.parallel(assign("x", 1)), {"x": 0}, RAMemoryModel(),
-            reduction=reduction, strategy=strategy, **kwargs,
+            reduction=reduction, strategy=strategy, **bounds, **kwargs,
         )

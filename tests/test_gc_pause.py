@@ -5,8 +5,8 @@ paused: a search allocates millions of long-lived objects, and every
 collection would re-scan them and free nothing.  The pause is safe only
 because a search creates no cyclic garbage — reference counting frees
 everything it discards.  This file pins that premise for every explorer
-(the unreduced loop, ``sleep``, ``optimal``, the in-process
-sharded search and a checkpointed run): the objects ``gc.collect()``
+(the unreduced loop, ``optimal``, the in-process sharded search and
+a checkpointed run): the objects ``gc.collect()``
 frees after a search must not grow with the bound.  It also pins that
 the caller's collector setting survives every exit path — normal
 return, an injected interrupt, Ctrl-C, a nested call — and that shard
@@ -34,7 +34,6 @@ SMALL, LARGE = 8, 12
 
 SEARCHES = {
     "none": {},
-    "sleep": {"reduction": "sleep"},
     "optimal": {"reduction": "optimal"},
     "shards=2": {"shards": 2, "shard_processes": False},
     "checkpointed": {"checkpoint_every": 25},

@@ -105,8 +105,7 @@ class _BoundGuardedRA(RAMemoryModel):
 
 @pytest.mark.parametrize(
     "reduction,shards",
-    [("none", 1), ("sleep", 1), ("optimal", 1),
-     ("none", 2), ("sleep", 2)],
+    [("none", 1), ("optimal", 1), ("none", 2)],
 )
 def test_no_explorer_runs_the_model_at_the_bound(reduction, shards):
     test = litmus_test("MP+rel-acq")

@@ -102,7 +102,7 @@ def reference_mismatches(program, init, model, max_events=None, **explore_kwargs
 
 
 @pytest.mark.parametrize("model_name", sorted(MODELS))
-@pytest.mark.parametrize("reduction", ["none", "sleep", "optimal"])
+@pytest.mark.parametrize("reduction", ["none", "optimal"])
 def test_litmus_registry_lowering_parity(model_name, reduction):
     """Every registry test, at every configuration the search under
     ``reduction`` reaches (the reduced searches step single threads

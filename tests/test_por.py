@@ -121,7 +121,7 @@ def test_footprint_tracks_control_only_when_asked():
 
 
 def test_reductions_tuple_and_validation():
-    assert REDUCTIONS == ("none", "sleep", "optimal")
+    assert REDUCTIONS == ("none", "optimal")
     with pytest.raises(ValueError, match="unknown reduction"):
         explore(sb_program(), SB_INIT, SCMemoryModel(), reduction="ample")
 
@@ -151,56 +151,6 @@ def test_thread_successors_slices_configuration_successors():
     ]
     full = [(s.tid, s.target) for s in configuration_successors(config, model)]
     assert by_thread == full
-
-
-# ----------------------------------------------------------------------
-# Sleep sets: same configurations, fewer transitions
-# ----------------------------------------------------------------------
-
-
-def test_sleep_visits_identical_configurations():
-    for model in (SCMemoryModel(), RAMemoryModel()):
-        full = explore(sb_program(), SB_INIT, model)
-        reduced = explore(sb_program(), SB_INIT, model, reduction="sleep")
-        assert reduced.configs == full.configs
-        assert reduced.transitions <= full.transitions
-        assert outcome_set(reduced) == outcome_set(full)
-        assert reduced.stats.reduction == "sleep"
-
-
-def test_sleep_prunes_transitions_on_peterson():
-    full = explore(
-        peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
-        max_events=10,
-    )
-    reduced = explore(
-        peterson_program(once=True), PETERSON_INIT, RAMemoryModel(),
-        max_events=10, reduction="sleep",
-    )
-    assert reduced.configs == full.configs
-    assert reduced.truncated == full.truncated
-    assert reduced.stats.sleep_hits > 0
-    assert reduced.transitions < full.transitions
-
-
-def test_sleep_is_hook_safe_for_memory_reading_properties():
-    """Sleep visits every configuration, so even a hook reading the
-    memory state sees exactly what the unreduced search sees."""
-    seen_full, seen_reduced = [], []
-
-    def snoop(bucket):
-        def hook(config):
-            bucket.append(config.state)
-            return []
-        return hook
-
-    explore(sb_program(), SB_INIT, SCMemoryModel(), check_config=snoop(seen_full))
-    explore(
-        sb_program(), SB_INIT, SCMemoryModel(),
-        check_config=snoop(seen_reduced), reduction="sleep",
-    )
-    assert set(seen_full) == set(seen_reduced)
-    assert len(seen_full) == len(seen_reduced)  # once per configuration
 
 
 # ----------------------------------------------------------------------
@@ -287,11 +237,11 @@ def test_optimal_keep_representatives_keys_every_visit():
 
 
 def test_dpor_mutant_violation_found_and_replays_unreduced():
-    """A violation found by any pruning tier must replay as a valid
-    unreduced trace: every step of the counterexample is among the
-    successors the *unreduced* interpreter generates from its source."""
+    """A violation found by any tier must replay as a valid unreduced
+    trace: every step of the counterexample is among the successors the
+    *unreduced* interpreter generates from its source."""
     model = RAMemoryModel()
-    for reduction in ("sleep", "optimal"):
+    for reduction in ("none", "optimal"):
         result = explore(
             peterson_relaxed_turn(once=True), PETERSON_INIT, model,
             max_events=10, check_config=mutual_exclusion_violations,

@@ -3,8 +3,8 @@
 The subsystem's contract (DESIGN.md §9, §13), checked wholesale: the
 entire litmus registry under every model, every case study, and a slice
 of generated fuzz programs, each explored with every reduction tier —
-``"sleep"`` and the parsimonious ``"optimal"`` — verdict for verdict, outcome set for outcome set, truncation flag for
-truncation flag.  CI runs this file as the POR parity smoke job.
+the parsimonious ``"optimal"`` — verdict for verdict, outcome set for
+outcome set, truncation flag for truncation flag.  CI runs this file as the POR parity smoke job.
 """
 
 import pytest
@@ -24,7 +24,7 @@ MODELS = {"ra": RAMemoryModel, "sra": SRAMemoryModel, "sc": SCMemoryModel}
 REGISTRY = list(ALL_TESTS) + list(EXTRA_TESTS)
 
 #: Every reduction tier the engine ships.
-TIERS = ["sleep", "optimal"]
+TIERS = ["optimal"]
 
 
 def outcome_set(result):
@@ -91,8 +91,6 @@ def test_fuzz_sample_outcome_parity(profile):
                     f"under {reduction}"
                 )
                 assert reduced.configs <= full.configs
-                if reduction == "sleep":
-                    assert reduced.configs == full.configs
 
 
 def test_fuzz_oracle_reports_por_parity():
@@ -177,7 +175,7 @@ def test_fuzz_oracle_reports_capped_reduced_run_inconclusive(monkeypatch):
     assert "config cap" in report.detail
 
 
-@pytest.mark.parametrize("reduction", ["none", "sleep", "optimal"])
+@pytest.mark.parametrize("reduction", ["none", "optimal"])
 def test_capped_run_sets_both_flags_on_every_explorer(reduction):
     """Satellite contract: every explorer sets ``truncated`` *and*
     ``capped`` on the max-configs exit path, so downstream consumers

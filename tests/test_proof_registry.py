@@ -36,22 +36,16 @@ def test_registered_outline_proves(name, model):
     }
 
 
-@pytest.mark.parametrize("name", ["peterson", "spinlock-tas", "seqlock"])
-def test_sleep_reduction_preserves_verdict_and_configs(name):
-    """Sleep sets visit identical configurations, so the proof verdict
-    (and the config count) match the unreduced discharge exactly."""
-    entry = PROOFS.get(name)
-    full = entry.check(entry.models[0], reduction="none")
-    reduced = entry.check(entry.models[0], reduction="sleep")
-    assert reduced.proved == full.proved is True
-    assert reduced.configs == full.configs
-    assert reduced.transitions <= full.transitions
-
-
 def test_optimal_rejected_for_outline_checks():
+    """Discharge is always unreduced: there is no reduction knob to
+    pass ``"optimal"`` through."""
     entry = PROOFS.get("message-passing")
-    with pytest.raises(ValueError, match="sleep"):
+    with pytest.raises(TypeError, match="reduction"):
         entry.check("ra", reduction="optimal")
+    with pytest.raises(TypeError, match="reduction"):
+        entry.outline().check(
+            entry.program(), dict(entry.init), reduction="optimal"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Sharded exploration parity: partitioned search ≡ single-process.
 
 The sharding contract (DESIGN.md §15), checked wholesale: the entire
-litmus registry under every model, explored unreduced and under sleep
-sets, hash-partitioned across 1/2/3/4 shards — and the sharded run must
+litmus registry under every model, explored unreduced and
+hash-partitioned across 1/2/3/4 shards — and the sharded run must
 report *byte-identical* results to the single-process search: the same
 configuration and transition counts, the same truncation flags, the
 same terminal outcome sets and the same per-key parent choices.  Unlike
@@ -38,7 +38,7 @@ MODELS = {"ra": RAMemoryModel, "sra": SRAMemoryModel, "sc": SCMemoryModel}
 REGISTRY = list(ALL_TESTS) + list(EXTRA_TESTS)
 
 SHARD_COUNTS = (1, 2, 3, 4)
-REDUCTIONS = ("none", "sleep")
+REDUCTIONS = ("none",)
 
 
 def outcome_set(result):

@@ -31,15 +31,13 @@ BOUND = 8
 
 #: (reduction, strategy) -> ``ra_successors`` calls on ring4 at BOUND.
 #: With every memo kept alive these searches made 2,182 / 2,182 /
-#: 1,428 / 1,387 / 2,036 calls.  Breadth-first searches keep
+#: 2,036 calls.  Breadth-first searches keep
 #: every hit; depth-first ones lose the hits of states more than one
 #: step below a queued state (the frontier rule alone made 3,775 calls
 #: under ``none``/dfs).
 MEMO_CALLS = {
     ("none", "bfs"): 2182,
     ("none", "dfs"): 3309,
-    ("sleep", "bfs"): 1428,
-    ("sleep", "dfs"): 2430,
     ("optimal", "bfs"): 2599,
 }
 
