@@ -209,6 +209,28 @@ def _profile_lines(configs: int, stats) -> List[str]:
     ]
 
 
+def _phase_split_line(totals: dict) -> str:
+    """The ``suite``/``verify`` footer: the merged record's phase split,
+    in :func:`_profile_lines` order, against the jobs' summed wall time,
+    plus the calibrated rate."""
+    from repro.engine.calibrate import per_mspin, spin_score
+
+    worker_time = totals["worker_time"]
+    rate = totals["configs"] / worker_time if worker_time else 0.0
+    score = spin_score()
+    return (
+        f"phase split: expand={totals['time_expand']:.2f}s "
+        f"(model={totals['time_model']:.2f}s "
+        f"step={totals['time_expand'] - totals['time_model']:.2f}s) "
+        f"keys={totals['time_keys']:.2f}s "
+        f"orders={totals['time_orders']:.2f}s "
+        f"checks={totals['time_checks']:.2f}s "
+        f"(of {worker_time:.2f}s worker time); "
+        f"{rate:,.0f} states/sec = {per_mspin(rate, score):,.0f} states/Mspin "
+        f"(spin {score / 1e6:.1f}M ops/s)"
+    )
+
+
 def _check_shards(args: argparse.Namespace) -> None:
     """Fail suite sharding misconfigurations before any job is queued
     (explore() raises the same constraints as ValueErrors)."""
@@ -293,19 +315,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{stats.respawns} respawned worker(s)"
         )
     _note_stats(
+        **stats.counters(),
+        shards=stats.shards,
         configs=result.configs,
         transitions=result.transitions,
         terminal=len(result.terminal),
         truncated=result.truncated,
-        time_total=stats.time_total,
-        peak_frontier=stats.peak_frontier,
-        races=stats.races,
-        shards=stats.shards if stats.shards else None,
-        faults=stats.faults if stats.faults else None,
-        retries=stats.retries if stats.retries else None,
-        respawns=stats.respawns if stats.respawns else None,
-        checkpoints=stats.checkpoints if stats.checkpoints else None,
-        resumed=stats.resumed if stats.resumed else None,
         resumed_from=args.resume,
         checkpoint=args.checkpoint,
     )
@@ -369,20 +384,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         f"order derivation {totals['time_orders']:.2f}s; "
         f"peak frontier {totals['peak_frontier']}"
     )
-    from repro.engine.calibrate import per_mspin, spin_score
-
-    worker_time = totals["worker_time"]
-    rate = totals["configs"] / worker_time if worker_time else 0.0
-    score = spin_score()
-    print(
-        f"phase split: expand={totals['time_expand']:.2f}s "
-        f"(model={totals['time_model']:.2f}s "
-        f"step={totals['time_expand'] - totals['time_model']:.2f}s) "
-        f"orders={totals['time_orders']:.2f}s "
-        f"(of {worker_time:.2f}s worker time); "
-        f"{rate:,.0f} states/sec = {per_mspin(rate, score):,.0f} states/Mspin "
-        f"(spin {score / 1e6:.1f}M ops/s)"
-    )
+    print(_phase_split_line(totals))
     candidates = totals["expanded"] + totals["pruned"]
     if args.reduction != "none" and candidates:
         print(
@@ -396,16 +398,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         f"strategy={args.strategy} workers={args.jobs} "
         f"wall={wall:.2f}s (worker time {totals['worker_time']:.2f}s)"
     )
-    _note_stats(
-        configs=totals["configs"],
-        transitions=totals["transitions"],
-        jobs=totals["jobs"],
-        mismatches=totals["mismatches"],
-        failures=totals["failures"],
-        peak_frontier=totals["peak_frontier"],
-        worker_time=totals["worker_time"],
-        wall=wall,
-    )
+    _note_stats(**totals, wall=wall)
     if totals["failures"]:
         print(f"{totals['failures']} job(s) crashed in a worker:")
         for r in results:
@@ -477,13 +470,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     print(report.summary())
     print(f"wall={wall:.2f}s workers={args.jobs}")
     _note_stats(
+        **report.stats.counters(),
         seed=args.seed,
         iters=args.iters,
         configs=report.configs,
         transitions=report.transitions,
         divergences=len(report.divergences),
         inconclusive=report.inconclusive,
-        peak_frontier=report.peak_frontier,
         wall=wall,
     )
     if report.divergences and not args.no_save:
@@ -511,6 +504,7 @@ def _print_outline_report(label: str, outline, report) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from repro.engine.stats import EngineStats
     from repro.verify.registry import PROOFS
 
     if args.list:
@@ -544,6 +538,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"unknown model {name!r}; choose from ['ra', 'sc', 'sra']"
                 )
     failed = 0
+    merged = EngineStats()
+    configs = obligations = failed_obligations = 0
     for name in args.names:
         try:
             entry = PROOFS.get(name)
@@ -570,12 +566,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 outline, report,
             )
             failed += not report.proved
+            merged.merge(report.stats)
+            configs += report.configs
+            obligations += report.obligations_discharged
+            failed_obligations += len(report.failures)
             _note_stats(
-                configs=_RUN_SUMMARY.get("configs", 0) + report.configs,
-                obligations=_RUN_SUMMARY.get("obligations", 0)
-                + report.obligations_discharged,
-                failed_obligations=_RUN_SUMMARY.get("failed_obligations", 0)
-                + len(report.failures),
+                **merged.counters(),
+                configs=configs,
+                obligations=obligations,
+                failed_obligations=failed_obligations,
             )
     return 1 if failed else 0
 
@@ -626,18 +625,12 @@ def _verify_all(args: argparse.Namespace) -> int:
         f"key-cache hit rate {100.0 * totals['key_rate']:.0f}%, "
         f"order derivation {totals['time_orders']:.2f}s"
     )
+    print(_phase_split_line(totals))
     print(
         f"strategy={args.strategy} workers={args.jobs} "
         f"wall={wall:.2f}s (worker time {totals['worker_time']:.2f}s)"
     )
-    _note_stats(
-        configs=totals["configs"],
-        obligations=totals["obligations"],
-        failed_obligations=totals["failed_obligations"],
-        jobs=totals["jobs"],
-        peak_frontier=totals["peak_frontier"],
-        wall=wall,
-    )
+    _note_stats(**totals, wall=wall)
     if totals["mismatches"]:
         for r in results:
             if not r.verdict_matches:

@@ -61,8 +61,7 @@ from typing import (
 )
 
 from repro.engine.frontier import STRATEGIES, frontier_class
-from repro.engine.keys import KEY_CACHE
-from repro.engine.stats import EngineStats
+from repro.engine.stats import EngineStats, ProcessCounters
 from repro.lang.actions import Value, Var
 from repro.lang.program import Program, Tid
 
@@ -544,7 +543,7 @@ def _explore_deepening(
             **kwargs,
         )
         rounds += 1
-        cumulative.merge_round(result.stats)
+        cumulative.merge(result.stats)
         if kwargs.get("stop_on_violation") and result.violations:
             break
         if not result.truncated:
@@ -577,8 +576,6 @@ def _explore_once(
     fingerprint: Optional[dict] = None,
 ) -> ExplorationResult[S]:
     """One search run with a fixed frontier discipline and bounds."""
-    from repro.c11.compact import ORDER_TIMER
-    from repro.interp.memory_model import MODEL_TIMER
     from repro.interp.config import Configuration
     from repro.interp.interpreter import successor_list
     from repro.obs.trace import tracer
@@ -602,9 +599,7 @@ def _explore_once(
 
     clock = time.perf_counter
     t_run = clock()
-    hits0, misses0, _ = KEY_CACHE.snapshot()
-    orders0 = ORDER_TIMER.snapshot()
-    model0 = MODEL_TIMER.snapshot()
+    counters = ProcessCounters()
 
     from repro.faults import FaultInterrupt, active_plan
 
@@ -659,12 +654,8 @@ def _explore_once(
             # fold in this segment's process-wide counter deltas
             snap_stats = dataclasses.replace(stats)
             snap_stats.checkpoints += 1
-            h1, m1, _ = KEY_CACHE.snapshot()
-            snap_stats.key_hits += h1 - hits0
-            snap_stats.key_misses += m1 - misses0
             snap_stats.time_total += clock() - t_run
-            snap_stats.time_orders += ORDER_TIMER.snapshot() - orders0
-            snap_stats.time_model += MODEL_TIMER.snapshot() - model0
+            counters.fold_into(snap_stats)
             write_checkpoint(checkpoint, fingerprint, {
                 "algo": "plain",
                 "frontier": frontier.snapshot(),
@@ -708,11 +699,11 @@ def _explore_once(
             config, key = frontier.pop()
             result.configs += 1
             if tr is not None and tr.tick():
-                hits_now, misses_now, _ = KEY_CACHE.snapshot()
+                so_far = counters.fold_into(EngineStats())
                 tr.emit(
                     "node", run=run, n=result.configs,
                     pcs=[config.program.pc(t) for t in config.program.tids],
-                    keys=[hits_now - hits0, misses_now - misses0],
+                    keys=[so_far.key_hits, so_far.key_misses],
                 )
             if keep_representatives:
                 result.representatives[key] = config
@@ -776,11 +767,7 @@ def _explore_once(
             lifetime.leave(config.state)
     finally:
         stats.time_total += clock() - t_run
-        hits1, misses1, _ = KEY_CACHE.snapshot()
-        stats.key_hits += hits1 - hits0
-        stats.key_misses += misses1 - misses0
-        stats.time_orders += ORDER_TIMER.snapshot() - orders0
-        stats.time_model += MODEL_TIMER.snapshot() - model0
+        counters.fold_into(stats)
         if tr is not None:
             tr.run_end(
                 run, stats, result.configs, result.transitions,

@@ -6,9 +6,10 @@ shared state — but the objects involved (programs, outcome lambdas,
 outlines) do not pickle.  The runner therefore ships *names*: a
 :class:`SuiteJob` carries only strings and bounds, each worker
 re-resolves the test/case study/proof entry from the registries it
-imported itself, and ships back a flat :class:`SuiteJobResult` of
-verdicts and counters (verify jobs add obligation counts, which the
-generic aggregator folds into the footer like any other stat).  Verdicts are byte-identical to a sequential run
+imported itself, and ships back a :class:`SuiteJobResult`: the verdict,
+the job's counts and the run's whole
+:class:`~repro.engine.stats.EngineStats` (verify jobs add obligation
+counts).  Verdicts are byte-identical to a sequential run
 because the sequential path (``jobs=1``) executes the very same
 :func:`run_suite_job` in-process (DESIGN.md §5).
 
@@ -27,6 +28,8 @@ import os
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
+
+from repro.engine.stats import EngineStats
 
 #: Case-study checks runnable as suite jobs: name -> (expected ok?).
 #: Bounds are modest so a suite run stays interactive; the dedicated
@@ -92,7 +95,7 @@ class SuiteJob:
 
 @dataclass(frozen=True)
 class SuiteJobResult:
-    """What one job reported back — flat, picklable counters."""
+    """What one job reported back: its verdict, counts and stats record."""
 
     job: SuiteJob
     #: litmus: outcome reachable?  case study: property violated?
@@ -107,40 +110,31 @@ class SuiteJobResult:
     terminal: int
     truncated: bool
     wall_time: float
-    key_hits: int
-    key_misses: int
+    #: what the job's explorations cost, merged (:meth:`EngineStats.merge`)
+    stats: EngineStats
     #: kind-specific payload (fuzz jobs ship their divergence records
     #: here as JSON; litmus and case-study jobs leave it empty)
     detail: str = ""
-    #: reduction counters (zero when the job ran unreduced)
-    expanded: int = 0
-    pruned: int = 0
-    sleep_hits: int = 0
-    races: int = 0
-    revisits: int = 0
-    #: proof-obligation counters (verify jobs only; summed generically
-    #: into the suite footer like every other integer stat)
+    #: proof-obligation counters (verify jobs only)
     obligations: int = 0
     failed_obligations: int = 0
-    #: derived-order wall time (DESIGN.md §11), aggregated generically
-    #: like the integer stats so footers can attribute closure work
-    time_orders: float = 0.0
-    #: successor-expansion wall time — the engine phase the lowered IR
-    #: (DESIGN.md §12) targets; footers print it against ``time_orders``
-    time_expand: float = 0.0
-    #: memory-model share of ``time_expand`` — ``expand - model`` is
-    #: the program-stepping cost of the lowered step tables
-    time_model: float = 0.0
     #: the worker raised instead of reporting: ``detail`` carries the
     #: traceback and the job counts as a mismatch, never as a pass
     failed: bool = False
-    #: peak frontier/spine depth of the job's exploration — a memory
-    #: high-water mark, aggregated by *max* across jobs (a per-worker
-    #: peak is not additive; see :meth:`ParallelRunner.aggregate`)
-    peak_frontier: int = 0
     #: pid of the worker that ran the job (observability only — never
     #: aggregated; lets trace/job records be joined to engine records)
     worker_pid: int = 0
+
+    def __getattr__(self, name: str):
+        # Forwards reads of the engine counters (``r.key_hits`` is
+        # ``r.stats.key_hits``) for readers outside the package that
+        # predate the one stats record, such as perfbench/workloads.py.
+        # Only reached when ordinary lookup fails.  Dunders and ``stats``
+        # itself must fail fast: unpickling looks up ``__setstate__``
+        # before ``stats`` is set, and forwarding that would recurse.
+        if name == "stats" or name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.stats, name)
 
     @property
     def verdict_matches(self) -> bool:
@@ -273,17 +267,7 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
         terminal=outcome.terminal_states,
         truncated=outcome.truncated,
         wall_time=stats.time_total,
-        key_hits=stats.key_hits,
-        key_misses=stats.key_misses,
-        expanded=stats.expanded,
-        pruned=stats.pruned,
-        sleep_hits=stats.sleep_hits,
-        races=stats.races,
-        revisits=stats.revisits,
-        time_orders=stats.time_orders,
-        time_expand=stats.time_expand,
-        time_model=stats.time_model,
-        peak_frontier=stats.peak_frontier,
+        stats=stats,
     )
 
 
@@ -393,17 +377,7 @@ def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
         terminal=len(result.terminal),
         truncated=result.truncated,
         wall_time=result.stats.time_total,
-        key_hits=result.stats.key_hits,
-        key_misses=result.stats.key_misses,
-        expanded=result.stats.expanded,
-        pruned=result.stats.pruned,
-        sleep_hits=result.stats.sleep_hits,
-        races=result.stats.races,
-        revisits=result.stats.revisits,
-        time_orders=result.stats.time_orders,
-        time_expand=result.stats.time_expand,
-        time_model=result.stats.time_model,
-        peak_frontier=result.stats.peak_frontier,
+        stats=result.stats,
     )
 
 
@@ -431,22 +405,12 @@ def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
         terminal=0,
         truncated=report.truncated,
         wall_time=stats.time_total,
-        key_hits=stats.key_hits,
-        key_misses=stats.key_misses,
-        expanded=stats.expanded,
-        pruned=stats.pruned,
-        sleep_hits=stats.sleep_hits,
-        races=stats.races,
-        revisits=stats.revisits,
+        stats=stats,
         obligations=report.obligations_discharged,
         failed_obligations=sum(
             bad for _, bad in report.per_invariant.values()
         ),
         detail="; ".join(str(f) for f in report.failures[:3]),
-        time_orders=stats.time_orders,
-        time_expand=stats.time_expand,
-        time_model=stats.time_model,
-        peak_frontier=stats.peak_frontier,
     )
 
 
@@ -510,8 +474,7 @@ def _run_suite_job_safely(job: SuiteJob) -> SuiteJobResult:
             terminal=0,
             truncated=False,
             wall_time=time.perf_counter() - t0,
-            key_hits=0,
-            key_misses=0,
+            stats=EngineStats(),
             detail=traceback.format_exc(),
             failed=True,
             worker_pid=os.getpid(),
@@ -600,39 +563,24 @@ class ParallelRunner:
     def aggregate(self, results: Sequence[SuiteJobResult]) -> dict:
         """Suite-level totals for the CLI footer.
 
-        Every numeric counter field of :class:`SuiteJobResult` — int or
-        float — is folded generically: a stat key added to the result
-        type (reduction counters, ``time_orders``, say) shows up here
-        without aggregator surgery, instead of being silently dropped.
-        Fields named ``peak_*`` are high-water marks and fold by *max*
-        (summing a per-job peak across jobs overstates it — no moment
-        ever held the sum); everything else sums.  ``wall_time`` is
-        excluded (it is whole-job time, surfaced as the derived
-        ``worker_time``), as is the ``worker_pid`` identifier; the
-        other derived entries (``jobs``, ``mismatches``, ``key_rate``)
-        stay explicit too.
+        The jobs' stats records fold through :meth:`EngineStats.merge`,
+        so every counter, timer and high-water mark appears under its
+        field name.  The jobs' own counts (configs, obligations, ...)
+        sum alongside; ``jobs``, ``mismatches``, ``failures``,
+        ``key_rate`` and ``worker_time`` (the sum of whole-job wall
+        times) are derived.
         """
-        import typing
-
-        hints = typing.get_type_hints(SuiteJobResult)
-        totals = {
-            name: (
-                max((getattr(r, name) for r in results), default=0)
-                if name.startswith("peak_")
-                else sum(getattr(r, name) for r in results)
-            )
-            for f in dataclasses.fields(SuiteJobResult)
-            for name in (f.name,)
-            # resolved type: excludes bool/str; wall_time is derived,
-            # worker_pid is an identifier — neither is a counter
-            if hints.get(name) in (int, float)
-            and name not in ("wall_time", "worker_pid")
-        }
-        keyed = totals["key_hits"] + totals["key_misses"]
+        merged = EngineStats()
+        for r in results:
+            merged.merge(r.stats)
+        totals = merged.counters()
+        for name in ("configs", "transitions", "terminal", "obligations",
+                     "failed_obligations"):
+            totals[name] = sum(getattr(r, name) for r in results)
         totals["jobs"] = len(results)
         totals["mismatches"] = sum(1 for r in results if not r.verdict_matches)
         totals["failures"] = sum(1 for r in results if r.failed)
-        totals["key_rate"] = (totals["key_hits"] / keyed) if keyed else 0.0
+        totals["key_rate"] = merged.key_rate
         totals["worker_time"] = sum(r.wall_time for r in results)
         return totals
 

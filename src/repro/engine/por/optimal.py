@@ -81,7 +81,7 @@ from repro.engine.core import (
     _key_of,
     bound_cut,
 )
-from repro.engine.keys import KEY_CACHE
+from repro.engine.stats import ProcessCounters
 from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 
 Clock = Dict[int, int]  # tid -> highest path index happens-before
@@ -193,8 +193,6 @@ def explore_optimal(
     in the stats but does not choose a frontier.  ``configs`` counts
     distinct configuration keys.
     """
-    from repro.c11.compact import ORDER_TIMER
-    from repro.interp.memory_model import MODEL_TIMER
     from repro.interp.interpreter import initial_configuration, thread_successor_list
     from repro.obs.trace import tracer
 
@@ -219,9 +217,7 @@ def explore_optimal(
 
     clock = time.perf_counter
     t_run = clock()
-    hits0, misses0, _ = KEY_CACHE.snapshot()
-    orders0 = ORDER_TIMER.snapshot()
-    model0 = MODEL_TIMER.snapshot()
+    counters = ProcessCounters()
 
     #: key -> antichain of sleep-tid sets this key was expanded with
     expanded: Dict[Hashable, List[FrozenSet[int]]] = {}
@@ -592,11 +588,7 @@ def explore_optimal(
         pass
     finally:
         stats.time_total += clock() - t_run
-        hits1, misses1, _ = KEY_CACHE.snapshot()
-        stats.key_hits += hits1 - hits0
-        stats.key_misses += misses1 - misses0
-        stats.time_orders += ORDER_TIMER.snapshot() - orders0
-        stats.time_model += MODEL_TIMER.snapshot() - model0
+        counters.fold_into(stats)
         if tr is not None:
             tr.run_end(
                 run, stats, result.configs, result.transitions,

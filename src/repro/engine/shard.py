@@ -73,8 +73,8 @@ from repro.engine.core import (
     gc_paused,
 )
 from repro.engine.frontier import LevelFrontier
-from repro.engine.keys import KEY_CACHE, key_digest, shard_of, stable_encode
-from repro.engine.stats import EngineStats
+from repro.engine.keys import key_digest, shard_of, stable_encode
+from repro.engine.stats import EngineStats, ProcessCounters
 
 #: supervision policy: how many times a round of worker deaths is
 #: retried (respawning the fleet, resuming from the last checkpoint)
@@ -370,7 +370,6 @@ def _merge_results(
     result._canonicalize = True
     merged = result.stats
     merged.strategy = "bfs"
-    rounds = 0
     terminal: List[Tuple[tuple, Any]] = []
     violations: List[Tuple[tuple, Violation]] = []
     for payload in payloads:
@@ -382,8 +381,7 @@ def _merge_results(
         violations.extend(payload["violations"])
         result.parents.update(payload["parents"])
         result.representatives.update(payload["representatives"])
-        merged.merge_round(payload["stats"])
-        rounds = max(rounds, payload["stats"].shard_rounds)
+        merged.merge(payload["stats"])
     # (level, signature) order is the single-process BFS pop order, so
     # the merged lists read exactly as the unsharded run's would
     terminal.sort(key=lambda pair: pair[0])
@@ -391,7 +389,6 @@ def _merge_results(
     result.terminal = [config for _, config in terminal]
     result.violations = [violation for _, violation in violations]
     merged.shards = spec.shards
-    merged.shard_rounds = rounds
     # per-shard phase timings sum across workers; the run's total is the
     # coordinator's wall clock (under process mode the sum exceeds it —
     # that surplus is exactly what parallel hardware buys back)
@@ -418,19 +415,15 @@ def _emit_shard_spans(tr, run_id, payloads: List[dict]) -> None:
 def _explore_sharded_inprocess(
     spec: _ShardSpec, initial, init_key, resume_payload: Optional[dict] = None
 ) -> ExplorationResult:
-    from repro.c11.compact import ORDER_TIMER
     from repro.engine.checkpoint import write_checkpoint
     from repro.faults import FaultInterrupt, active_plan
-    from repro.interp.memory_model import MODEL_TIMER
     from repro.obs.trace import tracer
 
     tr = tracer()
     plan = active_plan()  # kill-worker has no target in-process; ignored
     clock = time.perf_counter
     t_run = clock()
-    hits0, misses0, _ = KEY_CACHE.snapshot()
-    orders0 = ORDER_TIMER.snapshot()
-    model0 = MODEL_TIMER.snapshot()
+    counters = ProcessCounters()
     cores = [_ShardCore(spec, i) for i in range(spec.shards)]
     rounds = 0
     ckpt_count = 0
@@ -513,11 +506,7 @@ def _explore_sharded_inprocess(
     wall = clock() - t_run
     result = _merge_results(spec, initial, payloads, wall)
     result.stats.checkpoints += ckpt_count
-    hits1, misses1, _ = KEY_CACHE.snapshot()
-    result.stats.key_hits = hits1 - hits0
-    result.stats.key_misses = misses1 - misses0
-    result.stats.time_orders = ORDER_TIMER.snapshot() - orders0
-    result.stats.time_model = MODEL_TIMER.snapshot() - model0
+    counters.fold_into(result.stats)
     _emit_shard_spans(tr, spec.run_id, payloads)
     return result
 
@@ -661,10 +650,8 @@ def _shard_worker(
     """
     import signal
 
-    from repro.c11.compact import ORDER_TIMER
     from repro.faults import FaultPlan
     from repro.interp.config import Configuration
-    from repro.interp.memory_model import MODEL_TIMER
     from repro.obs.trace import tracer
 
     # the coordinator's SIGTERM-to-exception handler travels across
@@ -674,9 +661,7 @@ def _shard_worker(
     core = _ShardCore(spec, index)
     table = spec.program.table
     tr = tracer()
-    hits0, misses0, _ = KEY_CACHE.snapshot()
-    orders0 = ORDER_TIMER.snapshot()
-    model0 = MODEL_TIMER.snapshot()
+    counters = ProcessCounters()
     initial = Configuration(spec.program, spec.model.initial(spec.init_values))
     init_key = _key_of(initial, spec.model)
     rounds = 0
@@ -733,11 +718,7 @@ def _shard_worker(
                 # checkpoint request: snapshot the barrier state, pickled
                 # in the main thread like every other payload
                 coord_queue.put(("ckpt", index, pickle.dumps(core.snapshot())))
-        hits1, misses1, _ = KEY_CACHE.snapshot()
-        core.stats.key_hits = hits1 - hits0
-        core.stats.key_misses = misses1 - misses0
-        core.stats.time_orders = ORDER_TIMER.snapshot() - orders0
-        core.stats.time_model = MODEL_TIMER.snapshot() - model0
+        counters.fold_into(core.stats)
         # pickled in the main thread for the same reason as batches
         coord_queue.put(
             ("result", index, pickle.dumps(_pack_payload(core.finish())))

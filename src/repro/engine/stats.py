@@ -6,13 +6,17 @@ strategy and reduction ran, how large the frontier grew, how the
 canonical-key cache behaved, how wall time split across the engine's
 three phases (successor expansion, canonical keying, check hooks), and
 — under partial-order reduction (DESIGN.md §9) — how much the reduction
-pruned.  The CLI prints these with ``--stats``, the ``suite`` footer
-aggregates them across jobs and the E4/E8 benchmarks emit them as JSON.
+pruned.  It is the one record a run's cost travels in: rounds, shards,
+jobs, fuzz cases and campaigns fold theirs with :meth:`EngineStats.merge`,
+and every footer, the metrics export and the run ledger read the result
+(DESIGN.md §5).  :class:`ProcessCounters` charges a search with its share
+of the process-wide counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Dict, Union
 
 
 @dataclass
@@ -100,30 +104,27 @@ class EngineStats:
         total = self.expanded + self.pruned
         return self.pruned / total if total else 0.0
 
-    def merge_round(self, other: "EngineStats") -> None:
-        """Fold one deepening round's stats into a cumulative record."""
-        self.peak_frontier = max(self.peak_frontier, other.peak_frontier)
-        self.key_hits += other.key_hits
-        self.key_misses += other.key_misses
-        self.time_total += other.time_total
-        self.time_expand += other.time_expand
-        self.time_keys += other.time_keys
-        self.time_checks += other.time_checks
-        self.time_orders += other.time_orders
-        self.time_model += other.time_model
-        self.expanded += other.expanded
-        self.pruned += other.pruned
-        self.sleep_hits += other.sleep_hits
-        self.races += other.races
-        self.revisits += other.revisits
-        self.shard_sent += other.shard_sent
-        self.shard_recv += other.shard_recv
-        self.shard_rounds = max(self.shard_rounds, other.shard_rounds)
-        self.faults += other.faults
-        self.retries += other.retries
-        self.respawns += other.respawns
-        self.checkpoints += other.checkpoints
-        self.resumed = max(self.resumed, other.resumed)
+    def merge(self, other: "EngineStats") -> "EngineStats":
+        """Fold another record into this one and return this one.
+
+        The one fold for every consumer: deepening rounds, shards, jobs,
+        oracle legs and campaigns.  Counters and timers sum; the
+        high-water marks in :data:`PEAK_FIELDS` take the max; the
+        descriptive :data:`LABEL_FIELDS` keep this record's values.
+        """
+        for name in COUNTER_FIELDS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(
+                self, name,
+                max(mine, theirs) if name in PEAK_FIELDS else mine + theirs,
+            )
+        return self
+
+    def counters(self) -> Dict[str, Union[int, float]]:
+        """Every counter, timer and high-water mark by field name (the
+        labels left out) — what footers, the metrics export and the run
+        ledger record."""
+        return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
     def summary(self) -> str:
         """One human-readable line, used by the CLI and benchmarks."""
@@ -163,3 +164,49 @@ class EngineStats:
             if self.resumed:
                 line += " resumed"
         return line
+
+
+#: Fields that say what ran rather than what it cost; :meth:`EngineStats.merge`
+#: leaves them alone.
+LABEL_FIELDS = ("strategy", "reduction", "iterations", "shards")
+#: High-water marks: merged by max, never summed (no moment held the sum;
+#: every shard takes part in every round; a run resumed at most once).
+PEAK_FIELDS = ("peak_frontier", "shard_rounds", "resumed")
+#: Every field :meth:`EngineStats.merge` folds, in declaration order.
+COUNTER_FIELDS = tuple(
+    f.name for f in fields(EngineStats) if f.name not in LABEL_FIELDS
+)
+
+
+class ProcessCounters:
+    """The process-wide counters a search segment is charged with.
+
+    Key-cache hits and misses (:data:`repro.engine.keys.KEY_CACHE`),
+    derived-order seconds (:data:`repro.c11.compact.ORDER_TIMER`) and
+    memory-model seconds (:data:`repro.interp.memory_model.MODEL_TIMER`)
+    accumulate process-wide.  A segment takes a reading when it starts;
+    :meth:`fold_into` adds what accrued since into a record.  Every
+    search loop charges itself through this one class.
+    """
+
+    __slots__ = ("key_hits", "key_misses", "time_orders", "time_model")
+
+    def __init__(self) -> None:
+        # lazy: importing repro.interp imports the engine
+        from repro.c11.compact import ORDER_TIMER
+        from repro.engine.keys import KEY_CACHE
+        from repro.interp.memory_model import MODEL_TIMER
+
+        self.key_hits, self.key_misses, _ = KEY_CACHE.snapshot()
+        self.time_orders = ORDER_TIMER.snapshot()
+        self.time_model = MODEL_TIMER.snapshot()
+
+    def fold_into(self, stats: EngineStats) -> EngineStats:
+        """Add the counters accrued since this reading to ``stats``."""
+        now = ProcessCounters()
+        for name in self.__slots__:
+            setattr(
+                stats, name,
+                getattr(stats, name) + getattr(now, name) - getattr(self, name),
+            )
+        return stats

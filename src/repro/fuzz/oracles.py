@@ -83,6 +83,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
+from repro.engine.stats import EngineStats
 from repro.interp.explore import explore, reachable_states
 from repro.interp.memory_model import MemoryModel
 from repro.interp.ra_model import RAMemoryModel
@@ -133,23 +134,8 @@ class OracleReport:
     configs: int = 0
     transitions: int = 0
     terminal: int = 0
-    key_hits: int = 0
-    key_misses: int = 0
-    #: reduction counters of the POR-parity run (0 when disabled)
-    expanded: int = 0
-    pruned: int = 0
-    sleep_hits: int = 0
-    races: int = 0
-    revisits: int = 0
-    #: derived-order wall time summed over this case's explorations
-    time_orders: float = 0.0
-    #: successor-expansion wall time summed over this case's explorations
-    time_expand: float = 0.0
-    #: memory-model share of ``time_expand``
-    time_model: float = 0.0
-    #: largest frontier/spine across this case's explorations — a
-    #: high-water mark, folded by max (never summed) up the stack
-    peak_frontier: int = 0
+    #: every exploration this case ran, merged (:meth:`EngineStats.merge`)
+    stats: EngineStats = field(default_factory=EngineStats)
 
     @property
     def ok(self) -> bool:
@@ -244,13 +230,7 @@ def check_program(
         report.configs += result.configs
         report.transitions += result.transitions
         report.terminal += len(result.terminal)
-        report.key_hits += result.stats.key_hits
-        report.key_misses += result.stats.key_misses
-        report.time_orders += result.stats.time_orders
-        report.time_expand += result.stats.time_expand
-        report.time_model += result.stats.time_model
-        if result.stats.peak_frontier > report.peak_frontier:
-            report.peak_frontier = result.stats.peak_frontier
+        report.stats.merge(result.stats)
         if name == "ra":
             ra_full = result
         if result.truncated:
@@ -331,18 +311,7 @@ def check_program(
             return report
         report.configs += reduced.configs
         report.transitions += reduced.transitions
-        report.key_hits += reduced.stats.key_hits
-        report.key_misses += reduced.stats.key_misses
-        report.time_orders += reduced.stats.time_orders
-        report.time_expand += reduced.stats.time_expand
-        report.time_model += reduced.stats.time_model
-        report.expanded += reduced.stats.expanded
-        report.pruned += reduced.stats.pruned
-        report.sleep_hits += reduced.stats.sleep_hits
-        report.races += reduced.stats.races
-        report.revisits += reduced.stats.revisits
-        if reduced.stats.peak_frontier > report.peak_frontier:
-            report.peak_frontier = reduced.stats.peak_frontier
+        report.stats.merge(reduced.stats)
         if reduced.capped:
             # The reduced search hit the safety cap: its outcome set
             # is incomplete, so neither green nor a divergence
@@ -406,13 +375,7 @@ def check_program(
             return report
         report.configs += sharded.configs
         report.transitions += sharded.transitions
-        report.key_hits += sharded.stats.key_hits
-        report.key_misses += sharded.stats.key_misses
-        report.time_expand += sharded.stats.time_expand
-        report.time_model += sharded.stats.time_model
-        report.expanded += sharded.stats.expanded
-        if sharded.stats.peak_frontier > report.peak_frontier:
-            report.peak_frontier = sharded.stats.peak_frontier
+        report.stats.merge(sharded.stats)
         if sharded.capped:
             # Per-shard caps fire at ceil(max_configs/shards), so a
             # capped sharded run explored a *different* prefix than the
@@ -530,6 +493,7 @@ def check_program(
                 clear_plan()
             report.configs += resumed.configs
             report.transitions += resumed.transitions
+            report.stats.merge(resumed.stats)
             if resumed.capped:
                 report.inconclusive = True
                 report.detail = (

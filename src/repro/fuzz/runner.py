@@ -6,7 +6,7 @@ picklable *recipe* — campaign seed, index range, profile name — not a
 program; each worker regenerates its cases deterministically from the
 seed (the same ship-names-not-objects discipline as the litmus suite
 jobs).  Divergences found in a worker are shrunk in-worker and shipped
-back as JSON in the flat result's ``detail`` field, so the parent
+back as JSON in the result's ``detail`` field, so the parent
 process never needs to unpickle an AST.
 """
 
@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+from repro.engine.stats import EngineStats
 from repro.fuzz.generator import PROFILES, GeneratedCase, generate_case
 from repro.fuzz.oracles import DEFAULT_MAX_CONFIGS, OracleReport, check_program
 from repro.fuzz.shrink import shrink_case
@@ -99,7 +100,7 @@ def _diverges_like(job: FuzzJob, kind: str) -> Callable[[GeneratedCase], bool]:
 def run_fuzz_job(job: FuzzJob):
     """Worker entry point: generate, check and shrink one index range.
 
-    Returns the engine's flat :class:`~repro.engine.parallel.SuiteJobResult`
+    Returns the engine's :class:`~repro.engine.parallel.SuiteJobResult`
     with divergence records serialised into ``detail``.
     """
     from repro.engine.parallel import SuiteJobResult
@@ -108,28 +109,15 @@ def run_fuzz_job(job: FuzzJob):
     tr = tracer()
     records: List[DivergenceRecord] = []
     inconclusive = 0
-    configs = transitions = terminal = key_hits = key_misses = 0
-    expanded = pruned = sleep_hits = races = revisits = 0
-    peak_frontier = 0
-    time_orders = time_expand = time_model = 0.0
+    configs = transitions = terminal = 0
+    stats = EngineStats()
     for index in range(job.start, job.start + job.count):
         case = generate_case(job.seed, index, PROFILES[job.profile])
         report = _check(job, case)
         configs += report.configs
         transitions += report.transitions
         terminal += report.terminal
-        key_hits += report.key_hits
-        key_misses += report.key_misses
-        time_orders += report.time_orders
-        time_expand += report.time_expand
-        time_model += report.time_model
-        expanded += report.expanded
-        pruned += report.pruned
-        sleep_hits += report.sleep_hits
-        races += report.races
-        revisits += report.revisits
-        if report.peak_frontier > peak_frontier:
-            peak_frontier = report.peak_frontier
+        stats.merge(report.stats)
         if tr is not None:
             tr.emit(
                 "case", seed=job.seed, index=index,
@@ -181,18 +169,8 @@ def run_fuzz_job(job: FuzzJob):
         terminal=terminal,
         truncated=bool(inconclusive),
         wall_time=0.0,  # overwritten by run_suite_job with whole-job time
-        key_hits=key_hits,
-        key_misses=key_misses,
+        stats=stats,
         detail=json.dumps(payload),
-        expanded=expanded,
-        pruned=pruned,
-        sleep_hits=sleep_hits,
-        races=races,
-        revisits=revisits,
-        time_orders=time_orders,
-        time_expand=time_expand,
-        time_model=time_model,
-        peak_frontier=peak_frontier,
     )
 
 
@@ -208,16 +186,8 @@ class CampaignReport:
     configs: int = 0
     transitions: int = 0
     wall_time: float = 0.0
-    key_hits: int = 0
-    key_misses: int = 0
-    #: summed POR-parity reduction counters (see DESIGN.md §9)
-    expanded: int = 0
-    pruned: int = 0
-    sleep_hits: int = 0
-    races: int = 0
-    revisits: int = 0
-    #: campaign-wide frontier high-water mark (max over jobs, not sum)
-    peak_frontier: int = 0
+    #: every job's stats record, merged (:meth:`EngineStats.merge`)
+    stats: EngineStats = field(default_factory=EngineStats)
 
     @property
     def ok(self) -> bool:
@@ -229,21 +199,21 @@ class CampaignReport:
             if self.ok
             else f"{len(self.divergences)} DIVERGENCE(S)"
         )
-        keyed = self.key_hits + self.key_misses
-        rate = (100.0 * self.key_hits / keyed) if keyed else 0.0
+        stats = self.stats
         line = (
             f"fuzz seed={self.seed} iters={self.iters} "
             f"profile={self.profile}: {verdict}, "
             f"{self.inconclusive} inconclusive; {self.configs} configs, "
-            f"{self.transitions} transitions, key-cache {rate:.0f}%, "
+            f"{self.transitions} transitions, "
+            f"key-cache {100.0 * stats.key_rate:.0f}%, "
             f"worker time {self.wall_time:.2f}s"
         )
-        candidates = self.expanded + self.pruned
+        candidates = stats.expanded + stats.pruned
         if candidates:
             line += (
-                f"; por-parity pruned {self.pruned}/{candidates} "
-                f"({100.0 * self.pruned / candidates:.0f}%), "
-                f"{self.races} races"
+                f"; por-parity pruned {stats.pruned}/{candidates} "
+                f"({100.0 * stats.reduction_ratio:.0f}%), "
+                f"{stats.races} races"
             )
         return line
 
@@ -309,7 +279,7 @@ def run_campaign(
     """Run a whole campaign through the parallel runner.
 
     ``progress`` is forwarded to :meth:`ParallelRunner.run`: called in
-    the parent with each job's flat result as it completes (the CLI's
+    the parent with each job's result as it completes (the CLI's
     ``--progress`` heartbeat).
     """
     from repro.engine.parallel import ParallelRunner
@@ -357,15 +327,7 @@ def run_campaign(
         report.configs += result.configs
         report.transitions += result.transitions
         report.wall_time += result.wall_time
-        report.key_hits += result.key_hits
-        report.key_misses += result.key_misses
-        report.expanded += result.expanded
-        report.pruned += result.pruned
-        report.sleep_hits += result.sleep_hits
-        report.races += result.races
-        report.revisits += result.revisits
-        if result.peak_frontier > report.peak_frontier:
-            report.peak_frontier = result.peak_frontier
+        report.stats.merge(result.stats)
     report.divergences.sort(key=lambda r: r.index)
     return report
 

@@ -140,24 +140,10 @@ class MetricsRegistry:
 
     # -- folding engine output in --------------------------------------
 
-    def record_stats(self, prefix: str, stats) -> None:
-        """Fold one :class:`~repro.engine.stats.EngineStats` in."""
-        for field in ("key_hits", "key_misses", "expanded", "pruned",
-                      "sleep_hits", "races", "revisits"):
-            self.counter(f"{prefix}/{field}").inc(getattr(stats, field))
-        self.gauge(f"{prefix}/peak_frontier").set(
-            max(self.gauge(f"{prefix}/peak_frontier").value,
-                stats.peak_frontier)
-        )
-        self.timer(f"{prefix}/total").add(stats.time_total)
-        self.timer(f"{prefix}/expand").add(stats.time_expand)
-        self.timer(f"{prefix}/expand/model").add(stats.time_model)
-        self.timer(f"{prefix}/keys").add(stats.time_keys)
-        self.timer(f"{prefix}/checks").add(stats.time_checks)
-        self.timer(f"{prefix}/orders").add(stats.time_orders)
-
     def record_totals(self, prefix: str, totals: Mapping[str, Number]) -> None:
-        """Fold a :meth:`ParallelRunner.aggregate` totals mapping in."""
+        """Fold a footer totals mapping in (an
+        :meth:`~repro.engine.stats.EngineStats.counters` record plus the
+        command's own counts), classifying each entry by its name."""
         for key, value in totals.items():
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 continue

@@ -315,3 +315,33 @@ def test_aggregate_surfaces_reduction_counters():
         assert totals[key] == sum(getattr(r, key) for r in results)
     assert totals["pruned"] > 0  # the reduction actually pruned work
     assert totals["races"] > 0
+
+
+def test_stats_record_survives_the_pool():
+    """Each job kind ships its whole EngineStats back through the pool,
+    and the attribute forward on SuiteJobResult reads that record."""
+    import pickle
+
+    from perfbench.workloads import STAT_FIELDS
+    from repro.fuzz.runner import FuzzJob
+
+    # the forward must not recurse while unpickling (checked in-process
+    # first: in a pool parent that recursion hangs the result handler)
+    local = run_suite_job(SuiteJob(kind="litmus", name="SB", model="ra"))
+    assert pickle.loads(pickle.dumps(local)).stats == local.stats
+    work = [
+        SuiteJob(kind="litmus", name="SB", model="ra"),
+        SuiteJob(kind="case-study", name="peterson"),
+        SuiteJob(kind="verify", name="dekker", model="sc"),
+        FuzzJob(seed=0, start=0, count=1),
+    ]
+    results = ParallelRunner(jobs=2).run(work)
+    assert [r.job.kind for r in results] == [
+        "litmus", "case-study", "verify", "fuzz",
+    ]
+    for r in results:
+        assert not r.failed, r.detail
+        assert r.stats.time_keys > 0, r.label
+        assert r.stats.time_expand > 0, r.label
+        for name in STAT_FIELDS:
+            assert getattr(r, name, 0) == getattr(r.stats, name), (r.label, name)

@@ -109,3 +109,24 @@ def test_lowering_parity_holds_on_generated_programs():
                 case.events_hint + 1,
             )
             assert not problems, f"#{index} [{name}]: {problems[:3]}"
+
+
+def test_shard_parity_leg_folds_its_whole_record():
+    """The shard-parity run's stats reach the report whole, routing
+    counters included."""
+    report = check_program(
+        _sb_case(), axiomatic=False, reduction="none", check_shards=True
+    )
+    assert report.ok, report.detail
+    assert report.stats.shard_sent > 0
+
+
+def test_fault_parity_leg_folds_its_whole_record():
+    """The fault-parity rerun resumes from the checkpoint written before
+    its interrupt, and its record (``resumed`` included) reaches the
+    report."""
+    report = check_program(
+        _sb_case(), axiomatic=False, reduction="none", check_faults=True
+    )
+    assert report.ok, report.detail
+    assert report.stats.resumed == 1

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.engine.stats import EngineStats
 from repro.obs.metrics import (
     METRICS,
     Counter,
@@ -45,26 +44,6 @@ def test_registry_get_or_create_is_idempotent():
     assert reg.counter("a/b") is reg.counter("a/b")
     assert reg.gauge("a/g") is reg.gauge("a/g")
     assert reg.timer("a/t") is reg.timer("a/t")
-
-
-def test_record_stats_folds_engine_stats():
-    reg = MetricsRegistry()
-    stats = EngineStats()
-    stats.races = 3
-    stats.peak_frontier = 9
-    stats.time_total = 1.5
-    stats.time_expand = 1.0
-    reg.record_stats("engine", stats)
-    snap = reg.snapshot()
-    assert snap["counters"]["engine/races"] == 3
-    assert snap["gauges"]["engine/peak_frontier"] == 9
-    assert snap["timers"]["engine/total"] == 1.5
-    # folding again: counters sum, peak gauge keeps the max
-    stats.peak_frontier = 4
-    reg.record_stats("engine", stats)
-    snap = reg.snapshot()
-    assert snap["counters"]["engine/races"] == 6
-    assert snap["gauges"]["engine/peak_frontier"] == 9
 
 
 def test_record_totals_classifies_by_name():

@@ -8,6 +8,7 @@ sum (summing reports a frontier no single exploration ever held).
 import io
 
 from repro.engine.parallel import ParallelRunner, SuiteJobResult, litmus_jobs
+from repro.engine.stats import EngineStats
 from repro.obs.progress import Heartbeat
 
 
@@ -15,8 +16,8 @@ def _result(configs=10, wall=1.0, peak=5, failed=False):
     return SuiteJobResult(
         job=None, observed=True, expected=True, pinned=True,
         configs=configs, transitions=configs * 2, terminal=1,
-        truncated=False, wall_time=wall, key_hits=0, key_misses=0,
-        failed=failed, peak_frontier=peak,
+        truncated=False, wall_time=wall,
+        stats=EngineStats(peak_frontier=peak), failed=failed,
     )
 
 

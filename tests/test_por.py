@@ -308,12 +308,12 @@ def test_stats_summary_mentions_reduction():
     assert "reduction=" not in plain
 
 
-def test_stats_merge_round_accumulates_reduction_counters():
+def test_stats_merge_accumulates_reduction_counters():
     from repro.engine.stats import EngineStats
 
     a = EngineStats(expanded=3, pruned=2, sleep_hits=1, races=4, revisits=5)
     b = EngineStats(expanded=1, pruned=1, sleep_hits=1, races=1, revisits=1)
-    a.merge_round(b)
+    a.merge(b)
     assert (a.expanded, a.pruned, a.sleep_hits, a.races, a.revisits) == (
         4, 3, 2, 5, 6,
     )

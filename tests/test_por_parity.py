@@ -99,7 +99,7 @@ def test_fuzz_oracle_reports_por_parity():
     case = generate_case(0, 3, PROFILES["default"])
     report = check_program(case, axiomatic=False, reduction="optimal")
     assert report.ok, report.detail
-    assert report.expanded > 0  # the parity run actually happened
+    assert report.stats.expanded > 0  # the parity run actually happened
 
 
 def test_fuzz_oracle_catches_a_broken_reduction(monkeypatch):

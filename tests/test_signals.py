@@ -35,6 +35,7 @@ from repro.engine.parallel import (
     SuiteJob,
     SuiteJobResult,
 )
+from repro.engine.stats import EngineStats
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -152,7 +153,7 @@ def job_result(job):
     return SuiteJobResult(
         job=job, observed=True, expected=True, pinned=True,
         configs=1, transitions=1, terminal=1, truncated=False,
-        wall_time=0.0, key_hits=0, key_misses=0,
+        wall_time=0.0, stats=EngineStats(),
     )
 
 
