@@ -185,7 +185,11 @@ def _profile_lines(configs: int, stats) -> List[str]:
     performance change actually moved.  The states/sec figure is also
     reported per million spin iterations (``repro.engine.calibrate``),
     which is comparable across machines and against the committed
-    E12 baselines.
+    E12 baselines.  ``loop`` is what the phases leave of the total: the
+    search loop's own bookkeeping (the POR bookkeeping under
+    ``--reduction optimal``), so ``expand + keys + checks + loop`` is
+    ``total`` (``model``/``step`` split ``expand``, and ``orders`` is
+    time spent inside the other phases).
     """
     from repro.engine.calibrate import per_mspin, spin_score
 
@@ -200,6 +204,7 @@ def _profile_lines(configs: int, stats) -> List[str]:
             f"keys={stats.time_keys * 1e3:.1f}ms "
             f"orders={stats.time_orders * 1e3:.1f}ms "
             f"checks={stats.time_checks * 1e3:.1f}ms "
+            f"loop={_loop_time(stats.counters()) * 1e3:.1f}ms "
             f"total={total * 1e3:.1f}ms"
         ),
         (
@@ -209,9 +214,18 @@ def _profile_lines(configs: int, stats) -> List[str]:
     ]
 
 
+def _loop_time(counters: dict) -> float:
+    """The search loop's own time: the total less the timed phases."""
+    return (
+        counters["time_total"] - counters["time_expand"]
+        - counters["time_keys"] - counters["time_checks"]
+    )
+
+
 def _phase_split_line(totals: dict) -> str:
     """The ``suite``/``verify`` footer: the merged record's phase split,
-    in :func:`_profile_lines` order, against the jobs' summed wall time,
+    in :func:`_profile_lines` order (``expand + keys + checks + loop``
+    is the engine's ``total``), against the jobs' summed wall time,
     plus the calibrated rate."""
     from repro.engine.calibrate import per_mspin, spin_score
 
@@ -225,6 +239,8 @@ def _phase_split_line(totals: dict) -> str:
         f"keys={totals['time_keys']:.2f}s "
         f"orders={totals['time_orders']:.2f}s "
         f"checks={totals['time_checks']:.2f}s "
+        f"loop={_loop_time(totals):.2f}s "
+        f"total={totals['time_total']:.2f}s "
         f"(of {worker_time:.2f}s worker time); "
         f"{rate:,.0f} states/sec = {per_mspin(rate, score):,.0f} states/Mspin "
         f"(spin {score / 1e6:.1f}M ops/s)"
@@ -868,7 +884,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--profile", action="store_true",
         help="print the engine phase split (expand / keys / orders / "
-        "checks) and spin-calibrated states/sec (DESIGN.md §12)",
+        "checks / loop, the search loop's own bookkeeping) and "
+        "spin-calibrated states/sec (DESIGN.md §12)",
     )
     run.add_argument(
         "--reduction", default="none",

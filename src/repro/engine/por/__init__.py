@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from repro.engine.por.deps import (
     REDUCTIONS,
-    RaceWitness,
     StepFootprint,
     conflicts,
     step_footprint,
@@ -46,7 +45,6 @@ def explore_reduced(program, init_values, model, reduction, **kwargs):
 
 __all__ = [
     "REDUCTIONS",
-    "RaceWitness",
     "StepFootprint",
     "conflicts",
     "explore_optimal",

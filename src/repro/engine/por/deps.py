@@ -32,29 +32,12 @@ footprints are empty); with visibility off they are fully independent.
 
 from __future__ import annotations
 
-from typing import FrozenSet, NamedTuple, Tuple
+from typing import FrozenSet, NamedTuple
 
 from repro.lang.actions import Var
 
 #: Reduction modes accepted by ``explore(reduction=...)`` and the CLI.
 REDUCTIONS = ("none", "optimal")
-
-
-class RaceWitness(NamedTuple):
-    """One detected race, with the sequence that reverses it.
-
-    ``index`` is the position (in the explorer's root-to-node edge
-    list) of the earlier racing step, ``tid`` the thread of the later
-    one, and ``view`` the *minimal reversing sequence*: the thread ids
-    of the not-happens-after witness suffix, in trace order, followed
-    by ``tid`` itself.  Replaying ``view`` from the node at ``index``
-    executes the race the other way around — the parsimonious
-    alternative to a wakeup tree (DESIGN.md §13).
-    """
-
-    index: int
-    tid: int
-    view: Tuple[int, ...]
 
 
 class StepFootprint(NamedTuple):
@@ -67,15 +50,6 @@ class StepFootprint(NamedTuple):
 
 #: The footprint of a silent, control-invisible step.
 EMPTY_FOOTPRINT = StepFootprint(frozenset(), frozenset(), False)
-
-#: Interned footprints keyed by their content (the empty footprint is
-#: early-returned before the lookup, so it never appears here).  The
-#: reduction layer recomputes every pending step's footprint at every
-#: node; the location sets are already shared by the memory-model layer
-#: (DESIGN.md §11), so the composed footprint objects intern cheaply
-#: and node-to-node comparisons stay allocation-free.
-_FOOTPRINT_CACHE: dict = {}
-
 
 def conflicts(a: StepFootprint, b: StepFootprint) -> bool:
     """Whether two steps of *distinct* threads may fail to commute.
@@ -105,18 +79,12 @@ def step_footprint(
     visible = track_control and step.control_visible
     if not (reads or writes or visible):
         return EMPTY_FOOTPRINT
-    key = (reads, writes, visible)
-    cached = _FOOTPRINT_CACHE.get(key)
-    if cached is None:
-        cached = StepFootprint(reads, writes, visible)
-        _FOOTPRINT_CACHE[key] = cached
-    return cached
+    return StepFootprint(reads, writes, visible)
 
 
 __all__ = [
     "EMPTY_FOOTPRINT",
     "REDUCTIONS",
-    "RaceWitness",
     "StepFootprint",
     "conflicts",
     "step_footprint",

@@ -22,13 +22,13 @@ maintaining trees.
   per location written, last visible step when control visibility is
   on); any such access not already happens-before the thread is a race.
 * **Views, not wakeup trees** — a view is an ordinary tuple of thread
-  ids (:class:`~repro.engine.por.deps.RaceWitness`), dead after one
-  descent.  Wakeup trees exist to *persist* minimal sequences across
-  sleep-set blocking inside a stateless search; here the stateful
-  visited store (canonical keys × sleep-set antichains) already
-  remembers every explored subtree, so a blocked view can simply be
-  dropped — its trace is covered — and nothing needs grafting
-  (DESIGN.md §13).
+  ids: the witness's threads in trace order, then the racing thread;
+  it is dead after one descent.  Wakeup trees exist to *persist*
+  minimal sequences across sleep-set blocking inside a stateless
+  search; here the stateful visited store (canonical keys × sleep-set
+  antichains) already remembers every explored subtree, so a blocked
+  view can simply be dropped — its trace is covered — and nothing
+  needs grafting (DESIGN.md §13).
 * **At most one scheduled view per head** — a view is only inserted
   when no initial of its witness is already among the node's done,
   active or scheduled heads (the source-set skip rule of Abdulla et
@@ -50,6 +50,16 @@ thread scheduled, sleep set cleared).  When the pruned subtree is still
 on the spine (a cycle) its summary is incomplete, and the whole spine
 is expanded instead.
 
+Bookkeeping is kept per key and per machine state.  Everything the
+search remembers about a configuration key lives in one
+:class:`_Record` (sleep antichain, access summary, spine count), held
+by the key's nodes, so a transition does one lookup and push and pop
+none.  Everything a node needs of its pending steps (sorted threads,
+footprints, the locations each step's race check reads) is a function
+of the interned machine state alone — footprints depend on the step
+only (``MemoryModel.step_footprint``) — and is built once per search
+per machine state as a :class:`_Template`.
+
 What the reduction preserves (and tests/fuzzing enforce): terminal
 configurations and their outcome sets, violation verdicts of
 ``check_config`` hooks over control observables (visibility makes
@@ -61,7 +71,6 @@ unreduced search (DESIGN.md §9).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
@@ -88,91 +97,141 @@ Clock = Dict[int, int]  # tid -> highest path index happens-before
 
 View = Tuple[int, ...]
 
+_NO_CLOCK: Clock = {}
+_AWAKE: FrozenSet[int] = frozenset()
+#: candidate set of a step that touches nothing and is invisible
+_NO_CANDS: FrozenSet[Tuple[int, int]] = frozenset()
+
 
 class _Abort(Exception):
     """Internal: stop the whole search (violation stop or config cap)."""
 
 
-@dataclass
+class _Record:
+    """Everything the search remembers about one configuration key."""
+
+    __slots__ = ("sleeps", "summary", "live")
+
+    def __init__(self) -> None:
+        #: antichain of the sleep-tid sets this key was expanded with
+        self.sleeps: List[FrozenSet[int]] = []
+        #: ``[reads, writes, visible, universal]`` — merged access
+        #: summary of every completed exploration from this key, or
+        #: ``None`` while none has completed
+        self.summary: Optional[list] = None
+        #: number of expansions of this key currently on the spine
+        self.live = 0
+
+
+class _Template:
+    """A node's view of its machine state: a function of the interned
+    program alone (footprints depend on the step only), so it is built
+    once per search per program state."""
+
+    __slots__ = ("steps", "tids", "fps", "access")
+
+    def __init__(self, config, model, track_control: bool) -> None:
+        steps = config.program.pending_steps()
+        self.steps = steps
+        self.tids: Tuple[int, ...] = tuple(sorted(steps))
+        self.fps: Dict[int, StepFootprint] = {}
+        #: per thread in tid order: ``(tid, footprint, locations touched,
+        #: locations written, visible)`` — what its race check reads
+        access = []
+        for tid in self.tids:
+            fp = step_footprint(model, config.state, tid, steps[tid], track_control)
+            self.fps[tid] = fp
+            access.append(
+                (tid, fp, tuple(fp.reads | fp.writes), tuple(fp.writes), fp.visible)
+            )
+        self.access = tuple(access)
+
+
 class _Node:
     """One configuration on the DFS spine, with its view bookkeeping."""
 
-    config: object
-    key: Hashable
-    steps: Dict[int, object]  # tid -> PendingStep
-    fps: Dict[int, StepFootprint]
-    enabled: Tuple[int, ...]
-    #: scheduled reversing sequences, at most one per head thread;
-    #: sleep-blocked views are retained (a compensation pass may clear
-    #: the sleep set while the node is still on the spine)
-    pending: List[View]
-    done: Set[int] = field(default_factory=set)
-    #: tid -> footprint it went to sleep with (inherited + done siblings)
-    sleep: Dict[int, StepFootprint] = field(default_factory=dict)
-    #: tid -> vector clock of that thread's last executed step on the path
-    thread_clock: Dict[int, Clock] = field(default_factory=dict)
-    last_write: Dict[str, Tuple[int, int]] = field(default_factory=dict)  # var -> (idx, tid)
-    last_reads: Dict[str, Dict[int, int]] = field(default_factory=dict)  # var -> tid -> idx
-    last_visible: Optional[Tuple[int, int]] = None
-    # iteration state of the thread currently being expanded
-    active_tid: Optional[int] = None
-    active_fp: Optional[StepFootprint] = None
-    active_steps: List = field(default_factory=list)
-    active_idx: int = 0
-    active_ctx: Optional[tuple] = None  # (step_clock, thread_clock', lw', lr', lv')
-    #: the rest of the view being descended: children seed their
-    #: pending with it, so the reversal replays without wandering
-    active_guide: View = ()
-    #: tid -> last conflicting path accesses of its pending step,
-    #: computed once at node entry (the tables are node-fixed)
-    cands: Dict[int, Set[Tuple[int, int]]] = field(default_factory=dict)
-    #: access summary of the subtree explored below this node (folded
-    #: up at pop time, recorded per key for the visited-prune fallback)
-    sub_reads: Set[str] = field(default_factory=set)
-    sub_writes: Set[str] = field(default_factory=set)
-    sub_visible: bool = False
-    #: summary invalid (a cycle was cut inside this subtree): prunes
-    #: against this key must fall back to whole-spine expansion
-    sub_universal: bool = False
+    __slots__ = (
+        "config", "key", "rec", "steps", "fps", "enabled", "pending",
+        "done", "sleep", "full", "thread_clock", "last_write",
+        "last_reads", "last_visible", "active_tid", "active_fp",
+        "active_steps", "active_idx", "active_ctx", "active_guide",
+        "cands", "sub_reads", "sub_writes", "sub_visible", "sub_universal",
+    )
 
-    def scheduled_heads(self) -> Set[int]:
-        """Threads whose exploration from here is done, running or booked."""
-        heads = set(self.done)
-        if self.active_tid is not None:
-            heads.add(self.active_tid)
-        heads.update(w[0] for w in self.pending)
-        return heads
+    def __init__(self, config, key, rec, tmpl, enabled, pending, sleep,
+                 thread_clock, last_write, last_reads, last_visible,
+                 cands) -> None:
+        self.config = config
+        self.key = key
+        self.rec: _Record = rec
+        self.steps: Dict[int, object] = tmpl.steps  # tid -> PendingStep
+        self.fps: Dict[int, StepFootprint] = tmpl.fps
+        self.enabled: Tuple[int, ...] = enabled
+        #: scheduled reversing sequences, at most one per head thread;
+        #: sleep-blocked views are retained (a compensation pass may clear
+        #: the sleep set while the node is still on the spine)
+        self.pending: List[View] = pending
+        self.done: Set[int] = set()
+        #: tid -> footprint it went to sleep with (inherited + done siblings)
+        self.sleep: Dict[int, StepFootprint] = sleep
+        #: every enabled thread is a head (set by :meth:`expand_fully`);
+        #: it stays so, since a head leaves ``pending`` only to run
+        self.full = False
+        #: tid -> vector clock of that thread's last executed step on the path
+        self.thread_clock: Dict[int, Clock] = thread_clock
+        self.last_write: Dict[str, Tuple[int, int]] = last_write  # var -> (idx, tid)
+        self.last_reads: Dict[str, Dict[int, int]] = last_reads  # var -> tid -> idx
+        self.last_visible: Optional[Tuple[int, int]] = last_visible
+        # iteration state of the thread currently being expanded
+        self.active_tid: Optional[int] = None
+        self.active_fp: Optional[StepFootprint] = None
+        self.active_steps: List = []
+        self.active_idx = 0
+        self.active_ctx: Optional[tuple] = None  # (step_clock, thread_clock', lw', lr', lv')
+        #: the rest of the view being descended: children seed their
+        #: pending with it, so the reversal replays without wandering
+        self.active_guide: View = ()
+        #: tid -> last conflicting path accesses of its pending step,
+        #: computed once at node entry (the tables are node-fixed)
+        self.cands: Dict[int, FrozenSet[Tuple[int, int]]] = cands
+        #: access summary of the subtree explored below this node (folded
+        #: up at pop time, recorded per key for the visited-prune fallback)
+        self.sub_reads: Set[str] = set()
+        self.sub_writes: Set[str] = set()
+        self.sub_visible = False
+        #: summary invalid (a cycle was cut inside this subtree): prunes
+        #: against this key must fall back to whole-spine expansion
+        self.sub_universal = False
+
+    def is_head(self, tid: int) -> bool:
+        """Whether ``tid``'s exploration from here is done, running or booked."""
+        if tid in self.done or tid == self.active_tid:
+            return True
+        for view in self.pending:
+            if view[0] == tid:
+                return True
+        return False
 
     def expand_fully(self) -> None:
         """Conservative fallback: schedule every enabled thread and wake
         the sleepers (``backtrack := enabled; sleep := ∅``)."""
-        self.sleep.clear()
-        heads = self.scheduled_heads()
+        if self.sleep:
+            self.sleep.clear()
+        if self.full:
+            return
         for t in self.enabled:
-            if t not in heads:
+            if not self.is_head(t):
                 self.pending.append((t,))
+        self.full = True
 
 
-def _candidates(
-    last_write: Dict[str, Tuple[int, int]],
-    last_reads: Dict[str, Dict[int, int]],
-    last_visible: Optional[Tuple[int, int]],
-    tid: int,
-    fp: StepFootprint,
-) -> Set[Tuple[int, int]]:
-    """Last conflicting accesses on the path, as ``(index, tid)`` pairs."""
-    out: Set[Tuple[int, int]] = set()
-    for var in fp.reads | fp.writes:
-        last = last_write.get(var)
-        if last is not None and last[1] != tid:
-            out.add(last)
-    for var in fp.writes:
-        for reader, idx in last_reads.get(var, {}).items():
-            if reader != tid:
-                out.add((idx, reader))
-    if fp.visible and last_visible is not None and last_visible[1] != tid:
-        out.add(last_visible)
-    return out
+def _covered(sleeps: List[FrozenSet[int]], asleep: FrozenSet[int]) -> bool:
+    """Whether an arrival sleeping on ``asleep`` is covered by one of a
+    key's recorded expansions (it had no more threads asleep)."""
+    for recorded in sleeps:
+        if recorded <= asleep:
+            return True
+    return False
 
 
 def explore_optimal(
@@ -219,42 +278,15 @@ def explore_optimal(
     t_run = clock()
     counters = ProcessCounters()
 
-    #: key -> antichain of sleep-tid sets this key was expanded with
-    expanded: Dict[Hashable, List[FrozenSet[int]]] = {}
-    first_seen: Set[Hashable] = set()
+    #: key -> its record; a key is visited iff it has one
+    records: Dict[Hashable, _Record] = {}
+    #: program -> its node template
+    templates: Dict[object, _Template] = {}
     stack: List[_Node] = []
     #: edges[i] = (tid, footprint, clock) of the step stack[i] -> stack[i+1]
     edges: List[Tuple[int, StepFootprint, Clock]] = []
-    #: key -> [reads, writes, visible, universal] — merged access summary
-    #: of every completed exploration from that configuration
-    summaries: Dict[Hashable, list] = {}
-    #: key -> number of expansions of it currently on the spine
-    on_stack: Dict[Hashable, int] = {}
+    parents = result.parents
     lifetime = MemoLifetime(model, depth_first=True)
-
-    def visit(config, key) -> None:
-        """First-visit bookkeeping (hooks, terminal set, config cap)."""
-        if key in first_seen:
-            stats.revisits += 1
-            return
-        if max_configs is not None and len(first_seen) >= max_configs:
-            result.truncated = True
-            result.capped = True
-            raise _Abort
-        first_seen.add(key)
-        result.configs += 1
-        if keep_representatives:
-            result.representatives[key] = config
-        if check_config is not None:
-            t0 = clock()
-            messages = check_config(config)
-            stats.time_checks += clock() - t0
-            for message in messages:
-                result.violations.append(Violation(message, config))
-                if stop_on_violation:
-                    raise _Abort
-        if config.is_terminated():
-            result.terminal.append(config)
 
     def _insert_view(idx: int, tid: int, fp: StepFootprint, own: Clock) -> None:
         """Schedule the *minimal reversing sequence* of a race at
@@ -278,27 +310,35 @@ def explore_optimal(
         """
         target = stack[idx]
         raced_tid = edges[idx][0]
-        v = [
-            j for j in range(idx + 1, len(edges))
-            if edges[j][2].get(raced_tid, -1) < idx  # not happens-after the race
-        ]
-        initials: Set[int] = set()
-        for pos, j in enumerate(v):
-            if all(
-                edges[j][2].get(edges[k][0], -1) < k for k in v[:pos]
-            ):
-                initials.add(edges[j][0])
+        # One pass builds the witness ``v`` and its initials.  A witness
+        # step is an initial when no earlier witness step happens-before
+        # it.  Its own thread's earlier steps always do, and for another
+        # thread it suffices to test that thread's first witness step
+        # (clocks are maxima); ``v[0]`` is always an initial.
+        v: List[int] = []
+        initials: List[int] = []
+        first: Dict[int, int] = {}  # tid -> its first witness index
+        for j in range(idx + 1, len(edges)):
+            tj, _fj, cj = edges[j]
+            if cj.get(raced_tid, -1) >= idx:
+                continue  # happens-after the race
+            v.append(j)
+            if tj in first:
+                continue
+            if all(cj.get(t, -1) < k for t, k in first.items()):
+                if target.is_head(tj):
+                    return  # an equivalent reversal is already booked
+                initials.append(tj)
+            first[tj] = j
         if all(
             edges[k][0] != tid
             and own.get(edges[k][0], -1) < k
             and not conflicts(fp, edges[k][1])
             for k in v
-        ):
-            initials.add(tid)
-        if not initials:  # defensive: tid is initial whenever v is empty
-            initials.add(tid)
-        if target.scheduled_heads() & initials:
-            return  # an equivalent reversal is already booked
+        ):  # always so when ``v`` is empty
+            if target.is_head(tid):
+                return
+            initials.append(tid)
         enabled_inits = sorted(q for q in initials if q in target.enabled)
         if not enabled_inits:  # bound-blocked at the ancestor: defensive
             target.expand_fully()
@@ -313,44 +353,82 @@ def explore_optimal(
         awake = [q for q in enabled_inits if q not in target.sleep]
         target.pending.append((awake[0],) if awake else (enabled_inits[0],))
 
-    def make_node(config, key, sleep, thread_clock, last_write, last_reads,
-                  last_visible, guide: View) -> Optional[_Node]:
-        """Book a configuration in; return its node, or ``None`` for leaves."""
-        visit(config, key)
-        expanded.setdefault(key, []).append(frozenset(sleep))
-        if config.is_terminated():
-            return None
-        steps = config.program.pending_steps()
-        cut = bound_cut(config, model, max_events)
-        fps: Dict[int, StepFootprint] = {}
-        enabled: List[int] = []
-        cands: Dict[int, Set[Tuple[int, int]]] = {}
-        for tid in sorted(steps):
-            step = steps[tid]
-            fps[tid] = step_footprint(
-                model, config.state, tid, step, track_control,
-            )
-            if tid in cut:
+    def make_node(config, key, rec, sleep, asleep, thread_clock, last_write,
+                  last_reads, last_visible, guide: View) -> Optional[_Node]:
+        """Book a configuration in (``rec`` is its key's record, ``None``
+        on a first visit); return its node, or ``None`` for leaves."""
+        if rec is not None:
+            stats.revisits += 1
+        else:
+            if max_configs is not None and len(records) >= max_configs:
                 result.truncated = True
-            else:
-                enabled.append(tid)
+                result.capped = True
+                raise _Abort
+            rec = records[key] = _Record()
+            result.configs += 1
+            if keep_representatives:
+                result.representatives[key] = config
+            if check_config is not None:
+                t0 = clock()
+                messages = check_config(config)
+                stats.time_checks += clock() - t0
+                for message in messages:
+                    result.violations.append(Violation(message, config))
+                    if stop_on_violation:
+                        raise _Abort
+            if config.is_terminated():
+                result.terminal.append(config)
+        rec.sleeps.append(asleep)
+        if config.is_terminated():
+            if rec.summary is None:
+                rec.summary = [set(), set(), False, False]
+            return None
+        tmpl = templates.get(config.program)
+        if tmpl is None:
+            tmpl = templates[config.program] = _Template(
+                config, model, track_control
+            )
+        enabled = tmpl.tids
+        cut = bound_cut(config, model, max_events)
+        if cut:
+            result.truncated = True
+            enabled = tuple(t for t in enabled if t not in cut)
         # Race analysis at node entry, for *every* pending step — picked
         # or not: a thread this branch never runs must still get its
         # reversals scheduled at the ancestors.  Bound-blocked steps are
         # analysed too; they are enabled at every ancestor (event counts
-        # only grow along a path).
-        for tid in sorted(steps):
-            fp = fps[tid]
-            cand = _candidates(last_write, last_reads, last_visible, tid, fp)
+        # only grow along a path).  A step's candidates are the last
+        # conflicting accesses on the path, as ``(index, tid)`` pairs.
+        cands: Dict[int, FrozenSet[Tuple[int, int]]] = {}
+        for tid, fp, touched, written, visible in tmpl.access:
+            if not (touched or visible):
+                cands[tid] = _NO_CANDS
+                continue
+            cand = set()
+            for var in touched:
+                last = last_write.get(var)
+                if last is not None and last[1] != tid:
+                    cand.add(last)
+            for var in written:
+                readers = last_reads.get(var)
+                if readers:
+                    for reader, idx in readers.items():
+                        if reader != tid:
+                            cand.add((idx, reader))
+            if visible and last_visible is not None and last_visible[1] != tid:
+                cand.add(last_visible)
             cands[tid] = cand
-            own = thread_clock.get(tid, {})
-            for idx, other in cand:
-                if idx > own.get(other, -1):  # concurrent conflict: a race
-                    stats.races += 1
-                    if tr is not None:
-                        tr.race(run, tid, fp, config.program)
-                    _insert_view(idx, tid, fp, own)
+            if cand:
+                own = thread_clock.get(tid, _NO_CLOCK)
+                for idx, other in cand:
+                    if idx > own.get(other, -1):  # concurrent conflict: a race
+                        stats.races += 1
+                        if tr is not None:
+                            tr.race(run, tid, fp, config.program)
+                        _insert_view(idx, tid, fp, own)
         if not enabled:
+            if rec.summary is None:
+                rec.summary = [set(), set(), False, False]
             return None
         # Seed the node's schedule.  Mid-descent the guide continues the
         # reversing view; a guide blocked by the bound falls back to
@@ -362,30 +440,29 @@ def explore_optimal(
             head = guide[0]
             if head in enabled and head not in sleep:
                 pending.append(guide)
-            elif head in steps and head not in enabled:
+            elif head in tmpl.steps and head not in enabled:
                 pending.extend((t,) for t in enabled)
         if not pending:
-            first_awake = next((t for t in enabled if t not in sleep), None)
-            if first_awake is not None:
-                pending.append((first_awake,))
+            for t in enabled:
+                if t not in sleep:
+                    pending.append((t,))
+                    break
         return _Node(
-            config=config, key=key, steps=steps, fps=fps,
-            enabled=tuple(enabled), pending=pending, sleep=dict(sleep),
-            thread_clock=thread_clock, last_write=last_write,
-            last_reads=last_reads, last_visible=last_visible, cands=cands,
+            config, key, rec, tmpl, enabled, pending, sleep, thread_clock,
+            last_write, last_reads, last_visible, cands,
         )
 
     try:
         t0 = clock()
         init_key = _key_of(initial, model, canonicalize)
         stats.time_keys += clock() - t0
-        result.parents[init_key] = (None, None)
+        parents[init_key] = (None, None)
 
-        root = make_node(initial, init_key, {}, {}, {}, {}, None, ())
+        root = make_node(initial, init_key, None, {}, _AWAKE, {}, {}, {}, None, ())
         if root is not None:
             stack.append(root)
             lifetime.enter(initial.state)
-            on_stack[init_key] = 1
+            root.rec.live = 1
             stats.peak_frontier = 1
 
         while stack:
@@ -396,38 +473,48 @@ def explore_optimal(
                 # Pick the next runnable view: done-headed views are
                 # spent (their head's subtree covers the reversal),
                 # sleep-blocked views are retained for a possible wake.
+                pending = node.pending
                 pick_view: Optional[View] = None
                 i = 0
-                while i < len(node.pending):
-                    head = node.pending[i][0]
+                while i < len(pending):
+                    head = pending[i][0]
                     if head in node.done or head not in node.steps:
-                        node.pending.pop(i)
+                        pending.pop(i)
                         continue
                     if head not in node.enabled or head in node.sleep:
                         i += 1  # blocked; keep for a compensation wake
                         continue
-                    pick_view = node.pending.pop(i)
+                    pick_view = pending.pop(i)
                     break
                 if pick_view is None:
-                    stats.sleep_hits += len(node.pending)
-                    stats.pruned += sum(
-                        1 for t in node.enabled if t not in node.done
-                    )
+                    stats.sleep_hits += len(pending)
+                    # every done thread was picked among the enabled ones
+                    stats.pruned += len(node.enabled) - len(node.done)
                     stack.pop()
                     lifetime.leave(node.config.state)
-                    on_stack[node.key] -= 1
-                    entry = summaries.setdefault(
-                        node.key, [set(), set(), False, False]
-                    )
-                    entry[0] |= node.sub_reads
-                    entry[1] |= node.sub_writes
-                    entry[2] = entry[2] or node.sub_visible
-                    entry[3] = entry[3] or node.sub_universal
+                    rec = node.rec
+                    rec.live -= 1
+                    summary = rec.summary
+                    if summary is None:
+                        # the node is gone: its summary becomes the key's
+                        rec.summary = [
+                            node.sub_reads, node.sub_writes,
+                            node.sub_visible, node.sub_universal,
+                        ]
+                    else:
+                        summary[0] |= node.sub_reads
+                        summary[1] |= node.sub_writes
+                        summary[2] = summary[2] or node.sub_visible
+                        summary[3] = summary[3] or node.sub_universal
                     if edges:
-                        _etid, efp, _eclock = edges.pop()
+                        efp = edges.pop()[1]
                         parent = stack[-1]
-                        parent.sub_reads |= node.sub_reads | efp.reads
-                        parent.sub_writes |= node.sub_writes | efp.writes
+                        parent.sub_reads |= node.sub_reads
+                        parent.sub_writes |= node.sub_writes
+                        if efp.reads:
+                            parent.sub_reads |= efp.reads
+                        if efp.writes:
+                            parent.sub_writes |= efp.writes
                         parent.sub_visible = (
                             parent.sub_visible or node.sub_visible or efp.visible
                         )
@@ -441,7 +528,7 @@ def explore_optimal(
                 # Races were already detected (and views inserted) at
                 # node entry.  The step's clock: program order joined
                 # with every conflicting access it extends.
-                step_clock: Clock = dict(node.thread_clock.get(pick, {}))
+                step_clock: Clock = dict(node.thread_clock.get(pick, _NO_CLOCK))
                 step_clock[pick] = depth
                 for idx, _other in node.cands[pick]:
                     for t, i in edges[idx][2].items():
@@ -473,117 +560,135 @@ def explore_optimal(
                 stats.time_expand += clock() - t0
                 stats.expanded += 1
                 node.active_idx = 0
-                continue
 
-            if node.active_idx >= len(node.active_steps):
+            # Run the active thread's transitions until one pushes a
+            # child; the loop resumes here when that child pops.
+            tid, fp = node.active_tid, node.active_fp
+            successors = node.active_steps
+            while node.active_idx < len(successors):
+                step = successors[node.active_idx]
+                node.active_idx += 1
+                result.transitions += 1
+                target = step.target
+                t0 = clock()
+                child_key = _key_of(target, model, canonicalize)
+                stats.time_keys += clock() - t0
+                if node.sleep:
+                    child_sleep = {
+                        q: fq for q, fq in node.sleep.items()
+                        if q != tid and not conflicts(fq, fp)
+                    }
+                    asleep = frozenset(child_sleep) if child_sleep else _AWAKE
+                else:
+                    child_sleep = {}
+                    asleep = _AWAKE
+                rec = records.get(child_key)
+                if rec is None:  # a key has a record iff it has a parent
+                    parents[child_key] = (node.key, tid)
+                elif _covered(rec.sleeps, asleep):
+                    stats.revisits += 1
+                    if tr is not None and tr.tick():
+                        tr.prune(run, "visited", target.program)
+                    # Pruning against an explored subtree can hide races
+                    # between *its* steps and the current path.  Compensate
+                    # with the subtree's recorded access summary.  A
+                    # terminal child has no subtree, hence no hidden races.
+                    if fp.reads:
+                        node.sub_reads |= fp.reads
+                    if fp.writes:
+                        node.sub_writes |= fp.writes
+                    node.sub_visible = node.sub_visible or fp.visible
+                    summary = rec.summary
+                    if not target.is_terminated():
+                        if rec.live or summary is None or summary[3]:
+                            # A cycle (or a summary poisoned by one): the
+                            # pruned subtree is still being explored and its
+                            # summary is incomplete — expand the whole spine
+                            # and poison everything inside the cycle.
+                            cut = max(
+                                i for i, m in enumerate(stack) if m.rec is rec
+                            ) if rec.live else -1
+                            for i, spine in enumerate(stack):
+                                spine.expand_fully()
+                                if i > cut >= 0:
+                                    spine.sub_universal = True
+                            node.sub_universal = True
+                        else:
+                            sub_r, sub_w, sub_vis, _universal = summary
+                            if sub_r:
+                                node.sub_reads |= sub_r
+                            if sub_w:
+                                node.sub_writes |= sub_w
+                            node.sub_visible = node.sub_visible or sub_vis
+                            _c_clock, c_tclock, lw, lr, lv = node.active_ctx
+                            # Candidate path accesses that touch a summary
+                            # variable, as (path index, acting tid) pairs.
+                            pairs = set()
+                            for var in sub_w:
+                                last = lw.get(var)
+                                if last is not None:
+                                    pairs.add(last)
+                                readers = lr.get(var)
+                                if readers:
+                                    for reader, i in readers.items():
+                                        pairs.add((i, reader))
+                            for var in sub_r:
+                                last = lw.get(var)
+                                if last is not None:
+                                    pairs.add(last)
+                            if sub_vis and lv is not None:
+                                pairs.add(lv)
+                            if pairs:
+                                # Parsimonious filter: every step of the
+                                # pruned subtree is performed by a thread
+                                # live at the pruned child and happens-after
+                                # that thread's vector clock there, so a path
+                                # access whose index is inside *every* live
+                                # thread's clock is happens-before the whole
+                                # subtree and cannot race with it — its node
+                                # needs no compensation.
+                                clocks = [
+                                    c_tclock.get(t, _NO_CLOCK)
+                                    for t in target.program.pending_steps()
+                                ]
+                                for idx, atid in pairs:
+                                    for c in clocks:
+                                        if c.get(atid, -1) < idx:
+                                            stack[idx].expand_fully()
+                                            break
+                    continue
+                edges.append((tid, fp, node.active_ctx[0]))
+                _s, thread_clock, last_write, last_reads, last_visible = (
+                    node.active_ctx
+                )
+                child = make_node(
+                    target, child_key, rec, child_sleep, asleep, thread_clock,
+                    last_write, last_reads, last_visible, node.active_guide,
+                )
+                if child is None:
+                    edges.pop()
+                    if fp.reads:
+                        node.sub_reads |= fp.reads
+                    if fp.writes:
+                        node.sub_writes |= fp.writes
+                    node.sub_visible = node.sub_visible or fp.visible
+                else:
+                    stack.append(child)
+                    lifetime.enter(target.state, node.config.state)
+                    child.rec.live += 1
+                    if len(stack) > stats.peak_frontier:
+                        stats.peak_frontier = len(stack)
+                    break
+            else:
                 # This thread's subtree is complete: it sleeps for the
                 # siblings explored after it.
-                node.sleep[node.active_tid] = node.active_fp
-                node.done.add(node.active_tid)
+                node.sleep[tid] = fp
+                node.done.add(tid)
                 node.active_tid = None
                 node.active_fp = None
                 node.active_steps = []
                 node.active_ctx = None
                 node.active_guide = ()
-                continue
-
-            step = node.active_steps[node.active_idx]
-            node.active_idx += 1
-            tid, fp = node.active_tid, node.active_fp
-            step_clock, thread_clock, last_write, last_reads, last_visible = (
-                node.active_ctx
-            )
-            result.transitions += 1
-            t0 = clock()
-            child_key = _key_of(step.target, model, canonicalize)
-            stats.time_keys += clock() - t0
-            result.parents.setdefault(child_key, (node.key, tid))
-            child_sleep = {
-                q: fq for q, fq in node.sleep.items()
-                if q != tid and not conflicts(fq, fp)
-            }
-            records = expanded.get(child_key)
-            if records is not None and any(
-                rec <= frozenset(child_sleep) for rec in records
-            ):
-                stats.revisits += 1
-                if tr is not None and tr.tick():
-                    tr.prune(run, "visited", step.target.program)
-                # Pruning against an explored subtree can hide races
-                # between *its* steps and the current path.  Compensate
-                # with the subtree's recorded access summary.  A
-                # terminal child has no subtree, hence no hidden races.
-                node.sub_reads |= fp.reads
-                node.sub_writes |= fp.writes
-                node.sub_visible = node.sub_visible or fp.visible
-                summary = summaries.get(child_key)
-                if not step.target.is_terminated():
-                    if on_stack.get(child_key) or summary is None or summary[3]:
-                        # A cycle (or a summary poisoned by one): the
-                        # pruned subtree is still being explored and its
-                        # summary is incomplete — expand the whole spine
-                        # and poison everything inside the cycle.
-                        cut = max(
-                            i for i, m in enumerate(stack) if m.key == child_key
-                        ) if on_stack.get(child_key) else -1
-                        for i, spine in enumerate(stack):
-                            spine.expand_fully()
-                            if i > cut >= 0:
-                                spine.sub_universal = True
-                        node.sub_universal = True
-                    else:
-                        sub_r, sub_w, sub_vis, _universal = summary
-                        node.sub_reads |= sub_r
-                        node.sub_writes |= sub_w
-                        node.sub_visible = node.sub_visible or sub_vis
-                        _c_clock, c_tclock, lw, lr, lv = node.active_ctx
-                        # Candidate path accesses that touch a summary
-                        # variable, as (path index, acting tid) pairs.
-                        pairs = set()
-                        for var in sub_w:
-                            last = lw.get(var)
-                            if last is not None:
-                                pairs.add(last)
-                            for reader, i in lr.get(var, {}).items():
-                                pairs.add((i, reader))
-                        for var in sub_r:
-                            last = lw.get(var)
-                            if last is not None:
-                                pairs.add(last)
-                        if sub_vis and lv is not None:
-                            pairs.add(lv)
-                        # Parsimonious filter: every step of the pruned
-                        # subtree is performed by a thread live at the
-                        # pruned child and happens-after that thread's
-                        # vector clock there, so a path access whose
-                        # index is inside *every* live thread's clock is
-                        # happens-before the whole subtree and cannot
-                        # race with it — its node needs no compensation.
-                        clocks = [
-                            c_tclock.get(t, {})
-                            for t in step.target.program.pending_steps()
-                        ]
-                        for idx, atid in pairs:
-                            if any(c.get(atid, -1) < idx for c in clocks):
-                                stack[idx].expand_fully()
-                continue
-            edges.append((tid, fp, step_clock))
-            child = make_node(
-                step.target, child_key, child_sleep, thread_clock,
-                last_write, last_reads, last_visible, node.active_guide,
-            )
-            if child is None:
-                edges.pop()
-                summaries.setdefault(child_key, [set(), set(), False, False])
-                node.sub_reads |= fp.reads
-                node.sub_writes |= fp.writes
-                node.sub_visible = node.sub_visible or fp.visible
-            else:
-                stack.append(child)
-                lifetime.enter(step.target.state, node.config.state)
-                on_stack[child_key] = on_stack.get(child_key, 0) + 1
-                if len(stack) > stats.peak_frontier:
-                    stats.peak_frontier = len(stack)
     except _Abort:
         pass
     finally:

@@ -55,11 +55,6 @@ class ModelTimerStats:
 
 MODEL_TIMER = ModelTimerStats()
 
-#: Interned footprint pairs, keyed by ``(kind, var)``.  A step's default
-#: footprint depends only on its action shape, and the reduction layer
-#: recomputes footprints for every pending step at every node — sharing
-#: the frozensets keeps that loop allocation-free (DESIGN.md §11).
-_FOOTPRINTS: dict = {}
 _EMPTY_VARS: FrozenSet["Var"] = frozenset()
 
 
@@ -163,17 +158,20 @@ class MemoryModel(abc.ABC, Generic[S]):
         acting thread — which covers SC, RA and SRA (see the per-model
         overrides for the commutation arguments).  A model for which
         disjoint-location steps do *not* commute must override this with
-        a wider footprint.  Results are interned per ``(kind, var)``:
-        the footprints depend on nothing else, and the reduction layer
-        asks for them in its innermost loop.
+        a wider footprint.
+
+        Contract: the footprint is a function of ``step`` alone — never
+        of ``state`` or ``tid`` beyond what the step itself carries.  A
+        model whose footprint must vary with the state over-approximates
+        it by the union over all states instead.  The ``optimal``
+        reduction relies on this: it computes the footprints of a
+        machine state's pending steps once per search, from whichever
+        configuration reaches that machine state first, and reuses them
+        at every node with the same program
+        (:class:`repro.engine.por.optimal._Template`).
         """
         if step.is_silent or step.var is None:
             return (_EMPTY_VARS, _EMPTY_VARS)
-        key = (step.kind, step.var)
-        cached = _FOOTPRINTS.get(key)
-        if cached is None:
-            var = frozenset((step.var,))
-            cached = (var if step.kind.is_read else _EMPTY_VARS,
-                      var if step.kind.is_write else _EMPTY_VARS)
-            _FOOTPRINTS[key] = cached
-        return cached
+        var = frozenset((step.var,))
+        return (var if step.kind.is_read else _EMPTY_VARS,
+                var if step.kind.is_write else _EMPTY_VARS)

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -331,3 +333,35 @@ def test_suite_footer_has_phase_split(capsys):
     out = capsys.readouterr().out
     assert "phase split: expand=" in out
     assert "states/Mspin" in out
+
+
+def _phase_terms(line, unit):
+    """``name -> value`` for every ``name=<number><unit>`` term of a line."""
+    return {
+        name: float(value)
+        for name, value in re.findall(rf"(\w+)=([\d.]+){unit}\b", line)
+    }
+
+
+def test_run_profile_terms_sum_to_total(sb_file, capsys):
+    """``expand + keys + checks + loop`` is the printed ``total``; under
+    ``optimal`` the ``loop`` term is the reduction's own bookkeeping."""
+    assert main(["run", sb_file, "--profile", "--reduction", "optimal"]) == 0
+    out = capsys.readouterr().out
+    (line,) = [l for l in out.splitlines() if l.startswith("profile: expand=")]
+    terms = _phase_terms(line, "ms")
+    assert {"expand", "keys", "checks", "loop", "total"} <= set(terms)
+    assert terms["loop"] >= 0
+    parts = terms["expand"] + terms["keys"] + terms["checks"] + terms["loop"]
+    # five terms, each rounded to 0.1 ms
+    assert abs(parts - terms["total"]) <= 0.25 + 1e-9
+
+
+def test_suite_phase_split_terms_sum_to_total(capsys):
+    assert main(["suite", "--extra", "--reduction", "optimal"]) == 0
+    out = capsys.readouterr().out
+    (line,) = [l for l in out.splitlines() if l.startswith("phase split:")]
+    terms = _phase_terms(line, "s")
+    parts = terms["expand"] + terms["keys"] + terms["checks"] + terms["loop"]
+    # five terms, each rounded to 10 ms
+    assert abs(parts - terms["total"]) <= 0.025 + 1e-9

@@ -87,6 +87,31 @@ def test_model_step_footprints():
     assert reads == writes == frozenset()
 
 
+@pytest.mark.parametrize(
+    "model",
+    [SCMemoryModel(), RAMemoryModel(), SRAMemoryModel(),
+     PEMemoryModel(frozenset({0, 1}))],
+    ids=lambda m: type(m).__name__,
+)
+def test_footprint_depends_on_the_step_alone(model):
+    """The ``MemoryModel.step_footprint`` contract the ``optimal``
+    explorer's per-machine-state templates rely on: one step, asked from
+    two different states, has one footprint."""
+    program = Program.parallel(
+        assign("x", 1), seq(assign("r", var("x")), assign("x", 2)),
+    )
+    config = initial_configuration(program, {"x": 0, "r": 0}, model)
+    steps = config.program.pending_steps()
+    writer, reader = sorted(steps)
+    (after,) = thread_successor_list(config, model, writer, steps[writer])
+    assert after.target.state != config.state
+    assert after.target.program.pending_steps()[reader] is steps[reader]
+    for tid, step in ((reader, steps[reader]), (writer, steps[writer])):
+        assert model.step_footprint(config.state, tid, step) == (
+            model.step_footprint(after.target.state, tid, step)
+        )
+
+
 def test_swap_footprint_is_read_and_write():
     program = maybe_lower(Program.parallel(swap("turn", 2)))
     (tid, step), = program.pending_steps().items()
