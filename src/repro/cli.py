@@ -28,7 +28,7 @@ Commands
     Run the full litmus suite (and, with ``--case-studies``, the case
     studies) through the engine's parallel runner: one exploration per
     (test, model) pair, fanned out over ``--jobs`` worker processes.
-    ``--strategy`` selects the search order (bfs / dfs / iddfs),
+    ``--strategy`` selects the search order (bfs / dfs),
     ``--reduction`` a partial-order reduction (DESIGN.md §9; the
     parsimonious ``optimal`` tier is §13); the verdicts are strategy-,
     reduction- and parallelism-independent.
@@ -59,6 +59,10 @@ Commands
     no ``--reduction``: a reduction prunes the very transitions the
     obligations quantify over, so discharge always runs the unreduced
     search.  Exit code 1 iff any obligation failed.
+
+A bad search option — an out-of-range bound, or flags no search plan
+admits together (``--shards 2 --strategy dfs``) — is one
+``repro <command>: error: ...`` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -77,6 +81,22 @@ MODELS = {
     "sra": SRAMemoryModel,
     "sc": SCMemoryModel,
 }
+
+
+class UsageError(Exception):
+    """A bad option value or combination: ``main`` prints it as one
+    ``repro <command>: error: ...`` line and exits with status 2."""
+
+
+def _plan(**options):
+    """The command's :class:`~repro.engine.plan.SearchPlan`; an invalid
+    combination of options is a :class:`UsageError`."""
+    from repro.engine.plan import SearchPlan
+
+    try:
+        return SearchPlan(**options)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _model(name: str) -> MemoryModel:
@@ -247,31 +267,18 @@ def _phase_split_line(totals: dict) -> str:
     )
 
 
-def _check_shards(args: argparse.Namespace) -> None:
-    """Fail suite sharding misconfigurations before any job is queued
-    (explore() raises the same constraints as ValueErrors)."""
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.shards > 1:
-        if args.strategy != "bfs":
-            raise SystemExit(
-                "--shards requires --strategy bfs (the superstep "
-                "schedule is level-synchronous — DESIGN.md §15)"
-            )
-        if args.reduction != "none":
-            raise SystemExit(
-                f"--shards supports --reduction none only, not "
-                f"{args.reduction!r} (optimal carries cross-state "
-                "scheduling state that does not partition — DESIGN.md §15)"
-            )
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     from repro.engine.checkpoint import CheckpointError
     from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
     from repro.lang.parser import run_parsed_litmus
 
     model = _model(args.model)
+    plan = _plan(
+        max_events=args.max_events, strategy=args.strategy,
+        reduction=args.reduction, shards=args.shards,
+        checkpoint=args.checkpoint, checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
+    )
     if args.inject_faults:
         try:
             set_plan(FaultPlan(args.inject_faults))
@@ -279,17 +286,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise SystemExit(f"--inject-faults: {exc}")
     try:
         parsed = _load(args.file)
-        reachable, result = run_parsed_litmus(
-            parsed, model=model, max_events=args.max_events,
-            strategy=args.strategy, reduction=args.reduction,
-            shards=args.shards, checkpoint=args.checkpoint,
-            checkpoint_every=args.checkpoint_every, resume=args.resume,
-        )
+        reachable, result = run_parsed_litmus(parsed, model=model, plan=plan)
     except (ValueError, CheckpointError, FileNotFoundError) as exc:
-        # a bad flag combination, bound, snapshot or path: one line,
-        # argparse's usage-error status
-        print(f"repro run: error: {exc}", file=sys.stderr)
-        return 2
+        # a bad file, snapshot or path: as bad as a bad flag
+        raise UsageError(str(exc)) from None
     except FaultInterrupt as exc:
         where = exc.checkpoint or "none written"
         print(f"fault injection stopped the run: {exc}")
@@ -353,22 +353,18 @@ def cmd_suite(args: argparse.Namespace) -> int:
         litmus_jobs,
     )
 
-    _check_shards(args)
+    plan = _plan(
+        strategy=args.strategy, reduction=args.reduction, shards=args.shards,
+    )
     models = [m.strip().lower() for m in args.models.split(",")]
     for name in models:
         if name not in MODELS:
             raise SystemExit(
                 f"unknown model {name!r}; choose from {sorted(MODELS)}"
             )
-    work = litmus_jobs(
-        models=models, extra=args.extra, strategy=args.strategy,
-        reduction=args.reduction, shards=args.shards,
-    )
+    work = litmus_jobs(models=models, extra=args.extra, plan=plan)
     if args.case_studies:
-        work += case_study_jobs(
-            strategy=args.strategy, reduction=args.reduction,
-            shards=args.shards,
-        )
+        work += case_study_jobs(plan=plan)
 
     runner = ParallelRunner(jobs=args.jobs)
     heartbeat = _heartbeat(args, len(work), "suite")
@@ -533,10 +529,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         return 0
 
+    plan = _plan(
+        max_events=args.max_events, max_configs=args.max_configs,
+        strategy=args.strategy,
+    )
     if args.file:
-        return _verify_file(args)
+        return _verify_file(args, plan)
     if args.all:
-        return _verify_all(args)
+        return _verify_all(args, plan)
     if not args.names:
         raise SystemExit(
             "verify needs case-study names, --all, --list, or --file; "
@@ -566,8 +566,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             outline = entry.outline()
             try:
                 report = entry.check(
-                    model_name, strategy=args.strategy,
-                    max_configs=args.max_configs,
+                    model_name, strategy=plan.strategy,
+                    max_configs=plan.max_configs,
                 )
             except (AttributeError, TypeError) as exc:
                 # e.g. a DV/UpdateOnly outline forced onto SC stores:
@@ -595,7 +595,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _verify_all(args: argparse.Namespace) -> int:
+def _verify_all(args: argparse.Namespace, plan) -> int:
     import time
 
     from repro.engine.parallel import (
@@ -608,7 +608,7 @@ def _verify_all(args: argparse.Namespace) -> int:
         [m.strip().lower() for m in args.model.split(",")]
         if args.model else None
     )
-    work = verify_jobs(models=models, strategy=args.strategy)
+    work = verify_jobs(models=models, plan=plan)
     if not work:
         raise SystemExit("no registered outline matches the requested models")
     runner = ParallelRunner(jobs=args.jobs)
@@ -655,7 +655,7 @@ def _verify_all(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_file(args: argparse.Namespace) -> int:
+def _verify_file(args: argparse.Namespace, plan) -> int:
     if not args.outline:
         raise SystemExit("--file needs --outline SPEC.py (see DESIGN.md §10)")
     parsed = _load(args.file)
@@ -665,9 +665,9 @@ def _verify_file(args: argparse.Namespace) -> int:
         parsed.program,
         parsed.init,
         model=_model(model_name),
-        max_events=args.max_events,
-        max_configs=args.max_configs,
-        strategy=args.strategy,
+        max_events=plan.max_events,
+        max_configs=plan.max_configs,
+        strategy=plan.strategy,
     )
     _print_outline_report(
         f"{parsed.name} [{model_name}] — outline from {args.outline}",
@@ -875,7 +875,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", default="ra", help="ra | sra | sc")
     run.add_argument("--max-events", type=int, default=None)
     run.add_argument(
-        "--strategy", default="bfs", choices=["bfs", "dfs", "iddfs"],
+        "--strategy", default="bfs", choices=["bfs", "dfs"],
         help="search order (verdict-neutral on uncapped runs)",
     )
     run.add_argument(
@@ -908,7 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",
-        help="configurations between checkpoint snapshots (default 1000)",
+        help="configurations between checkpoint snapshots (default 1000; "
+        "needs --checkpoint)",
     )
     run.add_argument(
         "--resume", default=None, metavar="PATH",
@@ -933,7 +934,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = in-process sequential run)",
     )
     suite.add_argument(
-        "--strategy", default="bfs", choices=["bfs", "dfs", "iddfs"],
+        "--strategy", default="bfs", choices=["bfs", "dfs"],
         help="search order (verdict-neutral on uncapped runs)",
     )
     suite.add_argument("--models", default="ra,sc", help="comma list of models")
@@ -1051,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --all (1 = in-process sequential run)",
     )
     verify.add_argument(
-        "--strategy", default="bfs", choices=["bfs", "dfs", "iddfs"],
+        "--strategy", default="bfs", choices=["bfs", "dfs"],
         help="search order (verdict-neutral on uncapped runs)",
     )
     verify.add_argument(
@@ -1149,6 +1150,9 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
     try:
         try:
             code = args.func(args)
+        except UsageError as exc:
+            print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+            code = 2
         except BrokenPipeError:
             raise
         except KeyboardInterrupt:

@@ -3,9 +3,10 @@
 The engine is everything between "here is a program and a memory model"
 and "here is what is reachable":
 
-* :mod:`repro.engine.frontier` — pluggable search strategies (BFS, DFS,
-  iterative deepening) behind a :class:`~repro.engine.frontier.Frontier`
-  abstraction;
+* :mod:`repro.engine.frontier` — pluggable search strategies (BFS,
+  DFS) behind a :class:`~repro.engine.frontier.Frontier` abstraction;
+* :mod:`repro.engine.plan` — :class:`~repro.engine.plan.SearchPlan`,
+  every option of one search, validated once;
 * :mod:`repro.engine.keys` — the canonical-key memoization layer, which
   guarantees each state object is canonicalised at most once per
   process;
@@ -37,7 +38,7 @@ from repro.engine.core import (
     explore,
     reachable_states,
 )
-from repro.engine.por.deps import REDUCTIONS
+from repro.engine.plan import REDUCTIONS, SearchPlan
 
 __all__ = [
     "BFSFrontier",
@@ -50,6 +51,7 @@ __all__ = [
     "KeyCacheStats",
     "REDUCTIONS",
     "STRATEGIES",
+    "SearchPlan",
     "Violation",
     "cached_canonical_key",
     "explore",

@@ -60,7 +60,8 @@ from typing import (
     TypeVar,
 )
 
-from repro.engine.frontier import STRATEGIES, frontier_class
+from repro.engine.frontier import frontier_class
+from repro.engine.plan import SearchPlan
 from repro.engine.stats import EngineStats, ProcessCounters
 from repro.lang.actions import Value, Var
 from repro.lang.program import Program, Tid
@@ -99,10 +100,8 @@ class ExplorationResult(Generic[S]):
     violations: List[Violation[S]] = field(default_factory=list)
     truncated: bool = False
     #: whether truncation was caused by the max_configs cap (as opposed
-    #: to the max_events bound) — deepening cannot recover from a cap
+    #: to the max_events bound)
     capped: bool = False
-    #: canonical key -> representative configuration
-    representatives: Dict[ConfigKey, Configuration[S]] = field(default_factory=dict)
     #: child key -> (parent key, tid of the thread that reached it); the
     #: initial key maps to (None, None).  Steps are replayed on demand.
     parents: Dict[ConfigKey, Tuple[Optional[ConfigKey], Optional[Tid]]] = field(
@@ -317,7 +316,6 @@ def explore(
     check_config: Optional[Callable[[Configuration[S]], List[str]]] = None,
     check_step: Optional[Callable[[InterpretedStep[S]], List[str]]] = None,
     stop_on_violation: bool = False,
-    keep_representatives: bool = False,
     canonicalize: bool = True,
     strategy: str = "bfs",
     reduction: str = "none",
@@ -329,6 +327,11 @@ def explore(
 ) -> ExplorationResult[S]:
     """Bounded exhaustive exploration from ``(P, σ_0)``.
 
+    The options form one :class:`~repro.engine.plan.SearchPlan`, which
+    checks how they combine before any search path is chosen (an
+    invalid combination raises ``ValueError``); a caller holding a plan
+    passes ``**plan.options()``.
+
     ``max_events`` bounds the number of program events per state — the
     loop-unrolling bound; ``max_configs`` is a hard safety net on the
     total number of distinct configurations.  ``canonicalize=False``
@@ -337,16 +340,14 @@ def explore(
     what canonicalisation buys.
 
     ``strategy`` selects the search order: ``"bfs"`` (default, shortest
-    counterexamples), ``"dfs"`` (smallest frontier) or ``"iddfs"``
-    (depth-first rounds under ``max_events`` bounds growing 1, 2, …,
-    ``max_events``; requires a bound, else it is plain DFS).  On runs
-    that explore to exhaustion, all strategies visit the same
-    configurations and report identical counts — exploration is a graph
-    search with canonical dedup, so the visit *order* cannot change the
-    visited *set*.  With ``max_configs`` or ``stop_on_violation`` the
-    run ends early and *which* subset was explored does depend on the
-    order; such results are strategy-dependent (and flagged
-    ``truncated`` in the capped case).
+    counterexamples) or ``"dfs"`` (smallest frontier).  On runs that
+    explore to exhaustion, both visit the same configurations and
+    report identical counts — exploration is a graph search with
+    canonical dedup, so the visit *order* cannot change the visited
+    *set*.  With ``max_configs`` or ``stop_on_violation`` the run ends
+    early and *which* subset was explored does depend on the order;
+    such results are strategy-dependent (and flagged ``truncated`` in
+    the capped case).
 
     ``reduction`` selects a partial-order reduction (DESIGN.md §9):
     ``"none"`` (this loop) or ``"optimal"`` (parsimonious DPOR — prunes
@@ -370,215 +371,84 @@ def explore(
     atomically every ``checkpoint_every`` configurations (default
     1000); ``resume`` loads such a file — after verifying it belongs
     to this exact run — and continues the search to a byte-identical
-    final result.  Both require canonical keys, the unreduced search,
-    and a ``"bfs"``/``"dfs"`` strategy (``iddfs`` restarts its frontier
-    per round; ``"optimal"`` keeps per-key state the snapshot format
-    does not cover).
-
-    An unknown ``reduction`` or ``strategy``, ``max_events < 0`` and
-    ``max_configs < 1`` raise ``ValueError`` before any search path is
-    chosen.
+    final result.  Both require canonical keys and the unreduced search
+    (``"optimal"`` keeps per-key state the snapshot format does not
+    cover).
     """
-    from repro.engine.por import REDUCTIONS, explore_reduced
+    from repro.engine.por import explore_reduced
     from repro.interp.compiled import maybe_lower
 
-    if reduction not in REDUCTIONS:
+    plan = SearchPlan(
+        max_events=max_events,
+        max_configs=max_configs,
+        strategy=strategy,
+        reduction=reduction,
+        canonicalize=canonicalize,
+        stop_on_violation=stop_on_violation,
+        shards=shards,
+        shard_processes=shard_processes,
+        checkpoint=checkpoint,
+        checkpoint_every=checkpoint_every,
+        resume=resume,
+    )
+    if check_step is not None and plan.reduction != "none":
         raise ValueError(
-            f"unknown reduction {reduction!r}; choose from {REDUCTIONS}"
+            "check_step hooks quantify over transitions, and the "
+            f"{plan.reduction!r} reduction prunes configurations outright; "
+            "use reduction='none'"
         )
-    if strategy not in STRATEGIES:
-        raise ValueError(
-            f"unknown search strategy {strategy!r}; choose from {STRATEGIES}"
-        )
-    if max_events is not None and max_events < 0:
-        raise ValueError(f"max_events must be >= 0, not {max_events}")
-    if max_configs is not None and max_configs < 1:
-        raise ValueError(f"max_configs must be >= 1, not {max_configs}")
-    if checkpoint is not None or resume is not None:
-        if not canonicalize:
-            raise ValueError(
-                "checkpoint/resume snapshots canonical keys; "
-                "canonicalize=False has no snapshottable key"
-            )
-        if reduction != "none":
-            raise ValueError(
-                f"checkpoint/resume supports only the unreduced search; "
-                f"reduction={reduction!r} keeps per-key backtrack state "
-                "the snapshot format does not cover"
-            )
-        if strategy not in ("bfs", "dfs"):
-            raise ValueError(
-                f"checkpoint/resume supports the 'bfs' and 'dfs' "
-                f"strategies, not {strategy!r}"
-            )
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be >= 1")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if shards > 1:
-        if reduction != "none":
-            raise ValueError(
-                f"sharded exploration supports only the unreduced search, "
-                f"not reduction={reduction!r} (the DPOR tier is "
-                "depth-first with global backtrack state)"
-            )
+    if plan.shards > 1:
         from repro.engine.shard import explore_sharded
 
         return explore_sharded(
-            program,
-            init_values,
-            model,
-            shards,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_config=check_config,
-            check_step=check_step,
-            stop_on_violation=stop_on_violation,
-            keep_representatives=keep_representatives,
-            canonicalize=canonicalize,
-            strategy=strategy,
-            processes=shard_processes,
-            checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
+            program, init_values, model, plan,
+            check_config=check_config, check_step=check_step,
         )
 
-    # Compile once per run, so the deepening loop, the reduced traversals
-    # and the plain search all step the same lowered program
-    # (DESIGN.md §12).
+    # Compile once per run, so the reduced traversal and the plain
+    # search step the same lowered program (DESIGN.md §12).
     program = maybe_lower(program)
 
-    if reduction != "none":
-        if check_step is not None:
-            raise ValueError(
-                "check_step hooks quantify over transitions, and the "
-                f"{reduction!r} reduction prunes configurations outright; "
-                "use reduction='none'"
-            )
+    if plan.reduction != "none":
         return explore_reduced(
-            program,
-            init_values,
-            model,
-            reduction,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_config=check_config,
-            stop_on_violation=stop_on_violation,
-            keep_representatives=keep_representatives,
-            canonicalize=canonicalize,
-            strategy=strategy,
+            program, init_values, model, plan, check_config=check_config,
         )
-
-    fingerprint = None
-    resume_payload = None
-    if checkpoint is not None or resume is not None:
-        from repro.engine.checkpoint import run_fingerprint, read_checkpoint
-
-        fingerprint = run_fingerprint(
-            program, init_values, model,
-            max_events=max_events, max_configs=max_configs,
-            strategy=strategy, reduction=reduction,
-            canonicalize=canonicalize, shards=1,
-        )
-        if resume is not None:
-            _, resume_payload = read_checkpoint(resume, expect=fingerprint)
-
-    if strategy == "iddfs" and max_events is not None and max_events >= 1:
-        return _explore_deepening(
-            program,
-            init_values,
-            model,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_config=check_config,
-            check_step=check_step,
-            stop_on_violation=stop_on_violation,
-            keep_representatives=keep_representatives,
-            canonicalize=canonicalize,
-        )
+    fingerprint, resume_payload = plan.open_checkpoint(
+        program, init_values, model, "plain"
+    )
     return _explore_once(
         program,
         init_values,
         model,
-        max_events=max_events,
-        max_configs=max_configs,
+        plan,
         check_config=check_config,
         check_step=check_step,
-        stop_on_violation=stop_on_violation,
-        keep_representatives=keep_representatives,
-        canonicalize=canonicalize,
-        strategy=strategy,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
         resume_payload=resume_payload,
         fingerprint=fingerprint,
     )
-
-
-def _explore_deepening(
-    program: Program,
-    init_values: Mapping[Var, Value],
-    model: MemoryModel[S],
-    max_events: int,
-    **kwargs,
-) -> ExplorationResult[S]:
-    """Iterative deepening over the event bound.
-
-    Each round is a depth-first search truncated at a growing bound; a
-    round that never hits its bound has exhausted the state space, so
-    deeper rounds would revisit it verbatim and the loop stops early.
-    The final round's result is returned (it is exactly what a single
-    run at its bound computes); stats accumulate across rounds.
-    """
-    cumulative = EngineStats(strategy="iddfs")
-    rounds = 0
-    result: Optional[ExplorationResult[S]] = None
-    for bound in range(1, max_events + 1):
-        result = _explore_once(
-            program,
-            init_values,
-            model,
-            max_events=bound,
-            strategy="iddfs",
-            **kwargs,
-        )
-        rounds += 1
-        cumulative.merge(result.stats)
-        if kwargs.get("stop_on_violation") and result.violations:
-            break
-        if not result.truncated:
-            break
-        if result.capped:
-            # The config cap, not the event bound, cut the round short:
-            # deeper rounds would re-run the identical capped search.
-            break
-    assert result is not None  # max_events >= 1 guaranteed by range start
-    cumulative.iterations = rounds
-    result.stats = cumulative
-    return result
 
 
 def _explore_once(
     program: Program,
     init_values: Mapping[Var, Value],
     model: MemoryModel[S],
-    max_events: Optional[int] = None,
-    max_configs: Optional[int] = None,
+    plan: SearchPlan,
     check_config: Optional[Callable[[Configuration[S]], List[str]]] = None,
     check_step: Optional[Callable[[InterpretedStep[S]], List[str]]] = None,
-    stop_on_violation: bool = False,
-    keep_representatives: bool = False,
-    canonicalize: bool = True,
-    strategy: str = "bfs",
-    checkpoint: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     resume_payload: Optional[dict] = None,
     fingerprint: Optional[dict] = None,
 ) -> ExplorationResult[S]:
-    """One search run with a fixed frontier discipline and bounds."""
+    """The unreduced search under ``plan``'s frontier discipline and bounds."""
     from repro.interp.config import Configuration
     from repro.interp.interpreter import successor_list
     from repro.obs.trace import tracer
+
+    max_events = plan.max_events
+    max_configs = plan.max_configs
+    stop_on_violation = plan.stop_on_violation
+    canonicalize = plan.canonicalize
+    strategy = plan.strategy
+    checkpoint = plan.checkpoint
 
     initial = Configuration(program, model.initial(init_values))
     result: ExplorationResult[S] = ExplorationResult(initial)
@@ -603,7 +473,7 @@ def _explore_once(
 
     from repro.faults import FaultInterrupt, active_plan
 
-    plan = active_plan()
+    faults = active_plan()
     last_ckpt: Optional[str] = None
 
     try:
@@ -630,7 +500,6 @@ def _explore_once(
             result.parents = loop["parents"]
             result.terminal = loop["terminal"]
             result.violations = loop["violations"]
-            result.representatives = loop["representatives"]
             result.configs = loop["configs"]
             result.transitions = loop["transitions"]
             result.truncated = loop["truncated"]
@@ -662,7 +531,6 @@ def _explore_once(
                 "parents": result.parents,
                 "terminal": result.terminal,
                 "violations": result.violations,
-                "representatives": result.representatives,
                 "configs": result.configs,
                 "transitions": result.transitions,
                 "truncated": result.truncated,
@@ -678,7 +546,7 @@ def _explore_once(
 
         next_ckpt = None
         if checkpoint is not None:
-            every = checkpoint_every or 1000
+            every = plan.checkpoint_every or 1000
             next_ckpt = result.configs + every
 
         while frontier:
@@ -686,7 +554,7 @@ def _explore_once(
                 write_ckpt()
                 last_ckpt = checkpoint
                 next_ckpt = result.configs + every
-            if plan is not None and plan.interrupt_due(result.configs):
+            if faults is not None and faults.interrupt_due(result.configs):
                 if tr is not None:
                     tr.emit(
                         "fault", run=run, kind="interrupt",
@@ -705,8 +573,6 @@ def _explore_once(
                     pcs=[config.program.pc(t) for t in config.program.tids],
                     keys=[so_far.key_hits, so_far.key_misses],
                 )
-            if keep_representatives:
-                result.representatives[key] = config
 
             if check_config is not None:
                 t0 = clock()

@@ -2,11 +2,7 @@
 
 A search strategy is nothing but a discipline for the set of discovered-
 but-unexpanded configurations: pop oldest-first and the search is
-breadth-first, pop newest-first and it is depth-first.  Iterative
-deepening (``iddfs``) is not a frontier — it is a loop of depth-first
-runs over growing ``max_events`` bounds, handled by the engine core —
-but it is registered here so every strategy name resolves through one
-function (see DESIGN.md §5).
+breadth-first, pop newest-first and it is depth-first (DESIGN.md §5).
 
 Because exploration deduplicates by canonical key, all strategies visit
 the same configuration set and count the same transitions; they differ
@@ -22,7 +18,7 @@ from typing import Deque, Generic, List, Tuple, Type, TypeVar
 T = TypeVar("T")
 
 #: Strategy names accepted by ``explore(strategy=...)`` and the CLI.
-STRATEGIES = ("bfs", "dfs", "iddfs")
+STRATEGIES = ("bfs", "dfs")
 
 
 class Frontier(Generic[T]):
@@ -149,15 +145,11 @@ class LevelFrontier(Frontier[T]):
 
 
 def frontier_class(strategy: str) -> Type[Frontier]:
-    """The frontier class realising ``strategy``.
-
-    ``iddfs`` maps to the depth-first frontier: each deepening round is
-    a depth-first search under a tightened event bound.
-    """
+    """The frontier class realising ``strategy``."""
     normalized = strategy.lower()
     if normalized == "bfs":
         return BFSFrontier
-    if normalized in ("dfs", "iddfs"):
+    if normalized == "dfs":
         return DFSFrontier
     raise ValueError(
         f"unknown search strategy {strategy!r}; choose from {STRATEGIES}"

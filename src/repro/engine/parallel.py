@@ -4,7 +4,8 @@ Litmus tests, case-study checks and proof-outline discharges are
 embarrassingly parallel — one exploration per (test, model) pair, no
 shared state — but the objects involved (programs, outcome lambdas,
 outlines) do not pickle.  The runner therefore ships *names*: a
-:class:`SuiteJob` carries only strings and bounds, each worker
+:class:`SuiteJob` carries only strings and a
+:class:`~repro.engine.plan.SearchPlan`, each worker
 re-resolves the test/case study/proof entry from the registries it
 imported itself, and ships back a :class:`SuiteJobResult`: the verdict,
 the job's counts and the run's whole
@@ -29,6 +30,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.engine.plan import SearchPlan
 from repro.engine.stats import EngineStats
 
 #: Case-study checks runnable as suite jobs: name -> (expected ok?).
@@ -69,20 +71,14 @@ class SuiteJob:
     kind: str  # "litmus" | "case-study" | "fuzz" | "verify"
     name: str
     model: str = "ra"  # litmus/verify; case studies fix their own model
-    strategy: str = "bfs"
-    max_configs: Optional[int] = None
-    #: partial-order reduction applied by the worker's exploration
-    #: (DESIGN.md §9); verdicts are reduction-independent by design.
-    #: Verify jobs ignore it: obligation discharge is always unreduced
-    #: (DESIGN.md §10).
-    reduction: str = "none"
-    #: intra-run shards for this job's exploration (DESIGN.md §15).
-    #: Suite workers are daemonic pool processes, so a shards > 1 job
-    #: runs the sharded search in its in-process mode — same parity
-    #: contract, no nested fork.  Litmus and case-study kinds honour it;
-    #: fuzz and verify kinds run their own exploration schedules and
-    #: ignore it.
-    shards: int = 1
+    #: how the worker searches.  Every test, case study and proof entry
+    #: pins its own event bound, which replaces the plan's.  Verdicts
+    #: are strategy-, reduction- and shard-independent by design.
+    #: Suite workers are daemonic pool processes, so a sharded plan runs
+    #: the sharded search's in-process mode (DESIGN.md §15).  Verify jobs
+    #: take the strategy and the config cap only: obligation discharge
+    #: is always unreduced and unsharded (DESIGN.md §10).
+    plan: SearchPlan = SearchPlan()
 
     @property
     def label(self) -> str:
@@ -170,9 +166,7 @@ class SuiteJobResult:
 def litmus_jobs(
     models: Sequence[str] = ("ra", "sc"),
     extra: bool = False,
-    strategy: str = "bfs",
-    reduction: str = "none",
-    shards: int = 1,
+    plan: SearchPlan = SearchPlan(),
 ) -> List[SuiteJob]:
     """One job per (litmus test, model) over the built-in suite."""
     from repro.litmus.extra import EXTRA_TESTS
@@ -180,24 +174,16 @@ def litmus_jobs(
 
     tests = list(ALL_TESTS) + (list(EXTRA_TESTS) if extra else [])
     return [
-        SuiteJob(
-            kind="litmus", name=test.name, model=model, strategy=strategy,
-            reduction=reduction, shards=shards,
-        )
+        SuiteJob(kind="litmus", name=test.name, model=model, plan=plan)
         for test in tests
         for model in models
     ]
 
 
-def case_study_jobs(
-    strategy: str = "bfs",
-    reduction: str = "none",
-    shards: int = 1,
-) -> List[SuiteJob]:
+def case_study_jobs(plan: SearchPlan = SearchPlan()) -> List[SuiteJob]:
     """The case-study checks as suite jobs (RA model, modest bounds)."""
     return [
-        SuiteJob(kind="case-study", name=name, strategy=strategy,
-                 reduction=reduction, shards=shards)
+        SuiteJob(kind="case-study", name=name, plan=plan)
         for name in CASE_STUDIES
     ]
 
@@ -205,7 +191,7 @@ def case_study_jobs(
 def verify_jobs(
     names: Optional[Sequence[str]] = None,
     models: Optional[Sequence[str]] = None,
-    strategy: str = "bfs",
+    plan: SearchPlan = SearchPlan(),
 ) -> List[SuiteJob]:
     """One job per (proof case study, model) pair over the registry.
 
@@ -219,9 +205,7 @@ def verify_jobs(
         PROOFS.entries() if names is None else [PROOFS.get(n) for n in names]
     )
     return [
-        SuiteJob(
-            kind="verify", name=entry.name, model=model, strategy=strategy
-        )
+        SuiteJob(kind="verify", name=entry.name, model=model, plan=plan)
         for entry in entries
         for model in entry.models
         if models is None or model in models
@@ -252,10 +236,7 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
             f"unknown model {job.model!r}; choose from {sorted(factories)}"
         )
     test = _litmus_by_name(job.name)
-    outcome = run_litmus(
-        test, model, max_configs=job.max_configs, strategy=job.strategy,
-        reduction=job.reduction, shards=job.shards,
-    )
+    outcome = run_litmus(test, model, job.plan)
     stats = outcome.result.stats
     return SuiteJobResult(
         job=job,
@@ -343,30 +324,19 @@ def _case_study_setup(name: str):
         raise ValueError(f"unknown case study {name!r}; choose from {sorted(table)}")
 
 
-def _case_study_exploration(name: str, strategy: str, max_configs,
-                            reduction: str = "none", shards: int = 1):
+def _case_study_exploration(name: str, plan: SearchPlan):
     from repro.interp.explore import explore
     from repro.interp.ra_model import RAMemoryModel
 
     program, init, check, bound = _case_study_setup(name)
     return explore(
-        program,
-        init,
-        RAMemoryModel(),
-        max_events=bound,
-        max_configs=max_configs,
-        check_config=check,
-        strategy=strategy,
-        reduction=reduction,
-        shards=shards,
+        program, init, RAMemoryModel(), check_config=check,
+        **dataclasses.replace(plan, max_events=bound).options(),
     )
 
 
 def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
-    result = _case_study_exploration(
-        job.name, job.strategy, job.max_configs, reduction=job.reduction,
-        shards=job.shards,
-    )
+    result = _case_study_exploration(job.name, job.plan)
     return SuiteJobResult(
         job=job,
         observed=not result.ok,
@@ -385,14 +355,15 @@ def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
     """Discharge one proof case study's obligations under one model.
 
     The obligations quantify over every reachable transition, so the
-    discharge is always unreduced and ``job.reduction`` is ignored, like
-    ``job.shards`` (DESIGN.md §10).
+    discharge is always unreduced and unsharded: it takes the plan's
+    strategy and config cap only (DESIGN.md §10).
     """
     from repro.verify.registry import PROOFS
 
     entry = PROOFS.get(job.name)
     report = entry.check(
-        job.model, strategy=job.strategy, max_configs=job.max_configs,
+        job.model, strategy=job.plan.strategy,
+        max_configs=job.plan.max_configs,
     )
     stats = report.stats
     return SuiteJobResult(

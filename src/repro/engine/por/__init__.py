@@ -25,22 +25,14 @@ litmus/case-study parity suite (``tests/test_por_parity.py``).
 
 from __future__ import annotations
 
-from repro.engine.por.deps import (
-    REDUCTIONS,
-    StepFootprint,
-    conflicts,
-    step_footprint,
-)
+from repro.engine.plan import REDUCTIONS
+from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 from repro.engine.por.optimal import explore_optimal
 
 
-def explore_reduced(program, init_values, model, reduction, **kwargs):
-    """Dispatch a reduced exploration (``reduction == "optimal"``)."""
-    if reduction == "optimal":
-        return explore_optimal(program, init_values, model, **kwargs)
-    raise ValueError(
-        f"unknown reduction {reduction!r}; choose from {REDUCTIONS}"
-    )
+def explore_reduced(program, init_values, model, plan, **hooks):
+    """Run ``plan``'s reduced search: ``optimal`` is the one tier."""
+    return explore_optimal(program, init_values, model, plan, **hooks)
 
 
 __all__ = [

@@ -36,9 +36,6 @@ from typing import FrozenSet, NamedTuple
 
 from repro.lang.actions import Var
 
-#: Reduction modes accepted by ``explore(reduction=...)`` and the CLI.
-REDUCTIONS = ("none", "optimal")
-
 
 class StepFootprint(NamedTuple):
     """What one pending step may touch: locations plus control visibility."""
@@ -84,7 +81,6 @@ def step_footprint(
 
 __all__ = [
     "EMPTY_FOOTPRINT",
-    "REDUCTIONS",
     "StepFootprint",
     "conflicts",
     "step_footprint",

@@ -90,6 +90,7 @@ from repro.engine.core import (
     _key_of,
     bound_cut,
 )
+from repro.engine.plan import SearchPlan
 from repro.engine.stats import ProcessCounters
 from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
 
@@ -238,22 +239,23 @@ def explore_optimal(
     program,
     init_values: Mapping,
     model,
-    max_events: Optional[int] = None,
-    max_configs: Optional[int] = None,
+    plan: SearchPlan,
     check_config: Optional[Callable] = None,
-    stop_on_violation: bool = False,
-    keep_representatives: bool = False,
-    canonicalize: bool = True,
-    strategy: str = "bfs",
 ) -> ExplorationResult:
-    """Parsimonious view-guided DPOR from ``(P, σ_0)``.
+    """Parsimonious view-guided DPOR from ``(P, σ_0)`` under ``plan``.
 
-    The traversal is inherently depth-first; ``strategy`` is recorded
-    in the stats but does not choose a frontier.  ``configs`` counts
-    distinct configuration keys.
+    The traversal is inherently depth-first; the plan's ``strategy`` is
+    recorded in the stats but does not choose a frontier.  ``configs``
+    counts distinct configuration keys.
     """
     from repro.interp.interpreter import initial_configuration, thread_successor_list
     from repro.obs.trace import tracer
+
+    max_events = plan.max_events
+    max_configs = plan.max_configs
+    stop_on_violation = plan.stop_on_violation
+    canonicalize = plan.canonicalize
+    strategy = plan.strategy
 
     initial = initial_configuration(program, init_values, model)
     result: ExplorationResult = ExplorationResult(initial)
@@ -366,8 +368,6 @@ def explore_optimal(
                 raise _Abort
             rec = records[key] = _Record()
             result.configs += 1
-            if keep_representatives:
-                result.representatives[key] = config
             if check_config is not None:
                 t0 = clock()
                 messages = check_config(config)

@@ -74,6 +74,7 @@ from repro.engine.core import (
 )
 from repro.engine.frontier import LevelFrontier
 from repro.engine.keys import key_digest, shard_of, stable_encode
+from repro.engine.plan import SearchPlan
 from repro.engine.stats import EngineStats, ProcessCounters
 
 #: supervision policy: how many times a round of worker deaths is
@@ -141,25 +142,27 @@ class _ShardSpec:
     program: Any
     init_values: Mapping
     model: Any
-    shards: int
-    max_events: Optional[int] = None
-    #: per-shard slice of the global config cap (None = uncapped)
-    max_configs: Optional[int] = None
+    plan: SearchPlan
     check_config: Optional[Callable] = None
     check_step: Optional[Callable] = None
-    stop_on_violation: bool = False
-    keep_representatives: bool = False
     #: trace run id of the enclosing run (None = tracing off)
     run_id: Optional[str] = None
-    #: checkpoint file + cadence (configs between snapshots) and the
-    #: fingerprint the file is stamped with (DESIGN.md §16)
-    checkpoint: Optional[str] = None
-    checkpoint_every: Optional[int] = None
+    #: the fingerprint checkpoint files are stamped with (DESIGN.md §16)
     fingerprint: Optional[dict] = None
     #: fault-injection spec for the *workers* — passed explicitly (never
     #: read from the environment in a worker) so the supervisor can hand
     #: respawned workers a disarmed plan and recovery cannot loop
     fault_spec: Optional[str] = None
+
+    @property
+    def shards(self) -> int:
+        return self.plan.shards
+
+    @property
+    def shard_cap(self) -> Optional[int]:
+        """Per-shard slice of the plan's config cap (None = uncapped)."""
+        cap = self.plan.max_configs
+        return None if cap is None else max(1, -(-cap // self.plan.shards))
 
 
 class _ShardCore:
@@ -180,7 +183,6 @@ class _ShardCore:
         self.stats = EngineStats(strategy="bfs")
         self.frontier: LevelFrontier = LevelFrontier()
         self.parents: Dict[Any, Tuple[Any, Any]] = {}
-        self.representatives: Dict[Any, Any] = {}
         #: (stamp, Configuration) — stamped for deterministic merge
         self.terminal: List[Tuple[tuple, Any]] = []
         #: (stamp, Violation)
@@ -212,7 +214,7 @@ class _ShardCore:
         level_items = sorted(self.frontier.take_level(), key=lambda it: it[0])
         for sig, _tid, config, key, _parent, _digest in level_items:
             self._expand((self.level, sig), config, key, outgoing)
-            if spec.stop_on_violation and self.violations:
+            if spec.plan.stop_on_violation and self.violations:
                 break
         self.stats.time_total += clock() - t_phase
         return outgoing
@@ -252,8 +254,6 @@ class _ShardCore:
         spec = self.spec
         clock = time.perf_counter
         self.configs += 1
-        if spec.keep_representatives:
-            self.representatives[key] = config
         self._check_config(stamp, config)
         if config.is_terminated():
             self.terminal.append((stamp, config))
@@ -261,7 +261,7 @@ class _ShardCore:
         if self.capped and spec.check_step is None:
             self.truncated = True
             return
-        cut = bound_cut(config, spec.model, spec.max_events)
+        cut = bound_cut(config, spec.model, spec.plan.max_events)
         if cut:
             self.truncated = True
         t0 = clock()
@@ -285,6 +285,7 @@ class _ShardCore:
         """Replay the push sequence for this shard's keys, in global
         signature order — the barrier half of the superstep."""
         spec = self.spec
+        cap = spec.shard_cap
         arrivals.sort(key=lambda message: message[0])
         for message in arrivals:
             _sig, tid, _config, child_key, parent_key, digest = message
@@ -296,7 +297,7 @@ class _ShardCore:
                 )
             if child_key in self.parents or self.capped:
                 continue
-            if spec.max_configs is not None and len(self.parents) >= spec.max_configs:
+            if cap is not None and len(self.parents) >= cap:
                 self.truncated = self.capped = True
                 continue
             self.parents[child_key] = (parent_key, tid)
@@ -321,7 +322,6 @@ class _ShardCore:
             "level": self.level,
             "frontier": self.frontier.snapshot(),
             "parents": dict(self.parents),
-            "representatives": dict(self.representatives),
             "terminal": list(self.terminal),
             "violations": list(self.violations),
             "configs": self.configs,
@@ -336,7 +336,6 @@ class _ShardCore:
         self.level = snap["level"]
         self.frontier.restore(snap["frontier"])
         self.parents = snap["parents"]
-        self.representatives = snap["representatives"]
         self.terminal = snap["terminal"]
         self.violations = snap["violations"]
         self.configs = snap["configs"]
@@ -356,7 +355,6 @@ class _ShardCore:
             "terminal": self.terminal,
             "violations": self.violations,
             "parents": self.parents,
-            "representatives": self.representatives,
             "stats": self.stats,
         }
 
@@ -380,7 +378,6 @@ def _merge_results(
         terminal.extend(payload["terminal"])
         violations.extend(payload["violations"])
         result.parents.update(payload["parents"])
-        result.representatives.update(payload["representatives"])
         merged.merge(payload["stats"])
     # (level, signature) order is the single-process BFS pop order, so
     # the merged lists read exactly as the unsharded run's would
@@ -434,15 +431,15 @@ def _explore_sharded_inprocess(
         rounds = cores[0].level
         ckpt_count = resume_payload.get("checkpoints", 0)
         if ckpt_count:
-            last_ckpt = spec.checkpoint
+            last_ckpt = spec.plan.checkpoint
     else:
         cores[_dest_for(key_digest_for(init_key), spec.shards)].seed(
             initial, init_key
         )
-    every = spec.checkpoint_every or 1000
+    every = spec.plan.checkpoint_every or 1000
     next_ckpt = (
         sum(core.configs for core in cores) + every
-        if spec.checkpoint is not None
+        if spec.plan.checkpoint is not None
         else None
     )
     while True:
@@ -470,7 +467,7 @@ def _explore_sharded_inprocess(
                     "shard", run=spec.run_id, shard=i, round=rounds,
                     sent=sent, recv=recv, frontier=len(core.frontier),
                 )
-            if spec.stop_on_violation and core.violations:
+            if spec.plan.stop_on_violation and core.violations:
                 stop = True
         rounds += 1
         for core in cores:
@@ -480,16 +477,16 @@ def _explore_sharded_inprocess(
         total = sum(core.configs for core in cores)
         if next_ckpt is not None and total >= next_ckpt:
             ckpt_count += 1
-            write_checkpoint(spec.checkpoint, spec.fingerprint, {
+            write_checkpoint(spec.plan.checkpoint, spec.fingerprint, {
                 "algo": "shard",
                 "cores": [pickle.dumps(core.snapshot()) for core in cores],
                 "checkpoints": ckpt_count,
             })
-            last_ckpt = spec.checkpoint
+            last_ckpt = spec.plan.checkpoint
             next_ckpt = total + every
             if tr is not None and spec.run_id is not None:
                 tr.emit(
-                    "ckpt", run=spec.run_id, path=spec.checkpoint,
+                    "ckpt", run=spec.run_id, path=spec.plan.checkpoint,
                     configs=total, action="write",
                 )
         if plan is not None and plan.interrupt_due(total):
@@ -602,10 +599,6 @@ def _pack_payload(payload: dict) -> dict:
         (_pack_key(key), _pack_key(parent), tid)
         for key, (parent, tid) in payload["parents"].items()
     ]
-    payload["representatives"] = [
-        (_pack_key(key), _pack_config(config))
-        for key, config in payload["representatives"].items()
-    ]
     return payload
 
 
@@ -627,10 +620,6 @@ def _unpack_payload(payload: dict, table) -> dict:
     payload["parents"] = {
         _unpack_key(key, table): (_unpack_key(parent, table), tid)
         for key, parent, tid in payload["parents"]
-    }
-    payload["representatives"] = {
-        _unpack_key(key, table): _unpack_config(config, table)
-        for key, config in payload["representatives"]
     }
     return payload
 
@@ -795,9 +784,9 @@ def _explore_sharded_processes(
             got.append(message)
         return got
 
-    every = spec.checkpoint_every or 1000
+    every = spec.plan.checkpoint_every or 1000
     next_ckpt: Optional[int] = None
-    last_ckpt: Optional[str] = spec.checkpoint if ckpt_count else None
+    last_ckpt: Optional[str] = spec.plan.checkpoint if ckpt_count else None
     payloads: Optional[List[dict]] = None
     failed = True
     try:
@@ -813,9 +802,11 @@ def _explore_sharded_processes(
             frontier_total = sum(report[3] for report in reports)
             violated = any(report[6] for report in reports)
             total_configs = sum(report[7] for report in reports)
-            done = frontier_total == 0 or (spec.stop_on_violation and violated)
+            done = frontier_total == 0 or (
+                spec.plan.stop_on_violation and violated
+            )
             do_ckpt = False
-            if spec.checkpoint is not None and not done:
+            if spec.plan.checkpoint is not None and not done:
                 if next_ckpt is None:
                     next_ckpt = (
                         total_configs + every if resume_payload is not None
@@ -841,7 +832,7 @@ def _explore_sharded_processes(
             if do_ckpt:
                 snaps = collect("ckpt", spec.shards)
                 ckpt_count += 1
-                write_checkpoint(spec.checkpoint, spec.fingerprint, {
+                write_checkpoint(spec.plan.checkpoint, spec.fingerprint, {
                     "algo": "shard",
                     "cores": [
                         blob
@@ -849,11 +840,11 @@ def _explore_sharded_processes(
                     ],
                     "checkpoints": ckpt_count,
                 })
-                last_ckpt = spec.checkpoint
+                last_ckpt = spec.plan.checkpoint
                 next_ckpt = total_configs + every
                 if tr is not None and spec.run_id is not None:
                     tr.emit(
-                        "ckpt", run=spec.run_id, path=spec.checkpoint,
+                        "ckpt", run=spec.run_id, path=spec.plan.checkpoint,
                         configs=total_configs, action="write",
                     )
         results = collect("result", spec.shards)
@@ -912,11 +903,10 @@ def _run_sharded_supervised(
         payload = resume_payload
         if attempt > 0:
             spec.fault_spec = None  # disarm worker-side faults on retries
-            if spec.checkpoint is not None and os.path.exists(spec.checkpoint):
+            path = spec.plan.checkpoint
+            if path is not None and os.path.exists(path):
                 try:
-                    _, ckpt = read_checkpoint(
-                        spec.checkpoint, expect=spec.fingerprint
-                    )
+                    _, ckpt = read_checkpoint(path, expect=spec.fingerprint)
                     if ckpt.get("algo") == "shard":
                         payload = ckpt
                 except CheckpointError:
@@ -952,62 +942,26 @@ def _run_sharded_supervised(
 # ======================================================================
 
 
-class ShardedExplorer:
-    """The hash-partitioned explorer: validate once, run many.
-
-    Thin stateful wrapper over :func:`explore_sharded` for callers that
-    run several explorations under one partitioning configuration (the
-    benchmark harness); one-shot callers use the function directly.
-    """
-
-    def __init__(
-        self,
-        shards: int,
-        processes: Optional[bool] = None,
-    ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = shards
-        self.processes = processes
-
-    def explore(self, program, init_values, model, **kwargs) -> ExplorationResult:
-        return explore_sharded(
-            program, init_values, model, self.shards,
-            processes=self.processes, **kwargs,
-        )
-
-
 def explore_sharded(
     program,
     init_values: Mapping,
     model,
-    shards: int,
-    max_events: Optional[int] = None,
-    max_configs: Optional[int] = None,
+    plan: SearchPlan,
     check_config: Optional[Callable] = None,
     check_step: Optional[Callable] = None,
-    stop_on_violation: bool = False,
-    keep_representatives: bool = False,
-    canonicalize: bool = True,
-    strategy: str = "bfs",
-    processes: Optional[bool] = None,
-    checkpoint: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-    resume: Optional[str] = None,
 ) -> ExplorationResult:
-    """Hash-partitioned exploration across ``shards`` workers.
+    """Hash-partitioned exploration across ``plan.shards`` workers.
 
-    Accepts the single-process ``explore`` surface where the sharded
-    search can honour its parity contract, and rejects the rest up
-    front: breadth-first only (the superstep structure *is* BFS),
-    unreduced (``explore`` rejects ``shards > 1`` with a reduction), and
-    canonical keys (the digest partition function is defined on them).
+    The plan guarantees what the sharded search needs to honour its
+    parity contract: breadth-first order (the superstep structure *is*
+    BFS), the unreduced search, and canonical keys (the digest
+    partition function is defined on them).
 
-    ``processes=None`` auto-selects: real worker processes when the
-    current process may fork children, the in-process supersteps
-    otherwise (daemonic pool workers — the fuzz oracle's home — may
-    not fork).  ``shards=1`` always runs in-process: one worker has
-    nothing to overlap.
+    ``plan.shard_processes=None`` auto-selects: real worker processes
+    when the current process may fork children, the in-process
+    supersteps otherwise (daemonic pool workers — the fuzz oracle's
+    home — may not fork).  One shard always runs in-process: one worker
+    has nothing to overlap.
 
     Semantic deltas against the single-process loop, both flag-visible:
     ``stop_on_violation`` stops at the end of the superstep that found
@@ -1017,79 +971,38 @@ def explore_sharded(
     the single-process engine already; ``truncated``/``capped``
     propagate whenever any shard hits its slice).
 
-    ``checkpoint``/``checkpoint_every``/``resume`` give the sharded
-    search the single-process checkpoint surface (DESIGN.md §16):
-    snapshots are taken at superstep barriers — per-shard core images
-    assembled by the coordinator into ONE atomic ``repro-ckpt/3`` file
-    with algorithm tag ``"shard"`` — and resume requires the identical
-    shard count (it is part of the fingerprint).  Process mode runs
-    under attempt-level supervision: silently dying workers are
-    detected, the fleet respawned from the latest checkpoint with
-    capped backoff, and after :data:`MAX_ATTEMPTS` failed attempts the
-    run degrades to the in-process supersteps instead of failing.
+    The plan's checkpoint surface works as in the single-process search
+    (DESIGN.md §16): snapshots are taken at superstep barriers —
+    per-shard core images assembled by the coordinator into ONE atomic
+    ``repro-ckpt/3`` file with algorithm tag ``"shard"`` — and resume
+    requires the identical shard count (it is part of the fingerprint).
+    Process mode runs under attempt-level supervision: silently dying
+    workers are detected, the fleet respawned from the latest
+    checkpoint with capped backoff, and after :data:`MAX_ATTEMPTS`
+    failed attempts the run degrades to the in-process supersteps
+    instead of failing.
     """
     from repro.interp.compiled import maybe_lower
     from repro.interp.config import Configuration
     from repro.obs.trace import tracer
 
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if strategy != "bfs":
-        raise ValueError(
-            "sharded exploration is breadth-first by construction; "
-            f"strategy={strategy!r} is not shardable"
-        )
-    if not canonicalize:
-        raise ValueError(
-            "sharded exploration partitions by canonical-key digest; "
-            "canonicalize=False has no digestable key"
-        )
+    processes = plan.shard_processes
     if processes is None:
         import multiprocessing
 
         processes = not multiprocessing.current_process().daemon
 
     program = maybe_lower(program)
-    fingerprint = None
-    resume_payload = None
-    if checkpoint is not None or resume is not None:
-        from repro.engine.checkpoint import (
-            CheckpointError,
-            read_checkpoint,
-            run_fingerprint,
-        )
-
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        fingerprint = run_fingerprint(
-            program, init_values, model,
-            max_events=max_events, max_configs=max_configs,
-            strategy="bfs", reduction="none",
-            canonicalize=True, shards=shards,
-        )
-        if resume is not None:
-            _, resume_payload = read_checkpoint(resume, expect=fingerprint)
-            if resume_payload.get("algo") != "shard":
-                raise CheckpointError(
-                    f"checkpoint {resume!r} holds "
-                    f"{resume_payload.get('algo')!r} loop state, not the "
-                    "sharded search's per-core snapshots"
-                )
+    fingerprint, resume_payload = plan.open_checkpoint(
+        program, init_values, model, "shard"
+    )
     spec = _ShardSpec(
         program=program,
         init_values=init_values,
         model=model,
-        shards=shards,
-        max_events=max_events,
-        max_configs=(
-            None if max_configs is None else max(1, -(-max_configs // shards))
-        ),
+        plan=plan,
         check_config=check_config,
         check_step=check_step,
-        stop_on_violation=stop_on_violation,
-        keep_representatives=keep_representatives,
-        checkpoint=checkpoint,
-        checkpoint_every=checkpoint_every,
         fingerprint=fingerprint,
     )
 
@@ -1097,7 +1010,7 @@ def explore_sharded(
     run = (
         tr.run_start(
             program, getattr(model, "name", type(model).__name__),
-            "bfs", "none", max_events,
+            "bfs", "none", plan.max_events,
         )
         if tr is not None
         else None
@@ -1106,7 +1019,7 @@ def explore_sharded(
 
     initial = Configuration(program, model.initial(init_values))
     init_key = _key_of(initial, model)
-    if processes and shards > 1:
+    if processes and plan.shards > 1:
         import signal
         import threading
 
@@ -1144,7 +1057,6 @@ def explore_sharded(
 
 __all__ = [
     "MAX_ATTEMPTS",
-    "ShardedExplorer",
     "WorkerDied",
     "explore_sharded",
     "key_digest_for",

@@ -6,8 +6,8 @@ strategy and reduction ran, how large the frontier grew, how the
 canonical-key cache behaved, how wall time split across the engine's
 three phases (successor expansion, canonical keying, check hooks), and
 — under partial-order reduction (DESIGN.md §9) — how much the reduction
-pruned.  It is the one record a run's cost travels in: rounds, shards,
-jobs, fuzz cases and campaigns fold theirs with :meth:`EngineStats.merge`,
+pruned.  It is the one record a run's cost travels in: shards, jobs,
+fuzz cases and campaigns fold theirs with :meth:`EngineStats.merge`,
 and every footer, the metrics export and the run ledger read the result
 (DESIGN.md §5).  :class:`ProcessCounters` charges a search with its share
 of the process-wide counters.
@@ -53,8 +53,6 @@ class EngineStats:
     #: ``time_expand - time_model`` is the program-side stepping cost of
     #: the lowered step tables (DESIGN.md §12).
     time_model: float = 0.0
-    #: Number of deepening rounds (1 unless the strategy is ``iddfs``).
-    iterations: int = 1
     #: Thread-expansions performed / skipped by the reduction.  One
     #: "expansion" is one thread's pending step resolved against the
     #: memory model; ``pruned`` counts enabled threads a reduction chose
@@ -107,8 +105,8 @@ class EngineStats:
     def merge(self, other: "EngineStats") -> "EngineStats":
         """Fold another record into this one and return this one.
 
-        The one fold for every consumer: deepening rounds, shards, jobs,
-        oracle legs and campaigns.  Counters and timers sum; the
+        The one fold for every consumer: shards, jobs, oracle legs and
+        campaigns.  Counters and timers sum; the
         high-water marks in :data:`PEAK_FIELDS` take the max; the
         descriptive :data:`LABEL_FIELDS` keep this record's values.
         """
@@ -130,9 +128,8 @@ class EngineStats:
         """One human-readable line, used by the CLI and benchmarks."""
         keyed = self.key_hits + self.key_misses
         rate = f"{100.0 * self.key_rate:.0f}%" if keyed else "n/a"
-        rounds = f" rounds={self.iterations}" if self.iterations > 1 else ""
         line = (
-            f"strategy={self.strategy}{rounds} peak-frontier={self.peak_frontier} "
+            f"strategy={self.strategy} peak-frontier={self.peak_frontier} "
             f"key-cache={self.key_hits}/{keyed} ({rate}) "
             f"time={self.time_total * 1e3:.1f}ms "
             f"(expand={self.time_expand * 1e3:.1f} "
@@ -168,7 +165,7 @@ class EngineStats:
 
 #: Fields that say what ran rather than what it cost; :meth:`EngineStats.merge`
 #: leaves them alone.
-LABEL_FIELDS = ("strategy", "reduction", "iterations", "shards")
+LABEL_FIELDS = ("strategy", "reduction", "shards")
 #: High-water marks: merged by max, never summed (no moment held the sum;
 #: every shard takes part in every round; a run resumed at most once).
 PEAK_FIELDS = ("peak_frontier", "shard_rounds", "resumed")

@@ -3,7 +3,7 @@
 Historical home of the model-checking loop, kept as the stable public
 API: the implementation now lives in the engine subsystem
 (:mod:`repro.engine`, DESIGN.md §5), which adds pluggable search
-strategies (BFS / DFS / iterative deepening), a canonical-key
+strategies (BFS / DFS), a canonical-key
 memoization layer and per-run engine statistics.  Everything importable
 from here before the extraction is still importable from here:
 
@@ -26,7 +26,7 @@ from repro.engine.core import (
     explore,
     reachable_states,
 )
-from repro.engine.por.deps import REDUCTIONS
+from repro.engine.plan import REDUCTIONS
 
 __all__ = [
     "ConfigKey",

@@ -475,28 +475,22 @@ def parse_litmus(text: str) -> ParsedLitmus:
     )
 
 
-def run_parsed_litmus(parsed: ParsedLitmus, model=None, max_events=None, strategy="bfs",
-                      reduction="none", shards=1,
-                      checkpoint=None, checkpoint_every=None, resume=None):
+def run_parsed_litmus(parsed: ParsedLitmus, model=None, plan=None):
     """Convenience: decide the parsed test's outcome reachability.
 
-    ``shards`` selects the sharded search (DESIGN.md §15) — the
-    ``repro run --shards`` path lands here — and
-    ``checkpoint``/``checkpoint_every``/``resume``
-    thread the checkpoint surface (DESIGN.md §16) through to the engine
-    for ``repro run --checkpoint/--resume``.
+    ``plan`` (a :class:`~repro.engine.plan.SearchPlan`; default: the
+    plain unbounded search) is the whole search — ``repro run``'s
+    bound, strategy, reduction, shards (DESIGN.md §15) and checkpoint
+    surface (DESIGN.md §16) land here.
     """
+    from repro.engine.plan import SearchPlan
     from repro.interp.explore import explore
     from repro.interp.ra_model import RAMemoryModel
     from repro.litmus.registry import final_values
 
     model = model if model is not None else RAMemoryModel()
-    result = explore(
-        parsed.program, parsed.init, model, max_events=max_events,
-        strategy=strategy, reduction=reduction, shards=shards,
-        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-        resume=resume,
-    )
+    plan = plan if plan is not None else SearchPlan()
+    result = explore(parsed.program, parsed.init, model, **plan.options())
     # Files without an exists/forbidden clause (e.g. fuzz-corpus
     # reproducers) are pure explorations: nothing to be reachable.
     reachable = parsed.outcome_exp is not None and any(

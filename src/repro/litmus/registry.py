@@ -14,10 +14,11 @@ states, the store content for SC.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.c11.state import C11State
+from repro.engine.plan import SearchPlan
 from repro.interp.config import Configuration
 from repro.interp.explore import ExplorationResult, explore
 from repro.interp.memory_model import MemoryModel
@@ -90,31 +91,21 @@ class LitmusOutcome:
 def run_litmus(
     test: LitmusTest,
     model: Optional[MemoryModel] = None,
-    max_configs: Optional[int] = None,
-    strategy: str = "bfs",
-    reduction: str = "none",
-    shards: int = 1,
+    plan: SearchPlan = SearchPlan(),
 ) -> LitmusOutcome:
     """Decide reachability of the test's outcome under ``model``.
 
-    ``reduction`` selects a partial-order reduction (DESIGN.md §9, §13);
-    litmus verdicts are outcome-set properties of the terminal states,
-    which every reduction preserves — the POR parity suite and CI job
-    assert exactly this, verdict for verdict.
-    ``shards > 1`` partitions the single exploration across worker
-    shards (DESIGN.md §15) — outcome-identical by the sharding parity
-    contract, checked test by test in ``tests/test_shard_parity.py``.
+    The search follows ``plan``, with the test's own event bound in
+    place of the plan's.  A reduction (DESIGN.md §9, §13) preserves
+    the terminal outcome sets litmus verdicts are read from — the POR
+    parity suite and CI job assert exactly this, verdict for verdict —
+    and so does sharding (DESIGN.md §15), checked test by test in
+    ``tests/test_shard_parity.py``.
     """
     model = model if model is not None else RAMemoryModel()
     result = explore(
-        test.program,
-        test.init,
-        model,
-        max_events=test.max_events,
-        max_configs=max_configs,
-        strategy=strategy,
-        reduction=reduction,
-        shards=shards,
+        test.program, test.init, model,
+        **replace(plan, max_events=test.max_events).options(),
     )
     reachable = any(
         test.outcome(final_values(config)) for config in result.terminal
@@ -138,8 +129,7 @@ def run_suite(
     tests: List[LitmusTest],
     models: Optional[List[MemoryModel]] = None,
     jobs: int = 1,
-    strategy: str = "bfs",
-    reduction: str = "none",
+    plan: SearchPlan = SearchPlan(),
 ) -> List[LitmusOutcome]:
     """The E7 table: every test under every model.
 
@@ -171,7 +161,7 @@ def run_suite(
 
     if jobs <= 1 or not _parallelizable():
         return [
-            run_litmus(test, model, strategy=strategy, reduction=reduction)
+            run_litmus(test, model, plan)
             for test in tests
             for model in models
         ]
@@ -181,10 +171,7 @@ def run_suite(
     model_keys = {model.name.lower(): model for model in models}
     by_name = {test.name: test for test in tests}
     work = [
-        SuiteJob(
-            kind="litmus", name=test.name, model=key, strategy=strategy,
-            reduction=reduction,
-        )
+        SuiteJob(kind="litmus", name=test.name, model=key, plan=plan)
         for test in tests
         for key in model_keys
     ]

@@ -327,8 +327,8 @@ def test_checkpoint_validates_its_surface():
         run_explore(checkpoint="x.ckpt", checkpoint_every=0)
     with pytest.raises(ValueError, match="checkpoint/resume"):
         run_explore(checkpoint="x.ckpt", reduction="optimal")
-    with pytest.raises(ValueError, match="checkpoint/resume"):
-        run_explore(checkpoint="x.ckpt", strategy="iddfs")
+    with pytest.raises(ValueError, match="needs a checkpoint file"):
+        run_explore(checkpoint_every=5)
     with pytest.raises(ValueError, match="checkpoint/resume"):
         run_explore(checkpoint="x.ckpt", canonicalize=False)
     with pytest.raises(ValueError, match="unknown equivalence"):

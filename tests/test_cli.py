@@ -238,13 +238,14 @@ def test_run_reduction_sleep_is_a_usage_error(sb_file):
     [
         ["{sb}", "--checkpoint", "{ckpt}", "--reduction", "optimal"],
         ["{sb}", "--checkpoint-every", "0"],
-        ["{sb}", "--checkpoint", "{ckpt}", "--strategy", "iddfs"],
+        ["{sb}", "--checkpoint-every", "50"],
         ["{sb}", "--max-events", "-1"],
         ["{sb}", "--resume", "{missing}.ckpt"],
         ["{missing}.litmus"],
     ],
     ids=[
-        "checkpoint-optimal", "checkpoint-every-0", "checkpoint-iddfs",
+        "checkpoint-optimal", "checkpoint-every-0",
+        "checkpoint-every-without-checkpoint",
         "max-events-negative", "resume-missing", "litmus-missing",
     ],
 )
@@ -311,6 +312,43 @@ def test_suite_crashed_job_renders_error_footer(capsys, monkeypatch):
     assert "job(s) crashed in a worker:" in out
     assert "injected worker crash" in out
     assert "phase split: expand=" in out  # footer still rendered
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["suite", "--shards", "2", "--strategy", "dfs"],
+        ["suite", "--shards", "0"],
+        ["suite", "--shards", "2", "--reduction", "optimal"],
+        ["verify", "spinlock-tas", "--max-configs", "0"],
+        ["verify", "--all", "--max-configs", "0"],
+        ["verify", "--all", "--max-configs", "-3", "--jobs", "2"],
+    ],
+    ids=[
+        "suite-shards-dfs", "suite-shards-0", "suite-shards-optimal",
+        "verify-name-cap-0", "verify-all-cap-0", "verify-all-cap-negative",
+    ],
+)
+def test_plan_errors_are_one_line_on_every_command(capsys, argv):
+    """A search-plan error fails every command the way it fails
+    ``repro run``: one ``repro <cmd>: error: ...`` line, status 2."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"repro {argv[0]}: error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_verify_all_honours_max_configs(capsys):
+    """``verify --all --max-configs N`` caps every job's search: each
+    row reports at most N configurations and is marked bounded."""
+    assert main(["verify", "--all", "--max-configs", "5"]) == 0
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if "] proof " in line]
+    assert rows and all("(bounded)" in row for row in rows)
+    configs = [int(row.split("configs=")[1].split()[0]) for row in rows]
+    assert max(configs) <= 5
 
 
 def test_verify_has_no_reduction_flag():

@@ -6,6 +6,7 @@ text → AST → program → exhaustive RA exploration → outcome decision.
 
 import pytest
 
+from repro.engine.plan import SearchPlan
 from repro.lang.parser import run_parsed_litmus
 from repro.litmus.corpus import (
     CORPUS_EXPECTATIONS,
@@ -31,7 +32,9 @@ def test_every_source_parses(corpus):
 def test_corpus_verdict(corpus, name):
     parsed = corpus[name]
     expected_reachable, bound = CORPUS_EXPECTATIONS[name]
-    reachable, result = run_parsed_litmus(parsed, max_events=bound)
+    reachable, result = run_parsed_litmus(
+        parsed, plan=SearchPlan(max_events=bound)
+    )
     assert reachable == expected_reachable, (
         f"{name}: outcome {'' if reachable else 'not '}reachable, "
         f"expected {'reachable' if expected_reachable else 'unreachable'}"

@@ -17,15 +17,14 @@ from repro.interp.sc import SCMemoryModel
 def test_pc_tracking_through_branches():
     """The nested critical-section label is observable as the pc."""
     program = dekker_entry_program()
-    result = explore(
+    visited = []
+    explore(
         program,
         DEKKER_INIT,
         RAMemoryModel(),
-        keep_representatives=True,
+        check_config=lambda config: visited.append(config) or [],
     )
-    pcs_seen = {
-        config.pc(1) for config in result.representatives.values()
-    }
+    pcs_seen = {config.pc(1) for config in visited}
     assert CRITICAL in pcs_seen
     assert 6 in pcs_seen  # the back-off branch is reachable too
 

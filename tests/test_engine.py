@@ -68,7 +68,6 @@ def test_frontier_len_and_bool():
 def test_frontier_class_resolution():
     assert frontier_class("bfs") is BFSFrontier
     assert frontier_class("dfs") is DFSFrontier
-    assert frontier_class("iddfs") is DFSFrontier
     assert frontier_class("BFS") is BFSFrontier
     with pytest.raises(ValueError):
         frontier_class("a-star")
@@ -87,7 +86,7 @@ def test_explore_rejects_unknown_strategy():
     [
         (sb_program(), SB_INIT, None),
         (mp_program(), {"d": 0, "f": 0, "r1": 0, "r2": 0}, None),
-        # MP+await: a busy-wait loop, so iddfs actually deepens.
+        # MP+await: a busy-wait loop, so the event bound truncates.
         (
             Program.parallel(
                 seq(assign("d", 5), assign("f", 1, release=True)),
@@ -100,13 +99,13 @@ def test_explore_rejects_unknown_strategy():
     ids=["SB", "MP", "MP+await"],
 )
 def test_strategies_agree_on_counts_and_terminals(program, init, max_events):
-    """BFS, DFS and iddfs must visit the same configuration set: dedup
-    is by canonical key, so visit order cannot change the visited set."""
+    """BFS and DFS must visit the same configuration set: dedup is by
+    canonical key, so visit order cannot change the visited set."""
     results = {
         s: explore(
             program, init, RAMemoryModel(), max_events=max_events, strategy=s
         )
-        for s in ("bfs", "dfs", "iddfs")
+        for s in ("bfs", "dfs")
     }
     reference = results["bfs"]
     for strategy, result in results.items():
@@ -121,41 +120,15 @@ def test_strategies_agree_on_counts_and_terminals(program, init, max_events):
 
 @pytest.mark.parametrize("name", ["SB", "MP+rel-acq", "CoRR", "MP+await"])
 def test_strategies_agree_on_litmus_verdicts(name):
+    from repro.engine.plan import SearchPlan
     from repro.litmus.registry import run_litmus
 
     test = litmus_by_name(name)
     verdicts = {
-        s: run_litmus(test, RAMemoryModel(), strategy=s).reachable
-        for s in ("bfs", "dfs", "iddfs")
+        s: run_litmus(test, RAMemoryModel(), SearchPlan(strategy=s)).reachable
+        for s in ("bfs", "dfs")
     }
     assert len(set(verdicts.values())) == 1, verdicts
-
-
-def test_iddfs_runs_multiple_rounds():
-    program = Program.parallel(
-        seq(assign("d", 5), assign("f", 1, release=True)),
-        seq(while_(neg(acq("f")), skip()), assign("r", var("d"))),
-    )
-    result = explore(
-        program, {"d": 0, "f": 0, "r": 0}, RAMemoryModel(),
-        max_events=9, strategy="iddfs",
-    )
-    assert result.stats.strategy == "iddfs"
-    assert result.stats.iterations > 1
-
-
-def test_iddfs_stops_deepening_once_config_cap_trips():
-    """A round truncated by max_configs (not the event bound) cannot be
-    improved by deepening — the loop must not re-run the identical
-    capped search for every remaining bound."""
-    result = explore(
-        sb_program(), SB_INIT, RAMemoryModel(),
-        max_events=8, max_configs=3, strategy="iddfs",
-    )
-    assert result.truncated and result.capped
-    # Deepening stops at the first capped round instead of running all
-    # 8 bounds (earlier rounds may be bound- but not cap-truncated).
-    assert result.stats.iterations < 8
 
 
 def test_event_pickle_drops_cached_hash():
@@ -171,13 +144,6 @@ def test_event_pickle_drops_cached_hash():
     clone = pickle.loads(pickle.dumps(e))
     assert "_hash" not in clone.__dict__
     assert clone == e and hash(clone) == hash(e)  # same process: equal
-
-
-def test_iddfs_without_bound_degenerates_to_dfs():
-    result = explore(sb_program(), SB_INIT, RAMemoryModel(), strategy="iddfs")
-    reference = explore(sb_program(), SB_INIT, RAMemoryModel(), strategy="dfs")
-    assert result.configs == reference.configs
-    assert result.stats.iterations == 1
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +195,12 @@ def test_reachable_states_hits_cache():
 
 def test_incremental_ids_match_fresh_computation():
     """Propagated `_canon_ids` must agree with a from-scratch keying."""
-    result = explore(
-        sb_program(), SB_INIT, RAMemoryModel(), keep_representatives=True
+    visited = []
+    explore(
+        sb_program(), SB_INIT, RAMemoryModel(),
+        check_config=lambda config: visited.append(config) or [],
     )
-    for config in result.representatives.values():
+    for config in visited:
         state = config.state
         propagated = state._canon_key
         state._canon_key = None
@@ -276,15 +244,16 @@ def test_canonical_key_invariant_under_interleaving(program, init):
     interleavings of the same logical state survive as distinct configs,
     then check every pair that shares a canonical key is genuinely
     isomorphic up to tag renaming."""
+    visited = []
     result = explore(
-        program, init, RAMemoryModel(),
-        canonicalize=False, keep_representatives=True,
+        program, init, RAMemoryModel(), canonicalize=False,
+        check_config=lambda config: visited.append(config) or [],
     )
     groups = {}
-    for (prog, _state), config in result.representatives.items():
-        groups.setdefault((prog, canonical_key(config.state)), []).append(
-            config.state
-        )
+    for config in visited:
+        groups.setdefault(
+            (config.program, canonical_key(config.state)), []
+        ).append(config.state)
     collided = [members for members in groups.values() if len(members) > 1]
     assert collided, "no tag-renamed duplicates found — test lost its teeth"
     for members in collided:

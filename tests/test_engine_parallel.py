@@ -1,5 +1,7 @@
 """Tests for the parallel suite runner (repro.engine.parallel)."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.parallel import (
@@ -10,13 +12,17 @@ from repro.engine.parallel import (
     litmus_jobs,
     run_suite_job,
 )
+from repro.engine.plan import SearchPlan
 
 SMALL = ["SB", "MP+rel-acq", "CoRR"]
 
 
 def _small_jobs(strategy="bfs"):
     return [
-        SuiteJob(kind="litmus", name=name, model=model, strategy=strategy)
+        SuiteJob(
+            kind="litmus", name=name, model=model,
+            plan=SearchPlan(strategy=strategy),
+        )
         for name in SMALL
         for model in ("ra", "sc")
     ]
@@ -224,8 +230,10 @@ def test_reduction_jobs_verdict_parity():
         [run_suite_job(j) for j in _small_jobs()],
         [
             run_suite_job(
-                SuiteJob(kind="litmus", name=j.name, model=j.model,
-                         strategy=j.strategy, reduction="optimal")
+                SuiteJob(
+                    kind="litmus", name=j.name, model=j.model,
+                    plan=dataclasses.replace(j.plan, reduction="optimal"),
+                )
             )
             for j in _small_jobs()
         ],
@@ -237,18 +245,20 @@ def test_reduction_jobs_verdict_parity():
 
 
 def test_job_factories_carry_reduction():
-    assert all(j.reduction == "optimal" for j in litmus_jobs(reduction="optimal"))
-    assert all(
-        j.reduction == "optimal" for j in case_study_jobs(reduction="optimal")
-    )
-    assert all(j.reduction == "none" for j in litmus_jobs())
+    optimal = SearchPlan(reduction="optimal")
+    assert all(j.plan == optimal for j in litmus_jobs(plan=optimal))
+    assert all(j.plan == optimal for j in case_study_jobs(plan=optimal))
+    assert all(j.plan.reduction == "none" for j in litmus_jobs())
 
 
 def test_case_study_jobs_verdict_parity_under_reduction():
     for name in CASE_STUDIES:
         plain = run_suite_job(SuiteJob(kind="case-study", name=name))
         reduced = run_suite_job(
-            SuiteJob(kind="case-study", name=name, reduction="optimal")
+            SuiteJob(
+                kind="case-study", name=name,
+                plan=SearchPlan(reduction="optimal"),
+            )
         )
         assert reduced.observed == plain.observed
         assert reduced.verdict_matches and plain.verdict_matches
@@ -303,10 +313,11 @@ def test_aggregate_surfaces_reduction_counters():
     """The aggregator sums every integer stat field generically — the
     reduction counters show up instead of being silently dropped."""
     runner = ParallelRunner(jobs=1)
+    optimal = SearchPlan(reduction="optimal")
     results = runner.run(
         [
-            SuiteJob(kind="case-study", name="peterson", reduction="optimal"),
-            SuiteJob(kind="case-study", name="token-ring", reduction="optimal"),
+            SuiteJob(kind="case-study", name=name, plan=optimal)
+            for name in ("peterson", "token-ring")
         ]
     )
     totals = runner.aggregate(results)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.plan import SearchPlan
 from repro.engine.por import REDUCTIONS
 from repro.interp.explore import explore, reachable_states
 from repro.interp.ra_model import RAMemoryModel
@@ -260,50 +261,95 @@ def test_max_configs_still_runs_step_checks_after_cap(monkeypatch):
 
 
 def test_representatives_collection():
+    """A ``check_config`` hook sees every visited configuration once."""
     program = Program.parallel(assign("x", 1))
+    visited = []
     result = explore(
-        program, {"x": 0}, RAMemoryModel(), keep_representatives=True
+        program, {"x": 0}, RAMemoryModel(),
+        check_config=lambda config: visited.append(config) or [],
     )
-    assert len(result.representatives) == result.configs
+    assert len(visited) == result.configs
+    assert len({(c.program, c.state) for c in visited}) == result.configs
 
 
-def _rejected(reduction, strategy, match, **bounds):
+def _rule(match, **options):
+    """A table row: options that break one plan rule, and the message."""
     label = "-".join(
-        [reduction, strategy, match] + [f"{k}={v}" for k, v in bounds.items()]
+        [options.get("reduction", "none"), options.get("strategy", "bfs"), match]
+        + [
+            f"{key}={value}" for key, value in options.items()
+            if key not in ("reduction", "strategy")
+        ]
     )
-    return pytest.param(reduction, strategy, bounds, match, id=label)
+    return pytest.param(options, match, id=label)
 
 
-@pytest.mark.parametrize("path", ["plain", "checkpoint", "shards=2"])
-@pytest.mark.parametrize(
-    "reduction,strategy,bounds,match",
-    [_rejected(r, "bfs", "unknown reduction") for r in ("dpro", "sleep")]
-    + [_rejected(r, "bsf", "unknown search strategy") for r in REDUCTIONS]
-    + [
-        _rejected(r, "bfs", "max_events", max_events=-1)
+#: Every rule of the search plan, at least one row each.  No row writes a
+#: file: a rejected plan never starts a search.
+PLAN_RULES = [
+    *(_rule("unknown reduction", reduction=r) for r in ("dpro", "sleep")),
+    *(
+        _rule("unknown search strategy", reduction=r, strategy="bsf")
         for r in REDUCTIONS
-    ]
-    + [
-        _rejected(r, "bfs", "max_configs", max_configs=cap)
+    ),
+    _rule("unknown search strategy", strategy="iddfs"),
+    *(_rule("max_events", reduction=r, max_events=-1) for r in REDUCTIONS),
+    *(
+        _rule("max_configs", reduction=r, max_configs=cap)
         for r in REDUCTIONS
         for cap in (0, -5)
-    ],
-)
+    ),
+    _rule("checkpoint/resume", canonicalize=False, checkpoint="run.ckpt"),
+    _rule("checkpoint/resume", reduction="optimal", resume="run.ckpt"),
+    _rule("checkpoint_every", checkpoint="run.ckpt", checkpoint_every=0),
+    _rule("needs a checkpoint file", checkpoint_every=5),
+    _rule("shards", shards=0),
+    _rule("unreduced", reduction="optimal", shards=2),
+    _rule("breadth-first", strategy="dfs", shards=2),
+    _rule("canonical", canonicalize=False, shards=2),
+]
+
+
+@pytest.mark.parametrize("entry", ["explore", "SearchPlan"])
+@pytest.mark.parametrize("options,match", PLAN_RULES)
 def test_unknown_reduction_or_strategy_is_rejected_on_every_path(
-    tmp_path, path, reduction, strategy, bounds, match
+    options, match, entry
 ):
-    """``explore`` validates its knobs and bounds before it picks a
-    search path, so the checkpoint and sharded paths give the same error
-    as the plain one (rather than a path-specific one, a run that
-    records the bogus strategy, or a one-config ``truncated`` result
-    for a nonsense bound)."""
-    kwargs = {
-        "plain": {},
-        "checkpoint": {"checkpoint": str(tmp_path / "run.ckpt")},
-        "shards=2": {"shards": 2, "shard_processes": False},
-    }[path]
+    """Each plan rule lives in ``SearchPlan`` and nowhere else, and
+    ``explore`` builds its plan before it picks a search path, so the
+    plain, reduced, checkpoint and sharded paths all refuse a bad
+    option with the plan's one message (rather than a path-specific
+    one, a run that records a bogus strategy, or a one-config
+    ``truncated`` result for a nonsense bound)."""
     with pytest.raises(ValueError, match=match):
-        explore(
-            Program.parallel(assign("x", 1)), {"x": 0}, RAMemoryModel(),
-            reduction=reduction, strategy=strategy, **bounds, **kwargs,
-        )
+        if entry == "SearchPlan":
+            SearchPlan(**options)
+        else:
+            explore(
+                Program.parallel(assign("x", 1)), {"x": 0}, RAMemoryModel(),
+                **options,
+            )
+
+
+def test_search_plan_fingerprint_is_the_benchmarks_run_fingerprint(
+    tmp_path, monkeypatch
+):
+    """``SearchPlan.fingerprint`` is the dict perfbench's ``ring4-durable``
+    check asks ``run_fingerprint`` for, so the benchmark's snapshot
+    check reads the run's own snapshot."""
+    from perfbench.workloads import WORKLOADS, _checkpoint_error
+
+    from repro.casestudies.token_ring import TOKEN_INIT
+    from repro.engine import checkpoint
+
+    expected = []
+
+    def read_checkpoint(path, expect=None):
+        expected.append(expect)
+        return expect, {}
+
+    monkeypatch.setattr(checkpoint, "read_checkpoint", read_checkpoint)
+    inputs = WORKLOADS["ring4-durable"].setup(0, str(tmp_path))
+    assert _checkpoint_error(inputs, inputs.kwargs["checkpoint"]) is None
+    plan = SearchPlan(**inputs.kwargs)
+    assert expected == [plan.fingerprint(inputs.program, TOKEN_INIT, inputs.model)]

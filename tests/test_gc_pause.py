@@ -17,6 +17,7 @@ import gc
 
 import pytest
 
+from repro.engine.plan import SearchPlan
 from repro.engine.shard import explore_sharded
 from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
 from repro.interp.explore import explore
@@ -114,8 +115,9 @@ def test_shard_workers_pause_the_collector_themselves(restore_gc):
     turn it off on their own."""
     gc.enable()
     result = explore_sharded(
-        PROGRAM, dict(PETERSON.init), RAMemoryModel(), 2,
-        max_events=SMALL, processes=True, check_config=collector_running,
+        PROGRAM, dict(PETERSON.init), RAMemoryModel(),
+        SearchPlan(max_events=SMALL, shards=2, shard_processes=True),
+        check_config=collector_running,
     )
     assert result.configs
     assert not result.violations

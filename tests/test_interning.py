@@ -47,9 +47,10 @@ def test_equal_machine_states_are_one_object():
     assert table.program(program.pcs) is program
     assert table.program(tuple(list(program.pcs))) is program
     assert program.update_slot(0, *program.pcs[0]) is program
-    result = explore(program, litmus_test("SB").init, RAMemoryModel(),
-                     keep_representatives=True)
-    for config in result.representatives.values():
+    visited = []
+    explore(program, litmus_test("SB").init, RAMemoryModel(),
+            check_config=lambda config: visited.append(config) or [])
+    for config in visited:
         lowered = config.program
         assert table.programs[lowered.pcs] is lowered
 

@@ -25,6 +25,7 @@ from collections import Counter
 
 import pytest
 
+from repro.engine.core import _key_of
 from repro.engine.parallel import CASE_STUDIES, _case_study_setup
 from repro.fuzz.generator import PROFILES, generate_case
 from repro.interp.compiled import LoweredProgram, lowered_table, maybe_lower
@@ -50,16 +51,45 @@ def _signature(com):
     return (program_counter(com), isinstance(com, Skip))
 
 
+def reached_configurations(result):
+    """One configuration per key the search reached, rebuilt from its
+    parent map: each recorded hop replays from any configuration with
+    the parent key.  Unlike a collecting ``check_config`` hook, this
+    leaves the search untouched (under ``optimal`` a hook switches on
+    control tracking)."""
+    model = result._model
+    children = {}
+    for key, (parent, tid) in result.parents.items():
+        if parent is not None:
+            children.setdefault(parent, []).append((tid, key))
+    root = _key_of(result.initial, model, result._canonicalize)
+    reached = [result.initial]
+    stack = [(result.initial, root)]
+    while stack:
+        config, key = stack.pop()
+        for tid, child in children.get(key, ()):
+            pending = config.program.pending_steps()[tid]
+            target = next(
+                step.target
+                for step in thread_successor_list(config, model, tid, pending)
+                if _key_of(step.target, model, result._canonicalize) == child
+            )
+            reached.append(target)
+            stack.append((target, child))
+    assert len(reached) == len(result.parents)
+    return reached
+
+
 def reference_mismatches(program, init, model, max_events=None, **explore_kwargs):
     """Explore ``program`` lowered; describe every configuration where
     the tables disagree with the reference semantics (empty = none)."""
     result = explore(
         program, init, model, max_events=max_events, max_configs=50_000,
-        keep_representatives=True, **explore_kwargs,
+        **explore_kwargs,
     )
     assert not result.capped, "reference check needs the whole space"
     problems = []
-    for config in result.representatives.values():
+    for config in reached_configurations(result):
         lowered = config.program
         pending = lowered.pending_steps()
         reference = dict(program_steps(lowered.source_program()))

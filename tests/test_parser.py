@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.plan import SearchPlan
 from repro.interp.sc import SCMemoryModel
 from repro.lang.builder import acq, and_, assign, eq, if_, label, seq, skip, swap, var, while_
 from repro.lang.parser import (
@@ -185,7 +186,7 @@ def test_parse_litmus_multiline_threads():
     """
     parsed = parse_litmus(text)
     assert parsed.outcome_mode == "forbidden"
-    reachable, _ = run_parsed_litmus(parsed, max_events=9)
+    reachable, _ = run_parsed_litmus(parsed, plan=SearchPlan(max_events=9))
     assert not reachable
 
 

@@ -27,23 +27,31 @@ BOUND = 10
 
 @pytest.fixture(scope="module")
 def exploration():
-    return explore(
+    """The search's result and every configuration it visited."""
+    visited = []
+
+    def check(config):
+        visited.append(config)
+        return mutual_exclusion_violations(config)
+
+    result = explore(
         peterson_program(once=True),
         PETERSON_INIT,
         RAMemoryModel(),
         max_events=BOUND,
-        check_config=mutual_exclusion_violations,
-        keep_representatives=True,
+        check_config=check,
     )
+    return result, visited
 
 
 def test_theorem_5_8_mutual_exclusion(exploration):
-    assert exploration.ok
-    assert exploration.configs > 100  # state space is non-trivial
+    result, _ = exploration
+    assert result.ok
+    assert result.configs > 100  # state space is non-trivial
 
 
 def test_theorem_5_8_predicate_everywhere(exploration):
-    for config in exploration.representatives.values():
+    for config in exploration[1]:
         assert theorem_5_8(config)
 
 
@@ -51,7 +59,7 @@ def test_critical_section_is_actually_reachable(exploration):
     """Mutex must not hold vacuously: each thread does enter its CS."""
     reached = {
         t
-        for config in exploration.representatives.values()
+        for config in exploration[1]
         for t in (1, 2)
         if config.pc(t) == CRITICAL
     }

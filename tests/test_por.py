@@ -253,14 +253,6 @@ def test_optimal_max_configs_cap_sets_flags():
     assert result.configs <= 21
 
 
-def test_optimal_keep_representatives_keys_every_visit():
-    result = explore(
-        sb_program(), SB_INIT, RAMemoryModel(),
-        keep_representatives=True, reduction="optimal",
-    )
-    assert len(result.representatives) == result.configs
-
-
 def test_dpor_mutant_violation_found_and_replays_unreduced():
     """A violation found by any tier must replay as a valid unreduced
     trace: every step of the counterexample is among the successors the

@@ -10,6 +10,7 @@ outcome set, truncation flag for truncation flag.  CI runs this file as the POR 
 import pytest
 
 from repro.engine.parallel import CASE_STUDIES, _case_study_exploration
+from repro.engine.plan import SearchPlan
 from repro.fuzz.generator import PROFILES, generate_case
 from repro.fuzz.oracles import check_program
 from repro.interp.explore import explore
@@ -39,7 +40,9 @@ def test_litmus_registry_verdict_parity(model_name, reduction):
     """Every registry test, verdict for verdict, under one model."""
     for test in REGISTRY:
         full = run_litmus(test, MODELS[model_name]())
-        reduced = run_litmus(test, MODELS[model_name](), reduction=reduction)
+        reduced = run_litmus(
+            test, MODELS[model_name](), SearchPlan(reduction=reduction)
+        )
         assert reduced.reachable == full.reachable, (
             f"{test.name} [{model_name}] verdict diverged under {reduction}"
         )
@@ -57,8 +60,8 @@ def test_litmus_registry_verdict_parity(model_name, reduction):
 @pytest.mark.parametrize("name", sorted(CASE_STUDIES))
 @pytest.mark.parametrize("reduction", TIERS)
 def test_case_study_verdict_parity(name, reduction):
-    full = _case_study_exploration(name, "bfs", None)
-    reduced = _case_study_exploration(name, "bfs", None, reduction=reduction)
+    full = _case_study_exploration(name, SearchPlan())
+    reduced = _case_study_exploration(name, SearchPlan(reduction=reduction))
     assert full.ok == reduced.ok
     assert full.truncated == reduced.truncated
     assert reduced.configs <= full.configs
@@ -110,8 +113,8 @@ def test_fuzz_oracle_catches_a_broken_reduction(monkeypatch):
 
     real = por.explore_reduced
 
-    def broken(program, init_values, model, reduction, **kwargs):
-        result = real(program, init_values, model, reduction, **kwargs)
+    def broken(program, init_values, model, plan, **hooks):
+        result = real(program, init_values, model, plan, **hooks)
         result.terminal.clear()  # lose every outcome
         return result
 
@@ -161,8 +164,8 @@ def test_fuzz_oracle_reports_capped_reduced_run_inconclusive(monkeypatch):
 
     real = por.explore_reduced
 
-    def capped(program, init_values, model, reduction, **kwargs):
-        result = real(program, init_values, model, reduction, **kwargs)
+    def capped(program, init_values, model, plan, **hooks):
+        result = real(program, init_values, model, plan, **hooks)
         result.capped = True
         result.truncated = True
         return result

@@ -24,6 +24,7 @@ import pytest
 
 from repro.engine.core import _key_of
 from repro.engine.keys import shard_of
+from repro.engine.plan import SearchPlan
 from repro.engine.shard import key_digest_for
 from repro.interp.explore import explore
 from repro.interp.interpreter import configuration_successors
@@ -108,7 +109,7 @@ def test_registry_verdicts_under_shards(model_name):
     """`run_litmus(shards=N)` reports the pinned verdict for every test."""
     for test in REGISTRY:
         outcome = run_litmus(test, MODELS[model_name]())
-        sharded = run_litmus(test, MODELS[model_name](), shards=3)
+        sharded = run_litmus(test, MODELS[model_name](), SearchPlan(shards=3))
         assert sharded.reachable == outcome.reachable, test.name
         assert sharded.verdict_matches == outcome.verdict_matches, test.name
 
@@ -123,8 +124,8 @@ def test_shards_one_is_the_plain_search():
     one = explore_test(test, "ra", "none", shards=1)
     assert_identical(one, full, f"{test.name} shards=1")
     direct = explore_sharded(
-        test.program, test.init, RAMemoryModel(), 1,
-        max_events=test.max_events,
+        test.program, test.init, RAMemoryModel(),
+        SearchPlan(max_events=test.max_events),
     )
     assert_identical(direct, full, f"{test.name} explore_sharded(1)")
 
@@ -290,7 +291,7 @@ def test_packed_batches_and_payloads_never_relower(monkeypatch):
     core = shard._ShardCore(
         shard._ShardSpec(
             program=initial.program, init_values=test.init, model=model,
-            shards=1, keep_representatives=True,
+            plan=SearchPlan(),
         ),
         0,
     )
@@ -302,7 +303,6 @@ def test_packed_batches_and_payloads_never_relower(monkeypatch):
         core.integrate(list(outgoing))
     payload = core.finish()
     parents = dict(payload["parents"])
-    representatives = dict(payload["representatives"])
     terminal = list(payload["terminal"])
     batch = max(batches, key=len)
     blob_batch = pickle.dumps([shard._pack_message(m) for m in batch])
@@ -317,5 +317,4 @@ def test_packed_batches_and_payloads_never_relower(monkeypatch):
     assert unpacked == batch
     restored = shard._unpack_payload(pickle.loads(blob_payload), table)
     assert restored["parents"] == parents
-    assert restored["representatives"] == representatives
     assert terminal and restored["terminal"] == terminal

@@ -63,16 +63,27 @@ def test_a_finished_search_keeps_only_the_states_its_result_names(
     result = _ring(RAMemoryModel(), reduction, strategy)
     live = _live_states() - before
     # at the parent commit these searches retained 1,997-3,112 states
-    assert live <= len(result.terminal) + len(result.representatives) + 8
+    assert live <= len(result.terminal) + 8
     assert result.configs > 4000  # the result is alive and complete
 
 
 def test_representatives_hold_their_states_but_no_memo_behind_them():
+    """Configurations a hook keeps hold their states, but no memo."""
+    visited = []
+
+    def keep(config):
+        visited.append(config)
+        return token_ring_violations(config)
+
     before = _live_states()
-    result = _ring(RAMemoryModel(), "none", "bfs", keep_representatives=True)
+    result = explore(
+        token_ring_program(n_threads=4), TOKEN_INIT, RAMemoryModel(),
+        max_events=BOUND, check_config=keep,
+    )
     live = _live_states() - before
-    assert live <= len(result.terminal) + len(result.representatives) + 8
-    assert all(c.state._ra_trans is None for c in result.representatives.values())
+    assert len(visited) == result.configs
+    assert live <= len(result.terminal) + len(visited) + 8
+    assert all(c.state._ra_trans is None for c in visited)
 
 
 def test_sra_drops_the_ra_memo_it_filters():

@@ -16,19 +16,24 @@ from repro.verify.invariants import check_invariants
 
 
 def test_two_threads_mutual_exclusion():
+    visited = []
+
+    def check(config):
+        visited.append(config)
+        return token_ring_violations(config)
+
     result = explore(
         token_ring_program(2),
         TOKEN_INIT,
         RAMemoryModel(),
         max_events=10,
-        check_config=token_ring_violations,
-        keep_representatives=True,
+        check_config=check,
     )
     assert result.ok
     # both threads actually enter
     entered = {
         t
-        for config in result.representatives.values()
+        for config in visited
         for t in (1, 2)
         if config.pc(t) == CRITICAL
     }
