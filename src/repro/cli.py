@@ -60,9 +60,10 @@ Commands
     obligations quantify over, so discharge always runs the unreduced
     search.  Exit code 1 iff any obligation failed.
 
-A bad search option — an out-of-range bound, or flags no search plan
-admits together (``--shards 2 --strategy dfs``) — is one
-``repro <command>: error: ...`` line on stderr and exit status 2.
+A bad search option — an out-of-range bound, flags no search plan
+admits together (``--shards 2 --strategy dfs``), or an unknown
+``--model`` — is one ``repro <command>: error: ...`` line on stderr and
+exit status 2.
 """
 
 from __future__ import annotations
@@ -71,16 +72,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.interp.memory_model import MemoryModel
-from repro.interp.ra_model import RAMemoryModel
-from repro.interp.sc import SCMemoryModel
-from repro.interp.sra_model import SRAMemoryModel
-
-MODELS = {
-    "ra": RAMemoryModel,
-    "sra": SRAMemoryModel,
-    "sc": SCMemoryModel,
-}
+from repro.interp.memory_model import MemoryModel, model_by_name
 
 
 class UsageError(Exception):
@@ -100,10 +92,19 @@ def _plan(**options):
 
 
 def _model(name: str) -> MemoryModel:
+    """The named memory model; an unknown name is a :class:`UsageError`."""
     try:
-        return MODELS[name.lower()]()
-    except KeyError:
-        raise SystemExit(f"unknown model {name!r}; choose from {sorted(MODELS)}")
+        return model_by_name(name.strip())
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _model_names(names: str) -> List[str]:
+    """A comma list of model names, each checked by :func:`_model`."""
+    listed = [name.strip().lower() for name in names.split(",")]
+    for name in listed:
+        _model(name)
+    return listed
 
 
 def _load(path: str):
@@ -125,24 +126,6 @@ def _note_stats(**stats) -> None:
     _RUN_SUMMARY.update(
         {k: v for k, v in stats.items() if v is not None}
     )
-
-
-def _rate_line(configs: int, seconds: float) -> str:
-    """Derived throughput, spin-calibrated when the calibrator works:
-    states/sec alone depends on the machine; states per million spin
-    iterations is comparable across machines (DESIGN.md §12)."""
-    rate = configs / seconds if seconds else 0.0
-    try:
-        from repro.engine.calibrate import per_mspin, spin_score
-
-        score = spin_score()
-        return (
-            f"throughput: {rate:,.0f} states/sec = "
-            f"{per_mspin(rate, score):,.0f} states/Mspin "
-            f"(spin {score / 1e6:.1f}M ops/s)"
-        )
-    except Exception:  # noqa: BLE001 - calibration is best-effort
-        return f"throughput: {rate:,.0f} states/sec"
 
 
 def _activate_obs(args: argparse.Namespace) -> bool:
@@ -180,10 +163,9 @@ def _deactivate_obs() -> None:
 
 def _export_metrics(args: argparse.Namespace) -> None:
     if getattr(args, "metrics", None):
-        from repro.obs.metrics import METRICS, export_to
+        from repro.obs.metrics import export_to
 
-        METRICS.record_totals("cli", _RUN_SUMMARY)
-        fmt = export_to(args.metrics)
+        fmt = export_to(args.metrics, _RUN_SUMMARY)
         print(f"wrote {args.metrics} ({fmt} metrics)")
 
 
@@ -194,77 +176,6 @@ def _heartbeat(args: argparse.Namespace, total: int, label: str):
     from repro.obs.progress import Heartbeat
 
     return Heartbeat(total, label=label, force=True)
-
-
-def _profile_lines(configs: int, stats) -> List[str]:
-    """The ``--profile`` / suite footer: phase split + calibrated rate.
-
-    ``expand`` is the phase the lowered step tables (DESIGN.md §12)
-    target and ``orders`` the phase the compact representation
-    (DESIGN.md §11) targets, so the split shows which layer a
-    performance change actually moved.  The states/sec figure is also
-    reported per million spin iterations (``repro.engine.calibrate``),
-    which is comparable across machines and against the committed
-    E12 baselines.  ``loop`` is what the phases leave of the total: the
-    search loop's own bookkeeping (the POR bookkeeping under
-    ``--reduction optimal``), so ``expand + keys + checks + loop`` is
-    ``total`` (``model``/``step`` split ``expand``, and ``orders`` is
-    time spent inside the other phases).
-    """
-    from repro.engine.calibrate import per_mspin, spin_score
-
-    total = stats.time_total
-    rate = configs / total if total else 0.0
-    score = spin_score()
-    return [
-        (
-            f"profile: expand={stats.time_expand * 1e3:.1f}ms "
-            f"(model={stats.time_model * 1e3:.1f}ms "
-            f"step={(stats.time_expand - stats.time_model) * 1e3:.1f}ms) "
-            f"keys={stats.time_keys * 1e3:.1f}ms "
-            f"orders={stats.time_orders * 1e3:.1f}ms "
-            f"checks={stats.time_checks * 1e3:.1f}ms "
-            f"loop={_loop_time(stats.counters()) * 1e3:.1f}ms "
-            f"total={total * 1e3:.1f}ms"
-        ),
-        (
-            f"profile: {rate:,.0f} states/sec; spin {score / 1e6:.1f}M ops/s "
-            f"-> {per_mspin(rate, score):,.0f} states/Mspin"
-        ),
-    ]
-
-
-def _loop_time(counters: dict) -> float:
-    """The search loop's own time: the total less the timed phases."""
-    return (
-        counters["time_total"] - counters["time_expand"]
-        - counters["time_keys"] - counters["time_checks"]
-    )
-
-
-def _phase_split_line(totals: dict) -> str:
-    """The ``suite``/``verify`` footer: the merged record's phase split,
-    in :func:`_profile_lines` order (``expand + keys + checks + loop``
-    is the engine's ``total``), against the jobs' summed wall time,
-    plus the calibrated rate."""
-    from repro.engine.calibrate import per_mspin, spin_score
-
-    worker_time = totals["worker_time"]
-    rate = totals["configs"] / worker_time if worker_time else 0.0
-    score = spin_score()
-    return (
-        f"phase split: expand={totals['time_expand']:.2f}s "
-        f"(model={totals['time_model']:.2f}s "
-        f"step={totals['time_expand'] - totals['time_model']:.2f}s) "
-        f"keys={totals['time_keys']:.2f}s "
-        f"orders={totals['time_orders']:.2f}s "
-        f"checks={totals['time_checks']:.2f}s "
-        f"loop={_loop_time(totals):.2f}s "
-        f"total={totals['time_total']:.2f}s "
-        f"(of {worker_time:.2f}s worker time); "
-        f"{rate:,.0f} states/sec = {per_mspin(rate, score):,.0f} states/Mspin "
-        f"(spin {score / 1e6:.1f}M ops/s)"
-    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -312,10 +223,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     )
     if args.stats:
         print("engine:", result.stats.summary())
-        print(_rate_line(result.configs, result.stats.time_total))
     if args.profile:
-        for line in _profile_lines(result.configs, result.stats):
-            print(line)
+        print("profile:", result.stats.phase_split(result.configs))
     if parsed.outcome_mode == "forbidden":
         ok = not reachable
     elif parsed.outcome_mode == "exists":
@@ -343,71 +252,52 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def cmd_suite(args: argparse.Namespace) -> int:
+def _run_batch(args: argparse.Namespace, work, plan, headline):
+    """The batch loop behind ``suite`` and ``verify --all``.
+
+    Runs ``work`` on ``--jobs`` workers under the ``--progress``
+    heartbeat and prints one row per job, then the footer:
+    ``headline(totals)``, the merged record's phase split, its reduction
+    counters when the plan reduces, the ``strategy=... workers=...
+    wall=...`` line and any job that crashed in a worker.  The totals go
+    to the run ledger and ``--metrics``.  Returns the results and their
+    totals, or ``None`` when Ctrl-C stopped the batch: the rows that
+    completed are printed, then one ``interrupted`` line.
+    """
     import time
 
-    from repro.engine.parallel import (
-        ParallelRunner,
-        SuiteInterrupted,
-        case_study_jobs,
-        litmus_jobs,
-    )
-
-    plan = _plan(
-        strategy=args.strategy, reduction=args.reduction, shards=args.shards,
-    )
-    models = [m.strip().lower() for m in args.models.split(",")]
-    for name in models:
-        if name not in MODELS:
-            raise SystemExit(
-                f"unknown model {name!r}; choose from {sorted(MODELS)}"
-            )
-    work = litmus_jobs(models=models, extra=args.extra, plan=plan)
-    if args.case_studies:
-        work += case_study_jobs(plan=plan)
+    from repro.engine.parallel import ParallelRunner, SuiteInterrupted
+    from repro.engine.stats import EngineStats
 
     runner = ParallelRunner(jobs=args.jobs)
-    heartbeat = _heartbeat(args, len(work), "suite")
+    heartbeat = _heartbeat(args, len(work), args.command)
     t0 = time.perf_counter()
+    interrupted = False
     try:
         results = runner.run(work, progress=heartbeat)
     except SuiteInterrupted as interrupt:
-        if heartbeat is not None:
-            heartbeat.finish()
-        for r in interrupt.results:
-            print(r.row())
-        print(
-            f"interrupted: {len(interrupt.results)}/{len(work)} job(s) "
-            "completed; workers terminated"
-        )
-        return 130
+        results, interrupted = interrupt.results, True
     wall = time.perf_counter() - t0
     if heartbeat is not None:
         heartbeat.finish()
-
     for r in results:
         print(r.row())
-    totals = runner.aggregate(results)
-    print("-" * 72)
-    print(
-        f"{totals['jobs']} jobs, {totals['configs']} configurations, "
-        f"{totals['transitions']} transitions; "
-        f"key-cache hit rate {100.0 * totals['key_rate']:.0f}%; "
-        f"order derivation {totals['time_orders']:.2f}s; "
-        f"peak frontier {totals['peak_frontier']}"
-    )
-    print(_phase_split_line(totals))
-    candidates = totals["expanded"] + totals["pruned"]
-    if args.reduction != "none" and candidates:
+    if interrupted:
         print(
-            f"reduction={args.reduction}: "
-            f"pruned {totals['pruned']}/{candidates} "
-            f"thread-expansions ({100.0 * totals['pruned'] / candidates:.0f}%), "
-            f"sleep-hits={totals['sleep_hits']} races={totals['races']} "
-            f"revisits={totals['revisits']}"
+            f"interrupted: {len(results)}/{len(work)} job(s) completed; "
+            "workers terminated"
         )
+        return None
+
+    totals = runner.aggregate(results)
+    merged = EngineStats.folded(r.stats for r in results)
+    print("-" * 72)
+    print(headline(totals))
+    print("phase split:", merged.phase_split(totals["configs"], unit="s"))
+    if plan.reduction != "none" and merged.expanded + merged.pruned:
+        print(f"reduction={plan.reduction}: {merged.reduction_split()}")
     print(
-        f"strategy={args.strategy} workers={args.jobs} "
+        f"strategy={plan.strategy} workers={args.jobs} "
         f"wall={wall:.2f}s (worker time {totals['worker_time']:.2f}s)"
     )
     _note_stats(**totals, wall=wall)
@@ -417,6 +307,29 @@ def cmd_suite(args: argparse.Namespace) -> int:
             if r.failed:
                 last = r.detail.strip().splitlines()[-1] if r.detail else "?"
                 print(f"  ERROR {r.label}: {last}")
+    return results, totals
+
+
+def cmd_suite(args: argparse.Namespace) -> int:
+    from repro.engine.parallel import case_study_jobs, litmus_jobs
+
+    plan = _plan(
+        strategy=args.strategy, reduction=args.reduction, shards=args.shards,
+    )
+    work = litmus_jobs(
+        models=_model_names(args.models), extra=args.extra, plan=plan,
+    )
+    if args.case_studies:
+        work += case_study_jobs(plan=plan)
+    batch = _run_batch(args, work, plan, lambda totals: (
+        f"{totals['jobs']} jobs, {totals['configs']} configurations, "
+        f"{totals['transitions']} transitions; "
+        f"key-cache hit rate {100.0 * totals['key_rate']:.0f}%; "
+        f"peak frontier {totals['peak_frontier']}"
+    ))
+    if batch is None:
+        return 130
+    _, totals = batch
     if totals["mismatches"]:
         print(f"{totals['mismatches']} verdicts diverged from expectations")
         return 1
@@ -543,16 +456,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "see 'repro verify --list'"
         )
 
-    requested = (
-        [m.strip().lower() for m in args.model.split(",")]
-        if args.model else None
-    )
-    if requested:
-        for name in requested:
-            if name not in ("ra", "sra", "sc"):
-                raise SystemExit(
-                    f"unknown model {name!r}; choose from ['ra', 'sc', 'sra']"
-                )
+    requested = _model_names(args.model) if args.model else None
     failed = 0
     merged = EngineStats()
     configs = obligations = failed_obligations = 0
@@ -585,7 +489,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             merged.merge(report.stats)
             configs += report.configs
             obligations += report.obligations_discharged
-            failed_obligations += len(report.failures)
+            failed_obligations += report.failed_obligations
             _note_stats(
                 **merged.counters(),
                 configs=configs,
@@ -596,63 +500,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _verify_all(args: argparse.Namespace, plan) -> int:
-    import time
+    from repro.engine.parallel import verify_jobs
 
-    from repro.engine.parallel import (
-        ParallelRunner,
-        SuiteInterrupted,
-        verify_jobs,
-    )
-
-    models = (
-        [m.strip().lower() for m in args.model.split(",")]
-        if args.model else None
-    )
+    models = _model_names(args.model) if args.model else None
     work = verify_jobs(models=models, plan=plan)
     if not work:
         raise SystemExit("no registered outline matches the requested models")
-    runner = ParallelRunner(jobs=args.jobs)
-    heartbeat = _heartbeat(args, len(work), "verify")
-    t0 = time.perf_counter()
-    try:
-        results = runner.run(work, progress=heartbeat)
-    except SuiteInterrupted as interrupt:
-        if heartbeat is not None:
-            heartbeat.finish()
-        for r in interrupt.results:
-            print(r.row())
-        print(
-            f"interrupted: {len(interrupt.results)}/{len(work)} proof job(s) "
-            "completed; workers terminated"
-        )
-        return 130
-    wall = time.perf_counter() - t0
-    if heartbeat is not None:
-        heartbeat.finish()
-
-    for r in results:
-        print(r.row())
-    totals = runner.aggregate(results)
-    print("-" * 72)
-    print(
+    batch = _run_batch(args, work, plan, lambda totals: (
         f"{totals['jobs']} proof jobs, {totals['obligations']} obligations "
         f"discharged, {totals['failed_obligations']} failed; "
         f"{totals['configs']} configurations, "
-        f"key-cache hit rate {100.0 * totals['key_rate']:.0f}%, "
-        f"order derivation {totals['time_orders']:.2f}s"
-    )
-    print(_phase_split_line(totals))
-    print(
-        f"strategy={args.strategy} workers={args.jobs} "
-        f"wall={wall:.2f}s (worker time {totals['worker_time']:.2f}s)"
-    )
-    _note_stats(**totals, wall=wall)
-    if totals["mismatches"]:
-        for r in results:
-            if not r.verdict_matches:
-                print(f"REFUTED: {r.label}: {r.detail}")
-        return 1
-    return 0
+        f"key-cache hit rate {100.0 * totals['key_rate']:.0f}%"
+    ))
+    if batch is None:
+        return 130
+    results, totals = batch
+    for r in results:
+        if not r.verdict_matches and not r.failed:
+            print(f"REFUTED: {r.label}: {r.detail}")
+    return 1 if totals["mismatches"] else 0
 
 
 def _verify_file(args: argparse.Namespace, plan) -> int:
@@ -661,10 +527,11 @@ def _verify_file(args: argparse.Namespace, plan) -> int:
     parsed = _load(args.file)
     outline = _load_outline_spec(args.outline)
     model_name = args.model or "ra"
+    model = _model(model_name)
     report = outline.check(
         parsed.program,
         parsed.init,
-        model=_model(model_name),
+        model=model,
         max_events=plan.max_events,
         max_configs=plan.max_configs,
         strategy=plan.strategy,
@@ -672,6 +539,12 @@ def _verify_file(args: argparse.Namespace, plan) -> int:
     _print_outline_report(
         f"{parsed.name} [{model_name}] — outline from {args.outline}",
         outline, report,
+    )
+    _note_stats(
+        **report.stats.counters(),
+        configs=report.configs,
+        obligations=report.obligations_discharged,
+        failed_obligations=report.failed_obligations,
     )
     return 0 if report.proved else 1
 
@@ -712,7 +585,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     from repro.litmus.suite import ALL_TESTS
 
     tests = list(ALL_TESTS) + (list(EXTRA_TESTS) if args.extra else [])
-    models = [_model(m) for m in args.models.split(",")]
+    models = [_model(name) for name in args.models.split(",")]
     header = f"{'test':<22} {'outcome':<36}" + "".join(
         f" {m.name:<10}" for m in models
     )
@@ -724,7 +597,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         for model in models:
             outcome = run_litmus(test, model)
             mark = "" if outcome.verdict_matches else "*"
-            if isinstance(model, SRAMemoryModel):
+            if model.name == "SRA":
                 mark = ""  # no pinned expectations for the comparator
             cells.append(
                 f" {'allowed' if outcome.reachable else 'forbidden':<9}{mark}"
@@ -851,8 +724,8 @@ def _add_obs_flags(sub: argparse.ArgumentParser, progress: bool = False) -> None
     )
     sub.add_argument(
         "--metrics", default=None, metavar="PATH",
-        help="export the metrics registry after the run: JSON, or "
-        "Prometheus text when PATH ends in .prom",
+        help="export the command's footer totals after the run: JSON, "
+        "or Prometheus text when PATH ends in .prom",
     )
     if progress:
         sub.add_argument(

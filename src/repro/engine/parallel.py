@@ -223,18 +223,10 @@ def _litmus_by_name(name: str):
 
 
 def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
-    from repro.interp.ra_model import RAMemoryModel
-    from repro.interp.sc import SCMemoryModel
-    from repro.interp.sra_model import SRAMemoryModel
+    from repro.interp.memory_model import model_by_name
     from repro.litmus.registry import run_litmus
 
-    factories = {"ra": RAMemoryModel, "sra": SRAMemoryModel, "sc": SCMemoryModel}
-    try:
-        model = factories[job.model.lower()]()
-    except KeyError:
-        raise ValueError(
-            f"unknown model {job.model!r}; choose from {sorted(factories)}"
-        )
+    model = model_by_name(job.model)
     test = _litmus_by_name(job.name)
     outcome = run_litmus(test, model, job.plan)
     stats = outcome.result.stats
@@ -242,7 +234,7 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
         job=job,
         observed=outcome.reachable,
         expected=outcome.expected,
-        pinned=not isinstance(model, SRAMemoryModel),
+        pinned=model.name != "SRA",
         configs=outcome.configs,
         transitions=outcome.result.transitions,
         terminal=outcome.terminal_states,
@@ -378,9 +370,7 @@ def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
         wall_time=stats.time_total,
         stats=stats,
         obligations=report.obligations_discharged,
-        failed_obligations=sum(
-            bad for _, bad in report.per_invariant.values()
-        ),
+        failed_obligations=report.failed_obligations,
         detail="; ".join(str(f) for f in report.failures[:3]),
     )
 
@@ -541,9 +531,7 @@ class ParallelRunner:
         ``key_rate`` and ``worker_time`` (the sum of whole-job wall
         times) are derived.
         """
-        merged = EngineStats()
-        for r in results:
-            merged.merge(r.stats)
+        merged = EngineStats.folded(r.stats for r in results)
         totals = merged.counters()
         for name in ("configs", "transitions", "terminal", "obligations",
                      "failed_obligations"):

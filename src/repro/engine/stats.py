@@ -16,7 +16,7 @@ of the process-wide counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Union
+from typing import Dict, Iterable, Optional, Union
 
 
 @dataclass
@@ -35,7 +35,7 @@ class EngineStats:
     key_misses: int = 0
     #: Wall time of the whole run and of its phases, in seconds.  The
     #: phases overlap nothing but do not cover queue bookkeeping, so
-    #: their sum is below ``time_total``.
+    #: their sum is below ``time_total`` by :attr:`time_loop`.
     time_total: float = 0.0
     time_expand: float = 0.0
     time_keys: float = 0.0
@@ -124,6 +124,62 @@ class EngineStats:
         ledger record."""
         return {name: getattr(self, name) for name in COUNTER_FIELDS}
 
+    @property
+    def time_loop(self) -> float:
+        """The search loop's own time: ``time_total`` less the three
+        timed phases (queue and visited-store bookkeeping, and the
+        reduction's bookkeeping under ``optimal``)."""
+        return (
+            self.time_total - self.time_expand - self.time_keys
+            - self.time_checks
+        )
+
+    def phase_split(self, configs: Optional[int] = None, unit: str = "ms") -> str:
+        """Where the run's wall time went, in ``ms`` or ``s``.
+
+        ``expand + keys + checks + loop`` is ``total``; ``model`` and
+        ``step`` (the lowered step tables' share, DESIGN.md §12) split
+        ``expand``, and ``orders`` (DESIGN.md §11) is time spent inside
+        the other phases, so the split shows which layer a performance
+        change moved.  Given the run's ``configs``, the line ends with
+        its states/sec, also per million spin iterations
+        (:mod:`repro.engine.calibrate`), which compares across machines.
+        This is the one renderer of the split: ``summary()``,
+        ``run --profile`` and the batch footers all print it.
+        """
+        scale, digits = (1e3, 1) if unit == "ms" else (1.0, 2)
+
+        def t(seconds: float) -> str:
+            return f"{seconds * scale:.{digits}f}{unit}"
+
+        line = (
+            f"expand={t(self.time_expand)} (model={t(self.time_model)} "
+            f"step={t(self.time_expand - self.time_model)}) "
+            f"keys={t(self.time_keys)} orders={t(self.time_orders)} "
+            f"checks={t(self.time_checks)} loop={t(self.time_loop)} "
+            f"total={t(self.time_total)}"
+        )
+        if configs is not None:
+            from repro.engine.calibrate import per_mspin, spin_score
+
+            rate = configs / self.time_total if self.time_total else 0.0
+            score = spin_score()
+            line += (
+                f"; {rate:,.0f} states/sec = "
+                f"{per_mspin(rate, score):,.0f} states/Mspin "
+                f"(spin {score / 1e6:.1f}M ops/s)"
+            )
+        return line
+
+    def reduction_split(self) -> str:
+        """What the reduction pruned, and its race bookkeeping."""
+        return (
+            f"pruned={self.pruned}/{self.expanded + self.pruned} "
+            f"({100.0 * self.reduction_ratio:.0f}%) "
+            f"sleep-hits={self.sleep_hits} races={self.races} "
+            f"revisits={self.revisits}"
+        )
+
     def summary(self) -> str:
         """One human-readable line, used by the CLI and benchmarks."""
         keyed = self.key_hits + self.key_misses
@@ -131,21 +187,10 @@ class EngineStats:
         line = (
             f"strategy={self.strategy} peak-frontier={self.peak_frontier} "
             f"key-cache={self.key_hits}/{keyed} ({rate}) "
-            f"time={self.time_total * 1e3:.1f}ms "
-            f"(expand={self.time_expand * 1e3:.1f} "
-            f"model={self.time_model * 1e3:.1f} "
-            f"keys={self.time_keys * 1e3:.1f} "
-            f"checks={self.time_checks * 1e3:.1f} "
-            f"orders={self.time_orders * 1e3:.1f})"
+            f"{self.phase_split()}"
         )
         if self.reduction != "none":
-            line += (
-                f" reduction={self.reduction} "
-                f"pruned={self.pruned}/{self.expanded + self.pruned} "
-                f"({100.0 * self.reduction_ratio:.0f}%) "
-                f"sleep-hits={self.sleep_hits} races={self.races} "
-                f"revisits={self.revisits}"
-            )
+            line += f" reduction={self.reduction} {self.reduction_split()}"
         if self.shards > 1:
             line += (
                 f" shards={self.shards} rounds={self.shard_rounds} "
@@ -161,6 +206,14 @@ class EngineStats:
             if self.resumed:
                 line += " resumed"
         return line
+
+    @classmethod
+    def folded(cls, records: Iterable["EngineStats"]) -> "EngineStats":
+        """A fresh record with every one of ``records`` merged in."""
+        total = cls()
+        for record in records:
+            total.merge(record)
+        return total
 
 
 #: Fields that say what ran rather than what it cost; :meth:`EngineStats.merge`

@@ -175,3 +175,20 @@ class MemoryModel(abc.ABC, Generic[S]):
         var = frozenset((step.var,))
         return (var if step.kind.is_read else _EMPTY_VARS,
                 var if step.kind.is_write else _EMPTY_VARS)
+
+
+def model_by_name(name: str) -> MemoryModel:
+    """A fresh memory model from the name a command or job gives it:
+    ``ra``, ``sra`` or ``sc`` in any case.  This is the one name table;
+    an unknown name is a :class:`ValueError`."""
+    from repro.interp.ra_model import RAMemoryModel
+    from repro.interp.sc import SCMemoryModel
+    from repro.interp.sra_model import SRAMemoryModel
+
+    factories = {"ra": RAMemoryModel, "sra": SRAMemoryModel, "sc": SCMemoryModel}
+    try:
+        return factories[name.lower()]()
+    except KeyError:
+        raise ValueError(
+            f"unknown model {name!r}; choose from {sorted(factories)}"
+        ) from None

@@ -8,10 +8,10 @@ Four layers, each usable on its own:
   emitted behind ``--trace PATH`` / ``REPRO_TRACE``, with a sampling
   knob (``REPRO_TRACE_SAMPLE``) and a compiled-out fast path when
   disabled — the instrumented hot loops pay one ``is None`` check.
-* :mod:`repro.obs.metrics` — a **metrics registry** generalising the
-  ad-hoc ``ORDER_TIMER``/``MODEL_TIMER`` globals into named counters,
-  gauges and hierarchical span timers with JSON and Prometheus-text
-  export (``--metrics PATH``).
+* :mod:`repro.obs.metrics` — the **metrics export**: ``--metrics
+  PATH`` writes the command's footer totals (its merged ``EngineStats``
+  record plus its own counts) once, as counters, gauges and timers, in
+  JSON or Prometheus text.
 * :mod:`repro.obs.progress` — **live progress** for parallel
   ``suite``/``fuzz``/``verify`` runs: per-job completion deltas
   streamed back over the runner's result pipe, rendered as a heartbeat
@@ -27,12 +27,9 @@ Chrome trace-event JSON for Perfetto (``repro trace FILE``).
 """
 
 from repro.obs.ledger import append_record, read_ledger
-from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import Tracer, disable, enable, parse_trace, tracer
 
 __all__ = [
-    "METRICS",
-    "MetricsRegistry",
     "Tracer",
     "append_record",
     "disable",

@@ -91,11 +91,17 @@ class OutlineReport:
     stats: EngineStats = field(default_factory=EngineStats)
 
     @property
+    def failed_obligations(self) -> int:
+        """Every failed obligation, counted per invariant — not the
+        ``failures`` list, which ``keep_failures`` caps."""
+        return sum(bad for _, bad in self.per_invariant.values())
+
+    @property
     def proved(self) -> bool:
-        return not self.failures
+        return self.failed_obligations == 0
 
     def row(self) -> str:
-        verdict = "OK" if self.proved else f"{len(self.failures)} FAILED"
+        verdict = "OK" if self.proved else f"{self.failed_obligations} FAILED"
         bound = " (bounded)" if self.truncated else ""
         return (
             f"configs={self.configs} transitions={self.transitions} "
@@ -208,7 +214,7 @@ class ProofOutline:
                 + ("..." if len(self._invariants) > 4 else ""),
                 model=getattr(model, "name", type(model).__name__),
                 obligations=report.obligations_discharged,
-                failed=len(report.failures),
+                failed=report.failed_obligations,
             )
         return report
 

@@ -54,6 +54,8 @@ class ProofCaseStudy:
               max_configs: Optional[int] = None):
         """Discharge this entry's obligations under one model."""
         if model is None:
+            from repro.interp.memory_model import model_by_name
+
             model = model_by_name(model_name)
         return self.outline().check(
             self.program(),
@@ -62,21 +64,6 @@ class ProofCaseStudy:
             max_events=self.max_events,
             max_configs=max_configs,
             strategy=strategy,
-        )
-
-
-def model_by_name(name: str):
-    """Instantiate a memory model from its registry name."""
-    from repro.interp.ra_model import RAMemoryModel
-    from repro.interp.sc import SCMemoryModel
-    from repro.interp.sra_model import SRAMemoryModel
-
-    factories = {"ra": RAMemoryModel, "sra": SRAMemoryModel, "sc": SCMemoryModel}
-    try:
-        return factories[name.lower()]()
-    except KeyError:
-        raise ValueError(
-            f"unknown model {name!r}; choose from {sorted(factories)}"
         )
 
 
@@ -237,5 +224,4 @@ __all__ = [
     "PROOFS",
     "ProofCaseStudy",
     "ProofRegistry",
-    "model_by_name",
 ]

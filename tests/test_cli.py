@@ -1,6 +1,8 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,10 @@ P1: d := 5; f :=R 1
 P2: r1 := f^A; r2 := d
 forbidden (r1 = 1 /\\ r2 = 0)
 """
+
+
+#: A committed litmus file, for parametrised cases that take no fixture.
+SEED_LITMUS = str(Path(__file__).parent / "fuzz_corpus" / "seed_cond_swap.litmus")
 
 
 @pytest.fixture
@@ -55,9 +61,11 @@ def test_run_under_sc_flips_verdict(sb_file, capsys):
     assert "UNEXPECTED" in capsys.readouterr().out
 
 
-def test_run_unknown_model(sb_file):
-    with pytest.raises(SystemExit):
-        main(["run", sb_file, "--model", "tso"])
+def test_run_unknown_model(sb_file, capsys):
+    """An unknown model is a usage error (status 2), never the verdict
+    status 1."""
+    assert main(["run", sb_file, "--model", "tso"]) == 2
+    assert "unknown model 'tso'" in capsys.readouterr().err
 
 
 def test_table(capsys):
@@ -127,9 +135,9 @@ def test_suite_with_case_studies(capsys):
     assert "violated" in out  # the relaxed-turn mutant and dekker
 
 
-def test_suite_unknown_model():
-    with pytest.raises(SystemExit):
-        main(["suite", "--models", "ra,tso"])
+def test_suite_unknown_model(capsys):
+    assert main(["suite", "--models", "ra,tso"]) == 2
+    assert "unknown model 'tso'" in capsys.readouterr().err
 
 
 def test_fuzz_clean_campaign(capsys, tmp_path):
@@ -323,10 +331,14 @@ def test_suite_crashed_job_renders_error_footer(capsys, monkeypatch):
         ["verify", "spinlock-tas", "--max-configs", "0"],
         ["verify", "--all", "--max-configs", "0"],
         ["verify", "--all", "--max-configs", "-3", "--jobs", "2"],
+        ["run", SEED_LITMUS, "--model", "tso"],
+        ["suite", "--models", "ra,tso"],
+        ["verify", "peterson", "--model", "tso"],
     ],
     ids=[
         "suite-shards-dfs", "suite-shards-0", "suite-shards-optimal",
         "verify-name-cap-0", "verify-all-cap-0", "verify-all-cap-negative",
+        "run-unknown-model", "suite-unknown-model", "verify-unknown-model",
     ],
 )
 def test_plan_errors_are_one_line_on_every_command(capsys, argv):
@@ -403,3 +415,29 @@ def test_suite_phase_split_terms_sum_to_total(capsys):
     parts = terms["expand"] + terms["keys"] + terms["checks"] + terms["loop"]
     # five terms, each rounded to 10 ms
     assert abs(parts - terms["total"]) <= 0.025 + 1e-9
+
+
+def test_metrics_export_is_per_command(sb_file, tmp_path, capsys):
+    """Two in-process runs export their own totals: nothing carries over
+    from the first command into the second's ``--metrics`` file."""
+    for index in (1, 2):
+        path = tmp_path / f"m{index}.json"
+        assert main(["run", sb_file, "--metrics", str(path)]) == 0
+        out = capsys.readouterr().out
+        configs = int(re.search(r"(\d+) configurations", out).group(1))
+        doc = json.loads(path.read_text())
+        assert doc["counters"]["cli"]["configs"] == configs
+
+
+def test_suite_metrics_equal_footer_totals(tmp_path, capsys):
+    """The suite's export is its footer: the configs the footer prints,
+    the merged model time, and no process-global ``engine`` family."""
+    path = tmp_path / "m.json"
+    assert main(["suite", "--models", "ra", "--metrics", str(path)]) == 0
+    out = capsys.readouterr().out
+    configs = int(re.search(r"jobs, (\d+) configurations", out).group(1))
+    doc = json.loads(path.read_text())
+    assert doc["counters"]["cli"]["configs"] == configs
+    assert doc["timers"]["cli"]["time_model"] > 0
+    assert all(set(doc[family]) == {"cli"}
+               for family in ("counters", "gauges", "timers"))

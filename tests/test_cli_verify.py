@@ -1,5 +1,8 @@
 """Tests for ``python -m repro verify`` (the verification workbench CLI)."""
 
+import json
+import re
+
 import pytest
 
 from repro.cli import main
@@ -87,9 +90,12 @@ def test_verify_named_with_model_list(capsys):
     assert "message-passing-val [sc]" in out
 
 
-def test_verify_named_unknown_model():
-    with pytest.raises(SystemExit, match="unknown model"):
-        main(["verify", "peterson", "--model", "tso"])
+def test_verify_named_unknown_model(capsys):
+    """An unknown model is a usage error (status 2), not the refutation
+    status 1."""
+    assert main(["verify", "peterson", "--model", "tso"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro verify: error: unknown model 'tso'")
 
 
 def test_verify_incompatible_model_errors_cleanly():
@@ -191,3 +197,64 @@ def test_verify_file_spec_without_outline_binding(mp_file, tmp_path):
     spec = spec_file(tmp_path, "x = 1\n")
     with pytest.raises(SystemExit, match="OUTLINE"):
         main(["verify", "--file", mp_file, "--outline", spec])
+
+
+def _broken_outline_run(mp_file, tmp_path, capsys, *extra):
+    spec = spec_file(tmp_path, BROKEN_SPEC)
+    assert main([
+        "verify", "--file", mp_file, "--outline", spec, "--max-events", "10",
+        *extra,
+    ]) == 1
+    return capsys.readouterr().out
+
+
+def test_verify_file_failed_counts_agree(mp_file, tmp_path, capsys):
+    """The invariant line, the report row and the metrics export count
+    the same failed obligations, though only ten failures are kept."""
+    metrics = tmp_path / "m.json"
+    out = _broken_outline_run(
+        mp_file, tmp_path, capsys, "--metrics", str(metrics),
+    )
+    (invariant,) = [l for l in out.splitlines() if "d never becomes 5" in l
+                    and "obligations" in l]
+    (row,) = [l for l in out.splitlines() if l.strip().startswith("configs=")]
+    failed = int(re.search(r"(\d+) FAILED", invariant).group(1))
+    assert failed > 10  # more than the report keeps
+    assert f"{failed} FAILED" in row
+    assert out.count("  !! ") == 10
+    counters = json.loads(metrics.read_text())["counters"]["cli"]
+    assert counters["failed_obligations"] == failed
+
+
+def test_verify_file_records_stats(mp_file, tmp_path, capsys, monkeypatch):
+    """``verify --file`` hands its stats to ``--metrics`` and the ledger."""
+    from repro.obs.ledger import read_ledger
+
+    ledger = tmp_path / "runs.jsonl"
+    monkeypatch.delenv("REPRO_NO_LEDGER", raising=False)
+    monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+    metrics = tmp_path / "m.json"
+    out = _broken_outline_run(
+        mp_file, tmp_path, capsys, "--metrics", str(metrics),
+    )
+    configs = int(re.search(r"configs=(\d+)", out).group(1))
+    doc = json.loads(metrics.read_text())
+    assert doc["counters"]["cli"]["configs"] == configs
+    assert doc["timers"]["cli"]["time_total"] > 0
+    (record,) = read_ledger(str(ledger))
+    assert record["stats"]["configs"] == configs
+    assert record["stats"]["obligations"] > 0
+
+
+def test_verify_named_failed_count_is_per_invariant(capsys, tmp_path):
+    """Per-name ``verify`` records the per-invariant failure count, the
+    number ``verify --all`` sums, not the kept-failures list."""
+    metrics = tmp_path / "m.json"
+    assert main([
+        "verify", "dekker", "--model", "ra", "--metrics", str(metrics),
+    ]) == 1
+    out = capsys.readouterr().out
+    (row,) = [l for l in out.splitlines() if l.strip().startswith("configs=")]
+    failed = int(re.search(r"(\d+) FAILED", row).group(1))
+    counters = json.loads(metrics.read_text())["counters"]["cli"]
+    assert counters["failed_obligations"] == failed
