@@ -17,7 +17,8 @@ affect model verdicts quotiented away:
 
 1. **Skeletons** — thread assignment (restricted growth strings, so
    thread naming is canonical) and per-event (kind, variable, write
-   value).  Read values are left open.
+   value).  Read values are left open.  Variable naming can be made
+   canonical too, with weights (``skeletons(..., up_to_renaming=True)``).
 2. **rf** — every read picks a source write of the same variable
    (initialising writes included, the read itself included when it is an
    update whose written value could equal the value read — the self-rf
@@ -39,6 +40,7 @@ builds a ``C11State`` from the same rows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import and_
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -197,7 +199,7 @@ class Skeleton:
 
     __slots__ = (
         "space", "tids", "kinds", "var_of", "wrvals", "sb", "sb_inverse",
-        "reads", "sources", "mo_orders", "release", "acquire",
+        "reads", "sources", "mo_orders", "release", "acquire", "weight",
     )
 
     def __init__(
@@ -210,8 +212,12 @@ class Skeleton:
         var_of: Tuple[int, ...],
         wrvals: Tuple[Optional[Value], ...],
         mo_cache: Dict[Tuple[Tuple[int, ...], ...], Tuple[MoOrder, ...]],
+        weight: int = 1,
     ) -> None:
         self.space = space
+        #: how many skeletons of the space this one stands for (see
+        #: :func:`skeletons`' ``up_to_renaming``)
+        self.weight = weight
         self.tids = tids
         self.sb = sb
         self.sb_inverse = sb_inverse
@@ -336,8 +342,32 @@ def _mo_orders(
     return tuple(orders)
 
 
-def skeletons(space: CandidateSpace) -> Iterator[Skeleton]:
-    """Every skeleton of ``space`` (phase 1), in enumeration order."""
+def _renamings(var_of: Sequence[int], n_variables: int) -> int:
+    """The number of injective renamings of the variables ``var_of``
+    uses, when it uses them in first-use order (0, then 1, ...); 0
+    when it does not."""
+    used = 0
+    for x in var_of:
+        if x == used:
+            used += 1
+        elif x > used:
+            return 0
+    return math.perm(n_variables, used)
+
+
+def skeletons(
+    space: CandidateSpace, up_to_renaming: bool = False
+) -> Iterator[Skeleton]:
+    """Every skeleton of ``space`` (phase 1), in enumeration order.
+
+    ``up_to_renaming`` yields one skeleton per orbit under renaming the
+    variables: those whose program events use variables in first-use
+    order, each weighted by the injective renamings of the variables it
+    uses (the orbit's size).  The space is symmetric in its variables —
+    one ``init_value``, the same options on every variable — and every
+    axiom is invariant under renaming, so weighted tallies over the
+    quotient equal the full enumeration's.
+    """
     n_inits = len(space.variables)
     var_index = {x: i for i, x in enumerate(space.variables)}
     options = [(kind, var_index[x], wv) for kind, x, wv in space.skeleton_options()]
@@ -352,6 +382,11 @@ def skeletons(space: CandidateSpace) -> Iterator[Skeleton]:
         sb_inverse = inverse_rows(sb)
         for combo in itertools.product(options, repeat=space.n_events):
             kinds, var_of, wrvals = zip(*combo) if combo else ((), (), ())
+            weight = 1
+            if up_to_renaming:
+                weight = _renamings(var_of, n_inits)
+                if not weight:
+                    continue
             yield Skeleton(
                 space,
                 tids,
@@ -361,6 +396,7 @@ def skeletons(space: CandidateSpace) -> Iterator[Skeleton]:
                 init_vars + var_of,
                 init_values + wrvals,
                 mo_cache,
+                weight,
             )
 
 

@@ -129,10 +129,13 @@ ReadsFromVerdicts = Tuple[
 ]
 
 
-def _judge(space: CandidateSpace) -> Iterator[ReadsFromVerdicts]:
+def _judge(
+    space: CandidateSpace, up_to_renaming: bool = False
+) -> Iterator[ReadsFromVerdicts]:
     """Both models' verdicts on every candidate of ``space``, one block
-    per reads-from choice, in enumeration order."""
-    for skeleton in skeletons(space):
+    per reads-from choice, in enumeration order (over the variable-
+    renaming quotient with ``up_to_renaming``, see :func:`skeletons`)."""
+    for skeleton in skeletons(space, up_to_renaming):
         sb = skeleton.sb
         release, acquire = skeleton.release, skeleton.acquire
         mo_orders = skeleton.mo_orders
@@ -186,26 +189,32 @@ def compare_axiomatisations(
 ) -> EquivalenceResult:
     """Evaluate both models on every candidate of ``space``.
 
+    Only one skeleton per variable-renaming orbit is judged, and its
+    verdicts count once per member (:func:`skeletons`' ``up_to_renaming``),
+    so the tallies are the full enumeration's.
     ``keep_mismatches`` bounds how many disagreeing states are retained
-    for diagnosis (Memalloy would print them as counterexamples).
+    for diagnosis (Memalloy would print them as counterexamples); they
+    are orbit representatives.
     """
     result = EquivalenceResult(space)
-    for skeleton, rf_pick, no_thin_air, verdicts in _judge(space):
+    judged = _judge(space, up_to_renaming=True)
+    for skeleton, rf_pick, no_thin_air, verdicts in judged:
+        weight = skeleton.weight
         if verdicts is None:
-            pruned = len(skeleton.mo_orders)
+            pruned = weight * len(skeleton.mo_orders)
             result.candidates += pruned
             result.agreed += pruned
             continue
-        result.candidates += len(verdicts)
+        result.candidates += weight * len(verdicts)
         for (paper, canonical), (mo, _) in zip(verdicts, skeleton.mo_orders):
             if paper:
-                result.valid_paper += 1
+                result.valid_paper += weight
             if canonical:
-                result.valid_canonical += 1
+                result.valid_canonical += weight
             if paper == canonical:
-                result.agreed += 1
+                result.agreed += weight
                 if paper and not no_thin_air:
-                    result.thin_air_only += 1
+                    result.thin_air_only += weight
             elif len(result.mismatches) < keep_mismatches:
                 result.mismatches.append(skeleton.state(rf_pick, mo))
     return result

@@ -341,17 +341,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     from repro.engine.parallel import SuiteInterrupted
     from repro.fuzz.corpus import save_campaign
-    from repro.fuzz.generator import PROFILES
-    from repro.fuzz.runner import run_campaign
+    from repro.fuzz.runner import fuzz_jobs, run_campaign
 
-    if args.profile not in PROFILES:
-        raise SystemExit(
-            f"unknown profile {args.profile!r}; choose from {sorted(PROFILES)}"
-        )
-    from repro.fuzz.runner import fuzz_jobs
-
-    n_jobs = len(fuzz_jobs(args.seed, args.iters, profile=args.profile,
-                           jobs=args.jobs))
+    try:
+        n_jobs = len(fuzz_jobs(args.seed, args.iters, profile=args.profile,
+                               jobs=args.jobs,
+                               axiomatic=not args.no_axiomatic))
+    except ValueError as exc:  # an unknown profile
+        raise UsageError(str(exc)) from None
     heartbeat = _heartbeat(args, n_jobs, "fuzz")
     t0 = time.perf_counter()
     try:
@@ -381,10 +378,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         heartbeat.finish()
 
     for record in report.divergences:
+        if not record.original:
+            # space-level and worker-crash records carry no program
+            print(f"DIVERGENCE [{record.kind}] {record.name}: {record.detail}")
+            continue
         print(f"DIVERGENCE [{record.kind}] case #{record.index}: {record.detail}")
         if record.shrunk == record.original:
-            # --no-shrink, axiomatic (space-level) kinds, or nothing
-            # to remove: the program below is as generated, not minimal
+            # --no-shrink, or nothing to remove: the program below is
+            # as generated, not minimal
             print(f"  reproducer as generated "
                   f"({record.shrunk_threads} thread(s), not minimised):")
         else:

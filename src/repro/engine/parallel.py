@@ -28,7 +28,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.plan import SearchPlan
 from repro.engine.stats import EngineStats
@@ -68,7 +68,7 @@ class SuiteInterrupted(KeyboardInterrupt):
 class SuiteJob:
     """One unit of suite work, picklable by construction (names only)."""
 
-    kind: str  # "litmus" | "case-study" | "fuzz" | "verify"
+    kind: str  # "litmus" | "case-study" | "verify" (and fuzz/runner.py's)
     name: str
     model: str = "ra"  # litmus/verify; case studies fix their own model
     #: how the worker searches.  Every test, case study and proof entry
@@ -109,7 +109,8 @@ class SuiteJobResult:
     #: what the job's explorations cost, merged (:meth:`EngineStats.merge`)
     stats: EngineStats
     #: kind-specific payload (fuzz jobs ship their divergence records
-    #: here as JSON; litmus and case-study jobs leave it empty)
+    #: here as JSON, footprint jobs their failure description; litmus
+    #: and case-study jobs leave it empty)
     detail: str = ""
     #: proof-obligation counters (verify jobs only)
     obligations: int = 0
@@ -156,7 +157,7 @@ class SuiteJobResult:
             return "ERROR"
         if self.job.kind == "litmus":
             return "allowed" if self.observed else "forbidden"
-        if self.job.kind == "fuzz":
+        if self.job.kind in ("fuzz", "footprint"):
             return "diverged" if self.observed else "ok"
         if self.job.kind == "verify":
             return "REFUTED" if self.observed else "proved"
@@ -396,6 +397,10 @@ def run_suite_job(job: SuiteJob) -> SuiteJobResult:
         from repro.fuzz.runner import run_fuzz_job
 
         result = run_fuzz_job(job)
+    elif job.kind == "footprint":
+        from repro.fuzz.runner import run_footprint_job
+
+        result = run_footprint_job(job)
     else:
         raise ValueError(f"unknown job kind {job.kind!r}")
     # Report whole-job wall time (exploration + registry resolution),
@@ -414,11 +419,11 @@ def run_suite_job(job: SuiteJob) -> SuiteJobResult:
 def _run_suite_job_safely(job: SuiteJob) -> SuiteJobResult:
     """Worker entry point that never raises.
 
-    An exception escaping a pool worker would abort ``Pool.map`` and
-    lose every other job's verdict, so a crash is reported *as a
-    result*: a failed :class:`SuiteJobResult` carrying the traceback in
-    ``detail``.  It counts as a mismatch in every footer — a crashed
-    job must never read as a pass (or silently vanish)."""
+    An exception escaping a pool worker would abort the pool's result
+    iterator and lose every other job's verdict, so a crash is reported
+    *as a result*: a failed :class:`SuiteJobResult` carrying the
+    traceback in ``detail``.  It counts as a mismatch in every footer —
+    a crashed job must never read as a pass (or silently vanish)."""
     import traceback
 
     t0 = time.perf_counter()
@@ -443,10 +448,10 @@ def _run_suite_job_safely(job: SuiteJob) -> SuiteJobResult:
 
 
 def _run_indexed(pair: Tuple[int, SuiteJob]) -> Tuple[int, SuiteJobResult]:
-    """Pool entry point for the streaming path: tags each result with
-    its submission index so out-of-order completion (``imap_unordered``,
-    which is what lets finished jobs reach the parent — and the progress
-    callback — immediately) can be re-sorted into submission order."""
+    """Pool entry point: tags each result with its job's index so
+    out-of-order completion (``imap_unordered``, which is what lets
+    finished jobs reach the parent — and the progress callback —
+    immediately) can be re-sorted into submission order."""
     index, job = pair
     return index, _run_suite_job_safely(job)
 
@@ -470,56 +475,59 @@ class ParallelRunner:
     ) -> List[SuiteJobResult]:
         """Run the jobs; results return in submission order.
 
-        ``progress``, when given, is invoked in the parent with each
-        job's result *as it completes* — the stat deltas ride the
-        pool's existing result pipe (``imap_unordered``), no side
-        channel.  The sequential path invokes it after each in-process
-        job, so a heartbeat renders identically at ``--jobs 1``.
+        Jobs are frozen name-only records and running one is
+        deterministic, so each *distinct* job runs once and its result
+        object fills every slot that submitted it.  Pooled runs hand the
+        workers one job at a time (``imap_unordered`` with chunksize 1),
+        so no worker idles behind a coarse partition of the batch.
+
+        ``progress``, when given, is invoked in the parent once per
+        filled slot, as each job completes — the stat deltas ride the
+        pool's result pipe, no side channel.  The sequential path
+        invokes it after each in-process job, so a heartbeat renders
+        identically at ``--jobs 1``.
 
         Ctrl-C raises :class:`SuiteInterrupted` carrying every result
         completed so far; the pool is terminated and joined first, so
         no worker outlives the interrupt.
         """
-        if not work:
-            return []
-        if self.jobs <= 1:
-            results = []
-            try:
-                for job in work:
-                    result = _run_suite_job_safely(job)
-                    results.append(result)
-                    if progress is not None:
-                        progress(result)
-            except KeyboardInterrupt:
-                raise SuiteInterrupted(results) from None
-            return results
-        processes = min(self.jobs, len(work))
-        pool = multiprocessing.Pool(processes=processes)
+        slots_of: Dict[SuiteJob, List[int]] = {}
+        for slot, job in enumerate(work):
+            slots_of.setdefault(job, []).append(slot)
+        distinct = list(slots_of)
+        slots: List[Optional[SuiteJobResult]] = [None] * len(work)
+
+        def fill(index: int, result: SuiteJobResult) -> None:
+            for slot in slots_of[distinct[index]]:
+                slots[slot] = result
+                if progress is not None:
+                    progress(result)
+
+        pool = None
         try:
-            if progress is None:
-                results = pool.map(_run_suite_job_safely, list(work))
+            if self.jobs <= 1:
+                for index, job in enumerate(distinct):
+                    fill(index, _run_suite_job_safely(job))
+            elif distinct:
+                pool = multiprocessing.Pool(
+                    processes=min(self.jobs, len(distinct))
+                )
+                for index, result in pool.imap_unordered(
+                    _run_indexed, list(enumerate(distinct))
+                ):
+                    fill(index, result)
                 pool.close()
                 pool.join()
-                return results
-            slots: List[Optional[SuiteJobResult]] = [None] * len(work)
-            for index, result in pool.imap_unordered(
-                _run_indexed, list(enumerate(work))
-            ):
-                slots[index] = result
-                progress(result)
-            pool.close()
-            pool.join()
-            return [r for r in slots if r is not None]
         except KeyboardInterrupt:
-            # terminate (not close): workers are mid-job and must not
-            # finish the queue; join reaps them before reporting
-            pool.terminate()
-            pool.join()
-            done = [r for r in locals().get("slots") or [] if r is not None]
-            raise SuiteInterrupted(done) from None
+            # the finally clause terminates (not closes: workers are
+            # mid-job and must not finish the queue) and joins the pool
+            # before this propagates
+            raise SuiteInterrupted([r for r in slots if r is not None]) from None
         finally:
-            pool.terminate()
-            pool.join()
+            if pool is not None:
+                pool.terminate()
+                pool.join()
+        return slots  # type: ignore[return-value] — every slot is filled
 
     def aggregate(self, results: Sequence[SuiteJobResult]) -> dict:
         """Suite-level totals for the CLI footer.

@@ -47,8 +47,13 @@ def write_corpus_entry(directory: str, record: DivergenceRecord) -> str:
 
 
 def save_campaign(directory: str, records: List[DivergenceRecord]) -> List[str]:
-    """Persist every record; returns the paths written."""
-    return [write_corpus_entry(directory, record) for record in records]
+    """Persist every record that carries a program (space-level and
+    worker-crash records have none); returns the paths written."""
+    return [
+        write_corpus_entry(directory, record)
+        for record in records
+        if record.shrunk
+    ]
 
 
 def load_corpus(directory: str = DEFAULT_CORPUS_DIR) -> List[Tuple[str, ParsedLitmus]]:
@@ -79,18 +84,12 @@ def case_from_parsed(parsed: ParsedLitmus) -> GeneratedCase:
 
 
 def replay_entry(
-    parsed: ParsedLitmus, axiomatic: bool = False,
-    max_configs: Optional[int] = None,
+    parsed: ParsedLitmus, max_configs: Optional[int] = None,
 ) -> OracleReport:
-    """Re-run the differential oracles on a corpus entry.
-
-    The axiomatic footprint oracle is off by default — replay should be
-    fast, and the footprint spaces are independent of the entry anyway.
-    """
+    """Re-run the per-program oracles on a corpus entry (the footprint
+    spaces are independent of the entry, so replay never judges them)."""
     kwargs = {} if max_configs is None else {"max_configs": max_configs}
-    return check_program(
-        case_from_parsed(parsed), axiomatic=axiomatic, **kwargs
-    )
+    return check_program(case_from_parsed(parsed), **kwargs)
 
 
 __all__ = [

@@ -17,13 +17,14 @@ are opt-in):
    every distinct C11 state reachable under the RA semantics must
    satisfy Definition 4.2 (:func:`repro.axiomatic.validity.check_validity`).
 
-3. **Axiomatic equivalence on the footprint** — for programs whose
-   footprint is tiny, re-run the E1 comparison
-   (:func:`repro.axiomatic.equivalence.compare_axiomatisations`) on a
-   candidate space clamped to the program's shape (event count and
-   variables, capped; values clamped to ``(1,)``).  The space is
-   memoized per process, so each distinct space is enumerated once per
-   worker (once per campaign when ``jobs=1``).
+3. **Axiomatic equivalence on the footprint** — re-run the E1
+   comparison (:func:`repro.axiomatic.equivalence.compare_axiomatisations`)
+   on every candidate space a small program's shape clamps to (at most
+   ``AXIOMATIC_MAX_EVENTS`` events over at most ``AXIOMATIC_MAX_VARS``
+   variables; values clamped to ``(1,)``).  The verdict is a property
+   of the space, not of a program, so this oracle is not part of
+   :func:`check_program`: a campaign judges each space once, as a
+   batch-level :class:`~repro.fuzz.runner.FootprintJob`.
 
 4. **POR parity** — re-explore the program under RA with the selected
    partial-order reduction (``"optimal"`` by default, DESIGN.md §9) and
@@ -110,8 +111,8 @@ REFINEMENT_CHAIN: Tuple[str, ...] = ("sc", "sra", "ra")
 #: instead of hanging the fuzzer
 DEFAULT_MAX_CONFIGS = 50_000
 
-#: gates for the footprint equivalence oracle (cost is exponential in
-#: both; 1 var / 3 events ≈ 0.6 s, memoized per space)
+#: the footprint equivalence oracle's largest space (cost is
+#: exponential in both; 3 events over 2 variables ≈ 0.2 s)
 AXIOMATIC_MAX_EVENTS = 3
 AXIOMATIC_MAX_VARS = 2
 
@@ -123,9 +124,9 @@ class OracleReport:
     """What the oracles concluded about one case."""
 
     case: GeneratedCase
-    #: divergence kind ("refinement" / "soundness" / "axiomatic" /
-    #: "por-parity" / "orders" / "shard-parity" /
-    #: "fault-parity" / "crash"), or ``None`` when every oracle passed
+    #: divergence kind ("refinement" / "soundness" / "por-parity" /
+    #: "orders" / "shard-parity" / "fault-parity" / "crash"), or
+    #: ``None`` when every oracle passed
     divergence: Optional[str] = None
     detail: str = ""
     #: a bound was hit; no divergence verdict is possible
@@ -159,8 +160,9 @@ def _footprint_equivalence(n_events: int, n_variables: int) -> str:
 
     Returns a failure description ("" = the axiomatisations agree).
     Candidate spaces are symbolic in variable names, so the footprint is
-    keyed by variable *count*; memoization then makes every program with
-    the same clamped shape share one enumeration.
+    keyed by variable *count*.  The cache serves repeated campaigns in
+    one process; within a batch the runner already judges each space
+    once.
     """
     from repro.axiomatic.candidates import CandidateSpace
     from repro.axiomatic.equivalence import compare_axiomatisations
@@ -180,7 +182,6 @@ def _footprint_equivalence(n_events: int, n_variables: int) -> str:
 
 def check_program(
     case: GeneratedCase,
-    axiomatic: bool = True,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
     models: Optional[Dict[str, Callable[[], MemoryModel]]] = None,
     reduction: str = "optimal",
@@ -188,7 +189,8 @@ def check_program(
     check_shards: bool = False,
     check_faults: bool = False,
 ) -> OracleReport:
-    """Run every oracle on ``case`` and report the first divergence.
+    """Run every per-program oracle on ``case`` and report the first
+    divergence (the footprint oracle is batch-level, see oracle 3).
 
     ``reduction`` selects which partial-order reduction the POR-parity
     oracle cross-validates against the full search (``"none"`` disables
@@ -280,17 +282,6 @@ def check_program(
                     "compact derived orders diverge from the definitional "
                     "closures: " + "; ".join(problems[:3])
                 )
-                return report
-
-    # 3. axiomatic equivalence on tiny footprints
-    if axiomatic:
-        n_variables = len(case.init)
-        n = min(case.events_hint, AXIOMATIC_MAX_EVENTS)
-        if 1 <= n and 1 <= n_variables <= AXIOMATIC_MAX_VARS:
-            failure = _footprint_equivalence(n, n_variables)
-            if failure:
-                report.divergence = "axiomatic"
-                report.detail = failure
                 return report
 
     # 4. POR parity: the reduced search must be outcome-identical.

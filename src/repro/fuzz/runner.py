@@ -8,6 +8,10 @@ seed (the same ship-names-not-objects discipline as the litmus suite
 jobs).  Divergences found in a worker are shrunk in-worker and shipped
 back as JSON in the result's ``detail`` field, so the parent
 process never needs to unpickle an AST.
+
+The axiomatic oracle's verdict is a property of a clamped footprint
+*space*, not of a program, so it is a job of its own: one
+:class:`FootprintJob` per space, judged once per batch.
 """
 
 from __future__ import annotations
@@ -16,11 +20,18 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Union
 
 from repro.engine.stats import EngineStats
 from repro.fuzz.generator import PROFILES, GeneratedCase, generate_case
-from repro.fuzz.oracles import DEFAULT_MAX_CONFIGS, OracleReport, check_program
+from repro.fuzz import oracles
+from repro.fuzz.oracles import (
+    AXIOMATIC_MAX_EVENTS,
+    AXIOMATIC_MAX_VARS,
+    DEFAULT_MAX_CONFIGS,
+    OracleReport,
+    check_program,
+)
 from repro.fuzz.shrink import shrink_case
 
 
@@ -33,7 +44,6 @@ class FuzzJob:
     start: int = 0
     count: int = 1
     profile: str = "default"
-    axiomatic: bool = True
     shrink: bool = True
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS
     #: reduction the POR-parity oracle checks ("none" disables it)
@@ -53,6 +63,21 @@ class FuzzJob:
     def label(self) -> str:
         last = self.start + self.count - 1
         return f"fuzz[{self.seed}] #{self.start}..{last} ({self.profile})"
+
+
+@dataclass(frozen=True)
+class FootprintJob:
+    """The axiomatic oracle on one clamped footprint space (DESIGN.md §6,
+    oracle 3): the E1 comparison over every candidate with
+    ``n_events`` program events on ``n_variables`` variables."""
+
+    kind: str = "footprint"
+    n_events: int = 1
+    n_variables: int = 1
+
+    @property
+    def label(self) -> str:
+        return f"footprint n={self.n_events} vars={self.n_variables}"
 
 
 @dataclass
@@ -81,7 +106,7 @@ class DivergenceRecord:
 
 def _check(job: FuzzJob, case: GeneratedCase) -> OracleReport:
     return check_program(
-        case, axiomatic=job.axiomatic, max_configs=job.max_configs,
+        case, max_configs=job.max_configs,
         reduction=job.reduction, check_orders=job.check_orders,
         check_shards=job.check_shards, check_faults=job.check_faults,
     )
@@ -132,11 +157,7 @@ def run_fuzz_job(job: FuzzJob):
         if report.ok:
             continue
         shrunk, attempts = case, 0
-        # An "axiomatic" divergence is a property of the clamped
-        # footprint *space*, not of this program — shrinking would grind
-        # through oracle runs only to minimise towards an unrelated
-        # trivial program, so the case is reported as generated.
-        if job.shrink and report.divergence != "axiomatic":
+        if job.shrink:
             shrunk, attempts = shrink_case(
                 case, _diverges_like(job, report.divergence)
             )
@@ -171,6 +192,30 @@ def run_fuzz_job(job: FuzzJob):
         wall_time=0.0,  # overwritten by run_suite_job with whole-job time
         stats=stats,
         detail=json.dumps(payload),
+    )
+
+
+def run_footprint_job(job: FootprintJob):
+    """Worker entry point: judge one footprint space.
+
+    The result is divergent when the axiomatisations disagree; its
+    ``detail`` is the failure description.
+    """
+    from repro.engine.parallel import SuiteJobResult
+
+    failure = oracles._footprint_equivalence(job.n_events, job.n_variables)
+    return SuiteJobResult(
+        job=job,
+        observed=bool(failure),
+        expected=False,
+        pinned=True,
+        configs=0,
+        transitions=0,
+        terminal=0,
+        truncated=False,
+        wall_time=0.0,  # overwritten by run_suite_job with whole-job time
+        stats=EngineStats(),
+        detail=failure,
     )
 
 
@@ -230,12 +275,17 @@ def fuzz_jobs(
     check_orders: bool = False,
     check_shards: bool = False,
     check_faults: bool = False,
-) -> List[FuzzJob]:
-    """Slice ``iters`` cases into worker-sized chunks.
+) -> List[Union[FootprintJob, FuzzJob]]:
+    """A campaign's batch: the footprint spaces, then the programs.
 
-    Several chunks per worker keep the pool busy when case costs vary;
-    chunks stay coarse enough that per-job process overhead (registry
-    imports) is amortised.
+    With ``axiomatic`` the batch opens with one :class:`FootprintJob`
+    per space the axiomatic oracle can reach (1 ≤ n ≤
+    ``AXIOMATIC_MAX_EVENTS`` events, 1 ≤ v ≤ ``AXIOMATIC_MAX_VARS``
+    variables), largest first so the longest jobs start first.  The
+    ``iters`` cases follow in worker-sized :class:`FuzzJob` slices:
+    several per worker keep the pool busy when case costs vary, and
+    each stays coarse enough to amortise per-job overhead (registry
+    imports).  ``iters <= 0`` is an empty batch.
     """
     if profile not in PROFILES:
         raise ValueError(
@@ -243,14 +293,20 @@ def fuzz_jobs(
         )
     if iters <= 0:
         return []
+    work: List[Union[FootprintJob, FuzzJob]] = []
+    if axiomatic:
+        work += [
+            FootprintJob(n_events=n, n_variables=v)
+            for n in range(AXIOMATIC_MAX_EVENTS, 0, -1)
+            for v in range(AXIOMATIC_MAX_VARS, 0, -1)
+        ]
     chunk = max(1, math.ceil(iters / max(1, jobs * 4)))
-    return [
+    return work + [
         FuzzJob(
             seed=seed,
             start=start,
             count=min(chunk, iters - start),
             profile=profile,
-            axiomatic=axiomatic,
             shrink=shrink,
             max_configs=max_configs,
             reduction=reduction,
@@ -278,9 +334,11 @@ def run_campaign(
 ) -> CampaignReport:
     """Run a whole campaign through the parallel runner.
 
-    ``progress`` is forwarded to :meth:`ParallelRunner.run`: called in
-    the parent with each job's result as it completes (the CLI's
-    ``--progress`` heartbeat).
+    A space the axiomatisations disagree on becomes one ``"axiomatic"``
+    record, and a worker that raised one ``"worker-crash"`` record;
+    neither carries a program.  ``progress`` is forwarded to
+    :meth:`ParallelRunner.run`: called in the parent with each job's
+    result as it completes (the CLI's ``--progress`` heartbeat).
     """
     from repro.engine.parallel import ParallelRunner
 
@@ -292,41 +350,44 @@ def run_campaign(
     )
     results = ParallelRunner(jobs=jobs).run(work, progress=progress)
     report = CampaignReport(seed=seed, iters=iters, profile=profile)
-    seen_spaces = set()
+
+    def job_record(job, kind: str, detail: str) -> DivergenceRecord:
+        return DivergenceRecord(
+            name=job.label,
+            kind=kind,
+            detail=detail,
+            seed=seed,
+            index=getattr(job, "start", -1),
+            profile=profile,
+            original="",
+            shrunk="",
+            shrunk_threads=0,
+            shrink_attempts=0,
+        )
+
     for result in results:
+        report.wall_time += result.wall_time
         if result.failed:
             # The worker raised instead of reporting (its ``detail`` is
             # a traceback, not a JSON payload): surface the crash as a
             # campaign divergence so the run can never read as green.
             report.divergences.append(
-                DivergenceRecord(
-                    name=result.job.label,
-                    kind="worker-crash",
-                    detail=result.detail,
-                    seed=result.job.seed,
-                    index=result.job.start,
-                    profile=result.job.profile,
-                    original="",
-                    shrunk="",
-                    shrunk_threads=0,
-                    shrink_attempts=0,
-                )
+                job_record(result.job, "worker-crash", result.detail)
             )
+            continue
+        if result.job.kind == "footprint":
+            if result.observed:
+                report.divergences.append(
+                    job_record(result.job, "axiomatic", result.detail)
+                )
             continue
         payload = json.loads(result.detail)
         report.inconclusive += payload["inconclusive"]
-        for data in payload["divergences"]:
-            record = DivergenceRecord.from_json(data)
-            # space-level defects are reported once per campaign, not
-            # once per program that happens to share the footprint
-            if record.kind == "axiomatic":
-                if record.detail in seen_spaces:
-                    continue
-                seen_spaces.add(record.detail)
-            report.divergences.append(record)
+        report.divergences.extend(
+            DivergenceRecord.from_json(data) for data in payload["divergences"]
+        )
         report.configs += result.configs
         report.transitions += result.transitions
-        report.wall_time += result.wall_time
         report.stats.merge(result.stats)
     report.divergences.sort(key=lambda r: r.index)
     return report
@@ -335,8 +396,10 @@ def run_campaign(
 __all__ = [
     "CampaignReport",
     "DivergenceRecord",
+    "FootprintJob",
     "FuzzJob",
     "fuzz_jobs",
     "run_campaign",
+    "run_footprint_job",
     "run_fuzz_job",
 ]

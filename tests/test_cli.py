@@ -179,9 +179,11 @@ def test_fuzz_no_save_skips_corpus(capsys, tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_fuzz_unknown_profile():
-    with pytest.raises(SystemExit):
-        main(["fuzz", "--iters", "1", "--profile", "enormous"])
+def test_fuzz_unknown_profile(capsys):
+    """An unknown profile is a usage error (exit 2), not a verdict."""
+    assert main(["fuzz", "--iters", "1", "--profile", "enormous"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro fuzz: error: unknown profile 'enormous'")
 
 
 def test_run_file_without_outcome_clause(tmp_path, capsys):
@@ -334,11 +336,13 @@ def test_suite_crashed_job_renders_error_footer(capsys, monkeypatch):
         ["run", SEED_LITMUS, "--model", "tso"],
         ["suite", "--models", "ra,tso"],
         ["verify", "peterson", "--model", "tso"],
+        ["fuzz", "--profile", "enormous", "--iters", "1"],
     ],
     ids=[
         "suite-shards-dfs", "suite-shards-0", "suite-shards-optimal",
         "verify-name-cap-0", "verify-all-cap-0", "verify-all-cap-negative",
         "run-unknown-model", "suite-unknown-model", "verify-unknown-model",
+        "fuzz-unknown-profile",
     ],
 )
 def test_plan_errors_are_one_line_on_every_command(capsys, argv):

@@ -150,6 +150,51 @@ def test_run_suite_falls_back_for_duplicate_models():
     assert len(outcomes) == 2
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_duplicate_jobs_run_once_in_submission_order(monkeypatch, jobs):
+    """Each distinct job of a batch runs once and its one result object
+    fills every slot that submitted it, in submission order."""
+    import repro.engine.parallel as parallel
+
+    calls = []
+    real = parallel.run_suite_job
+
+    def counted(job):
+        calls.append(job)
+        return real(job)
+
+    monkeypatch.setattr(parallel, "run_suite_job", counted)
+    sb, corr = _small_jobs()[0], _small_jobs()[4]
+    work = [sb, corr, sb, sb, corr]
+    seen = []
+    results = ParallelRunner(jobs=jobs).run(work, progress=seen.append)
+    assert [r.job for r in results] == work
+    assert results[0] is results[2] is results[3]
+    assert results[1] is results[4]
+    assert results[0] is not results[1]
+    assert len(seen) == len(work)  # the heartbeat counts every slot
+    if jobs == 1:
+        assert calls == [sb, corr]
+
+
+def test_pool_rows_do_not_depend_on_progress():
+    """Pooled runs take one dispatch path: a run without a callback
+    returns the rows a run with one returns."""
+    work = _small_jobs()
+
+    def rows(results):
+        return [
+            (r.label, r.verdict, r.configs, r.transitions, r.failed)
+            for r in results
+        ]
+
+    seen = []
+    plain = ParallelRunner(jobs=2).run(work)
+    streamed = ParallelRunner(jobs=2).run(work, progress=seen.append)
+    assert rows(plain) == rows(streamed)
+    assert sorted(r.label for r in seen) == sorted(r.label for r in plain)
+
+
 def test_runner_empty_work_and_aggregate():
     runner = ParallelRunner(jobs=4)
     assert runner.run([]) == []

@@ -107,6 +107,50 @@ def test_tallies_pinned(space, tally):
     assert result.equivalent
 
 
+#: (candidates, valid_paper, valid_canonical, thin_air_only) over every
+#: candidate, tallied from the full enumeration before the comparison
+#: moved onto the variable-renaming quotient.
+QUOTIENT_TALLIES = [
+    (
+        CandidateSpace(
+            n_events=4, variables=("x", "y"), kinds=(ActionKind.RD, ActionKind.WR)
+        ),
+        (11264, 4514, 4514, 6),
+    ),
+    (
+        CandidateSpace(
+            n_events=4,
+            variables=("x", "y", "z"),
+            kinds=(ActionKind.RD, ActionKind.WR),
+        ),
+        (35592, 18549, 18549, 18),
+    ),
+]
+
+
+@pytest.mark.parametrize("space, tally", QUOTIENT_TALLIES)
+def test_renaming_quotient_matches_the_full_enumeration(space, tally):
+    """``compare_axiomatisations`` judges one skeleton per variable-
+    renaming orbit, weighted by the orbit's size; its tallies equal the
+    full enumeration's (``row_verdicts`` keeps enumerating every
+    candidate)."""
+    full = [0, 0, 0, 0]
+    for paper, canonical, no_thin_air in row_verdicts(space):
+        full[0] += 1
+        full[1] += paper
+        full[2] += canonical
+        full[3] += paper and canonical and not no_thin_air
+    result = compare_axiomatisations(space)
+    quotient = (
+        result.candidates, result.valid_paper, result.valid_canonical,
+        result.thin_air_only,
+    )
+    assert quotient == tuple(full) == tally
+    assert result.equivalent
+    judged = sum(1 for _ in equivalence.skeletons(space, up_to_renaming=True))
+    assert judged < sum(1 for _ in equivalence.skeletons(space))
+
+
 # ----------------------------------------------------------------------
 # Row verdicts vs the pair-set predicates, candidate by candidate
 # ----------------------------------------------------------------------

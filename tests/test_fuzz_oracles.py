@@ -29,7 +29,7 @@ def _sb_case() -> GeneratedCase:
 
 
 def test_chain_holds_on_store_buffering():
-    report = check_program(_sb_case(), axiomatic=False)
+    report = check_program(_sb_case())
     assert report.ok and not report.inconclusive
     sc, sra, ra = (report.outcomes[m] for m in REFINEMENT_CHAIN)
     assert sc <= sra <= ra
@@ -51,20 +51,20 @@ def test_generated_programs_pass_all_oracles(profile):
 def test_broken_model_triggers_refinement_divergence(monkeypatch):
     monkeypatch.setitem(oracles.ORACLE_MODELS, "sra", BrokenSRA)
     case = generate_case(11, 0, PROFILES["wide"])
-    report = check_program(case, axiomatic=False)
+    report = check_program(case)
     assert report.divergence == "refinement"
     assert "reachable under sc but not under sra" in report.detail
 
 
 def test_crashing_model_is_a_finding_not_an_error(monkeypatch):
     monkeypatch.setitem(oracles.ORACLE_MODELS, "ra", _CrashingRA)
-    report = check_program(_sb_case(), axiomatic=False)
+    report = check_program(_sb_case())
     assert report.divergence == "crash"
     assert "deliberately broken" in report.detail
 
 
 def test_capped_exploration_is_inconclusive_not_divergent():
-    report = check_program(_sb_case(), axiomatic=False, max_configs=3)
+    report = check_program(_sb_case(), max_configs=3)
     assert report.inconclusive
     assert report.divergence is None
 
@@ -81,9 +81,28 @@ def test_nonterminating_replay_is_reported():
         init={"x": 0},
         events_hint=0,
     )
-    report = check_program(case, axiomatic=False)
+    report = check_program(case)
     assert report.divergence == "refinement"
     assert "does not terminate" in report.detail
+
+
+def test_check_program_never_judges_footprints(monkeypatch):
+    """The footprint oracle is batch-level (one job per space), so no
+    per-program check may enumerate a space, even for a program small
+    enough to clamp to one."""
+
+    def judged(n_events, n_variables):
+        raise AssertionError("check_program judged a footprint space")
+
+    monkeypatch.setattr(oracles, "_footprint_equivalence", judged)
+    case = GeneratedCase(
+        name="one-write",
+        program=Program.parallel(assign("x", 1)),
+        init={"x": 0},
+        events_hint=1,
+    )
+    assert check_program(case).ok
+    assert check_program(_sb_case()).ok
 
 
 def test_footprint_equivalence_is_memoized():
@@ -115,7 +134,7 @@ def test_shard_parity_leg_folds_its_whole_record():
     """The shard-parity run's stats reach the report whole, routing
     counters included."""
     report = check_program(
-        _sb_case(), axiomatic=False, reduction="none", check_shards=True
+        _sb_case(), reduction="none", check_shards=True
     )
     assert report.ok, report.detail
     assert report.stats.shard_sent > 0
@@ -126,7 +145,7 @@ def test_fault_parity_leg_folds_its_whole_record():
     its interrupt, and its record (``resumed`` included) reaches the
     report."""
     report = check_program(
-        _sb_case(), axiomatic=False, reduction="none", check_faults=True
+        _sb_case(), reduction="none", check_faults=True
     )
     assert report.ok, report.detail
     assert report.stats.resumed == 1

@@ -6,18 +6,41 @@ import json
 from fuzz_helpers import BrokenSRA
 from repro.engine.parallel import ParallelRunner, run_suite_job
 from repro.fuzz import oracles
-from repro.fuzz.runner import FuzzJob, fuzz_jobs, run_campaign, run_fuzz_job
+from repro.fuzz.runner import (
+    FootprintJob,
+    FuzzJob,
+    fuzz_jobs,
+    run_campaign,
+    run_fuzz_job,
+)
 
 ITERS = 12
 
 
 def test_fuzz_jobs_cover_the_range_exactly():
-    jobs = fuzz_jobs(seed=3, iters=10, jobs=2)
+    jobs = [j for j in fuzz_jobs(seed=3, iters=10, jobs=2) if j.kind == "fuzz"]
     indices = sorted(
         i for j in jobs for i in range(j.start, j.start + j.count)
     )
     assert indices == list(range(10))
     assert fuzz_jobs(seed=3, iters=0) == []
+
+
+def test_fuzz_jobs_open_with_each_footprint_space_once():
+    """One footprint job per clamped space, largest first and ahead of
+    the program slices; none without the axiomatic oracle."""
+    jobs = fuzz_jobs(seed=3, iters=10, jobs=2)
+    spaces = [(j.n_events, j.n_variables) for j in jobs if j.kind == "footprint"]
+    assert spaces == [(3, 2), (3, 1), (2, 2), (2, 1), (1, 2), (1, 1)]
+    assert [j.kind for j in jobs[:6]] == ["footprint"] * 6
+    assert all(j.kind == "fuzz" for j in jobs[6:])
+    assert all(
+        j.kind == "fuzz"
+        for j in fuzz_jobs(seed=3, iters=10, jobs=2, axiomatic=False)
+    )
+    # another campaign's spaces are equal jobs, so a batch holding both
+    # campaigns judges each space once
+    assert fuzz_jobs(seed=4, iters=1, profile="wide")[:6] == jobs[:6]
 
 
 def test_fuzz_jobs_are_picklable():
@@ -39,6 +62,15 @@ def test_run_suite_job_dispatches_fuzz_kind():
     payload = json.loads(result.detail)
     assert payload == {"inconclusive": 0, "divergences": []}
     assert result.wall_time > 0  # whole-job time stamped by run_suite_job
+
+
+def test_run_suite_job_dispatches_footprint_kind():
+    result = run_suite_job(FootprintJob(n_events=2, n_variables=1))
+    assert result.job.kind == "footprint"
+    assert not result.observed  # the axiomatisations agree
+    assert result.verdict == "ok"
+    assert result.verdict_matches
+    assert result.detail == ""
 
 
 def test_campaign_parallel_matches_sequential():
@@ -86,18 +118,23 @@ def test_unknown_profile_raises():
 
 
 def test_axiomatic_divergence_reported_once_and_unshrunk(monkeypatch):
-    """A footprint-space defect is campaign-level: one record, no
-    delta-debugging towards an unrelated trivial program."""
+    """A footprint-space defect is campaign-level: one record for the
+    space, carrying no program to delta-debug, in process and through
+    the pool (whose forked workers inherit the patch)."""
     monkeypatch.setattr(
-        oracles, "_footprint_equivalence", lambda n, v: "forced space defect"
+        oracles, "_footprint_equivalence",
+        lambda n, v: "forced space defect" if (n, v) == (2, 1) else "",
     )
-    report = run_campaign(seed=0, iters=6, profile="small")
-    assert not report.ok
-    assert len(report.divergences) == 1
-    record = report.divergences[0]
-    assert record.kind == "axiomatic"
-    assert record.shrunk == record.original
-    assert record.shrink_attempts == 0
+    for jobs in (1, 2):
+        report = run_campaign(seed=0, iters=6, profile="small", jobs=jobs)
+        assert not report.ok
+        assert len(report.divergences) == 1, jobs
+        record = report.divergences[0]
+        assert record.kind == "axiomatic"
+        assert record.detail == "forced space defect"
+        assert record.name == "footprint n=2 vars=1"
+        assert record.shrunk == record.original
+        assert record.shrink_attempts == 0
 
 
 def test_worker_crash_becomes_campaign_divergence(monkeypatch):

@@ -10,7 +10,7 @@ from repro.lang.parser import parse_litmus
 
 
 def _still_diverges(case) -> bool:
-    return check_program(case, axiomatic=False).divergence == "refinement"
+    return check_program(case).divergence == "refinement"
 
 
 def test_broken_model_is_caught_and_shrunk_small(monkeypatch):
@@ -19,7 +19,7 @@ def test_broken_model_is_caught_and_shrunk_small(monkeypatch):
     monkeypatch.setitem(oracles.ORACLE_MODELS, "sra", BrokenSRA)
     case = generate_case(11, 0, PROFILES["wide"])
     assert case.n_threads == 4
-    report = check_program(case, axiomatic=False)
+    report = check_program(case)
     assert report.divergence == "refinement"
 
     shrunk, attempts = shrink_case(case, _still_diverges)
@@ -62,7 +62,7 @@ def test_shrink_respects_attempt_budget(monkeypatch):
 def test_shrink_of_passing_case_is_identity():
     case = generate_case(0, 0)
     shrunk, attempts = shrink_case(
-        case, lambda c: check_program(c, axiomatic=False).divergence is not None
+        case, lambda c: check_program(c).divergence is not None
     )
     # nothing fails, so nothing is accepted: the case comes back as-is
     assert shrunk is case

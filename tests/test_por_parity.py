@@ -100,7 +100,7 @@ def test_fuzz_oracle_reports_por_parity():
     """The campaign oracle itself runs the parity check and passes on a
     healthy engine."""
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(case, axiomatic=False, reduction="optimal")
+    report = check_program(case, reduction="optimal")
     assert report.ok, report.detail
     assert report.stats.expanded > 0  # the parity run actually happened
 
@@ -120,7 +120,7 @@ def test_fuzz_oracle_catches_a_broken_reduction(monkeypatch):
 
     monkeypatch.setattr(por, "explore_reduced", broken)
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(case, axiomatic=False, reduction="optimal")
+    report = check_program(case, reduction="optimal")
     assert report.divergence == "por-parity"
     assert "lost" in report.detail
 
@@ -152,7 +152,7 @@ def test_fuzz_oracle_catches_a_broken_visited_key(monkeypatch):
         lambda config, model, canonicalize=True: (config.program, 0),
     )
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(case, axiomatic=False, reduction="optimal")
+    report = check_program(case, reduction="optimal")
     assert report.divergence == "por-parity", report.detail
     assert "reduction=optimal" in report.detail
 
@@ -172,7 +172,7 @@ def test_fuzz_oracle_reports_capped_reduced_run_inconclusive(monkeypatch):
 
     monkeypatch.setattr(por, "explore_reduced", capped)
     case = generate_case(0, 3, PROFILES["default"])
-    report = check_program(case, axiomatic=False, reduction="optimal")
+    report = check_program(case, reduction="optimal")
     assert report.inconclusive
     assert report.divergence is None
     assert "config cap" in report.detail
