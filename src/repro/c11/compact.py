@@ -216,7 +216,7 @@ class CompactOrders:
         child.index = index
         child.by_tag = None  # lazy: rebuilt from events_seq on demand
         child.next_tag = max(self.next_tag, e.tag + 1)
-        if e.is_write:
+        if e.action.is_write:
             child.write_mask = self.write_mask | (1 << n)
             child.unplaced = self.unplaced + (e,)
         mine = self.threads.get(e.tid, ())
@@ -247,7 +247,7 @@ class CompactOrders:
         existing = self.rf.get(r_i)
         if existing is not None and existing != w_i:
             return None  # non-functional rf: not a semantics-built state
-        synchronises = w.is_release and r.is_acquire
+        synchronises = w.action.is_release and r.action.is_acquire
         if synchronises and r_i != len(self.events_seq) - 1:
             return None  # r is not hb-maximal: cone propagation unsafe
         child = self._clone()
@@ -258,7 +258,7 @@ class CompactOrders:
             hb = list(self.hb)
             hb[r_i] |= self.hb[w_i] | (1 << w_i)
             child.hb = tuple(hb)
-        if r.is_update:
+        if r.action.is_update:
             child.covered = self.covered | (1 << w_i)
         return child
 
@@ -371,7 +371,7 @@ class CompactOrders:
         w_i = self.index.get(w)
         if w_i is None:
             return None
-        sync = w.is_release and e.is_acquire
+        sync = w.action.is_release and e.action.is_acquire
         child = self._clone()
         n = self._append(
             child, e, (self.hb[w_i] | (1 << w_i)) if sync else 0
@@ -417,7 +417,7 @@ class CompactOrders:
         seq = self.mo.get(e.var, ())
         if w not in seq:
             return None
-        sync = w.is_release and e.is_acquire
+        sync = w.action.is_release and e.action.is_acquire
         child = self._clone()
         n = self._append(
             child, e, (self.hb[w_i] | (1 << w_i)) if sync else 0

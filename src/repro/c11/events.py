@@ -28,6 +28,8 @@ from repro.lang.program import INIT_TID, Tid
 
 Tag = int
 
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Event:
@@ -37,11 +39,25 @@ class Event:
     action: Action
     tid: Tid
 
+    def __init__(self, tag: Tag, action: Action, tid: Tid) -> None:
+        # The memory model builds one event per transition, and every
+        # event is hashed as soon as it is interned, so the hash is set
+        # with the fields, not on a first-use miss that raises and
+        # catches an AttributeError.  ``_set`` is ``object.__setattr__``
+        # bound once: it keeps the attributes in the instance's inline
+        # values, where touching ``self.__dict__`` would materialise a
+        # dict per event (64 bytes more each).  (Defining ``__init__``
+        # and ``__hash__`` in the class body makes @dataclass keep them.)
+        _set(self, "tag", tag)
+        _set(self, "action", action)
+        _set(self, "tid", tid)
+        _set(self, "_hash", hash((tag, action, tid)))
+
     def __hash__(self) -> int:
         # Events live in frozensets and relation pair-sets that are
         # hashed constantly on the exploration hot path; the generated
         # dataclass hash would recompute the field-tuple hash each time.
-        # (Defining __hash__ in the class body makes @dataclass keep it.)
+        # An unpickled event computes its own on first use.
         try:
             return self._hash
         except AttributeError:
@@ -53,7 +69,7 @@ class Event:
         # Pickle by constructor arguments: cheaper than copying the
         # instance dict, and the cached hash (str hashing is salted per
         # process, PYTHONHASHSEED) never crosses a pickle boundary.
-        return (Event, (self.tag, self.action, self.tid))
+        return (_unpickle_event, (self.tag, self.action, self.tid))
 
     def described(self, identity) -> tuple:
         """The canonical-key description of this event under a canonical
@@ -65,9 +81,13 @@ class Event:
         produce byte-identical tuples (DESIGN.md §11).
         """
         a = self.action
-        return (*identity, a.kind.value, a.var, a.rdval, a.wrval)
+        return (*identity, a.kind._value_, a.var, a.rdval, a.wrval)
 
     # -- paper accessors (lifted from the action) -----------------------
+    #
+    # One attribute hop each: the action's flags are plain attributes
+    # computed once per interned action (DESIGN.md §2), and hot loops
+    # that test several flags read ``e.action`` once themselves.
 
     @property
     def var(self) -> Optional[Var]:
@@ -111,6 +131,16 @@ class Event:
 
     def __repr__(self) -> str:
         return f"Event({self.tag}, {self.action!s}, t{self.tid})"
+
+
+def _unpickle_event(tag: Tag, action: Action, tid: Tid) -> Event:
+    """An event rebuilt from a pickle, without a hash: this process
+    computes its own on first use."""
+    event = object.__new__(Event)
+    _set(event, "tag", tag)
+    _set(event, "action", action)
+    _set(event, "tid", tid)
+    return event
 
 
 # ----------------------------------------------------------------------

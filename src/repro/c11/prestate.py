@@ -43,6 +43,7 @@ class PreExecutionState:
         "_hash",
         "_canon_key",
         "_canon_ids",
+        "program_events",
     )
 
     def __init__(self, events: Iterable[Event], sb: Relation = Relation.empty()):
@@ -59,6 +60,9 @@ class PreExecutionState:
         #: repro.engine.keys), filled lazily / propagated by add_event.
         self._canon_key = None
         self._canon_ids = None
+        #: program (non-initialising) events: the event bound's
+        #: measure, kept so ``repro.engine.core.bound_cut`` is O(1)
+        self.program_events: int = sum(1 for e in self.events if not e.is_init)
 
     @classmethod
     def _from_sequences(
@@ -79,6 +83,7 @@ class PreExecutionState:
         self._hash = None
         self._canon_key = None
         self._canon_ids = None
+        self.program_events = len(events) - len(inits)
         return self
 
     @property

@@ -64,6 +64,7 @@ class C11State:
         "_canon_key",
         "_canon_ids",
         "_ra_trans",
+        "program_events",
     )
 
     def __init__(
@@ -87,6 +88,11 @@ class C11State:
         #: The incremental representation (DESIGN.md §11); ``None`` for
         #: hand-assembled states, which use the relations directly.
         self._compact: Optional[CompactOrders] = None
+        #: program (non-initialising) events: the event bound's
+        #: measure, kept so ``repro.engine.core.bound_cut`` is O(1)
+        self.program_events: int = sum(
+            1 for e in self._events if not e.is_init
+        )
         self._init_lazy()
 
     def _init_lazy(self) -> None:
@@ -126,6 +132,7 @@ class C11State:
         self._mo = None
         self.fast_eco = fast_eco
         self._compact = compact
+        self.program_events = len(compact.events_seq) - len(compact.inits)
         self._init_lazy()
         return self
 
@@ -221,6 +228,11 @@ class C11State:
             self._events, self._sb, self._rf, self._mo, self.fast_eco,
             self._compact,
         ) = state
+        c = self._compact
+        self.program_events = (
+            sum(1 for e in self._events if not e.is_init) if c is None
+            else len(c.events_seq) - len(c.inits)
+        )
         self._init_lazy()
 
     def __repr__(self) -> str:

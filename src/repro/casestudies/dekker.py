@@ -74,7 +74,11 @@ def in_critical_section(config: Configuration, t: Tid) -> bool:
 
 def dekker_violations(config: Configuration) -> List[str]:
     """Both threads at the critical label — the SB failure mode."""
-    if in_critical_section(config, 1) and in_critical_section(config, 2):
+    if (
+        config.program.labels.count(CRITICAL) > 1
+        and in_critical_section(config, 1)
+        and in_critical_section(config, 2)
+    ):
         return ["mutual-exclusion: both Dekker threads entered"]
     return []
 

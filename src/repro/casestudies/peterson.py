@@ -127,8 +127,13 @@ def in_critical_section(config: Configuration, t: Tid) -> bool:
 
 def mutual_exclusion_violations(config: Configuration) -> List[str]:
     """Theorem 5.8's property as an exploration hook: both threads at
-    line 5 is a violation."""
-    if in_critical_section(config, 1) and in_critical_section(config, 2):
+    line 5 is a violation.  The label tuple rules out almost every
+    configuration before any per-thread lookup."""
+    if (
+        config.program.labels.count(CRITICAL) > 1
+        and in_critical_section(config, 1)
+        and in_critical_section(config, 2)
+    ):
         return ["mutual-exclusion: pc1 = pc2 = 5"]
     return []
 

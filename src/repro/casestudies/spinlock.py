@@ -85,7 +85,12 @@ def in_critical_section(config: Configuration, t: Tid) -> bool:
 
 def spinlock_violations(config: Configuration) -> List[str]:
     """Mutual exclusion over the lock-holding region {5, 6}."""
-    if in_critical_section(config, 1) and in_critical_section(config, 2):
+    labels = config.program.labels
+    if (
+        labels.count(CRITICAL) + labels.count(6) > 1
+        and in_critical_section(config, 1)
+        and in_critical_section(config, 2)
+    ):
         return ["mutual-exclusion: both threads hold the TAS lock"]
     return []
 

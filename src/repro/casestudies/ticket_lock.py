@@ -65,8 +65,12 @@ def in_critical_section(config: Configuration, t: Tid) -> bool:
 
 def ticket_lock_violations(config: Configuration) -> List[str]:
     """Mutual exclusion over the serving region {5, 6}."""
-    inside = [t for t in config.program.tids if in_critical_section(config, t)]
-    if len(inside) > 1:
+    program = config.program
+    labels = program.labels
+    if labels.count(CRITICAL) + labels.count(6) > 1:
+        inside = [
+            t for t, pc in zip(program.tids, labels) if pc in (CRITICAL, 6)
+        ]
         return [f"mutual-exclusion: threads {inside} share the ticket lock"]
     return []
 

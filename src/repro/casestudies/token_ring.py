@@ -65,9 +65,15 @@ def in_critical_section(config: Configuration, t: Tid) -> bool:
 
 
 def token_ring_violations(config: Configuration) -> List[str]:
-    """Mutual exclusion over all participants."""
-    inside = [t for t in config.program.tids if in_critical_section(config, t)]
-    if len(inside) > 1:
+    """Mutual exclusion over all participants.
+
+    Reads the program's pc-label tuple (one per machine state) and names
+    the threads only when two or more share the critical label.
+    """
+    program = config.program
+    labels = program.labels
+    if labels.count(CRITICAL) > 1:
+        inside = [t for t, pc in zip(program.tids, labels) if pc == CRITICAL]
         return [f"mutual-exclusion: threads {inside} all at line {CRITICAL}"]
     return []
 

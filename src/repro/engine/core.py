@@ -176,14 +176,9 @@ class ExplorationResult(Generic[S]):
 
 
 def _state_size(state) -> int:
-    """Number of program events in an event-based state (0 otherwise)."""
-    compact = getattr(state, "_compact", None)
-    if compact is not None:
-        return len(compact.events_seq) - len(compact.inits)
-    events = getattr(state, "events", None)
-    if events is None:
-        return 0
-    return sum(1 for e in events if not e.is_init)
+    """Number of program events in an event-based state (0 otherwise):
+    the ``program_events`` count C11 and pre-execution states keep."""
+    return getattr(state, "program_events", 0)
 
 
 def bound_cut(
@@ -193,17 +188,19 @@ def bound_cut(
     the event bound cuts at ``config`` (empty when it is not at the bound).
 
     A configuration is at the bound when its state holds ``max_events``
-    program events.  There every non-silent pending step is cut — each
-    would add an event — and only τ steps are expanded; a search that
-    cuts a step records ``truncated``.  The rule is decided before the
-    model runs, so a cut step costs no memory transitions.  A model that
+    program events, which the state counts as it grows
+    (``program_events``), so the test is O(1).  There every non-silent
+    pending step is cut — each would add an event — and only τ steps
+    are expanded; a search that cuts a step records ``truncated``.  The
+    rule is decided before the model runs, so a cut step costs no
+    memory transitions.  A model that
     records no events (``records_events`` false: SC) is never at the
     bound.  Every explorer asks this one function.
     """
     if (
         max_events is None
         or not model.records_events
-        or _state_size(config.state) < max_events
+        or config.state.program_events < max_events
     ):
         return ()
     return tuple(
@@ -286,6 +283,13 @@ def _key_of(
     return (config.program, model.canonical_state_key(config.state))
 
 
+#: Young objects above which an ending pause promotes them instead of
+#: leaving them to the next young collection (:func:`gc_paused`): ring4
+#: b12 leaves 244k, whose scan took 0.15 s; ring4 b8 leaves 36k, and
+#: the registry's litmus tests a few hundred.
+_PROMOTE_YOUNG = 100_000
+
+
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Pause CPython's automatic cyclic garbage collection (DESIGN.md §5).
@@ -296,6 +300,18 @@ def gc_paused() -> Iterator[None]:
     discards.  The caller's setting is restored on every exit path; a
     nested pause finds the collector off and leaves it off.  Also usable
     as a decorator (``@gc_paused()``).
+
+    Everything allocated during the pause is still in the youngest
+    generation when it ends, so the first allocation after re-enabling
+    would scan all of it — the search's whole surviving heap — once.
+    When that is more than :data:`_PROMOTE_YOUNG` objects, ``freeze``
+    then ``unfreeze`` moves the tracked objects to the oldest generation
+    instead (two list splices): they stay collectable, by the full
+    collections that would have reached them anyway.  A smaller young
+    generation is left to the young collection, which is cheap then and
+    also frees the caller's young cyclic garbage — promoted, that would
+    wait for a full collection, and a fuzz campaign's thousands of small
+    searches would pile it up.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -303,6 +319,9 @@ def gc_paused() -> Iterator[None]:
         yield
     finally:
         if enabled:
+            if gc.get_count()[0] > _PROMOTE_YOUNG:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -549,6 +568,13 @@ def _explore_once(
             every = plan.checkpoint_every or 1000
             next_ckpt = result.configs + every
 
+        # The loop's own calls, bound once: one expansion reads the clock
+        # once per phase (check, expand, keys, store) rather than once
+        # per transition (DESIGN.md §5).
+        pop, push = frontier.pop, frontier.push
+        enter, leave = lifetime.enter, lifetime.leave
+        canonical = model.canonical_state_key if canonicalize else None
+        terminal, violations = result.terminal, result.violations
         while frontier:
             if next_ckpt is not None and result.configs >= next_ckpt:
                 write_ckpt()
@@ -564,13 +590,13 @@ def _explore_once(
                     f"injected interrupt at {result.configs} configurations",
                     checkpoint=last_ckpt,
                 )
-            config, key = frontier.pop()
+            config, key = pop()
             result.configs += 1
             if tr is not None and tr.tick():
                 so_far = counters.fold_into(EngineStats())
                 tr.emit(
                     "node", run=run, n=result.configs,
-                    pcs=[config.program.pc(t) for t in config.program.tids],
+                    pcs=list(config.program.labels),
                     keys=[so_far.key_hits, so_far.key_misses],
                 )
 
@@ -579,18 +605,19 @@ def _explore_once(
                 messages = check_config(config)
                 stats.time_checks += clock() - t0
                 for message in messages:
-                    result.violations.append(Violation(message, config))
+                    violations.append(Violation(message, config))
                     if stop_on_violation:
                         return result
 
-            if config.is_terminated():
-                result.terminal.append(config)
-                lifetime.leave(config.state)
+            state = config.state
+            if config.program.is_terminated():
+                terminal.append(config)
+                leave(state)
                 continue
 
             if capped and check_step is None:
                 result.truncated = True
-                lifetime.leave(config.state)
+                leave(state)
                 continue
 
             cut = bound_cut(config, model, max_events)
@@ -599,38 +626,52 @@ def _explore_once(
 
             t0 = clock()
             steps = successor_list(config, model, silent_only=bool(cut))
-            stats.time_expand += clock() - t0
+            t1 = clock()
+            stats.time_expand += t1 - t0
 
-            for step in steps:
-                result.transitions += 1
-
-                if check_step is not None:
-                    t0 = clock()
-                    messages = check_step(step)
-                    stats.time_checks += clock() - t0
-                    for message in messages:
-                        result.violations.append(Violation(message, config, step))
+            if check_step is not None:
+                for done, step in enumerate(steps, 1):
+                    for message in check_step(step):
+                        violations.append(Violation(message, config, step))
                         if stop_on_violation:
+                            result.transitions += done
+                            stats.time_checks += clock() - t1
                             return result
+                t0, t1 = t1, clock()
+                stats.time_checks += t1 - t0
+            result.transitions += len(steps)
+            if capped:
+                leave(state)
+                continue
 
-                if capped:
-                    continue
-                t0 = clock()
-                child_key = _key_of(step.target, model, canonicalize)
-                stats.time_keys += clock() - t0
+            # Key every child in one pass, then store the new ones in a
+            # second, in successor order.
+            if canonical is not None:
+                keys = [
+                    (step.target_program, canonical(step.target_state))
+                    for step in steps
+                ]
+            else:
+                keys = [(step.target_program, step.target_state) for step in steps]
+            t2 = clock()
+            stats.time_keys += t2 - t1
+
+            for step, child_key in zip(steps, keys):
                 if child_key in parents:
                     continue
                 if max_configs is not None and len(parents) >= max_configs:
                     result.truncated = True
                     result.capped = True
                     capped = True
-                    continue
+                    break
                 parents[child_key] = (key, step.tid)
-                frontier.push((step.target, child_key))
-                lifetime.enter(step.target.state, config.state)
-                if len(frontier) > stats.peak_frontier:
-                    stats.peak_frontier = len(frontier)
-            lifetime.leave(config.state)
+                child = step.target_state
+                push((Configuration(step.target_program, child), child_key))
+                enter(child, state)
+            if len(frontier) > stats.peak_frontier:
+                stats.peak_frontier = len(frontier)
+            leave(state)
+            stats.time_store += clock() - t2
     finally:
         stats.time_total += clock() - t_run
         counters.fold_into(stats)

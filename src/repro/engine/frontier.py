@@ -55,21 +55,23 @@ class BFSFrontier(Frontier[T]):
 
     def __init__(self) -> None:
         self._items: Deque[T] = deque()
-
-    def push(self, item: T) -> None:
-        self._items.append(item)
-
-    def pop(self) -> T:
-        return self._items.popleft()
+        # The container's own methods, bound once: the search pushes and
+        # pops once per configuration.
+        self.push = self._items.append
+        self.pop = self._items.popleft
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
 
     def snapshot(self) -> List[T]:
         return list(self._items)
 
     def restore(self, items: List[T]) -> None:
-        self._items = deque(items)
+        self._items.clear()
+        self._items.extend(items)
 
 
 class DFSFrontier(Frontier[T]):
@@ -77,21 +79,20 @@ class DFSFrontier(Frontier[T]):
 
     def __init__(self) -> None:
         self._items: List[T] = []
-
-    def push(self, item: T) -> None:
-        self._items.append(item)
-
-    def pop(self) -> T:
-        return self._items.pop()
+        self.push = self._items.append  # bound once, as in BFSFrontier
+        self.pop = self._items.pop
 
     def __len__(self) -> int:
         return len(self._items)
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
 
     def snapshot(self) -> List[T]:
         return list(self._items)
 
     def restore(self, items: List[T]) -> None:
-        self._items = list(items)
+        self._items[:] = items
 
 
 class LevelFrontier(Frontier[T]):

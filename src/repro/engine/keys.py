@@ -57,7 +57,7 @@ class KeyCacheStats:
 #: parallel runner each get their own copy (fork/spawn isolation).
 KEY_CACHE = KeyCacheStats()
 
-# Lazily-bound import-cycle breakers (see cached_canonical_key).
+# Lazily-bound import-cycle breakers (see _modules).
 _compact_mod = None
 _canon_mod = None
 
@@ -72,35 +72,40 @@ def cached_canonical_key(state) -> Hashable:
     one computation — collapsing those is exactly what the explorer's
     ``seen`` set does with the returned keys.
     """
-    # Imported at first call: repro.interp transitively imports this
-    # module (via the memory models), so a module-level import here
-    # would close an import cycle.  The *modules* are memoized in
-    # globals (the import machinery's fromlist handling is measurable
-    # at once-per-configuration rates) but the attributes are looked up
-    # per call, so monkeypatched instrumentation still takes effect.
-    global _compact_mod, _canon_mod
-    if _canon_mod is None:
-        from repro.c11 import compact as _compact_mod
-        from repro.interp import canon as _canon_mod
-    CachedKey = _compact_mod.CachedKey
-    canonical_key = _canon_mod.canonical_key
-
     try:
         cached = state._canon_key
     except AttributeError:
         KEY_CACHE.uncached += 1
-        return canonical_key(state)
-    if cached is not None:
+        return _modules()[1].canonical_key(state)
+    if cached is not None:  # the hit path touches nothing else
         KEY_CACHE.hits += 1
         return cached
     KEY_CACHE.misses += 1
-    key = canonical_key(state)
+    compact, canon = _modules()
+    key = canon.canonical_key(state)
     if type(key) is tuple:
         # Pre-hash the nested structure once; every seen-set/parent-map
         # operation on the key reuses it (DESIGN.md §11).
-        key = CachedKey(key)
+        key = compact.CachedKey(key)
     state._canon_key = key
     return key
+
+
+def _modules():
+    """``(repro.c11.compact, repro.interp.canon)``, imported at first use.
+
+    repro.interp transitively imports this module (via the memory
+    models), so a module-level import here would close an import cycle.
+    The *modules* are memoized in globals (the import machinery's
+    fromlist handling is measurable at once-per-configuration rates) but
+    their attributes are looked up per call, so monkeypatched
+    instrumentation still takes effect.
+    """
+    global _compact_mod, _canon_mod
+    if _canon_mod is None:
+        from repro.c11 import compact as _compact_mod
+        from repro.interp import canon as _canon_mod
+    return _compact_mod, _canon_mod
 
 
 # ----------------------------------------------------------------------

@@ -561,8 +561,8 @@ def _unpack_step(packed, table):
         return None
     source, tid, target, event, observed, read_value = packed
     return InterpretedStep(
-        _unpack_config(source, table), tid, _unpack_config(target, table),
-        event, observed, read_value,
+        _unpack_config(source, table), tid, event=event, observed=observed,
+        read_value=read_value, target=_unpack_config(target, table),
     )
 
 

@@ -4,7 +4,8 @@ Every :class:`~repro.engine.core.ExplorationResult` carries an
 :class:`EngineStats` describing the run that produced it: which search
 strategy and reduction ran, how large the frontier grew, how the
 canonical-key cache behaved, how wall time split across the engine's
-three phases (successor expansion, canonical keying, check hooks), and
+phases (successor expansion, canonical keying, the visited store, check
+hooks), how much memory the process had peaked at when it ended, and
 — under partial-order reduction (DESIGN.md §9) — how much the reduction
 pruned.  It is the one record a run's cost travels in: shards, jobs,
 fuzz cases and campaigns fold theirs with :meth:`EngineStats.merge`,
@@ -15,8 +16,14 @@ of the process-wide counters.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Optional, Union
+
+try:
+    import resource
+except ImportError:  # not on every platform (Windows)
+    resource = None
 
 
 @dataclass
@@ -34,11 +41,17 @@ class EngineStats:
     key_hits: int = 0
     key_misses: int = 0
     #: Wall time of the whole run and of its phases, in seconds.  The
-    #: phases overlap nothing but do not cover queue bookkeeping, so
-    #: their sum is below ``time_total`` by :attr:`time_loop`.
+    #: phases overlap nothing but do not cover what the loop does
+    #: between them, so their sum is below ``time_total`` by
+    #: :attr:`time_loop`.  The unreduced loop reads the clock once per
+    #: phase per expansion (DESIGN.md §5): ``time_keys`` keys one
+    #: expansion's children in one pass and ``time_store`` stores them
+    #: in a second — the parent map, the frontier and the memo lifetime
+    #: (:class:`~repro.engine.core.MemoLifetime`).
     time_total: float = 0.0
     time_expand: float = 0.0
     time_keys: float = 0.0
+    time_store: float = 0.0
     time_checks: float = 0.0
     #: Wall time spent deriving orders (hb/eco bitset sweeps, SRA
     #: acyclicity, and any fallback Relation closures) — the delta of
@@ -88,6 +101,12 @@ class EngineStats:
     #: itself started from one (0 | 1).
     checkpoints: int = 0
     resumed: int = 0
+    #: The process's peak resident set size, in KiB, when the run ended
+    #: (``getrusage(RUSAGE_SELF).ru_maxrss``; 0 where the ``resource``
+    #: module is missing).  A process-wide high-water mark, measured
+    #: rather than estimated: it includes whatever the process held
+    #: before the run, and a merge keeps the largest process's.
+    peak_rss_kb: int = 0
 
     @property
     def key_rate(self) -> float:
@@ -126,18 +145,19 @@ class EngineStats:
 
     @property
     def time_loop(self) -> float:
-        """The search loop's own time: ``time_total`` less the three
-        timed phases (queue and visited-store bookkeeping, and the
-        reduction's bookkeeping under ``optimal``)."""
+        """The search loop's own time: ``time_total`` less the timed
+        phases (popping, the bound rule and the clock reads themselves,
+        and the reduction's bookkeeping under ``optimal``, which times
+        no ``store`` phase)."""
         return (
             self.time_total - self.time_expand - self.time_keys
-            - self.time_checks
+            - self.time_store - self.time_checks
         )
 
     def phase_split(self, configs: Optional[int] = None, unit: str = "ms") -> str:
         """Where the run's wall time went, in ``ms`` or ``s``.
 
-        ``expand + keys + checks + loop`` is ``total``; ``model`` and
+        ``expand + keys + store + checks + loop`` is ``total``; ``model`` and
         ``step`` (the lowered step tables' share, DESIGN.md §12) split
         ``expand``, and ``orders`` (DESIGN.md §11) is time spent inside
         the other phases, so the split shows which layer a performance
@@ -155,7 +175,8 @@ class EngineStats:
         line = (
             f"expand={t(self.time_expand)} (model={t(self.time_model)} "
             f"step={t(self.time_expand - self.time_model)}) "
-            f"keys={t(self.time_keys)} orders={t(self.time_orders)} "
+            f"keys={t(self.time_keys)} store={t(self.time_store)} "
+            f"orders={t(self.time_orders)} "
             f"checks={t(self.time_checks)} loop={t(self.time_loop)} "
             f"total={t(self.time_total)}"
         )
@@ -187,6 +208,7 @@ class EngineStats:
         line = (
             f"strategy={self.strategy} peak-frontier={self.peak_frontier} "
             f"key-cache={self.key_hits}/{keyed} ({rate}) "
+            f"peak-rss={self.peak_rss_kb / 1024:.1f}MB "
             f"{self.phase_split()}"
         )
         if self.reduction != "none":
@@ -220,8 +242,9 @@ class EngineStats:
 #: leaves them alone.
 LABEL_FIELDS = ("strategy", "reduction", "shards")
 #: High-water marks: merged by max, never summed (no moment held the sum;
-#: every shard takes part in every round; a run resumed at most once).
-PEAK_FIELDS = ("peak_frontier", "shard_rounds", "resumed")
+#: every shard takes part in every round; a run resumed at most once;
+#: each process has its own resident set).
+PEAK_FIELDS = ("peak_frontier", "shard_rounds", "resumed", "peak_rss_kb")
 #: Every field :meth:`EngineStats.merge` folds, in declaration order.
 COUNTER_FIELDS = tuple(
     f.name for f in fields(EngineStats) if f.name not in LABEL_FIELDS
@@ -235,8 +258,9 @@ class ProcessCounters:
     derived-order seconds (:data:`repro.c11.compact.ORDER_TIMER`) and
     memory-model seconds (:data:`repro.interp.memory_model.MODEL_TIMER`)
     accumulate process-wide.  A segment takes a reading when it starts;
-    :meth:`fold_into` adds what accrued since into a record.  Every
-    search loop charges itself through this one class.
+    :meth:`fold_into` adds what accrued since into a record, and raises
+    its ``peak_rss_kb`` to the process's peak so far.  Every search loop
+    charges itself through this one class.
     """
 
     __slots__ = ("key_hits", "key_misses", "time_orders", "time_model")
@@ -259,4 +283,15 @@ class ProcessCounters:
                 stats, name,
                 getattr(stats, name) + getattr(now, name) - getattr(self, name),
             )
+        stats.peak_rss_kb = max(stats.peak_rss_kb, peak_rss_kb())
         return stats
+
+
+def peak_rss_kb() -> int:
+    """This process's peak resident set size so far, in KiB (0 where
+    the ``resource`` module is missing)."""
+    if resource is None:
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    return peak // 1024 if sys.platform == "darwin" else peak

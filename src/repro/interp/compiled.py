@@ -191,23 +191,31 @@ class LoweredProgram:
 
     Drop-in for :class:`~repro.lang.program.Program` everywhere the
     engine touches programs during exploration (``tids``/``pc``/
-    ``command``/``is_terminated``/``terminated_threads``/``__str__``),
+    ``labels``/``command``/``is_terminated``/``terminated_threads``/
+    ``__str__``),
     with integer-tuple hashing/equality — the canonical configuration
     key therefore encodes table-index pcs, not ASTs.
     """
 
-    __slots__ = ("table", "pcs", "_hash", "_steps", "_done", "succ")
+    __slots__ = ("table", "pcs", "labels", "_hash", "_steps", "_done", "succ")
 
     def __init__(self, table: LoweredTable, pcs: Tuple[ThreadState, ...]) -> None:
         self.table = table
         self.pcs = pcs
+        #: the paper's pc label of each thread, in ``tids`` order — one
+        #: tuple per interned machine state, which ``pc``, the proof
+        #: outlines and the case studies' check hooks read (DESIGN.md §12)
+        self.labels: Tuple[int, ...] = tuple(
+            PC_DONE if pc == PC_TERM else instrs[pc].label
+            for instrs, (pc, _vals) in zip(table.threads, pcs)
+        )
         self._hash = table.base_hash ^ hash(pcs)
         self._steps: Optional[Dict[Tid, LoweredStep]] = None
         self._done: Optional[bool] = None
         #: per thread slot, read value -> the program after that slot's
         #: pending step (key ``None`` for τ steps and writes).  A slot
         #: has one pending step, so the key is unambiguous; filled by
-        #: the interpreter (:func:`~repro.interp.interpreter._thread_successors`).
+        #: the interpreter (:func:`~repro.interp.interpreter._build_successors`).
         self.succ: Tuple[Dict[Optional[Value], LoweredProgram], ...] = tuple(
             {} for _ in pcs
         )
@@ -251,11 +259,7 @@ class LoweredProgram:
         return concretize(self.table.threads[slot][pc].com, vals)
 
     def pc(self, tid: Tid) -> int:
-        slot = self.table.slot_of[tid]
-        pc = self.pcs[slot][0]
-        if pc == PC_TERM:
-            return PC_DONE
-        return self.table.threads[slot][pc].label
+        return self.labels[self.table.slot_of[tid]]
 
     def is_terminated(self) -> bool:
         done = self._done

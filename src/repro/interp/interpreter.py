@@ -40,29 +40,50 @@ class InterpretedStep(Generic[S]):
     """One transition of the interpreted semantics.
 
     ``event``/``observed`` are populated by event-based models (RA, PE);
-    ``None`` for τ steps and for SC.  A slotted plain class rather than
-    a frozen dataclass: the engine constructs one per transition on the
-    hot path, where the generated ``__init__``'s guarded
-    ``object.__setattr__`` per field is measurable.
+    ``None`` for τ steps and for SC.  The target configuration is held
+    as its two parts, ``target_program`` and ``target_state``, and
+    :attr:`target` pairs them on first use: the search keys and stores
+    a step's target from the parts, so only the configurations it
+    actually queues are ever built (DESIGN.md §12).  A slotted plain
+    class rather than a frozen dataclass: the engine constructs one per
+    transition on the hot path, where the generated ``__init__``'s
+    guarded ``object.__setattr__`` per field is measurable.
     """
 
-    __slots__ = ("source", "tid", "target", "event", "observed", "read_value")
+    __slots__ = ("source", "tid", "target_program", "target_state", "event",
+                 "observed", "read_value", "_target")
 
     def __init__(
         self,
         source: Configuration[S],
         tid: Tid,
-        target: Configuration[S],
+        target_program=None,
+        target_state: Optional[S] = None,
         event: Optional[Event] = None,
         observed: Optional[Event] = None,
         read_value: Optional[Value] = None,
+        target: Optional[Configuration[S]] = None,
     ) -> None:
         self.source = source
         self.tid = tid
-        self.target = target
+        if target is not None:
+            target_program, target_state = target.program, target.state
+        self.target_program = target_program
+        self.target_state = target_state
         self.event = event
         self.observed = observed
         self.read_value = read_value
+        self._target = target
+
+    @property
+    def target(self) -> Configuration[S]:
+        """The configuration this step reaches (built once, on demand)."""
+        target = self._target
+        if target is None:
+            target = self._target = Configuration(
+                self.target_program, self.target_state
+            )
+        return target
 
     def __repr__(self) -> str:
         return (
@@ -73,54 +94,55 @@ class InterpretedStep(Generic[S]):
     @property
     def is_silent(self) -> bool:
         return self.event is None and self.read_value is None and (
-            self.source.state is self.target.state
-            or self.source.state == self.target.state
+            self.source.state is self.target_state
+            or self.source.state == self.target_state
         )
 
 
-def _thread_successors(
-    config: Configuration[S], model: MemoryModel[S], tid: Tid, step,
-    out: List[InterpretedStep[S]],
-) -> None:
-    """Append all transitions realising one thread's pending step.
+def _build_successors(
+    config: Configuration[S], answers
+) -> List[InterpretedStep[S]]:
+    """The transitions realising pending steps, given ``answers``:
+    ``(tid, step, memory transitions)`` per thread, the transitions
+    ``None`` for a τ step.
 
     The program side of a successor depends only on ``(program, slot,
     read value)``, so it is looked up in the program's successor cache
     and built — and interned (DESIGN.md §12) — on the first miss only.
     """
     program, state = config.program, config.state
-    instr = step.instr
-    slot = instr.slot
-    cache = program.succ[slot]
-    if step.is_silent:
-        target = cache.get(None)
-        if target is None:
-            if instr.is_branch:
-                if step.taken:
-                    pc2, keep = instr.then_pc, instr.then_keep
+    succ = program.succ
+    out: List[InterpretedStep[S]] = []
+    for tid, step, mts in answers:
+        instr = step.instr
+        slot = instr.slot
+        cache = succ[slot]
+        if mts is None:
+            target = cache.get(None)
+            if target is None:
+                if instr.is_branch:
+                    if step.taken:
+                        pc2, keep = instr.then_pc, instr.then_keep
+                    else:
+                        pc2, keep = instr.else_pc, instr.else_keep
                 else:
-                    pc2, keep = instr.else_pc, instr.else_keep
-            else:
-                pc2, keep = instr.next_pc, instr.keep
-            vals = step.vals
-            nvals = tuple(vals[j] for j in keep) if keep else ()
-            target = cache[None] = program.update_slot(slot, pc2, nvals)
-        out.append(InterpretedStep(config, tid, Configuration(target, state)))
-        return
-    t0 = _clock()
-    mts = model.transitions_list(state, tid, step)
-    MODEL_TIMER.seconds += _clock() - t0
-    for mt in mts:
-        rv = mt.read_value
-        target = cache.get(rv)
-        if target is None:
-            keep, vals = instr.keep, step.vals
-            nvals = tuple(rv if j < 0 else vals[j] for j in keep) if keep else ()
-            target = cache[rv] = program.update_slot(slot, instr.next_pc, nvals)
-        out.append(InterpretedStep(
-            config, tid, Configuration(target, mt.target),
-            mt.event, mt.observed, rv,
-        ))
+                    pc2, keep = instr.next_pc, instr.keep
+                vals = step.vals
+                nvals = tuple(vals[j] for j in keep) if keep else ()
+                target = cache[None] = program.update_slot(slot, pc2, nvals)
+            out.append(InterpretedStep(config, tid, target, state))
+            continue
+        for mt in mts:
+            rv = mt.read_value
+            target = cache.get(rv)
+            if target is None:
+                keep, vals = instr.keep, step.vals
+                nvals = tuple(rv if j < 0 else vals[j] for j in keep) if keep else ()
+                target = cache[rv] = program.update_slot(slot, instr.next_pc, nvals)
+            out.append(InterpretedStep(
+                config, tid, target, mt.target, mt.event, mt.observed, rv,
+            ))
+    return out
 
 
 def thread_successor_list(
@@ -133,9 +155,12 @@ def thread_successor_list(
     single selected thread without generating the memory transitions of
     threads it prunes.  Batched: the caller gets the whole list at once.
     """
-    out: List[InterpretedStep[S]] = []
-    _thread_successors(config, model, tid, step, out)
-    return out
+    mts = None
+    if not step.is_silent:
+        t0 = _clock()
+        mts = model.transitions_list(config.state, tid, step)
+        MODEL_TIMER.seconds += _clock() - t0
+    return _build_successors(config, ((tid, step, mts),))
 
 
 def successor_list(
@@ -144,17 +169,30 @@ def successor_list(
     """All interpreted transitions from ``config``, as one batch.
 
     The engine's expansion loop consumes this list directly; it is
-    built without a single generator frame or AST node.
-    ``silent_only`` expands only the τ steps — what a configuration at
-    the event bound keeps (:func:`~repro.engine.core.bound_cut`);
-    the memory model is then never asked.
+    built without a single generator frame or AST node.  The memory
+    model is asked about every non-silent pending step first, under one
+    clock pair for the whole configuration, and the program side is
+    stepped after.  ``silent_only`` expands only the τ steps — what a
+    configuration at the event bound keeps
+    (:func:`~repro.engine.core.bound_cut`); the memory model is then
+    never asked.
     """
-    out: List[InterpretedStep[S]] = []
-    for tid, step in config.program.pending_steps().items():
-        if silent_only and not step.is_silent:
-            continue
-        _thread_successors(config, model, tid, step, out)
-    return out
+    pending = config.program.pending_steps()
+    if silent_only:
+        answers = [
+            (tid, step, None) for tid, step in pending.items() if step.is_silent
+        ]
+    else:
+        state = config.state
+        transitions_list = model.transitions_list
+        t0 = _clock()
+        answers = [
+            (tid, step,
+             None if step.is_silent else transitions_list(state, tid, step))
+            for tid, step in pending.items()
+        ]
+        MODEL_TIMER.seconds += _clock() - t0
+    return _build_successors(config, answers)
 
 
 def configuration_successors(

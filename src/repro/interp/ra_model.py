@@ -1,7 +1,8 @@
 """The RA event semantics as a pluggable memory model.
 
-Thin adapter from :func:`repro.c11.event_semantics.ra_successors` to the
-:class:`~repro.interp.memory_model.MemoryModel` interface.  Read values
+Figure 3's rules as a :class:`~repro.interp.memory_model.MemoryModel`:
+the enumeration of :func:`repro.c11.event_semantics.ra_successors`,
+built straight into the model's answer list.  Read values
 are supplied by the observed write (``rdval(e) = wrval(w)``) — the
 on-the-fly validation at the heart of the paper.
 
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-from repro.c11.event_semantics import ra_successors
+from repro.c11.event_semantics import ra_read_targets, ra_write_targets
+from repro.c11.events import Event
 from repro.c11.state import C11State, initial_state
 from repro.engine.keys import cached_canonical_key
 from repro.interp.compiled import LoweredStep
@@ -52,26 +54,37 @@ class RAMemoryModel(MemoryModel[C11State]):
             cached = memo.get((tid, step))
             if cached is not None:
                 return cached
-        # Computed updates (fetch-and-add) ship their write value as a
-        # function of the value read; constants pass through unchanged.
-        wrval = step.wrval if step.wrfun is None else step.wrfun
-        if step.is_read_hole:
-            out = [
-                MemoryTransition(
-                    target=tr.target,
-                    read_value=tr.event.rdval,
-                    event=tr.event,
-                    observed=tr.observed,
-                )
-                for tr in ra_successors(state, tid, step.kind, step.var, wrval)
-            ]
+        # Rules Read, Write and RMW (Figure 3), built straight into the
+        # answer list: the same enumeration as ``ra_successors`` without
+        # its per-transition ``RATransition`` and generator frame.  The
+        # read value is the observed write's (``rdval(e) = wrval(w)``),
+        # and ``step.action`` resolves (and, on lowered steps, memoizes)
+        # the interned action, computed update values included.
+        kind, var, action = step.kind, step.var, step.action
+        tag = state.next_tag()
+        out = []
+        if kind.is_update:
+            for w in ra_write_targets(state, tid, var):
+                rv = w.wrval
+                event = Event(tag, action(rv), tid)
+                out.append(MemoryTransition(
+                    state.rmw_successor(event, w), rv, event, w
+                ))
+        elif kind.is_read:
+            for w in ra_read_targets(state, tid, var):
+                rv = w.wrval
+                event = Event(tag, action(rv), tid)
+                out.append(MemoryTransition(
+                    state.read_successor(event, w), rv, event, w
+                ))
+        elif kind.is_write:
+            event = Event(tag, action(), tid)
+            for w in ra_write_targets(state, tid, var):
+                out.append(MemoryTransition(
+                    state.write_successor(event, w), None, event, w
+                ))
         else:
-            out = [
-                MemoryTransition(
-                    target=tr.target, event=tr.event, observed=tr.observed
-                )
-                for tr in ra_successors(state, tid, step.kind, step.var, wrval)
-            ]
+            raise ValueError(f"no RA transition for action kind {kind}")
         if memo is not None:
             memo[(tid, step)] = out
         return out

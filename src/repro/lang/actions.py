@@ -23,9 +23,30 @@ from typing import Optional
 Value = int
 Var = str
 
+#: ``object.__setattr__``, bound once: frozen instances set their
+#: derived attributes through it (writing ``self.__dict__`` would
+#: materialise a dict per instance).
+_set = object.__setattr__
+
+
+#: The definitional kind sets behind the flags, by kind value.
+_READS = frozenset({"rd", "rdA", "updRA"})
+_WRITES = frozenset({"wr", "wrR", "updRA"})
+_ACQUIRES = frozenset({"rdA", "updRA"})
+_RELEASES = frozenset({"wrR", "updRA"})
+#: The flag names, shared by kinds and actions.
+FLAGS = ("is_read", "is_write", "is_update", "is_acquire", "is_release", "is_silent")
+
 
 class ActionKind(enum.Enum):
-    """The five action flavours of the RAR fragment, plus ``τ``."""
+    """The five action flavours of the RAR fragment, plus ``τ``.
+
+    The classification flags (``is_read``, ``is_write``, ``is_update``,
+    ``is_acquire``, ``is_release``, ``is_silent``) are plain member
+    attributes, computed once per kind from the kind sets above: the
+    memory models read them on every transition, where a property call
+    per read is measurable (DESIGN.md §2).
+    """
 
     RD = "rd"        # relaxed read
     RDA = "rdA"      # acquiring read
@@ -34,31 +55,15 @@ class ActionKind(enum.Enum):
     UPD = "updRA"    # release-acquire update (read-modify-write)
     TAU = "tau"      # silent step (guard resolution, skip elimination)
 
-    @property
-    def is_read(self) -> bool:
-        return self in (ActionKind.RD, ActionKind.RDA, ActionKind.UPD)
-
-    @property
-    def is_write(self) -> bool:
-        return self in (ActionKind.WR, ActionKind.WRR, ActionKind.UPD)
-
-    @property
-    def is_update(self) -> bool:
-        return self is ActionKind.UPD
-
-    @property
-    def is_acquire(self) -> bool:
-        """Acquiring actions synchronise as the target of an ``sw`` edge."""
-        return self in (ActionKind.RDA, ActionKind.UPD)
-
-    @property
-    def is_release(self) -> bool:
-        """Releasing actions synchronise as the source of an ``sw`` edge."""
-        return self in (ActionKind.WRR, ActionKind.UPD)
-
-    @property
-    def is_silent(self) -> bool:
-        return self is ActionKind.TAU
+    def __init__(self, value: str) -> None:
+        self.is_read: bool = value in _READS
+        self.is_write: bool = value in _WRITES
+        self.is_update: bool = value == "updRA"
+        #: acquiring actions synchronise as the target of an ``sw`` edge
+        self.is_acquire: bool = value in _ACQUIRES
+        #: releasing actions synchronise as the source of an ``sw`` edge
+        self.is_release: bool = value in _RELEASES
+        self.is_silent: bool = value == "tau"
 
 
 @dataclass(frozen=True)
@@ -77,46 +82,38 @@ class Action:
     wrval: Optional[Value] = None
 
     def __post_init__(self) -> None:
-        if self.kind.is_silent:
+        kind = self.kind
+        # Flags and hash are computed once per action, as plain instance
+        # attributes: actions are interned, and the models read the flags
+        # on every transition (DESIGN.md §2).  The hash is the one the
+        # generated dataclass hash would compute, taken once instead of
+        # re-hashing the enum member on every event hash.
+        for name in FLAGS:
+            _set(self, name, getattr(kind, name))
+        _set(self, "_hash", hash((kind, self.var, self.rdval, self.wrval)))
+        if kind.is_silent:
             if self.var is not None or self.rdval is not None or self.wrval is not None:
                 raise ValueError("τ carries no variable or values")
             return
         if self.var is None:
-            raise ValueError(f"{self.kind.value} action requires a variable")
-        if self.kind.is_read and self.rdval is None:
-            raise ValueError(f"{self.kind.value} action requires a read value")
-        if self.kind.is_write and self.wrval is None:
-            raise ValueError(f"{self.kind.value} action requires a write value")
-        if self.kind in (ActionKind.RD, ActionKind.RDA) and self.wrval is not None:
+            raise ValueError(f"{kind.value} action requires a variable")
+        if kind.is_read and self.rdval is None:
+            raise ValueError(f"{kind.value} action requires a read value")
+        if kind.is_write and self.wrval is None:
+            raise ValueError(f"{kind.value} action requires a write value")
+        if kind in (ActionKind.RD, ActionKind.RDA) and self.wrval is not None:
             raise ValueError("plain reads carry no write value")
-        if self.kind in (ActionKind.WR, ActionKind.WRR) and self.rdval is not None:
+        if kind in (ActionKind.WR, ActionKind.WRR) and self.rdval is not None:
             raise ValueError("plain writes carry no read value")
 
-    # -- predicates (lifted from the kind for convenience) -------------
+    def __hash__(self) -> int:
+        # (Defining __hash__ in the class body makes @dataclass keep it.)
+        return self._hash
 
-    @property
-    def is_read(self) -> bool:
-        return self.kind.is_read
-
-    @property
-    def is_write(self) -> bool:
-        return self.kind.is_write
-
-    @property
-    def is_update(self) -> bool:
-        return self.kind.is_update
-
-    @property
-    def is_acquire(self) -> bool:
-        return self.kind.is_acquire
-
-    @property
-    def is_release(self) -> bool:
-        return self.kind.is_release
-
-    @property
-    def is_silent(self) -> bool:
-        return self.kind.is_silent
+    def __reduce__(self):
+        # Pickle by constructor arguments: the cached hash is salted per
+        # process (PYTHONHASHSEED) and must never cross a pickle boundary.
+        return (Action, (self.kind, self.var, self.rdval, self.wrval))
 
     def with_rdval(self, value: Value) -> "Action":
         """The same action reading ``value`` instead.
@@ -151,7 +148,9 @@ TAU = Action(ActionKind.TAU)
 #: is measurable on the hot path — the constructors below hand out one
 #: shared instance per distinct action instead.  Actions are immutable
 #: value objects, so interning is observationally silent (equality and
-#: hashing are unchanged; ``is`` gets faster as a bonus).
+#: hashing are unchanged; ``is`` gets faster as a bonus).  Keyed by the
+#: kind's value string, whose hash is cached, rather than by the enum
+#: member, whose ``__hash__`` is a Python-level call.
 _INTERNED: dict = {}
 
 
@@ -162,7 +161,7 @@ def intern_action(
     wrval: Optional[Value] = None,
 ) -> Action:
     """The shared :class:`Action` instance for the given components."""
-    key = (kind, var, rdval, wrval)
+    key = (kind._value_, var, rdval, wrval)
     action = _INTERNED.get(key)
     if action is None:
         action = Action(kind, var, rdval, wrval)

@@ -94,6 +94,12 @@ class Program:
         """The paper's auxiliary program counter ``P.pc_t`` (§5.2)."""
         return program_counter(self.command(tid))
 
+    @property
+    def labels(self) -> Tuple[int, ...]:
+        """Every thread's ``pc``, in ``tids`` order (a lowered program
+        keeps this tuple per machine state)."""
+        return tuple(program_counter(c) for _, c in self.threads)
+
     def is_terminated(self) -> bool:
         """Whether every thread has run to completion."""
         return all(is_terminated(c) for _, c in self.threads)

@@ -140,51 +140,46 @@ def run_suite(
     when every test is the registry's own object and every model is one
     of those three — anything else (modified test copies, custom
     models) falls back to the sequential path rather than silently
-    computing verdicts for different inputs.  Parallel verdicts are
-    identical to the sequential run — the workers execute the same code
-    path.
+    computing verdicts for different inputs.  A model listed twice is
+    one job per pair like any other, and yields one outcome per pair.
+    Parallel verdicts are identical to the sequential run — the workers
+    execute the same code path.
     """
     models = models if models is not None else [RAMemoryModel(), SCMemoryModel()]
 
     def _parallelizable() -> bool:
         from repro.engine.parallel import _litmus_by_name
 
-        names = [model.name.lower() for model in models]
-        if any(name not in ("ra", "sra", "sc") for name in names):
-            return False
-        if len(set(names)) != len(names):  # duplicates would collapse
+        if any(model.name.lower() not in ("ra", "sra", "sc") for model in models):
             return False
         try:
             return all(_litmus_by_name(test.name) is test for test in tests)
         except KeyError:
             return False
 
+    pairs = [(test, model) for test in tests for model in models]
     if jobs <= 1 or not _parallelizable():
-        return [
-            run_litmus(test, model, plan)
-            for test in tests
-            for model in models
-        ]
+        return [run_litmus(test, model, plan) for test, model in pairs]
 
     from repro.engine.parallel import ParallelRunner, SuiteJob
 
-    model_keys = {model.name.lower(): model for model in models}
-    by_name = {test.name: test for test in tests}
+    # One job per pair, in pair order: the runner returns one result per
+    # submitted job, in submission order (a repeated pair runs once and
+    # fills each of its slots), so results map back by position.
     work = [
-        SuiteJob(kind="litmus", name=test.name, model=key, plan=plan)
-        for test in tests
-        for key in model_keys
+        SuiteJob(kind="litmus", name=test.name, model=model.name.lower(), plan=plan)
+        for test, model in pairs
     ]
     results = ParallelRunner(jobs=jobs).run(work)
     return [
         LitmusOutcome(
-            test=by_name[r.job.name],
-            model_name=model_keys[r.job.model].name,
+            test=test,
+            model_name=model.name,
             reachable=r.observed,
             expected=r.expected,
             terminal_states=r.terminal,
             configs=r.configs,
             truncated=r.truncated,
         )
-        for r in results
+        for (test, model), r in zip(pairs, results)
     ]

@@ -107,12 +107,12 @@ def program_pcs(program) -> List[int]:
     """The per-thread program counters of a (possibly lowered) program.
 
     Both :class:`~repro.lang.program.Program` and
-    :class:`~repro.interp.compiled.LoweredProgram` expose
-    ``tids``/``pc``; anything else reports no pcs rather than failing
-    the trace path.
+    :class:`~repro.interp.compiled.LoweredProgram` expose ``labels``
+    (``pc`` per thread, in ``tids`` order); anything else reports no
+    pcs rather than failing the trace path.
     """
     try:
-        return [program.pc(tid) for tid in program.tids]
+        return list(program.labels)
     except Exception:  # noqa: BLE001 - tracing must never break a run
         return []
 

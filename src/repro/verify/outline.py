@@ -47,7 +47,7 @@ from repro.verify.invariants import Invariant
 
 
 def _pc_vector(config: Configuration) -> Tuple[int, ...]:
-    return tuple(config.pc(t) for t in config.program.tids)
+    return config.program.labels
 
 
 @dataclass

@@ -397,18 +397,36 @@ def _phase_terms(line, unit):
     }
 
 
+def _phase_sum(terms):
+    return (
+        terms["expand"] + terms["keys"] + terms["store"] + terms["checks"]
+        + terms["loop"]
+    )
+
+
 def test_run_profile_terms_sum_to_total(sb_file, capsys):
-    """``expand + keys + checks + loop`` is the printed ``total``; under
-    ``optimal`` the ``loop`` term is the reduction's own bookkeeping."""
+    """``expand + keys + store + checks + loop`` is the printed
+    ``total``; under ``optimal`` the ``loop`` term is the reduction's own
+    bookkeeping."""
     assert main(["run", sb_file, "--profile", "--reduction", "optimal"]) == 0
     out = capsys.readouterr().out
     (line,) = [l for l in out.splitlines() if l.startswith("profile: expand=")]
     terms = _phase_terms(line, "ms")
-    assert {"expand", "keys", "checks", "loop", "total"} <= set(terms)
+    assert {"expand", "keys", "store", "checks", "loop", "total"} <= set(terms)
     assert terms["loop"] >= 0
-    parts = terms["expand"] + terms["keys"] + terms["checks"] + terms["loop"]
-    # five terms, each rounded to 0.1 ms
-    assert abs(parts - terms["total"]) <= 0.25 + 1e-9
+    # six terms, each rounded to 0.1 ms
+    assert abs(_phase_sum(terms) - terms["total"]) <= 0.3 + 1e-9
+
+
+def test_run_profile_store_term_of_the_unreduced_loop(sb_file, capsys):
+    """The unreduced loop times its visited store: ``store`` is non-zero
+    and the six terms still sum to ``total``."""
+    assert main(["run", sb_file, "--profile"]) == 0
+    out = capsys.readouterr().out
+    (line,) = [l for l in out.splitlines() if l.startswith("profile: expand=")]
+    terms = _phase_terms(line, "ms")
+    assert terms["store"] > 0 and terms["loop"] >= 0
+    assert abs(_phase_sum(terms) - terms["total"]) <= 0.3 + 1e-9
 
 
 def test_suite_phase_split_terms_sum_to_total(capsys):
@@ -416,9 +434,8 @@ def test_suite_phase_split_terms_sum_to_total(capsys):
     out = capsys.readouterr().out
     (line,) = [l for l in out.splitlines() if l.startswith("phase split:")]
     terms = _phase_terms(line, "s")
-    parts = terms["expand"] + terms["keys"] + terms["checks"] + terms["loop"]
-    # five terms, each rounded to 10 ms
-    assert abs(parts - terms["total"]) <= 0.025 + 1e-9
+    # six terms, each rounded to 10 ms
+    assert abs(_phase_sum(terms) - terms["total"]) <= 0.03 + 1e-9
 
 
 def test_metrics_export_is_per_command(sb_file, tmp_path, capsys):

@@ -277,9 +277,32 @@ def test_stats_track_frontier_and_phases():
     assert stats.peak_frontier >= 1
     assert stats.time_total > 0.0
     assert (
-        stats.time_expand + stats.time_keys + stats.time_checks
-        <= stats.time_total
+        stats.time_expand + stats.time_keys + stats.time_store
+        + stats.time_checks <= stats.time_total
     )
+    assert stats.time_store > 0.0
+
+
+def test_stats_record_measured_peak_rss():
+    """A run ends with the process's measured peak resident set, which
+    merges as a high-water mark and travels through ``counters()``."""
+    import resource
+
+    stats = explore(sb_program(), SB_INIT, RAMemoryModel()).stats
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert 0 < stats.peak_rss_kb <= peak
+    assert stats.counters()["peak_rss_kb"] == stats.peak_rss_kb
+    assert f"peak-rss={stats.peak_rss_kb / 1024:.1f}MB" in stats.summary()
+    merged = EngineStats(peak_rss_kb=10).merge(EngineStats(peak_rss_kb=7))
+    assert merged.peak_rss_kb == 10
+
+
+def test_peak_rss_is_zero_without_the_resource_module(monkeypatch):
+    import repro.engine.stats as stats_module
+
+    monkeypatch.setattr(stats_module, "resource", None)
+    assert stats_module.peak_rss_kb() == 0
+    assert explore(sb_program(), SB_INIT, RAMemoryModel()).stats.peak_rss_kb == 0
 
 
 def test_stats_summary_is_printable():

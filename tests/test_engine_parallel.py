@@ -150,6 +150,36 @@ def test_run_suite_falls_back_for_duplicate_models():
     assert len(outcomes) == 2
 
 
+def test_run_suite_pools_duplicate_models_one_outcome_per_pair(monkeypatch):
+    """A model listed twice goes through the pool like any other: one
+    job per (test, model) pair, and the outcomes come back one per pair,
+    in pair order."""
+    from repro.engine.parallel import ParallelRunner
+    from repro.interp.ra_model import RAMemoryModel
+    from repro.interp.sc import SCMemoryModel
+    from repro.litmus.registry import run_suite
+    from repro.litmus.suite import test_by_name
+
+    batches = []
+    real_run = ParallelRunner.run
+
+    def recording(self, work, *args, **kwargs):
+        batches.append([(job.name, job.model) for job in work])
+        return real_run(self, work, *args, **kwargs)
+
+    monkeypatch.setattr(ParallelRunner, "run", recording)
+    tests = [test_by_name("SB"), test_by_name("MP+rel-acq")]
+    models = [RAMemoryModel(), SCMemoryModel(), RAMemoryModel()]
+    outcomes = run_suite(tests, models=models, jobs=2)
+    pairs = [(t.name, m.name.lower()) for t in tests for m in models]
+    assert batches == [pairs]
+    assert [(o.test.name, o.model_name.lower()) for o in outcomes] == pairs
+    sequential = run_suite(tests, models=models, jobs=1)
+    assert [(o.reachable, o.configs) for o in outcomes] == [
+        (o.reachable, o.configs) for o in sequential
+    ]
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_duplicate_jobs_run_once_in_submission_order(monkeypatch, jobs):
     """Each distinct job of a batch runs once and its one result object

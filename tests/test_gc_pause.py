@@ -109,6 +109,43 @@ def test_collector_is_paused_for_the_whole_search(name, tmp_path, restore_gc):
     assert gc.isenabled()
 
 
+def test_a_large_search_promotes_its_survivors(monkeypatch, restore_gc):
+    """Above the promotion threshold the pause ends with the survivors in
+    the oldest generation, still tracked: the next allocation does not
+    rescan them in a young collection, and a full collection still
+    reaches them."""
+    import repro.engine.core as core
+
+    monkeypatch.setattr(core, "_PROMOTE_YOUNG", 1000)
+    gc.enable()
+    gc.collect()
+    result = run(LARGE)
+    young, middle, _old = gc.get_count()
+    assert young < 100 and middle == 0
+    assert gc.is_tracked(result.parents) and gc.get_freeze_count() == 0
+    assert gc.collect() == 0  # a search leaves no cyclic garbage behind
+
+
+def test_a_small_search_leaves_young_garbage_to_the_young_collection(restore_gc):
+    """Below the threshold nothing is promoted, so cyclic garbage the
+    caller dropped just before a search is freed by the next young
+    collection, not held until a full one."""
+    import weakref
+
+    class Node:
+        pass
+
+    gc.enable()
+    gc.collect()
+    cycle = Node()
+    cycle.self = cycle
+    alive = weakref.ref(cycle)
+    del cycle
+    run(SMALL)
+    gc.collect(1)
+    assert alive() is None
+
+
 def test_shard_workers_pause_the_collector_themselves(restore_gc):
     """Called directly, the sharded entry point has no enclosing
     ``explore`` pause: the workers start with the collector on and must

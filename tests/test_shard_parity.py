@@ -213,6 +213,35 @@ def test_violation_counterexample_replays():
     )
 
 
+def test_step_violations_from_worker_processes_keep_their_steps():
+    """A ``check_step`` violation found in a shard worker process ships
+    its step back whole (``_pack_step``/``_unpack_step``): the same
+    transitions are flagged, with the same source and target keys, as
+    in the plain search."""
+    from collections import Counter
+
+    test = next(t for t in REGISTRY if t.name == "SB")
+    model = MODELS["ra"]()
+
+    def flag_writes(step):
+        return ["write"] if step.event is not None and step.event.is_write else []
+
+    def flagged(result):
+        return Counter(
+            (v.step.tid, str(v.step.event), _key_of(v.step.source, model),
+             _key_of(v.step.target, model))
+            for v in result.violations
+        )
+
+    sharded = explore(
+        test.program, test.init, model, shards=2, shard_processes=True,
+        check_step=flag_writes,
+    )
+    full = explore(test.program, test.init, model, check_step=flag_writes)
+    assert full.violations
+    assert flagged(sharded) == flagged(full)
+
+
 # ----------------------------------------------------------------------
 # The broken-partition canary
 # ----------------------------------------------------------------------

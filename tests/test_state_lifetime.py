@@ -29,7 +29,9 @@ from repro.interp.sra_model import SRAMemoryModel
 
 BOUND = 8
 
-#: (reduction, strategy) -> ``ra_successors`` calls on ring4 at BOUND.
+#: (reduction, strategy) -> RA memo misses on ring4 at BOUND; each miss
+#: enumerates read or write targets once (``ra_read_targets`` /
+#: ``ra_write_targets``).
 #: With every memo kept alive these searches made 2,182 / 2,182 /
 #: 2,036 calls.  Breadth-first searches keep
 #: every hit; depth-first ones lose the hits of states more than one
@@ -95,13 +97,16 @@ def test_sra_drops_the_ra_memo_it_filters():
 @pytest.mark.parametrize("reduction,strategy", sorted(MEMO_CALLS))
 def test_memo_hits_are_pinned(monkeypatch, reduction, strategy):
     calls = []
-    real = ra_model.ra_successors
 
-    def counting(*args):
-        calls.append(args[1])
-        return real(*args)
+    def counting(real):
+        def enumerate_targets(*args):
+            calls.append(args[1])
+            return real(*args)
 
-    monkeypatch.setattr(ra_model, "ra_successors", counting)
+        return enumerate_targets
+
+    for name in ("ra_read_targets", "ra_write_targets"):
+        monkeypatch.setattr(ra_model, name, counting(getattr(ra_model, name)))
     _ring(RAMemoryModel(), reduction, strategy)
     assert len(calls) == MEMO_CALLS[(reduction, strategy)]
 
