@@ -191,7 +191,9 @@ def bound_cut(
     program events, which the state counts as it grows
     (``program_events``), so the test is O(1).  There every non-silent
     pending step is cut — each would add an event — and only τ steps
-    are expanded; a search that cuts a step records ``truncated``.  The
+    are expanded; the cut threads are a function of the machine state,
+    which the lowered program keeps (``event_tids``).  A search that
+    cuts a step records ``truncated``.  The
     rule is decided before the model runs, so a cut step costs no
     memory transitions.  A model that
     records no events (``records_events`` false: SC) is never at the
@@ -203,10 +205,7 @@ def bound_cut(
         or config.state.program_events < max_events
     ):
         return ()
-    return tuple(
-        tid for tid, step in config.program.pending_steps().items()
-        if not step.is_silent
-    )
+    return config.program.event_tids()
 
 
 class MemoLifetime:
@@ -668,8 +667,9 @@ def _explore_once(
                 child = step.target_state
                 push((Configuration(step.target_program, child), child_key))
                 enter(child, state)
-            if len(frontier) > stats.peak_frontier:
-                stats.peak_frontier = len(frontier)
+            queued = len(frontier)
+            if queued > stats.peak_frontier:
+                stats.peak_frontier = queued
             leave(state)
             stats.time_store += clock() - t2
     finally:

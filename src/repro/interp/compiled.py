@@ -197,7 +197,8 @@ class LoweredProgram:
     key therefore encodes table-index pcs, not ASTs.
     """
 
-    __slots__ = ("table", "pcs", "labels", "_hash", "_steps", "_done", "succ")
+    __slots__ = ("table", "pcs", "labels", "_hash", "_steps", "_done",
+                 "_event_tids", "succ")
 
     def __init__(self, table: LoweredTable, pcs: Tuple[ThreadState, ...]) -> None:
         self.table = table
@@ -212,6 +213,7 @@ class LoweredProgram:
         self._hash = table.base_hash ^ hash(pcs)
         self._steps: Optional[Dict[Tid, LoweredStep]] = None
         self._done: Optional[bool] = None
+        self._event_tids: Optional[Tuple[Tid, ...]] = None
         #: per thread slot, read value -> the program after that slot's
         #: pending step (key ``None`` for τ steps and writes).  A slot
         #: has one pending step, so the key is unambiguous; filled by
@@ -290,6 +292,16 @@ class LoweredProgram:
         ``(pc, vals)``."""
         pcs = self.pcs
         return self.table.program(pcs[:slot] + ((pc, vals),) + pcs[slot + 1:])
+
+    def event_tids(self) -> Tuple[Tid, ...]:
+        """The threads whose pending step is not silent (computed once)."""
+        tids = self._event_tids
+        if tids is None:
+            tids = self._event_tids = tuple(
+                tid for tid, step in self.pending_steps().items()
+                if not step.is_silent
+            )
+        return tids
 
     def pending_steps(self) -> Dict[Tid, LoweredStep]:
         """The one pending step per live thread (computed once per node).

@@ -185,12 +185,13 @@ def successor_list(
     else:
         state = config.state
         transitions_list = model.transitions_list
+        answers = []
         t0 = _clock()
-        answers = [
-            (tid, step,
-             None if step.is_silent else transitions_list(state, tid, step))
-            for tid, step in pending.items()
-        ]
+        for tid, step in pending.items():
+            answers.append((
+                tid, step,
+                None if step.is_silent else transitions_list(state, tid, step),
+            ))
         MODEL_TIMER.seconds += _clock() - t0
     return _build_successors(config, answers)
 
