@@ -11,11 +11,10 @@ frozensets — the dominant cost of exploration (E8/E12).
 that work on the hot path:
 
 * **Interning** — every event of an execution gets a dense small-int
-  index (``index``/``events_seq``), assigned at append time and *stable
-  under every successor constructor* (``add_event`` only ever appends,
-  ``with_rf``/``insert_mo_after`` touch no indices).  A ``by_tag`` table
-  and a carried ``next_tag`` kill the O(n) scans of
-  ``C11State.event_by_tag``/``next_tag``.
+  index (``index``/``events_seq``), assigned at append time and *stable*:
+  the one successor constructor, :meth:`CompactOrders.add`, only ever
+  appends.  A ``by_tag`` table and a carried ``next_tag`` kill the O(n)
+  scans of ``C11State.event_by_tag``/``next_tag``.
 * **Total orders as sequences** — ``sb`` is per-thread ordered tuples
   (``threads``) plus the unordered initialisation block (``inits``);
   ``mo`` is per-variable ordered tuples.  O(n) instead of O(n²), with
@@ -26,10 +25,10 @@ that work on the hot path:
   functional on reads in every state the semantics builds).
 * **``hb`` as bitmasks** — ``hb[i]`` is the set of strict
   happens-before predecessors of event ``i``, a Python int used as a
-  bitset.  ``add_event`` extends it in O(1) big-int ops (the appended
-  event is sb-maximal, so its mask is the initialisation block joined
-  with its thread predecessor's cone); ``with_rf`` adds the ``sw`` cone
-  when the edge synchronises.  No BFS closure ever runs during
+  bitset.  ``add`` extends it in O(1) big-int ops: the appended event
+  is sb-maximal, so its mask is the initialisation block joined with
+  its thread predecessor's cone, plus the observed write's cone when
+  the new ``rf`` edge synchronises.  No BFS closure ever runs during
   exploration.
 * **``eco`` as per-variable prefix masks** — under update atomicity
   (Lemma C.9, the ``fast_eco`` provenance of every explored state) the
@@ -44,11 +43,7 @@ run against the definitional closures):
 
 * indices are assigned in append order and never move;
 * ``hb[i]`` equals the definitional ``(sb ∪ sw)+`` predecessor set;
-* the eco prefix masks equal ``(fr ∪ mo ∪ rf)+``;
-* a compact state with a non-empty ``unplaced`` tuple (a write appended
-  but not yet ``mo``-inserted — the transient middle of a Write/RMW
-  step) answers no derived-order queries; consumers fall back to the
-  definitional path, which is exact on any state.
+* the eco prefix masks equal ``(fr ∪ mo ∪ rf)+``.
 
 States assembled by hand from explicit relations (axiomatic candidates,
 justifications, test fixtures) carry no :class:`CompactOrders` and use
@@ -102,11 +97,11 @@ class CompactOrders:
     """The interned, sequence-backed form of one C11 state's orders.
 
     Instances are value-shared between parent and child states: the
-    successor constructors copy only the containers they change (tuples
-    and dicts of tuples, O(n) pointer copies), never the pair sets the
-    legacy representation rebuilt.  The lazy caches ``_enc`` and
-    ``_acyclic`` are per-instance and never propagated; ``_eco`` is
-    extended parent-to-child by the fused constructors when the parent
+    successor constructor :meth:`add` copies only the containers it
+    changes (tuples and dicts of tuples, O(n) pointer copies), never the
+    pair sets the legacy representation rebuilt.  The lazy caches
+    ``_enc`` and ``_acyclic`` are per-instance and never propagated;
+    ``_eco`` is extended parent-to-child by :meth:`add` when the parent
     has already swept (:meth:`_propagate_eco`), so the hot exploration
     loop pays one full sweep per *root*, not per state.
     """
@@ -125,7 +120,6 @@ class CompactOrders:
         "rf",           # Dict[int, int] — read index -> write index
         "hb",           # Tuple[int, ...] — strict hb-predecessor masks
         "covered",      # int — mask of writes read by an update
-        "unplaced",     # Tuple[Event, ...] — writes not yet mo-inserted
         "_eco",         # Optional[List[int]] — lazy eco-predecessor masks
         "_enc",         # Dict[Tid, int] — lazy encountered masks per thread
         "_acyclic",     # Optional[bool] — lazy sb∪rf∪mo acyclicity
@@ -156,7 +150,6 @@ class CompactOrders:
         self.rf = {}
         self.hb = (0,) * len(ordered)
         self.covered = 0
-        self.unplaced = ()
         return self
 
     def _clone(self) -> "CompactOrders":
@@ -174,7 +167,6 @@ class CompactOrders:
         child.rf = self.rf
         child.hb = self.hb
         child.covered = self.covered
-        child.unplaced = self.unplaced
         return child
 
     def tag_table(self) -> Dict[Tag, Event]:
@@ -195,19 +187,32 @@ class CompactOrders:
     # Incremental successor construction
     # ------------------------------------------------------------------
 
-    def add_event(self, e: Event) -> Optional["CompactOrders"]:
-        """``(D, sb) + e`` — intern ``e`` and extend ``hb`` incrementally.
+    def add(self, e: Event, w: Event) -> Optional["CompactOrders"]:
+        """``σ + e`` with ``e`` observing the interned write ``w``, in
+        one clone: the event append ``(D, sb) + e``, then the edge
+        ``rf ∪ {(w, e)}`` when ``e`` reads and the splice ``mo[w, e]``
+        when it writes (an update does both).
 
-        The appended event is sb-placed after the initialisation block
-        and all previous events of its thread, hence sb-maximal: its
-        ``hb`` mask is the init block joined with its thread
-        predecessor's cone, and no existing mask changes.  Returns
-        ``None`` for cases the incremental form does not cover
-        (appending an initialising write), letting the caller fall back
-        to the definitional path.
+        The appended event is sb-maximal, so no existing ``hb`` mask
+        changes, and it is mo-placed at birth.  Returns ``None`` for
+        shapes the incremental form does not cover — an initialising
+        ``e``, a ``w`` that is not interned, or a write whose ``w`` is
+        not in its variable's ``mo`` sequence — letting the caller fall
+        back to the definitional constructors.
         """
         if e.is_init:
             return None
+        w_i = self.index.get(w)
+        if w_i is None:
+            return None
+        action = e.action
+        writes = action.is_write
+        if writes:
+            seq = self.mo.get(action.var, ())
+            try:
+                pos = seq.index(w)
+            except ValueError:
+                return None
         child = self._clone()
         n = len(self.events_seq)
         child.events_seq = self.events_seq + (e,)
@@ -216,9 +221,6 @@ class CompactOrders:
         child.index = index
         child.by_tag = None  # lazy: rebuilt from events_seq on demand
         child.next_tag = max(self.next_tag, e.tag + 1)
-        if e.action.is_write:
-            child.write_mask = self.write_mask | (1 << n)
-            child.unplaced = self.unplaced + (e,)
         mine = self.threads.get(e.tid, ())
         threads = dict(self.threads)
         threads[e.tid] = mine + (e,)
@@ -227,104 +229,34 @@ class CompactOrders:
         if mine:
             last = self.index[mine[-1]]
             mask |= self.hb[last] | (1 << last)
+        if action.is_read:
+            if w.action.is_release and action.is_acquire:  # sw edge
+                mask |= self.hb[w_i] | (1 << w_i)
+            rf = dict(self.rf)
+            rf[n] = w_i
+            child.rf = rf
+            if action.is_update:
+                child.covered = self.covered | (1 << w_i)
         child.hb = self.hb + (mask,)
+        if writes:
+            child.write_mask = self.write_mask | (1 << n)
+            mo = dict(self.mo)
+            mo[action.var] = seq[: pos + 1] + (e,) + seq[pos + 1 :]
+            child.mo = mo
+            pseq = self.mo_pos[action.var]
+            mo_pos = dict(self.mo_pos)
+            mo_pos[action.var] = pseq[: pos + 1] + (n,) + pseq[pos + 1 :]
+            child.mo_pos = mo_pos
+        self._propagate_eco(child, n, w_i, writes)
         return child
-
-    def with_rf(self, w: Event, r: Event) -> Optional["CompactOrders"]:
-        """``rf ∪ {(w, r)}`` — extend the read map (and ``hb`` when the
-        edge synchronises).
-
-        The ``sw`` cone propagation is O(1) only when nothing is
-        hb-after ``r`` — guaranteed when ``r`` is the newest event,
-        which is how the semantics always calls this (the edge is added
-        immediately after ``r`` is appended).  Other call shapes return
-        ``None`` and fall back.
-        """
-        w_i = self.index.get(w)
-        r_i = self.index.get(r)
-        if w_i is None or r_i is None:
-            return None
-        existing = self.rf.get(r_i)
-        if existing is not None and existing != w_i:
-            return None  # non-functional rf: not a semantics-built state
-        synchronises = w.action.is_release and r.action.is_acquire
-        if synchronises and r_i != len(self.events_seq) - 1:
-            return None  # r is not hb-maximal: cone propagation unsafe
-        child = self._clone()
-        rf = dict(self.rf)
-        rf[r_i] = w_i
-        child.rf = rf
-        if synchronises:
-            hb = list(self.hb)
-            hb[r_i] |= self.hb[w_i] | (1 << w_i)
-            child.hb = tuple(hb)
-        if r.action.is_update:
-            child.covered = self.covered | (1 << w_i)
-        return child
-
-    def insert_mo_after(self, w: Event, e: Event) -> Optional["CompactOrders"]:
-        """``mo[w, e]`` — splice ``e`` immediately after ``w`` in its
-        variable's sequence.  ``hb`` and ``rf`` are untouched (``mo``
-        never feeds happens-before)."""
-        if e.var is None or e not in self.index:
-            return None
-        seq = self.mo.get(e.var, ())
-        if w not in seq or e in seq:
-            return None
-        pos = seq.index(w)
-        mo = dict(self.mo)
-        mo[e.var] = seq[: pos + 1] + (e,) + seq[pos + 1 :]
-        child = self._clone()
-        child.mo = mo
-        pseq = self.mo_pos[e.var]
-        mo_pos = dict(self.mo_pos)
-        mo_pos[e.var] = pseq[: pos + 1] + (self.index[e],) + pseq[pos + 1 :]
-        child.mo_pos = mo_pos
-        if e in self.unplaced:
-            child.unplaced = tuple(x for x in self.unplaced if x is not e)
-        return child
-
-    # -- fused successor construction (one clone per transition) -------
-    #
-    # The RA semantics builds every successor by a fixed 2–3 step chain
-    # (append the event, then wire rf and/or splice mo), and the chain's
-    # intermediate states are never observed — they exist only to be
-    # cloned again.  The three fused constructors below build the final
-    # state in ONE clone with the same container updates the chain would
-    # apply, checked against the sequential composition field for field.
-    # Each returns ``None`` for any shape its chain counterpart would
-    # refuse or fall back on, letting the caller compose the unfused
-    # methods (which carry the definitional fallbacks).
-
-    def _append(self, child: "CompactOrders", e: Event, extra_hb: int) -> int:
-        """Shared tail of the fused constructors: intern ``e`` at the
-        next index with ``extra_hb`` joined into its predecessor mask.
-        Returns the new index."""
-        n = len(self.events_seq)
-        child.events_seq = self.events_seq + (e,)
-        index = dict(self.index)
-        index[e] = n
-        child.index = index
-        child.by_tag = None  # lazy: rebuilt from events_seq on demand
-        child.next_tag = max(self.next_tag, e.tag + 1)
-        mine = self.threads.get(e.tid, ())
-        threads = dict(self.threads)
-        threads[e.tid] = mine + (e,)
-        child.threads = threads
-        mask = self.init_mask | extra_hb
-        if mine:
-            last = self.index[mine[-1]]
-            mask |= self.hb[last] | (1 << last)
-        child.hb = self.hb + (mask,)
-        return n
 
     def _propagate_eco(
         self, child: "CompactOrders", n: int, w_i: int, is_write: bool
     ) -> None:
-        """Extend an already-computed eco sweep to the fused child.
+        """Extend an already-computed eco sweep to the child of :meth:`add`.
 
-        The sweep is a pure function of ``mo``/``rf``, and a fused
-        append perturbs it in one known way: the new event's own mask
+        The sweep is a pure function of ``mo``/``rf``, and an append
+        perturbs it in one known way: the new event's own mask
         is the observed write's prefix (plus, for writes, the observed
         write's readers), and the new bit joins exactly the events
         strictly mo-after the observed write and their readers.  One
@@ -362,81 +294,6 @@ class CompactOrders:
         eco.append(entry)
         child._eco = eco
         ORDER_TIMER.seconds += _clock() - t0
-
-    def add_read_event(self, e: Event, w: Event) -> Optional["CompactOrders"]:
-        """``add_event(e)`` then ``with_rf(w, e)`` in one clone — ``e``
-        a plain read observing the interned write ``w``."""
-        if e.is_init:
-            return None
-        w_i = self.index.get(w)
-        if w_i is None:
-            return None
-        sync = w.action.is_release and e.action.is_acquire
-        child = self._clone()
-        n = self._append(
-            child, e, (self.hb[w_i] | (1 << w_i)) if sync else 0
-        )
-        rf = dict(self.rf)
-        rf[n] = w_i
-        child.rf = rf
-        self._propagate_eco(child, n, w_i, is_write=False)
-        return child
-
-    def add_write_event(self, e: Event, w: Event) -> Optional["CompactOrders"]:
-        """``add_event(e)`` then ``insert_mo_after(w, e)`` in one clone
-        — ``e`` a plain write spliced immediately after ``w``.  The
-        event is mo-placed at birth, so it never enters ``unplaced``."""
-        if e.is_init or e.var is None:
-            return None
-        seq = self.mo.get(e.var, ())
-        if w not in seq:
-            return None
-        child = self._clone()
-        n = self._append(child, e, 0)
-        child.write_mask = self.write_mask | (1 << n)
-        pos = seq.index(w)
-        mo = dict(self.mo)
-        mo[e.var] = seq[: pos + 1] + (e,) + seq[pos + 1 :]
-        child.mo = mo
-        pseq = self.mo_pos[e.var]
-        mo_pos = dict(self.mo_pos)
-        mo_pos[e.var] = pseq[: pos + 1] + (n,) + pseq[pos + 1 :]
-        child.mo_pos = mo_pos
-        self._propagate_eco(child, n, self.index[w], is_write=True)
-        return child
-
-    def add_rmw_event(self, e: Event, w: Event) -> Optional["CompactOrders"]:
-        """``add_event(e)``, ``with_rf(w, e)`` and
-        ``insert_mo_after(w, e)`` in one clone — ``e`` an update reading
-        from and mo-following ``w``."""
-        if e.is_init or e.var is None:
-            return None
-        w_i = self.index.get(w)
-        if w_i is None:
-            return None
-        seq = self.mo.get(e.var, ())
-        if w not in seq:
-            return None
-        sync = w.action.is_release and e.action.is_acquire
-        child = self._clone()
-        n = self._append(
-            child, e, (self.hb[w_i] | (1 << w_i)) if sync else 0
-        )
-        child.write_mask = self.write_mask | (1 << n)
-        rf = dict(self.rf)
-        rf[n] = w_i
-        child.rf = rf
-        child.covered = self.covered | (1 << w_i)
-        pos = seq.index(w)
-        mo = dict(self.mo)
-        mo[e.var] = seq[: pos + 1] + (e,) + seq[pos + 1 :]
-        child.mo = mo
-        pseq = self.mo_pos[e.var]
-        mo_pos = dict(self.mo_pos)
-        mo_pos[e.var] = pseq[: pos + 1] + (n,) + pseq[pos + 1 :]
-        child.mo_pos = mo_pos
-        self._propagate_eco(child, n, w_i, is_write=True)
-        return child
 
     # ------------------------------------------------------------------
     # Derived orders as bitset queries
@@ -751,8 +608,7 @@ def derived_order_divergences(state) -> List[str]:
     ``(fr ∪ mo ∪ rf)+``, observability (EW/OW/CW) per thread, the SRA
     acyclicity answer, the tag index and sequence-derived sort orders,
     and the canonical key.  Empty list = full agreement.  States
-    without a compact form (or mid-step, with unplaced writes) have
-    nothing to check.
+    without a compact form have nothing to check.
 
     This is the oracle behind the hypothesis property tests
     (tests/test_compact.py) and ``repro fuzz --check-orders``.
@@ -761,7 +617,7 @@ def derived_order_divergences(state) -> List[str]:
     from repro.interp.canon import canonical_key
 
     compact = getattr(state, "_compact", None)
-    if compact is None or compact.unplaced:
+    if compact is None:
         return []
     out: List[str] = []
     clone = C11State(

@@ -20,7 +20,7 @@ valid C11 state (Theorem 4.4; checked empirically by
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Union
+from typing import Callable, Iterator, List, Union
 
 from repro.c11.events import Event
 from repro.c11.observability import covered_writes, observable_writes
@@ -93,33 +93,9 @@ def ra_transitions_for_action(
     """
     if action.kind is ActionKind.TAU:
         return
-    tag = state.next_tag()
-    event = Event(tag, action, tid)
-    x = action.var
-    assert x is not None
-
-    if action.kind in (ActionKind.RD, ActionKind.RDA):
-        for w in ra_read_targets(state, tid, x):
-            if w.wrval == action.rdval:
-                target = state.add_event(event).with_rf(w, event)
-                yield RATransition(state, w, event, target)
-        return
-
-    if action.kind in (ActionKind.WR, ActionKind.WRR):
-        for w in ra_write_targets(state, tid, x):
-            target = state.add_event(event).insert_mo_after(w, event)
-            yield RATransition(state, w, event, target)
-        return
-
-    assert action.kind is ActionKind.UPD
-    for w in ra_write_targets(state, tid, x):
-        if w.wrval == action.rdval:
-            target = (
-                state.add_event(event)
-                .with_rf(w, event)
-                .insert_mo_after(w, event)
-            )
-            yield RATransition(state, w, event, target)
+    yield from ra_transitions_for_event(
+        state, Event(state.next_tag(), action, tid)
+    )
 
 
 def ra_transitions_for_event(
@@ -131,32 +107,12 @@ def ra_transitions_for_event(
     a justified pre-execution, so the appended event must keep its tag —
     ``ra_transitions_for_action`` would mint a fresh one.
     """
-    action, tid = event.action, event.tid
-    x = action.var
-    assert x is not None
-
-    if action.kind in (ActionKind.RD, ActionKind.RDA):
-        for w in ra_read_targets(state, tid, x):
-            if w.wrval == action.rdval:
-                target = state.add_event(event).with_rf(w, event)
-                yield RATransition(state, w, event, target)
-        return
-
-    if action.kind in (ActionKind.WR, ActionKind.WRR):
-        for w in ra_write_targets(state, tid, x):
-            target = state.add_event(event).insert_mo_after(w, event)
-            yield RATransition(state, w, event, target)
-        return
-
-    assert action.kind is ActionKind.UPD
-    for w in ra_write_targets(state, tid, x):
-        if w.wrval == action.rdval:
-            target = (
-                state.add_event(event)
-                .with_rf(w, event)
-                .insert_mo_after(w, event)
-            )
-            yield RATransition(state, w, event, target)
+    action = event.action
+    assert action.var is not None
+    targets = ra_write_targets if action.is_write else ra_read_targets
+    for w in targets(state, event.tid, action.var):
+        if not action.is_read or w.wrval == action.rdval:
+            yield RATransition(state, w, event, state.successor(event, w))
 
 
 def ra_successors(
@@ -185,8 +141,7 @@ def ra_successors(
         for w in ra_read_targets(state, tid, var):
             action = intern_action(kind, var, rdval=w.wrval)
             event = Event(tag, action, tid)
-            target = state.read_successor(event, w)
-            yield RATransition(state, w, event, target)
+            yield RATransition(state, w, event, state.successor(event, w))
         return
 
     if kind in (ActionKind.WR, ActionKind.WRR):
@@ -194,8 +149,7 @@ def ra_successors(
         action = intern_action(kind, var, wrval=wrval)
         event = Event(tag, action, tid)
         for w in ra_write_targets(state, tid, var):
-            target = state.write_successor(event, w)
-            yield RATransition(state, w, event, target)
+            yield RATransition(state, w, event, state.successor(event, w))
         return
 
     if kind is ActionKind.UPD:
@@ -204,8 +158,7 @@ def ra_successors(
             written = wrval(w.wrval) if callable(wrval) else wrval
             action = intern_action(kind, var, rdval=w.wrval, wrval=written)
             event = Event(tag, action, tid)
-            target = state.rmw_successor(event, w)
-            yield RATransition(state, w, event, target)
+            yield RATransition(state, w, event, state.successor(event, w))
         return
 
     raise ValueError(f"no RA transition for action kind {kind}")

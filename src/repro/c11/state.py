@@ -13,16 +13,19 @@ Derived orders (Section 3.1)::
     fr  = (rf⁻¹ ; mo) \\ Id          from-read ("reads-before")
     eco = (fr ∪ mo ∪ rf)+            extended coherence order
 
-States are immutable value objects; transitions build new states via
-:meth:`C11State.add_event` / :meth:`C11State.with_rf` /
-:meth:`C11State.insert_mo_after`.
+States are immutable value objects.  A transition of Figure 3 builds
+its successor with :meth:`C11State.successor`; the paper's constructors
+:meth:`C11State.add_event` (``(D, sb) + e``), :meth:`C11State.with_rf`
+and :meth:`C11State.insert_mo_after` (``mo[w, e]``) are the
+definitional reference, over pair-set relations only.
 
 Representation (DESIGN.md §11): states grown from
-:func:`initial_state` carry a :class:`~repro.c11.compact.CompactOrders`
-— interned event indices, per-thread/per-variable order *sequences*, an
-``rf`` int map and per-event ``hb`` bitmasks — maintained incrementally
-by the successor constructors, so the exploration hot path never builds
-a pair set or runs a closure.  The :class:`Relation` views ``sb``,
+:func:`initial_state` by ``successor`` carry a
+:class:`~repro.c11.compact.CompactOrders` — interned event indices,
+per-thread/per-variable order *sequences*, an ``rf`` int map and
+per-event ``hb`` bitmasks — maintained incrementally by its one
+constructor ``CompactOrders.add``, so the exploration hot path never
+builds a pair set or runs a closure.  The :class:`Relation` views ``sb``,
 ``rf``, ``mo`` (and the derived ``sw``/``hb``/``fr``/``eco``) are
 materialised lazily, only for the axiomatic/checking consumers that do
 pair algebra.  States assembled by hand from explicit relations keep
@@ -172,12 +175,8 @@ class C11State:
 
     @property
     def compact(self) -> Optional[CompactOrders]:
-        """The incremental representation, when this state carries one
-        and is not mid-step (a write appended but not yet mo-placed)."""
-        c = self._compact
-        if c is not None and not c.unplaced:
-            return c
-        return None
+        """The incremental representation, when this state carries one."""
+        return self._compact
 
     # ------------------------------------------------------------------
     # Value-object protocol
@@ -199,7 +198,6 @@ class C11State:
                 mine.threads == theirs.threads
                 and mine.mo == theirs.mo
                 and frozenset(mine.rf_pairs()) == frozenset(theirs.rf_pairs())
-                and mine.unplaced == theirs.unplaced
             )
         return (
             self.sb == other.sb
@@ -330,8 +328,8 @@ class C11State:
     def next_tag(self) -> Tag:
         """The smallest positive tag not yet used in this state.
 
-        Carried forward through the successor constructors on compact
-        states instead of re-scanning every event."""
+        Carried forward by ``successor`` on compact states instead of
+        re-scanning every event."""
         c = self._compact
         if c is not None:
             return c.next_tag
@@ -433,19 +431,37 @@ class C11State:
     # Construction of successor states
     # ------------------------------------------------------------------
 
-    def add_event(self, e: Event) -> "C11State":
-        """``(D, sb) + e`` — append ``e`` sb-after the initialising writes
-        and all previous events of its own thread (Section 3.2)."""
+    def successor(self, e: Event, w: Event) -> "C11State":
+        """``σ + e`` observing ``w`` — the target of one Read, Write or
+        RMW step of Figure 3 (DESIGN.md §3): ``(self + e).with_rf(w, e)``
+        when ``e`` reads, then ``.insert_mo_after(w, e)`` when it writes.
+
+        Compact states build the result in one ``CompactOrders.add``
+        clone with one key surgery; any shape ``add`` declines (and
+        every hand-assembled state) takes the definitional chain."""
         c = self._compact
-        if c is not None:
-            if e.tag in c.tag_table():
-                raise ValueError(f"tag {e.tag} already used")
-            child_c = c.add_event(e)
+        # ``tag >= next_tag`` certifies freshness without a tag table;
+        # a replayed older tag is looked up, and a duplicate falls to
+        # ``add_event``, which rejects it.
+        if c is not None and (
+            e.tag >= c.next_tag or e.tag not in c.tag_table()
+        ):
+            child_c = c.add(e, w)
             if child_c is not None:
                 child = C11State._from_compact(None, child_c, self.fast_eco)
                 self._propagate_canon_ids(child, e)
-                self._propagate_key_add(child, e)
+                self._propagate_key_fused(child, e, w)
                 return child
+        child = self.add_event(e)
+        if e.action.is_read:
+            child = child.with_rf(w, e)
+        if e.action.is_write:
+            child = child.insert_mo_after(w, e)
+        return child
+
+    def add_event(self, e: Event) -> "C11State":
+        """``(D, sb) + e`` — append ``e`` sb-after the initialising writes
+        and all previous events of its own thread (Section 3.2)."""
         if any(old.tag == e.tag for old in self.events):
             raise ValueError(f"tag {e.tag} already used")
         new_sb = self.sb.add_all(
@@ -476,161 +492,50 @@ class C11State:
             ids[e] = ("e", e.tid, pos)
         child._canon_ids = ids
 
-    # -- incremental canonical keys (DESIGN.md §4/§11) -----------------
-    #
-    # The canonical key is `(events_part, rf_part, mo_part)` — sorted
-    # tuples over the propagated event identities.  Each successor
-    # constructor changes exactly one part by one sorted insertion (or
-    # one per-variable sequence, for mo), so when the parent has been
-    # keyed the child's key is a tuple surgery, not a re-derivation.
-    # The parts produced must be byte-identical to a fresh
-    # `canon.canonical_key` computation; `derived_order_divergences`
-    # and test_engine's propagation regressions enforce that.
-
-    def _key_parts(self):
-        key = self._canon_key
-        if key is None:
-            return None
-        return key.parts if type(key) is CachedKey else key
-
-    def _propagate_key_add(self, child: "C11State", e: Event) -> None:
-        parts = self._key_parts()
-        ids = child._canon_ids
-        if parts is None or ids is None:
-            return
-        events_part, rf_part, mo_part = parts
-        described = e.described(ids[e])
-        merged = list(events_part)
-        insort(merged, described)
-        child._canon_key = CachedKey((tuple(merged), rf_part, mo_part))
-
-    def _propagate_key_rf(self, child: "C11State", w: Event, r: Event) -> None:
-        parts = self._key_parts()
-        ids = self._canon_ids
-        if parts is None or ids is None:
-            return
-        events_part, rf_part, mo_part = parts
-        pair = (ids[w], ids[r])
-        if pair in rf_part:  # the edge was already present: key unchanged
-            child._canon_key = self._canon_key
-            return
-        merged = list(rf_part)
-        insort(merged, pair)
-        child._canon_key = CachedKey((events_part, tuple(merged), mo_part))
-
-    def _propagate_key_mo(
-        self, child: "C11State", old_seq: Tuple[Event, ...],
-        new_seq: Tuple[Event, ...],
-    ) -> None:
-        parts = self._key_parts()
-        ids = self._canon_ids
-        if parts is None or ids is None:
-            return
-        events_part, rf_part, mo_part = parts
-        merged = list(mo_part)
-        try:
-            merged.remove(tuple(ids[x] for x in old_seq))
-        except (ValueError, KeyError):  # foreign shape: recompute lazily
-            return
-        insort(merged, tuple(ids[x] for x in new_seq))
-        child._canon_key = CachedKey((events_part, rf_part, tuple(merged)))
-
-    # -- fused successor constructors (DESIGN.md §12) ------------------
-    #
-    # The RA semantics never observes the intermediate states of its
-    # add_event/with_rf/insert_mo_after chains; these build the final
-    # state in one compact clone with one fused key surgery.  Each falls
-    # back to composing the unfused constructors (which carry the
-    # definitional pair-set paths and validation) whenever the compact
-    # fast path declines.
-
-    def read_successor(self, e: Event, w: Event) -> "C11State":
-        """``(self + e).with_rf(w, e)`` — ``e`` a fresh plain read."""
-        c = self._compact
-        # ``tag >= next_tag`` certifies freshness without a tag table —
-        # sparse unused tags (hand-built states) take the chained path,
-        # which validates duplicates definitionally.
-        if c is not None and e.tag >= c.next_tag:
-            child_c = c.add_read_event(e, w)
-            if child_c is not None:
-                child = C11State._from_compact(None, child_c, self.fast_eco)
-                self._propagate_canon_ids(child, e)
-                self._propagate_key_fused(child, e, w, rf=True, new_mo=None)
-                return child
-        return self.add_event(e).with_rf(w, e)
-
-    def write_successor(self, e: Event, w: Event) -> "C11State":
-        """``(self + e).insert_mo_after(w, e)`` — ``e`` a fresh write."""
-        c = self._compact
-        if c is not None and e.tag >= c.next_tag:
-            child_c = c.add_write_event(e, w)
-            if child_c is not None:
-                child = C11State._from_compact(None, child_c, self.fast_eco)
-                self._propagate_canon_ids(child, e)
-                self._propagate_key_fused(
-                    child, e, w, rf=False,
-                    new_mo=(c.mo.get(e.var, ()), child_c.mo[e.var]),
-                )
-                return child
-        return self.add_event(e).insert_mo_after(w, e)
-
-    def rmw_successor(self, e: Event, w: Event) -> "C11State":
-        """``(self + e).with_rf(w, e).insert_mo_after(w, e)`` — ``e`` a
-        fresh update reading from and mo-following ``w``."""
-        c = self._compact
-        if c is not None and e.tag >= c.next_tag:
-            child_c = c.add_rmw_event(e, w)
-            if child_c is not None:
-                child = C11State._from_compact(None, child_c, self.fast_eco)
-                self._propagate_canon_ids(child, e)
-                self._propagate_key_fused(
-                    child, e, w, rf=True,
-                    new_mo=(c.mo.get(e.var, ()), child_c.mo[e.var]),
-                )
-                return child
-        return self.add_event(e).with_rf(w, e).insert_mo_after(w, e)
-
     def _propagate_key_fused(
-        self, child: "C11State", e: Event, w: Event,
-        rf: bool, new_mo,
+        self, child: "C11State", e: Event, w: Event
     ) -> None:
-        """One key surgery for a fused successor: the event insertion,
-        plus the rf pair and/or the mo-sequence replacement, producing
-        the same parts the chained propagations compose."""
-        parts = self._key_parts()
+        """The child's canonical key by tuple surgery (DESIGN.md §4/§11).
+
+        The key is ``(events_part, rf_part, mo_part)`` — sorted tuples
+        over the propagated event identities — and a successor changes
+        it by one event insertion, plus one rf pair when ``e`` reads and
+        one per-variable mo sequence when it writes.  When the parent
+        has been keyed, the parts produced must be byte-identical to a
+        fresh ``canon.canonical_key`` derivation;
+        ``derived_order_divergences`` and test_engine's propagation
+        regressions enforce that."""
+        key = self._canon_key
         ids = child._canon_ids
-        if parts is None or ids is None:
+        if key is None or ids is None:
             return
-        events_part, rf_part, mo_part = parts
+        events_part, rf_part, mo_part = (
+            key.parts if type(key) is CachedKey else key
+        )
         merged_e = list(events_part)
         insort(merged_e, e.described(ids[e]))
-        if rf:
+        action = e.action
+        if action.is_read:
             merged_rf = list(rf_part)
             insort(merged_rf, (ids[w], ids[e]))
             rf_part = tuple(merged_rf)
-        if new_mo is not None:
-            old_seq, new_seq = new_mo
+        if action.is_write:
             merged_mo = list(mo_part)
             try:
-                merged_mo.remove(tuple(ids[x] for x in old_seq))
+                merged_mo.remove(
+                    tuple(ids[x] for x in self._compact.mo[action.var])
+                )
             except (ValueError, KeyError):  # foreign shape: recompute lazily
                 return
-            insort(merged_mo, tuple(ids[x] for x in new_seq))
+            insort(
+                merged_mo,
+                tuple(ids[x] for x in child._compact.mo[action.var]),
+            )
             mo_part = tuple(merged_mo)
         child._canon_key = CachedKey((tuple(merged_e), rf_part, mo_part))
 
     def with_rf(self, w: Event, r: Event) -> "C11State":
         """The state with an additional reads-from edge ``(w, r)``."""
-        c = self._compact
-        if c is not None:
-            child_c = c.with_rf(w, r)
-            if child_c is not None:
-                child = C11State._from_compact(
-                    self._events, child_c, self.fast_eco
-                )
-                child._canon_ids = self._canon_ids  # ids depend on (D, sb)
-                self._propagate_key_rf(child, w, r)
-                return child
         child = C11State(
             self.events, self.sb, self.rf.add((w, r)), self.mo, self.fast_eco
         )
@@ -644,18 +549,6 @@ class C11State:
         ``mo+w = {w} ∪ mo⁻¹[w]``: everything up to and including ``w``
         precedes ``e``, and ``e`` precedes everything after ``w``.
         """
-        c = self._compact
-        if c is not None:
-            child_c = c.insert_mo_after(w, e)
-            if child_c is not None:
-                child = C11State._from_compact(
-                    self._events, child_c, self.fast_eco
-                )
-                child._canon_ids = self._canon_ids  # ids depend on (D, sb)
-                self._propagate_key_mo(
-                    child, c.mo.get(e.var, ()), child_c.mo[e.var]
-                )
-                return child
         before = self.mo.downset(w)  # {w} ∪ mo⁻¹[w]
         after = self.mo.image(w)
         new_pairs = {(b, e) for b in before} | {(e, a) for a in after}

@@ -108,10 +108,15 @@ def _model_names(names: str) -> List[str]:
 
 
 def _load(path: str):
-    from repro.lang.parser import parse_litmus
+    """The parsed litmus file; an unreadable or unparsable file is a
+    :class:`UsageError`."""
+    from repro.lang.parser import ParseError, parse_litmus
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_litmus(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_litmus(handle.read())
+    except (OSError, UnicodeDecodeError, ParseError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 #: Ledger payload of the command that just ran: handlers stash their
@@ -566,8 +571,11 @@ def _load_outline_spec(path: str):
         for name in verify.__all__
     }
     namespace["__file__"] = path
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    except OSError as exc:
+        raise UsageError(str(exc)) from None
     exec(compile(source, path, "exec"), namespace)  # noqa: S102 - spec file
     outline = namespace.get("OUTLINE")
     if outline is None and callable(namespace.get("outline")):
@@ -616,10 +624,11 @@ def cmd_dot(args: argparse.Namespace) -> int:
     from repro.litmus.registry import final_values
     from repro.util.dot import state_to_dot
 
+    plan = _plan(max_events=args.max_events)
     parsed = _load(args.file)
     model = _model(args.model)
     result = explore(
-        parsed.program, parsed.init, model, max_events=args.max_events
+        parsed.program, parsed.init, model, max_events=plan.max_events
     )
     if not result.terminal:
         print("no terminal state within the bound", file=sys.stderr)
@@ -699,11 +708,12 @@ def cmd_runs(args: argparse.Namespace) -> int:
 def cmd_soundness(args: argparse.Namespace) -> int:
     from repro.checking.soundness import check_soundness
 
+    plan = _plan(max_events=args.max_events)
     parsed = _load(args.file)
     report = check_soundness(
         parsed.program,
         parsed.init,
-        max_events=args.max_events,
+        max_events=plan.max_events,
         name=parsed.name,
     )
     print(report.row())
@@ -777,7 +787,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="periodically snapshot the search's complete loop state to "
-        "an atomic repro-ckpt/3 file; a resumed run finishes "
+        "an atomic repro-ckpt/4 file; a resumed run finishes "
         "byte-identically (DESIGN.md §16)",
     )
     run.add_argument(

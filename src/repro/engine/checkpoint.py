@@ -9,9 +9,9 @@ search exactly: configs, transitions, terminal outcome sets and
 counterexamples are byte-identical to the uninterrupted run (pinned by
 the kill-and-resume parity tests in ``tests/test_checkpoint.py``).
 
-File format (``repro-ckpt/3``)::
+File format (``repro-ckpt/4``)::
 
-    b"repro-ckpt/3\\n"  +  pickle({"fingerprint": ..., "payload": ...})
+    b"repro-ckpt/4\\n"  +  pickle({"fingerprint": ..., "payload": ...})
 
 * The **fingerprint** identifies the run the state belongs to: a digest
   of the program source, the model name, the bounds, strategy,
@@ -31,8 +31,9 @@ File format (``repro-ckpt/3``)::
   map, so the parent map's keys are the visited image.  Version 2
   replaced version 1 when parents stopped carrying steps; version 3
   replaced version 2 when payloads stopped carrying a ``"seen"`` image
-  beside the parent map.  A file of another version is refused by
-  name.
+  beside the parent map; version 4 replaced version 3 when the pickled
+  ``CompactOrders`` of frontier states lost its slot for writes not
+  yet placed in ``mo``.  A file of another version is refused by name.
 
 Writes go to a temporary file in the target directory followed by
 ``os.replace`` — a crash mid-checkpoint leaves the previous checkpoint
@@ -46,8 +47,8 @@ import os
 import pickle
 from typing import Optional, Tuple
 
-MAGIC = b"repro-ckpt/3\n"
-SCHEMA_NAME = "repro-ckpt/3"
+MAGIC = b"repro-ckpt/4\n"
+SCHEMA_NAME = "repro-ckpt/4"
 
 
 class CheckpointError(RuntimeError):

@@ -974,7 +974,7 @@ def explore_sharded(
     The plan's checkpoint surface works as in the single-process search
     (DESIGN.md §16): snapshots are taken at superstep barriers —
     per-shard core images assembled by the coordinator into ONE atomic
-    ``repro-ckpt/3`` file with algorithm tag ``"shard"`` — and resume
+    ``repro-ckpt/4`` file with algorithm tag ``"shard"`` — and resume
     requires the identical shard count (it is part of the fingerprint).
     Process mode runs under attempt-level supervision: silently dying
     workers are detected, the fleet respawned from the latest

@@ -42,8 +42,10 @@ are opt-in):
    agree with the definitional closures recomputed from the
    materialised relations
    (:func:`repro.c11.compact.derived_order_divergences`, DESIGN.md
-   §11).  The continuous soundness check of the compact order engine,
-   run over whole campaigns.
+   §11).  A reachable state without the compact form is itself a
+   divergence: every state grown from ``initial_state`` carries it.
+   The continuous soundness check of the compact order engine, run
+   over whole campaigns.
 
 6. **Shard parity** (``check_shards=True`` / ``repro fuzz
    --check-shards``, off by default) — re-explore the program under RA
@@ -275,6 +277,14 @@ def check_program(
         from repro.c11.compact import derived_order_divergences
 
         for state in ra_states:
+            if state.compact is None:
+                # every state grown from initial_state carries the form
+                # (DESIGN.md §11); without it the check below is vacuous
+                report.divergence = "orders"
+                report.detail = (
+                    f"RA-reachable state carries no compact form: {state!r}"
+                )
+                return report
             problems = derived_order_divergences(state)
             if problems:
                 report.divergence = "orders"

@@ -18,9 +18,10 @@ Memoization (DESIGN.md §4): the event-identity map is cached on the
 state object (``_canon_ids``) and *propagated incrementally* — appending
 an event via ``(D, sb) + e`` places it sb-last in its thread, so the
 child's identity map is the parent's plus one entry, and adding ``rf`` /
-``mo`` edges changes no identities at all.  ``C11State.add_event`` /
-``with_rf`` / ``insert_mo_after`` exploit exactly this, which removes
-the dominant cost of keying from the exploration hot path.  The final
+``mo`` edges changes no identities at all.  ``C11State.successor`` (and
+the definitional ``add_event`` / ``with_rf`` / ``insert_mo_after``)
+exploit exactly this, which removes the dominant cost of keying from
+the exploration hot path.  The final
 key is additionally memoized per object by
 :func:`repro.engine.keys.cached_canonical_key`.
 """

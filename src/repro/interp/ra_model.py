@@ -63,25 +63,19 @@ class RAMemoryModel(MemoryModel[C11State]):
         kind, var, action = step.kind, step.var, step.action
         tag = state.next_tag()
         out = []
-        if kind.is_update:
-            for w in ra_write_targets(state, tid, var):
+        if kind.is_read:
+            targets = ra_write_targets if kind.is_update else ra_read_targets
+            for w in targets(state, tid, var):
                 rv = w.wrval
                 event = Event(tag, action(rv), tid)
                 out.append(MemoryTransition(
-                    state.rmw_successor(event, w), rv, event, w
-                ))
-        elif kind.is_read:
-            for w in ra_read_targets(state, tid, var):
-                rv = w.wrval
-                event = Event(tag, action(rv), tid)
-                out.append(MemoryTransition(
-                    state.read_successor(event, w), rv, event, w
+                    state.successor(event, w), rv, event, w
                 ))
         elif kind.is_write:
             event = Event(tag, action(), tid)
             for w in ra_write_targets(state, tid, var):
                 out.append(MemoryTransition(
-                    state.write_successor(event, w), None, event, w
+                    state.successor(event, w), None, event, w
                 ))
         else:
             raise ValueError(f"no RA transition for action kind {kind}")

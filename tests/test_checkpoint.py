@@ -1,4 +1,4 @@
-"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/3 format.
+"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/4 format.
 
 The fault-tolerance contract (DESIGN.md §16), half one: a run
 interrupted at an arbitrary point and resumed from its last snapshot
@@ -206,7 +206,7 @@ def test_checkpointing_is_observation_free(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The repro-ckpt/3 format: atomicity, magic, fingerprints
+# The repro-ckpt/4 format: atomicity, magic, fingerprints
 # ----------------------------------------------------------------------
 
 
@@ -236,11 +236,14 @@ def test_bad_magic_is_refused(tmp_path):
         read_checkpoint(str(path))
 
 
-@pytest.mark.parametrize("schema", ["repro-ckpt/1", "repro-ckpt/2"])
+@pytest.mark.parametrize(
+    "schema", ["repro-ckpt/1", "repro-ckpt/2", "repro-ckpt/3"]
+)
 def test_previous_schema_is_refused_by_name(tmp_path, schema):
-    """A repro-ckpt/1 file (whose parent map carried whole steps) or a
+    """A repro-ckpt/1 file (whose parent map carried whole steps), a
     repro-ckpt/2 file (which carried a visited-set image beside the
-    parent map) is refused with an error naming its schema, never
+    parent map) or a repro-ckpt/3 file (whose compact states carried an
+    ``unplaced`` slot) is refused with an error naming its schema, never
     unpickled into the current loop."""
     path = tmp_path / "old.ckpt"
     path.write_bytes(

@@ -27,6 +27,7 @@ forbidden (r1 = 1 /\\ r2 = 0)
 
 #: A committed litmus file, for parametrised cases that take no fixture.
 SEED_LITMUS = str(Path(__file__).parent / "fuzz_corpus" / "seed_cond_swap.litmus")
+MISSING_LITMUS = str(Path(__file__).parent / "fuzz_corpus" / "no-such.litmus")
 
 
 @pytest.fixture
@@ -337,23 +338,41 @@ def test_suite_crashed_job_renders_error_footer(capsys, monkeypatch):
         ["suite", "--models", "ra,tso"],
         ["verify", "peterson", "--model", "tso"],
         ["fuzz", "--profile", "enormous", "--iters", "1"],
+        ["dot", MISSING_LITMUS],
+        ["dot", SEED_LITMUS, "--max-events", "-1"],
+        ["soundness", MISSING_LITMUS],
+        ["soundness", SEED_LITMUS, "--max-events", "-1"],
+        ["verify", "--file", MISSING_LITMUS, "--outline", MISSING_LITMUS],
+        ["verify", "--file", SEED_LITMUS, "--outline", MISSING_LITMUS],
     ],
     ids=[
         "suite-shards-dfs", "suite-shards-0", "suite-shards-optimal",
         "verify-name-cap-0", "verify-all-cap-0", "verify-all-cap-negative",
         "run-unknown-model", "suite-unknown-model", "verify-unknown-model",
-        "fuzz-unknown-profile",
+        "fuzz-unknown-profile", "dot-missing-file", "dot-negative-bound",
+        "soundness-missing-file", "soundness-negative-bound",
+        "verify-missing-file", "verify-missing-outline",
     ],
 )
 def test_plan_errors_are_one_line_on_every_command(capsys, argv):
-    """A search-plan error fails every command the way it fails
-    ``repro run``: one ``repro <cmd>: error: ...`` line, status 2."""
+    """A search-plan error, unknown name or unreadable file fails every
+    command the way it fails ``repro run``: one
+    ``repro <cmd>: error: ...`` line, status 2."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"repro {argv[0]}: error: ")
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "dot", "soundness"])
+def test_undecodable_litmus_file_is_one_line(tmp_path, capsys, command):
+    path = tmp_path / "binary.litmus"
+    path.write_bytes(b"\xff\xfe\x00 not text")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"repro {command}: error: ")
 
 
 def test_verify_all_honours_max_configs(capsys):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.c11.compact import CompactOrders, derived_order_divergences
 from repro.c11.events import Event
 from repro.c11.state import C11State, initial_state
+from repro.engine.keys import cached_canonical_key
 from repro.fuzz.generator import PROFILES, generate_case
 from repro.interp.canon import canonical_key
 from repro.interp.explore import explore, reachable_states
@@ -28,6 +29,7 @@ from repro.interp.sra_model import SRAMemoryModel, sra_consistent
 from repro.lang.actions import rd, rda, upd, wr, wrr
 from repro.lang.builder import assign, seq, var
 from repro.lang.program import Program
+from repro.litmus.suite import ALL_TESTS
 
 
 # ----------------------------------------------------------------------
@@ -116,19 +118,25 @@ def test_event_by_tag_and_next_tag_carried_forward():
     state = initial_state({"x": 0, "y": 0})
     assert state.next_tag() == 1
     e1 = Event(1, wr("x", 5), 1)
-    s1 = state.add_event(e1).insert_mo_after(state.last("x"), e1)
+    s1 = state.successor(e1, state.last("x"))
+    assert s1.compact is not None
     assert s1.next_tag() == 2
     assert s1.event_by_tag(1) is e1
     with pytest.raises(KeyError):
         s1.event_by_tag(99)
     # replayed (non-minimal) tags advance the carried counter past them
     e7 = Event(7, wr("y", 1), 2)
-    s2 = s1.add_event(e7).insert_mo_after(s1.last("y"), e7)
+    s2 = s1.successor(e7, s1.last("y"))
+    assert s2.compact is not None
     assert s2.next_tag() == 8
     assert s2.event_by_tag(7) is e7
+    # an unused tag below the counter stays on the compact path
+    e3 = Event(3, rd("y", 1), 1)
+    s3 = s2.successor(e3, e7)
+    assert s3.compact is not None and s3.next_tag() == 8
     # duplicate tags are rejected exactly as before
     with pytest.raises(ValueError):
-        s2.add_event(Event(7, wr("x", 1), 1))
+        s3.successor(Event(7, wr("x", 1), 1), e1)
 
 
 def test_event_by_tag_on_relational_states_is_cached():
@@ -143,11 +151,12 @@ def test_writes_on_and_events_of_read_the_sequences():
     state = initial_state({"x": 0})
     init = state.last("x")
     w1 = Event(1, wrr("x", 1), 1)
-    s = state.add_event(w1).insert_mo_after(init, w1)
+    s = state.successor(w1, init)
     u = Event(2, upd("x", 1, 2), 2)
-    s = s.add_event(u).with_rf(w1, u).insert_mo_after(w1, u)
+    s = s.successor(u, w1)
     r = Event(3, rda("x", 2), 1)
-    s = s.add_event(r).with_rf(u, r)
+    s = s.successor(r, u)
+    assert s.compact is not None  # else the checks below are vacuous
     assert s.writes_on("x") == (init, w1, u)
     assert s.events_of(1) == (w1, r)
     assert s.events_of(2) == (u,)
@@ -157,44 +166,78 @@ def test_writes_on_and_events_of_read_the_sequences():
     assert derived_order_divergences(s) == []
 
 
-def test_mid_step_states_answer_via_the_fallback():
-    """A write appended but not yet mo-inserted (the transient middle of
-    a Write step) must not answer from the compact form — `writes_on`
-    still reports it, via the relational path, exactly as before."""
-    state = initial_state({"x": 0})
-    w = Event(1, wr("x", 1), 1)
-    mid = state.add_event(w)  # no insert_mo_after yet
-    assert mid.compact is None  # unplaced guard
-    assert mid._compact is not None and mid._compact.unplaced == (w,)
-    assert set(mid.writes_on("x")) == {state.last("x"), w}
-    done = mid.insert_mo_after(state.last("x"), w)
-    assert done.compact is not None
-    assert done.writes_on("x") == (state.last("x"), w)
-
-
 # ----------------------------------------------------------------------
 # Incremental canonical keys
 # ----------------------------------------------------------------------
 
 
 def test_propagated_keys_match_fresh_derivation_along_rf_mo_edits():
-    """`with_rf` and `insert_mo_after` propagate the canonical key by
-    tuple surgery; wiping the caches and re-deriving must agree at
-    every step of a Write/RMW construction chain."""
+    """`successor` propagates the canonical key by tuple surgery;
+    wiping the caches and re-deriving must agree after every Write and
+    RMW step."""
     state = initial_state({"x": 0})
-    canonical_key(state)  # prime ids + key, as exploration does
+    # prime ids + key, as exploration does
     state._canon_key = canonical_key(state)
     init = state.last("x")
     w = Event(1, wrr("x", 1), 1)
-    s1 = state.add_event(w).insert_mo_after(init, w)
+    s1 = state.successor(w, init)
     u = Event(2, upd("x", 1, 3), 2)
-    s2 = s1.add_event(u).with_rf(w, u).insert_mo_after(w, u)
+    s2 = s1.successor(u, w)
     for s in (s1, s2):
+        assert s.compact is not None  # else no surgery ran
         propagated = s._canon_key
         assert propagated is not None, "key was not propagated"
         s._canon_key = None
         s._canon_ids = None
         assert canonical_key(s) == propagated
+
+
+def _definitional_successor(state, e, w):
+    """The paper's constructors chained: ``(D, sb) + e``, then the rf
+    edge when ``e`` reads and the ``mo[w, e]`` splice when it writes."""
+    child = state.add_event(e)
+    if e.is_read:
+        child = child.with_rf(w, e)
+    if e.is_write:
+        child = child.insert_mo_after(w, e)
+    return child
+
+
+@pytest.mark.parametrize("model_factory", [RAMemoryModel, SRAMemoryModel])
+def test_successor_matches_the_definitional_chain(model_factory):
+    """At every configuration the litmus registry reaches, every Read,
+    Write and RMW transition's ``successor(e, w)`` equals — and keys
+    identically to — the paper's constructors chained on the
+    relation-only clone."""
+    model = model_factory()
+    checked = 0
+
+    def check(config):
+        nonlocal checked
+        state = config.state
+        model.drop_memo(state)  # build the lists afresh from a keyed parent
+        cached_canonical_key(state)
+        clone = C11State(
+            state.events, state.sb, state.rf, state.mo,
+            fast_eco=state.fast_eco,
+        )
+        for tid, step in config.program.pending_steps().items():
+            if step.is_silent:
+                continue
+            for mt in model.transitions_list(state, tid, step):
+                ref = _definitional_successor(clone, mt.event, mt.observed)
+                assert mt.target.compact is not None
+                assert mt.target == ref
+                assert cached_canonical_key(mt.target) == canonical_key(ref)
+                checked += 1
+        return []
+
+    for test in ALL_TESTS:
+        explore(
+            test.program, test.init, model,
+            max_events=test.max_events, check_config=check,
+        )
+    assert checked
 
 
 # ----------------------------------------------------------------------
@@ -203,16 +246,19 @@ def test_propagated_keys_match_fresh_derivation_along_rf_mo_edits():
 
 
 def test_compact_guards_fall_back_to_none():
-    state = initial_state({"x": 0})
+    state = initial_state({"x": 0, "y": 0})
     c = state._compact
     assert isinstance(c, CompactOrders)
-    init = state.last("x")
+    init_x, init_y = state.last("x"), state.last("y")
     # appending an initialising write is outside the incremental form
-    assert c.add_event(Event(-9, wr("z", 0), 0)) is None
-    # unknown events cannot be rf/mo-linked
-    stranger = Event(5, rd("x", 0), 1)
-    assert c.with_rf(init, stranger) is None
-    assert c.insert_mo_after(init, stranger) is None
+    assert c.add(Event(-9, wr("z", 0), 0), init_x) is None
+    # an unindexed observed write cannot be rf/mo-linked
+    stranger = Event(5, wr("x", 0), 1)
+    assert c.add(Event(6, rd("x", 0), 1), stranger) is None
+    # a write must splice after a write of its own variable's mo
+    assert c.add(Event(6, wr("x", 1), 1), init_y) is None
+    # successor takes the definitional chain for a shape add declines
+    assert state.successor(Event(6, wr("x", 1), 1), init_y).compact is None
 
 
 def test_order_timer_accumulates_into_engine_stats():

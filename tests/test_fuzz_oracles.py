@@ -4,6 +4,7 @@ detection with deliberately broken models, and bound handling."""
 import pytest
 from fuzz_helpers import BrokenSRA
 
+from repro.c11.state import C11State
 from repro.fuzz import oracles
 from repro.fuzz.generator import PROFILES, GeneratedCase, generate_case
 from repro.fuzz.oracles import REFINEMENT_CHAIN, check_program
@@ -15,6 +16,15 @@ from repro.lang.program import Program
 class _CrashingRA(RAMemoryModel):
     def transitions_list(self, state, tid, step):
         raise RuntimeError("deliberately broken")
+
+
+class _RelationalRA(RAMemoryModel):
+    """RA grown from a hand-assembled initial state: the successors
+    take the definitional path, so no state carries a compact form."""
+
+    def initial(self, init_values):
+        s = super().initial(init_values)
+        return C11State(s.events, s.sb, s.rf, s.mo, fast_eco=s.fast_eco)
 
 
 def _sb_case() -> GeneratedCase:
@@ -61,6 +71,16 @@ def test_crashing_model_is_a_finding_not_an_error(monkeypatch):
     report = check_program(_sb_case())
     assert report.divergence == "crash"
     assert "deliberately broken" in report.detail
+
+
+def test_state_without_compact_form_is_an_orders_divergence(monkeypatch):
+    """The derived-order oracle cannot pass vacuously: an RA-reachable
+    state with no compact form to check is reported, not skipped."""
+    monkeypatch.setitem(oracles.ORACLE_MODELS, "ra", _RelationalRA)
+    assert check_program(_sb_case()).ok
+    report = check_program(_sb_case(), check_orders=True)
+    assert report.divergence == "orders"
+    assert "no compact form" in report.detail
 
 
 def test_capped_exploration_is_inconclusive_not_divergent():
