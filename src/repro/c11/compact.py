@@ -15,6 +15,11 @@ that work on the hot path:
   the one successor constructor, :meth:`CompactOrders.add`, only ever
   appends.  A ``by_tag`` table and a carried ``next_tag`` kill the O(n)
   scans of ``C11State.event_by_tag``/``next_tag``.
+* **Validate now, build later** — :meth:`CompactOrders.placement`
+  checks a step without a clone; ``C11State.successor`` keeps the
+  result in a deferred child, whose ``compact`` property runs
+  :meth:`CompactOrders.add` on first read (counted by :data:`BUILDS`).
+  A deferred child holds its parent's form, never the parent state.
 * **Total orders as sequences** — ``sb`` is per-thread ordered tuples
   (``threads``) plus the unordered initialisation block (``inits``);
   ``mo`` is per-variable ordered tuples.  O(n) instead of O(n²), with
@@ -89,6 +94,29 @@ class OrderTimerStats:
 #: The one derived-order timer of this process (workers of the parallel
 #: runner each get their own copy — fork/spawn isolation).
 ORDER_TIMER = OrderTimerStats()
+
+
+class BuildStats:
+    """Process-wide count of compact forms built by :meth:`CompactOrders.add`.
+
+    ``C11State.successor`` defers the build until something reads the
+    child's compact form, so this counts the states a search actually
+    used, not the successors it enumerated.  The engine charges each
+    run with its delta as ``EngineStats.states_built``, the same
+    discipline as :data:`ORDER_TIMER`.
+    """
+
+    __slots__ = ("built",)
+
+    def __init__(self) -> None:
+        self.built = 0
+
+    def __repr__(self) -> str:
+        return f"BuildStats(built={self.built})"
+
+
+#: The one build counter of this process.
+BUILDS = BuildStats()
 
 _clock = time.perf_counter
 
@@ -187,32 +215,47 @@ class CompactOrders:
     # Incremental successor construction
     # ------------------------------------------------------------------
 
-    def add(self, e: Event, w: Event) -> Optional["CompactOrders"]:
+    def placement(self, e: Event, w: Event) -> Optional[int]:
+        """Whether :meth:`add` covers ``σ + e`` with ``e`` observing
+        ``w``, checked without a clone: the index of ``w`` in its
+        variable's ``mo`` sequence when ``e`` writes (``e`` is spliced
+        right after it), ``-1`` when ``e`` only reads, and ``None`` for
+        a shape the incremental form does not cover — an initialising
+        ``e``, a ``w`` that is not interned, a write whose ``w`` is not
+        in its variable's ``mo`` sequence, or a tag already in use.
+        ``C11State.successor`` then takes the definitional
+        constructors instead.
+
+        ``tag >= next_tag`` certifies freshness without a tag table; a
+        replayed older tag is looked up.
+        """
+        if e.is_init or w not in self.index:
+            return None
+        if e.tag < self.next_tag and e.tag in self.tag_table():
+            return None
+        action = e.action
+        if not action.is_write:
+            return -1
+        try:
+            return self.mo.get(action.var, ()).index(w)
+        except ValueError:
+            return None
+
+    def add(self, e: Event, w: Event, pos: int) -> "CompactOrders":
         """``σ + e`` with ``e`` observing the interned write ``w``, in
         one clone: the event append ``(D, sb) + e``, then the edge
         ``rf ∪ {(w, e)}`` when ``e`` reads and the splice ``mo[w, e]``
-        when it writes (an update does both).
+        (after position ``pos``) when it writes (an update does both).
 
-        The appended event is sb-maximal, so no existing ``hb`` mask
-        changes, and it is mo-placed at birth.  Returns ``None`` for
-        shapes the incremental form does not cover — an initialising
-        ``e``, a ``w`` that is not interned, or a write whose ``w`` is
-        not in its variable's ``mo`` sequence — letting the caller fall
-        back to the definitional constructors.
+        ``pos`` is what :meth:`placement` returned for ``(e, w)``; this
+        is the one constructor of a compact form past ``σ_0``, and it
+        cannot fail.  The appended event is sb-maximal, so no existing
+        ``hb`` mask changes, and it is mo-placed at birth.
         """
-        if e.is_init:
-            return None
-        w_i = self.index.get(w)
-        if w_i is None:
-            return None
+        BUILDS.built += 1
+        w_i = self.index[w]
         action = e.action
         writes = action.is_write
-        if writes:
-            seq = self.mo.get(action.var, ())
-            try:
-                pos = seq.index(w)
-            except ValueError:
-                return None
         child = self._clone()
         n = len(self.events_seq)
         child.events_seq = self.events_seq + (e,)
@@ -240,6 +283,7 @@ class CompactOrders:
         child.hb = self.hb + (mask,)
         if writes:
             child.write_mask = self.write_mask | (1 << n)
+            seq = self.mo[action.var]
             mo = dict(self.mo)
             mo[action.var] = seq[: pos + 1] + (e,) + seq[pos + 1 :]
             child.mo = mo
@@ -616,7 +660,7 @@ def derived_order_divergences(state) -> List[str]:
     from repro.c11.state import C11State
     from repro.interp.canon import canonical_key
 
-    compact = getattr(state, "_compact", None)
+    compact = state.compact
     if compact is None:
         return []
     out: List[str] = []
@@ -710,6 +754,8 @@ def derived_order_divergences(state) -> List[str]:
 
 
 __all__ = [
+    "BUILDS",
+    "BuildStats",
     "CachedKey",
     "CompactOrders",
     "ORDER_TIMER",

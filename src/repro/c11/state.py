@@ -25,11 +25,17 @@ Representation (DESIGN.md §11): states grown from
 per-thread/per-variable order *sequences*, an ``rf`` int map and
 per-event ``hb`` bitmasks — maintained incrementally by its one
 constructor ``CompactOrders.add``, so the exploration hot path never
-builds a pair set or runs a closure.  The :class:`Relation` views ``sb``,
-``rf``, ``mo`` (and the derived ``sw``/``hb``/``fr``/``eco``) are
-materialised lazily, only for the axiomatic/checking consumers that do
-pair algebra.  States assembled by hand from explicit relations keep
-the original representation and code paths throughout.
+builds a pair set or runs a closure.  A successor is born *deferred*:
+its canonical key and ``program_events`` are derived from the parent
+at once, and its compact form (with its event-identity map) is built
+by the :attr:`C11State.compact` property on first read — the one gate
+every other view goes through.  Most successors duplicate a known
+configuration or sit at the event bound and are never built.  The
+:class:`Relation` views ``sb``, ``rf``, ``mo`` (and the derived
+``sw``/``hb``/``fr``/``eco``) are materialised lazily, only for the
+axiomatic/checking consumers that do pair algebra.  States assembled by
+hand from explicit relations keep the original representation and code
+paths throughout.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ class C11State:
         "_mo",
         "fast_eco",
         "_compact",
+        "_pending",
         "_sw",
         "_hb",
         "_fr",
@@ -91,6 +98,8 @@ class C11State:
         #: The incremental representation (DESIGN.md §11); ``None`` for
         #: hand-assembled states, which use the relations directly.
         self._compact: Optional[CompactOrders] = None
+        #: What a deferred successor still has to build (see ``compact``).
+        self._pending: Optional[tuple] = None
         #: program (non-initialising) events: the event bound's
         #: measure, kept so ``repro.engine.core.bound_cut`` is O(1)
         self.program_events: int = sum(
@@ -106,7 +115,7 @@ class C11State:
         self._writes_by_var: Optional[Dict[Var, List[Event]]] = None
         self._events_by_tid: Optional[Dict[Tid, List[Event]]] = None
         self._by_tag: Optional[Dict[Tag, Event]] = None
-        self._last: Dict[Var, Optional[Event]] = {}
+        self._last: Optional[Dict[Var, Optional[Event]]] = None
         self._hash: Optional[int] = None
         #: Canonical-key memoization (see repro.interp.canon and
         #: repro.engine.keys): the full key, computed at most once per
@@ -121,13 +130,20 @@ class C11State:
         self._ra_trans: Optional[dict] = None
 
     @classmethod
-    def _from_compact(
-        cls, events: Optional[FrozenSet[Event]], compact: CompactOrders,
-        fast_eco: bool,
+    def _lazy(
+        cls, events: Optional[FrozenSet[Event]],
+        compact: Optional[CompactOrders], pending: Optional[tuple],
+        fast_eco: bool, program_events: int,
     ) -> "C11State":
         """A state whose event set and relations materialise lazily from
-        ``compact`` (``events=None`` on the successor hot path — the
-        interned sequence already holds them)."""
+        its compact form: ``compact`` itself (``σ_0``), or, for a
+        successor born deferred, the form its ``compact`` property
+        builds from ``pending`` on first read.
+
+        ``pending`` is ``(parent compact, parent id map, e, w, pos)``:
+        everything :meth:`CompactOrders.add` and the id-map propagation
+        need, and never the parent state itself (whose memo holds this
+        child, so a back-pointer would make a cycle)."""
         self = cls.__new__(cls)
         self._events = events
         self._sb = None
@@ -135,7 +151,8 @@ class C11State:
         self._mo = None
         self.fast_eco = fast_eco
         self._compact = compact
-        self.program_events = len(compact.events_seq) - len(compact.inits)
+        self._pending = pending
+        self.program_events = program_events
         self._init_lazy()
         return self
 
@@ -149,34 +166,48 @@ class C11State:
         sequence on compact-built states, so the successor hot path
         never rebuilds a frozenset)."""
         if self._events is None:
-            self._events = frozenset(self._compact.events_seq)
+            self._events = frozenset(self.compact.events_seq)
         return self._events
 
     @property
     def sb(self) -> Relation:
         """Sequenced-before, as a pair-set :class:`Relation` view."""
         if self._sb is None:
-            self._sb = Relation(self._compact.sb_pairs())
+            self._sb = Relation(self.compact.sb_pairs())
         return self._sb
 
     @property
     def rf(self) -> Relation:
         """Reads-from, as a pair-set :class:`Relation` view."""
         if self._rf is None:
-            self._rf = Relation(self._compact.rf_pairs())
+            self._rf = Relation(self.compact.rf_pairs())
         return self._rf
 
     @property
     def mo(self) -> Relation:
         """Modification order, as a pair-set :class:`Relation` view."""
         if self._mo is None:
-            self._mo = Relation(self._compact.mo_pairs())
+            self._mo = Relation(self.compact.mo_pairs())
         return self._mo
 
     @property
     def compact(self) -> Optional[CompactOrders]:
-        """The incremental representation, when this state carries one."""
-        return self._compact
+        """The incremental representation, when this state carries one.
+
+        The one gate to it: a successor built by :meth:`successor` is
+        born keyed but unbuilt, and the first read here runs its
+        ``CompactOrders.add`` and carries the parent's event-identity
+        map forward (DESIGN.md §11)."""
+        c = self._compact
+        if c is None and self._pending is not None:
+            parent, ids, e, w, pos = self._pending
+            c = self._compact = parent.add(e, w, pos)
+            if ids is not None:
+                ids = dict(ids)
+                ids[e] = ("e", e.tid, len(parent.threads.get(e.tid, ())))
+                self._canon_ids = ids
+            self._pending = None
+        return c
 
     # ------------------------------------------------------------------
     # Value-object protocol
@@ -189,7 +220,7 @@ class C11State:
             return True
         if self.events != other.events:
             return False
-        mine, theirs = self._compact, other._compact
+        mine, theirs = self.compact, other.compact
         if mine is not None and theirs is not None:
             # Content comparison over the sequence forms: with equal
             # event sets, equal thread sequences determine sb, and the
@@ -218,7 +249,7 @@ class C11State:
         # remaining slots are derived caches that rebuild on demand.
         return (
             self._events, self._sb, self._rf, self._mo, self.fast_eco,
-            self._compact,
+            self.compact,
         )
 
     def __setstate__(self, state) -> None:
@@ -226,6 +257,7 @@ class C11State:
             self._events, self._sb, self._rf, self._mo, self.fast_eco,
             self._compact,
         ) = state
+        self._pending = None
         c = self._compact
         self.program_events = (
             sum(1 for e in self._events if not e.is_init) if c is None
@@ -312,7 +344,7 @@ class C11State:
         """Look up an event by its tag (tags are unique per execution).
 
         O(1): compact states carry the table; others build it once."""
-        c = self._compact
+        c = self.compact
         if c is not None:
             try:
                 return c.tag_table()[tag]
@@ -330,7 +362,7 @@ class C11State:
 
         Carried forward by ``successor`` on compact states instead of
         re-scanning every event."""
-        c = self._compact
+        c = self.compact
         if c is not None:
             return c.next_tag
         used = max((e.tag for e in self.events), default=0)
@@ -415,10 +447,13 @@ class C11State:
         Well-defined in any valid state; ``None`` when ``x`` was never
         written (no initialisation either).
         """
-        if x not in self._last:
+        memo = self._last
+        if memo is None:
+            memo = self._last = {}
+        if x not in memo:
             ws = self.writes_on(x)
-            self._last[x] = ws[-1] if ws else None
-        return self._last[x]
+            memo[x] = ws[-1] if ws else None
+        return memo[x]
 
     def is_update_only(self, x: Var) -> bool:
         """Whether ``x`` is an *update-only* variable (Section 5.1): every
@@ -436,21 +471,23 @@ class C11State:
         RMW step of Figure 3 (DESIGN.md §3): ``(self + e).with_rf(w, e)``
         when ``e`` reads, then ``.insert_mo_after(w, e)`` when it writes.
 
-        Compact states build the result in one ``CompactOrders.add``
-        clone with one key surgery; any shape ``add`` declines (and
-        every hand-assembled state) takes the definitional chain."""
-        c = self._compact
-        # ``tag >= next_tag`` certifies freshness without a tag table;
-        # a replayed older tag is looked up, and a duplicate falls to
-        # ``add_event``, which rejects it.
-        if c is not None and (
-            e.tag >= c.next_tag or e.tag not in c.tag_table()
-        ):
-            child_c = c.add(e, w)
-            if child_c is not None:
-                child = C11State._from_compact(None, child_c, self.fast_eco)
-                self._propagate_canon_ids(child, e)
-                self._propagate_key_fused(child, e, w)
+        On a compact state the child is *deferred*: ``CompactOrders.placement``
+        validates the step now, the canonical key and ``program_events``
+        are derived now from this state alone, and the child's own
+        compact form is built by its ``compact`` property on first use
+        — most successors are duplicates of a known configuration or
+        sit at the event bound, and are never asked.  A shape
+        ``placement`` declines (and every hand-assembled state) takes
+        the definitional chain at once."""
+        c = self.compact
+        if c is not None:
+            pos = c.placement(e, w)
+            if pos is not None:
+                child = C11State._lazy(
+                    None, None, (c, self._canon_ids, e, w, pos),
+                    self.fast_eco, self.program_events + 1,
+                )
+                self._propagate_key_fused(child, c, e, w, pos)
                 return child
         child = self.add_event(e)
         if e.action.is_read:
@@ -484,7 +521,7 @@ class C11State:
         if e.is_init:
             ids[e] = ("init", e.var)
         else:
-            c = self._compact
+            c = self.compact
             if c is not None:
                 pos = len(c.threads.get(e.tid, ()))
             else:
@@ -493,44 +530,42 @@ class C11State:
         child._canon_ids = ids
 
     def _propagate_key_fused(
-        self, child: "C11State", e: Event, w: Event
+        self, child: "C11State", c: CompactOrders, e: Event, w: Event,
+        pos: int,
     ) -> None:
-        """The child's canonical key by tuple surgery (DESIGN.md §4/§11).
+        """The deferred child's canonical key by tuple surgery, from this
+        state (compact form ``c``) alone (DESIGN.md §4/§11).
 
         The key is ``(events_part, rf_part, mo_part)`` — sorted tuples
-        over the propagated event identities — and a successor changes
-        it by one event insertion, plus one rf pair when ``e`` reads and
-        one per-variable mo sequence when it writes.  When the parent
-        has been keyed, the parts produced must be byte-identical to a
-        fresh ``canon.canonical_key`` derivation;
-        ``derived_order_divergences`` and test_engine's propagation
-        regressions enforce that."""
+        over the event identities — and a successor changes it by one
+        event insertion, plus one rf pair when ``e`` reads and one
+        per-variable mo sequence when it writes: this state's sequence
+        with ``e``'s identity ``("e", tid, position in its thread)``
+        spliced in after ``pos``.  When this state has been keyed, the
+        parts produced must be byte-identical to a fresh
+        ``canon.canonical_key`` derivation on the built child;
+        ``derived_order_divergences`` and
+        test_compact's definitional-chain test enforce that."""
         key = self._canon_key
-        ids = child._canon_ids
+        ids = self._canon_ids
         if key is None or ids is None:
             return
         events_part, rf_part, mo_part = (
             key.parts if type(key) is CachedKey else key
         )
+        eid = ("e", e.tid, len(c.threads.get(e.tid, ())))
         merged_e = list(events_part)
-        insort(merged_e, e.described(ids[e]))
+        insort(merged_e, e.described(eid))
         action = e.action
         if action.is_read:
             merged_rf = list(rf_part)
-            insort(merged_rf, (ids[w], ids[e]))
+            insort(merged_rf, (ids[w], eid))
             rf_part = tuple(merged_rf)
         if action.is_write:
+            old = tuple(ids[x] for x in c.mo[action.var])
             merged_mo = list(mo_part)
-            try:
-                merged_mo.remove(
-                    tuple(ids[x] for x in self._compact.mo[action.var])
-                )
-            except (ValueError, KeyError):  # foreign shape: recompute lazily
-                return
-            insort(
-                merged_mo,
-                tuple(ids[x] for x in child._compact.mo[action.var]),
-            )
+            merged_mo.remove(old)
+            insort(merged_mo, old[: pos + 1] + (eid,) + old[pos + 1 :])
             mo_part = tuple(merged_mo)
         child._canon_key = CachedKey((tuple(merged_e), rf_part, mo_part))
 
@@ -583,6 +618,6 @@ def initial_state(init_values: Mapping[Var, Value]) -> C11State:
     incremental :class:`~repro.c11.compact.CompactOrders` representation.
     """
     inits = tuple(init_events(dict(init_values)))
-    return C11State._from_compact(
-        frozenset(inits), CompactOrders.from_inits(inits), True
+    return C11State._lazy(
+        frozenset(inits), CompactOrders.from_inits(inits), None, True, 0
     )

@@ -133,6 +133,36 @@ def _note_stats(**stats) -> None:
     )
 
 
+def _check_obs_flags(args: argparse.Namespace) -> None:
+    """Reject bad observability flags before the command runs, each as
+    one :class:`UsageError`: ``--trace-sample`` without ``--trace`` or
+    below 1, and a ``--trace`` or ``--metrics`` path that cannot be
+    opened for writing (probed by opening it for append; a file the
+    probe created is removed again)."""
+    import os
+
+    trace = getattr(args, "trace", None)
+    metrics = getattr(args, "metrics", None)
+    sample = getattr(args, "trace_sample", None)
+    if sample is not None:
+        if trace is None:
+            raise UsageError("--trace-sample requires --trace")
+        if sample < 1:
+            raise UsageError(
+                f"--trace-sample must be at least 1, got {sample}"
+            )
+    for flag, path in (("--trace", trace), ("--metrics", metrics)):
+        if path is None:
+            continue
+        existed = os.path.exists(path)
+        try:
+            open(path, "a").close()
+        except OSError as exc:
+            raise UsageError(f"{flag} {path}: {exc.strerror}") from None
+        if not existed:
+            os.remove(path)
+
+
 def _activate_obs(args: argparse.Namespace) -> bool:
     """Turn on the trace bus / progress env for this process tree.
 
@@ -731,7 +761,8 @@ def _add_obs_flags(sub: argparse.ArgumentParser, progress: bool = False) -> None
     sub.add_argument(
         "--trace-sample", type=int, default=None, metavar="N",
         help="keep 1-in-N of the high-frequency node/prune records "
-        "(default 16; structural records are never sampled)",
+        "(N >= 1, default 16; needs --trace; structural records are "
+        "never sampled)",
     )
     sub.add_argument(
         "--metrics", default=None, metavar="PATH",
@@ -1029,6 +1060,11 @@ def _dispatch(argv: Optional[List[str]] = None) -> int:
 
     args = build_parser().parse_args(argv)
     _RUN_SUMMARY.clear()
+    try:
+        _check_obs_flags(args)
+    except UsageError as exc:
+        print(f"repro {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     traced = _activate_obs(args)
     t0 = time.perf_counter()
     try:

@@ -189,7 +189,9 @@ def bound_cut(
 
     A configuration is at the bound when its state holds ``max_events``
     program events, which the state counts as it grows
-    (``program_events``), so the test is O(1).  There every non-silent
+    (``program_events``, set at birth even on a successor whose compact
+    form is not built yet, DESIGN.md §11), so the test is O(1) and
+    builds nothing.  There every non-silent
     pending step is cut — each would add an event — and only τ steps
     are expanded; the cut threads are a function of the machine state,
     which the lowered program keeps (``event_tids``).  A search that

@@ -40,6 +40,11 @@ class EngineStats:
     #: process-wide :data:`~repro.engine.keys.KEY_CACHE`).
     key_hits: int = 0
     key_misses: int = 0
+    #: Compact state forms built during this run (the delta of the
+    #: process-wide :data:`~repro.c11.compact.BUILDS`).  A successor is
+    #: built only when something reads it (DESIGN.md §11), so this is
+    #: below the number of successors enumerated.
+    states_built: int = 0
     #: Wall time of the whole run and of its phases, in seconds.  The
     #: phases overlap nothing but do not cover what the loop does
     #: between them, so their sum is below ``time_total`` by
@@ -208,6 +213,7 @@ class EngineStats:
         line = (
             f"strategy={self.strategy} peak-frontier={self.peak_frontier} "
             f"key-cache={self.key_hits}/{keyed} ({rate}) "
+            f"built={self.states_built} "
             f"peak-rss={self.peak_rss_kb / 1024:.1f}MB "
             f"{self.phase_split()}"
         )
@@ -255,6 +261,7 @@ class ProcessCounters:
     """The process-wide counters a search segment is charged with.
 
     Key-cache hits and misses (:data:`repro.engine.keys.KEY_CACHE`),
+    compact states built (:data:`repro.c11.compact.BUILDS`),
     derived-order seconds (:data:`repro.c11.compact.ORDER_TIMER`) and
     memory-model seconds (:data:`repro.interp.memory_model.MODEL_TIMER`)
     accumulate process-wide.  A segment takes a reading when it starts;
@@ -263,15 +270,18 @@ class ProcessCounters:
     charges itself through this one class.
     """
 
-    __slots__ = ("key_hits", "key_misses", "time_orders", "time_model")
+    __slots__ = (
+        "key_hits", "key_misses", "states_built", "time_orders", "time_model",
+    )
 
     def __init__(self) -> None:
         # lazy: importing repro.interp imports the engine
-        from repro.c11.compact import ORDER_TIMER
+        from repro.c11.compact import BUILDS, ORDER_TIMER
         from repro.engine.keys import KEY_CACHE
         from repro.interp.memory_model import MODEL_TIMER
 
         self.key_hits, self.key_misses, _ = KEY_CACHE.snapshot()
+        self.states_built = BUILDS.built
         self.time_orders = ORDER_TIMER.snapshot()
         self.time_model = MODEL_TIMER.snapshot()
 

@@ -11,6 +11,12 @@ Reads-from candidates are filtered through the compact representation's
 ``ra_write_targets`` answer from per-variable ``mo`` sequences against
 the acting thread's encountered mask, so resolving a read hole never
 materialises a derived-order relation.
+
+The answer lists hold *deferred* successors (``C11State.successor``):
+each is keyed at once from the state asked, and builds its own compact
+form only when the search asks it for a transition in turn — a
+successor that duplicates a known configuration, or sits at the event
+bound, is dropped with the memo unbuilt (DESIGN.md §11/§12).
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ forbidden (r1 = 1 /\\ r2 = 0)
 #: A committed litmus file, for parametrised cases that take no fixture.
 SEED_LITMUS = str(Path(__file__).parent / "fuzz_corpus" / "seed_cond_swap.litmus")
 MISSING_LITMUS = str(Path(__file__).parent / "fuzz_corpus" / "no-such.litmus")
+#: A path under a regular file: no command can create or write it.
+UNWRITABLE = str(Path(SEED_LITMUS) / "out.json")
 
 
 @pytest.fixture
@@ -344,6 +346,21 @@ def test_suite_crashed_job_renders_error_footer(capsys, monkeypatch):
         ["soundness", SEED_LITMUS, "--max-events", "-1"],
         ["verify", "--file", MISSING_LITMUS, "--outline", MISSING_LITMUS],
         ["verify", "--file", SEED_LITMUS, "--outline", MISSING_LITMUS],
+        ["run", SEED_LITMUS, "--metrics", UNWRITABLE],
+        ["suite", "--models", "sc", "--metrics", UNWRITABLE],
+        ["verify", "spinlock-tas", "--metrics", UNWRITABLE],
+        ["fuzz", "--iters", "1", "--no-save", "--metrics", UNWRITABLE],
+        ["run", SEED_LITMUS, "--trace", UNWRITABLE],
+        ["suite", "--models", "sc", "--trace", UNWRITABLE],
+        ["verify", "spinlock-tas", "--trace", UNWRITABLE],
+        ["fuzz", "--iters", "1", "--no-save", "--trace", UNWRITABLE],
+        ["run", SEED_LITMUS, "--trace", "t.jsonl", "--trace-sample", "0"],
+        ["fuzz", "--iters", "1", "--no-save", "--trace", "t.jsonl",
+         "--trace-sample", "-2"],
+        ["run", SEED_LITMUS, "--trace-sample", "4"],
+        ["suite", "--models", "sc", "--trace-sample", "4"],
+        ["verify", "spinlock-tas", "--trace-sample", "4"],
+        ["fuzz", "--iters", "1", "--no-save", "--trace-sample", "4"],
     ],
     ids=[
         "suite-shards-dfs", "suite-shards-0", "suite-shards-optimal",
@@ -352,18 +369,26 @@ def test_suite_crashed_job_renders_error_footer(capsys, monkeypatch):
         "fuzz-unknown-profile", "dot-missing-file", "dot-negative-bound",
         "soundness-missing-file", "soundness-negative-bound",
         "verify-missing-file", "verify-missing-outline",
+        "run-metrics-unwritable", "suite-metrics-unwritable",
+        "verify-metrics-unwritable", "fuzz-metrics-unwritable",
+        "run-trace-unwritable", "suite-trace-unwritable",
+        "verify-trace-unwritable", "fuzz-trace-unwritable",
+        "run-trace-sample-0", "fuzz-trace-sample-negative",
+        "run-trace-sample-alone", "suite-trace-sample-alone",
+        "verify-trace-sample-alone", "fuzz-trace-sample-alone",
     ],
 )
 def test_plan_errors_are_one_line_on_every_command(capsys, argv):
-    """A search-plan error, unknown name or unreadable file fails every
-    command the way it fails ``repro run``: one
-    ``repro <cmd>: error: ...`` line, status 2."""
+    """A search-plan error, unknown name, unreadable file or bad
+    observability flag fails every command the way it fails
+    ``repro run``: one ``repro <cmd>: error: ...`` line, status 2,
+    before the command prints anything."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"repro {argv[0]}: error: ")
-    assert "Traceback" not in captured.out + captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["run", "dot", "soundness"])

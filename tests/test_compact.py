@@ -12,6 +12,8 @@ and pin the engine-level guarantees (propagated canonical keys, O(1)
 tag lookups) separately.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,7 +210,9 @@ def test_successor_matches_the_definitional_chain(model_factory):
     """At every configuration the litmus registry reaches, every Read,
     Write and RMW transition's ``successor(e, w)`` equals — and keys
     identically to — the paper's constructors chained on the
-    relation-only clone."""
+    relation-only clone.  The key is read before the child is built:
+    the surgery reads the parent alone.  (SRA's filter builds every
+    child it tests, so only RA's children are still deferred here.)"""
     model = model_factory()
     checked = 0
 
@@ -226,9 +230,13 @@ def test_successor_matches_the_definitional_chain(model_factory):
                 continue
             for mt in model.transitions_list(state, tid, step):
                 ref = _definitional_successor(clone, mt.event, mt.observed)
-                assert mt.target.compact is not None
-                assert mt.target == ref
-                assert cached_canonical_key(mt.target) == canonical_key(ref)
+                target = mt.target
+                deferred = target._pending is not None
+                assert deferred or model_factory is SRAMemoryModel
+                assert cached_canonical_key(target) == canonical_key(ref)
+                assert (target._pending is not None) == deferred  # unbuilt
+                assert target.compact is not None
+                assert target == ref
                 checked += 1
         return []
 
@@ -247,18 +255,42 @@ def test_successor_matches_the_definitional_chain(model_factory):
 
 def test_compact_guards_fall_back_to_none():
     state = initial_state({"x": 0, "y": 0})
-    c = state._compact
+    c = state.compact
     assert isinstance(c, CompactOrders)
     init_x, init_y = state.last("x"), state.last("y")
+    # a read needs no splice; a write goes right after its observed write
+    assert c.placement(Event(6, rd("x", 0), 1), init_x) == -1
+    assert c.placement(Event(6, wr("x", 1), 1), init_x) == 0
     # appending an initialising write is outside the incremental form
-    assert c.add(Event(-9, wr("z", 0), 0), init_x) is None
+    assert c.placement(Event(-9, wr("z", 0), 0), init_x) is None
     # an unindexed observed write cannot be rf/mo-linked
     stranger = Event(5, wr("x", 0), 1)
-    assert c.add(Event(6, rd("x", 0), 1), stranger) is None
+    assert c.placement(Event(6, rd("x", 0), 1), stranger) is None
     # a write must splice after a write of its own variable's mo
-    assert c.add(Event(6, wr("x", 1), 1), init_y) is None
-    # successor takes the definitional chain for a shape add declines
+    assert c.placement(Event(6, wr("x", 1), 1), init_y) is None
+    # a tag below the counter that is already used
+    s1 = state.successor(Event(1, wr("x", 1), 1), init_x)
+    assert s1.compact.placement(Event(1, rd("y", 0), 2), init_y) is None
+    # successor takes the definitional chain for a shape placement declines
     assert state.successor(Event(6, wr("x", 1), 1), init_y).compact is None
+
+
+def test_a_deferred_state_pickles_built():
+    """Checkpoints and shard routing pickle frontier states: a deferred
+    successor crosses the boundary built, and compares equal."""
+    state = initial_state({"x": 0, "y": 0})
+    cached_canonical_key(state)
+    w = Event(1, wrr("x", 1), 1)
+    child = state.successor(w, state.last("x")).successor(
+        Event(2, rda("x", 1), 2), w
+    )
+    assert child._pending is not None  # keyed, not yet built
+    copy = pickle.loads(pickle.dumps(child))
+    assert child._pending is None  # pickling built it
+    assert copy.compact.index == child.compact.index
+    assert copy == child and child == copy
+    assert canonical_key(copy) == cached_canonical_key(child)
+    assert derived_order_divergences(copy) == []
 
 
 def test_order_timer_accumulates_into_engine_stats():

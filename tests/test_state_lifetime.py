@@ -8,7 +8,8 @@ no queued configuration holds the state, and under depth-first order
 once the state that produced it is not queued either.  A finished
 search therefore keeps only the states its result names, and the
 memo's hits are pinned so that a narrower rule cannot quietly trade
-them away.
+them away.  A successor's compact form is built only when something
+reads it (DESIGN.md §11), and the number built is pinned too.
 """
 
 import gc
@@ -41,6 +42,17 @@ MEMO_CALLS = {
     ("none", "bfs"): 2182,
     ("none", "dfs"): 3309,
     ("optimal", "bfs"): 2599,
+}
+
+
+#: (reduction, strategy) -> compact forms built on ring4 at BOUND
+#: (``EngineStats.states_built``).  Building every successor at birth
+#: took 3,111 / 4,590 / 3,532: most successors duplicate a known
+#: configuration or sit at the bound, where only τ steps are taken.
+STATES_BUILT = {
+    ("none", "bfs"): 701,
+    ("none", "dfs"): 1050,
+    ("optimal", "bfs"): 1398,
 }
 
 
@@ -109,6 +121,13 @@ def test_memo_hits_are_pinned(monkeypatch, reduction, strategy):
         monkeypatch.setattr(ra_model, name, counting(getattr(ra_model, name)))
     _ring(RAMemoryModel(), reduction, strategy)
     assert len(calls) == MEMO_CALLS[(reduction, strategy)]
+
+
+@pytest.mark.parametrize("reduction,strategy", sorted(STATES_BUILT))
+def test_states_built_are_pinned(reduction, strategy):
+    result = _ring(RAMemoryModel(), reduction, strategy)
+    assert result.stats.states_built == STATES_BUILT[(reduction, strategy)]
+    assert f"built={result.stats.states_built} " in result.stats.summary()
 
 
 class _Recorder:
