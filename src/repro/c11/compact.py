@@ -20,6 +20,12 @@ that work on the hot path:
   result in a deferred child, whose ``compact`` property runs
   :meth:`CompactOrders.add` on first read (counted by :data:`BUILDS`).
   A deferred child holds its parent's form, never the parent state.
+* **Hash-consed keys** — a canonical key is a flat tuple of
+  :class:`KeyNode` objects: one :class:`ChainNode` per thread, one
+  :class:`SeqNode` per variable's ``mo``, interned by
+  :func:`intern_node` in one weak process-wide table, so a successor's
+  key costs one chain lookup plus, for a write, one ``mo`` lookup
+  (:func:`key_with_event`; DESIGN.md §4).
 * **Total orders as sequences** — ``sb`` is per-thread ordered tuples
   (``threads``) plus the unordered initialisation block (``inits``);
   ``mo`` is per-variable ordered tuples.  O(n) instead of O(n²), with
@@ -58,6 +64,7 @@ the original pair-set algebra unchanged.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.c11.events import Event, Tag
@@ -145,6 +152,7 @@ class CompactOrders:
         "threads",      # Dict[Tid, Tuple[Event, ...]] — sb order, no inits
         "mo",           # Dict[Var, Tuple[Event, ...]] — mo order per var
         "mo_pos",       # Dict[Var, Tuple[int, ...]] — same order, as indices
+        "mo_rank",      # Dict[Var, int] — place in sorted var order
         "rf",           # Dict[int, int] — read index -> write index
         "hb",           # Tuple[int, ...] — strict hb-predecessor masks
         "covered",      # int — mask of writes read by an update
@@ -175,6 +183,7 @@ class CompactOrders:
         self.threads = {}
         self.mo = {e.var: (e,) for e in ordered}
         self.mo_pos = {e.var: (i,) for i, e in enumerate(ordered)}
+        self.mo_rank = {x: i for i, x in enumerate(sorted(self.mo))}
         self.rf = {}
         self.hb = (0,) * len(ordered)
         self.covered = 0
@@ -192,6 +201,7 @@ class CompactOrders:
         child.threads = self.threads
         child.mo = self.mo
         child.mo_pos = self.mo_pos
+        child.mo_rank = self.mo_rank
         child.rf = self.rf
         child.hb = self.hb
         child.covered = self.covered
@@ -217,27 +227,27 @@ class CompactOrders:
 
     def placement(self, e: Event, w: Event) -> Optional[int]:
         """Whether :meth:`add` covers ``σ + e`` with ``e`` observing
-        ``w``, checked without a clone: the index of ``w`` in its
-        variable's ``mo`` sequence when ``e`` writes (``e`` is spliced
-        right after it), ``-1`` when ``e`` only reads, and ``None`` for
-        a shape the incremental form does not cover — an initialising
-        ``e``, a ``w`` that is not interned, a write whose ``w`` is not
-        in its variable's ``mo`` sequence, or a tag already in use.
+        ``w``, checked without a clone: the index of ``w`` in the
+        ``mo`` sequence of ``e``'s variable (a write is spliced right
+        after it; the successor key reads a read's source identity
+        there), or ``None`` for a shape the incremental form does not
+        cover — an initialising ``e``, a ``w`` that is not interned or
+        not in that sequence, or a tag already in use.
         ``C11State.successor`` then takes the definitional
         constructors instead.
 
         ``tag >= next_tag`` certifies freshness without a tag table; a
         replayed older tag is looked up.
         """
-        if e.is_init or w not in self.index:
+        if e.is_init:
+            return None
+        w_i = self.index.get(w)
+        if w_i is None:
             return None
         if e.tag < self.next_tag and e.tag in self.tag_table():
             return None
-        action = e.action
-        if not action.is_write:
-            return -1
         try:
-            return self.mo.get(action.var, ()).index(w)
+            return self.mo_pos.get(e.action.var, ()).index(w_i)
         except ValueError:
             return None
 
@@ -588,59 +598,151 @@ def sb_pairs_from(inits, threads) -> List[Tuple[Event, Event]]:
     return pairs
 
 
-class CachedKey:
-    """A canonical key with its hash precomputed.
+# ----------------------------------------------------------------------
+# Hash-consed canonical-key nodes (DESIGN.md §4)
+# ----------------------------------------------------------------------
 
-    Canonical keys are nested tuples sized with the execution, and the
-    engine hashes each one several times per transition (seen-set
-    membership, insertion, the parent map).  Wrapping the parts hashes
-    the structure exactly once; dictionary operations then reuse the
-    cached value.  Equality (and the hash) is defined against the raw
-    parts too, so code that computes a fresh tuple key compares equal
-    to the wrapped form transparently.
+
+class KeyNode:
+    """One hash-consed node of a canonical key.
+
+    Nodes are built only by :func:`intern_node`, so equal content is one
+    object for as long as it is alive.  A node therefore defines no
+    ``__eq__`` or ``__hash__``: a key — a flat tuple of nodes — hashes
+    and compares in C, by identity.  Pickling ships the content and
+    interns it again on load, so a key that crosses a process (a
+    checkpoint, a shard message) loads as the receiving process's live
+    node.
     """
 
-    __slots__ = ("parts", "_hash", "_digest")
-
-    def __init__(self, parts) -> None:
-        self.parts = parts
-        self._hash = hash(parts)
-        self._digest = None
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if type(other) is CachedKey:
-            return self._hash == other._hash and self.parts == other.parts
-        return self.parts == other
-
-    def __repr__(self) -> str:
-        return f"CachedKey({self.parts!r})"
+    __slots__ = ("content", "__weakref__")
 
     def __reduce__(self):
-        # hashes of strings are salted per process: rebuild, never ship
-        return (CachedKey, (self.parts,))
+        return (intern_node, (type(self), self.content))
 
-    def digest(self) -> bytes:
-        """A stable cross-process digest of the key (DESIGN.md §15).
-
-        Unlike ``__hash__`` (salted per process via string hashing),
-        the digest is identical in every process, so shard assignment
-        can route through it.  Computed once per key object.
-        """
-        if self._digest is None:
-            from repro.engine.keys import key_digest
-
-            self._digest = key_digest(self.parts)
-        return self._digest
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.content!r})"
 
 
-# ----------------------------------------------------------------------
-# Self-check against the definitional closures
-# ----------------------------------------------------------------------
+class ChainNode(KeyNode):
+    """A thread's events up to one position: ``content`` is ``(parent
+    chain or None, description)`` — ``sb`` is total per thread
+    (SB-Total), so a successor extends one chain by one node.  A
+    description starts with its event's identity ``("e", tid,
+    position)``."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        parent, desc = self.content
+        if parent is None or desc[2] % _CUT:
+            return (intern_node, (ChainNode, self.content))
+        # Every _CUT-th node pickles as the node _CUT positions up plus
+        # the descriptions since, so the pickler recurses once per _CUT
+        # events of a thread, not once per event.
+        descs = []
+        node = self
+        for _ in range(_CUT):
+            node, desc = node.content
+            descs.append(desc)
+        descs.reverse()
+        return (_regrow, (node, tuple(descs)))
+
+    def __repr__(self) -> str:
+        return f"ChainNode({self.descriptions()!r})"
+
+    def descriptions(self) -> tuple:
+        """The chain's event descriptions, root first."""
+        out = []
+        node = self
+        while node is not None:
+            node, desc = node.content
+            out.append(desc)
+        out.reverse()
+        return tuple(out)
+
+
+class SeqNode(KeyNode):
+    """A flat sequence: one variable's ``mo`` as its tuple of canonical
+    event identities, in modification order, or the initialising
+    writes' descriptions, sorted by variable."""
+
+    __slots__ = ()
+
+
+#: How many chain nodes one pickling recursion covers (see
+#: ``ChainNode.__reduce__``).
+_CUT = 64
+
+
+def _regrow(anchor: Optional[ChainNode], descs: tuple) -> ChainNode:
+    """The chain ``anchor`` extended by ``descs`` (unpickling)."""
+    for desc in descs:
+        anchor = intern_node(ChainNode, (anchor, desc))
+    return anchor
+
+
+class _NodeRef(weakref.ref):
+    """The intern table's entry: a weak reference to the node that
+    remembers its content, so the drop callback can find its row."""
+
+    __slots__ = ("content",)
+
+
+#: The process-wide intern table, content → weak node reference.  It
+#: holds no node alive: a node leaves the table when the last key that
+#: uses it is dropped, so the table does not grow across the searches a
+#: test process or a pool worker runs.
+_NODES: Dict[tuple, _NodeRef] = {}
+
+
+def _forget(ref: _NodeRef, _nodes=_NODES) -> None:
+    # A content interned again after its node died holds a new entry,
+    # which the old reference's callback must leave alone.
+    if _nodes.get(ref.content) is ref:
+        del _nodes[ref.content]
+
+
+def intern_node(cls, content: tuple) -> KeyNode:
+    """The live ``cls`` node over ``content``, made on first use.
+
+    The two node kinds share the table; their contents never coincide,
+    since a chain's starts with ``None`` or a chain node and a
+    sequence's holds tuples only."""
+    ref = _NODES.get(content)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
+    node = object.__new__(cls)
+    node.content = content
+    ref = _NodeRef(node, _forget)
+    ref.content = content
+    _NODES[content] = ref
+    return node
+
+
+def interned_nodes() -> int:
+    """How many key nodes are alive in this process."""
+    return len(_NODES)
+
+
+def key_with_event(key: tuple, first: int, threads, tid: Tid, desc) -> tuple:
+    """``key`` with thread ``tid``'s chain extended by ``desc``.
+
+    ``threads`` maps each thread that has events in the parent state to
+    its events, and ``first`` is the slot of the first of their chains
+    (1 after the initialising writes' node, else 0).  A thread's first
+    event inserts its chain in tid order."""
+    slot = first
+    for t in threads:
+        if t < tid:
+            slot += 1
+    if tid in threads:
+        node = intern_node(ChainNode, (key[slot], desc))
+        return key[:slot] + (node,) + key[slot + 1:]
+    node = intern_node(ChainNode, (None, desc))
+    return key[:slot] + (node,) + key[slot:]
 
 
 def derived_order_divergences(state) -> List[str]:
@@ -756,9 +858,14 @@ def derived_order_divergences(state) -> List[str]:
 __all__ = [
     "BUILDS",
     "BuildStats",
-    "CachedKey",
+    "ChainNode",
     "CompactOrders",
+    "KeyNode",
     "ORDER_TIMER",
     "OrderTimerStats",
+    "SeqNode",
     "derived_order_divergences",
+    "intern_node",
+    "interned_nodes",
+    "key_with_event",
 ]

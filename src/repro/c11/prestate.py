@@ -17,13 +17,17 @@ Representation (DESIGN.md §11): exploration-built pre-executions store
 carry their tag table / next tag forward, so the ``→PE`` hot path never
 builds the O(n²) ``sb`` pair set; the :class:`Relation` view
 materialises lazily for the justification search.  Hand-assembled
-pre-executions (explicit ``sb``) keep the original representation.
+pre-executions (explicit ``sb``) keep the original representation.  A
+pre-execution's canonical key is its event chains (DESIGN.md §4), and
+the sequence-backed ``add_event`` extends the parent's key by one chain
+node, as ``C11State.successor`` does.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
+from repro.c11.compact import key_with_event, sb_pairs_from
 from repro.c11.events import Event, Tag, init_events
 from repro.lang.actions import Value, Var
 from repro.lang.program import INIT_TID, Tid
@@ -42,7 +46,6 @@ class PreExecutionState:
         "_next_tag",
         "_hash",
         "_canon_key",
-        "_canon_ids",
         "program_events",
     )
 
@@ -56,10 +59,9 @@ class PreExecutionState:
         self._by_tag: Optional[Dict[Tag, Event]] = None
         self._next_tag: Optional[Tag] = None
         self._hash: Optional[int] = None
-        #: Canonical-key memoization slots (see repro.interp.canon and
-        #: repro.engine.keys), filled lazily / propagated by add_event.
+        #: Canonical-key memoization (see repro.interp.canon and
+        #: repro.engine.keys), filled lazily or derived by add_event.
         self._canon_key = None
-        self._canon_ids = None
         #: program (non-initialising) events: the event bound's
         #: measure, kept so ``repro.engine.core.bound_cut`` is O(1)
         self.program_events: int = sum(1 for e in self.events if not e.is_init)
@@ -82,7 +84,6 @@ class PreExecutionState:
         self._next_tag = next_tag
         self._hash = None
         self._canon_key = None
-        self._canon_ids = None
         self.program_events = len(events) - len(inits)
         return self
 
@@ -92,8 +93,6 @@ class PreExecutionState:
         exploration-built states (initialisers before every program
         event, per-thread total orders)."""
         if self._sb is None:
-            from repro.c11.compact import sb_pairs_from
-
             self._sb = Relation(sb_pairs_from(self._inits, self._threads))
         return self._sb
 
@@ -131,7 +130,14 @@ class PreExecutionState:
                 by_tag,
                 max(self._next_tag, e.tag + 1),
             )
-            self._propagate_canon_ids(child, e, len(mine), mine)
+            key = self._canon_key
+            if key is not None:
+                # The thread chain grows by e's node, the same key
+                # derivation as C11State.successor (DESIGN.md §4).
+                child._canon_key = key_with_event(
+                    key, 1 if self._inits else 0, self._threads, e.tid,
+                    e.described(("e", e.tid, len(mine))),
+                )
             return child
         if any(old.tag == e.tag for old in self.events):
             raise ValueError(f"tag {e.tag} already used")
@@ -140,36 +146,7 @@ class PreExecutionState:
             for old in self.events
             if old.tid == e.tid or old.is_init
         )
-        child = PreExecutionState(self.events | {e}, new_sb)
-        if not e.is_init:
-            mine = tuple(old for old in self.events if old.tid == e.tid)
-            self._propagate_canon_ids(child, e, len(mine), mine)
-        return child
-
-    def _propagate_canon_ids(self, child, e, pos, mine) -> None:
-        if self._canon_ids is None:
-            return
-        # Pre-execution identities order thread events by tag, so the
-        # parent's identities survive only when e's tag is maximal in
-        # its thread (always true for next_tag()-built exploration
-        # states; hand-built states fall back to a fresh computation).
-        if not mine or e.tag > max(old.tag for old in mine):
-            ids = dict(self._canon_ids)
-            ids[e] = ("e", e.tid, pos)
-            child._canon_ids = ids
-            key = self._canon_key
-            if key is not None:
-                # Pre-execution keys are `(events_part,)`: the child's
-                # is the parent's with the new description inserted —
-                # the same tuple surgery as C11State (DESIGN.md §11).
-                from bisect import insort
-
-                from repro.c11.compact import CachedKey
-
-                parts = key.parts if type(key) is CachedKey else key
-                merged = list(parts[0])
-                insort(merged, e.described(ids[e]))
-                child._canon_key = CachedKey((tuple(merged),))
+        return PreExecutionState(self.events | {e}, new_sb)
 
     def next_tag(self) -> int:
         if self._next_tag is not None:

@@ -26,12 +26,13 @@ per-thread/per-variable order *sequences*, an ``rf`` int map and
 per-event ``hb`` bitmasks — maintained incrementally by its one
 constructor ``CompactOrders.add``, so the exploration hot path never
 builds a pair set or runs a closure.  A successor is born *deferred*:
-its canonical key and ``program_events`` are derived from the parent
-at once, and its compact form (with its event-identity map) is built
-by the :attr:`C11State.compact` property on first read — the one gate
-every other view goes through.  Most successors duplicate a known
-configuration or sit at the event bound and are never built.  The
-:class:`Relation` views ``sb``, ``rf``, ``mo`` (and the derived
+its canonical key (DESIGN.md §4: the parent's hash-consed key with one
+thread chain extended, and for a write one ``mo`` node replaced) and
+``program_events`` are derived from the parent at once, and its compact
+form is built by the :attr:`C11State.compact` property on first read —
+the one gate every other view goes through.  Most successors duplicate
+a known configuration or sit at the event bound and are never built.
+The :class:`Relation` views ``sb``, ``rf``, ``mo`` (and the derived
 ``sw``/``hb``/``fr``/``eco``) are materialised lazily, only for the
 axiomatic/checking consumers that do pair algebra.  States assembled by
 hand from explicit relations keep the original representation and code
@@ -40,11 +41,16 @@ paths throughout.
 
 from __future__ import annotations
 
-from bisect import insort
 from time import perf_counter as _clock
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from repro.c11.compact import ORDER_TIMER, CachedKey, CompactOrders
+from repro.c11.compact import (
+    ORDER_TIMER,
+    CompactOrders,
+    SeqNode,
+    intern_node,
+    key_with_event,
+)
 from repro.c11.events import Event, Tag, init_events
 from repro.lang.actions import Value, Var
 from repro.lang.program import INIT_TID, Tid
@@ -72,7 +78,6 @@ class C11State:
         "_last",
         "_hash",
         "_canon_key",
-        "_canon_ids",
         "_ra_trans",
         "program_events",
     )
@@ -118,11 +123,9 @@ class C11State:
         self._last: Optional[Dict[Var, Optional[Event]]] = None
         self._hash: Optional[int] = None
         #: Canonical-key memoization (see repro.interp.canon and
-        #: repro.engine.keys): the full key, computed at most once per
-        #: object, and the event-identity map, propagated incrementally
-        #: from parent to child by the successor constructors below.
-        self._canon_key: Optional[object] = None
-        self._canon_ids: Optional[Dict[Event, tuple]] = None
+        #: repro.engine.keys): the key, computed at most once per
+        #: object, or derived from the parent's by ``successor``.
+        self._canon_key: Optional[tuple] = None
         #: Per-object memo of the RA model's transition lists, keyed by
         #: ``(tid, interned step)`` (see RAMemoryModel.transitions_list);
         #: the explorers drop it once the search no longer queues this
@@ -140,10 +143,10 @@ class C11State:
         successor born deferred, the form its ``compact`` property
         builds from ``pending`` on first read.
 
-        ``pending`` is ``(parent compact, parent id map, e, w, pos)``:
-        everything :meth:`CompactOrders.add` and the id-map propagation
-        need, and never the parent state itself (whose memo holds this
-        child, so a back-pointer would make a cycle)."""
+        ``pending`` is ``(parent compact, e, w, pos)``: everything
+        :meth:`CompactOrders.add` needs, and never the parent state
+        itself (whose memo holds this child, so a back-pointer would
+        make a cycle)."""
         self = cls.__new__(cls)
         self._events = events
         self._sb = None
@@ -196,16 +199,11 @@ class C11State:
 
         The one gate to it: a successor built by :meth:`successor` is
         born keyed but unbuilt, and the first read here runs its
-        ``CompactOrders.add`` and carries the parent's event-identity
-        map forward (DESIGN.md §11)."""
+        ``CompactOrders.add`` (DESIGN.md §11)."""
         c = self._compact
         if c is None and self._pending is not None:
-            parent, ids, e, w, pos = self._pending
+            parent, e, w, pos = self._pending
             c = self._compact = parent.add(e, w, pos)
-            if ids is not None:
-                ids = dict(ids)
-                ids[e] = ("e", e.tid, len(parent.threads.get(e.tid, ())))
-                self._canon_ids = ids
             self._pending = None
         return c
 
@@ -478,16 +476,18 @@ class C11State:
         — most successors are duplicates of a known configuration or
         sit at the event bound, and are never asked.  A shape
         ``placement`` declines (and every hand-assembled state) takes
-        the definitional chain at once."""
+        the definitional chain at once, and is keyed afresh on demand."""
         c = self.compact
         if c is not None:
             pos = c.placement(e, w)
             if pos is not None:
                 child = C11State._lazy(
-                    None, None, (c, self._canon_ids, e, w, pos),
+                    None, None, (c, e, w, pos),
                     self.fast_eco, self.program_events + 1,
                 )
-                self._propagate_key_fused(child, c, e, w, pos)
+                key = self._canon_key
+                if key is not None:
+                    child._canon_key = _successor_key(key, c, e, pos)
                 return child
         child = self.add_event(e)
         if e.action.is_read:
@@ -506,76 +506,15 @@ class C11State:
             for old in self.events
             if old.tid == e.tid or old.is_init
         )
-        child = C11State(
+        return C11State(
             self.events | {e}, new_sb, self.rf, self.mo, self.fast_eco
         )
-        self._propagate_canon_ids(child, e)
-        return child
-
-    def _propagate_canon_ids(self, child: "C11State", e: Event) -> None:
-        if self._canon_ids is None:
-            return
-        # The appended event is sb-last in its thread, so every
-        # existing canonical identity survives; only e's is new.
-        ids = dict(self._canon_ids)
-        if e.is_init:
-            ids[e] = ("init", e.var)
-        else:
-            c = self.compact
-            if c is not None:
-                pos = len(c.threads.get(e.tid, ()))
-            else:
-                pos = sum(1 for old in self.events if old.tid == e.tid)
-            ids[e] = ("e", e.tid, pos)
-        child._canon_ids = ids
-
-    def _propagate_key_fused(
-        self, child: "C11State", c: CompactOrders, e: Event, w: Event,
-        pos: int,
-    ) -> None:
-        """The deferred child's canonical key by tuple surgery, from this
-        state (compact form ``c``) alone (DESIGN.md §4/§11).
-
-        The key is ``(events_part, rf_part, mo_part)`` — sorted tuples
-        over the event identities — and a successor changes it by one
-        event insertion, plus one rf pair when ``e`` reads and one
-        per-variable mo sequence when it writes: this state's sequence
-        with ``e``'s identity ``("e", tid, position in its thread)``
-        spliced in after ``pos``.  When this state has been keyed, the
-        parts produced must be byte-identical to a fresh
-        ``canon.canonical_key`` derivation on the built child;
-        ``derived_order_divergences`` and
-        test_compact's definitional-chain test enforce that."""
-        key = self._canon_key
-        ids = self._canon_ids
-        if key is None or ids is None:
-            return
-        events_part, rf_part, mo_part = (
-            key.parts if type(key) is CachedKey else key
-        )
-        eid = ("e", e.tid, len(c.threads.get(e.tid, ())))
-        merged_e = list(events_part)
-        insort(merged_e, e.described(eid))
-        action = e.action
-        if action.is_read:
-            merged_rf = list(rf_part)
-            insort(merged_rf, (ids[w], eid))
-            rf_part = tuple(merged_rf)
-        if action.is_write:
-            old = tuple(ids[x] for x in c.mo[action.var])
-            merged_mo = list(mo_part)
-            merged_mo.remove(old)
-            insort(merged_mo, old[: pos + 1] + (eid,) + old[pos + 1 :])
-            mo_part = tuple(merged_mo)
-        child._canon_key = CachedKey((tuple(merged_e), rf_part, mo_part))
 
     def with_rf(self, w: Event, r: Event) -> "C11State":
         """The state with an additional reads-from edge ``(w, r)``."""
-        child = C11State(
+        return C11State(
             self.events, self.sb, self.rf.add((w, r)), self.mo, self.fast_eco
         )
-        child._canon_ids = self._canon_ids  # identities depend on (D, sb) only
-        return child
 
     def insert_mo_after(self, w: Event, e: Event) -> "C11State":
         """``mo[w, e]`` — insert ``e`` immediately after ``w`` in ``mo``.
@@ -587,12 +526,10 @@ class C11State:
         before = self.mo.downset(w)  # {w} ∪ mo⁻¹[w]
         after = self.mo.image(w)
         new_pairs = {(b, e) for b in before} | {(e, a) for a in after}
-        child = C11State(
+        return C11State(
             self.events, self.sb, self.rf, self.mo.add_all(new_pairs),
             self.fast_eco,
         )
-        child._canon_ids = self._canon_ids  # identities depend on (D, sb) only
-        return child
 
     def restricted_to(self, keep: Iterable[Event]) -> "C11State":
         """``σ ↾ E`` — restriction to a subset of events (Thm 4.8)."""
@@ -606,6 +543,35 @@ class C11State:
             self.mo.restrict_to(kept),
             self.fast_eco,
         )
+
+
+def _successor_key(key: tuple, c: CompactOrders, e: Event, pos: int) -> tuple:
+    """The canonical key of ``σ + e`` observing the write at ``mo``
+    position ``pos``, from ``σ``'s key and compact form ``c`` alone
+    (DESIGN.md §4).
+
+    ``e``'s identity is ``("e", tid, position in its thread)``.  Its
+    thread's chain grows by one node, whose description carries, for a
+    read, the observed write's identity (read off ``e``'s variable's
+    ``mo`` node); a write also replaces that ``mo`` node by one with
+    ``e``'s identity spliced in after ``pos``.  The result holds the
+    same nodes as a fresh ``canon.canonical_key`` derivation on the
+    built child; ``derived_order_divergences`` and test_compact's
+    definitional-chain test enforce that."""
+    action = e.action
+    tid = e.tid
+    eid = ("e", tid, len(c.threads.get(tid, ())))
+    rank = c.mo_rank[action.var]
+    ids = key[len(key) - len(c.mo) + rank].content
+    desc = e.described(eid)
+    if action.is_read:
+        desc += (ids[pos],)
+    key = key_with_event(key, 1 if c.inits else 0, c.threads, tid, desc)
+    if action.is_write:
+        at = len(key) - len(c.mo) + rank
+        node = intern_node(SeqNode, ids[: pos + 1] + (eid,) + ids[pos + 1:])
+        key = key[:at] + (node,) + key[at + 1:]
+    return key
 
 
 def initial_state(init_values: Mapping[Var, Value]) -> C11State:

@@ -136,9 +136,10 @@ def _note_stats(**stats) -> None:
 def _check_obs_flags(args: argparse.Namespace) -> None:
     """Reject bad observability flags before the command runs, each as
     one :class:`UsageError`: ``--trace-sample`` without ``--trace`` or
-    below 1, and a ``--trace`` or ``--metrics`` path that cannot be
-    opened for writing (probed by opening it for append; a file the
-    probe created is removed again)."""
+    below 1, a bad ``REPRO_TRACE_SAMPLE`` when the run traces without
+    ``--trace-sample``, and a ``--trace`` or ``--metrics`` path that
+    cannot be opened for writing (probed by opening it for append; a
+    file the probe created is removed again)."""
     import os
 
     trace = getattr(args, "trace", None)
@@ -151,6 +152,13 @@ def _check_obs_flags(args: argparse.Namespace) -> None:
             raise UsageError(
                 f"--trace-sample must be at least 1, got {sample}"
             )
+    elif trace is not None or os.environ.get("REPRO_TRACE"):
+        from repro.obs.trace import env_sample
+
+        try:
+            env_sample()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     for flag, path in (("--trace", trace), ("--metrics", metrics)):
         if path is None:
             continue
@@ -429,6 +437,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         for line in record.shrunk.rstrip().splitlines():
             print(f"    {line}")
     print(report.summary())
+    print("phase split:", report.stats.phase_split(report.configs, unit="s"))
     print(f"wall={wall:.2f}s workers={args.jobs}")
     _note_stats(
         **report.stats.counters(),
@@ -818,7 +827,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="periodically snapshot the search's complete loop state to "
-        "an atomic repro-ckpt/4 file; a resumed run finishes "
+        "an atomic repro-ckpt/5 file; a resumed run finishes "
         "byte-identically (DESIGN.md §16)",
     )
     run.add_argument(

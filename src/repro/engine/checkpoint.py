@@ -9,9 +9,9 @@ search exactly: configs, transitions, terminal outcome sets and
 counterexamples are byte-identical to the uninterrupted run (pinned by
 the kill-and-resume parity tests in ``tests/test_checkpoint.py``).
 
-File format (``repro-ckpt/4``)::
+File format (``repro-ckpt/5``)::
 
-    b"repro-ckpt/4\\n"  +  pickle({"fingerprint": ..., "payload": ...})
+    b"repro-ckpt/5\\n"  +  pickle({"fingerprint": ..., "payload": ...})
 
 * The **fingerprint** identifies the run the state belongs to: a digest
   of the program source, the model name, the bounds, strategy,
@@ -23,8 +23,11 @@ File format (``repro-ckpt/4``)::
   unreduced loop, ``"shard"`` for the bulk-synchronous sharded search,
   one entry per shard core).  Keys
   and configurations travel by pickle — safe because every cached hash
-  in the object graph (``CachedKey``, ``Program``, lowered programs)
-  rebuilds on unpickle rather than shipping its process-salted value.
+  in the object graph (``Program``, lowered programs) rebuilds on
+  unpickle rather than shipping its process-salted value, and a key's
+  hash-consed nodes (``repro.c11.compact.KeyNode``) pickle as their
+  content and are interned again on load, so a resumed key is the
+  live node its re-derived successors will share.
   No payload holds a transition: parents are ``(parent key, tid)``
   pairs and traces are replayed (DESIGN.md §5).  No payload holds a
   separate visited set either: every loop's visited set is its parent
@@ -33,7 +36,9 @@ File format (``repro-ckpt/4``)::
   replaced version 2 when payloads stopped carrying a ``"seen"`` image
   beside the parent map; version 4 replaced version 3 when the pickled
   ``CompactOrders`` of frontier states lost its slot for writes not
-  yet placed in ``mo``.  A file of another version is refused by name.
+  yet placed in ``mo``; version 5 replaced version 4 when keys became
+  tuples of hash-consed nodes.  A file of another version is refused by
+  name.
 
 Writes go to a temporary file in the target directory followed by
 ``os.replace`` — a crash mid-checkpoint leaves the previous checkpoint
@@ -47,8 +52,8 @@ import os
 import pickle
 from typing import Optional, Tuple
 
-MAGIC = b"repro-ckpt/4\n"
-SCHEMA_NAME = "repro-ckpt/4"
+MAGIC = b"repro-ckpt/5\n"
+SCHEMA_NAME = "repro-ckpt/5"
 
 
 class CheckpointError(RuntimeError):

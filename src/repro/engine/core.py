@@ -386,7 +386,7 @@ def explore(
     (True) or forbids (False) real worker processes; the default
     auto-selects.
 
-    ``checkpoint`` names a ``repro-ckpt/4`` file
+    ``checkpoint`` names a ``repro-ckpt/5`` file
     (:mod:`repro.engine.checkpoint`, DESIGN.md §16) rewritten
     atomically every ``checkpoint_every`` configurations (default
     1000); ``resume`` loads such a file — after verifying it belongs

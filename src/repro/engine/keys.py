@@ -1,12 +1,14 @@
 """The canonical-key memoization layer (DESIGN.md §4).
 
-Canonical keys are the single most expensive pure function on the
-exploration hot path (an ``O(n log n)`` renaming of every event, plus
-sorted ``rf``/``mo`` encodings), and the seed code recomputed them
-freely: once when a state was discovered by ``explore``, again when
-``reachable_states``' ``check_config`` hook recorded the same state,
-and again in the completeness/soundness checkers.  This module makes
-every canonical key a compute-once value:
+A canonical key is a flat tuple of hash-consed nodes
+(:class:`~repro.c11.compact.KeyNode`): one event chain per thread, one
+``mo`` sequence per variable.  Successors derive theirs from their
+parent's in O(1) (``C11State.successor``,
+``PreExecutionState.add_event``); a state keyed any other way — the
+initial state, a hand-assembled fixture, a state that crossed a process
+without its key — pays one from-scratch derivation
+(:func:`repro.interp.canon.canonical_key`), and this module makes that a
+compute-once value:
 
 * :func:`cached_canonical_key` stores the key on the state object
   itself (the ``_canon_key`` slot of :class:`~repro.c11.state.C11State`
@@ -19,15 +21,19 @@ every canonical key a compute-once value:
 All canonical-key consumers (the RA/SRA/PE models'
 ``canonical_state_key``, and through them ``explore``,
 ``reachable_states`` and the checking package) route through here.
-States without a ``_canon_key`` slot (hand-assembled test fixtures,
-foreign state types) fall back to a plain computation and are counted
-as ``uncached``.
+States without a ``_canon_key`` slot (foreign state types) fall back to
+a plain computation and are counted as ``uncached``.
+
+:func:`stable_encode` gives keys a process-independent byte encoding,
+nodes by their content, for digests that must agree across processes.
 """
 
 from __future__ import annotations
 
 import hashlib
 from typing import Hashable
+
+from repro.c11.compact import ChainNode, SeqNode
 
 
 class KeyCacheStats:
@@ -57,8 +63,7 @@ class KeyCacheStats:
 #: parallel runner each get their own copy (fork/spawn isolation).
 KEY_CACHE = KeyCacheStats()
 
-# Lazily-bound import-cycle breakers (see _modules).
-_compact_mod = None
+# Lazily-bound import-cycle breaker (see _canon).
 _canon_mod = None
 
 
@@ -66,60 +71,53 @@ def cached_canonical_key(state) -> Hashable:
     """``canonical_key(state)``, computed at most once per state object.
 
     The canonical key of a state never changes (states are immutable
-    value objects), so the first computation is stored on the object and
-    every further call is a cache hit.  Note the cache is per *object*:
-    two differently-tagged states with the same canonical key each pay
-    one computation — collapsing those is exactly what the explorer's
-    ``seen`` set does with the returned keys.
+    value objects), so the first computation — or the key a successor
+    constructor derived from its parent's — is stored on the object and
+    every further call is a cache hit.  Two differently-tagged states
+    with the same canonical key get the same (interned) key, which is
+    what the explorer's ``seen`` set collapses.
     """
     try:
         cached = state._canon_key
     except AttributeError:
         KEY_CACHE.uncached += 1
-        return _modules()[1].canonical_key(state)
+        return _canon().canonical_key(state)
     if cached is not None:  # the hit path touches nothing else
         KEY_CACHE.hits += 1
         return cached
     KEY_CACHE.misses += 1
-    compact, canon = _modules()
-    key = canon.canonical_key(state)
-    if type(key) is tuple:
-        # Pre-hash the nested structure once; every seen-set/parent-map
-        # operation on the key reuses it (DESIGN.md §11).
-        key = compact.CachedKey(key)
-    state._canon_key = key
+    key = state._canon_key = _canon().canonical_key(state)
     return key
 
 
-def _modules():
-    """``(repro.c11.compact, repro.interp.canon)``, imported at first use.
+def _canon():
+    """:mod:`repro.interp.canon`, imported at first use.
 
     repro.interp transitively imports this module (via the memory
     models), so a module-level import here would close an import cycle.
-    The *modules* are memoized in globals (the import machinery's
+    The *module* is memoized in a global (the import machinery's
     fromlist handling is measurable at once-per-configuration rates) but
-    their attributes are looked up per call, so monkeypatched
+    its attributes are looked up per call, so monkeypatched
     instrumentation still takes effect.
     """
-    global _compact_mod, _canon_mod
+    global _canon_mod
     if _canon_mod is None:
-        from repro.c11 import compact as _compact_mod
         from repro.interp import canon as _canon_mod
-    return _compact_mod, _canon_mod
+    return _canon_mod
 
 
 # ----------------------------------------------------------------------
 # Stable cross-process digests (DESIGN.md §15)
 # ----------------------------------------------------------------------
 #
-# ``hash()`` over canonical keys is salted per process (strings), so it
-# can never decide which shard owns a configuration: two workers would
-# disagree about every key.  ``stable_encode`` maps the key structures
-# the engine produces — nested tuples of str/int/None, plus frozensets
-# and bytes for robustness — to a canonical byte string that is
-# *injective with respect to equality* (equal keys encode equally,
-# distinct keys distinctly), and ``key_digest`` hashes that encoding
-# with blake2b.
+# ``hash()`` over canonical keys is salted per process (strings) and,
+# for key nodes, is their address, so it can never decide which shard
+# owns a configuration: two workers would disagree about every key.
+# ``stable_encode`` maps the key structures the engine produces — tuples
+# of key nodes, nested tuples of str/int/None, plus frozensets and bytes
+# for robustness — to a canonical byte string that is *injective with
+# respect to equality* (equal keys encode equally, distinct keys
+# distinctly), and ``key_digest`` hashes that encoding with blake2b.
 
 #: bool must encode as int: ``True == 1`` in Python, and the in-memory
 #: visited set merges them — the byte encoding has to agree.
@@ -203,26 +201,33 @@ def _encode_into(obj, out: bytearray) -> None:
         for enc in sorted(stable_encode(item) for item in obj):
             out += enc
         out[at:at + 4] = (len(out) - at - 4).to_bytes(4, "big")
+    elif kind is ChainNode or kind is SeqNode:
+        # A node by its content: a chain as its descriptions, root
+        # first (a loop, not one recursion level per event).
+        out += b"c" if kind is ChainNode else b"q"
+        out += b"\x00\x00\x00\x00"
+        at = len(out) - 4
+        _encode_into(
+            obj.descriptions() if kind is ChainNode else obj.content, out
+        )
+        out[at:at + 4] = (len(out) - at - 4).to_bytes(4, "big")
     else:
-        parts = getattr(obj, "parts", None)
-        if parts is not None and type(obj).__name__ == "CachedKey":
-            _encode_into(parts, out)
-        else:
-            raise TypeError(
-                "stable_encode: unsupported key component "
-                f"{type(obj).__name__!r}"
-            )
+        raise TypeError(
+            "stable_encode: unsupported key component "
+            f"{type(obj).__name__!r}"
+        )
 
 
 def stable_encode(obj) -> bytes:
     """A canonical, process-independent byte encoding of a key.
 
     Every encoding is self-delimiting (tag byte + 4-byte length +
-    payload), so concatenations inside containers stay injective.
-    :class:`~repro.c11.compact.CachedKey` encodes as its raw parts —
-    matching its ``__eq__``, which is transparent against plain tuples.
-    Unsupported types raise ``TypeError``: a silent fallback (pickle,
-    repr) could depend on process state and corrupt shard routing.
+    payload), so concatenations inside containers stay injective.  A
+    key node encodes as its content (a chain as its descriptions), so
+    equal nodes — which are one object in each process — encode
+    equally in every process.  Unsupported types raise ``TypeError``:
+    a silent fallback (pickle, repr) could depend on process state and
+    corrupt shard routing.
     """
     out = bytearray()
     _encode_into(obj, out)

@@ -111,17 +111,14 @@ class WorkerDied(RuntimeError):
 def key_digest_for(key) -> bytes:
     """Stable digest of a full ``ConfigKey = (program, state_key)``.
 
-    Routed through :meth:`~repro.c11.compact.CachedKey.digest` when the
-    state key carries one — canonical keys are interned, so the digest
-    of a revisited state is a cached attribute read, not a re-encode.
+    The state key's hash-consed nodes encode by their content
+    (:func:`~repro.engine.keys.stable_encode`), so every process routes
+    an equal key to the same shard.
     """
     program, state_key = key
-    digest_method = getattr(state_key, "digest", None)
-    state_digest = (
-        digest_method() if digest_method is not None else key_digest(state_key)
-    )
     return hashlib.blake2b(
-        stable_encode(program_token(program)) + state_digest, digest_size=16
+        stable_encode(program_token(program)) + key_digest(state_key),
+        digest_size=16,
     ).digest()
 
 
@@ -974,7 +971,7 @@ def explore_sharded(
     The plan's checkpoint surface works as in the single-process search
     (DESIGN.md §16): snapshots are taken at superstep barriers —
     per-shard core images assembled by the coordinator into ONE atomic
-    ``repro-ckpt/4`` file with algorithm tag ``"shard"`` — and resume
+    ``repro-ckpt/5`` file with algorithm tag ``"shard"`` — and resume
     requires the identical shard count (it is part of the fingerprint).
     Process mode runs under attempt-level supervision: silently dying
     workers are detected, the fleet respawned from the latest

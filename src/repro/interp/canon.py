@@ -14,22 +14,28 @@ state built by ``(D, sb) + e`` it is exactly the canonical shape
 (initialisers first, per-thread total order), which the soundness checker
 verifies on every reachable state.
 
-Memoization (DESIGN.md §4): the event-identity map is cached on the
-state object (``_canon_ids``) and *propagated incrementally* — appending
-an event via ``(D, sb) + e`` places it sb-last in its thread, so the
-child's identity map is the parent's plus one entry, and adding ``rf`` /
-``mo`` edges changes no identities at all.  ``C11State.successor`` (and
-the definitional ``add_event`` / ``with_rf`` / ``insert_mo_after``)
-exploit exactly this, which removes the dominant cost of keying from
-the exploration hot path.  The final
-key is additionally memoized per object by
-:func:`repro.engine.keys.cached_canonical_key`.
+The key is one flat tuple of hash-consed nodes (DESIGN.md §4;
+:class:`~repro.c11.compact.KeyNode`): the initialising writes'
+descriptions (tid 0, sorted by variable), the event chain of each
+thread that has events, in tid order, then one ``mo`` identity
+sequence per variable, in variable order.  A chain node is ``(parent chain,
+description)``; a read's description carries its ``rf`` source's
+identity, so ``rf`` needs no part of its own.  Equal keys are the same
+nodes, so keys hash and compare in C, by identity.
+
+:func:`canonical_key` is the from-scratch reference derivation.  The
+exploration hot path never calls it past the initial state:
+``C11State.successor`` and ``PreExecutionState.add_event`` derive a
+child's key from its parent's with one chain lookup (plus one ``mo``
+lookup for a write), and :func:`repro.engine.keys.cached_canonical_key`
+memoizes the key per object.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Tuple
 
+from repro.c11.compact import ChainNode, SeqNode, intern_node
 from repro.c11.events import Event
 from repro.c11.prestate import PreExecutionState
 from repro.c11.state import C11State
@@ -38,13 +44,9 @@ EventKey = Tuple
 
 
 def _event_ids(state) -> Dict[Event, EventKey]:
-    """Map each event to its canonical identity (cached on the state)."""
-    cached = getattr(state, "_canon_ids", None)
-    if cached is not None:
-        return cached
+    """Map each event to its canonical identity."""
     ids: Dict[Event, EventKey] = {}
-    tids = sorted({e.tid for e in state.events})
-    for tid in tids:
+    for tid in sorted({e.tid for e in state.events}):
         if tid == 0:
             for e in state.events:
                 if e.is_init:
@@ -52,10 +54,6 @@ def _event_ids(state) -> Dict[Event, EventKey]:
             continue
         for pos, e in enumerate(_thread_events(state, tid)):
             ids[e] = ("e", tid, pos)
-    try:
-        state._canon_ids = ids
-    except AttributeError:  # foreign state types without the slot
-        pass
     return ids
 
 
@@ -68,50 +66,51 @@ def _thread_events(state, tid) -> Tuple[Event, ...]:
     return tuple(mine)
 
 
-def canonical_key(state) -> Hashable:
-    """A hashable key identifying the state up to tag renaming.
+def canonical_key(state) -> tuple:
+    """A key identifying the state up to tag renaming.
 
     Works for both :class:`C11State` (events + rf + mo) and
-    :class:`PreExecutionState` (events only).
+    :class:`PreExecutionState` (events only, so its key is its chains).
 
-    ``rf`` and ``mo`` are encoded from their *sequence* forms
-    (DESIGN.md §11): ``rf`` as the sorted identity pairs of its
-    read→write map, ``mo`` as the sorted tuple of per-variable identity
-    sequences — no O(n²) pair-set detour.  States without a compact
-    representation derive the same sequences from their relations
-    (``writes_on`` orders each variable's writes by mo-predecessor
-    count), so compact-built and hand-assembled encodings of equal
-    states coincide; like the identity scheme itself, this assumes
-    MO-Valid states (``mo|_x`` total), which every keyed consumer
-    — exploration, candidates, justifications — guarantees.
+    ``rf`` and ``mo`` come from their *sequence* forms (DESIGN.md §11):
+    each read's source from the read→write map, each variable's ``mo``
+    as its identity sequence.  States without a compact representation
+    derive the same sequences from their relations (``writes_on`` orders
+    each variable's writes by mo-predecessor count), so compact-built
+    and hand-assembled keys of equal states are the same object; like
+    the identity scheme itself, this assumes MO-Valid states (``mo|_x``
+    total) whose ``rf`` is functional on reads, which every keyed
+    consumer — exploration, candidates, justifications — guarantees.
     """
     ids = _event_ids(state)
-
-    def describe(e: Event) -> Tuple:
-        return e.described(ids[e])
-
-    events_part = tuple(sorted(describe(e) for e in state.events))
-    if isinstance(state, PreExecutionState):
-        return (events_part,)
-    compact = state.compact if isinstance(state, C11State) else None
-    if compact is not None:
-        seq = compact.events_seq
-        rf_part = tuple(
-            sorted((ids[seq[w]], ids[seq[r]]) for r, w in compact.rf.items())
-        )
-        mo_part = tuple(
-            sorted(
-                tuple(ids[w] for w in var_seq)
-                for var_seq in compact.mo.values()
-            )
-        )
-    else:
-        rf_part = tuple(sorted((ids[w], ids[r]) for w, r in state.rf.pairs))
-        mo_part = tuple(
-            sorted(
+    c11 = not isinstance(state, PreExecutionState)
+    if c11:
+        compact = state.compact if isinstance(state, C11State) else None
+        if compact is not None:
+            seq = compact.events_seq
+            source = {seq[r]: ids[seq[w]] for r, w in compact.rf.items()}
+            mo = [tuple(ids[w] for w in ws) for ws in compact.mo.values()]
+        else:
+            source = {r: ids[w] for w, r in state.rf.pairs}
+            mo = [
                 tuple(ids[w] for w in state.writes_on(x))
                 for x in state.variables()
-            )
-        )
-    return (events_part, rf_part, mo_part)
+            ]
 
+    def describe(e: Event) -> Tuple:
+        desc = e.described(ids[e])
+        return desc + (source.get(e),) if c11 and e.is_read else desc
+
+    key = []
+    for tid in sorted({e.tid for e in state.events}):
+        if tid == 0:
+            inits = sorted(describe(e) for e in state.events if e.is_init)
+            key.append(intern_node(SeqNode, tuple(inits)))
+            continue
+        node = None
+        for e in _thread_events(state, tid):
+            node = intern_node(ChainNode, (node, describe(e)))
+        key.append(node)
+    if c11:
+        key.extend(intern_node(SeqNode, ids_seq) for ids_seq in sorted(mo))
+    return tuple(key)

@@ -20,7 +20,9 @@ Activation
   the CLI traces every worker too;
 * ``REPRO_TRACE_SAMPLE=N`` keeps 1-in-N of the *high-frequency*
   records (``node`` and ``prune``); structural records (runs, spans,
-  races, views, jobs) are never sampled.  Default: 16.
+  races, views, jobs) are never sampled.  Default: 16.  A value that is
+  not a whole number of at least 1 is an error (:func:`env_sample`),
+  never clamped or replaced.
 
 Record schema (``repro-trace/1``)
 =================================
@@ -134,8 +136,10 @@ class Tracer:
     )
 
     def __init__(self, path: str, sample: int = DEFAULT_SAMPLE) -> None:
+        if sample < 1:
+            raise ValueError(f"trace sample must be at least 1, got {sample}")
         self.path = path
-        self.sample = max(1, int(sample))
+        self.sample = sample
         self.emitted = 0
         #: when a list, every record is also appended here (tests use
         #: this to assert the file round-trips losslessly)
@@ -234,18 +238,28 @@ def tracer() -> Optional[Tracer]:
         _resolved = True
         path = os.environ.get("REPRO_TRACE")
         if path:
-            _TRACER = Tracer(
-                path, sample=_env_sample()
-            )
+            _TRACER = Tracer(path, sample=env_sample())
             _TRACER.emit("header", schema=SCHEMA_NAME, sample=_TRACER.sample)
     return _TRACER
 
 
-def _env_sample() -> int:
-    try:
-        return int(os.environ.get("REPRO_TRACE_SAMPLE", DEFAULT_SAMPLE))
-    except ValueError:
+def env_sample() -> int:
+    """The sampling rate ``REPRO_TRACE_SAMPLE`` asks for (default
+    :data:`DEFAULT_SAMPLE`); a value that is not a whole number of at
+    least 1 raises :class:`ValueError`."""
+    text = os.environ.get("REPRO_TRACE_SAMPLE")
+    if text is None:
         return DEFAULT_SAMPLE
+    try:
+        sample = int(text)
+    except ValueError:
+        sample = 0
+    if sample < 1:
+        raise ValueError(
+            "REPRO_TRACE_SAMPLE must be a whole number of at least 1, "
+            f"got {text!r}"
+        )
+    return sample
 
 
 def enable(path: str, sample: Optional[int] = None) -> Tracer:
@@ -253,7 +267,9 @@ def enable(path: str, sample: Optional[int] = None) -> Tracer:
     global _resolved, _TRACER
     if _TRACER is not None:
         _TRACER.close()
-    _TRACER = Tracer(path, sample=sample if sample is not None else _env_sample())
+    if sample is None:
+        sample = env_sample()
+    _TRACER = Tracer(path, sample=sample)
     _resolved = True
     _TRACER.emit("header", schema=SCHEMA_NAME, sample=_TRACER.sample)
     return _TRACER

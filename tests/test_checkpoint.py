@@ -1,4 +1,4 @@
-"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/4 format.
+"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/5 format.
 
 The fault-tolerance contract (DESIGN.md §16), half one: a run
 interrupted at an arbitrary point and resumed from its last snapshot
@@ -206,7 +206,7 @@ def test_checkpointing_is_observation_free(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The repro-ckpt/4 format: atomicity, magic, fingerprints
+# The repro-ckpt/5 format: atomicity, magic, fingerprints
 # ----------------------------------------------------------------------
 
 
@@ -237,21 +237,23 @@ def test_bad_magic_is_refused(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "schema", ["repro-ckpt/1", "repro-ckpt/2", "repro-ckpt/3"]
+    "schema", ["repro-ckpt/1", "repro-ckpt/2", "repro-ckpt/3", "repro-ckpt/4"]
 )
 def test_previous_schema_is_refused_by_name(tmp_path, schema):
     """A repro-ckpt/1 file (whose parent map carried whole steps), a
     repro-ckpt/2 file (which carried a visited-set image beside the
-    parent map) or a repro-ckpt/3 file (whose compact states carried an
-    ``unplaced`` slot) is refused with an error naming its schema, never
-    unpickled into the current loop."""
+    parent map), a repro-ckpt/3 file (whose compact states carried an
+    ``unplaced`` slot) or a repro-ckpt/4 file (whose keys were nested
+    tuples, not hash-consed nodes) is refused with a one-line error
+    naming its schema, never unpickled into the current loop."""
     path = tmp_path / "old.ckpt"
     path.write_bytes(
         schema.encode("ascii") + b"\n"
         + pickle.dumps({"fingerprint": {}, "payload": {}})
     )
-    with pytest.raises(CheckpointError, match=schema):
+    with pytest.raises(CheckpointError, match=schema) as refused:
         read_checkpoint(str(path))
+    assert "\n" not in str(refused.value)
 
 
 def test_torn_write_is_refused(tmp_path):

@@ -391,6 +391,37 @@ def test_plan_errors_are_one_line_on_every_command(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["0", "abc"])
+@pytest.mark.parametrize("command", ["run", "fuzz"])
+def test_bad_trace_sample_env_is_one_line(tmp_path, capsys, monkeypatch,
+                                          command, value):
+    """A bad ``REPRO_TRACE_SAMPLE`` fails a traced command the way a
+    bad ``--trace-sample`` does, before the command runs."""
+    monkeypatch.setenv("REPRO_TRACE_SAMPLE", value)
+    trace_path = tmp_path / "t.jsonl"
+    argv = {
+        "run": ["run", SEED_LITMUS],
+        "fuzz": ["fuzz", "--iters", "1", "--no-save"],
+    }[command] + ["--trace", str(trace_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert lines == [
+        f"repro {command}: error: REPRO_TRACE_SAMPLE must be a whole "
+        f"number of at least 1, got {value!r}"
+    ]
+    assert captured.out == ""
+    assert not trace_path.exists()
+
+
+def test_valid_trace_sample_env_reaches_the_header(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_TRACE_SAMPLE", "4")
+    trace_path = tmp_path / "t.jsonl"
+    main(["run", SEED_LITMUS, "--trace", str(trace_path)])
+    header = json.loads(trace_path.read_text().splitlines()[0])
+    assert header["ev"] == "header" and header["sample"] == 4
+
+
 @pytest.mark.parametrize("command", ["run", "dot", "soundness"])
 def test_undecodable_litmus_file_is_one_line(tmp_path, capsys, command):
     path = tmp_path / "binary.litmus"
@@ -478,6 +509,17 @@ def test_suite_phase_split_terms_sum_to_total(capsys):
     out = capsys.readouterr().out
     (line,) = [l for l in out.splitlines() if l.startswith("phase split:")]
     terms = _phase_terms(line, "s")
+    # six terms, each rounded to 10 ms
+    assert abs(_phase_sum(terms) - terms["total"]) <= 0.03 + 1e-9
+
+
+def test_fuzz_phase_split_terms_sum_to_total(capsys):
+    """The fuzz footer renders its merged stats like the batch footers."""
+    assert main(["fuzz", "--seed", "0", "--iters", "6", "--no-save"]) == 0
+    out = capsys.readouterr().out
+    (line,) = [l for l in out.splitlines() if l.startswith("phase split:")]
+    terms = _phase_terms(line, "s")
+    assert terms["total"] > 0 and "states/Mspin" in line
     # six terms, each rounded to 10 ms
     assert abs(_phase_sum(terms) - terms["total"]) <= 0.03 + 1e-9
 

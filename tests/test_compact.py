@@ -174,11 +174,11 @@ def test_writes_on_and_events_of_read_the_sequences():
 
 
 def test_propagated_keys_match_fresh_derivation_along_rf_mo_edits():
-    """`successor` propagates the canonical key by tuple surgery;
-    wiping the caches and re-deriving must agree after every Write and
-    RMW step."""
+    """`successor` derives the child's key from its parent's; wiping
+    the cache and re-deriving must give the same nodes after every
+    Write and RMW step."""
     state = initial_state({"x": 0})
-    # prime ids + key, as exploration does
+    # prime the key, as exploration does
     state._canon_key = canonical_key(state)
     init = state.last("x")
     w = Event(1, wrr("x", 1), 1)
@@ -186,12 +186,13 @@ def test_propagated_keys_match_fresh_derivation_along_rf_mo_edits():
     u = Event(2, upd("x", 1, 3), 2)
     s2 = s1.successor(u, w)
     for s in (s1, s2):
-        assert s.compact is not None  # else no surgery ran
+        assert s.compact is not None  # else the key was not derived
         propagated = s._canon_key
         assert propagated is not None, "key was not propagated"
         s._canon_key = None
-        s._canon_ids = None
-        assert canonical_key(s) == propagated
+        fresh = canonical_key(s)
+        assert fresh == propagated
+        assert all(a is b for a, b in zip(fresh, propagated))
 
 
 def _definitional_successor(state, e, w):
@@ -211,7 +212,7 @@ def test_successor_matches_the_definitional_chain(model_factory):
     Write and RMW transition's ``successor(e, w)`` equals — and keys
     identically to — the paper's constructors chained on the
     relation-only clone.  The key is read before the child is built:
-    the surgery reads the parent alone.  (SRA's filter builds every
+    the key derivation reads the parent alone.  (SRA's filter builds every
     child it tests, so only RA's children are still deferred here.)"""
     model = model_factory()
     checked = 0
@@ -258,16 +259,19 @@ def test_compact_guards_fall_back_to_none():
     c = state.compact
     assert isinstance(c, CompactOrders)
     init_x, init_y = state.last("x"), state.last("y")
-    # a read needs no splice; a write goes right after its observed write
-    assert c.placement(Event(6, rd("x", 0), 1), init_x) == -1
+    # both give the observed write's mo position; a write is spliced
+    # right after it, and a read's key description names it
+    assert c.placement(Event(6, rd("x", 0), 1), init_x) == 0
     assert c.placement(Event(6, wr("x", 1), 1), init_x) == 0
     # appending an initialising write is outside the incremental form
     assert c.placement(Event(-9, wr("z", 0), 0), init_x) is None
     # an unindexed observed write cannot be rf/mo-linked
     stranger = Event(5, wr("x", 0), 1)
     assert c.placement(Event(6, rd("x", 0), 1), stranger) is None
-    # a write must splice after a write of its own variable's mo
+    # a write must splice after, and a read observe, a write of its
+    # own variable's mo
     assert c.placement(Event(6, wr("x", 1), 1), init_y) is None
+    assert c.placement(Event(6, rd("x", 0), 1), init_y) is None
     # a tag below the counter that is already used
     s1 = state.successor(Event(1, wr("x", 1), 1), init_x)
     assert s1.compact.placement(Event(1, rd("y", 0), 2), init_y) is None

@@ -8,27 +8,34 @@ different string-hash salts.  ``hash()`` guarantees none of that; these
 tests pin that the stable encoding and blake2b digest do.
 """
 
+import gc
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from repro.c11.compact import CachedKey
+from repro.c11.compact import ChainNode
+from repro.c11.state import C11State
 from repro.engine.keys import key_digest, shard_of, stable_encode
 from repro.engine.shard import key_digest_for
+from repro.interp.canon import canonical_key
 from repro.interp.explore import explore
 from repro.interp.ra_model import RAMemoryModel
 from repro.litmus.suite import ALL_TESTS
 
 
+def _sb_run():
+    test = ALL_TESTS[0]
+    return explore(test.program, test.init, RAMemoryModel(),
+                   max_events=test.max_events)
+
+
 def _sb_digests():
     """Sorted hex digests of every key the SB exploration visits."""
-    test = ALL_TESTS[0]
-    result = explore(test.program, test.init, RAMemoryModel(),
-                     max_events=test.max_events)
-    return sorted(key_digest_for(key).hex() for key in result.parents)
+    return sorted(key_digest_for(key).hex() for key in _sb_run().parents)
 
 
 def test_stable_encode_is_injective_on_the_key_grammar():
@@ -70,28 +77,35 @@ def test_key_digest_and_shard_of_are_stable_and_in_range():
         assert dest == shard_of(digest, shards)
 
 
-def test_cached_key_digest_is_cached_and_value_faithful():
-    parts = (("x", 1), ("y", ("rlx", 0)))
-    wrapped = CachedKey(parts)
-    first = wrapped.digest()
-    assert wrapped.digest() is first  # cached attribute, not re-encoded
-    # the digest is a function of the parts, not of the wrapper object
-    assert CachedKey(parts).digest() == first
-    assert key_digest(wrapped) == key_digest(parts)
+def test_key_node_digest_is_value_faithful():
+    """A key's digest is a function of its nodes' content: the key of a
+    relation-only clone (keyed from scratch) digests equally, and
+    distinct keys digest distinctly."""
+    result = _sb_run()
+    keys = [state_key for _program, state_key in result.parents]
+    assert len({key_digest(k) for k in keys}) == len(keys)
+    for config in result.terminal:
+        state = config.state
+        clone = C11State(state.events, state.sb, state.rf, state.mo)
+        assert key_digest(canonical_key(clone)) == key_digest(
+            canonical_key(state)
+        )
+    chain = next(n for n in keys[-1] if type(n) is ChainNode)
+    assert stable_encode(chain)[:1] == b"c"
+    assert stable_encode(chain)[5:] == stable_encode(chain.descriptions())
 
 
-def test_key_digest_for_routes_through_cached_key():
-    test = ALL_TESTS[0]
-    result = explore(test.program, test.init, RAMemoryModel(),
-                     max_events=test.max_events)
-    cached = [
-        key for key in result.parents if type(key[1]) is CachedKey
-    ]
-    assert cached, "RA canonical keys should be interned CachedKeys"
-    program, state_key = cached[0]
-    assert key_digest_for((program, state_key)) == key_digest_for(
-        (program, CachedKey(state_key.parts))
-    )
+def test_key_digest_for_encodes_nodes_by_content():
+    """Routing digests survive the nodes they were taken from: a key
+    pickled, dropped with every node it names, and loaded again (its
+    nodes interned afresh, as in another process) routes identically."""
+    result = _sb_run()
+    before = sorted(key_digest_for(key) for key in result.parents)
+    blob = pickle.dumps(list(result.parents))
+    del result
+    gc.collect()
+    after = sorted(key_digest_for(key) for key in pickle.loads(blob))
+    assert after == before
 
 
 def test_digests_identical_in_forked_worker():

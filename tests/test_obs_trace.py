@@ -178,6 +178,27 @@ def test_env_activation_and_sample(tmp_path, monkeypatch):
     assert header == {**header, "ev": "header", "schema": SCHEMA_NAME, "sample": 4}
 
 
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_bad_env_sample_raises_instead_of_guessing(
+    tmp_path, monkeypatch, value
+):
+    """``REPRO_TRACE_SAMPLE`` of ``0`` was clamped to 1 and ``abc``
+    replaced by the default; both are errors now, on the lazy
+    environment path and on ``enable`` alike."""
+    path = tmp_path / "env.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(path))
+    monkeypatch.setenv("REPRO_TRACE_SAMPLE", value)
+    trace.disable()
+    with pytest.raises(ValueError, match="REPRO_TRACE_SAMPLE"):
+        tracer()
+    trace.disable()
+    with pytest.raises(ValueError, match="REPRO_TRACE_SAMPLE"):
+        trace.enable(str(path))
+    with pytest.raises(ValueError, match="at least 1"):
+        trace.enable(str(path), sample=0)
+    trace.disable()
+
+
 def test_checker_tool_accepts_real_trace(tmp_path, traced_peterson):
     """tools/check_trace_schema.py passes on a real trace file."""
     import subprocess

@@ -131,7 +131,7 @@ def test_sigterm_mid_sharded_run_is_clean_and_resumable(tmp_path, sig):
     )
 
     # the snapshot the signal left behind is a valid, resumable
-    # repro-ckpt/4 file (atomic writes: never torn)
+    # repro-ckpt/5 file (atomic writes: never torn)
     _, payload = read_checkpoint(ckpt)
     assert payload["algo"] == "shard"
     assert len(payload["cores"]) == 3  # one pickled core per shard
