@@ -24,6 +24,7 @@ from repro.casestudies.spinlock import (
     spinlock_outline,
     spinlock_program,
 )
+from repro.engine.plan import SearchPlan
 from repro.verify.registry import PROOFS
 
 BOUND = 10
@@ -43,7 +44,9 @@ def main() -> None:
 
     # -- the outline, discharged --------------------------------------
     outline = spinlock_outline()
-    report = outline.check(program, SPINLOCK_INIT, max_events=BOUND)
+    report = outline.check(
+        program, SPINLOCK_INIT, plan=SearchPlan(max_events=BOUND)
+    )
     print(f"proof outline over bound {BOUND}:")
     show(report)
     assert report.proved
@@ -51,7 +54,7 @@ def main() -> None:
     # -- the refutation canary ----------------------------------------
     print("\nmutant: exchange replaced by read-then-write (not atomic):")
     broken = spinlock_outline().check(
-        spinlock_broken(), SPINLOCK_INIT, max_events=BOUND
+        spinlock_broken(), SPINLOCK_INIT, plan=SearchPlan(max_events=BOUND)
     )
     assert not broken.proved
     for failure in broken.failures[:3]:

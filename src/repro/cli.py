@@ -386,28 +386,21 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz.corpus import save_campaign
     from repro.fuzz.runner import fuzz_jobs, run_campaign
 
+    campaign = dict(
+        seed=args.seed, iters=args.iters, profile=args.profile,
+        jobs=args.jobs, axiomatic=not args.no_axiomatic,
+        shrink=not args.no_shrink, reduction=args.reduction,
+        check_orders=args.check_orders, check_shards=args.check_shards,
+        check_faults=args.check_faults,
+    )
     try:
-        n_jobs = len(fuzz_jobs(args.seed, args.iters, profile=args.profile,
-                               jobs=args.jobs,
-                               axiomatic=not args.no_axiomatic))
-    except ValueError as exc:  # an unknown profile
+        n_jobs = len(fuzz_jobs(**campaign))
+    except ValueError as exc:  # an unknown profile or oracle setting
         raise UsageError(str(exc)) from None
     heartbeat = _heartbeat(args, n_jobs, "fuzz")
     t0 = time.perf_counter()
     try:
-        report = run_campaign(
-            seed=args.seed,
-            iters=args.iters,
-            profile=args.profile,
-            jobs=args.jobs,
-            axiomatic=not args.no_axiomatic,
-            shrink=not args.no_shrink,
-            reduction=args.reduction,
-            check_orders=args.check_orders,
-            check_shards=args.check_shards,
-            check_faults=args.check_faults,
-            progress=heartbeat,
-        )
+        report = run_campaign(**campaign, progress=heartbeat)
     except SuiteInterrupted as interrupt:
         if heartbeat is not None:
             heartbeat.finish()
@@ -514,10 +507,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         for model_name in models:
             outline = entry.outline()
             try:
-                report = entry.check(
-                    model_name, strategy=plan.strategy,
-                    max_configs=plan.max_configs,
-                )
+                report = entry.check(model_name, plan=plan)
             except (AttributeError, TypeError) as exc:
                 # e.g. a DV/UpdateOnly outline forced onto SC stores:
                 # thread-indexed assertions only evaluate on C11 states
@@ -573,14 +563,7 @@ def _verify_file(args: argparse.Namespace, plan) -> int:
     outline = _load_outline_spec(args.outline)
     model_name = args.model or "ra"
     model = _model(model_name)
-    report = outline.check(
-        parsed.program,
-        parsed.init,
-        model=model,
-        max_events=plan.max_events,
-        max_configs=plan.max_configs,
-        strategy=plan.strategy,
-    )
+    report = outline.check(parsed.program, parsed.init, model=model, plan=plan)
     _print_outline_report(
         f"{parsed.name} [{model_name}] — outline from {args.outline}",
         outline, report,

@@ -76,8 +76,8 @@ class SuiteJob:
     #: are strategy-, reduction- and shard-independent by design.
     #: Suite workers are daemonic pool processes, so a sharded plan runs
     #: the sharded search's in-process mode (DESIGN.md §15).  Verify jobs
-    #: take the strategy and the config cap only: obligation discharge
-    #: is always unreduced and unsharded (DESIGN.md §10).
+    #: reject a reducing plan: obligation discharge quantifies over every
+    #: reachable transition (DESIGN.md §10).
     plan: SearchPlan = SearchPlan()
 
     @property
@@ -347,17 +347,13 @@ def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
 def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
     """Discharge one proof case study's obligations under one model.
 
-    The obligations quantify over every reachable transition, so the
-    discharge is always unreduced and unsharded: it takes the plan's
-    strategy and config cap only (DESIGN.md §10).
+    The search follows the job's plan with the entry's event bound; a
+    reducing plan is rejected, since the obligations quantify over every
+    reachable transition (DESIGN.md §10).
     """
     from repro.verify.registry import PROOFS
 
-    entry = PROOFS.get(job.name)
-    report = entry.check(
-        job.model, strategy=job.plan.strategy,
-        max_configs=job.plan.max_configs,
-    )
+    report = PROOFS.get(job.name).check(job.model, plan=job.plan)
     stats = report.stats
     return SuiteJobResult(
         job=job,

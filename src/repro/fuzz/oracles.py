@@ -1,7 +1,6 @@
 """Differential oracles: what makes a generated program *pass*.
 
-Seven independent checks, cheapest first (the fifth through seventh
-are opt-in):
+Seven independent checks (the fifth through seventh are opt-in):
 
 1. **Refinement chain** — the outcome sets (final values of every
    variable over terminal configurations) must nest along the model
@@ -27,13 +26,8 @@ are opt-in):
    batch-level :class:`~repro.fuzz.runner.FootprintJob`.
 
 4. **POR parity** — re-explore the program under RA with the selected
-   partial-order reduction (``"optimal"`` by default, DESIGN.md §9) and
-   require the reduced search to be outcome-identical to the full one:
-   same terminal outcome set, same truncation flag, and a visited-
-   configuration count that can only shrink.  This is the continuous
-   soundness check of :mod:`repro.engine.por` — every fuzz campaign
-   cross-validates the reduction against exhaustive exploration on
-   every generated program, for free.
+   partial-order reduction (``"optimal"`` by default, DESIGN.md §9):
+   the continuous soundness check of :mod:`repro.engine.por`.
 
 5. **Derived-order parity** (``check_orders=True`` / ``repro fuzz
    --check-orders``, off by default) — on every distinct RA-reachable
@@ -44,30 +38,24 @@ are opt-in):
    (:func:`repro.c11.compact.derived_order_divergences`, DESIGN.md
    §11).  A reachable state without the compact form is itself a
    divergence: every state grown from ``initial_state`` carries it.
-   The continuous soundness check of the compact order engine, run
-   over whole campaigns.
 
 6. **Shard parity** (``check_shards=True`` / ``repro fuzz
    --check-shards``, off by default) — re-explore the program under RA
-   with the search hash-partitioned across three shards (DESIGN.md
-   §15) and require the sharded run to be *exactly* identical to the
-   single-process one: same terminal outcome set, same truncation
-   flag, and the same visited-configuration count — sharding
-   partitions the very same search, it never prunes.  The continuous
-   soundness check of :mod:`repro.engine.shard` over whole campaigns.
-   Inside daemonic fuzz pool workers the sharded run executes the
-   in-process superstep schedule, which is the same code path the
-   worker processes run.
+   hash-partitioned across three shards (DESIGN.md §15), in the
+   in-process superstep schedule the worker processes also run.
 
 7. **Fault parity** (``check_faults=True`` / ``repro fuzz
-   --check-faults``, off by default) — inject deterministic faults
-   (:mod:`repro.faults`, DESIGN.md §16) into a re-exploration of the
-   program and require recovery to be *exactly* outcome- and
-   count-identical to the clean search: interrupt the run mid-search
-   with checkpoints enabled, then resume from the checkpoint it left
-   behind.  The continuous soundness check of the checkpoint/resume
-   machinery over whole campaigns.  It runs in-process (fork-free), so
-   the oracle is safe inside daemonic pool workers.
+   --check-faults``, off by default) — interrupt a checkpointed
+   re-exploration midway (:mod:`repro.faults`, DESIGN.md §16) and
+   resume it from the checkpoint it left behind.
+
+Oracles 4, 6 and 7 are the *parity legs* (:func:`parity_legs`): each is
+a variant :class:`~repro.engine.plan.SearchPlan` of one base plan, and
+one comparison judges them all.  The variant run must reach the full
+search's terminal outcome set and truncation flag; its visited-
+configuration count may only shrink under a reduction and must match
+exactly under sharding and recovery, which partition or replay the very
+same search.
 
 A run that hits an exploration bound (``max_events`` slack exceeded or
 the ``max_configs`` safety cap) is reported *inconclusive*, never
@@ -82,11 +70,16 @@ catches and shrinks the divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+import shutil
+import tempfile
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
+from repro.engine.plan import SearchPlan
 from repro.engine.stats import EngineStats
+from repro.faults import FaultInterrupt, FaultPlan, clear_plan, set_plan
 from repro.interp.explore import explore, reachable_states
 from repro.interp.memory_model import MemoryModel
 from repro.interp.ra_model import RAMemoryModel
@@ -182,6 +175,84 @@ def _footprint_equivalence(n_events: int, n_variables: int) -> str:
     )
 
 
+class Leg(NamedTuple):
+    """One parity leg: a variant run of the RA search that must
+    reproduce the full one (oracles 4, 6 and 7)."""
+
+    #: the divergence kind the leg reports
+    kind: str
+    label: str
+    plan: SearchPlan
+    #: the visited-configuration count must match; otherwise it may
+    #: only shrink
+    exact: bool
+    #: interrupt the run midway and resume it from its checkpoint
+    interrupt: bool = False
+
+
+def parity_legs(
+    base: SearchPlan,
+    reduction: str = "optimal",
+    check_shards: bool = False,
+    check_faults: bool = False,
+) -> List[Leg]:
+    """The variant runs :func:`check_program` compares with the full
+    search, each planned from ``base``.  Building them validates the
+    settings: an invalid one raises ``ValueError`` before anything
+    runs."""
+    legs = []
+    if reduction != "none":
+        legs.append(Leg(
+            "por-parity", f"reduction={reduction}",
+            replace(base, reduction=reduction), exact=False,
+        ))
+    if check_shards:
+        # always the in-process superstep schedule: deterministic and
+        # fork-free, also inside a daemonic pool worker
+        legs.append(Leg(
+            "shard-parity", "shards=3",
+            replace(base, shards=3, shard_processes=False), exact=True,
+        ))
+    if check_faults:
+        legs.append(Leg(
+            "fault-parity", "interrupt+resume", base, exact=True,
+            interrupt=True,
+        ))
+    return legs
+
+
+def _run_leg(
+    case: GeneratedCase, model: Callable[[], MemoryModel], leg: Leg, full
+):
+    """Run ``leg``'s variant of the RA search on ``case``.
+
+    The interrupting leg stops after half the full search's
+    configurations and resumes from the checkpoint the interrupt left
+    behind; interrupted before the first snapshot landed, recovery
+    degenerates to a fresh run.  It runs in-process, so the oracle is
+    safe inside daemonic pool workers.
+    """
+    if not leg.interrupt:
+        return explore(case.program, case.init, model(), **leg.plan.options())
+    half = max(1, full.configs // 2)
+    workdir = tempfile.mkdtemp(prefix="repro-fault-oracle-")
+    try:
+        durable = replace(
+            leg.plan, checkpoint=os.path.join(workdir, "case.ckpt"),
+            checkpoint_every=max(1, half // 2),
+        )
+        set_plan(FaultPlan(f"interrupt:configs={half}"))
+        try:
+            return explore(case.program, case.init, model(), **durable.options())
+        except FaultInterrupt as exc:
+            clear_plan()
+            resumed = replace(leg.plan, resume=exc.checkpoint)
+            return explore(case.program, case.init, model(), **resumed.options())
+    finally:
+        clear_plan()
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
 def check_program(
     case: GeneratedCase,
     max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
@@ -194,23 +265,17 @@ def check_program(
     """Run every per-program oracle on ``case`` and report the first
     divergence (the footprint oracle is batch-level, see oracle 3).
 
-    ``reduction`` selects which partial-order reduction the POR-parity
-    oracle cross-validates against the full search (``"none"`` disables
-    the oracle).
-    ``check_orders`` additionally replays the compact derived-order
-    self-check over every distinct RA-reachable state (DESIGN.md §11).
-    ``check_shards`` re-runs the RA exploration hash-partitioned across
-    three shards and requires exact parity with the single-process
-    search (DESIGN.md §15).  ``check_faults`` injects a deterministic
-    mid-run interrupt into a re-exploration, resumes it from its
-    checkpoint and requires exact parity with the clean search
-    (DESIGN.md §16).
+    ``reduction`` selects the reduction oracle 4 checks (``"none"``
+    disables it); ``check_orders``, ``check_shards`` and
+    ``check_faults`` turn on oracles 5, 6 and 7.  Invalid settings
+    raise ``ValueError`` before anything runs.
     """
     models = models if models is not None else ORACLE_MODELS
     report = OracleReport(case)
     # +1 slack: the hint is an exact upper bound, so reaching it is
     # legitimate and only *exceeding* it marks a runaway model
-    max_events = case.events_hint + 1
+    base = SearchPlan(max_events=case.events_hint + 1, max_configs=max_configs)
+    legs = parity_legs(base, reduction, check_shards, check_faults)
 
     ra_states = []
     for name in REFINEMENT_CHAIN:
@@ -220,12 +285,11 @@ def check_program(
                 # distinct reachable state for the soundness oracle
                 ra_states, result = reachable_states(
                     case.program, case.init, models[name](),
-                    max_events=max_events, max_configs=max_configs,
+                    max_events=base.max_events, max_configs=base.max_configs,
                 )
             else:
                 result = explore(
-                    case.program, case.init, models[name](),
-                    max_events=max_events, max_configs=max_configs,
+                    case.program, case.init, models[name](), **base.options()
                 )
         except Exception as exc:  # noqa: BLE001 — a crash IS a finding
             report.divergence = "crash"
@@ -236,7 +300,7 @@ def check_program(
         report.terminal += len(result.terminal)
         report.stats.merge(result.stats)
         if name == "ra":
-            ra_full = result
+            full = result
         if result.truncated:
             report.inconclusive = True
             report.detail = f"{name} exploration hit a bound; no verdict"
@@ -272,7 +336,7 @@ def check_program(
             )
             return report
 
-    # 2b. derived-order parity: compact vs definitional (DESIGN.md §11)
+    # 5. derived-order parity: compact vs definitional (DESIGN.md §11)
     if check_orders:
         from repro.c11.compact import derived_order_divergences
 
@@ -294,220 +358,54 @@ def check_program(
                 )
                 return report
 
-    # 4. POR parity: the reduced search must be outcome-identical.
-    if reduction != "none":
-        label = f"reduction={reduction}"
+    # 4, 6 and 7. the parity legs
+    expected = report.outcomes["ra"]
+    for leg in legs:
         try:
-            reduced = explore(
-                case.program, case.init, models["ra"](),
-                max_events=max_events, max_configs=max_configs,
-                reduction=reduction,
-            )
+            rerun = _run_leg(case, models["ra"], leg, full)
         except Exception as exc:  # noqa: BLE001 — a crash IS a finding
             report.divergence = "crash"
             report.detail = (
-                f"ra exploration under {label} raised "
+                f"ra exploration under {leg.label} raised "
                 f"{type(exc).__name__}: {exc}"
             )
             return report
-        report.configs += reduced.configs
-        report.transitions += reduced.transitions
-        report.stats.merge(reduced.stats)
-        if reduced.capped:
-            # The reduced search hit the safety cap: its outcome set
-            # is incomplete, so neither green nor a divergence
-            # verdict would be honest.
+        report.configs += rerun.configs
+        report.transitions += rerun.transitions
+        report.stats.merge(rerun.stats)
+        if rerun.capped:
+            # A capped variant explored a different prefix than the full
+            # search (shards even cap per shard), so its outcome set is
+            # incomplete: neither green nor a divergence is honest.
             report.inconclusive = True
-            report.detail = (
-                f"{label}: exploration hit the config cap; no verdict"
-            )
+            report.detail = f"{leg.label}: exploration hit the config cap; no verdict"
             return report
-        reduced_outcomes = _outcome_set(reduced.terminal)
-        if reduced_outcomes != report.outcomes["ra"]:
-            missing = report.outcomes["ra"] - reduced_outcomes
-            extra = reduced_outcomes - report.outcomes["ra"]
+        outcomes = _outcome_set(rerun.terminal)
+        if outcomes != expected:
+            missing, extra = expected - outcomes, outcomes - expected
             witness = _format_outcome(sorted(missing or extra)[0])
-            report.divergence = "por-parity"
-            report.detail = (
-                f"{label}: outcome {witness} "
-                f"{'lost' if missing else 'invented'} by the reduced "
-                f"search ({len(missing)} missing, {len(extra)} extra)"
+            problem = (
+                f"outcome {witness} {'lost' if missing else 'invented'} "
+                f"({len(missing)} missing, {len(extra)} extra)"
             )
-            return report
-        if reduced.truncated != ra_full.truncated:
-            report.divergence = "por-parity"
-            report.detail = (
-                f"{label}: truncation flag diverged "
-                f"({reduced.truncated} vs {ra_full.truncated})"
+        elif rerun.truncated != full.truncated:
+            problem = (
+                f"truncation flag diverged ({rerun.truncated} vs "
+                f"{full.truncated})"
             )
-            return report
-        if reduced.configs > ra_full.configs:
-            report.divergence = "por-parity"
-            report.detail = (
-                f"{label}: visited {reduced.configs} distinct "
-                f"configurations, more than the full search's "
-                f"{ra_full.configs}"
+        elif rerun.configs > full.configs or (
+            leg.exact and rerun.configs != full.configs
+        ):
+            problem = (
+                f"visited {rerun.configs} distinct configurations against "
+                f"the full search's {full.configs} (the count must "
+                f"{'match' if leg.exact else 'not grow'})"
             )
-            return report
-
-    # 5. shard parity: the hash-partitioned search must be *exactly*
-    # identical to the single-process one — same outcome set, same
-    # truncation flag, and (unlike reductions, whose counts may only
-    # shrink) the same visited-configuration count, since sharding
-    # partitions the very same search rather than pruning it
-    # (DESIGN.md §15).  Always the in-process superstep schedule —
-    # deterministic and fork-free whether the oracle runs in the parent
-    # (jobs=1) or inside a daemonic pool worker; the process-mode test
-    # matrix covers the wire format separately.
-    if check_shards:
-        label = "shards=3"
-        try:
-            sharded = explore(
-                case.program, case.init, models["ra"](),
-                max_events=max_events, max_configs=max_configs,
-                shards=3, shard_processes=False,
-            )
-        except Exception as exc:  # noqa: BLE001 — a crash IS a finding
-            report.divergence = "crash"
-            report.detail = (
-                f"ra exploration under {label} raised "
-                f"{type(exc).__name__}: {exc}"
-            )
-            return report
-        report.configs += sharded.configs
-        report.transitions += sharded.transitions
-        report.stats.merge(sharded.stats)
-        if sharded.capped:
-            # Per-shard caps fire at ceil(max_configs/shards), so a
-            # capped sharded run explored a *different* prefix than the
-            # full one: no verdict is possible, never green.
-            report.inconclusive = True
-            report.detail = (
-                f"{label}: exploration hit the config cap; no verdict"
-            )
-            return report
-        sharded_outcomes = _outcome_set(sharded.terminal)
-        if sharded_outcomes != report.outcomes["ra"]:
-            missing = report.outcomes["ra"] - sharded_outcomes
-            extra = sharded_outcomes - report.outcomes["ra"]
-            witness = _format_outcome(sorted(missing or extra)[0])
-            report.divergence = "shard-parity"
-            report.detail = (
-                f"{label}: outcome {witness} "
-                f"{'lost' if missing else 'invented'} by the sharded "
-                f"search ({len(missing)} missing, {len(extra)} extra)"
-            )
-            return report
-        if sharded.truncated != ra_full.truncated:
-            report.divergence = "shard-parity"
-            report.detail = (
-                f"{label}: truncation flag diverged "
-                f"({sharded.truncated} vs {ra_full.truncated})"
-            )
-            return report
-        if sharded.configs != ra_full.configs:
-            report.divergence = "shard-parity"
-            report.detail = (
-                f"{label}: visited {sharded.configs} distinct "
-                f"configurations vs the full search's {ra_full.configs} "
-                "(sharding must partition, not prune)"
-            )
-            return report
-
-    # 6. fault parity: injected faults must not change what the search
-    # computes (DESIGN.md §16).  The RA exploration is interrupted
-    # after half its configurations and resumed from the checkpoint the
-    # interrupt left behind; the stitched run must be exactly outcome-
-    # and count-identical to the clean one.  It runs in-process and
-    # fork-free, so the oracle is daemonic-pool safe.
-    if check_faults:
-        import os
-        import shutil
-        import tempfile
-
-        from repro.faults import (
-            FaultInterrupt,
-            FaultPlan,
-            clear_plan,
-            set_plan,
-        )
-
-        def _fault_diff(label: str, rerun) -> Optional[str]:
-            rerun_outcomes = _outcome_set(rerun.terminal)
-            if rerun_outcomes != report.outcomes["ra"]:
-                missing = report.outcomes["ra"] - rerun_outcomes
-                extra = rerun_outcomes - report.outcomes["ra"]
-                witness = _format_outcome(sorted(missing or extra)[0])
-                return (
-                    f"{label}: outcome {witness} "
-                    f"{'lost' if missing else 'invented'} after recovery "
-                    f"({len(missing)} missing, {len(extra)} extra)"
-                )
-            if rerun.truncated != ra_full.truncated:
-                return (
-                    f"{label}: truncation flag diverged "
-                    f"({rerun.truncated} vs {ra_full.truncated})"
-                )
-            if rerun.configs != ra_full.configs:
-                return (
-                    f"{label}: visited {rerun.configs} distinct "
-                    f"configurations vs the clean search's "
-                    f"{ra_full.configs} (recovery must lose nothing)"
-                )
-            return None
-
-        workdir = tempfile.mkdtemp(prefix="repro-fault-oracle-")
-        try:
-            # interrupt mid-run, resume from the checkpoint
-            label = "fault-parity(interrupt+resume)"
-            half = max(1, ra_full.configs // 2)
-            ckpt = os.path.join(workdir, "case.ckpt")
-            try:
-                set_plan(FaultPlan(f"interrupt:configs={half}"))
-                try:
-                    resumed = explore(
-                        case.program, case.init, models["ra"](),
-                        max_events=max_events, max_configs=max_configs,
-                        checkpoint=ckpt,
-                        checkpoint_every=max(1, half // 2),
-                    )
-                except FaultInterrupt as exc:
-                    clear_plan()
-                    if exc.checkpoint is not None:
-                        resumed = explore(
-                            case.program, case.init, models["ra"](),
-                            max_events=max_events, max_configs=max_configs,
-                            resume=exc.checkpoint,
-                        )
-                    else:
-                        # interrupted before the first snapshot landed:
-                        # recovery degenerates to a fresh run
-                        resumed = explore(
-                            case.program, case.init, models["ra"](),
-                            max_events=max_events, max_configs=max_configs,
-                        )
-            except Exception as exc:  # noqa: BLE001 — a crash IS a finding
-                report.divergence = "crash"
-                report.detail = f"{label} raised {type(exc).__name__}: {exc}"
-                return report
-            finally:
-                clear_plan()
-            report.configs += resumed.configs
-            report.transitions += resumed.transitions
-            report.stats.merge(resumed.stats)
-            if resumed.capped:
-                report.inconclusive = True
-                report.detail = (
-                    f"{label}: exploration hit the config cap; no verdict"
-                )
-                return report
-            detail = _fault_diff(label, resumed)
-            if detail is not None:
-                report.divergence = "fault-parity"
-                report.detail = detail
-                return report
-        finally:
-            shutil.rmtree(workdir, ignore_errors=True)
+        else:
+            continue
+        report.divergence = leg.kind
+        report.detail = f"{leg.label}: {problem}"
+        return report
 
     return report
 
@@ -516,8 +414,10 @@ __all__ = [
     "AXIOMATIC_MAX_EVENTS",
     "AXIOMATIC_MAX_VARS",
     "DEFAULT_MAX_CONFIGS",
+    "Leg",
     "ORACLE_MODELS",
     "OracleReport",
     "REFINEMENT_CHAIN",
     "check_program",
+    "parity_legs",
 ]

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
+from repro.engine.plan import SearchPlan
 from repro.engine.stats import EngineStats
 from repro.fuzz.generator import PROFILES, GeneratedCase, generate_case
 from repro.fuzz import oracles
@@ -31,13 +32,25 @@ from repro.fuzz.oracles import (
     DEFAULT_MAX_CONFIGS,
     OracleReport,
     check_program,
+    parity_legs,
 )
 from repro.fuzz.shrink import shrink_case
 
 
+#: marks the :class:`FuzzJob` fields that are :func:`check_program`'s
+#: keywords
+_ORACLE = {"oracle": True}
+
+
 @dataclass(frozen=True)
 class FuzzJob:
-    """One worker-sized slice of a campaign (picklable by construction)."""
+    """One worker-sized slice of a campaign (picklable by construction).
+
+    Its oracle settings are the one declaration of a campaign's oracle
+    options: :func:`fuzz_jobs` and :func:`run_campaign` take them as
+    keywords and hand them through.  Building a job validates them, so
+    a bad setting raises ``ValueError`` before any program runs.
+    """
 
     kind: str = "fuzz"
     seed: int = 0
@@ -45,19 +58,40 @@ class FuzzJob:
     count: int = 1
     profile: str = "default"
     shrink: bool = True
-    max_configs: Optional[int] = DEFAULT_MAX_CONFIGS
+    max_configs: Optional[int] = field(
+        default=DEFAULT_MAX_CONFIGS, metadata=_ORACLE
+    )
     #: reduction the POR-parity oracle checks ("none" disables it)
-    reduction: str = "optimal"
+    reduction: str = field(default="optimal", metadata=_ORACLE)
     #: cross-check compact vs definitional derived orders per state
     #: (the "orders" oracle, DESIGN.md §11)
-    check_orders: bool = False
+    check_orders: bool = field(default=False, metadata=_ORACLE)
     #: re-explore under shards=3 and require exact parity with the
     #: single-process search (the "shard-parity" oracle, DESIGN.md §15)
-    check_shards: bool = False
+    check_shards: bool = field(default=False, metadata=_ORACLE)
     #: interrupt the search mid-run, resume from the checkpoint, and
     #: require byte-identical results (the "fault-parity" oracle,
     #: DESIGN.md §16)
-    check_faults: bool = False
+    check_faults: bool = field(default=False, metadata=_ORACLE)
+
+    def __post_init__(self) -> None:
+        if self.profile not in PROFILES:
+            raise ValueError(
+                f"unknown profile {self.profile!r}; choose from {sorted(PROFILES)}"
+            )
+        parity_legs(
+            SearchPlan(max_configs=self.max_configs), self.reduction,
+            self.check_shards, self.check_faults,
+        )
+
+    @property
+    def oracle(self) -> dict:
+        """The oracle settings, as :func:`check_program`'s keywords."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.metadata.get("oracle")
+        }
 
     @property
     def label(self) -> str:
@@ -105,11 +139,7 @@ class DivergenceRecord:
 
 
 def _check(job: FuzzJob, case: GeneratedCase) -> OracleReport:
-    return check_program(
-        case, max_configs=job.max_configs,
-        reduction=job.reduction, check_orders=job.check_orders,
-        check_shards=job.check_shards, check_faults=job.check_faults,
-    )
+    return check_program(case, **job.oracle)
 
 
 def _diverges_like(job: FuzzJob, kind: str) -> Callable[[GeneratedCase], bool]:
@@ -269,12 +299,7 @@ def fuzz_jobs(
     profile: str = "default",
     jobs: int = 1,
     axiomatic: bool = True,
-    shrink: bool = True,
-    max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
-    reduction: str = "optimal",
-    check_orders: bool = False,
-    check_shards: bool = False,
-    check_faults: bool = False,
+    **settings,
 ) -> List[Union[FootprintJob, FuzzJob]]:
     """A campaign's batch: the footprint spaces, then the programs.
 
@@ -285,12 +310,11 @@ def fuzz_jobs(
     ``iters`` cases follow in worker-sized :class:`FuzzJob` slices:
     several per worker keep the pool busy when case costs vary, and
     each stays coarse enough to amortise per-job overhead (registry
-    imports).  ``iters <= 0`` is an empty batch.
+    imports).  ``settings`` are :class:`FuzzJob` fields (``shrink`` and
+    the oracle settings), validated before the batch is built.
+    ``iters <= 0`` is an empty batch.
     """
-    if profile not in PROFILES:
-        raise ValueError(
-            f"unknown profile {profile!r}; choose from {sorted(PROFILES)}"
-        )
+    template = FuzzJob(seed=seed, profile=profile, **settings)
     if iters <= 0:
         return []
     work: List[Union[FootprintJob, FuzzJob]] = []
@@ -302,17 +326,8 @@ def fuzz_jobs(
         ]
     chunk = max(1, math.ceil(iters / max(1, jobs * 4)))
     return work + [
-        FuzzJob(
-            seed=seed,
-            start=start,
-            count=min(chunk, iters - start),
-            profile=profile,
-            shrink=shrink,
-            max_configs=max_configs,
-            reduction=reduction,
-            check_orders=check_orders,
-            check_shards=check_shards,
-            check_faults=check_faults,
+        dataclasses.replace(
+            template, start=start, count=min(chunk, iters - start)
         )
         for start in range(0, iters, chunk)
     ]
@@ -324,16 +339,12 @@ def run_campaign(
     profile: str = "default",
     jobs: int = 1,
     axiomatic: bool = True,
-    shrink: bool = True,
-    max_configs: Optional[int] = DEFAULT_MAX_CONFIGS,
-    reduction: str = "optimal",
-    check_orders: bool = False,
-    check_shards: bool = False,
-    check_faults: bool = False,
     progress: Optional[Callable] = None,
+    **settings,
 ) -> CampaignReport:
     """Run a whole campaign through the parallel runner.
 
+    ``settings`` are :class:`FuzzJob` fields, as for :func:`fuzz_jobs`.
     A space the axiomatisations disagree on becomes one ``"axiomatic"``
     record, and a worker that raised one ``"worker-crash"`` record;
     neither carries a program.  ``progress`` is forwarded to
@@ -344,9 +355,7 @@ def run_campaign(
 
     work = fuzz_jobs(
         seed, iters, profile=profile, jobs=jobs, axiomatic=axiomatic,
-        shrink=shrink, max_configs=max_configs, reduction=reduction,
-        check_orders=check_orders, check_shards=check_shards,
-        check_faults=check_faults,
+        **settings,
     )
     results = ParallelRunner(jobs=jobs).run(work, progress=progress)
     report = CampaignReport(seed=seed, iters=iters, profile=profile)

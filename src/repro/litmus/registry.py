@@ -128,58 +128,12 @@ def run_litmus(
 def run_suite(
     tests: List[LitmusTest],
     models: Optional[List[MemoryModel]] = None,
-    jobs: int = 1,
     plan: SearchPlan = SearchPlan(),
 ) -> List[LitmusOutcome]:
-    """The E7 table: every test under every model.
-
-    With ``jobs > 1`` the (test, model) pairs fan out across worker
-    processes via :class:`repro.engine.parallel.ParallelRunner`; the
-    workers resolve tests by *name* from the built-in registries and
-    models from the ra/sra/sc factories, so fan-out is only attempted
-    when every test is the registry's own object and every model is one
-    of those three — anything else (modified test copies, custom
-    models) falls back to the sequential path rather than silently
-    computing verdicts for different inputs.  A model listed twice is
-    one job per pair like any other, and yields one outcome per pair.
-    Parallel verdicts are identical to the sequential run — the workers
-    execute the same code path.
+    """The E7 table: every test under every model, one outcome per
+    (test, model) pair in pair order.  ``repro suite`` fans the same
+    table out over worker processes through
+    :func:`repro.engine.parallel.litmus_jobs`.
     """
     models = models if models is not None else [RAMemoryModel(), SCMemoryModel()]
-
-    def _parallelizable() -> bool:
-        from repro.engine.parallel import _litmus_by_name
-
-        if any(model.name.lower() not in ("ra", "sra", "sc") for model in models):
-            return False
-        try:
-            return all(_litmus_by_name(test.name) is test for test in tests)
-        except KeyError:
-            return False
-
-    pairs = [(test, model) for test in tests for model in models]
-    if jobs <= 1 or not _parallelizable():
-        return [run_litmus(test, model, plan) for test, model in pairs]
-
-    from repro.engine.parallel import ParallelRunner, SuiteJob
-
-    # One job per pair, in pair order: the runner returns one result per
-    # submitted job, in submission order (a repeated pair runs once and
-    # fills each of its slots), so results map back by position.
-    work = [
-        SuiteJob(kind="litmus", name=test.name, model=model.name.lower(), plan=plan)
-        for test, model in pairs
-    ]
-    results = ParallelRunner(jobs=jobs).run(work)
-    return [
-        LitmusOutcome(
-            test=test,
-            model_name=model.name,
-            reachable=r.observed,
-            expected=r.expected,
-            terminal_states=r.terminal,
-            configs=r.configs,
-            truncated=r.truncated,
-        )
-        for (test, model), r in zip(pairs, results)
-    ]
+    return [run_litmus(test, model, plan) for test in tests for model in models]

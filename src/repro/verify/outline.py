@@ -24,9 +24,10 @@ state *what* holds where, and the calculus to replay *why*.
 Outline checking is the core of the verification workbench
 (``python -m repro verify``, DESIGN.md §10): the named case studies of
 :mod:`repro.verify.registry` each pair a program with an outline built
-here, and :meth:`ProofOutline.check` accepts the engine's ``strategy``
-knob.  Discharge always runs the unreduced search: the obligations
-quantify over every reachable transition, which a reduction prunes.
+here, and :meth:`ProofOutline.check` follows the engine's
+:class:`~repro.engine.plan.SearchPlan`.  Discharge always runs the
+unreduced search: the obligations quantify over every reachable
+transition, which a reduction prunes.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.engine.plan import SearchPlan
 from repro.engine.stats import EngineStats
 from repro.interp.config import Configuration
 from repro.interp.explore import explore
@@ -154,20 +156,18 @@ class ProofOutline:
         program: Program,
         init_values: Mapping[Var, Value],
         model: Optional[MemoryModel] = None,
-        max_events: Optional[int] = None,
-        max_configs: Optional[int] = None,
+        plan: SearchPlan = SearchPlan(),
         keep_failures: int = 10,
-        strategy: str = "bfs",
     ) -> OutlineReport:
         """Discharge initialisation + per-transition preservation.
 
-        ``strategy`` is the engine's search-order knob.  There is no
-        reduction knob: the obligations quantify over every reachable
-        transition, so discharge always runs the unreduced search
-        (DESIGN.md §10).
+        The discharging exploration follows ``plan``.  Discharge stays
+        unreduced: the obligations quantify over every reachable
+        transition, and ``explore`` rejects a reducing plan for such a
+        ``check_step`` hook with ``ValueError`` (DESIGN.md §10).
         """
         model = model if model is not None else RAMemoryModel()
-        report = OutlineReport(strategy=strategy)
+        report = OutlineReport(strategy=plan.strategy)
 
         initial = initial_configuration(program, init_values, model)
         for inv in self._invariants:
@@ -191,13 +191,7 @@ class ProofOutline:
             return []
 
         result = explore(
-            program,
-            init_values,
-            model,
-            max_events=max_events,
-            max_configs=max_configs,
-            check_step=on_step,
-            strategy=strategy,
+            program, init_values, model, check_step=on_step, **plan.options()
         )
         report.configs = result.configs
         report.transitions = result.transitions

@@ -20,9 +20,10 @@ on first use), so importing :mod:`repro.verify` stays light.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro.engine.plan import SearchPlan
 from repro.lang.actions import Value, Var
 
 #: Model names an outline may be pinned to (subset of the CLI's models;
@@ -50,20 +51,19 @@ class ProofCaseStudy:
     #: busy waits close into cycles and need no unrolling bound)
     max_events: Optional[int] = None
 
-    def check(self, model_name: str, model=None, strategy: str = "bfs",
-              max_configs: Optional[int] = None):
-        """Discharge this entry's obligations under one model."""
+    def check(
+        self, model_name: str, model=None, plan: SearchPlan = SearchPlan()
+    ):
+        """Discharge this entry's obligations under one model, searching
+        by ``plan`` with the entry's own event bound in place of the
+        plan's."""
         if model is None:
             from repro.interp.memory_model import model_by_name
 
             model = model_by_name(model_name)
+        plan = replace(plan, max_events=self.max_events)
         return self.outline().check(
-            self.program(),
-            dict(self.init),
-            model=model,
-            max_events=self.max_events,
-            max_configs=max_configs,
-            strategy=strategy,
+            self.program(), dict(self.init), model=model, plan=plan
         )
 
 

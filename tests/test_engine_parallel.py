@@ -102,84 +102,6 @@ def test_unknown_job_kind_and_names_raise():
         run_suite_job(SuiteJob(kind="case-study", name="no-such-study"))
 
 
-def test_run_suite_parallel_path_matches_sequential():
-    from repro.litmus.registry import run_suite
-    from repro.litmus.suite import test_by_name
-
-    tests = [test_by_name(n) for n in SMALL]
-    sequential = run_suite(tests)
-    parallel = run_suite(tests, jobs=2)
-    assert [
-        (o.test.name, o.model_name, o.reachable, o.expected, o.configs)
-        for o in sequential
-    ] == [
-        (o.test.name, o.model_name, o.reachable, o.expected, o.configs)
-        for o in parallel
-    ]
-    assert all(o.verdict_matches for o in parallel)
-
-
-def test_run_suite_falls_back_for_non_registry_tests():
-    """A modified copy of a registry test must not be silently swapped
-    for the registry version by the name-resolving workers — run_suite
-    detects it and runs sequentially on the caller's objects."""
-    import dataclasses
-
-    from repro.litmus.registry import run_suite
-    from repro.litmus.suite import test_by_name
-
-    original = test_by_name("SB")
-    flipped = dataclasses.replace(
-        original, outcome=lambda v: False, outcome_text="never"
-    )
-    outcomes = run_suite([flipped], jobs=2)
-    assert all(not o.reachable for o in outcomes)  # ran the copy, not "SB"
-
-
-def test_run_suite_falls_back_for_duplicate_models():
-    """Duplicate models would collapse in the name-keyed parallel path;
-    the sequential fallback must preserve one outcome per pair."""
-    from repro.interp.ra_model import RAMemoryModel
-    from repro.litmus.registry import run_suite
-    from repro.litmus.suite import test_by_name
-
-    tests = [test_by_name("SB")]
-    outcomes = run_suite(
-        tests, models=[RAMemoryModel(), RAMemoryModel()], jobs=2
-    )
-    assert len(outcomes) == 2
-
-
-def test_run_suite_pools_duplicate_models_one_outcome_per_pair(monkeypatch):
-    """A model listed twice goes through the pool like any other: one
-    job per (test, model) pair, and the outcomes come back one per pair,
-    in pair order."""
-    from repro.engine.parallel import ParallelRunner
-    from repro.interp.ra_model import RAMemoryModel
-    from repro.interp.sc import SCMemoryModel
-    from repro.litmus.registry import run_suite
-    from repro.litmus.suite import test_by_name
-
-    batches = []
-    real_run = ParallelRunner.run
-
-    def recording(self, work, *args, **kwargs):
-        batches.append([(job.name, job.model) for job in work])
-        return real_run(self, work, *args, **kwargs)
-
-    monkeypatch.setattr(ParallelRunner, "run", recording)
-    tests = [test_by_name("SB"), test_by_name("MP+rel-acq")]
-    models = [RAMemoryModel(), SCMemoryModel(), RAMemoryModel()]
-    outcomes = run_suite(tests, models=models, jobs=2)
-    pairs = [(t.name, m.name.lower()) for t in tests for m in models]
-    assert batches == [pairs]
-    assert [(o.test.name, o.model_name.lower()) for o in outcomes] == pairs
-    sequential = run_suite(tests, models=models, jobs=1)
-    assert [(o.reachable, o.configs) for o in outcomes] == [
-        (o.reachable, o.configs) for o in sequential
-    ]
-
-
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_duplicate_jobs_run_once_in_submission_order(monkeypatch, jobs):
     """Each distinct job of a batch runs once and its one result object
@@ -233,64 +155,6 @@ def test_runner_empty_work_and_aggregate():
     assert totals["jobs"] == 2
     assert totals["configs"] == sum(r.configs for r in results)
     assert totals["mismatches"] == 0
-
-
-# ----------------------------------------------------------------------
-# Sequential-fallback regressions (PR 1 paths): every scenario that
-# cannot be shipped to name-resolving workers must fall back to the
-# sequential path AND report verdicts identical to a jobs=1 run.
-# ----------------------------------------------------------------------
-
-
-def _outcome_rows(outcomes):
-    return [
-        (o.test.name, o.model_name, o.reachable, o.expected, o.configs)
-        for o in outcomes
-    ]
-
-
-def test_fallback_non_registry_tests_verdict_parity():
-    import dataclasses
-
-    from repro.litmus.registry import run_suite
-    from repro.litmus.suite import test_by_name
-
-    flipped = dataclasses.replace(
-        test_by_name("SB"), outcome=lambda v: False, outcome_text="never"
-    )
-    sequential = run_suite([flipped], jobs=1)
-    parallel = run_suite([flipped], jobs=2)  # silently falls back
-    assert _outcome_rows(parallel) == _outcome_rows(sequential)
-    assert all(not o.reachable for o in parallel)
-
-
-def test_fallback_unknown_model_verdict_parity():
-    from repro.interp.sc import SCMemoryModel
-    from repro.litmus.registry import run_suite
-    from repro.litmus.suite import test_by_name
-
-    class TSOish(SCMemoryModel):
-        """Not in the ra/sra/sc worker factory table."""
-
-        name = "TSOish"
-
-    tests = [test_by_name(n) for n in SMALL]
-    sequential = run_suite(tests, models=[TSOish()], jobs=1)
-    parallel = run_suite(tests, models=[TSOish()], jobs=2)
-    assert _outcome_rows(parallel) == _outcome_rows(sequential)
-    assert [o.model_name for o in parallel] == ["TSOish"] * len(SMALL)
-
-
-def test_fallback_duplicate_models_verdict_parity():
-    from repro.interp.ra_model import RAMemoryModel
-    from repro.litmus.registry import run_suite
-    from repro.litmus.suite import test_by_name
-
-    models = [RAMemoryModel(), RAMemoryModel()]
-    sequential = run_suite([test_by_name("SB")], models=models, jobs=1)
-    parallel = run_suite([test_by_name("SB")], models=models, jobs=2)
-    assert len(parallel) == 2  # one outcome per (test, model) pair
-    assert _outcome_rows(parallel) == _outcome_rows(sequential)
 
 
 # ----------------------------------------------------------------------

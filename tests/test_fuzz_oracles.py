@@ -11,6 +11,7 @@ from repro.fuzz.oracles import REFINEMENT_CHAIN, check_program
 from repro.interp.ra_model import RAMemoryModel
 from repro.lang.builder import assign, seq, var
 from repro.lang.program import Program
+from repro.litmus.registry import final_values
 
 
 class _CrashingRA(RAMemoryModel):
@@ -169,3 +170,91 @@ def test_fault_parity_leg_folds_its_whole_record():
     )
     assert report.ok, report.detail
     assert report.stats.resumed == 1
+
+
+# ----------------------------------------------------------------------
+# Parity-leg canaries: a variant run that drifts from the full search is
+# reported under its own leg's kind
+# ----------------------------------------------------------------------
+
+LEGS = {
+    "por-parity": {"reduction": "optimal"},
+    "shard-parity": {"reduction": "none", "check_shards": True},
+    "fault-parity": {"reduction": "none", "check_faults": True},
+}
+
+
+def _lose_an_outcome(result):
+    lost = final_values(result.terminal[0])
+    result.terminal[:] = [
+        c for c in result.terminal if final_values(c) != lost
+    ]
+
+
+def _flip_truncation(result):
+    result.truncated = not result.truncated
+
+
+def _grow_count(result):
+    result.configs += 1000
+
+
+def _shrink_count(result):
+    result.configs -= 1
+
+
+def _plant(monkeypatch, mutate):
+    """Mutate every parity leg's variant run with ``mutate``."""
+    real = oracles._run_leg
+
+    def drifted(*args):
+        result = real(*args)
+        mutate(result)
+        return result
+
+    monkeypatch.setattr(oracles, "_run_leg", drifted)
+
+
+@pytest.mark.parametrize(
+    "mutate, needle",
+    [
+        (_lose_an_outcome, "lost"),
+        (_flip_truncation, "truncation flag diverged"),
+        (_grow_count, "distinct configurations"),
+    ],
+    ids=["lose-outcome", "flip-truncation", "change-count"],
+)
+@pytest.mark.parametrize("kind", sorted(LEGS))
+def test_each_parity_leg_reports_its_own_kind(monkeypatch, kind, mutate, needle):
+    assert check_program(_sb_case(), **LEGS[kind]).ok
+    _plant(monkeypatch, mutate)
+    report = check_program(_sb_case(), **LEGS[kind])
+    assert report.divergence == kind, report.detail
+    assert needle in report.detail
+    assert not report.inconclusive
+
+
+@pytest.mark.parametrize("kind", sorted(LEGS))
+def test_only_a_reduction_may_visit_fewer_configs(monkeypatch, kind):
+    """The count rule: a reduction prunes, while sharding and recovery
+    partition or replay the same search and must match exactly."""
+    _plant(monkeypatch, _shrink_count)
+    report = check_program(_sb_case(), **LEGS[kind])
+    if kind == "por-parity":
+        assert report.ok, report.detail
+    else:
+        assert report.divergence == kind
+        assert "the count must match" in report.detail
+
+
+@pytest.mark.parametrize("setting", [{"reduction": "bogus"}, {"max_configs": 0}])
+def test_bad_oracle_setting_raises_before_any_exploration(monkeypatch, setting):
+    """A bad setting is a usage error, not a crash of the program."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("explored despite a bad setting")
+
+    monkeypatch.setattr(oracles, "explore", never)
+    monkeypatch.setattr(oracles, "reachable_states", never)
+    with pytest.raises(ValueError):
+        check_program(_sb_case(), **setting)

@@ -3,6 +3,8 @@ ParallelRunner carrying fuzz jobs."""
 
 import json
 
+import pytest
+
 from fuzz_helpers import BrokenSRA
 from repro.engine.parallel import ParallelRunner, run_suite_job
 from repro.fuzz import oracles
@@ -155,3 +157,23 @@ def test_worker_crash_becomes_campaign_divergence(monkeypatch):
     record = report.divergences[0]
     assert "injected fuzz worker crash" in record.detail
     assert "Traceback" in record.detail
+
+
+@pytest.mark.parametrize("setting", [{"reduction": "bogus"}, {"max_configs": 0}])
+def test_bad_oracle_setting_fails_the_campaign_before_any_program(
+    monkeypatch, setting
+):
+    """A bad oracle setting is rejected when the jobs are built, not
+    reported as one crash divergence per program (and then shrunk)."""
+    import repro.fuzz.runner as runner_mod
+
+    def never(seed, index, profile):
+        raise AssertionError("a program ran despite a bad setting")
+
+    monkeypatch.setattr(runner_mod, "generate_case", never)
+    with pytest.raises(ValueError):
+        run_campaign(0, 3, axiomatic=False, shrink=False, **setting)
+    with pytest.raises(ValueError):
+        fuzz_jobs(0, 3, **setting)
+    with pytest.raises(ValueError):
+        FuzzJob(**setting)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.casestudies.peterson import PETERSON_INIT, peterson_program, peterson_relaxed_turn
+from repro.engine.plan import SearchPlan
 from repro.interp.sc import SCMemoryModel
 from repro.lang.builder import assign, label, seq, var
 from repro.lang.program import Program
@@ -12,7 +13,8 @@ from repro.verify.outline import ProofOutline, peterson_outline
 
 def test_peterson_outline_proves():
     report = peterson_outline().check(
-        peterson_program(once=True), PETERSON_INIT, max_events=9
+        peterson_program(once=True), PETERSON_INIT,
+        plan=SearchPlan(max_events=9),
     )
     assert report.proved, [str(f) for f in report.failures[:3]]
     assert report.obligations_discharged > 1000
@@ -22,7 +24,8 @@ def test_peterson_outline_fails_on_mutant():
     """The relaxed-turn mutant breaks at least one obligation — the
     outline localises the failing invariant and transition."""
     report = peterson_outline().check(
-        peterson_relaxed_turn(once=True), PETERSON_INIT, max_events=9
+        peterson_relaxed_turn(once=True), PETERSON_INIT,
+        plan=SearchPlan(max_events=9),
     )
     assert not report.proved
     failing = {f.invariant for f in report.failures}

@@ -10,6 +10,7 @@ nothing.
 
 import pytest
 
+from repro.engine.plan import SearchPlan
 from repro.verify.registry import OUTLINE_MODELS, PROOFS, ProofCaseStudy
 
 PAIRS = PROOFS.pairs()
@@ -37,15 +38,14 @@ def test_registered_outline_proves(name, model):
 
 
 def test_optimal_rejected_for_outline_checks():
-    """Discharge is always unreduced: there is no reduction knob to
-    pass ``"optimal"`` through."""
+    """Discharge is always unreduced: ``explore`` rejects a reducing
+    plan for the per-transition obligation hook."""
     entry = PROOFS.get("message-passing")
-    with pytest.raises(TypeError, match="reduction"):
-        entry.check("ra", reduction="optimal")
-    with pytest.raises(TypeError, match="reduction"):
-        entry.outline().check(
-            entry.program(), dict(entry.init), reduction="optimal"
-        )
+    optimal = SearchPlan(reduction="optimal")
+    with pytest.raises(ValueError, match="optimal"):
+        entry.check("ra", plan=optimal)
+    with pytest.raises(ValueError, match="optimal"):
+        entry.outline().check(entry.program(), dict(entry.init), plan=optimal)
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +78,7 @@ def test_broken_spinlock_refutes_outline():
     )
 
     report = spinlock_outline().check(
-        spinlock_broken(), SPINLOCK_INIT, max_events=10
+        spinlock_broken(), SPINLOCK_INIT, plan=SearchPlan(max_events=10)
     )
     assert not report.proved
     failing = {f.invariant for f in report.failures}
@@ -108,7 +108,9 @@ def test_mp_outline_refuted_without_release():
         mp_outline,
     )
 
-    report = mp_outline().check(message_passing_broken(), MP_INIT, max_events=10)
+    report = mp_outline().check(
+        message_passing_broken(), MP_INIT, plan=SearchPlan(max_events=10)
+    )
     assert not report.proved
 
 
