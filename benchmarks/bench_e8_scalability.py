@@ -14,9 +14,18 @@ two series:
 2. **Loop unrolling**: Peterson state-space growth as the event bound
    increases (the "slow on larger state spaces" calibration band made
    concrete).
+3. **Disjoint message-passing pairs**: three copies of Example 5.7 on
+   disjoint locations at bound 14, unreduced against ``optimal`` (time,
+   configs, peak RSS, each run in a fresh process) — the program family
+   on which a partial-order reduction has the most to gain.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +163,63 @@ def test_peterson_state_space_growth(benchmark, bound):
     benchmark.extra_info["configs"] = result.configs
     benchmark.extra_info["key_cache_hit_rate"] = result.stats.key_rate
     benchmark.extra_info["peak_frontier"] = result.stats.peak_frontier
+
+
+#: One exploration of ``mp_pairs_program(n)`` at a bound, printed as JSON.
+_MP_PAIRS_RUN = """
+import json, sys
+from repro.casestudies.message_passing import mp_pairs_init, mp_pairs_program
+from repro.interp.explore import explore
+from repro.interp.ra_model import RAMemoryModel
+from repro.litmus.registry import final_values
+
+n, bound, reduction = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+result = explore(
+    mp_pairs_program(n), mp_pairs_init(n), RAMemoryModel(),
+    max_events=bound, reduction=reduction,
+)
+print(json.dumps({
+    "configs": result.configs,
+    "time_s": result.stats.time_total,
+    "peak_rss_mb": result.stats.peak_rss_kb / 1024,
+    "outcomes": sorted(
+        sorted(final_values(c).items()) for c in result.terminal
+    ),
+}))
+"""
+
+
+def _mp_pairs_run(n: int, bound: int, reduction: str) -> dict:
+    """One run in a fresh process, so its peak RSS is its own."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _MP_PAIRS_RUN, str(n), str(bound), reduction],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    return json.loads(out.stdout)
+
+
+def test_mp_pairs_none_vs_optimal(benchmark):
+    """3 disjoint Example 5.7 pairs at bound 14: ``none`` against
+    ``optimal`` (ROADMAP item 4's deciding workload)."""
+    runs = once(
+        benchmark,
+        lambda: {r: _mp_pairs_run(3, 14, r) for r in ("none", "optimal")},
+    )
+    table(
+        "E8: 3 disjoint MP pairs, bound 14, none vs optimal",
+        [
+            f"{r:>8}: configs={run['configs']:>7} "
+            f"time={run['time_s']:6.2f}s peak-rss={run['peak_rss_mb']:6.1f}MB"
+            for r, run in runs.items()
+        ],
+    )
+    assert runs["optimal"]["outcomes"] == runs["none"]["outcomes"]
+    assert runs["optimal"]["configs"] <= runs["none"]["configs"]
+    for r, run in runs.items():
+        benchmark.extra_info[f"{r}_configs"] = run["configs"]
+        benchmark.extra_info[f"{r}_peak_rss_mb"] = run["peak_rss_mb"]

@@ -6,7 +6,8 @@ The paper's own studies:
   exclusion with release-acquire annotations, its invariants (4)–(10)
   and Theorem 5.8, plus mutants that probe which annotations matter.
 * :mod:`repro.casestudies.message_passing` — Example 5.7: the
-  release/acquire message-passing idiom and its broken relaxed variant.
+  release/acquire message-passing idiom, its broken relaxed variant,
+  and ``mp_pairs_program(n)``, n disjoint copies of it.
 
 Extensions, each paired with a proof outline registered in
 :data:`repro.verify.registry.PROOFS` (DESIGN.md §10):
@@ -42,6 +43,8 @@ from repro.casestudies.message_passing import (
     mp_data_invariant,
     mp_outline,
     mp_outline_valonly,
+    mp_pairs_init,
+    mp_pairs_program,
 )
 from repro.casestudies.token_ring import (
     TOKEN_INIT,
@@ -96,6 +99,8 @@ __all__ = [
     "mp_data_invariant",
     "mp_outline",
     "mp_outline_valonly",
+    "mp_pairs_init",
+    "mp_pairs_program",
     "TOKEN_INIT",
     "token_ring_program",
     "token_ring_violations",

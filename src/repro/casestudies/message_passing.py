@@ -44,6 +44,34 @@ def message_passing_program(release: bool = True, acquire: bool = True) -> Progr
     return Program.parallel(t1, t2)
 
 
+def mp_pairs_init(n: int) -> Dict[Var, Value]:
+    """Initial values of :func:`mp_pairs_program`: every ``d_i``, ``f_i``
+    and ``r_i`` starts at 0."""
+    return {f"{name}{i}": 0 for i in range(1, n + 1) for name in ("d", "f", "r")}
+
+
+def mp_pairs_program(n: int) -> Program:
+    """``n`` disjoint copies of Example 5.7, pair ``i`` on ``d_i``, ``f_i``
+    and ``r_i``: threads ``2i - 1`` (producer) and ``2i`` (consumer).
+
+    No two pairs share a location, so every step of one pair commutes
+    with every step of another — the family on which a partial-order
+    reduction can be measured against the unreduced search.
+    """
+    threads = []
+    for i in range(1, n + 1):
+        d, f, r = f"d{i}", f"f{i}", f"r{i}"
+        threads.append(seq(
+            label(1, assign(d, PAYLOAD)),
+            label(2, assign(f, 1, release=True)),
+        ))
+        threads.append(seq(
+            label(1, while_(neg(acq(f)), skip())),
+            label(2, assign(r, var(d))),
+        ))
+    return Program.parallel(*threads)
+
+
 def message_passing_broken() -> Program:
     """The relaxed-flag variant: no synchronisation, stale data possible."""
     return message_passing_program(release=False)

@@ -28,11 +28,18 @@ rely on:
 
 Silent steps of different threads never conflict through memory (their
 footprints are empty); with visibility off they are fully independent.
+
+The explorer tests conflicts on bit masks (:class:`FootprintBits`):
+a footprint becomes a ``(touched, written)`` pair of location masks,
+and visibility becomes a write to a reserved *control pseudo-location*,
+so :func:`masks_conflict` needs no separate visibility term.
+:func:`conflicts` is the reference definition the mask test is checked
+against.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, NamedTuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Tuple
 
 from repro.lang.actions import Var
 
@@ -60,6 +67,72 @@ def conflicts(a: StepFootprint, b: StepFootprint) -> bool:
     return bool(b.writes & a.reads)
 
 
+#: A footprint as masks: ``(touched, written)``, with ``written``
+#: a subset of ``touched``.
+StepMasks = Tuple[int, int]
+
+#: The control pseudo-location's bit: every control-visible step writes it.
+CONTROL_BIT = 1
+
+
+def masks_conflict(a: StepMasks, b: StepMasks) -> bool:
+    """:func:`conflicts` on masks: one side writes what the other touches.
+
+    Two visible steps both write :data:`CONTROL_BIT`, so they conflict
+    through it; a visible and an invisible step do not."""
+    return bool(a[1] & b[0] or b[1] & a[0])
+
+
+class FootprintBits:
+    """One search's numbering of locations and thread ids as bits.
+
+    Each location and each thread id gets the next free bit the first
+    time the search meets it — thread ids are arbitrary ints, so a
+    thread's bit is never ``1 << tid``.  Location bits start above
+    :data:`CONTROL_BIT`."""
+
+    __slots__ = ("_locations", "_names", "_threads")
+
+    def __init__(self) -> None:
+        self._locations: Dict[Var, int] = {}
+        #: bit index -> location (index 0 is the control pseudo-location)
+        self._names: List[object] = [None]
+        self._threads: Dict[int, int] = {}
+
+    def thread(self, tid: int) -> int:
+        """The bit of thread ``tid``."""
+        bit = self._threads.get(tid)
+        if bit is None:
+            bit = self._threads[tid] = 1 << len(self._threads)
+        return bit
+
+    def _mask(self, locations: Iterable[Var]) -> int:
+        mask = 0
+        for var in locations:
+            bit = self._locations.get(var)
+            if bit is None:
+                bit = self._locations[var] = 1 << len(self._names)
+                self._names.append(var)
+            mask |= bit
+        return mask
+
+    def masks(self, fp: StepFootprint) -> StepMasks:
+        """``fp`` as ``(touched, written)`` masks."""
+        written = self._mask(fp.writes)
+        if fp.visible:
+            written |= CONTROL_BIT
+        return (written | self._mask(fp.reads), written)
+
+    def locations(self, mask: int) -> Iterator[Var]:
+        """The locations whose bits ``mask`` sets (control excluded)."""
+        names = self._names
+        mask &= ~CONTROL_BIT
+        while mask:
+            low = mask & -mask
+            yield names[low.bit_length() - 1]
+            mask ^= low
+
+
 def step_footprint(
     model,
     state,
@@ -80,8 +153,12 @@ def step_footprint(
 
 
 __all__ = [
+    "CONTROL_BIT",
     "EMPTY_FOOTPRINT",
+    "FootprintBits",
     "StepFootprint",
+    "StepMasks",
     "conflicts",
+    "masks_conflict",
     "step_footprint",
 ]

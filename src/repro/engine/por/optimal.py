@@ -50,15 +50,20 @@ thread scheduled, sleep set cleared).  When the pruned subtree is still
 on the spine (a cycle) its summary is incomplete, and the whole spine
 is expanded instead.
 
-Bookkeeping is kept per key and per machine state.  Everything the
-search remembers about a configuration key lives in one
-:class:`_Record` (sleep antichain, access summary, spine count), held
-by the key's nodes, so a transition does one lookup and push and pop
-none.  Everything a node needs of its pending steps (sorted threads,
-footprints, the locations each step's race check reads) is a function
-of the interned machine state alone — footprints depend on the step
-only (``MemoryModel.step_footprint``) — and is built once per search
-per machine state as a :class:`_Template`.
+Bookkeeping is kept per key and per machine state, as int bit masks:
+each search numbers the locations and thread ids it meets
+(:class:`~repro.engine.por.deps.FootprintBits`).  Everything the search
+remembers about a configuration key lives in one :class:`_Record`
+(sleep antichain as thread masks, access summary as two location
+masks, spine count), held by the key's nodes, so a transition does one
+lookup and push and pop none.  Everything a node needs of its pending
+steps (sorted threads, footprints and their masks, the locations each
+step's race check reads) is a function of the interned machine state
+alone — footprints depend on the step only
+(``MemoryModel.step_footprint``) — and is built once per search per
+machine state as a :class:`_Template`.  Masks are decoded back to
+locations only on the compensation path, whose last-access tables are
+keyed by location.
 
 What the reduction preserves (and tests/fuzzing enforce): terminal
 configurations and their outcome sets, violation verdicts of
@@ -92,14 +97,24 @@ from repro.engine.core import (
 )
 from repro.engine.plan import SearchPlan
 from repro.engine.stats import ProcessCounters
-from repro.engine.por.deps import StepFootprint, conflicts, step_footprint
+from repro.engine.por.deps import (
+    CONTROL_BIT,
+    FootprintBits,
+    StepFootprint,
+    StepMasks,
+    masks_conflict,
+    step_footprint,
+)
 
 Clock = Dict[int, int]  # tid -> highest path index happens-before
 
 View = Tuple[int, ...]
 
 _NO_CLOCK: Clock = {}
-_AWAKE: FrozenSet[int] = frozenset()
+#: a touched-location summary standing for every location: a cycle was
+#: cut inside the subtree, so its summary is incomplete and a prune
+#: against it expands the whole spine.  All bits set, so ``|=`` keeps it.
+_UNIVERSAL = -1
 #: candidate set of a step that touches nothing and is invisible
 _NO_CANDS: FrozenSet[Tuple[int, int]] = frozenset()
 
@@ -111,15 +126,18 @@ class _Abort(Exception):
 class _Record:
     """Everything the search remembers about one configuration key."""
 
-    __slots__ = ("sleeps", "summary", "live")
+    __slots__ = ("sleeps", "touched", "written", "live")
 
     def __init__(self) -> None:
-        #: antichain of the sleep-tid sets this key was expanded with
-        self.sleeps: List[FrozenSet[int]] = []
-        #: ``[reads, writes, visible, universal]`` — merged access
-        #: summary of every completed exploration from this key, or
-        #: ``None`` while none has completed
-        self.summary: Optional[list] = None
+        #: antichain of the sleep sets this key was expanded with, as
+        #: thread masks
+        self.sleeps: Tuple[int, ...] = ()
+        #: merged access summary of every completed exploration from
+        #: this key, as location masks (``touched`` may be
+        #: :data:`_UNIVERSAL`); consulted only while no expansion of the
+        #: key is on the spine, so every exploration so far has completed
+        self.touched = 0
+        self.written = 0
         #: number of expansions of this key currently on the spine
         self.live = 0
 
@@ -129,22 +147,27 @@ class _Template:
     program alone (footprints depend on the step only), so it is built
     once per search per program state."""
 
-    __slots__ = ("steps", "tids", "fps", "access")
+    __slots__ = ("steps", "tids", "fps", "masks", "access")
 
-    def __init__(self, config, model, track_control: bool) -> None:
+    def __init__(self, config, model, track_control: bool,
+                 bits: FootprintBits) -> None:
         steps = config.program.pending_steps()
         self.steps = steps
         self.tids: Tuple[int, ...] = tuple(sorted(steps))
         self.fps: Dict[int, StepFootprint] = {}
-        #: per thread in tid order: ``(tid, footprint, locations touched,
-        #: locations written, visible)`` — what its race check reads
+        self.masks: Dict[int, StepMasks] = {}
+        #: per thread in tid order: ``(tid, footprint, masks, locations
+        #: touched, locations written, visible)`` — what its race check reads
         access = []
         for tid in self.tids:
             fp = step_footprint(model, config.state, tid, steps[tid], track_control)
+            masks = bits.masks(fp)
             self.fps[tid] = fp
-            access.append(
-                (tid, fp, tuple(fp.reads | fp.writes), tuple(fp.writes), fp.visible)
-            )
+            self.masks[tid] = masks
+            access.append((
+                tid, fp, masks, tuple(fp.reads | fp.writes), tuple(fp.writes),
+                fp.visible,
+            ))
         self.access = tuple(access)
 
 
@@ -152,11 +175,11 @@ class _Node:
     """One configuration on the DFS spine, with its view bookkeeping."""
 
     __slots__ = (
-        "config", "key", "rec", "steps", "fps", "enabled", "pending",
-        "done", "sleep", "full", "thread_clock", "last_write",
-        "last_reads", "last_visible", "active_tid", "active_fp",
+        "config", "key", "rec", "steps", "fps", "masks", "enabled",
+        "pending", "done", "sleep", "full", "thread_clock", "last_write",
+        "last_reads", "last_visible", "active_tid", "active_masks",
         "active_steps", "active_idx", "active_ctx", "active_guide",
-        "cands", "sub_reads", "sub_writes", "sub_visible", "sub_universal",
+        "cands", "sub_touched", "sub_written",
     )
 
     def __init__(self, config, key, rec, tmpl, enabled, pending, sleep,
@@ -167,14 +190,15 @@ class _Node:
         self.rec: _Record = rec
         self.steps: Dict[int, object] = tmpl.steps  # tid -> PendingStep
         self.fps: Dict[int, StepFootprint] = tmpl.fps
+        self.masks: Dict[int, StepMasks] = tmpl.masks
         self.enabled: Tuple[int, ...] = enabled
         #: scheduled reversing sequences, at most one per head thread;
         #: sleep-blocked views are retained (a compensation pass may clear
         #: the sleep set while the node is still on the spine)
         self.pending: List[View] = pending
         self.done: Set[int] = set()
-        #: tid -> footprint it went to sleep with (inherited + done siblings)
-        self.sleep: Dict[int, StepFootprint] = sleep
+        #: tid -> masks it went to sleep with (inherited + done siblings)
+        self.sleep: Dict[int, StepMasks] = sleep
         #: every enabled thread is a head (set by :meth:`expand_fully`);
         #: it stays so, since a head leaves ``pending`` only to run
         self.full = False
@@ -185,7 +209,7 @@ class _Node:
         self.last_visible: Optional[Tuple[int, int]] = last_visible
         # iteration state of the thread currently being expanded
         self.active_tid: Optional[int] = None
-        self.active_fp: Optional[StepFootprint] = None
+        self.active_masks: Optional[StepMasks] = None
         self.active_steps: List = []
         self.active_idx = 0
         self.active_ctx: Optional[tuple] = None  # (step_clock, thread_clock', lw', lr', lv')
@@ -195,14 +219,12 @@ class _Node:
         #: tid -> last conflicting path accesses of its pending step,
         #: computed once at node entry (the tables are node-fixed)
         self.cands: Dict[int, FrozenSet[Tuple[int, int]]] = cands
-        #: access summary of the subtree explored below this node (folded
-        #: up at pop time, recorded per key for the visited-prune fallback)
-        self.sub_reads: Set[str] = set()
-        self.sub_writes: Set[str] = set()
-        self.sub_visible = False
-        #: summary invalid (a cycle was cut inside this subtree): prunes
-        #: against this key must fall back to whole-spine expansion
-        self.sub_universal = False
+        #: access summary of the subtree explored below this node, as
+        #: location masks (folded up at pop time, recorded per key for
+        #: the visited-prune fallback); ``sub_touched`` is
+        #: :data:`_UNIVERSAL` once a cycle was cut inside the subtree
+        self.sub_touched = 0
+        self.sub_written = 0
 
     def is_head(self, tid: int) -> bool:
         """Whether ``tid``'s exploration from here is done, running or booked."""
@@ -226,11 +248,12 @@ class _Node:
         self.full = True
 
 
-def _covered(sleeps: List[FrozenSet[int]], asleep: FrozenSet[int]) -> bool:
-    """Whether an arrival sleeping on ``asleep`` is covered by one of a
-    key's recorded expansions (it had no more threads asleep)."""
+def _covered(sleeps: Tuple[int, ...], asleep: int) -> bool:
+    """Whether an arrival sleeping on the thread mask ``asleep`` is
+    covered by one of a key's recorded expansions (it had no more
+    threads asleep)."""
     for recorded in sleeps:
-        if recorded <= asleep:
+        if not recorded & ~asleep:
             return True
     return False
 
@@ -285,12 +308,15 @@ def explore_optimal(
     #: program -> its node template
     templates: Dict[object, _Template] = {}
     stack: List[_Node] = []
-    #: edges[i] = (tid, footprint, clock) of the step stack[i] -> stack[i+1]
-    edges: List[Tuple[int, StepFootprint, Clock]] = []
+    #: edges[i] = (tid, masks, clock) of the step stack[i] -> stack[i+1]
+    edges: List[Tuple[int, StepMasks, Clock]] = []
     parents = result.parents
     lifetime = MemoLifetime(model, depth_first=True)
+    bits = FootprintBits()
+    thread_bit = bits.thread
+    locations = bits.locations
 
-    def _insert_view(idx: int, tid: int, fp: StepFootprint, own: Clock) -> None:
+    def _insert_view(idx: int, tid: int, masks: StepMasks, own: Clock) -> None:
         """Schedule the *minimal reversing sequence* of a race at
         ``stack[idx]`` — the parsimonious insertion rule.
 
@@ -335,7 +361,7 @@ def explore_optimal(
         if all(
             edges[k][0] != tid
             and own.get(edges[k][0], -1) < k
-            and not conflicts(fp, edges[k][1])
+            and not masks_conflict(masks, edges[k][1])
             for k in v
         ):  # always so when ``v`` is empty
             if target.is_head(tid):
@@ -378,15 +404,13 @@ def explore_optimal(
                         raise _Abort
             if config.is_terminated():
                 result.terminal.append(config)
-        rec.sleeps.append(asleep)
+        rec.sleeps += (asleep,)
         if config.is_terminated():
-            if rec.summary is None:
-                rec.summary = [set(), set(), False, False]
             return None
         tmpl = templates.get(config.program)
         if tmpl is None:
             tmpl = templates[config.program] = _Template(
-                config, model, track_control
+                config, model, track_control, bits
             )
         enabled = tmpl.tids
         cut = bound_cut(config, model, max_events)
@@ -400,7 +424,7 @@ def explore_optimal(
         # only grow along a path).  A step's candidates are the last
         # conflicting accesses on the path, as ``(index, tid)`` pairs.
         cands: Dict[int, FrozenSet[Tuple[int, int]]] = {}
-        for tid, fp, touched, written, visible in tmpl.access:
+        for tid, fp, masks, touched, written, visible in tmpl.access:
             if not (touched or visible):
                 cands[tid] = _NO_CANDS
                 continue
@@ -425,10 +449,8 @@ def explore_optimal(
                         stats.races += 1
                         if tr is not None:
                             tr.race(run, tid, fp, config.program)
-                        _insert_view(idx, tid, fp, own)
+                        _insert_view(idx, tid, masks, own)
         if not enabled:
-            if rec.summary is None:
-                rec.summary = [set(), set(), False, False]
             return None
         # Seed the node's schedule.  Mid-descent the guide continues the
         # reversing view; a guide blocked by the bound falls back to
@@ -458,7 +480,7 @@ def explore_optimal(
         stats.time_keys += clock() - t0
         parents[init_key] = (None, None)
 
-        root = make_node(initial, init_key, None, {}, _AWAKE, {}, {}, {}, None, ())
+        root = make_node(initial, init_key, None, {}, 0, {}, {}, {}, None, ())
         if root is not None:
             stack.append(root)
             lifetime.enter(initial.state)
@@ -492,35 +514,16 @@ def explore_optimal(
                     stats.pruned += len(node.enabled) - len(node.done)
                     stack.pop()
                     lifetime.leave(node.config.state)
+                    # the node is gone: its summary joins the key's
                     rec = node.rec
                     rec.live -= 1
-                    summary = rec.summary
-                    if summary is None:
-                        # the node is gone: its summary becomes the key's
-                        rec.summary = [
-                            node.sub_reads, node.sub_writes,
-                            node.sub_visible, node.sub_universal,
-                        ]
-                    else:
-                        summary[0] |= node.sub_reads
-                        summary[1] |= node.sub_writes
-                        summary[2] = summary[2] or node.sub_visible
-                        summary[3] = summary[3] or node.sub_universal
+                    rec.touched |= node.sub_touched
+                    rec.written |= node.sub_written
                     if edges:
-                        efp = edges.pop()[1]
+                        edge_touched, edge_written = edges.pop()[1]
                         parent = stack[-1]
-                        parent.sub_reads |= node.sub_reads
-                        parent.sub_writes |= node.sub_writes
-                        if efp.reads:
-                            parent.sub_reads |= efp.reads
-                        if efp.writes:
-                            parent.sub_writes |= efp.writes
-                        parent.sub_visible = (
-                            parent.sub_visible or node.sub_visible or efp.visible
-                        )
-                        parent.sub_universal = (
-                            parent.sub_universal or node.sub_universal
-                        )
+                        parent.sub_touched |= node.sub_touched | edge_touched
+                        parent.sub_written |= node.sub_written | edge_written
                     continue
 
                 pick = pick_view[0]
@@ -549,7 +552,7 @@ def explore_optimal(
                 last_visible = (depth, pick) if fp.visible else node.last_visible
 
                 node.active_tid = pick
-                node.active_fp = fp
+                node.active_masks = node.masks[pick]
                 node.active_guide = pick_view[1:]
                 node.active_ctx = (step_clock, thread_clock, last_write,
                                    last_reads, last_visible)
@@ -563,7 +566,7 @@ def explore_optimal(
 
             # Run the active thread's transitions until one pushes a
             # child; the loop resumes here when that child pops.
-            tid, fp = node.active_tid, node.active_fp
+            tid, masks = node.active_tid, node.active_masks
             successors = node.active_steps
             while node.active_idx < len(successors):
                 step = successors[node.active_idx]
@@ -573,15 +576,12 @@ def explore_optimal(
                 t0 = clock()
                 child_key = _key_of(target, model, canonicalize)
                 stats.time_keys += clock() - t0
-                if node.sleep:
-                    child_sleep = {
-                        q: fq for q, fq in node.sleep.items()
-                        if q != tid and not conflicts(fq, fp)
-                    }
-                    asleep = frozenset(child_sleep) if child_sleep else _AWAKE
-                else:
-                    child_sleep = {}
-                    asleep = _AWAKE
+                child_sleep = {}
+                asleep = 0
+                for q, sleeper in node.sleep.items():
+                    if q != tid and not masks_conflict(sleeper, masks):
+                        child_sleep[q] = sleeper
+                        asleep |= thread_bit(q)
                 rec = records.get(child_key)
                 if rec is None:  # a key has a record iff it has a parent
                     parents[child_key] = (node.key, tid)
@@ -593,14 +593,10 @@ def explore_optimal(
                     # between *its* steps and the current path.  Compensate
                     # with the subtree's recorded access summary.  A
                     # terminal child has no subtree, hence no hidden races.
-                    if fp.reads:
-                        node.sub_reads |= fp.reads
-                    if fp.writes:
-                        node.sub_writes |= fp.writes
-                    node.sub_visible = node.sub_visible or fp.visible
-                    summary = rec.summary
+                    node.sub_touched |= masks[0]
+                    node.sub_written |= masks[1]
                     if not target.is_terminated():
-                        if rec.live or summary is None or summary[3]:
+                        if rec.live or rec.touched == _UNIVERSAL:
                             # A cycle (or a summary poisoned by one): the
                             # pruned subtree is still being explored and its
                             # summary is incomplete — expand the whole spine
@@ -611,32 +607,28 @@ def explore_optimal(
                             for i, spine in enumerate(stack):
                                 spine.expand_fully()
                                 if i > cut >= 0:
-                                    spine.sub_universal = True
-                            node.sub_universal = True
+                                    spine.sub_touched = _UNIVERSAL
+                            node.sub_touched = _UNIVERSAL
                         else:
-                            sub_r, sub_w, sub_vis, _universal = summary
-                            if sub_r:
-                                node.sub_reads |= sub_r
-                            if sub_w:
-                                node.sub_writes |= sub_w
-                            node.sub_visible = node.sub_visible or sub_vis
+                            sub_touched, sub_written = rec.touched, rec.written
+                            node.sub_touched |= sub_touched
+                            node.sub_written |= sub_written
                             _c_clock, c_tclock, lw, lr, lv = node.active_ctx
                             # Candidate path accesses that touch a summary
-                            # variable, as (path index, acting tid) pairs.
+                            # location, as (path index, acting tid) pairs:
+                            # its last write, and its last reads if the
+                            # subtree writes it.
                             pairs = set()
-                            for var in sub_w:
+                            for var in locations(sub_touched):
                                 last = lw.get(var)
                                 if last is not None:
                                     pairs.add(last)
+                            for var in locations(sub_written):
                                 readers = lr.get(var)
                                 if readers:
                                     for reader, i in readers.items():
                                         pairs.add((i, reader))
-                            for var in sub_r:
-                                last = lw.get(var)
-                                if last is not None:
-                                    pairs.add(last)
-                            if sub_vis and lv is not None:
+                            if sub_written & CONTROL_BIT and lv is not None:
                                 pairs.add(lv)
                             if pairs:
                                 # Parsimonious filter: every step of the
@@ -657,7 +649,7 @@ def explore_optimal(
                                             stack[idx].expand_fully()
                                             break
                     continue
-                edges.append((tid, fp, node.active_ctx[0]))
+                edges.append((tid, masks, node.active_ctx[0]))
                 _s, thread_clock, last_write, last_reads, last_visible = (
                     node.active_ctx
                 )
@@ -667,11 +659,8 @@ def explore_optimal(
                 )
                 if child is None:
                     edges.pop()
-                    if fp.reads:
-                        node.sub_reads |= fp.reads
-                    if fp.writes:
-                        node.sub_writes |= fp.writes
-                    node.sub_visible = node.sub_visible or fp.visible
+                    node.sub_touched |= masks[0]
+                    node.sub_written |= masks[1]
                 else:
                     stack.append(child)
                     lifetime.enter(target.state, node.config.state)
@@ -682,10 +671,10 @@ def explore_optimal(
             else:
                 # This thread's subtree is complete: it sleeps for the
                 # siblings explored after it.
-                node.sleep[tid] = fp
+                node.sleep[tid] = masks
                 node.done.add(tid)
                 node.active_tid = None
-                node.active_fp = None
+                node.active_masks = None
                 node.active_steps = []
                 node.active_ctx = None
                 node.active_guide = ()

@@ -8,6 +8,8 @@ from repro.casestudies.message_passing import (
     message_passing_broken,
     message_passing_program,
     mp_data_invariant,
+    mp_pairs_init,
+    mp_pairs_program,
     mp_result_violations,
 )
 from repro.interp.explore import explore
@@ -80,3 +82,34 @@ def test_no_acquire_variant_also_broken():
     result = explore(program, MP_INIT, RAMemoryModel(), max_events=BOUND)
     finals = {final_values(c)["r"] for c in result.terminal}
     assert 0 in finals
+
+
+def test_mp_pairs_family_is_disjoint_copies():
+    program = mp_pairs_program(2)
+    assert program.tids == (1, 2, 3, 4)
+    assert set(mp_pairs_init(2)) == {"d1", "f1", "r1", "d2", "f2", "r2"}
+    result = explore(program, mp_pairs_init(2), RAMemoryModel(), max_events=12)
+    assert result.terminal
+    for config in result.terminal:
+        values = final_values(config)
+        assert values["r1"] == values["r2"] == PAYLOAD
+
+
+def test_mp_pairs_optimal_outcome_parity():
+    """Two pairs at a small bound: ``optimal`` finds the unreduced
+    outcome set, truncation flag and all, in fewer configurations."""
+    results = {
+        reduction: explore(
+            mp_pairs_program(2), mp_pairs_init(2), RAMemoryModel(),
+            max_events=12, reduction=reduction,
+        )
+        for reduction in ("none", "optimal")
+    }
+
+    def outcomes(result):
+        return {tuple(sorted(final_values(c).items())) for c in result.terminal}
+
+    full, reduced = results["none"], results["optimal"]
+    assert outcomes(reduced) == outcomes(full)
+    assert reduced.truncated == full.truncated
+    assert reduced.configs < full.configs

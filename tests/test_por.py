@@ -9,7 +9,12 @@ from repro.casestudies.peterson import (
     peterson_relaxed_turn,
 )
 from repro.engine.por import REDUCTIONS, StepFootprint, conflicts
-from repro.engine.por.deps import step_footprint
+from repro.engine.por.deps import (
+    CONTROL_BIT,
+    FootprintBits,
+    masks_conflict,
+    step_footprint,
+)
 from repro.interp.compiled import maybe_lower
 from repro.interp.explore import explore
 from repro.interp.interpreter import (
@@ -71,6 +76,62 @@ def test_rmw_conflicts_with_everything_on_its_location():
 def test_visible_steps_are_pairwise_dependent():
     assert conflicts(fp(visible=True), fp(visible=True))
     assert not conflicts(fp(visible=True), fp())
+
+
+def test_footprint_bits_number_locations_and_threads_per_search():
+    bits = FootprintBits()
+    assert [bits.thread(t) for t in (41, 7, 41, 12)] == [1, 2, 1, 4]
+    touched, written = bits.masks(fp(reads=["y"], writes=["x"], visible=True))
+    assert written & CONTROL_BIT and touched & CONTROL_BIT
+    assert set(bits.locations(touched)) == {"x", "y"}
+    assert list(bits.locations(written)) == ["x"]
+    assert bits.masks(fp()) == (0, 0)
+    assert FootprintBits().thread(41) == 1
+
+
+def _registry_footprints(monkeypatch):
+    """Every footprint the ``optimal`` explorer's node templates build
+    over the litmus registry under SC, RA and SRA, with control
+    visibility on and off."""
+    import repro.engine.por.optimal as optimal_module
+    from repro.litmus.extra import EXTRA_TESTS
+    from repro.litmus.suite import ALL_TESTS
+
+    seen = set()
+
+    def recording(*args, **kwargs):
+        footprint = step_footprint(*args, **kwargs)
+        seen.add(footprint)
+        return footprint
+
+    monkeypatch.setattr(optimal_module, "step_footprint", recording)
+    for test in list(ALL_TESTS) + list(EXTRA_TESTS):
+        for model in (SCMemoryModel, RAMemoryModel, SRAMemoryModel):
+            for hook in (None, lambda config: []):
+                explore(
+                    test.program, test.init, model(),
+                    max_events=test.max_events, reduction="optimal",
+                    check_config=hook,
+                )
+    return seen
+
+
+def test_mask_conflicts_agree_with_conflicts_on_registry_footprints(monkeypatch):
+    """The explorer tests conflicts on masks only; they must be
+    :func:`conflicts` exactly, on every pair of footprints it meets."""
+    footprints = sorted(
+        _registry_footprints(monkeypatch),
+        key=lambda f: (sorted(f.reads), sorted(f.writes), f.visible),
+    )
+    assert any(f.visible for f in footprints)
+    assert any(f.reads & f.writes for f in footprints)  # RMWs
+    bits = FootprintBits()
+    masks = [bits.masks(f) for f in footprints]
+    for a, ma in zip(footprints, masks):
+        assert set(bits.locations(ma[0])) == a.reads | a.writes
+        assert set(bits.locations(ma[1])) == a.writes
+        for b, mb in zip(footprints, masks):
+            assert masks_conflict(ma, mb) == conflicts(a, b), (a, b)
 
 
 def test_model_step_footprints():
@@ -311,6 +372,31 @@ def test_pe_model_reduces_to_per_thread_sequences():
 # ----------------------------------------------------------------------
 # EngineStats: the new reduction fields
 # ----------------------------------------------------------------------
+
+
+def test_optimal_ring4_b8_traced_peak_memory():
+    """The per-key bookkeeping is a few ints (DESIGN.md §13): ring4 b8
+    peaks near 3 MB traced, where per-key sets peaked above 6 MB."""
+    import tracemalloc
+
+    from repro.casestudies.token_ring import (
+        TOKEN_INIT,
+        token_ring_program,
+        token_ring_violations,
+    )
+
+    tracemalloc.start()
+    try:
+        result = explore(
+            token_ring_program(n_threads=4), TOKEN_INIT, RAMemoryModel(),
+            max_events=8, reduction="optimal",
+            check_config=token_ring_violations,
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.configs == 4609
+    assert peak < 4.5 * 2**20, peak
 
 
 def test_stats_summary_mentions_reduction():

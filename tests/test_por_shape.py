@@ -26,6 +26,7 @@ from repro.interp.explore import explore
 from repro.interp.ra_model import RAMemoryModel
 from repro.interp.sc import SCMemoryModel
 from repro.interp.sra_model import SRAMemoryModel
+from repro.lang.program import Program
 from repro.litmus.extra import EXTRA_TESTS
 from repro.litmus.suite import ALL_TESTS
 
@@ -51,6 +52,22 @@ def test_ring4_b8_shape():
     )
     assert shape(result) == (4609, 9345, 8051, 7292, 8048, 4737, 482, 17)
     assert result.ok and result.truncated
+
+
+def test_ring4_shape_survives_thread_renumbering():
+    """Thread ids are arbitrary ints: the search numbers them as bits
+    itself, so renumbering them in order leaves the search unchanged."""
+    program = token_ring_program(n_threads=4)
+    renamed = Program.of(dict(zip((7, 12, 30, 41), program.as_dict().values())))
+    results = [
+        explore(
+            p, TOKEN_INIT, RAMemoryModel(), max_events=8,
+            reduction="optimal", check_config=token_ring_violations,
+        )
+        for p in (program, renamed)
+    ]
+    assert shape(results[1]) == shape(results[0])
+    assert results[1].ok and results[1].truncated
 
 
 def test_peterson_b12_shape():
