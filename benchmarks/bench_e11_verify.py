@@ -46,8 +46,8 @@ def test_registry_sweep_throughput(benchmark, bench_json):
             "wall_s": wall,
             "per_pair": {
                 f"{name}[{model}]": {
-                    "configs": report.configs,
-                    "transitions": report.transitions,
+                    "configs": report.stats.configs,
+                    "transitions": report.stats.transitions,
                     "obligations": report.obligations_discharged,
                     "proved": report.proved,
                     "engine": engine_stats_payload(report.stats),

@@ -30,7 +30,7 @@ def test_individual_ra(benchmark, name):
     test = next(t for t in ALL_TESTS if t.name == name)
     outcome = once(benchmark, lambda: run_litmus(test, RAMemoryModel()))
     assert outcome.verdict_matches
-    benchmark.extra_info["configs"] = outcome.configs
+    benchmark.extra_info["configs"] = outcome.result.configs
 
 
 def test_sc_is_faster_but_weaker(benchmark):
@@ -41,7 +41,7 @@ def test_sc_is_faster_but_weaker(benchmark):
         for t in ALL_TESTS:
             ra = run_litmus(t, RAMemoryModel())
             sc = run_litmus(t, SCMemoryModel())
-            rows.append((t.name, ra.configs, sc.configs))
+            rows.append((t.name, ra.result.configs, sc.result.configs))
         return rows
 
     rows = once(benchmark, run)

@@ -33,8 +33,8 @@ def main() -> None:
     iriw = test_by_name("IRIW+rel-acq")
     outcome = run_litmus(iriw, RAMemoryModel())
     print(
-        f"\nIRIW explored: {outcome.configs} configurations, "
-        f"{outcome.terminal_states} terminal states, weak outcome "
+        f"\nIRIW explored: {outcome.result.configs} configurations, "
+        f"{len(outcome.result.terminal)} terminal states, weak outcome "
         f"{'reachable' if outcome.reachable else 'unreachable'}."
     )
 

@@ -18,7 +18,8 @@ that work on the hot path:
 * **Validate now, build later** — :meth:`CompactOrders.placement`
   checks a step without a clone; ``C11State.successor`` keeps the
   result in a deferred child, whose ``compact`` property runs
-  :meth:`CompactOrders.add` on first read (counted by :data:`BUILDS`).
+  :meth:`CompactOrders.add` on first read (counted as
+  ``COUNTERS.states_built``, :mod:`repro.counters`).
   A deferred child holds its parent's form, never the parent state.
 * **Hash-consed keys** — a canonical key is a flat tuple of
   :class:`KeyNode` objects: one :class:`ChainNode` per thread, one
@@ -68,62 +69,9 @@ import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.c11.events import Event, Tag
+from repro.counters import COUNTERS
 from repro.lang.actions import Var
 from repro.lang.program import Tid
-
-
-class OrderTimerStats:
-    """Process-wide accumulator of time spent deriving orders.
-
-    The same discipline as :data:`repro.engine.keys.KEY_CACHE`: the
-    engine snapshots :attr:`seconds` around a run and reports the delta
-    as ``EngineStats.time_orders``, so suite/verify footers can
-    attribute wall time to closure work.  Covers both the compact
-    bitset derivations here and the definitional Relation closures the
-    fallback paths still take (``C11State.hb``/``eco``).
-    """
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.seconds = 0.0
-
-    def snapshot(self) -> float:
-        return self.seconds
-
-    def __repr__(self) -> str:
-        return f"OrderTimerStats(seconds={self.seconds:.6f})"
-
-
-#: The one derived-order timer of this process (workers of the parallel
-#: runner each get their own copy — fork/spawn isolation).
-ORDER_TIMER = OrderTimerStats()
-
-
-class BuildStats:
-    """Process-wide count of compact forms built by :meth:`CompactOrders.add`.
-
-    ``C11State.successor`` defers the build until something reads the
-    child's compact form, so this counts the states a search actually
-    used, not the successors it enumerated.  The engine charges each
-    run with its delta as ``EngineStats.states_built``, the same
-    discipline as :data:`ORDER_TIMER`.
-    """
-
-    __slots__ = ("built",)
-
-    def __init__(self) -> None:
-        self.built = 0
-
-    def __repr__(self) -> str:
-        return f"BuildStats(built={self.built})"
-
-
-#: The one build counter of this process.
-BUILDS = BuildStats()
 
 _clock = time.perf_counter
 
@@ -262,7 +210,7 @@ class CompactOrders:
         cannot fail.  The appended event is sb-maximal, so no existing
         ``hb`` mask changes, and it is mo-placed at birth.
         """
-        BUILDS.built += 1
+        COUNTERS.states_built += 1
         w_i = self.index[w]
         action = e.action
         writes = action.is_write
@@ -347,7 +295,7 @@ class CompactOrders:
                     entry |= 1 << r_i
         eco.append(entry)
         child._eco = eco
-        ORDER_TIMER.seconds += _clock() - t0
+        COUNTERS.time_orders += _clock() - t0
 
     # ------------------------------------------------------------------
     # Derived orders as bitset queries
@@ -387,7 +335,7 @@ class CompactOrders:
                             probe ^= lsb
                     prefix |= wbit | rmask
             self._eco = eco
-            ORDER_TIMER.seconds += _clock() - t0
+            COUNTERS.time_orders += _clock() - t0
         return self._eco
 
     def thread_cone(self, tid: Tid) -> int:
@@ -419,7 +367,7 @@ class CompactOrders:
                 lsb = probe & -probe
                 mask |= eco[lsb.bit_length() - 1]
                 probe ^= lsb
-            ORDER_TIMER.seconds += _clock() - t0
+            COUNTERS.time_orders += _clock() - t0
         self._enc[tid] = mask
         return mask
 
@@ -541,7 +489,7 @@ class CompactOrders:
                 if not acyclic:
                     break
             self._acyclic = acyclic
-            ORDER_TIMER.seconds += _clock() - t0
+            COUNTERS.time_orders += _clock() - t0
         return self._acyclic
 
     # ------------------------------------------------------------------
@@ -577,7 +525,7 @@ class CompactOrders:
                 lsb = mask & -mask
                 pairs.append((seq[lsb.bit_length() - 1], e))
                 mask ^= lsb
-        ORDER_TIMER.seconds += _clock() - t0
+        COUNTERS.time_orders += _clock() - t0
         return pairs
 
 
@@ -856,13 +804,9 @@ def derived_order_divergences(state) -> List[str]:
 
 
 __all__ = [
-    "BUILDS",
-    "BuildStats",
     "ChainNode",
     "CompactOrders",
     "KeyNode",
-    "ORDER_TIMER",
-    "OrderTimerStats",
     "SeqNode",
     "derived_order_divergences",
     "intern_node",

@@ -45,13 +45,13 @@ from time import perf_counter as _clock
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.c11.compact import (
-    ORDER_TIMER,
     CompactOrders,
     SeqNode,
     intern_node,
     key_with_event,
 )
 from repro.c11.events import Event, Tag, init_events
+from repro.counters import COUNTERS
 from repro.lang.actions import Value, Var
 from repro.lang.program import INIT_TID, Tid
 from repro.relations.relation import Relation
@@ -396,7 +396,7 @@ class C11State:
             else:
                 t0 = _clock()
                 self._hb = (self.sb | self.sw).transitive_closure()
-                ORDER_TIMER.seconds += _clock() - t0
+                COUNTERS.time_orders += _clock() - t0
         return self._hb
 
     @property
@@ -427,7 +427,7 @@ class C11State:
                 self._eco = rf | mo | fr | mo.compose(rf) | fr.compose(rf)
             else:
                 self._eco = (self.fr | self.mo | self.rf).transitive_closure()
-            ORDER_TIMER.seconds += _clock() - t0
+            COUNTERS.time_orders += _clock() - t0
         return self._eco
 
     def eco_definitional(self) -> Relation:

@@ -60,10 +60,11 @@ Commands
     obligations quantify over, so discharge always runs the unreduced
     search.  Exit code 1 iff any obligation failed.
 
-A bad search option — an out-of-range bound, flags no search plan
-admits together (``--shards 2 --strategy dfs``), or an unknown
-``--model`` — is one ``repro <command>: error: ...`` line on stderr and
-exit status 2.
+Bad input is one ``repro <command>: error: ...`` line on stderr and exit
+status 2: an out-of-range bound, flags no search plan admits together
+(``--shards 2 --strategy dfs``), an unknown ``--model`` or case study,
+an unreadable file, an outline spec without ``OUTLINE``, a ledger index
+that does not exist.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         try:
             set_plan(FaultPlan(args.inject_faults))
         except ValueError as exc:
-            raise SystemExit(f"--inject-faults: {exc}")
+            raise UsageError(f"--inject-faults: {exc}") from None
     try:
         parsed = _load(args.file)
         reachable, result = run_parsed_litmus(parsed, model=model, plan=plan)
@@ -267,7 +268,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.stats:
         print("engine:", result.stats.summary())
     if args.profile:
-        print("profile:", result.stats.phase_split(result.configs))
+        print("profile:", result.stats.phase_split(rate=True))
     if parsed.outcome_mode == "forbidden":
         ok = not reachable
     elif parsed.outcome_mode == "exists":
@@ -285,8 +286,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _note_stats(
         **stats.counters(),
         shards=stats.shards,
-        configs=result.configs,
-        transitions=result.transitions,
         terminal=len(result.terminal),
         truncated=result.truncated,
         resumed_from=args.resume,
@@ -336,7 +335,7 @@ def _run_batch(args: argparse.Namespace, work, plan, headline):
     merged = EngineStats.folded(r.stats for r in results)
     print("-" * 72)
     print(headline(totals))
-    print("phase split:", merged.phase_split(totals["configs"], unit="s"))
+    print("phase split:", merged.phase_split(unit="s", rate=True))
     if plan.reduction != "none" and merged.expanded + merged.pruned:
         print(f"reduction={plan.reduction}: {merged.reduction_split()}")
     print(
@@ -430,14 +429,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         for line in record.shrunk.rstrip().splitlines():
             print(f"    {line}")
     print(report.summary())
-    print("phase split:", report.stats.phase_split(report.configs, unit="s"))
+    print("phase split:", report.stats.phase_split(unit="s", rate=True))
     print(f"wall={wall:.2f}s workers={args.jobs}")
     _note_stats(
         **report.stats.counters(),
         seed=args.seed,
         iters=args.iters,
-        configs=report.configs,
-        transitions=report.transitions,
         divergences=len(report.divergences),
         inconclusive=report.inconclusive,
         wall=wall,
@@ -489,7 +486,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.all:
         return _verify_all(args, plan)
     if not args.names:
-        raise SystemExit(
+        raise UsageError(
             "verify needs case-study names, --all, --list, or --file; "
             "see 'repro verify --list'"
         )
@@ -497,12 +494,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     requested = _model_names(args.model) if args.model else None
     failed = 0
     merged = EngineStats()
-    configs = obligations = failed_obligations = 0
+    obligations = failed_obligations = 0
     for name in args.names:
         try:
             entry = PROOFS.get(name)
         except KeyError as exc:
-            raise SystemExit(exc.args[0])
+            raise UsageError(exc.args[0]) from None
         models = requested if requested else list(entry.models)
         for model_name in models:
             outline = entry.outline()
@@ -511,23 +508,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             except (AttributeError, TypeError) as exc:
                 # e.g. a DV/UpdateOnly outline forced onto SC stores:
                 # thread-indexed assertions only evaluate on C11 states
-                raise SystemExit(
+                raise UsageError(
                     f"outline {name!r} is stated for models "
                     f"{list(entry.models)}; its assertions could not be "
                     f"evaluated under {model_name!r} ({exc})"
-                )
+                ) from None
             _print_outline_report(
                 f"{entry.name} [{model_name}] — {entry.description}",
                 outline, report,
             )
             failed += not report.proved
             merged.merge(report.stats)
-            configs += report.configs
             obligations += report.obligations_discharged
             failed_obligations += report.failed_obligations
             _note_stats(
                 **merged.counters(),
-                configs=configs,
                 obligations=obligations,
                 failed_obligations=failed_obligations,
             )
@@ -540,7 +535,7 @@ def _verify_all(args: argparse.Namespace, plan) -> int:
     models = _model_names(args.model) if args.model else None
     work = verify_jobs(models=models, plan=plan)
     if not work:
-        raise SystemExit("no registered outline matches the requested models")
+        raise UsageError("no registered outline matches the requested models")
     batch = _run_batch(args, work, plan, lambda totals: (
         f"{totals['jobs']} proof jobs, {totals['obligations']} obligations "
         f"discharged, {totals['failed_obligations']} failed; "
@@ -558,7 +553,7 @@ def _verify_all(args: argparse.Namespace, plan) -> int:
 
 def _verify_file(args: argparse.Namespace, plan) -> int:
     if not args.outline:
-        raise SystemExit("--file needs --outline SPEC.py (see DESIGN.md §10)")
+        raise UsageError("--file needs --outline SPEC.py (see DESIGN.md §10)")
     parsed = _load(args.file)
     outline = _load_outline_spec(args.outline)
     model_name = args.model or "ra"
@@ -570,7 +565,6 @@ def _verify_file(args: argparse.Namespace, plan) -> int:
     )
     _note_stats(
         **report.stats.counters(),
-        configs=report.configs,
         obligations=report.obligations_discharged,
         failed_obligations=report.failed_obligations,
     )
@@ -603,7 +597,7 @@ def _load_outline_spec(path: str):
     if outline is None and callable(namespace.get("outline")):
         outline = namespace["outline"]()
     if not isinstance(outline, ProofOutline):
-        raise SystemExit(
+        raise UsageError(
             f"{path} must bind OUTLINE to a ProofOutline (or define "
             "outline() returning one)"
         )
@@ -682,7 +676,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     try:
         records = parse_trace(args.file)
     except (OSError, ValueError) as exc:
-        raise SystemExit(str(exc))
+        raise UsageError(str(exc)) from None
     if not records:
         print(f"{args.file}: empty trace")
         return 1
@@ -718,10 +712,10 @@ def cmd_runs(args: argparse.Namespace) -> int:
     try:
         old, new = records[old_idx], records[new_idx]
     except IndexError:
-        raise SystemExit(
+        raise UsageError(
             f"ledger has {len(records)} record(s); indices {old_idx} and "
             f"{new_idx} do not both exist"
-        )
+        ) from None
     for line in diff_records(old, new):
         print(line)
     return 0
@@ -810,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--checkpoint", default=None, metavar="PATH",
         help="periodically snapshot the search's complete loop state to "
-        "an atomic repro-ckpt/5 file; a resumed run finishes "
+        "an atomic repro-ckpt/6 file; a resumed run finishes "
         "byte-identically (DESIGN.md §16)",
     )
     run.add_argument(

@@ -29,7 +29,7 @@ from repro.engine.frontier import (
     STRATEGIES,
     frontier_class,
 )
-from repro.engine.keys import KEY_CACHE, KeyCacheStats, cached_canonical_key
+from repro.engine.keys import cached_canonical_key
 from repro.engine.stats import EngineStats
 from repro.engine.core import (
     ConfigKey,
@@ -47,8 +47,6 @@ __all__ = [
     "EngineStats",
     "ExplorationResult",
     "Frontier",
-    "KEY_CACHE",
-    "KeyCacheStats",
     "REDUCTIONS",
     "STRATEGIES",
     "SearchPlan",

@@ -1,17 +1,18 @@
 """Checkpoint/resume for the exploration engine (DESIGN.md §16).
 
 A checkpoint is the *complete* loop state of a paused search — frontier
-(in exact pop order), parent map (which is the visited set), accumulated
-counters and :class:`~repro.engine.stats.EngineStats` — written as one
+(in exact pop order), parent map (which is the visited set) and
+:class:`~repro.engine.stats.EngineStats`, which holds the counts so far —
+written as one
 atomic, versioned file.  Because the engine's searches are deterministic
 functions of that loop state, a resumed run replays the remaining
 search exactly: configs, transitions, terminal outcome sets and
 counterexamples are byte-identical to the uninterrupted run (pinned by
 the kill-and-resume parity tests in ``tests/test_checkpoint.py``).
 
-File format (``repro-ckpt/5``)::
+File format (``repro-ckpt/6``)::
 
-    b"repro-ckpt/5\\n"  +  pickle({"fingerprint": ..., "payload": ...})
+    b"repro-ckpt/6\\n"  +  pickle({"fingerprint": ..., "payload": ...})
 
 * The **fingerprint** identifies the run the state belongs to: a digest
   of the program source, the model name, the bounds, strategy,
@@ -37,7 +38,9 @@ File format (``repro-ckpt/5``)::
   beside the parent map; version 4 replaced version 3 when the pickled
   ``CompactOrders`` of frontier states lost its slot for writes not
   yet placed in ``mo``; version 5 replaced version 4 when keys became
-  tuples of hash-consed nodes.  A file of another version is refused by
+  tuples of hash-consed nodes; version 6 replaced version 5 when the
+  unreduced loop's counts moved into its ``EngineStats`` (a version 5
+  record would resume them from 0).  A file of another version is refused by
   name.
 
 Writes go to a temporary file in the target directory followed by
@@ -52,8 +55,8 @@ import os
 import pickle
 from typing import Optional, Tuple
 
-MAGIC = b"repro-ckpt/5\n"
-SCHEMA_NAME = "repro-ckpt/5"
+MAGIC = b"repro-ckpt/6\n"
+SCHEMA_NAME = "repro-ckpt/6"
 
 
 class CheckpointError(RuntimeError):

@@ -94,8 +94,6 @@ class ExplorationResult(Generic[S]):
     """Everything a bounded exploration learned."""
 
     initial: Configuration[S]
-    configs: int = 0
-    transitions: int = 0
     terminal: List[Configuration[S]] = field(default_factory=list)
     violations: List[Violation[S]] = field(default_factory=list)
     truncated: bool = False
@@ -107,8 +105,19 @@ class ExplorationResult(Generic[S]):
     parents: Dict[ConfigKey, Tuple[Optional[ConfigKey], Optional[Tid]]] = field(
         default_factory=dict
     )
-    #: what the run cost (strategy, frontier, key cache, phase timings)
+    #: what the run did and cost (counts, strategy, frontier, key cache,
+    #: phase timings)
     stats: EngineStats = field(default_factory=EngineStats)
+
+    @property
+    def configs(self) -> int:
+        """Distinct configurations explored (``stats.configs``)."""
+        return self.stats.configs
+
+    @property
+    def transitions(self) -> int:
+        """Transitions enumerated (``stats.transitions``)."""
+        return self.stats.transitions
 
     @property
     def ok(self) -> bool:
@@ -386,7 +395,7 @@ def explore(
     (True) or forbids (False) real worker processes; the default
     auto-selects.
 
-    ``checkpoint`` names a ``repro-ckpt/5`` file
+    ``checkpoint`` names a ``repro-ckpt/6`` file
     (:mod:`repro.engine.checkpoint`, DESIGN.md §16) rewritten
     atomically every ``checkpoint_every`` configurations (default
     1000); ``resume`` loads such a file — after verifying it belongs
@@ -520,8 +529,6 @@ def _explore_once(
             result.parents = loop["parents"]
             result.terminal = loop["terminal"]
             result.violations = loop["violations"]
-            result.configs = loop["configs"]
-            result.transitions = loop["transitions"]
             result.truncated = loop["truncated"]
             result.capped = capped = loop["capped"]
             result.stats = stats = loop["stats"]
@@ -551,8 +558,6 @@ def _explore_once(
                 "parents": result.parents,
                 "terminal": result.terminal,
                 "violations": result.violations,
-                "configs": result.configs,
-                "transitions": result.transitions,
                 "truncated": result.truncated,
                 "capped": result.capped,
                 "stats": snap_stats,
@@ -561,13 +566,13 @@ def _explore_once(
             if tr is not None:
                 tr.emit(
                     "ckpt", run=run, path=checkpoint,
-                    configs=result.configs, action="write",
+                    configs=stats.configs, action="write",
                 )
 
         next_ckpt = None
         if checkpoint is not None:
             every = plan.checkpoint_every or 1000
-            next_ckpt = result.configs + every
+            next_ckpt = stats.configs + every
 
         # The loop's own calls, bound once: one expansion reads the clock
         # once per phase (check, expand, keys, store) rather than once
@@ -577,26 +582,26 @@ def _explore_once(
         canonical = model.canonical_state_key if canonicalize else None
         terminal, violations = result.terminal, result.violations
         while frontier:
-            if next_ckpt is not None and result.configs >= next_ckpt:
+            if next_ckpt is not None and stats.configs >= next_ckpt:
                 write_ckpt()
                 last_ckpt = checkpoint
-                next_ckpt = result.configs + every
-            if faults is not None and faults.interrupt_due(result.configs):
+                next_ckpt = stats.configs + every
+            if faults is not None and faults.interrupt_due(stats.configs):
                 if tr is not None:
                     tr.emit(
                         "fault", run=run, kind="interrupt",
-                        detail=f"configs={result.configs}",
+                        detail=f"configs={stats.configs}",
                     )
                 raise FaultInterrupt(
-                    f"injected interrupt at {result.configs} configurations",
+                    f"injected interrupt at {stats.configs} configurations",
                     checkpoint=last_ckpt,
                 )
             config, key = pop()
-            result.configs += 1
+            stats.configs += 1
             if tr is not None and tr.tick():
                 so_far = counters.fold_into(EngineStats())
                 tr.emit(
-                    "node", run=run, n=result.configs,
+                    "node", run=run, n=stats.configs,
                     pcs=list(config.program.labels),
                     keys=[so_far.key_hits, so_far.key_misses],
                 )
@@ -635,12 +640,12 @@ def _explore_once(
                     for message in check_step(step):
                         violations.append(Violation(message, config, step))
                         if stop_on_violation:
-                            result.transitions += done
+                            stats.transitions += done
                             stats.time_checks += clock() - t1
                             return result
                 t0, t1 = t1, clock()
                 stats.time_checks += t1 - t0
-            result.transitions += len(steps)
+            stats.transitions += len(steps)
             if capped:
                 leave(state)
                 continue
@@ -678,10 +683,7 @@ def _explore_once(
         stats.time_total += clock() - t_run
         counters.fold_into(stats)
         if tr is not None:
-            tr.run_end(
-                run, stats, result.configs, result.transitions,
-                result.truncated,
-            )
+            tr.run_end(run, stats, result.truncated)
 
     return result
 

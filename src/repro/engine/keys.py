@@ -14,15 +14,15 @@ compute-once value:
   itself (the ``_canon_key`` slot of :class:`~repro.c11.state.C11State`
   and :class:`~repro.c11.prestate.PreExecutionState`) so that any later
   keying of the same object is a dictionary-free attribute read;
-* the process-wide :data:`KEY_CACHE` counts hits and misses, which the
-  engine snapshots per run into
+* the process-wide :data:`repro.counters.COUNTERS` record counts hits
+  and misses, which the engine charges per run to
   :class:`~repro.engine.stats.EngineStats`.
 
 All canonical-key consumers (the RA/SRA/PE models'
 ``canonical_state_key``, and through them ``explore``,
 ``reachable_states`` and the checking package) route through here.
 States without a ``_canon_key`` slot (foreign state types) fall back to
-a plain computation and are counted as ``uncached``.
+a plain computation, which is not counted.
 
 :func:`stable_encode` gives keys a process-independent byte encoding,
 nodes by their content, for digests that must agree across processes.
@@ -34,34 +34,8 @@ import hashlib
 from typing import Hashable
 
 from repro.c11.compact import ChainNode, SeqNode
+from repro.counters import COUNTERS
 
-
-class KeyCacheStats:
-    """Process-wide canonical-key cache counters."""
-
-    __slots__ = ("hits", "misses", "uncached")
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.uncached = 0
-
-    def snapshot(self) -> tuple:
-        return (self.hits, self.misses, self.uncached)
-
-    def __repr__(self) -> str:
-        return (
-            f"KeyCacheStats(hits={self.hits}, misses={self.misses}, "
-            f"uncached={self.uncached})"
-        )
-
-
-#: The one cache-counter instance of this process.  Workers of the
-#: parallel runner each get their own copy (fork/spawn isolation).
-KEY_CACHE = KeyCacheStats()
 
 # Lazily-bound import-cycle breaker (see _canon).
 _canon_mod = None
@@ -80,12 +54,11 @@ def cached_canonical_key(state) -> Hashable:
     try:
         cached = state._canon_key
     except AttributeError:
-        KEY_CACHE.uncached += 1
         return _canon().canonical_key(state)
     if cached is not None:  # the hit path touches nothing else
-        KEY_CACHE.hits += 1
+        COUNTERS.key_hits += 1
         return cached
-    KEY_CACHE.misses += 1
+    COUNTERS.key_misses += 1
     key = state._canon_key = _canon().canonical_key(state)
     return key
 

@@ -7,10 +7,10 @@ outlines) do not pickle.  The runner therefore ships *names*: a
 :class:`SuiteJob` carries only strings and a
 :class:`~repro.engine.plan.SearchPlan`, each worker
 re-resolves the test/case study/proof entry from the registries it
-imported itself, and ships back a :class:`SuiteJobResult`: the verdict,
-the job's counts and the run's whole
-:class:`~repro.engine.stats.EngineStats` (verify jobs add obligation
-counts).  Verdicts are byte-identical to a sequential run
+imported itself, and ships back a :class:`SuiteJobResult`: the verdict
+and the run's whole :class:`~repro.engine.stats.EngineStats`, which
+holds its configuration and transition counts (verify jobs add
+obligation counts).  Verdicts are byte-identical to a sequential run
 because the sequential path (``jobs=1``) executes the very same
 :func:`run_suite_job` in-process (DESIGN.md §5).
 
@@ -101,12 +101,11 @@ class SuiteJobResult:
     #: whether that expectation is pinned (litmus under SRA is not —
     #: the paper gives no table for the comparator model)
     pinned: bool
-    configs: int
-    transitions: int
     terminal: int
     truncated: bool
     wall_time: float
-    #: what the job's explorations cost, merged (:meth:`EngineStats.merge`)
+    #: what the job's explorations did and cost, merged
+    #: (:meth:`EngineStats.merge`)
     stats: EngineStats
     #: kind-specific payload (fuzz jobs ship their divergence records
     #: here as JSON, footprint jobs their failure description; litmus
@@ -123,8 +122,8 @@ class SuiteJobResult:
     worker_pid: int = 0
 
     def __getattr__(self, name: str):
-        # Forwards reads of the engine counters (``r.key_hits`` is
-        # ``r.stats.key_hits``) for readers outside the package that
+        # Forwards reads of the engine counters (``r.configs`` is
+        # ``r.stats.configs``) for readers outside the package that
         # predate the one stats record, such as perfbench/workloads.py.
         # Only reached when ordinary lookup fails.  Dunders and ``stats``
         # itself must fail fast: unpickling looks up ``__setstate__``
@@ -143,7 +142,8 @@ class SuiteJobResult:
         mark = "" if self.verdict_matches else "  ** MISMATCH **"
         bound = " (bounded)" if self.truncated else ""
         return (
-            f"{self.label:<28} {self.verdict:<10} configs={self.configs:>6} "
+            f"{self.label:<28} {self.verdict:<10} "
+            f"configs={self.stats.configs:>6} "
             f"time={self.wall_time * 1e3:7.1f}ms{bound}{mark}"
         )
 
@@ -230,18 +230,16 @@ def _run_litmus_job(job: SuiteJob) -> SuiteJobResult:
     model = model_by_name(job.model)
     test = _litmus_by_name(job.name)
     outcome = run_litmus(test, model, job.plan)
-    stats = outcome.result.stats
+    result = outcome.result
     return SuiteJobResult(
         job=job,
         observed=outcome.reachable,
         expected=outcome.expected,
         pinned=model.name != "SRA",
-        configs=outcome.configs,
-        transitions=outcome.result.transitions,
-        terminal=outcome.terminal_states,
-        truncated=outcome.truncated,
-        wall_time=stats.time_total,
-        stats=stats,
+        terminal=len(result.terminal),
+        truncated=result.truncated,
+        wall_time=result.stats.time_total,
+        stats=result.stats,
     )
 
 
@@ -335,8 +333,6 @@ def _run_case_study_job(job: SuiteJob) -> SuiteJobResult:
         observed=not result.ok,
         expected=not CASE_STUDIES[job.name],
         pinned=True,
-        configs=result.configs,
-        transitions=result.transitions,
         terminal=len(result.terminal),
         truncated=result.truncated,
         wall_time=result.stats.time_total,
@@ -360,8 +356,6 @@ def _run_verify_job(job: SuiteJob) -> SuiteJobResult:
         observed=not report.proved,
         expected=False,  # every registered outline is expected to prove
         pinned=True,
-        configs=report.configs,
-        transitions=report.transitions,
         terminal=0,
         truncated=report.truncated,
         wall_time=stats.time_total,
@@ -407,7 +401,7 @@ def run_suite_job(job: SuiteJob) -> SuiteJobResult:
     if tr is not None:
         tr.emit(
             "job_end", job=job.label, kind=job.kind, dur=result.wall_time,
-            configs=result.configs, verdict=result.verdict,
+            configs=result.stats.configs, verdict=result.verdict,
         )
     return result
 
@@ -431,8 +425,6 @@ def _run_suite_job_safely(job: SuiteJob) -> SuiteJobResult:
             observed=False,
             expected=False,
             pinned=True,
-            configs=0,
-            transitions=0,
             terminal=0,
             truncated=False,
             wall_time=time.perf_counter() - t0,
@@ -529,16 +521,15 @@ class ParallelRunner:
         """Suite-level totals for the CLI footer.
 
         The jobs' stats records fold through :meth:`EngineStats.merge`,
-        so every counter, timer and high-water mark appears under its
-        field name.  The jobs' own counts (configs, obligations, ...)
-        sum alongside; ``jobs``, ``mismatches``, ``failures``,
+        so every count, counter, timer and high-water mark appears under
+        its field name.  The jobs' terminal and obligation counts sum
+        alongside; ``jobs``, ``mismatches``, ``failures``,
         ``key_rate`` and ``worker_time`` (the sum of whole-job wall
         times) are derived.
         """
         merged = EngineStats.folded(r.stats for r in results)
         totals = merged.counters()
-        for name in ("configs", "transitions", "terminal", "obligations",
-                     "failed_obligations"):
+        for name in ("terminal", "obligations", "failed_obligations"):
             totals[name] = sum(getattr(r, name) for r in results)
         totals["jobs"] = len(results)
         totals["mismatches"] = sum(1 for r in results if not r.verdict_matches)

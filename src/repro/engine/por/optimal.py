@@ -393,7 +393,7 @@ def explore_optimal(
                 result.capped = True
                 raise _Abort
             rec = records[key] = _Record()
-            result.configs += 1
+            stats.configs += 1
             if check_config is not None:
                 t0 = clock()
                 messages = check_config(config)
@@ -571,7 +571,7 @@ def explore_optimal(
             while node.active_idx < len(successors):
                 step = successors[node.active_idx]
                 node.active_idx += 1
-                result.transitions += 1
+                stats.transitions += 1
                 target = step.target
                 t0 = clock()
                 child_key = _key_of(target, model, canonicalize)
@@ -684,10 +684,7 @@ def explore_optimal(
         stats.time_total += clock() - t_run
         counters.fold_into(stats)
         if tr is not None:
-            tr.run_end(
-                run, stats, result.configs, result.transitions,
-                result.truncated,
-            )
+            tr.run_end(run, stats, result.truncated)
 
     return result
 

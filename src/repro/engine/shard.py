@@ -184,8 +184,6 @@ class _ShardCore:
         self.terminal: List[Tuple[tuple, Any]] = []
         #: (stamp, Violation)
         self.violations: List[Tuple[tuple, Violation]] = []
-        self.configs = 0
-        self.transitions = 0
         self.truncated = False
         self.capped = False
         self.level = 0
@@ -250,7 +248,7 @@ class _ShardCore:
 
         spec = self.spec
         clock = time.perf_counter
-        self.configs += 1
+        self.stats.configs += 1
         self._check_config(stamp, config)
         if config.is_terminated():
             self.terminal.append((stamp, config))
@@ -266,7 +264,7 @@ class _ShardCore:
         self.stats.time_expand += clock() - t0
         seq = 0
         for step in steps:
-            self.transitions += 1
+            self.stats.transitions += 1
             self._check_step(stamp, config, step)
             if self.capped:
                 continue
@@ -321,8 +319,6 @@ class _ShardCore:
             "parents": dict(self.parents),
             "terminal": list(self.terminal),
             "violations": list(self.violations),
-            "configs": self.configs,
-            "transitions": self.transitions,
             "truncated": self.truncated,
             "capped": self.capped,
             "stats": dataclasses.replace(self.stats),
@@ -335,8 +331,6 @@ class _ShardCore:
         self.parents = snap["parents"]
         self.terminal = snap["terminal"]
         self.violations = snap["violations"]
-        self.configs = snap["configs"]
-        self.transitions = snap["transitions"]
         self.truncated = snap["truncated"]
         self.capped = snap["capped"]
         self.stats = snap["stats"]
@@ -345,8 +339,6 @@ class _ShardCore:
     def finish(self) -> dict:
         """Package this shard's outcome."""
         return {
-            "configs": self.configs,
-            "transitions": self.transitions,
             "truncated": self.truncated,
             "capped": self.capped,
             "terminal": self.terminal,
@@ -368,8 +360,6 @@ def _merge_results(
     terminal: List[Tuple[tuple, Any]] = []
     violations: List[Tuple[tuple, Violation]] = []
     for payload in payloads:
-        result.configs += payload["configs"]
-        result.transitions += payload["transitions"]
         result.truncated = result.truncated or payload["truncated"]
         result.capped = result.capped or payload["capped"]
         terminal.extend(payload["terminal"])
@@ -435,7 +425,7 @@ def _explore_sharded_inprocess(
         )
     every = spec.plan.checkpoint_every or 1000
     next_ckpt = (
-        sum(core.configs for core in cores) + every
+        sum(core.stats.configs for core in cores) + every
         if spec.plan.checkpoint is not None
         else None
     )
@@ -471,7 +461,7 @@ def _explore_sharded_inprocess(
             core.stats.shard_rounds = rounds
         if stop or all(len(core.frontier) == 0 for core in cores):
             break
-        total = sum(core.configs for core in cores)
+        total = sum(core.stats.configs for core in cores)
         if next_ckpt is not None and total >= next_ckpt:
             ckpt_count += 1
             write_checkpoint(spec.plan.checkpoint, spec.fingerprint, {
@@ -695,7 +685,7 @@ def _shard_worker(
             core.stats.shard_rounds = rounds
             coord_queue.put((
                 "round", index, rounds - 1, len(core.frontier), sent, recv,
-                bool(core.violations), core.configs,
+                bool(core.violations), core.stats.configs,
             ))
             command = ctrl_queue.get()
             if command[0] == "stop":
@@ -971,7 +961,7 @@ def explore_sharded(
     The plan's checkpoint surface works as in the single-process search
     (DESIGN.md §16): snapshots are taken at superstep barriers —
     per-shard core images assembled by the coordinator into ONE atomic
-    ``repro-ckpt/5`` file with algorithm tag ``"shard"`` — and resume
+    ``repro-ckpt/6`` file with algorithm tag ``"shard"`` — and resume
     requires the identical shard count (it is part of the fingerprint).
     Process mode runs under attempt-level supervision: silently dying
     workers are detected, the fleet respawned from the latest
@@ -1045,10 +1035,7 @@ def explore_sharded(
             spec, initial, init_key, resume_payload
         )
     if tr is not None:
-        tr.run_end(
-            run, result.stats, result.configs, result.transitions,
-            result.truncated,
-        )
+        tr.run_end(run, result.stats, result.truncated)
     return result
 
 

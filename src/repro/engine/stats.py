@@ -1,24 +1,27 @@
-"""Engine statistics: what one exploration run cost, and where.
+"""Engine statistics: what one exploration run did and cost, and where.
 
 Every :class:`~repro.engine.core.ExplorationResult` carries an
-:class:`EngineStats` describing the run that produced it: which search
-strategy and reduction ran, how large the frontier grew, how the
-canonical-key cache behaved, how wall time split across the engine's
-phases (successor expansion, canonical keying, the visited store, check
-hooks), how much memory the process had peaked at when it ended, and
-— under partial-order reduction (DESIGN.md §9) — how much the reduction
-pruned.  It is the one record a run's cost travels in: shards, jobs,
+:class:`EngineStats` describing the run that produced it: how many
+configurations and transitions it explored, which search strategy and
+reduction ran, how large the frontier grew, how the canonical-key cache
+behaved, how wall time split across the engine's phases (successor
+expansion, canonical keying, the visited store, check hooks), how much
+memory the process had peaked at when it ended, and — under
+partial-order reduction (DESIGN.md §9) — how much the reduction pruned.
+It is the one record a run's counts and cost travel in: shards, jobs,
 fuzz cases and campaigns fold theirs with :meth:`EngineStats.merge`,
 and every footer, the metrics export and the run ledger read the result
 (DESIGN.md §5).  :class:`ProcessCounters` charges a search with its share
-of the process-wide counters.
+of the process-wide :data:`repro.counters.COUNTERS`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields
-from typing import Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Union
+
+from repro.counters import COUNTERS, Counters
 
 try:
     import resource
@@ -28,20 +31,25 @@ except ImportError:  # not on every platform (Windows)
 
 @dataclass
 class EngineStats:
-    """Counters and phase timings of one exploration run."""
+    """Counts, counters and phase timings of one exploration run."""
 
     strategy: str = "bfs"
     #: Which partial-order reduction ran ("none" | "optimal").
     reduction: str = "none"
+    #: Distinct configurations popped and checked, and transitions
+    #: enumerated from them.
+    configs: int = 0
+    transitions: int = 0
     #: Largest number of configurations ever waiting in the frontier
     #: (for the DPOR depth-first traversal: the peak spine depth).
     peak_frontier: int = 0
-    #: Canonical-key cache behaviour during this run (deltas of the
-    #: process-wide :data:`~repro.engine.keys.KEY_CACHE`).
+    #: Canonical-key cache behaviour during this run.  These two,
+    #: ``states_built``, ``time_orders`` and ``time_model`` are the
+    #: run's deltas of the same-named process-wide
+    #: :data:`repro.counters.COUNTERS`.
     key_hits: int = 0
     key_misses: int = 0
-    #: Compact state forms built during this run (the delta of the
-    #: process-wide :data:`~repro.c11.compact.BUILDS`).  A successor is
+    #: Compact state forms built during this run.  A successor is
     #: built only when something reads it (DESIGN.md §11), so this is
     #: below the number of successors enumerated.
     states_built: int = 0
@@ -59,15 +67,13 @@ class EngineStats:
     time_store: float = 0.0
     time_checks: float = 0.0
     #: Wall time spent deriving orders (hb/eco bitset sweeps, SRA
-    #: acyclicity, and any fallback Relation closures) — the delta of
-    #: the process-wide :data:`repro.c11.compact.ORDER_TIMER` over this
-    #: run.  A *subset* of ``time_expand``/``time_checks`` (derivations
-    #: happen inside expansion and check hooks), reported separately so
-    #: footers can attribute time to closure work (DESIGN.md §11).
+    #: acyclicity, and any fallback Relation closures).  A *subset* of
+    #: ``time_expand``/``time_checks`` (derivations happen inside
+    #: expansion and check hooks), reported separately so footers can
+    #: attribute time to closure work (DESIGN.md §11).
     time_orders: float = 0.0
-    #: Wall time spent inside memory-model ``transitions_list`` calls —
-    #: the delta of :data:`repro.interp.memory_model.MODEL_TIMER`, so
-    #: ``time_orders ⊆ time_model ⊆ time_expand``;
+    #: Wall time spent inside memory-model ``transitions_list`` calls,
+    #: so ``time_orders ⊆ time_model ⊆ time_expand``;
     #: ``time_expand - time_model`` is the program-side stepping cost of
     #: the lowered step tables (DESIGN.md §12).
     time_model: float = 0.0
@@ -159,18 +165,20 @@ class EngineStats:
             - self.time_store - self.time_checks
         )
 
-    def phase_split(self, configs: Optional[int] = None, unit: str = "ms") -> str:
+    def phase_split(self, unit: str = "ms", rate: bool = False) -> str:
         """Where the run's wall time went, in ``ms`` or ``s``.
 
         ``expand + keys + store + checks + loop`` is ``total``; ``model`` and
         ``step`` (the lowered step tables' share, DESIGN.md §12) split
         ``expand``, and ``orders`` (DESIGN.md §11) is time spent inside
         the other phases, so the split shows which layer a performance
-        change moved.  Given the run's ``configs``, the line ends with
-        its states/sec, also per million spin iterations
-        (:mod:`repro.engine.calibrate`), which compares across machines.
-        This is the one renderer of the split: ``summary()``,
-        ``run --profile`` and the batch footers all print it.
+        change moved.  With ``rate`` the line ends with the run's
+        states/sec, also per million spin iterations
+        (:mod:`repro.engine.calibrate`), which compares across machines;
+        measuring the spin rate takes a tenth of a second, so
+        ``summary()`` leaves it out.  This is the one renderer of the
+        split: ``summary()``, ``run --profile`` and the batch footers all
+        print it.
         """
         scale, digits = (1e3, 1) if unit == "ms" else (1.0, 2)
 
@@ -185,14 +193,14 @@ class EngineStats:
             f"checks={t(self.time_checks)} loop={t(self.time_loop)} "
             f"total={t(self.time_total)}"
         )
-        if configs is not None:
+        if rate:
             from repro.engine.calibrate import per_mspin, spin_score
 
-            rate = configs / self.time_total if self.time_total else 0.0
+            per_s = self.configs / self.time_total if self.time_total else 0.0
             score = spin_score()
             line += (
-                f"; {rate:,.0f} states/sec = "
-                f"{per_mspin(rate, score):,.0f} states/Mspin "
+                f"; {per_s:,.0f} states/sec = "
+                f"{per_mspin(per_s, score):,.0f} states/Mspin "
                 f"(spin {score / 1e6:.1f}M ops/s)"
             )
         return line
@@ -258,41 +266,26 @@ COUNTER_FIELDS = tuple(
 
 
 class ProcessCounters:
-    """The process-wide counters a search segment is charged with.
+    """A reading of the process-wide :data:`repro.counters.COUNTERS`,
+    taken when a search segment starts.
 
-    Key-cache hits and misses (:data:`repro.engine.keys.KEY_CACHE`),
-    compact states built (:data:`repro.c11.compact.BUILDS`),
-    derived-order seconds (:data:`repro.c11.compact.ORDER_TIMER`) and
-    memory-model seconds (:data:`repro.interp.memory_model.MODEL_TIMER`)
-    accumulate process-wide.  A segment takes a reading when it starts;
-    :meth:`fold_into` adds what accrued since into a record, and raises
-    its ``peak_rss_kb`` to the process's peak so far.  Every search loop
-    charges itself through this one class.
+    :meth:`fold_into` adds what accrued since into a record, field by
+    same-named field, and raises its ``peak_rss_kb`` to the process's
+    peak so far.  Every search loop charges itself through this one
+    class.
     """
 
-    __slots__ = (
-        "key_hits", "key_misses", "states_built", "time_orders", "time_model",
-    )
+    __slots__ = ("start",)
 
     def __init__(self) -> None:
-        # lazy: importing repro.interp imports the engine
-        from repro.c11.compact import BUILDS, ORDER_TIMER
-        from repro.engine.keys import KEY_CACHE
-        from repro.interp.memory_model import MODEL_TIMER
-
-        self.key_hits, self.key_misses, _ = KEY_CACHE.snapshot()
-        self.states_built = BUILDS.built
-        self.time_orders = ORDER_TIMER.snapshot()
-        self.time_model = MODEL_TIMER.snapshot()
+        self.start = COUNTERS.reading()
 
     def fold_into(self, stats: EngineStats) -> EngineStats:
         """Add the counters accrued since this reading to ``stats``."""
-        now = ProcessCounters()
-        for name in self.__slots__:
-            setattr(
-                stats, name,
-                getattr(stats, name) + getattr(now, name) - getattr(self, name),
-            )
+        for name, before, now in zip(
+            Counters.__slots__, self.start, COUNTERS.reading()
+        ):
+            setattr(stats, name, getattr(stats, name) + now - before)
         stats.peak_rss_kb = max(stats.peak_rss_kb, peak_rss_kb())
         return stats
 

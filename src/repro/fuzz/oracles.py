@@ -127,8 +127,6 @@ class OracleReport:
     #: a bound was hit; no divergence verdict is possible
     inconclusive: bool = False
     outcomes: Dict[str, FrozenSet[Outcome]] = field(default_factory=dict)
-    configs: int = 0
-    transitions: int = 0
     terminal: int = 0
     #: every exploration this case ran, merged (:meth:`EngineStats.merge`)
     stats: EngineStats = field(default_factory=EngineStats)
@@ -295,8 +293,6 @@ def check_program(
             report.divergence = "crash"
             report.detail = f"{name} exploration raised {type(exc).__name__}: {exc}"
             return report
-        report.configs += result.configs
-        report.transitions += result.transitions
         report.terminal += len(result.terminal)
         report.stats.merge(result.stats)
         if name == "ra":
@@ -370,8 +366,6 @@ def check_program(
                 f"{type(exc).__name__}: {exc}"
             )
             return report
-        report.configs += rerun.configs
-        report.transitions += rerun.transitions
         report.stats.merge(rerun.stats)
         if rerun.capped:
             # A capped variant explored a different prefix than the full

@@ -164,13 +164,11 @@ def run_fuzz_job(job: FuzzJob):
     tr = tracer()
     records: List[DivergenceRecord] = []
     inconclusive = 0
-    configs = transitions = terminal = 0
+    terminal = 0
     stats = EngineStats()
     for index in range(job.start, job.start + job.count):
         case = generate_case(job.seed, index, PROFILES[job.profile])
         report = _check(job, case)
-        configs += report.configs
-        transitions += report.transitions
         terminal += report.terminal
         stats.merge(report.stats)
         if tr is not None:
@@ -215,8 +213,6 @@ def run_fuzz_job(job: FuzzJob):
         observed=bool(records),
         expected=False,
         pinned=True,
-        configs=configs,
-        transitions=transitions,
         terminal=terminal,
         truncated=bool(inconclusive),
         wall_time=0.0,  # overwritten by run_suite_job with whole-job time
@@ -239,8 +235,6 @@ def run_footprint_job(job: FootprintJob):
         observed=bool(failure),
         expected=False,
         pinned=True,
-        configs=0,
-        transitions=0,
         terminal=0,
         truncated=False,
         wall_time=0.0,  # overwritten by run_suite_job with whole-job time
@@ -258,10 +252,9 @@ class CampaignReport:
     profile: str
     divergences: List[DivergenceRecord] = field(default_factory=list)
     inconclusive: int = 0
-    configs: int = 0
-    transitions: int = 0
     wall_time: float = 0.0
-    #: every job's stats record, merged (:meth:`EngineStats.merge`)
+    #: every job's stats record, merged (:meth:`EngineStats.merge`),
+    #: with the campaign's configuration and transition counts
     stats: EngineStats = field(default_factory=EngineStats)
 
     @property
@@ -278,8 +271,8 @@ class CampaignReport:
         line = (
             f"fuzz seed={self.seed} iters={self.iters} "
             f"profile={self.profile}: {verdict}, "
-            f"{self.inconclusive} inconclusive; {self.configs} configs, "
-            f"{self.transitions} transitions, "
+            f"{self.inconclusive} inconclusive; {stats.configs} configs, "
+            f"{stats.transitions} transitions, "
             f"key-cache {100.0 * stats.key_rate:.0f}%, "
             f"worker time {self.wall_time:.2f}s"
         )
@@ -395,8 +388,6 @@ def run_campaign(
         report.divergences.extend(
             DivergenceRecord.from_json(data) for data in payload["divergences"]
         )
-        report.configs += result.configs
-        report.transitions += result.transitions
         report.stats.merge(result.stats)
     report.divergences.sort(key=lambda r: r.index)
     return report

@@ -25,9 +25,10 @@ import time
 from typing import Generic, Iterator, List, Optional, TypeVar
 
 from repro.c11.events import Event
+from repro.counters import COUNTERS
 from repro.interp.compiled import maybe_lower
 from repro.interp.config import Configuration
-from repro.interp.memory_model import MODEL_TIMER, MemoryModel
+from repro.interp.memory_model import MemoryModel
 from repro.lang.actions import Value
 from repro.lang.program import Tid
 
@@ -159,7 +160,7 @@ def thread_successor_list(
     if not step.is_silent:
         t0 = _clock()
         mts = model.transitions_list(config.state, tid, step)
-        MODEL_TIMER.seconds += _clock() - t0
+        COUNTERS.time_model += _clock() - t0
     return _build_successors(config, ((tid, step, mts),))
 
 
@@ -192,7 +193,7 @@ def successor_list(
                 tid, step,
                 None if step.is_silent else transitions_list(state, tid, step),
             ))
-        MODEL_TIMER.seconds += _clock() - t0
+        COUNTERS.time_model += _clock() - t0
     return _build_successors(config, answers)
 
 

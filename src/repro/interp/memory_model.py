@@ -26,35 +26,6 @@ from repro.lang.semantics import PendingStep
 
 S = TypeVar("S", bound=Hashable)
 
-class ModelTimerStats:
-    """Process-wide accumulator of time spent inside memory models.
-
-    The same discipline as :data:`repro.c11.compact.ORDER_TIMER`: the
-    interpreter (DESIGN.md §12) charges every ``transitions_list`` call
-    here, the engine snapshots the delta around a run as
-    ``EngineStats.time_model``, and footers subtract it from
-    ``time_expand`` to expose the *program-stepping* share of
-    expansion.  Order derivations happen inside model calls, so
-    ``time_orders ⊆ time_model ⊆ time_expand``.
-    """
-
-    __slots__ = ("seconds",)
-
-    def __init__(self) -> None:
-        self.seconds = 0.0
-
-    def reset(self) -> None:
-        self.seconds = 0.0
-
-    def snapshot(self) -> float:
-        return self.seconds
-
-    def __repr__(self) -> str:
-        return f"ModelTimerStats(seconds={self.seconds:.3f})"
-
-
-MODEL_TIMER = ModelTimerStats()
-
 _EMPTY_VARS: FrozenSet["Var"] = frozenset()
 
 

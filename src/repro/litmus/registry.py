@@ -67,12 +67,8 @@ class LitmusOutcome:
     model_name: str
     reachable: bool
     expected: bool
-    terminal_states: int
-    configs: int
-    truncated: bool
-    #: the underlying exploration (counts, engine stats); ``None`` only
-    #: for outcomes reconstructed from a parallel worker's flat report
-    result: Optional["ExplorationResult"] = None
+    #: the underlying exploration (terminal states, counts, engine stats)
+    result: ExplorationResult
 
     @property
     def verdict_matches(self) -> bool:
@@ -84,7 +80,8 @@ class LitmusOutcome:
         return (
             f"{self.test.name:<22} {self.model_name:<3} {got} "
             f"(expected {'allowed' if self.expected else 'forbidden'})  "
-            f"terminals={self.terminal_states:>4} configs={self.configs:>6}  {ok}"
+            f"terminals={len(self.result.terminal):>4} "
+            f"configs={self.result.configs:>6}  {ok}"
         )
 
 
@@ -118,9 +115,6 @@ def run_litmus(
         model_name=model.name,
         reachable=reachable,
         expected=expected,
-        terminal_states=len(result.terminal),
-        configs=result.configs,
-        truncated=result.truncated,
         result=result,
     )
 

@@ -27,10 +27,6 @@ import time
 from typing import Any, Optional, TextIO
 
 
-def _configs_of(result: Any) -> int:
-    return int(getattr(result, "configs", 0) or 0)
-
-
 def _wall_of(result: Any) -> float:
     return float(getattr(result, "wall_time", 0.0) or 0.0)
 
@@ -58,7 +54,7 @@ class Heartbeat:
     # The ParallelRunner calls the instance itself: ``progress=heartbeat``.
     def __call__(self, result: Any) -> None:
         self.done += 1
-        self.configs += _configs_of(result)
+        self.configs += result.stats.configs
         wall = _wall_of(result)
         self.sum_wall += wall
         if wall > self.max_wall:

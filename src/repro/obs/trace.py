@@ -193,8 +193,7 @@ class Tracer:
         )
         return run
 
-    def run_end(self, run: str, stats, configs: int, transitions: int,
-                truncated: bool) -> None:
+    def run_end(self, run: str, stats, truncated: bool) -> None:
         """Phase spans (straight off the engine's timers — totals agree
         with ``EngineStats`` by construction) followed by the run
         summary record."""
@@ -205,8 +204,9 @@ class Tracer:
             if dur > 0.0:
                 self.emit("span", run=run, name=name, dur=dur)
         self.emit(
-            "run_end", run=run, configs=configs, transitions=transitions,
-            truncated=truncated, dur=stats.time_total,
+            "run_end", run=run, configs=stats.configs,
+            transitions=stats.transitions, truncated=truncated,
+            dur=stats.time_total,
         )
 
     def race(self, run: str, tid: int, footprint, program) -> None:

@@ -78,17 +78,13 @@ class ObligationFailure:
 class OutlineReport:
     """Outcome of checking a proof outline."""
 
-    configs: int = 0
-    transitions: int = 0
     obligations_discharged: int = 0
     truncated: bool = False
     failures: List[ObligationFailure] = field(default_factory=list)
     #: per-invariant obligation counts: name -> (discharged, failed)
     per_invariant: Dict[str, Tuple[int, int]] = field(default_factory=dict)
-    #: how the discharging exploration ran
-    strategy: str = "bfs"
-    #: the discharging exploration's engine statistics (key cache,
-    #: phase timings, reduction counters) — what the parallel runner's
+    #: the discharging exploration's engine statistics (counts,
+    #: strategy, key cache, phase timings) — what the parallel runner's
     #: verify jobs aggregate into the suite footer
     stats: EngineStats = field(default_factory=EngineStats)
 
@@ -106,7 +102,8 @@ class OutlineReport:
         verdict = "OK" if self.proved else f"{self.failed_obligations} FAILED"
         bound = " (bounded)" if self.truncated else ""
         return (
-            f"configs={self.configs} transitions={self.transitions} "
+            f"configs={self.stats.configs} "
+            f"transitions={self.stats.transitions} "
             f"obligations={self.obligations_discharged} {verdict}{bound}"
         )
 
@@ -167,7 +164,7 @@ class ProofOutline:
         ``check_step`` hook with ``ValueError`` (DESIGN.md §10).
         """
         model = model if model is not None else RAMemoryModel()
-        report = OutlineReport(strategy=plan.strategy)
+        report = OutlineReport()
 
         initial = initial_configuration(program, init_values, model)
         for inv in self._invariants:
@@ -193,8 +190,6 @@ class ProofOutline:
         result = explore(
             program, init_values, model, check_step=on_step, **plan.options()
         )
-        report.configs = result.configs
-        report.transitions = result.transitions
         report.truncated = result.truncated
         report.stats = result.stats
 

@@ -1,4 +1,4 @@
-"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/5 format.
+"""Checkpoint/resume: kill-and-resume parity and the repro-ckpt/6 format.
 
 The fault-tolerance contract (DESIGN.md §16), half one: a run
 interrupted at an arbitrary point and resumed from its last snapshot
@@ -206,7 +206,7 @@ def test_checkpointing_is_observation_free(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# The repro-ckpt/5 format: atomicity, magic, fingerprints
+# The repro-ckpt/6 format: atomicity, magic, fingerprints
 # ----------------------------------------------------------------------
 
 
@@ -237,14 +237,17 @@ def test_bad_magic_is_refused(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "schema", ["repro-ckpt/1", "repro-ckpt/2", "repro-ckpt/3", "repro-ckpt/4"]
+    "schema",
+    ["repro-ckpt/1", "repro-ckpt/2", "repro-ckpt/3", "repro-ckpt/4",
+     "repro-ckpt/5"],
 )
 def test_previous_schema_is_refused_by_name(tmp_path, schema):
     """A repro-ckpt/1 file (whose parent map carried whole steps), a
     repro-ckpt/2 file (which carried a visited-set image beside the
     parent map), a repro-ckpt/3 file (whose compact states carried an
-    ``unplaced`` slot) or a repro-ckpt/4 file (whose keys were nested
-    tuples, not hash-consed nodes) is refused with a one-line error
+    ``unplaced`` slot), a repro-ckpt/4 file (whose keys were nested
+    tuples, not hash-consed nodes) or a repro-ckpt/5 file (whose loop
+    state carried its counts beside its stats record) is refused with a one-line error
     naming its schema, never unpickled into the current loop."""
     path = tmp_path / "old.ckpt"
     path.write_bytes(

@@ -277,6 +277,33 @@ def test_run_rejects_bad_input_with_one_line(sb_file, tmp_path, capsys, args):
     assert "Traceback" not in captured.out + captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "{sb}", "--inject-faults", "bogus"],
+        ["trace", "{missing}.jsonl"],
+        ["runs", "diff", "0", "5", "--ledger", "{ledger}"],
+    ],
+    ids=["inject-faults-bogus", "trace-missing", "runs-diff-bad-index"],
+)
+def test_bad_operand_is_one_usage_line(sb_file, tmp_path, capsys, args):
+    """A bad fault spec, an unreadable trace or a missing ledger index is
+    one ``repro <command>: error:`` line on stderr, exit 2, no stdout."""
+    from repro.obs.ledger import append_record
+
+    ledger = str(tmp_path / "runs.jsonl")
+    append_record("run", verdict="ok", wall=0.1, stats={}, path=ledger)
+    paths = {
+        "sb": sb_file, "missing": str(tmp_path / "missing"), "ledger": ledger,
+    }
+    assert main([arg.format(**paths) for arg in args]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"repro {args[0]}: error: ")
+    assert captured.out == ""
+
+
 def test_run_with_optimal_reduction(sb_file, capsys):
     assert main(["run", sb_file, "--reduction", "optimal", "--stats"]) == 0
     out = capsys.readouterr().out

@@ -48,6 +48,16 @@ def spec_file(tmp_path, text, name="spec.py"):
     return str(path)
 
 
+def one_error_line(capsys) -> str:
+    """The one ``repro verify: error: ...`` line a usage error prints
+    on stderr (nothing on stdout, no traceback)."""
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro verify: error: ")
+    assert captured.out == ""
+    return lines[0]
+
+
 # ----------------------------------------------------------------------
 # Named case studies
 # ----------------------------------------------------------------------
@@ -78,9 +88,9 @@ def test_verify_model_override_refutes_dekker_under_ra(capsys):
     assert "by thread" in out  # the offending transition is localised
 
 
-def test_verify_unknown_name():
-    with pytest.raises(SystemExit, match="unknown case study"):
-        main(["verify", "peterzon"])
+def test_verify_unknown_name(capsys):
+    assert main(["verify", "peterzon"]) == 2
+    assert "unknown case study" in one_error_line(capsys)
 
 
 def test_verify_named_with_model_list(capsys):
@@ -98,17 +108,17 @@ def test_verify_named_unknown_model(capsys):
     assert err.startswith("repro verify: error: unknown model 'tso'")
 
 
-def test_verify_incompatible_model_errors_cleanly():
+def test_verify_incompatible_model_errors_cleanly(capsys):
     """Forcing an RA-only outline (UpdateOnly/DV assertions) onto SC
     stores must be a clean error naming the pinned models, not an
     AttributeError traceback."""
-    with pytest.raises(SystemExit, match=r"stated for models \['ra'\]"):
-        main(["verify", "peterson", "--model", "sc"])
+    assert main(["verify", "peterson", "--model", "sc"]) == 2
+    assert "stated for models ['ra']" in one_error_line(capsys)
 
 
-def test_verify_without_arguments():
-    with pytest.raises(SystemExit, match="--list"):
-        main(["verify"])
+def test_verify_without_arguments(capsys):
+    assert main(["verify"]) == 2
+    assert "--list" in one_error_line(capsys)
 
 
 def test_verify_list(capsys):
@@ -151,9 +161,9 @@ def test_verify_all_model_filter(capsys):
     assert "[sc] proof" in out and "[ra] proof" not in out
 
 
-def test_verify_all_unmatched_model_filter():
-    with pytest.raises(SystemExit, match="no registered outline"):
-        main(["verify", "--all", "--model", "sra"])
+def test_verify_all_unmatched_model_filter(capsys):
+    assert main(["verify", "--all", "--model", "sra"]) == 2
+    assert "no registered outline" in one_error_line(capsys)
 
 
 # ----------------------------------------------------------------------
@@ -188,15 +198,15 @@ def test_verify_file_outline_function_form(mp_file, tmp_path, capsys):
     ]) == 0
 
 
-def test_verify_file_without_outline(mp_file):
-    with pytest.raises(SystemExit, match="--outline"):
-        main(["verify", "--file", mp_file])
+def test_verify_file_without_outline(mp_file, capsys):
+    assert main(["verify", "--file", mp_file]) == 2
+    assert "--outline" in one_error_line(capsys)
 
 
-def test_verify_file_spec_without_outline_binding(mp_file, tmp_path):
+def test_verify_file_spec_without_outline_binding(mp_file, tmp_path, capsys):
     spec = spec_file(tmp_path, "x = 1\n")
-    with pytest.raises(SystemExit, match="OUTLINE"):
-        main(["verify", "--file", mp_file, "--outline", spec])
+    assert main(["verify", "--file", mp_file, "--outline", spec]) == 2
+    assert "OUTLINE" in one_error_line(capsys)
 
 
 def _broken_outline_run(mp_file, tmp_path, capsys, *extra):

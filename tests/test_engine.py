@@ -7,10 +7,10 @@ property the whole dedup scheme rests on.
 
 import pytest
 
+from repro.counters import COUNTERS, Counters
 from repro.engine import (
     BFSFrontier,
     DFSFrontier,
-    KEY_CACHE,
     frontier_class,
 )
 from repro.engine.stats import EngineStats
@@ -166,13 +166,13 @@ def test_same_state_object_is_keyed_exactly_once(monkeypatch):
         return real(state)
 
     monkeypatch.setattr(canon, "canonical_key", counting)
-    hits_before = KEY_CACHE.hits
+    hits_before = COUNTERS.key_hits
     states, result = reachable_states(sb_program(), SB_INIT, RAMemoryModel())
     assert computed, "instrumentation saw no keyings"
     assert max(computed.values()) == 1, "a state object was keyed twice"
     # The recording hook re-keys every visited configuration's state;
     # each of those re-keyings must be a cache hit.
-    assert KEY_CACHE.hits - hits_before >= result.configs
+    assert COUNTERS.key_hits - hits_before >= result.configs
 
 
 def test_stats_record_key_cache_behaviour():
@@ -186,9 +186,9 @@ def test_stats_record_key_cache_behaviour():
 
 
 def test_reachable_states_hits_cache():
-    hits0, misses0, _ = KEY_CACHE.snapshot()
+    hits0 = COUNTERS.key_hits
     states, result = reachable_states(sb_program(), SB_INIT, RAMemoryModel())
-    hits1, misses1, _ = KEY_CACHE.snapshot()
+    hits1 = COUNTERS.key_hits
     assert hits1 - hits0 >= result.configs
     assert len(states) == result.configs  # RA: distinct state per config key
 
@@ -281,6 +281,52 @@ def test_stats_track_frontier_and_phases():
         + stats.time_checks <= stats.time_total
     )
     assert stats.time_store > 0.0
+
+
+def test_merge_sums_run_counts_and_counters_lists_them():
+    merged = EngineStats(configs=3, transitions=5).merge(
+        EngineStats(configs=4, transitions=7)
+    )
+    assert (merged.configs, merged.transitions) == (7, 12)
+    counters = merged.counters()
+    assert (counters["configs"], counters["transitions"]) == (7, 12)
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"reduction": "optimal"}, {"shards": 2, "shard_processes": False}],
+    ids=["plain", "optimal", "sharded"],
+)
+def test_run_counts_are_the_stats_record(options):
+    """Every search loop counts into ``result.stats``; the result's
+    ``configs``/``transitions`` read that record."""
+    plain = explore(sb_program(), SB_INIT, RAMemoryModel())
+    result = explore(sb_program(), SB_INIT, RAMemoryModel(), **options)
+    stats = result.stats
+    assert result.configs == stats.configs > 0
+    assert result.transitions == stats.transitions > 0
+    if "shards" in options:  # the shard merge sums every shard's counts
+        assert (stats.configs, stats.transitions) == (
+            plain.configs, plain.transitions,
+        )
+
+
+def test_back_to_back_searches_are_charged_only_their_own_counters():
+    """Each search is charged with what the process-wide counters
+    gained while it ran, not with their running totals."""
+    before = COUNTERS.reading()
+    first = explore(sb_program(), SB_INIT, RAMemoryModel()).stats
+    second = explore(sb_program(), SB_INIT, RAMemoryModel()).stats
+    after = COUNTERS.reading()
+    assert second.states_built == first.states_built > 0
+    assert (second.key_hits, second.key_misses) == (
+        first.key_hits, first.key_misses,
+    )
+    for stats in (first, second):
+        assert 0.0 < stats.time_model <= stats.time_expand
+    for name, start, end in zip(Counters.__slots__, before, after):
+        charged = getattr(first, name) + getattr(second, name)
+        assert charged == pytest.approx(end - start), name
 
 
 def test_stats_record_measured_peak_rss():

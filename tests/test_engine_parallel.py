@@ -57,7 +57,7 @@ def test_run_suite_job_matches_registry_verdicts():
             SuiteJob(kind="litmus", name=name, model="ra")
         )
         assert job_result.observed == sequential.reachable
-        assert job_result.configs == sequential.configs
+        assert job_result.stats.configs == sequential.result.configs
         assert job_result.verdict_matches
 
 
@@ -295,3 +295,45 @@ def test_stats_record_survives_the_pool():
         assert r.stats.time_expand > 0, r.label
         for name in STAT_FIELDS:
             assert getattr(r, name, 0) == getattr(r.stats, name), (r.label, name)
+
+
+def test_aggregate_totals_are_the_folded_job_stats():
+    """One job of each kind: every job's record carries its own
+    exploration counts, and the batch totals are those records folded."""
+    from repro.engine.parallel import _case_study_exploration
+    from repro.engine.stats import EngineStats
+    from repro.fuzz.generator import PROFILES, generate_case
+    from repro.fuzz.oracles import check_program
+    from repro.fuzz.runner import FootprintJob, FuzzJob
+    from repro.interp.memory_model import model_by_name
+    from repro.litmus.registry import run_litmus
+    from repro.litmus.suite import test_by_name
+    from repro.verify.registry import PROOFS
+
+    work = [
+        SuiteJob(kind="litmus", name="SB", model="ra"),
+        SuiteJob(kind="case-study", name="peterson"),
+        SuiteJob(kind="verify", name="dekker", model="sc"),
+        FuzzJob(seed=0, start=0, count=1),
+        FootprintJob(n_events=1, n_variables=1),
+    ]
+    runner = ParallelRunner(jobs=1)
+    results = runner.run(work)
+    own = [
+        run_litmus(test_by_name("SB"), model_by_name("ra")).result.stats,
+        _case_study_exploration("peterson", SearchPlan()).stats,
+        PROOFS.get("dekker").check("sc").stats,
+        check_program(generate_case(0, 0, PROFILES["default"])).stats,
+        EngineStats(),
+    ]
+    for r, stats in zip(results, own):
+        assert not r.failed, r.detail
+        assert (r.stats.configs, r.stats.transitions) == (
+            stats.configs, stats.transitions,
+        ), r.label
+    totals = runner.aggregate(results)
+    folded = EngineStats.folded(r.stats for r in results)
+    for name, value in folded.counters().items():
+        assert totals[name] == value, name
+    assert totals["configs"] == sum(stats.configs for stats in own) > 0
+    assert totals["transitions"] == sum(stats.transitions for stats in own) > 0

@@ -196,11 +196,11 @@ def _flip_truncation(result):
 
 
 def _grow_count(result):
-    result.configs += 1000
+    result.stats.configs += 1000
 
 
 def _shrink_count(result):
-    result.configs -= 1
+    result.stats.configs -= 1
 
 
 def _plant(monkeypatch, mutate):

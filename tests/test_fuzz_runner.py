@@ -79,8 +79,8 @@ def test_campaign_parallel_matches_sequential():
     sequential = run_campaign(seed=2, iters=ITERS, axiomatic=False)
     parallel = run_campaign(seed=2, iters=ITERS, jobs=2, axiomatic=False)
     assert sequential.ok and parallel.ok
-    assert sequential.configs == parallel.configs
-    assert sequential.transitions == parallel.transitions
+    assert sequential.stats.configs == parallel.stats.configs
+    assert sequential.stats.transitions == parallel.stats.transitions
     assert sequential.inconclusive == parallel.inconclusive
 
 

@@ -15,9 +15,11 @@ from repro.obs.progress import Heartbeat
 def _result(configs=10, wall=1.0, peak=5, failed=False):
     return SuiteJobResult(
         job=None, observed=True, expected=True, pinned=True,
-        configs=configs, transitions=configs * 2, terminal=1,
-        truncated=False, wall_time=wall,
-        stats=EngineStats(peak_frontier=peak), failed=failed,
+        terminal=1, truncated=False, wall_time=wall,
+        stats=EngineStats(
+            configs=configs, transitions=configs * 2, peak_frontier=peak,
+        ),
+        failed=failed,
     )
 
 

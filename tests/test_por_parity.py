@@ -46,10 +46,10 @@ def test_litmus_registry_verdict_parity(model_name, reduction):
         assert reduced.reachable == full.reachable, (
             f"{test.name} [{model_name}] verdict diverged under {reduction}"
         )
-        assert reduced.truncated == full.truncated, (
+        assert reduced.result.truncated == full.result.truncated, (
             f"{test.name} [{model_name}] truncation diverged under {reduction}"
         )
-        assert reduced.configs <= full.configs, (
+        assert reduced.result.configs <= full.result.configs, (
             f"{test.name} [{model_name}] visited more configs under {reduction}"
         )
         assert outcome_set(reduced.result) == outcome_set(full.result), (

@@ -131,7 +131,7 @@ def test_sigterm_mid_sharded_run_is_clean_and_resumable(tmp_path, sig):
     )
 
     # the snapshot the signal left behind is a valid, resumable
-    # repro-ckpt/5 file (atomic writes: never torn)
+    # repro-ckpt/6 file (atomic writes: never torn)
     _, payload = read_checkpoint(ckpt)
     assert payload["algo"] == "shard"
     assert len(payload["cores"]) == 3  # one pickled core per shard
@@ -152,8 +152,8 @@ def test_sigterm_mid_sharded_run_is_clean_and_resumable(tmp_path, sig):
 def job_result(job):
     return SuiteJobResult(
         job=job, observed=True, expected=True, pinned=True,
-        configs=1, transitions=1, terminal=1, truncated=False,
-        wall_time=0.0, stats=EngineStats(),
+        terminal=1, truncated=False, wall_time=0.0,
+        stats=EngineStats(configs=1, transitions=1),
     )
 
 
